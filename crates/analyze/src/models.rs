@@ -25,12 +25,6 @@
 //!   never loses a wakeup (even when the pump completes the last
 //!   pending call exactly as the scan stalls), never patches twice,
 //!   never exceeds the cap, and cannot deadlock at `cap == 1`.
-//! - [`batch_admission_model`]: the batch-at-a-time fill loop a capped
-//!   ReqSync runs (DESIGN.md §14) — admit room-sized chunks of one
-//!   executor batch *larger than the cap*, stalling to the low-water
-//!   mark between chunks, against completers racing the whole loop —
-//!   never loses a wakeup, never patches twice, never lets occupancy
-//!   exceed the cap, and always exits fully drained.
 //! - [`window_flush_model`]: the submission-window flush path (pump.rs
 //!   `window_batches` + event-loop dispatch) — a fill-to-window flusher
 //!   racing a timer-wake flusher over one shared queue, with completions
@@ -333,102 +327,6 @@ pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
             high_water <= cap,
             "occupancy {high_water} exceeded the cap {cap}"
         );
-    })
-}
-
-/// The batch-at-a-time admission loop a *capped* `ReqSyncExec` runs
-/// when the executor batch size exceeds the cap (DESIGN.md §14), at the
-/// real code's synchronization points: `batch_room` sizes each child
-/// pull to the free space under the cap, the whole chunk is admitted,
-/// and `stall_until_low_water` alternates `take_completed` drains with
-/// `wait_any` until occupancy reaches `cap / 2` before the next chunk —
-/// so one oversized batch crosses the buffer in cap-bounded waves.
-/// Completer threads race the entire loop (`split` uses two, so
-/// completion order itself is explored adversarially without exploding
-/// the schedule tree).
-///
-/// The checker proves, over every interleaving: every call in the batch
-/// is patched exactly once, occupancy never exceeds the cap (even
-/// though the batch is bigger than it), no wakeup is lost — in
-/// particular a completion landing exactly as the fill stalls between
-/// chunks — and the loop always exits fully drained.
-pub fn batch_admission_model(cap: usize, batch: usize, split: bool) -> Stats {
-    fn drain(pump: &MiniPump, buffered: &mut Vec<u64>, processed: &mut BTreeMap<u64, u64>) {
-        for (cid, v) in pump.take_completed(buffered) {
-            assert!(processed.insert(cid, v).is_none(), "double patch of {cid}");
-            buffered.retain(|c| *c != cid);
-        }
-    }
-    check_with(bounds(), move || {
-        let pump = Arc::new(MiniPump::new());
-        // One completer finishing the batch in order, or the batch's
-        // calls split across two completers so the scheduler explores
-        // every completion order across the fill waves.
-        let jobs: Vec<Vec<u64>> = if split {
-            let mid = (batch / 2).max(1) as u64;
-            vec![(1..=mid).collect(), (mid + 1..=batch as u64).collect()]
-        } else {
-            vec![(1..=batch as u64).collect()]
-        };
-        let completers: Vec<_> = jobs
-            .into_iter()
-            .filter(|cids| !cids.is_empty())
-            .map(|cids| {
-                let p = pump.clone();
-                thread::spawn(move || {
-                    for cid in cids {
-                        p.complete(cid, cid + 100);
-                    }
-                })
-            })
-            .collect();
-        let mut remaining: Vec<u64> = (1..=batch as u64).collect();
-        let mut buffered: Vec<u64> = Vec::new();
-        let mut processed: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut high_water = 0usize;
-        while !remaining.is_empty() {
-            // `batch_room`: the chunk of the batch the free space under
-            // the cap admits (the fill only runs below capacity, so the
-            // room is always at least one).
-            let room = cap
-                .saturating_sub(buffered.len())
-                .max(1)
-                .min(remaining.len());
-            for cid in remaining.drain(..room) {
-                buffered.push(cid);
-                high_water = high_water.max(buffered.len());
-            }
-            if buffered.len() >= cap {
-                let low = cap / 2;
-                loop {
-                    drain(&pump, &mut buffered, &mut processed);
-                    if buffered.len() <= low {
-                        break;
-                    }
-                    pump.wait_any(&buffered);
-                }
-            }
-        }
-        while !buffered.is_empty() {
-            pump.wait_any(&buffered);
-            drain(&pump, &mut buffered, &mut processed);
-        }
-        for c in completers {
-            c.join();
-        }
-        assert_eq!(
-            processed.len(),
-            batch,
-            "a call in the batch was never patched"
-        );
-        for cid in 1..=batch as u64 {
-            assert_eq!(processed.get(&cid), Some(&(cid + 100)));
-        }
-        assert!(
-            high_water <= cap,
-            "batch admission let occupancy {high_water} exceed the cap {cap}"
-        );
-        assert!(buffered.is_empty(), "exit must be fully drained");
     })
 }
 
@@ -1233,20 +1131,6 @@ mod tests {
     #[test]
     fn stall_resume_loses_no_wakeup_under_adversarial_completion_order() {
         let stats = stall_resume_model(2, true);
-        assert!(stats.complete, "exploration hit the schedule cap");
-        assert!(stats.schedules >= 2, "expected multiple interleavings");
-    }
-
-    #[test]
-    fn batch_admission_crosses_a_cap_smaller_than_the_batch() {
-        let stats = batch_admission_model(2, 3, false);
-        assert!(stats.complete, "exploration hit the schedule cap");
-        assert!(stats.schedules >= 2, "expected multiple interleavings");
-    }
-
-    #[test]
-    fn batch_admission_survives_cap_one_under_adversarial_completion_order() {
-        let stats = batch_admission_model(1, 2, true);
         assert!(stats.complete, "exploration hit the schedule cap");
         assert!(stats.schedules >= 2, "expected multiple interleavings");
     }

@@ -13,7 +13,7 @@
 
 use crate::verify::{refs_any, same_ref};
 use wsq_common::{Column, DataType, Schema};
-use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, RerankScorer};
+use wsq_engine::plan::{EvBinding, PhysPlan, RerankScorer};
 use wsq_sql::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal};
 
 /// A corruption class. Every variant breaks a specific verifier rule.
@@ -56,13 +56,6 @@ pub enum Mutation {
     /// cap-dropped — caught by `verify_bounds` against the session's
     /// declared cap).
     DropStampedCap,
-    /// Forge an AEVScan executor batch size above its enclosing
-    /// ReqSync's admission cap (resource-bound rule: batch-exceeds-cap).
-    /// The whole-batch registration burst of DESIGN.md §14 would outrun
-    /// the PR-4 buffer bound; the ReqSync is stamped with a cap if it
-    /// lacks one, so the mutated plan is exactly "batch clamp
-    /// convention violated".
-    ForgeBatchSize,
     /// Push a Rerank beneath the ReqSync that patches its score column:
     /// the scorer would order tuples by unresolved placeholders
     /// (rerank-over-placeholder — the §4.5.2 extension for QR2-style
@@ -86,7 +79,6 @@ pub const ALL_MUTATIONS: &[Mutation] = &[
     Mutation::DesyncScan,
     Mutation::ForgePrefetchDepth,
     Mutation::DropStampedCap,
-    Mutation::ForgeBatchSize,
     Mutation::SinkRerankBelowSync,
 ];
 
@@ -333,33 +325,7 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                 cap,
             } => {
                 let forged = cap.unwrap_or(4);
-                match forge_scan(*input, &mut |spec| spec.prefetch.depth = forged + 3) {
-                    Ok(i) => Ok(PhysPlan::ReqSync {
-                        input: Box::new(i),
-                        attrs,
-                        mode,
-                        cap: Some(forged),
-                    }),
-                    // Not applicable here: rebuild unchanged.
-                    Err(i) => Err(PhysPlan::ReqSync {
-                        input: Box::new(i),
-                        attrs,
-                        mode,
-                        cap,
-                    }),
-                }
-            }
-            other => Err(other),
-        },
-        Mutation::ForgeBatchSize => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } => {
-                let forged = cap.unwrap_or(4);
-                match forge_scan(*input, &mut |spec| spec.prefetch.batch = forged + 3) {
+                match forge_depth(*input, forged + 3) {
                     Ok(i) => Ok(PhysPlan::ReqSync {
                         input: Box::new(i),
                         attrs,
@@ -437,18 +403,17 @@ fn first_aev_attr(plan: &PhysPlan) -> Option<ColumnRef> {
 
 /// Stamp the first AEVScan reachable without crossing a nested ReqSync
 /// (so the mutated scan's *nearest* enclosing ReqSync is the one the
-/// caller just capped), applying `stamp` to its spec. Shared by the
-/// prefetch-depth and batch-size forgeries. `Ok` = forged, `Err` =
-/// unchanged.
-fn forge_scan(plan: PhysPlan, stamp: &mut dyn FnMut(&mut EvSpec)) -> Result<PhysPlan, PhysPlan> {
+/// caller just capped) with prefetch depth `depth`. `Ok` = forged,
+/// `Err` = unchanged.
+fn forge_depth(plan: PhysPlan, depth: usize) -> Result<PhysPlan, PhysPlan> {
     use PhysPlan::*;
     match plan {
         AEVScan(mut spec) => {
-            stamp(&mut spec);
+            spec.prefetch.depth = depth;
             Ok(AEVScan(spec))
         }
         ReqSync { .. } => Err(plan),
-        Filter { input, predicate } => match forge_scan(*input, stamp) {
+        Filter { input, predicate } => match forge_depth(*input, depth) {
             Ok(i) => Ok(Filter {
                 input: Box::new(i),
                 predicate,
@@ -462,7 +427,7 @@ fn forge_scan(plan: PhysPlan, stamp: &mut dyn FnMut(&mut EvSpec)) -> Result<Phys
             input,
             items,
             schema,
-        } => match forge_scan(*input, stamp) {
+        } => match forge_depth(*input, depth) {
             Ok(i) => Ok(Project {
                 input: Box::new(i),
                 items,
@@ -474,12 +439,12 @@ fn forge_scan(plan: PhysPlan, stamp: &mut dyn FnMut(&mut EvSpec)) -> Result<Phys
                 schema,
             }),
         },
-        DependentJoin { left, right } => match forge_scan(*right, stamp) {
+        DependentJoin { left, right } => match forge_depth(*right, depth) {
             Ok(r) => Ok(DependentJoin {
                 left,
                 right: Box::new(r),
             }),
-            Err(r) => match forge_scan(*left, stamp) {
+            Err(r) => match forge_depth(*left, depth) {
                 Ok(l) => Ok(DependentJoin {
                     left: Box::new(l),
                     right: Box::new(r),

@@ -39,15 +39,13 @@
 //! `ReqSync` ([`Bounds::peak_buffered`]), outstanding prefetch
 //! references across `AEVScan`s ([`Bounds::prefetch_refs`]), and their
 //! sum, the in-flight external-call peak ([`Bounds::peak_inflight`]).
-//! Three rules turn the PR-4/PR-6/§14 runtime conventions into checked
-//! facts: [`Rule::PrefetchExceedsCap`] (a stamped prefetch depth may
-//! never exceed the nearest enclosing ReqSync's admission cap — the
-//! clamp in `asyncify` is now verified, not trusted),
-//! [`Rule::BatchExceedsCap`] (same for the stamped executor batch
-//! size, whose whole-batch registration burst would otherwise outrun
-//! the cap), and [`Rule::CapDropped`] (when the session declared a
-//! cap, [`verify_bounds`] proves every ReqSync carries one at least
-//! that tight). The bounds ride along in [`Report`] and surface in the
+//! Two rules turn the PR-4/PR-6 runtime conventions into checked
+//! facts: [`Rule::PrefetchExceedsCap`] (a stamped prefetch depth —
+//! which already includes any `batch_size` lower bound — may never
+//! exceed the nearest enclosing ReqSync's admission cap: the clamp in
+//! `asyncify` is verified, not trusted) and [`Rule::CapDropped`] (when
+//! the session declared a cap, [`verify_bounds`] proves every ReqSync
+//! carries one at least that tight). The bounds ride along in [`Report`] and surface in the
 //! `-- verify:` analyze footer.
 //!
 //! Column matching deliberately mirrors `asyncify`'s own semantics
@@ -88,11 +86,6 @@ pub enum Rule {
     /// The session declared a ReqSync buffer cap, but a ReqSync in the
     /// stamped plan carries none (or a looser one).
     CapDropped,
-    /// An AEVScan's stamped executor batch size exceeds the admission
-    /// cap of its nearest enclosing ReqSync: one whole-batch
-    /// registration burst (DESIGN.md §14) could blow past the PR-4
-    /// buffer bound before the stall handshake fires.
-    BatchExceedsCap,
     /// A Rerank operator above an unpatched placeholder: the scorer
     /// would order tuples by a sentinel value instead of the real
     /// column. Rerank must sit **above** the ReqSync that patches its
@@ -112,7 +105,6 @@ impl fmt::Display for Rule {
             Rule::SyncScanInAsyncPlan => "sync-scan-in-async-plan",
             Rule::PrefetchExceedsCap => "prefetch-exceeds-cap",
             Rule::CapDropped => "cap-dropped",
-            Rule::BatchExceedsCap => "batch-exceeds-cap",
             Rule::RerankOverPlaceholder => "rerank-over-placeholder",
         };
         f.write_str(s)
@@ -234,9 +226,7 @@ pub struct Bounds {
     /// max over ReqSyncs of `min(cap, child cardinality)`.
     pub peak_buffered: Bound,
     /// Worst-case outstanding ahead-of-demand references: the sum over
-    /// `AEVScan`s of the stamped prefetch depth, or the executor batch
-    /// size when batch-at-a-time execution (batch > 1) registers a
-    /// larger whole-batch burst (DESIGN.md §14).
+    /// `AEVScan`s of the stamped prefetch depth.
     pub prefetch_refs: Bound,
     /// Worst-case in-flight external calls: buffered peak plus prefetch
     /// references (prefetched calls register ahead of ReqSync demand).
@@ -740,15 +730,8 @@ impl BoundsCx {
             PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => {
                 if matches!(plan, PhysPlan::AEVScan(_)) {
                     let depth = spec.prefetch.depth as u64;
-                    let batch = spec.prefetch.batch as u64;
-                    // Batch-at-a-time execution registers a whole outer
-                    // batch ahead of demand (DESIGN.md §14), subsuming
-                    // prefetch: the registration burst is the larger of
-                    // the two. Batch 1 is tuple-at-a-time and adds
-                    // nothing beyond the stamped prefetch depth.
-                    let burst = if batch > 1 { depth.max(batch) } else { depth };
                     self.bounds.prefetch_refs =
-                        self.bounds.prefetch_refs.plus(Bound::Finite(burst));
+                        self.bounds.prefetch_refs.plus(Bound::Finite(depth));
                     if let Some(cap) = enclosing_cap {
                         if depth > cap as u64 {
                             self.push(
@@ -756,17 +739,6 @@ impl BoundsCx {
                                 path,
                                 format!(
                                     "AEVScan '{}' stamped prefetch depth {depth} exceeds \
-                                     the enclosing ReqSync admission cap {cap}",
-                                    spec.alias
-                                ),
-                            );
-                        }
-                        if batch > 1 && batch > cap as u64 {
-                            self.push(
-                                Rule::BatchExceedsCap,
-                                path,
-                                format!(
-                                    "AEVScan '{}' stamped batch size {batch} exceeds \
                                      the enclosing ReqSync admission cap {cap}",
                                     spec.alias
                                 ),

@@ -121,7 +121,6 @@ fn expected_rule(m: Mutation) -> Rule {
         Mutation::DesyncScan => Rule::SyncScanInAsyncPlan,
         Mutation::ForgePrefetchDepth => Rule::PrefetchExceedsCap,
         Mutation::DropStampedCap => Rule::CapDropped,
-        Mutation::ForgeBatchSize => Rule::BatchExceedsCap,
         Mutation::SinkRerankBelowSync => Rule::RerankOverPlaceholder,
     }
 }
@@ -202,9 +201,7 @@ fn every_mutation_class_is_rejected() {
 
 /// The resource-bound rules, exercised against plans stamped under a
 /// declared session cap: forging a prefetch depth above the cap trips
-/// `prefetch-exceeds-cap`, erasing a stamped cap trips `cap-dropped`,
-/// and forging an executor batch size above the cap trips
-/// `batch-exceeds-cap`.
+/// `prefetch-exceeds-cap` and erasing a stamped cap trips `cap-dropped`.
 #[test]
 fn resource_bound_mutations_fail_against_the_declared_cap() {
     const DECLARED: usize = 6;
@@ -214,7 +211,7 @@ fn resource_bound_mutations_fail_against_the_declared_cap() {
         adaptive: false,
         batch: 1,
     };
-    let mut applied = [0usize; 3];
+    let mut applied = [0usize; 2];
     for (name, plan) in bases() {
         let stamped = asyncify_with_opts(
             plan,
@@ -257,24 +254,9 @@ fn resource_bound_mutations_fail_against_the_declared_cap() {
                 "base '{name}': expected cap-dropped, got: {err}"
             );
         }
-        if let Some(mutated) = apply_mutation(&stamped, Mutation::ForgeBatchSize) {
-            applied[2] += 1;
-            let err = verify_bounds(&mutated, Some(DECLARED))
-                .expect_err("forged batch size must be rejected");
-            assert!(
-                err.violations
-                    .iter()
-                    .any(|v| v.rule == Rule::BatchExceedsCap),
-                "base '{name}': expected batch-exceeds-cap, got: {err}"
-            );
-            // As with the prefetch forgery, the plan is self-inconsistent
-            // (stamped batch vs stamped cap), so verify_async rejects it
-            // without knowing the session's declared cap.
-            assert!(verify_async(&mutated).is_err());
-        }
     }
     assert!(
-        applied[0] >= 1 && applied[1] >= 1 && applied[2] >= 1,
+        applied[0] >= 1 && applied[1] >= 1,
         "resource-bound mutations must apply to the base family: {applied:?}"
     );
 }

@@ -159,7 +159,7 @@ struct CapAblation {
 /// byte-identical across caps; what the cap trades is peak buffer
 /// occupancy against stall time.
 fn measure_cap_ablation(rounds: usize) -> Vec<CapAblation> {
-    use wsq_core::{Wsq, WsqConfig};
+    use wsq_core::{QueryOptions, Wsq, WsqConfig};
     use wsq_websim::LatencyModel;
     let query = "SELECT Name, Count FROM States, WebCount WHERE Name = T1 \
                  ORDER BY Count DESC, Name";
@@ -173,7 +173,10 @@ fn measure_cap_ablation(rounds: usize) -> Vec<CapAblation> {
         .map(|cap| {
             let mut wsq = Wsq::open_in_memory(WsqConfig {
                 latency,
-                reqsync_buffer_cap: cap,
+                query: QueryOptions {
+                    reqsync_cap: cap,
+                    ..Default::default()
+                },
                 ..WsqConfig::fast()
             })
             .expect("open wsq");
@@ -283,74 +286,6 @@ fn measure_prefetch_ablation(rounds: usize) -> Vec<PrefetchAblation> {
         }
     }
     out
-}
-
-struct BatchAblation {
-    batch: usize,
-    median_ms: f64,
-    batches_emitted: u64,
-    batch_rows: u64,
-    identical_rows: bool,
-}
-
-/// The batch-at-a-time ablation (DESIGN.md §14): the 50-state WebCount
-/// fan-out at zero latency — so per-tuple pipeline overhead, not the
-/// simulated network, dominates — across executor batch sizes 1
-/// (tuple-at-a-time), 8, and 64 (the whole fan-out in one burst). Each
-/// sample runs the query several times back-to-back to lift the work
-/// above timer noise. Batching trades per-row `next()` virtual calls,
-/// per-call pump acquisitions, and per-tuple ReqSync drains for
-/// whole-batch equivalents; rows must be byte-identical at every size.
-fn measure_batch_ablation(rounds: usize) -> Vec<BatchAblation> {
-    use wsq_core::{QueryOptions, Wsq, WsqConfig};
-    use wsq_websim::LatencyModel;
-    let query = "SELECT Name, Count FROM States, WebCount WHERE Name = T1 \
-                 ORDER BY Count DESC, Name";
-    const ITERS: usize = 15;
-    let mut reference: Option<String> = None;
-    [1usize, 8, 64]
-        .into_iter()
-        .map(|batch| {
-            let mut wsq = Wsq::open_in_memory(WsqConfig {
-                latency: LatencyModel::Zero,
-                ..WsqConfig::fast()
-            })
-            .expect("open wsq");
-            wsq.load_reference_data().expect("reference data");
-            let opts = QueryOptions {
-                batch_size: batch,
-                ..Default::default()
-            };
-            let mut identical_rows = true;
-            let mut samples: Vec<f64> = (0..rounds)
-                .map(|_| {
-                    let t0 = std::time::Instant::now();
-                    for _ in 0..ITERS {
-                        let rows = wsq
-                            .query_with(query, opts)
-                            .expect("fan-out query")
-                            .to_table();
-                        match &reference {
-                            Some(r) => identical_rows &= rows == *r,
-                            None => reference = Some(rows),
-                        }
-                    }
-                    t0.elapsed().as_secs_f64() * 1e3
-                })
-                .collect();
-            let m = wsq.obs().metrics().expect("obs enabled by default");
-            let snap = m.batch_rows.snapshot();
-            BatchAblation {
-                batch,
-                median_ms: median(&mut samples),
-                batches_emitted: snap.count,
-                // Rows-as-milliseconds convention: the histogram records
-                // a batch of n rows as n ms, so the sum is total rows.
-                batch_rows: snap.sum_nanos / 1_000_000,
-                identical_rows,
-            }
-        })
-        .collect()
 }
 
 struct RaceAblation {
@@ -518,9 +453,6 @@ fn main() {
     eprintln!("... prefetch ablation");
     let prefetch = measure_prefetch_ablation(rounds);
 
-    eprintln!("... batch ablation");
-    let batches = measure_batch_ablation(rounds);
-
     eprintln!("... race ablation");
     let races = measure_race_ablation(rounds);
 
@@ -585,23 +517,6 @@ fn main() {
             p.prefetch_wasted,
             p.batches,
             p.identical_rows,
-        );
-    }
-
-    let batch1_ms = batches
-        .iter()
-        .find(|b| b.batch == 1)
-        .map_or(f64::NAN, |b| b.median_ms);
-    for b in &batches {
-        println!(
-            "batch ablation batch={}: {:.3} ms ({:+.1}% vs tuple-at-a-time), \
-             {} batches emitted, {} batched rows, identical={}",
-            b.batch,
-            b.median_ms,
-            (b.median_ms - batch1_ms) / batch1_ms * 100.0,
-            b.batches_emitted,
-            b.batch_rows,
-            b.identical_rows,
         );
     }
 
@@ -744,27 +659,6 @@ fn main() {
         "    ],\n    \"reduction_pct_depth4_window8\": {}\n  }},\n",
         json_f((demand_ms - best) / demand_ms * 100.0)
     ));
-    out.push_str("  \"batch_ablation\": {\n    \"runs\": [\n");
-    for (i, b) in batches.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"batch\": {}, \"median_ms\": {}, \"batches_emitted\": {}, \
-             \"batch_rows\": {}, \"identical_rows\": {}}}{}\n",
-            b.batch,
-            json_f(b.median_ms),
-            b.batches_emitted,
-            b.batch_rows,
-            b.identical_rows,
-            if i + 1 == batches.len() { "" } else { "," }
-        ));
-    }
-    let batch64_ms = batches
-        .iter()
-        .find(|b| b.batch == 64)
-        .map_or(f64::NAN, |b| b.median_ms);
-    out.push_str(&format!(
-        "    ],\n    \"reduction_pct_batch64\": {}\n  }},\n",
-        json_f((batch1_ms - batch64_ms) / batch1_ms * 100.0)
-    ));
     out.push_str("  \"race_ablation\": {\n    \"runs\": [\n");
     for (i, r) in races.iter().enumerate() {
         out.push_str(&format!(
@@ -801,21 +695,6 @@ fn main() {
             p.depth, p.window
         );
     }
-    for b in &batches {
-        assert!(
-            b.identical_rows,
-            "batch size {} changed the fan-out's rows",
-            b.batch
-        );
-    }
-    assert_eq!(
-        batches
-            .iter()
-            .find(|b| b.batch == 1)
-            .map(|b| b.batches_emitted),
-        Some(0),
-        "batch size 1 must never take the batched emit path"
-    );
     for c in &caps {
         assert!(
             c.identical_rows,

@@ -464,7 +464,7 @@ fn analyze_footer_wire_format_golden() {
         "-- pump: registered=1 launched=1 completed=1 coalesced=0 peak_in_flight=1 peak_queued=1",
         "-- trace: calls=1 call_p50=_ call_p95=_ call_max=_ queue_p95=_ patch_p95=_ \
          max_concurrent=1 stalls=0 stall_p95=_ buffered_hw=1 events=6 dropped=0 \
-         prefetch_issued=0 prefetch_wasted=0 batches=0 batches_emitted=0 batch_rows=0",
+         prefetch_issued=0 prefetch_wasted=0 batches=0",
         "-- cache[AV]: hits=1 misses=0 coalesced=0 evictions=0 expirations=0",
         "-- cache[Google]: hits=0 misses=0 coalesced=0 evictions=0 expirations=0",
         "-- verify: ok (verified 5 nodes: 1 async scan(s), 1 ReqSync(s), max placeholder set 1, \

@@ -12,13 +12,11 @@
 //! (a) flag the tuple as incomplete and (b) name the pending `ReqPump` call
 //! that will eventually supply the real value.
 
-pub mod batch;
 pub mod error;
 pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use batch::TupleBatch;
 pub use error::{Result, WsqError};
 pub use schema::{Column, Schema};
 pub use tuple::Tuple;

@@ -60,14 +60,6 @@ pub struct WsqConfig {
     /// `.trace`, and the ANALYZE trace footer live. Set `false` for a
     /// true no-op sink (verified <2% overhead by the bench ablation).
     pub obs: bool,
-    /// Admission-control cap on incomplete tuples buffered per ReqSync
-    /// operator (DESIGN.md §11). `None` — the default and the paper's
-    /// behaviour — buffers without bound; `Some(n)` stalls the scan side
-    /// when `n` tuples are buffered until completions drain the buffer
-    /// to the low-water mark (`n / 2`). Results are unaffected; only
-    /// peak memory and call-issue pacing change. Shorthand for setting
-    /// `query.reqsync_cap` (this field wins when both are set).
-    pub reqsync_buffer_cap: Option<usize>,
 }
 
 impl Default for WsqConfig {
@@ -80,7 +72,6 @@ impl Default for WsqConfig {
             cache: false,
             cache_tuning: CacheConfig::default(),
             obs: true,
-            reqsync_buffer_cap: None,
         }
     }
 }
@@ -134,15 +125,11 @@ impl Wsq {
         let mut pump_config = config.pump.clone();
         pump_config.obs = obs.clone();
         let pump = ReqPump::new(pump_config);
-        let mut opts = config.query;
-        if config.reqsync_buffer_cap.is_some() {
-            opts.reqsync_cap = config.reqsync_buffer_cap;
-        }
         let mut wsq = Wsq {
             db,
             engines: EngineRegistry::new(),
             pump,
-            opts,
+            opts: config.query,
             web,
             caches: HashMap::new(),
             obs,
@@ -542,7 +529,10 @@ mod tests {
         let baseline = unbounded.query(query).unwrap();
 
         let mut capped = Wsq::open_in_memory(WsqConfig {
-            reqsync_buffer_cap: Some(4),
+            query: QueryOptions {
+                reqsync_cap: Some(4),
+                ..Default::default()
+            },
             ..WsqConfig::fast()
         })
         .unwrap();

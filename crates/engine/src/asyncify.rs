@@ -41,14 +41,13 @@ pub fn asyncify_with_cap(
 }
 
 /// [`asyncify_with_cap`], additionally stamping a [`PrefetchHint`] onto
-/// every emitted `AEVScan` (DESIGN.md §12). The requested depth is
-/// clamped against the ReqSync admission cap: a prefetching join may
-/// never hold more registered-but-undemanded calls than the §11 stall
-/// handshake would have admitted, so `depth <= cap` whenever a cap is
-/// set. The window is normalized to at least 1, and the executor batch
-/// size (DESIGN.md §14) is normalized to at least 1 and clamped to the
-/// cap by the same argument — a batched dependent join registers up to
-/// `batch` calls in one burst.
+/// every emitted `AEVScan` (DESIGN.md §12). This is the one place the
+/// join lookahead is computed: a `batch > 1` means "depth at least
+/// `batch`", and the result is clamped against the ReqSync admission
+/// cap — a prefetching join may never hold more
+/// registered-but-undemanded calls than the §11 stall handshake would
+/// have admitted, so `depth <= cap` whenever a cap is set. The stamped
+/// hint carries `batch == 1` (folded) and a window of at least 1.
 pub fn asyncify_with_opts(
     plan: PhysPlan,
     strategy: PlacementStrategy,
@@ -56,21 +55,24 @@ pub fn asyncify_with_opts(
     cap: Option<usize>,
     prefetch: PrefetchHint,
 ) -> PhysPlan {
+    let batch_floor = if prefetch.batch > 1 {
+        prefetch.batch
+    } else {
+        0
+    };
+    let lookahead = prefetch.depth.max(batch_floor);
     let mut ctx = Ctx {
         strategy,
         mode,
         cap,
         prefetch: PrefetchHint {
             depth: match cap {
-                Some(c) => prefetch.depth.min(c),
-                None => prefetch.depth,
+                Some(c) => lookahead.min(c),
+                None => lookahead,
             },
             window: prefetch.window.max(1),
             adaptive: prefetch.adaptive,
-            batch: match cap {
-                Some(c) => prefetch.batch.max(1).min(c.max(1)),
-                None => prefetch.batch.max(1),
-            },
+            batch: 1,
         },
     };
     let (core, pending) = ctx.lift(plan);
@@ -1061,7 +1063,8 @@ mod tests {
     }
 
     /// The prefetch hint is stamped onto every AEVScan, with its depth
-    /// clamped to the ReqSync admission cap and its window floored at 1.
+    /// raised to the requested batch, clamped to the ReqSync admission
+    /// cap, and its window floored at 1.
     #[test]
     fn prefetch_hint_stamped_and_clamped() {
         let plan = dj(
@@ -1085,7 +1088,7 @@ mod tests {
             if let PhysPlan::AEVScan(spec) = p {
                 assert_eq!(spec.prefetch.depth, 4, "depth must clamp to cap");
                 assert_eq!(spec.prefetch.window, 1, "window floors at 1");
-                assert_eq!(spec.prefetch.batch, 4, "batch must clamp to cap");
+                assert_eq!(spec.prefetch.batch, 1, "batch folds into depth");
                 assert!(spec.prefetch.adaptive);
                 true
             } else {
@@ -1094,8 +1097,8 @@ mod tests {
         });
         assert_eq!(seen, 1);
 
-        // Uncapped: the requested depth survives; plain asyncify leaves
-        // prefetch off.
+        // Uncapped: the larger of depth and batch survives; plain
+        // asyncify leaves prefetch off.
         let out = asyncify_with_opts(
             plan.clone(),
             PlacementStrategy::Full,
@@ -1105,8 +1108,8 @@ mod tests {
         );
         out.count_nodes(&|p| {
             if let PhysPlan::AEVScan(spec) = p {
-                assert_eq!(spec.prefetch.depth, 16);
-                assert_eq!(spec.prefetch.batch, 64);
+                assert_eq!(spec.prefetch.depth, 64);
+                assert_eq!(spec.prefetch.batch, 1);
             }
             false
         });

@@ -47,13 +47,11 @@ pub struct QueryOptions {
     /// Let the histogram-driven controller vary the lookahead between 1
     /// and `prefetch_depth` (no effect while `prefetch_depth` is 0).
     pub prefetch_adaptive: bool,
-    /// Executor batch size for batch-at-a-time execution (DESIGN.md
-    /// §14). `1` (the default) keeps the classic tuple-at-a-time
-    /// pipeline bit-identically; larger values let operators move whole
-    /// [`wsq_common::TupleBatch`]es per call and let dependent joins
-    /// register a whole outer batch of external calls in one
-    /// `register_batch` acquisition. Clamped to `reqsync_cap` by the
-    /// planner, like `prefetch_depth`.
+    /// Lower bound on the join lookahead: a value `b > 1` means
+    /// "prefetch depth at least `b`" (the planner stamps
+    /// `max(prefetch_depth, b)`, clamped to `reqsync_cap`). `1` (the
+    /// default) asks for nothing. Execution is tuple-at-a-time at every
+    /// value (DESIGN.md §14).
     pub batch_size: usize,
 }
 
@@ -567,7 +565,7 @@ impl Database {
     ) -> Result<QueryResult> {
         let stmt = self.resolve_subqueries(stmt, engines, pump, opts)?;
         let plan = self.plan_query(&stmt, engines, opts)?;
-        self.run_plan_batched(&plan, engines, pump, opts.batch_size)
+        self.run_plan(&plan, engines, pump)
     }
 
     /// Fold uncorrelated subqueries into literals by evaluating them.
@@ -728,7 +726,6 @@ impl Database {
             tables: self,
             pump: pump.clone(),
             engines,
-            batch_size: opts.batch_size,
         };
         let mut executor = exec::build(&plan, &ctx)?;
         executor.open()?;
@@ -755,12 +752,11 @@ impl Database {
             tables: self,
             pump: pump.clone(),
             engines,
-            batch_size: opts.batch_size,
         };
         let instr = exec::Instrumentation::new();
         let mut executor = exec::build_instrumented(&plan, &ctx, &instr)?;
         let before = pump.stats();
-        let rows = exec::collect_batched(executor.as_mut(), opts.batch_size)?;
+        let rows = exec::collect(executor.as_mut())?;
         let after = pump.stats();
         instr.note_counters(
             "pump",
@@ -782,34 +778,20 @@ impl Database {
         ))
     }
 
-    /// Execute an already-built plan (tuple-at-a-time; batch size 1).
+    /// Execute an already-built plan.
     pub fn run_plan(
         &self,
         plan: &PhysPlan,
         engines: &EngineRegistry,
         pump: &Arc<ReqPump>,
     ) -> Result<QueryResult> {
-        self.run_plan_batched(plan, engines, pump, 1)
-    }
-
-    /// Execute an already-built plan batch-at-a-time: the root is driven
-    /// through `next_batch(batch_size)` when `batch_size > 1`, otherwise
-    /// through the classic `next()` loop (bit-identical default).
-    pub fn run_plan_batched(
-        &self,
-        plan: &PhysPlan,
-        engines: &EngineRegistry,
-        pump: &Arc<ReqPump>,
-        batch_size: usize,
-    ) -> Result<QueryResult> {
         let ctx = ExecContext {
             tables: self,
             pump: pump.clone(),
             engines,
-            batch_size,
         };
         let mut exec = exec::build(plan, &ctx)?;
-        let rows = exec::collect_batched(exec.as_mut(), batch_size)?;
+        let rows = exec::collect(exec.as_mut())?;
         Ok(QueryResult {
             schema: plan.schema(),
             rows,

@@ -4,7 +4,7 @@ use super::Executor;
 use crate::expr::{compile, CExpr};
 use std::collections::HashMap;
 use std::sync::Arc;
-use wsq_common::{GroupKey, Result, Schema, Tuple, TupleBatch, Value, WsqError};
+use wsq_common::{GroupKey, Result, Schema, Tuple, Value, WsqError};
 use wsq_sql::ast::{AggFunc, ColumnRef, Expr, Literal};
 use wsq_storage::codec;
 use wsq_storage::heap::HeapFile;
@@ -51,33 +51,6 @@ impl Executor for SeqScanExec {
             }
             None => Ok(None),
         }
-    }
-
-    /// Vectorized scan: one heap page per batch (capped at `max`). A
-    /// page boundary ends the batch so each `next_batch` touches one
-    /// page's worth of pin/decode work.
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let max = max.max(1);
-        let mut batch = TupleBatch::with_capacity(Arc::new(self.schema.clone()), max);
-        let mut page_anchor: Option<u32> = None;
-        while batch.len() < max {
-            match self.heap.next_from(self.page, self.slot)? {
-                Some((rid, bytes)) => {
-                    match page_anchor {
-                        None => page_anchor = Some(rid.page.0),
-                        // Don't advance the cursor: the row on the new
-                        // page opens the next batch.
-                        Some(p) if rid.page.0 != p => break,
-                        Some(_) => {}
-                    }
-                    self.page = rid.page.0;
-                    self.slot = rid.slot.0 + 1;
-                    batch.push(codec::decode(&self.schema, &bytes)?);
-                }
-                None => break,
-            }
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 }
 
@@ -130,23 +103,6 @@ impl Executor for IndexScanExec {
         self.pos += 1;
         let bytes = self.heap.get(rid)?;
         Ok(Some(codec::decode(&self.schema, &bytes)?))
-    }
-
-    /// Vectorized lookup: fetch a slice of the resolved rid list per
-    /// batch.
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let max = max.max(1);
-        if self.pos >= self.rids.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + max).min(self.rids.len());
-        let mut batch = TupleBatch::with_capacity(Arc::new(self.schema.clone()), end - self.pos);
-        for &rid in &self.rids[self.pos..end] {
-            let bytes = self.heap.get(rid)?;
-            batch.push(codec::decode(&self.schema, &bytes)?);
-        }
-        self.pos = end;
-        Ok(Some(batch))
     }
 }
 
@@ -226,23 +182,6 @@ impl Executor for FilterExec {
         Ok(None)
     }
 
-    /// Vectorized selection: evaluate the predicate over every row of a
-    /// child batch into a selection vector, then compact survivors in
-    /// place — no per-row reallocation (DESIGN.md §14).
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        while let Some(mut b) = self.child.next_batch(max)? {
-            let mut keep = Vec::with_capacity(b.len());
-            for row in b.iter() {
-                keep.push(self.predicate.eval_bool_row(row)?);
-            }
-            b.compact(&keep);
-            if !b.is_empty() {
-                return Ok(Some(b));
-            }
-        }
-        Ok(None)
-    }
-
     fn close(&mut self) -> Result<()> {
         self.child.close()
     }
@@ -293,25 +232,6 @@ impl Executor for ProjectExec {
         }
     }
 
-    /// Vectorized projection: evaluate every output expression over the
-    /// child batch's row views straight into a fresh batch.
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        match self.child.next_batch(max)? {
-            Some(b) => {
-                let mut out = TupleBatch::with_capacity(Arc::new(self.schema.clone()), b.len());
-                for row in b.iter() {
-                    let mut vals = Vec::with_capacity(self.exprs.len());
-                    for e in &self.exprs {
-                        vals.push(e.eval_row(row)?);
-                    }
-                    out.push_row(vals);
-                }
-                Ok(Some(out))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn close(&mut self) -> Result<()> {
         self.child.close()
     }
@@ -324,9 +244,6 @@ pub struct SortExec {
     schema: Schema,
     sorted: Vec<Tuple>,
     pos: usize,
-    /// Executor batch size for the materializing fill (1 = pull the
-    /// child tuple-at-a-time, bit-identical to the classic pipeline).
-    batch_size: usize,
 }
 
 impl SortExec {
@@ -352,18 +269,7 @@ impl SortExec {
             schema,
             sorted: Vec::new(),
             pos: 0,
-            batch_size: 1,
         })
-    }
-
-    /// Pull the child through `next_batch(n)` during the materializing
-    /// fill when `n > 1`. Materializing operators otherwise sever batch
-    /// propagation: without a batch-aware fill, a Sort at the plan root
-    /// would pull its ReqSync child tuple-at-a-time no matter what the
-    /// session's batch size says.
-    pub fn with_batch_size(mut self, n: usize) -> Self {
-        self.batch_size = n.max(1);
-        self
     }
 }
 
@@ -375,24 +281,12 @@ impl Executor for SortExec {
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
         let mut rows: Vec<(Vec<Value>, Tuple)> = Vec::new();
-        if self.batch_size > 1 {
-            while let Some(b) = self.child.next_batch(self.batch_size)? {
-                for t in b.into_tuples() {
-                    let mut key = Vec::with_capacity(self.keys.len());
-                    for (e, _) in &self.keys {
-                        key.push(e.eval(&t)?);
-                    }
-                    rows.push((key, t));
-                }
+        while let Some(t) = self.child.next()? {
+            let mut key = Vec::with_capacity(self.keys.len());
+            for (e, _) in &self.keys {
+                key.push(e.eval(&t)?);
             }
-        } else {
-            while let Some(t) = self.child.next()? {
-                let mut key = Vec::with_capacity(self.keys.len());
-                for (e, _) in &self.keys {
-                    key.push(e.eval(&t)?);
-                }
-                rows.push((key, t));
-            }
+            rows.push((key, t));
         }
         self.child.close()?;
         // Validate all keys are comparable up front (placeholders would be
@@ -430,21 +324,6 @@ impl Executor for SortExec {
         } else {
             Ok(None)
         }
-    }
-
-    /// Vectorized emit: slice the materialized run per batch.
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let max = max.max(1);
-        if self.pos >= self.sorted.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + max).min(self.sorted.len());
-        let mut batch = TupleBatch::with_capacity(Arc::new(self.schema.clone()), end - self.pos);
-        for t in &self.sorted[self.pos..end] {
-            batch.push(t.clone());
-        }
-        self.pos = end;
-        Ok(Some(batch))
     }
 }
 

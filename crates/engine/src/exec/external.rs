@@ -4,9 +4,7 @@
 use super::Executor;
 use crate::plan::{EvSpec, VTableKind};
 use std::sync::Arc;
-use wsq_common::{
-    CallId, PendingCol, Placeholder, Result, Schema, Tuple, TupleBatch, Value, WsqError,
-};
+use wsq_common::{CallId, PendingCol, Placeholder, Result, Schema, Tuple, Value, WsqError};
 use wsq_pump::{
     blocking_execute, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService,
 };
@@ -236,23 +234,5 @@ impl Executor for AEVScanExec {
             }
         }
         Ok(Some(Tuple::new(vals)))
-    }
-
-    /// One optimistic tuple per rebind means a batch is at most one row;
-    /// the native impl skips the default's second (always-`None`)
-    /// `next` probe. Whole-batch registration happens one level up: the
-    /// dependent join rebinds a full outer batch and the pump coalesces
-    /// the per-rebind registrations it already holds from
-    /// `register_batch` (DESIGN.md §14).
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let _ = max;
-        match self.next()? {
-            Some(t) => {
-                let mut batch = TupleBatch::with_capacity(Arc::new(self.schema.clone()), 1);
-                batch.push(t);
-                Ok(Some(batch))
-            }
-            None => Ok(None),
-        }
     }
 }

@@ -11,7 +11,7 @@ use super::Executor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use wsq_common::{Result, Schema, Tuple, TupleBatch, Value};
+use wsq_common::{Result, Schema, Tuple, Value};
 
 /// Shared mutable counters for one operator.
 #[derive(Debug, Default)]
@@ -141,25 +141,6 @@ impl Executor for Instrumented {
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Ok(Some(_)) = &r {
             self.counters.rows.fetch_add(1, Ordering::Relaxed);
-        }
-        r
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        // Forward explicitly — the trait default would loop OUR `next`,
-        // severing the inner operator's native batched path. One batch
-        // counts as one `next` invocation plus its row total, so the
-        // ANALYZE report stays comparable across batch sizes.
-        self.counters.nexts.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let r = self.inner.next_batch(max);
-        self.counters
-            .nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if let Ok(Some(b)) = &r {
-            self.counters
-                .rows
-                .fetch_add(b.len() as u64, Ordering::Relaxed);
         }
         r
     }

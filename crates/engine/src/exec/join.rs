@@ -1,7 +1,8 @@
 //! Join executors: nested-loop join / cross product, and the dependent
-//! join that feeds bindings to virtual-table scans — including the
-//! ahead-of-need prefetch driver (DESIGN.md §12) that pulls outer tuples
-//! before ReqSync demands them and registers their calls in one batch.
+//! join that feeds bindings to virtual-table scans through one outer
+//! lookahead queue — one tuple deep on demand, or up to the stamped
+//! prefetch depth with the calls registered ahead of need in one
+//! `register_batch` (DESIGN.md §12).
 
 use super::external::request_for;
 use super::Executor;
@@ -9,7 +10,7 @@ use crate::expr::{compile, CExpr};
 use crate::plan::{EvBinding, EvSpec, PrefetchHint};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use wsq_common::{CallId, Result, Schema, Tuple, TupleBatch, Value};
+use wsq_common::{CallId, Result, Schema, Tuple, Value};
 use wsq_obs::{EventKind, HistogramSnapshot};
 use wsq_pump::ReqPump;
 use wsq_sql::ast::Expr;
@@ -102,10 +103,11 @@ impl Executor for NestedLoopJoinExec {
     }
 }
 
-/// One outer tuple pulled ahead of demand: its binding values and the
-/// call registered for it (`None` when the bindings were unresolved
-/// placeholders — the demand path will surface the error).
-struct Prefetched {
+/// One outer tuple waiting in the lookahead: its binding values and the
+/// call registered ahead for it (`None` when the join is not
+/// prefetching, or when the bindings were unresolved placeholders — the
+/// demand path will surface the error).
+struct Pulled {
     tuple: Tuple,
     values: Vec<Value>,
     call: Option<CallId>,
@@ -117,7 +119,7 @@ struct AdaptiveDepth {
     last_queue: HistogramSnapshot,
 }
 
-/// Ahead-of-need prefetch state for one dependent join (DESIGN.md §12).
+/// Ahead-of-need registration for one dependent join (DESIGN.md §12).
 ///
 /// Only constructed when the planner stamped a non-zero depth AND the
 /// pump coalesces identical requests — prefetch relies on the demand-side
@@ -130,8 +132,6 @@ struct Prefetcher {
     /// Current lookahead target, in `[1, hint.depth]`; fixed at
     /// `hint.depth` unless `hint.adaptive`.
     depth: usize,
-    lookahead: VecDeque<Prefetched>,
-    left_done: bool,
     adaptive: AdaptiveDepth,
 }
 
@@ -149,8 +149,6 @@ impl Prefetcher {
             spec,
             hint,
             depth: hint.depth,
-            lookahead: VecDeque::new(),
-            left_done: false,
             adaptive: AdaptiveDepth {
                 last_call,
                 last_queue,
@@ -196,14 +194,16 @@ impl Prefetcher {
 /// The dependent join (paper §4, FLMS99): for each outer tuple, compute
 /// the binding values and re-open the inner virtual scan with them.
 ///
-/// With a [`PrefetchHint`] (via [`DependentJoinExec::with_pump`]) the
-/// join additionally pulls up to `depth` outer tuples ahead of demand,
-/// registering their calls immediately (one `register_batch` per refill)
-/// so the pump overlaps them while upstream operators are still busy.
-/// The demand-side `AEVScan` later coalesces onto the prefetched call;
-/// the prefetch reference is dropped as soon as that happens, and any
-/// still-unconsumed references are released at close/drop time (counted
-/// as `wsq_prefetch_wasted_total`), so prefetch never leaks a call.
+/// Outer tuples always pass through one lookahead queue. On demand it
+/// holds a single tuple. With a stamped [`PrefetchHint`] depth (via
+/// [`DependentJoinExec::with_pump`]) it is topped up to `depth` outer
+/// tuples ahead of demand, registering their calls immediately (one
+/// `register_batch` per refill) so the pump overlaps them while upstream
+/// operators are still busy. The demand-side `AEVScan` later coalesces
+/// onto the prefetched call; the prefetch reference is dropped as soon
+/// as that happens, and any still-unconsumed references are released at
+/// close/drop time (counted as `wsq_prefetch_wasted_total`), so prefetch
+/// never leaks a call.
 pub struct DependentJoinExec {
     left: Box<dyn Executor>,
     right: Box<dyn Executor>,
@@ -211,6 +211,9 @@ pub struct DependentJoinExec {
     slots: Vec<BindingSlot>,
     schema: Schema,
     outer: Option<Tuple>,
+    /// Outer tuples pulled but not yet joined.
+    lookahead: VecDeque<Pulled>,
+    left_done: bool,
     prefetch: Option<Prefetcher>,
     /// Prefetch reference for the outer tuple currently being joined;
     /// released after the inner scan's first `next` (which is when its
@@ -245,6 +248,8 @@ impl DependentJoinExec {
             slots,
             schema,
             outer: None,
+            lookahead: VecDeque::new(),
+            left_done: false,
             prefetch: None,
             current_call: None,
         })
@@ -255,12 +260,6 @@ impl DependentJoinExec {
     /// identical requests (without coalescing the demand-side scan could
     /// not attach to the prefetched call and every search would run
     /// twice).
-    ///
-    /// Batch-at-a-time execution (DESIGN.md §14) subsumes the lookahead:
-    /// an executor batch size `b > 1` acts as "prefetch depth at least
-    /// `b`", so a whole outer batch of external calls registers under
-    /// ONE `register_batch` acquisition even when no explicit prefetch
-    /// depth was requested.
     pub fn with_pump(
         left: Box<dyn Executor>,
         right: Box<dyn Executor>,
@@ -268,111 +267,98 @@ impl DependentJoinExec {
         pump: Arc<ReqPump>,
     ) -> Result<Self> {
         let mut join = Self::new(left, right, spec)?;
-        let batch_depth = if spec.prefetch.batch > 1 {
-            spec.prefetch.batch
-        } else {
-            0
-        };
-        let eff = spec.prefetch.depth.max(batch_depth);
         // A racing spec prefetches nothing: the prefetcher registers
         // plain single-engine calls, and a race *group* can never
         // coalesce onto one of those (the group id is virtual), so the
         // demand-side registration would duplicate every search.
-        if eff > 0 && pump.coalescing_enabled() && spec.race.len() <= 1 {
-            let mut spec = spec.clone();
-            spec.prefetch.depth = eff;
-            join.prefetch = Some(Prefetcher::new(pump, spec));
+        if spec.prefetch.depth > 0 && pump.coalescing_enabled() && spec.race.len() <= 1 {
+            join.prefetch = Some(Prefetcher::new(pump, spec.clone()));
         }
         Ok(join)
     }
 
-    /// Pull outer tuples until the lookahead holds `depth` entries (or
-    /// the outer side is exhausted) and register their calls as ONE
-    /// batch. Speculative by design: a `LIMIT` above may never demand
-    /// these tuples, which is exactly what `wsq_prefetch_wasted_total`
-    /// measures.
+    /// Pull outer tuples until the lookahead holds its target (one on
+    /// demand, the prefetcher's `depth` otherwise) or the outer side is
+    /// exhausted; when prefetching, register the new tuples' calls as
+    /// ONE batch. Speculative by design: a `LIMIT` above may never
+    /// demand these tuples, which is exactly what
+    /// `wsq_prefetch_wasted_total` measures.
     fn refill_lookahead(&mut self) -> Result<()> {
-        let Some(pf) = self.prefetch.as_mut() else {
-            return Ok(());
-        };
-        if pf.left_done {
+        if self.left_done {
             return Ok(());
         }
-        pf.adapt();
-        let mut pulled: Vec<(Tuple, Vec<Value>, Option<usize>)> = Vec::new();
+        let depth = match self.prefetch.as_mut() {
+            Some(pf) => {
+                pf.adapt();
+                pf.depth
+            }
+            None => 1,
+        };
         let mut reqs = Vec::new();
-        while pf.lookahead.len() + pulled.len() < pf.depth {
-            match self.left.next()? {
-                Some(t) => {
-                    let values: Vec<Value> = self
-                        .slots
-                        .iter()
-                        .map(|s| match s {
-                            BindingSlot::Const(v) => v.clone(),
-                            BindingSlot::Idx(i) => t.get(*i).clone(),
-                        })
-                        .collect();
-                    // An unresolved placeholder binding cannot be
-                    // instantiated; enqueue without a call and let the
-                    // demand-side scan report it (asyncify's clash rules
-                    // make this unreachable for planner-built trees).
-                    let req_idx = if values.iter().any(|v| v.is_pending()) {
-                        None
-                    } else {
-                        reqs.push(request_for(&pf.spec, pf.spec.instantiate(&values)));
-                        Some(reqs.len() - 1)
-                    };
-                    pulled.push((t, values, req_idx));
-                }
-                None => {
-                    pf.left_done = true;
-                    break;
+        let mut slots_of_reqs = Vec::new();
+        while self.lookahead.len() < depth {
+            let Some(tuple) = self.left.next()? else {
+                self.left_done = true;
+                break;
+            };
+            let values: Vec<Value> = self
+                .slots
+                .iter()
+                .map(|s| match s {
+                    BindingSlot::Const(v) => v.clone(),
+                    BindingSlot::Idx(i) => tuple.get(*i).clone(),
+                })
+                .collect();
+            // An unresolved placeholder binding cannot be instantiated;
+            // enqueue without a call and let the demand-side scan report
+            // it (asyncify's clash rules make this unreachable for
+            // planner-built trees).
+            if let Some(pf) = &self.prefetch {
+                if !values.iter().any(|v| v.is_pending()) {
+                    reqs.push(request_for(&pf.spec, pf.spec.instantiate(&values)));
+                    slots_of_reqs.push(self.lookahead.len());
                 }
             }
+            self.lookahead.push_back(Pulled {
+                tuple,
+                values,
+                call: None,
+            });
         }
-        if pulled.is_empty() {
+        let Some(pf) = self.prefetch.as_ref().filter(|_| !reqs.is_empty()) else {
             return Ok(());
-        }
+        };
         let ids = pf.pump.register_batch(reqs)?;
         let obs = pf.pump.obs();
         if let Some(m) = obs.metrics() {
             m.prefetch_issued.add(ids.len() as u64);
         }
-        for cid in &ids {
-            obs.event(*cid, EventKind::PrefetchIssued);
-        }
-        for (tuple, values, req_idx) in pulled {
-            pf.lookahead.push_back(Prefetched {
-                tuple,
-                values,
-                call: req_idx.map(|i| ids[i]),
-            });
+        for (slot, cid) in slots_of_reqs.into_iter().zip(ids) {
+            obs.event(cid, EventKind::PrefetchIssued);
+            self.lookahead[slot].call = Some(cid);
         }
         Ok(())
     }
 
-    /// Release every prefetch reference not yet handed to the demand
-    /// path and count them wasted. Idempotent (close followed by drop is
-    /// a no-op the second time).
+    /// Empty the lookahead, releasing every prefetch reference not yet
+    /// handed to the demand path and counting them wasted. Idempotent
+    /// (close followed by drop is a no-op the second time).
     fn release_unconsumed(&mut self) {
-        let Some(pf) = self.prefetch.as_mut() else {
+        let held: Vec<CallId> = self
+            .current_call
+            .take()
+            .into_iter()
+            .chain(self.lookahead.drain(..).filter_map(|p| p.call))
+            .collect();
+        // Only a prefetching join ever holds a call.
+        let Some(pf) = self.prefetch.as_ref().filter(|_| !held.is_empty()) else {
             return;
         };
-        let mut wasted = 0u64;
-        if let Some(cid) = self.current_call.take() {
-            pf.pump.release(cid);
-            wasted += 1;
+        for cid in &held {
+            pf.pump.release(*cid);
         }
-        while let Some(p) = pf.lookahead.pop_front() {
-            if let Some(cid) = p.call {
-                pf.pump.release(cid);
-                wasted += 1;
-            }
-        }
-        if wasted > 0 {
-            if let Some(m) = pf.pump.obs().metrics() {
-                m.prefetch_wasted.add(wasted);
-            }
+        if let Some(m) = pf.pump.obs().metrics() {
+            m.prefetch_wasted.add(held.len() as u64);
         }
     }
 }
@@ -385,52 +371,28 @@ impl Executor for DependentJoinExec {
     fn open(&mut self) -> Result<()> {
         self.release_unconsumed();
         if let Some(pf) = self.prefetch.as_mut() {
-            pf.left_done = false;
             pf.depth = pf.hint.depth;
         }
         self.left.open()?;
+        self.left_done = false;
         self.outer = None;
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
         loop {
-            if self.outer.is_none() {
-                self.refill_lookahead()?;
-            }
             let outer = match self.outer.take() {
                 Some(t) => t,
-                None if self.prefetch.is_some() => {
-                    let popped = self
-                        .prefetch
-                        .as_mut()
-                        .and_then(|pf| pf.lookahead.pop_front());
-                    match popped {
-                        Some(p) => {
-                            self.current_call = p.call;
-                            self.right.rebind(&p.values)?;
-                            self.right.open()?;
-                            p.tuple
-                        }
-                        None => return Ok(None),
-                    }
+                None => {
+                    self.refill_lookahead()?;
+                    let Some(p) = self.lookahead.pop_front() else {
+                        return Ok(None);
+                    };
+                    self.current_call = p.call;
+                    self.right.rebind(&p.values)?;
+                    self.right.open()?;
+                    p.tuple
                 }
-                None => match self.left.next()? {
-                    Some(t) => {
-                        let values: Vec<Value> = self
-                            .slots
-                            .iter()
-                            .map(|s| match s {
-                                BindingSlot::Const(v) => v.clone(),
-                                BindingSlot::Idx(i) => t.get(*i).clone(),
-                            })
-                            .collect();
-                        self.right.rebind(&values)?;
-                        self.right.open()?;
-                        t
-                    }
-                    None => return Ok(None),
-                },
             };
             let step = self.right.next();
             // The inner scan registers its call on its first `next`
@@ -450,23 +412,6 @@ impl Executor for DependentJoinExec {
                 None => self.right.close()?,
             }
         }
-    }
-
-    /// Batched emit: the per-tuple `next` loop already amortizes the
-    /// expensive part batch-wide — `refill_lookahead` registers a whole
-    /// lookahead of external calls (sized by `max(prefetch depth, batch
-    /// size)`) under one `register_batch` acquisition — so this wrapper
-    /// only collects the joined rows into one [`TupleBatch`].
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let max = max.max(1);
-        let mut batch = TupleBatch::with_capacity(Arc::new(self.schema.clone()), max);
-        while batch.len() < max {
-            match self.next()? {
-                Some(t) => batch.push(t),
-                None => break,
-            }
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
     }
 
     fn close(&mut self) -> Result<()> {

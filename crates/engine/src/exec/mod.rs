@@ -25,7 +25,7 @@ pub use rerank::RerankExec;
 use crate::engines::EngineRegistry;
 use crate::plan::PhysPlan;
 use std::sync::Arc;
-use wsq_common::{Result, Schema, Tuple, TupleBatch, Value, WsqError};
+use wsq_common::{Result, Schema, Tuple, Value, WsqError};
 use wsq_pump::ReqPump;
 use wsq_storage::heap::HeapFile;
 
@@ -47,10 +47,6 @@ pub struct ExecContext<'a> {
     pub pump: Arc<ReqPump>,
     /// Registered search engines.
     pub engines: &'a EngineRegistry,
-    /// Executor batch size (DESIGN.md §14). `1` keeps every operator on
-    /// the tuple-at-a-time path bit-identically; `> 1` lets batch-aware
-    /// operators (Sort's fill, ReqSync's drain) pull whole batches.
-    pub batch_size: usize,
 }
 
 /// The iterator interface every physical operator implements.
@@ -62,25 +58,6 @@ pub trait Executor {
     fn open(&mut self) -> Result<()>;
     /// Produce the next tuple, or `None` when exhausted.
     fn next(&mut self) -> Result<Option<Tuple>>;
-    /// Produce up to `max` tuples in one [`TupleBatch`], or `None` when
-    /// exhausted (batch-at-a-time execution, DESIGN.md §14).
-    ///
-    /// The default implementation loops [`Executor::next`], so every
-    /// operator keeps working unmodified; hot operators override it with
-    /// vectorized bodies. Contract: a returned batch is non-empty, holds
-    /// at most `max` rows (`max` is floored at 1), and rows arrive in
-    /// the same order `next()` would have produced them.
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let max = max.max(1);
-        let mut batch = TupleBatch::with_capacity(Arc::new(self.schema().clone()), max);
-        while batch.len() < max {
-            match self.next()? {
-                Some(t) => batch.push(t),
-                None => break,
-            }
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
     /// Release resources. Default: nothing to do.
     fn close(&mut self) -> Result<()> {
         Ok(())
@@ -243,15 +220,11 @@ fn build_node(
         }
         PhysPlan::Sort { input, keys } => {
             let child = build(input)?;
-            Ok(Box::new(
-                SortExec::new(child, keys)?.with_batch_size(ctx.batch_size),
-            ))
+            Ok(Box::new(SortExec::new(child, keys)?))
         }
         PhysPlan::Rerank { input, scorer } => {
             let child = build(input)?;
-            Ok(Box::new(
-                RerankExec::new(child, *scorer)?.with_batch_size(ctx.batch_size),
-            ))
+            Ok(Box::new(RerankExec::new(child, *scorer)?))
         }
         PhysPlan::Aggregate {
             input,
@@ -278,10 +251,12 @@ fn build_node(
             input, mode, cap, ..
         } => {
             let child = build(input)?;
-            Ok(Box::new(
-                ReqSyncExec::with_cap(child, ctx.pump.clone(), *mode, *cap)
-                    .with_batch_size(ctx.batch_size),
-            ))
+            Ok(Box::new(ReqSyncExec::with_cap(
+                child,
+                ctx.pump.clone(),
+                *mode,
+                *cap,
+            )))
         }
     }
 }
@@ -292,24 +267,6 @@ pub fn collect(exec: &mut dyn Executor) -> Result<Vec<Tuple>> {
     let mut out = Vec::new();
     while let Some(t) = exec.next()? {
         out.push(t);
-    }
-    exec.close()?;
-    Ok(out)
-}
-
-/// Run an executor to completion batch-at-a-time, collecting all tuples.
-///
-/// `batch_size <= 1` delegates to [`collect`], keeping the default
-/// configuration bit-identical to the tuple-at-a-time pipeline; larger
-/// sizes drive the tree through [`Executor::next_batch`].
-pub fn collect_batched(exec: &mut dyn Executor, batch_size: usize) -> Result<Vec<Tuple>> {
-    if batch_size <= 1 {
-        return collect(exec);
-    }
-    exec.open()?;
-    let mut out = Vec::new();
-    while let Some(b) = exec.next_batch(batch_size)? {
-        out.extend(b.into_tuples());
     }
     exec.close()?;
     Ok(out)

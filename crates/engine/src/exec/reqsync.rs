@@ -15,12 +15,12 @@
 //!
 //! # Admission control (backpressure)
 //!
-//! With a buffer cap configured (`QueryOptions::reqsync_cap` /
-//! `WsqConfig::reqsync_buffer_cap`), the operator **stalls** instead of
-//! buffering without bound: once `buffered` holds `cap` incomplete
-//! tuples it stops pulling from its child (the AEVScan side registers no
-//! new calls while un-pulled) and drains completions — blocking on
-//! [`ReqPump::wait_any`] between drains — until occupancy falls to the
+//! With a buffer cap configured (`QueryOptions::reqsync_cap`), the
+//! operator **stalls** instead of buffering without bound: once
+//! `buffered` holds `cap` incomplete tuples it stops pulling from its
+//! child (the AEVScan side registers no new calls while un-pulled) and
+//! drains completions — blocking on [`ReqPump::wait_any`] between
+//! drains — until occupancy falls to the
 //! low-water mark (`cap / 2`), then resumes. The handshake reuses the
 //! pump's targeted-wakeup protocol unchanged: `wait_any` re-checks the
 //! result store under the pump's state lock before sleeping, so a
@@ -34,8 +34,8 @@ use super::Executor;
 use crate::plan::BufferMode;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use wsq_common::{CallId, PendingCol, Result, Schema, Tuple, TupleBatch, Value};
+use std::time::Instant;
+use wsq_common::{CallId, PendingCol, Result, Schema, Tuple, Value};
 use wsq_obs::{EventKind, Obs};
 use wsq_pump::{ReqPump, SearchResult};
 
@@ -65,9 +65,6 @@ pub struct ReqSyncExec {
     index: HashMap<CallId, Vec<u64>>,
     /// Admission-control cap on `buffered` (`None` = unbounded).
     cap: Option<usize>,
-    /// Executor batch size for the Full-mode fill (1 = pull the child
-    /// tuple-at-a-time, bit-identical to the classic pipeline).
-    batch_size: usize,
     next_id: u64,
     child_done: bool,
     opened: bool,
@@ -100,20 +97,10 @@ impl ReqSyncExec {
             buffered: HashMap::new(),
             index: HashMap::new(),
             cap: cap.map(|c| c.max(1)),
-            batch_size: 1,
             next_id: 0,
             child_done: false,
             opened: false,
         }
-    }
-
-    /// Pull the child through `next_batch(n)` during the Full-mode fill
-    /// when `n > 1` (DESIGN.md §14). The stall/resume handshake and cap
-    /// semantics are unchanged: batched pulls are sized to the remaining
-    /// buffer room, so the high-water mark still never exceeds the cap.
-    pub fn with_batch_size(mut self, n: usize) -> Self {
-        self.batch_size = n.max(1);
-        self
     }
 
     /// True iff the buffer has reached the admission-control cap.
@@ -395,33 +382,6 @@ impl ReqSyncExec {
         self.index.keys().copied().collect()
     }
 
-    /// How many tuples a batched child pull may admit right now without
-    /// overshooting the admission cap (callers only pull below the cap,
-    /// so the result is always at least 1).
-    fn batch_room(&self, max: usize) -> usize {
-        match self.cap {
-            Some(c) => max.min(c.saturating_sub(self.buffered.len()).max(1)),
-            None => max,
-        }
-    }
-
-    /// Record a non-empty outgoing batch: `wsq_batch_rows` observes the
-    /// row count, and a `BatchEmitted` trace event is anchored to the
-    /// smallest still-pending call (none pending → no event, so `.trace`
-    /// call counts stay untouched).
-    fn emit_batch(&self, batch: TupleBatch) -> Result<Option<TupleBatch>> {
-        if let Some(m) = self.obs.metrics() {
-            m.batch_rows
-                .observe(Duration::from_millis(batch.len() as u64));
-        }
-        if self.obs.is_enabled() {
-            if let Some(c) = self.pending_calls().into_iter().min() {
-                self.obs.event(c, EventKind::BatchEmitted);
-            }
-        }
-        Ok(Some(batch))
-    }
-
     /// Debug-build invariant: `index` and `buffered` agree exactly —
     /// every indexed id resolves, and every buffered tuple's pending
     /// calls are indexed. Guards the compaction contract `patch_with`
@@ -486,24 +446,9 @@ impl Executor for ReqSyncExec {
             // we stop pulling (no new calls register) and patch until the
             // low-water mark frees slots. Completed tuples accumulate in
             // `ready`, so Full-mode semantics are unchanged.
-            if self.batch_size > 1 {
-                loop {
-                    let room = self.batch_room(self.batch_size);
-                    match self.child.next_batch(room)? {
-                        Some(b) => {
-                            for t in b.into_tuples() {
-                                self.admit(t);
-                            }
-                            self.stall_until_low_water()?;
-                        }
-                        None => break,
-                    }
-                }
-            } else {
-                while let Some(t) = self.child.next()? {
-                    self.admit(t);
-                    self.stall_until_low_water()?;
-                }
+            while let Some(t) = self.child.next()? {
+                self.admit(t);
+                self.stall_until_low_water()?;
             }
             self.child.close()?;
             self.child_done = true;
@@ -555,82 +500,6 @@ impl Executor for ReqSyncExec {
             // Block until something finishes, then absorb the whole burst
             // of completions — not just the one call wait_any reported —
             // in a single batched drain.
-            let pending = self.pending_calls();
-            self.pump.wait_any(&pending)?;
-            for (cid, outcome) in self.pump.take_completed(&pending) {
-                self.patch_with(cid, &outcome)?;
-            }
-        }
-    }
-
-    /// Batched synchronization (DESIGN.md §14): pull whole child batches
-    /// (sized to the remaining buffer room under the cap), admit them,
-    /// and patch every completed placeholder from single
-    /// `take_completed` drains into the buffer in one pass. Rows ready
-    /// for emission leave as one [`TupleBatch`]. The stall/resume
-    /// handshake is preserved batch-wise: at the cap the operator emits
-    /// what it holds, or — empty-handed — stalls to the low-water mark
-    /// exactly as the tuple path does.
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let max = max.max(1);
-        let mut out = TupleBatch::with_capacity(Arc::new(self.schema.clone()), max);
-        loop {
-            while out.len() < max {
-                match self.ready.pop_front() {
-                    Some(t) => out.push(t),
-                    None => break,
-                }
-            }
-            if out.len() >= max {
-                return self.emit_batch(out);
-            }
-            if !self.child_done {
-                if self.at_capacity() {
-                    // Hand back a partial batch rather than stalling with
-                    // rows in hand; stall only when empty-handed.
-                    if !out.is_empty() {
-                        return self.emit_batch(out);
-                    }
-                    self.stall_until_low_water()?;
-                    continue;
-                }
-                match self.child.next_batch(self.batch_room(max))? {
-                    Some(b) => {
-                        // `admit` routes complete tuples straight to
-                        // `ready` (§4.1 pass-through) and indexes the
-                        // rest; one drain absorbs everything that
-                        // completed while the child batch was assembled.
-                        for t in b.into_tuples() {
-                            self.admit(t);
-                        }
-                        self.drain_completions()?;
-                        continue;
-                    }
-                    None => {
-                        self.child.close()?;
-                        self.child_done = true;
-                        continue;
-                    }
-                }
-            }
-            if self.index.is_empty() {
-                debug_assert!(
-                    self.buffered.is_empty(),
-                    "drained index but {} tuples still buffered",
-                    self.buffered.len()
-                );
-                return if out.is_empty() {
-                    Ok(None)
-                } else {
-                    self.emit_batch(out)
-                };
-            }
-            // Rows in hand beat blocking: emit the partial batch and let
-            // the next call wait.
-            if !out.is_empty() {
-                return self.emit_batch(out);
-            }
-            self.assert_compact();
             let pending = self.pending_calls();
             self.pump.wait_any(&pending)?;
             for (cid, outcome) in self.pump.take_completed(&pending) {

@@ -11,8 +11,7 @@
 
 use super::Executor;
 use crate::plan::RerankScorer;
-use std::sync::Arc;
-use wsq_common::{Result, Schema, Tuple, TupleBatch, WsqError};
+use wsq_common::{Result, Schema, Tuple, WsqError};
 
 /// Materializing rerank: stable ascending sort by a scored column.
 pub struct RerankExec {
@@ -23,8 +22,6 @@ pub struct RerankExec {
     schema: Schema,
     ranked: Vec<Tuple>,
     pos: usize,
-    /// Batch size for the materializing fill (see `SortExec`).
-    batch_size: usize,
 }
 
 impl RerankExec {
@@ -40,16 +37,7 @@ impl RerankExec {
             schema,
             ranked: Vec::new(),
             pos: 0,
-            batch_size: 1,
         })
-    }
-
-    /// Pull the child through `next_batch(n)` during the fill when
-    /// `n > 1`, keeping batch propagation alive through this pipeline
-    /// breaker.
-    pub fn with_batch_size(mut self, n: usize) -> Self {
-        self.batch_size = n.max(1);
-        self
     }
 }
 
@@ -61,7 +49,7 @@ impl Executor for RerankExec {
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
         let mut rows: Vec<(i64, Tuple)> = Vec::new();
-        let score = |t: Tuple| -> Result<(i64, Tuple)> {
+        while let Some(t) = self.child.next()? {
             let v = t.get(self.target);
             if v.is_pending() {
                 // The asyncify pass places Rerank above every ReqSync, so
@@ -72,18 +60,7 @@ impl Executor for RerankExec {
                     self.scorer
                 )));
             }
-            Ok((self.scorer.score(v), t))
-        };
-        if self.batch_size > 1 {
-            while let Some(b) = self.child.next_batch(self.batch_size)? {
-                for t in b.into_tuples() {
-                    rows.push(score(t)?);
-                }
-            }
-        } else {
-            while let Some(t) = self.child.next()? {
-                rows.push(score(t)?);
-            }
+            rows.push((self.scorer.score(v), t));
         }
         self.child.close()?;
         // Stable: equal scores keep the engine's original order.
@@ -100,21 +77,6 @@ impl Executor for RerankExec {
         } else {
             Ok(None)
         }
-    }
-
-    /// Vectorized emit: slice the materialized run per batch.
-    fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let max = max.max(1);
-        if self.pos >= self.ranked.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + max).min(self.ranked.len());
-        let mut batch = TupleBatch::with_capacity(Arc::new(self.schema.clone()), end - self.pos);
-        for t in &self.ranked[self.pos..end] {
-            batch.push(t.clone());
-        }
-        self.pos = end;
-        Ok(Some(batch))
     }
 }
 
@@ -192,20 +154,5 @@ mod tests {
         let schema = Schema::new(vec![Column::new("Count", DataType::Int)]);
         let child = Box::new(ValuesExec::new(schema, vec![]));
         assert!(RerankExec::new(child, RerankScorer::UrlDepth).is_err());
-    }
-
-    #[test]
-    fn batched_fill_and_emit_match_tuple_path() {
-        let mk = || {
-            RerankExec::new(
-                pages(&["aa/bb/cc", "a", "aa/bb", "aa"]),
-                RerankScorer::UrlLen,
-            )
-            .unwrap()
-        };
-        let tuple_path = collect(&mut mk()).unwrap();
-        let mut batched = mk().with_batch_size(3);
-        let rows = crate::exec::collect_batched(&mut batched, 3).unwrap();
-        assert_eq!(tuple_path, rows);
     }
 }

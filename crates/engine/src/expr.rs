@@ -155,18 +155,11 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
 impl CExpr {
     /// Evaluate against a tuple.
     pub fn eval(&self, tuple: &Tuple) -> Result<Value> {
-        self.eval_row(tuple.values())
-    }
-
-    /// Evaluate against a bare value slice (a [`wsq_common::TupleBatch`]
-    /// row view) — the batch-at-a-time hot path, which never materializes
-    /// a `Tuple` per row.
-    pub fn eval_row(&self, row: &[Value]) -> Result<Value> {
         match self {
-            CExpr::Column(i) => Ok(row[*i].clone()),
+            CExpr::Column(i) => Ok(tuple.get(*i).clone()),
             CExpr::Const(v) => Ok(v.clone()),
             CExpr::Unary { op, expr } => {
-                let v = expr.eval_row(row)?;
+                let v = expr.eval(tuple)?;
                 match op {
                     UnOp::Neg => match v {
                         Value::Int(i) => Ok(Value::Int(-i)),
@@ -181,24 +174,24 @@ impl CExpr {
                 }
             }
             CExpr::Binary { op, lhs, rhs } => {
-                let l = lhs.eval_row(row)?;
+                let l = lhs.eval(tuple)?;
                 // Short-circuit logical operators.
                 match op {
                     BinOp::And => {
                         if !truthy(&l)? {
                             return Ok(Value::Int(0));
                         }
-                        return Ok(Value::Int(i64::from(truthy(&rhs.eval_row(row)?)?)));
+                        return Ok(Value::Int(i64::from(truthy(&rhs.eval(tuple)?)?)));
                     }
                     BinOp::Or => {
                         if truthy(&l)? {
                             return Ok(Value::Int(1));
                         }
-                        return Ok(Value::Int(i64::from(truthy(&rhs.eval_row(row)?)?)));
+                        return Ok(Value::Int(i64::from(truthy(&rhs.eval(tuple)?)?)));
                     }
                     _ => {}
                 }
-                let r = rhs.eval_row(row)?;
+                let r = rhs.eval(tuple)?;
                 if op.is_comparison() {
                     // SQL-ish: comparisons involving NULL are false.
                     if l.is_null() || r.is_null() {
@@ -223,8 +216,8 @@ impl CExpr {
                 pattern,
                 negated,
             } => {
-                let v = expr.eval_row(row)?;
-                let p = pattern.eval_row(row)?;
+                let v = expr.eval(tuple)?;
+                let p = pattern.eval(tuple)?;
                 if v.is_null() || p.is_null() {
                     return Ok(Value::Int(0));
                 }
@@ -236,13 +229,13 @@ impl CExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval_row(row)?;
+                let v = expr.eval(tuple)?;
                 if v.is_null() {
                     return Ok(Value::Int(0));
                 }
                 let mut found = false;
                 for e in list {
-                    let candidate = e.eval_row(row)?;
+                    let candidate = e.eval(tuple)?;
                     if !candidate.is_null() && v.sql_eq(&candidate)? {
                         found = true;
                         break;
@@ -256,9 +249,9 @@ impl CExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval_row(row)?;
-                let lo = low.eval_row(row)?;
-                let hi = high.eval_row(row)?;
+                let v = expr.eval(tuple)?;
+                let lo = low.eval(tuple)?;
+                let hi = high.eval(tuple)?;
                 if v.is_null() || lo.is_null() || hi.is_null() {
                     return Ok(Value::Int(0));
                 }
@@ -272,11 +265,6 @@ impl CExpr {
     /// Evaluate as a predicate.
     pub fn eval_bool(&self, tuple: &Tuple) -> Result<bool> {
         truthy(&self.eval(tuple)?)
-    }
-
-    /// Evaluate as a predicate against a bare value slice.
-    pub fn eval_bool_row(&self, row: &[Value]) -> Result<bool> {
-        truthy(&self.eval_row(row)?)
     }
 }
 

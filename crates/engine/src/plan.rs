@@ -81,11 +81,10 @@ pub enum EvBinding {
 /// configuration hint (per-destination batched dispatch). `adaptive`
 /// turns `depth` into an upper bound steered at runtime by the
 /// `AdaptiveDepth` controller from the live latency histograms.
-/// `batch` is the executor's batch-at-a-time size (DESIGN.md §14): a
-/// dependent join over this scan rebinds and registers up to `batch`
-/// outer tuples of external calls under one `register_batch`
-/// acquisition, so the bounds verifier treats it as a registration
-/// burst exactly like a prefetch depth. `1` keeps tuple-at-a-time.
+/// `batch` is an *input* to asyncify only: a value `b > 1` requests
+/// "lookahead of at least `b`" and is folded into `depth` there, so a
+/// stamped hint always carries `batch == 1` and executors and the
+/// verifier read `depth` alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchHint {
     /// Maximum outer tuples pulled ahead of demand (0 = off).
@@ -94,8 +93,9 @@ pub struct PrefetchHint {
     pub window: usize,
     /// Steer the effective depth from live latency histograms.
     pub adaptive: bool,
-    /// Executor batch size stamped from `QueryOptions::batch_size`
-    /// (1 = tuple-at-a-time; clamped to the admission cap like `depth`).
+    /// Lower bound on `depth` requested through
+    /// `QueryOptions::batch_size` (1 = none); folded into `depth` by
+    /// asyncify's normalisation.
     pub batch: usize,
 }
 

@@ -341,7 +341,7 @@ pub struct WellKnown {
     pub cache_coalesced: Arc<Counter>,
     /// Retry attempts beyond the first (RetryService).
     pub retries: Arc<Counter>,
-    /// Requests failed by injection (FlakyService).
+    /// Requests failed by injection (DegradedService).
     pub flaky_failures: Arc<Counter>,
     /// Placeholder tuples emitted by AEVScan operators.
     pub placeholder_tuples: Arc<Counter>,
@@ -384,11 +384,6 @@ pub struct WellKnown {
     /// an observation of n **milliseconds** (the latency bucket ladder
     /// doubling as a size ladder; count = number of windowed dispatches).
     pub batch_size: Arc<Histogram>,
-    /// Rows per emitted executor batch: a ReqSync `next_batch` emitting
-    /// n rows records an observation of n **milliseconds** (same
-    /// size-ladder convention as `wsq_batch_size`; count = batches
-    /// emitted, sum = total rows in milliseconds).
-    pub batch_rows: Arc<Histogram>,
 }
 
 impl WellKnown {
@@ -439,7 +434,7 @@ impl WellKnown {
             ),
             flaky_failures: registry.counter(
                 "wsq_flaky_failures_total",
-                "Requests failed by injection (FlakyService)",
+                "Requests failed by injection (DegradedService)",
             ),
             placeholder_tuples: registry.counter(
                 "wsq_placeholder_tuples_total",
@@ -506,10 +501,6 @@ impl WellKnown {
             batch_size: registry.histogram(
                 "wsq_batch_size",
                 "Submission-window fill per windowed dispatch (recorded as n milliseconds)",
-            ),
-            batch_rows: registry.histogram(
-                "wsq_batch_rows",
-                "Rows per emitted executor batch (recorded as n milliseconds)",
             ),
         }
     }

@@ -29,7 +29,6 @@ pub struct QueryWindow {
     prefetch_issued0: u64,
     prefetch_wasted0: u64,
     batches0: u64,
-    batch_rows0: HistogramSnapshot,
 }
 
 impl QueryWindow {
@@ -50,7 +49,6 @@ impl QueryWindow {
                     prefetch_issued0: m.prefetch_issued.get(),
                     prefetch_wasted0: m.prefetch_wasted.get(),
                     batches0: m.batch_size.snapshot().count,
-                    batch_rows0: m.batch_rows.snapshot(),
                 }
             }
             None => QueryWindow {
@@ -65,7 +63,6 @@ impl QueryWindow {
                 prefetch_issued0: 0,
                 prefetch_wasted0: 0,
                 batches0: 0,
-                batch_rows0: HistogramSnapshot::empty(),
             },
         }
     }
@@ -110,10 +107,6 @@ impl QueryWindow {
                 .get()
                 .saturating_sub(self.prefetch_wasted0),
             batches: m.batch_size.snapshot().count.saturating_sub(self.batches0),
-            batches_emitted: m.batch_rows.snapshot().delta(&self.batch_rows0).count,
-            // Rows are recorded as n milliseconds, so the window's row
-            // total is the sum converted back from nanoseconds.
-            batch_rows: m.batch_rows.snapshot().delta(&self.batch_rows0).sum_nanos / 1_000_000,
         })
     }
 }
@@ -143,7 +136,7 @@ pub struct QuerySummary {
     /// 95th-percentile stall duration (stall → resume).
     pub stall_p95: Option<Duration>,
     /// High-water mark of buffered incomplete tuples (ReqSync occupancy;
-    /// with `reqsync_buffer_cap` set this stays at or below the cap,
+    /// with `reqsync_cap` set this stays at or below the cap,
     /// barring §4.3 case-3 copy multiplication).
     pub buffered_hw: i64,
     /// Trace events the window captured.
@@ -156,20 +149,13 @@ pub struct QuerySummary {
     pub prefetch_wasted: u64,
     /// Windowed `execute_batch` dispatches during the window.
     pub batches: u64,
-    /// Executor [`TupleBatch`]es emitted by ReqSync operators during the
-    /// window (0 under tuple-at-a-time execution).
-    ///
-    /// [`TupleBatch`]: wsq_common::TupleBatch
-    pub batches_emitted: u64,
-    /// Total rows those executor batches carried.
-    pub batch_rows: u64,
 }
 
 impl fmt::Display for QuerySummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "calls={} call_p50={} call_p95={} call_max={} queue_p95={} patch_p95={} max_concurrent={} stalls={} stall_p95={} buffered_hw={} events={} dropped={} prefetch_issued={} prefetch_wasted={} batches={} batches_emitted={} batch_rows={}",
+            "calls={} call_p50={} call_p95={} call_max={} queue_p95={} patch_p95={} max_concurrent={} stalls={} stall_p95={} buffered_hw={} events={} dropped={} prefetch_issued={} prefetch_wasted={} batches={}",
             self.calls,
             fmt_ms(self.call_p50),
             fmt_ms(self.call_p95),
@@ -185,8 +171,6 @@ impl fmt::Display for QuerySummary {
             self.prefetch_issued,
             self.prefetch_wasted,
             self.batches,
-            self.batches_emitted,
-            self.batch_rows,
         )
     }
 }

@@ -62,12 +62,6 @@ pub enum EventKind {
     /// `execute_batch` dispatch (instead of a per-request `Launched`
     /// handoff; the `Launched` event still fires when capacity is taken).
     BatchLaunched,
-    /// A batch-at-a-time ReqSync emitted a [`TupleBatch`]-full of rows
-    /// (DESIGN.md §14); anchored to the smallest call it was still
-    /// waiting on when the batch left.
-    ///
-    /// [`TupleBatch`]: wsq_common::TupleBatch
-    BatchEmitted,
     /// A racing group's first successful member completed and its result
     /// was adopted as the group's result (anchored to the group call).
     RaceWon,
@@ -95,7 +89,6 @@ impl EventKind {
             EventKind::Resumed => "resumed",
             EventKind::PrefetchIssued => "prefetch-issued",
             EventKind::BatchLaunched => "batch-launched",
-            EventKind::BatchEmitted => "batch-emitted",
             EventKind::RaceWon => "race-won",
             EventKind::RaceCancelled => "race-cancelled",
         }

@@ -54,7 +54,7 @@ fn main() {
             "--rows-per-frame" => server_config.rows_per_frame = parse(&value("--rows-per-frame")),
             "--pump-max" => wsq_config.pump.max_concurrent = parse(&value("--pump-max")),
             "--window" => wsq_config.pump.submission_window = parse(&value("--window")),
-            "--reqsync-cap" => wsq_config.reqsync_buffer_cap = Some(parse(&value("--reqsync-cap"))),
+            "--reqsync-cap" => wsq_config.query.reqsync_cap = Some(parse(&value("--reqsync-cap"))),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");

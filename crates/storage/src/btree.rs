@@ -303,8 +303,9 @@ impl BTree {
                 }
                 None => {
                     // Root split: the old root (leaf or internal) becomes
-                    // the leftmost child of a new root.
-                    let old_root = if path.is_empty() { page } else { self.root()? };
+                    // the leftmost child of a new root. The root pointer
+                    // still names it — `set_root` below is the only writer.
+                    let old_root = self.root()?;
                     let new_root_page = self.pool.allocate_page(self.file)?;
                     let new_root = Node {
                         leaf: false,
@@ -547,6 +548,28 @@ mod tests {
             let key = format!("key-{:08}-padding-padding-padding", i * 7919 % n);
             assert_eq!(t.search(key.as_bytes()).unwrap().len(), 1, "{key}");
         }
+    }
+
+    /// An *internal* root splitting must hang the old root — not the
+    /// leaf the insert started at — under the new root, or the left
+    /// half of the tree is lost.
+    #[test]
+    fn internal_root_split_keeps_the_left_half() {
+        use wsq_common::Value;
+        let t = tree();
+        let n = 40_000u32;
+        let key = |i: u32| crate::codec::encode_key(&Value::Int(i64::from(i))).unwrap();
+        for i in 0..n {
+            t.insert(&key(i), rid(i)).unwrap();
+        }
+        assert_eq!(t.height().unwrap(), 3);
+        for i in 0..n {
+            assert_eq!(t.search(&key(i)).unwrap(), vec![rid(i)], "key {i}");
+        }
+        let mut seen = Vec::with_capacity(n as usize);
+        t.scan_range(&key(0), &key(n - 1), |_, r| seen.push(r))
+            .unwrap();
+        assert_eq!(seen, (0..n).map(rid).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Degraded-mode injection: a composable decorator that makes one engine
+//! Fault injection: the one composable decorator that makes an engine
 //! *bad* in scriptable, deterministic ways.
 //!
-//! [`FlakyService`](crate::FlakyService) injects point failures;
-//! [`DegradedService`] models the messier real-world shapes the paper's
-//! experimental section complains about — latency spikes on a fraction
-//! of requests, bursts of errors, and *brownout windows* where every
-//! request for a stretch of calls pays extra latency (a backend replica
-//! falling over and recovering). All three axes are deterministic for a
-//! given seed, so chaos scenarios replay exactly.
+//! [`DegradedService`] models the shapes the paper's experimental
+//! section complains about — point failures on a fraction of requests,
+//! latency spikes on a fraction of requests, and *brownout windows*
+//! where every request for a stretch of calls pays extra latency (a
+//! backend replica falling over and recovering). All three axes are
+//! deterministic for a given seed, so tests can exercise every error
+//! path reproducibly and chaos scenarios replay exactly;
+//! [`RetryService`](crate::RetryService) is the recovery decorator.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -36,6 +37,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 use wsq_common::WsqError;
+use wsq_obs::Obs;
 use wsq_pump::{SearchRequest, SearchService, ServiceReply};
 
 /// How a [`DegradedService`] misbehaves. Every axis is optional; the
@@ -47,7 +49,7 @@ pub struct DegradedConfig {
     pub latency_spike_permille: u32,
     /// Extra latency added to spiked requests.
     pub spike: Duration,
-    /// Fraction (per mille) of requests failed outright with a 504,
+    /// Fraction (per mille) of requests failed outright with a 503,
     /// chosen deterministically per request (independent of the spike
     /// oracle).
     pub error_burst_permille: u32,
@@ -83,26 +85,34 @@ pub struct DegradedStats {
     /// Requests that paid the latency spike.
     pub spikes: u64,
     /// Requests failed by the error-burst oracle.
-    pub errors: u64,
+    pub failures: u64,
     /// Requests that fell inside a brownout window.
     pub brownouts: u64,
+    /// Requests passed through to the inner service.
+    pub successes: u64,
 }
 
 /// Wraps a [`SearchService`] with deterministic latency spikes, error
-/// bursts, and brownout windows. Composable: wrap a
-/// [`FlakyService`](crate::FlakyService), a cache, or another
-/// `DegradedService`.
+/// bursts, and brownout windows. Composable: wrap a cache, a
+/// [`RetryService`](crate::RetryService), or another `DegradedService`.
 pub struct DegradedService {
     inner: Arc<dyn SearchService>,
     config: DegradedConfig,
     /// Monotone call counter driving the brownout window.
     calls: Mutex<u64>,
     stats: Mutex<DegradedStats>,
+    obs: Obs,
 }
 
 impl DegradedService {
     /// Wrap `inner` with the given degradation profile.
     pub fn new(inner: Arc<dyn SearchService>, config: DegradedConfig) -> Arc<Self> {
+        Self::with_obs(inner, config, Obs::disabled())
+    }
+
+    /// Like [`DegradedService::new`], additionally mirroring injected
+    /// failures into the `wsq_flaky_failures_total` registry counter.
+    pub fn with_obs(inner: Arc<dyn SearchService>, config: DegradedConfig, obs: Obs) -> Arc<Self> {
         Arc::new(DegradedService {
             inner,
             config: DegradedConfig {
@@ -112,6 +122,7 @@ impl DegradedService {
             },
             calls: Mutex::new(0),
             stats: Mutex::new(DegradedStats::default()),
+            obs,
         })
     }
 
@@ -131,7 +142,7 @@ impl DegradedService {
 
     /// Would this request be failed by the error-burst oracle?
     /// (Deterministic; useful for test oracles.)
-    pub fn would_error(&self, req: &SearchRequest) -> bool {
+    pub fn would_fail(&self, req: &SearchRequest) -> bool {
         self.permille(0xE44, req) < self.config.error_burst_permille as u64
     }
 
@@ -156,16 +167,26 @@ impl SearchService for DegradedService {
                 self.stats.lock().brownouts += 1;
             }
         }
-        if self.would_error(req) {
-            self.stats.lock().errors += 1;
+        if self.would_fail(req) {
+            self.stats.lock().failures += 1;
+            if let Some(m) = self.obs.metrics() {
+                m.flaky_failures.inc();
+            }
             return ServiceReply {
-                result: Err(WsqError::Search(format!("504 gateway timeout for {req}"))),
+                result: Err(WsqError::Search(format!(
+                    "503 service unavailable for {req}"
+                ))),
                 latency: extra + Duration::from_millis(1),
             };
         }
-        if self.would_spike(req) {
+        let spiked = self.would_spike(req);
+        if spiked {
             extra += self.config.spike;
-            self.stats.lock().spikes += 1;
+        }
+        {
+            let mut stats = self.stats.lock();
+            stats.successes += 1;
+            stats.spikes += u64::from(spiked);
         }
         let reply = self.inner.execute(req);
         ServiceReply {
@@ -203,7 +224,13 @@ mod tests {
             assert_eq!(r.result.unwrap().count(), Some(5));
             assert_eq!(r.latency, Duration::ZERO);
         }
-        assert_eq!(svc.stats(), DegradedStats::default());
+        assert_eq!(
+            svc.stats(),
+            DegradedStats {
+                successes: 50,
+                ..DegradedStats::default()
+            }
+        );
     }
 
     #[test]
@@ -232,18 +259,51 @@ mod tests {
         assert_eq!(svc.stats().spikes, spiked);
     }
 
-    #[test]
-    fn error_bursts_fail_with_504() {
-        let svc = DegradedService::new(
-            Arc::new(Always(1)),
+    fn failing(permille: u32, seed: u64, obs: Obs) -> Arc<DegradedService> {
+        DegradedService::with_obs(
+            Arc::new(Always(7)),
             DegradedConfig {
-                error_burst_permille: 1000,
+                error_burst_permille: permille,
+                seed,
                 ..DegradedConfig::default()
             },
+            obs,
+        )
+    }
+
+    #[test]
+    fn failures_are_deterministic_and_proportional() {
+        let flaky = failing(300, 42, Obs::disabled());
+        let outcomes: Vec<bool> = (0..500)
+            .map(|i| flaky.would_fail(&req(&format!("q{i}"))))
+            .collect();
+        // Deterministic: same answers again.
+        for (i, &o) in outcomes.iter().enumerate() {
+            assert_eq!(flaky.would_fail(&req(&format!("q{i}"))), o);
+        }
+        let failures = outcomes.iter().filter(|&&b| b).count();
+        assert!(
+            (100..=200).contains(&failures),
+            "~30% of 500, got {failures}"
         );
-        let r = svc.execute(&req("doomed"));
-        assert!(r.result.unwrap_err().to_string().contains("504"));
-        assert_eq!(svc.stats().errors, 1);
+        // Execute matches the oracle.
+        for (i, &expect_err) in outcomes.iter().enumerate().take(50) {
+            let r = flaky.execute(&req(&format!("q{i}")));
+            assert_eq!(r.result.is_err(), expect_err);
+        }
+    }
+
+    #[test]
+    fn zero_and_total_failure_rates() {
+        let never = failing(0, 1, Obs::disabled());
+        assert!(never.execute(&req("x")).result.is_ok());
+        assert_eq!(never.stats().successes, 1);
+        let obs = Obs::enabled();
+        let always = failing(1000, 1, obs.clone());
+        let r = always.execute(&req("doomed"));
+        assert!(r.result.unwrap_err().to_string().contains("503"));
+        assert_eq!(always.stats().failures, 1);
+        assert_eq!(obs.metrics().unwrap().flaky_failures.get(), 1);
     }
 
     #[test]
@@ -269,11 +329,9 @@ mod tests {
     }
 
     #[test]
-    fn composes_over_flaky() {
-        use crate::FlakyService;
-        let flaky = FlakyService::new(Arc::new(Always(2)), 1000, 1);
+    fn composes_over_itself() {
         let degraded = DegradedService::new(
-            flaky,
+            failing(1000, 1, Obs::disabled()),
             DegradedConfig {
                 latency_spike_permille: 1000,
                 spike: Duration::from_millis(5),
@@ -281,8 +339,8 @@ mod tests {
             },
         );
         let r = degraded.execute(&req("x"));
-        // The inner flake still fails, and the spike latency still applies
-        // on top of the inner reply's own latency.
+        // The inner failure still surfaces, and the spike latency still
+        // applies on top of the inner reply's own latency.
         assert!(r.result.is_err());
         assert!(r.latency >= Duration::from_millis(5));
     }

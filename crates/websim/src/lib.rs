@@ -22,8 +22,8 @@ pub mod corpus;
 pub mod data;
 pub mod degraded;
 pub mod engine;
-pub mod flaky;
 pub mod latency;
+pub mod retry;
 pub mod search;
 pub mod symbols;
 
@@ -31,8 +31,8 @@ pub use cache::{CacheConfig, CacheStats, CachedService};
 pub use corpus::{Corpus, CorpusConfig, Page};
 pub use degraded::{DegradedConfig, DegradedService, DegradedStats};
 pub use engine::{EngineKind, SimEngine};
-pub use flaky::{FlakyService, FlakyStats, RetryService};
 pub use latency::LatencyModel;
+pub use retry::RetryService;
 pub use search::{parse_query, Connective, WebQuery};
 
 use std::sync::Arc;

@@ -1,95 +1,16 @@
-//! Failure injection: a deterministic flaky-engine wrapper and a retry
-//! decorator.
+//! The recovery decorator for failing engines.
 //!
 //! 1999 search engines failed often enough that the paper's experimental
 //! protocol had to work around them ("performance … can fluctuate
-//! considerably depending on load"). [`FlakyService`] makes a fraction of
-//! requests fail *deterministically* (keyed on the request), so tests can
-//! exercise every error path reproducibly; [`RetryService`] is the
-//! corresponding recovery decorator.
+//! considerably depending on load").
+//! [`DegradedService`](crate::DegradedService) injects such failures
+//! deterministically; [`RetryService`] is the corresponding recovery
+//! decorator.
 
-use parking_lot::Mutex;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
-use wsq_common::WsqError;
 use wsq_obs::{EventKind, Obs};
 use wsq_pump::{SearchRequest, SearchService, ServiceReply};
-
-/// Failure-injection statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlakyStats {
-    /// Requests that were failed.
-    pub failures: u64,
-    /// Requests passed through.
-    pub successes: u64,
-}
-
-/// Fails a deterministic subset of requests with a search error.
-pub struct FlakyService {
-    inner: Arc<dyn SearchService>,
-    /// Fail when `hash(request, seed) % 1000 < failure_permille`.
-    failure_permille: u32,
-    seed: u64,
-    stats: Mutex<FlakyStats>,
-    obs: Obs,
-}
-
-impl FlakyService {
-    /// Wrap `inner`, failing roughly `failure_permille`/1000 of requests.
-    pub fn new(inner: Arc<dyn SearchService>, failure_permille: u32, seed: u64) -> Arc<Self> {
-        Self::with_obs(inner, failure_permille, seed, Obs::disabled())
-    }
-
-    /// Like [`FlakyService::new`], additionally mirroring injected
-    /// failures into the `wsq_flaky_failures_total` registry counter.
-    pub fn with_obs(
-        inner: Arc<dyn SearchService>,
-        failure_permille: u32,
-        seed: u64,
-        obs: Obs,
-    ) -> Arc<Self> {
-        Arc::new(FlakyService {
-            inner,
-            failure_permille: failure_permille.min(1000),
-            seed,
-            stats: Mutex::new(FlakyStats::default()),
-            obs,
-        })
-    }
-
-    /// Would this request fail? (Deterministic; useful for test oracles.)
-    pub fn would_fail(&self, req: &SearchRequest) -> bool {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut h);
-        req.hash(&mut h);
-        (h.finish() % 1000) < self.failure_permille as u64
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> FlakyStats {
-        *self.stats.lock()
-    }
-}
-
-impl SearchService for FlakyService {
-    fn execute(&self, req: &SearchRequest) -> ServiceReply {
-        if self.would_fail(req) {
-            self.stats.lock().failures += 1;
-            if let Some(m) = self.obs.metrics() {
-                m.flaky_failures.inc();
-            }
-            return ServiceReply {
-                result: Err(WsqError::Search(format!(
-                    "503 service unavailable for {req}"
-                ))),
-                latency: Duration::from_millis(1),
-            };
-        }
-        self.stats.lock().successes += 1;
-        self.inner.execute(req)
-    }
-}
 
 /// Retries the inner service until it succeeds or attempts are exhausted.
 ///
@@ -169,6 +90,7 @@ impl SearchService for RetryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DegradedConfig, DegradedService};
     use wsq_pump::{RequestKind, SearchResult};
 
     struct Always(u64);
@@ -176,6 +98,18 @@ mod tests {
         fn execute(&self, _req: &SearchRequest) -> ServiceReply {
             ServiceReply::instant(SearchResult::Count(self.0))
         }
+    }
+
+    /// `inner` failing `permille`/1000 of requests.
+    fn flaky(inner: Arc<dyn SearchService>, permille: u32, seed: u64) -> Arc<DegradedService> {
+        DegradedService::new(
+            inner,
+            DegradedConfig {
+                error_burst_permille: permille,
+                seed,
+                ..DegradedConfig::default()
+            },
+        )
     }
 
     fn req(expr: &str) -> SearchRequest {
@@ -187,39 +121,8 @@ mod tests {
     }
 
     #[test]
-    fn flaky_is_deterministic_and_proportional() {
-        let flaky = FlakyService::new(Arc::new(Always(7)), 300, 42);
-        let outcomes: Vec<bool> = (0..500)
-            .map(|i| flaky.would_fail(&req(&format!("q{i}"))))
-            .collect();
-        // Deterministic: same answers again.
-        for (i, &o) in outcomes.iter().enumerate() {
-            assert_eq!(flaky.would_fail(&req(&format!("q{i}"))), o);
-        }
-        let failures = outcomes.iter().filter(|&&b| b).count();
-        assert!(
-            (100..=200).contains(&failures),
-            "~30% of 500, got {failures}"
-        );
-        // Execute matches the oracle.
-        for (i, &expect_err) in outcomes.iter().enumerate().take(50) {
-            let r = flaky.execute(&req(&format!("q{i}")));
-            assert_eq!(r.result.is_err(), expect_err);
-        }
-    }
-
-    #[test]
-    fn zero_and_total_failure_rates() {
-        let never = FlakyService::new(Arc::new(Always(1)), 0, 1);
-        assert!(never.execute(&req("x")).result.is_ok());
-        let always = FlakyService::new(Arc::new(Always(1)), 1000, 1);
-        assert!(always.execute(&req("x")).result.is_err());
-        assert_eq!(always.stats().failures, 1);
-    }
-
-    #[test]
     fn retry_recovers_from_flakes() {
-        let flaky = FlakyService::new(Arc::new(Always(9)), 300, 7);
+        let flaky = flaky(Arc::new(Always(9)), 300, 7);
         let retry = RetryService::new(flaky.clone(), 8);
         // With 30% failure and 8 salted attempts, a full failing chain has
         // probability 0.3^8 ≈ 7e-5 per request; the fixed seed has none.
@@ -238,7 +141,7 @@ mod tests {
         let web = SimWeb::build(CorpusConfig::small());
         let av = web.engine(EngineKind::AltaVista);
         // Force failures on first attempts so retries actually happen.
-        let flaky = FlakyService::new(av.clone(), 500, 99);
+        let flaky = flaky(av.clone(), 500, 99);
         let retry = RetryService::new(flaky, 10);
         for expr in ["Utah", "Colorado near \"four corners\"", "\"New Mexico\""] {
             let direct = av.count(expr);
@@ -258,7 +161,7 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_reports_the_error() {
-        let always_fail = FlakyService::new(Arc::new(Always(1)), 1000, 1);
+        let always_fail = flaky(Arc::new(Always(1)), 1000, 1);
         let retry = RetryService::new(always_fail, 3);
         let r = retry.execute(&req("doomed"));
         assert!(r.result.unwrap_err().to_string().contains("503"));

@@ -9,8 +9,7 @@
 //! trace_line  := "-- trace: calls=.. call_p50=.. call_p95=.. call_max=..
 //!                 queue_p95=.. patch_p95=.. max_concurrent=.. stalls=..
 //!                 stall_p95=.. buffered_hw=.. events=.. dropped=..
-//!                 prefetch_issued=.. prefetch_wasted=.. batches=..
-//!                 batches_emitted=.. batch_rows=.."
+//!                 prefetch_issued=.. prefetch_wasted=.. batches=.."
 //! cache_line  := "-- cache[ENGINE]: hits=.. misses=.. coalesced=.. evictions=..
 //!                 expirations=.."
 //! verify_line := "-- verify: ok (verified .. nodes: .., peak buffered B,
@@ -179,9 +178,7 @@ fn analyze_report_matches_the_documented_grammar() {
             "dropped",
             "prefetch_issued",
             "prefetch_wasted",
-            "batches",
-            "batches_emitted",
-            "batch_rows"
+            "batches"
         ]
     );
     for kv in footers[1].split_once(": ").unwrap().1.split_whitespace() {

@@ -272,11 +272,10 @@ proptest! {
 
         // Admission control is invisible in the results: the capped run
         // returns the exact multiset the unbounded run did, for every
-        // cap >= 1, under both buffer modes. Batch-at-a-time execution
-        // (DESIGN.md §14) rides the same assertion: every batch size,
-        // crossed with every cap (including cap < batch, where one
-        // batch crosses the buffer in cap-bounded waves), is
-        // byte-identical to the tuple-at-a-time run.
+        // cap >= 1, under both buffer modes. `batch_size` — a lower
+        // bound on the join lookahead — rides the same assertion: every
+        // value, crossed with every cap (including cap < batch, where
+        // the lookahead clamps to the cap), leaves the rows unchanged.
         let mut capped = run(&db, &pump, &q.sql, EngineOpts {
             mode: ExecutionMode::Asynchronous,
             strategy,
@@ -473,52 +472,51 @@ proptest! {
     }
 }
 
-/// The §14 compatibility guarantee: `batch_size = 1` (the default) IS
-/// the tuple-at-a-time pipeline, bit-identically — every batched pull
-/// site degrades to plain `next()`, so the batched emit path never
-/// fires (zero batches observed) and the rows match a batched run of
-/// the same query exactly.
+/// `batch_size` is nothing but a lower bound on the join lookahead:
+/// asking for it through `batch_size` or through `prefetch_depth` plans
+/// the same tree, stamps the same depth on every `AEVScan`, returns the
+/// demand-driven rows and drains the pump.
 #[test]
-fn batch_size_one_is_bit_identical_and_emits_no_batches() {
+fn batch_size_and_prefetch_depth_stamp_the_same_lookahead() {
+    use wsqdsq::engine::plan::PhysPlan;
     let query = "SELECT Name, Count FROM States, WebCount WHERE Name = T1 \
                  ORDER BY Count DESC, Name";
+    let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+    wsq.load_reference_data().unwrap();
+    let baseline = wsq.query(query).unwrap().to_table();
 
-    let mut tuple_at_a_time = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
-    tuple_at_a_time.load_reference_data().unwrap();
+    let by_batch = EngineOpts {
+        batch_size: 64,
+        prefetch_depth: 0,
+        ..Default::default()
+    };
+    let by_depth = EngineOpts {
+        batch_size: 1,
+        prefetch_depth: 64,
+        ..Default::default()
+    };
     assert_eq!(
-        tuple_at_a_time.options_mut().batch_size,
-        1,
-        "tuple-at-a-time must be the default"
+        wsq.explain_with(query, by_batch).unwrap(),
+        wsq.explain_with(query, by_depth).unwrap()
     );
-    let baseline = tuple_at_a_time.query(query).unwrap().to_table();
-    let m1 = tuple_at_a_time.obs().metrics().unwrap();
-    assert_eq!(
-        m1.batch_rows.snapshot().count,
-        0,
-        "batch_size=1 must never take the batched emit path"
-    );
-
-    let mut batched = Wsq::open_in_memory(WsqConfig {
-        query: EngineOpts {
-            batch_size: 64,
-            ..Default::default()
-        },
-        ..WsqConfig::fast()
-    })
-    .unwrap();
-    batched.load_reference_data().unwrap();
-    let got = batched.query(query).unwrap().to_table();
-    assert_eq!(got, baseline, "batch_size=64 changed the result");
-
-    let m64 = batched.obs().metrics().unwrap();
-    let snap = m64.batch_rows.snapshot();
-    assert!(snap.count > 0, "batch_size=64 never emitted a batch");
-    assert_eq!(
-        snap.sum_nanos / 1_000_000,
-        50,
-        "batched emission must cover exactly the 50-state fan-out"
-    );
-    assert_eq!(batched.pump().live_calls(), 0);
+    let sel = match wsqdsq::sql::parse_one(query).unwrap() {
+        wsqdsq::sql::Statement::Select(s) => s,
+        _ => unreachable!(),
+    };
+    for opts in [by_batch, by_depth] {
+        let plan = wsq.db().plan_query(&sel, wsq.engines(), opts).unwrap();
+        let scans = plan.count_nodes(&|p| match p {
+            PhysPlan::AEVScan(spec) => {
+                assert_eq!(spec.prefetch.depth, 64, "under {opts:?}");
+                true
+            }
+            _ => false,
+        });
+        assert!(scans > 0, "no AEVScan in:\n{plan}");
+        let got = wsq.query_with(query, opts).unwrap().to_table();
+        assert_eq!(got, baseline, "{opts:?} changed the result");
+        assert_eq!(wsq.pump().live_calls(), 0, "{opts:?} leaked calls");
+    }
 }
 
 /// The acceptance workload: the 50-state WebCount fan-out under latency
@@ -549,7 +547,10 @@ fn cap_eight_bounds_the_fifty_state_fan_out() {
 
     let mut capped = Wsq::open_in_memory(WsqConfig {
         latency,
-        reqsync_buffer_cap: Some(8),
+        query: QueryOptions {
+            reqsync_cap: Some(8),
+            ..Default::default()
+        },
         ..WsqConfig::fast()
     })
     .unwrap();

@@ -6,16 +6,28 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsqdsq::prelude::*;
-use wsqdsq::websim::{DegradedConfig, DegradedService, FlakyService, RetryService};
+use wsqdsq::websim::{DegradedConfig, DegradedService, RetryService};
 
 const QUERY: &str = "SELECT Name, Count FROM States, WebCount_Shaky \
                      WHERE Name = T1 ORDER BY Count DESC, Name";
 
-fn wsq_with_flaky(permille: u32, retries: Option<u32>) -> (Wsq, Arc<FlakyService>) {
+/// `inner` failing `permille`/1000 of requests (seed 1234).
+fn flaky_service(inner: Arc<dyn wsq_pump::SearchService>, permille: u32) -> Arc<DegradedService> {
+    DegradedService::new(
+        inner,
+        DegradedConfig {
+            error_burst_permille: permille,
+            seed: 1234,
+            ..DegradedConfig::default()
+        },
+    )
+}
+
+fn wsq_with_flaky(permille: u32, retries: Option<u32>) -> (Wsq, Arc<DegradedService>) {
     let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
     wsq.load_reference_data().unwrap();
     let inner = wsq.web().engine(EngineKind::AltaVista);
-    let flaky = FlakyService::new(inner, permille, 1234);
+    let flaky = flaky_service(inner, permille);
     let service: Arc<dyn wsq_pump::SearchService> = match retries {
         Some(n) => RetryService::new(flaky.clone(), n),
         None => flaky.clone(),
@@ -137,7 +149,7 @@ fn flaky_backend_mid_window_releases_every_prefetched_slot() {
     .unwrap();
     wsq.load_reference_data().unwrap();
     let inner = wsq.web().engine(EngineKind::AltaVista);
-    let flaky = FlakyService::new(inner, 1000, 1234);
+    let flaky = flaky_service(inner, 1000);
     let service: Arc<dyn wsq_pump::SearchService> = RetryService::new(flaky.clone(), 2);
     wsq.register_engine("Shaky", service, true);
 
@@ -175,10 +187,10 @@ fn flaky_backend_mid_window_releases_every_prefetched_slot() {
 
 #[test]
 fn flaky_backend_mid_batch_releases_every_registered_slot() {
-    // Batch-at-a-time execution (DESIGN.md §14) registers a whole outer
-    // batch of external calls under one pump acquisition before any row
-    // is demanded downstream. When the backend exhausts its retries
-    // mid-batch the query errors with most of the burst still
+    // `batch_size = 64` asks for a join lookahead of at least 64, so the
+    // whole 50-state fan-out registers under one pump acquisition before
+    // any row is demanded downstream. When the backend exhausts its
+    // retries mid-batch the query errors with most of the burst still
     // unconsumed — every registered slot must be released and every
     // gauge must drain to zero, leaving the instance usable.
     let (mut wsq, flaky) = wsq_with_flaky(1000, Some(2));
@@ -244,7 +256,7 @@ struct Chaos {
     racing: bool,
     /// Latency spikes + brownout windows on the Chaos engine.
     slow: bool,
-    /// Point failures on the Chaos engine: raw 504 bursts when racing
+    /// Point failures on the Chaos engine: raw 503 bursts when racing
     /// (the Stable member must cover them), retry-recoverable flakes
     /// otherwise (the query must still succeed on its own).
     flaky: bool,
@@ -275,7 +287,7 @@ fn chaos_wsq(s: &Chaos) -> Wsq {
                 },
             );
         } else {
-            svc = RetryService::new(FlakyService::new(svc, 300, 1234), 6);
+            svc = RetryService::new(flaky_service(svc, 300), 6);
         }
     }
     if s.slow {
