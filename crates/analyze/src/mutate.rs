@@ -7,10 +7,6 @@
 //! corruption of every base plan — i.e. the verifier actually has teeth,
 //! rather than accepting everything.
 
-// Rewrites thread `Result<PhysPlan, PhysPlan>` as rewritten-vs-unchanged
-// (both sides carry the tree by value); `Err` is not an error path.
-#![allow(clippy::result_large_err)]
-
 use crate::verify::{refs_any, same_ref};
 use wsq_common::{Column, DataType, Schema};
 use wsq_engine::plan::{EvBinding, PhysPlan, RerankScorer};
@@ -85,24 +81,22 @@ pub const ALL_MUTATIONS: &[Mutation] = &[
 /// Apply `m` to the first applicable site in `plan`; `None` when the
 /// plan has no such site.
 pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
-    let rewrite: &mut dyn FnMut(PhysPlan) -> Result<PhysPlan, PhysPlan> = match m {
+    // Each rewrite edits the node it accepts in place and says whether
+    // it fired.
+    let rewrite: &mut dyn FnMut(&mut PhysPlan) -> bool = match m {
         Mutation::DropReqSync => &mut |p| match p {
-            PhysPlan::ReqSync { input, .. } => Ok(*input),
-            other => Err(other),
+            PhysPlan::ReqSync { input, .. } => {
+                *p = std::mem::take(&mut **input);
+                true
+            }
+            _ => false,
         },
         Mutation::StripSyncAttr => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
-                input,
-                attrs: attrs[1..].to_vec(),
-                mode,
-                cap,
-            }),
-            other => Err(other),
+            PhysPlan::ReqSync { attrs, .. } if !attrs.is_empty() => {
+                attrs.remove(0);
+                true
+            }
+            _ => false,
         },
         Mutation::DuplicateReqSync => &mut |p| match p {
             PhysPlan::ReqSync {
@@ -110,115 +104,61 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                 attrs,
                 mode,
                 cap,
-            } => Ok(PhysPlan::ReqSync {
-                input: Box::new(PhysPlan::ReqSync {
+            } => {
+                let (attrs, mode, cap) = (attrs.clone(), *mode, *cap);
+                insert_above(input, |input| PhysPlan::ReqSync {
                     input,
-                    attrs: attrs.clone(),
+                    attrs,
                     mode,
                     cap,
-                }),
-                attrs,
-                mode,
-                cap,
-            }),
-            other => Err(other),
+                });
+                true
+            }
+            _ => false,
         },
         Mutation::SinkCarriedFilter => &mut |p| match p {
-            PhysPlan::Filter { input, predicate }
-                if matches!(
-                    &*input,
-                    PhysPlan::ReqSync { attrs, .. } if refs_any(&predicate, attrs)
-                ) =>
-            {
-                match *input {
-                    PhysPlan::ReqSync {
-                        input,
-                        attrs,
-                        mode,
-                        cap,
-                    } => Ok(PhysPlan::ReqSync {
-                        input: Box::new(PhysPlan::Filter { input, predicate }),
-                        attrs,
-                        mode,
-                        cap,
-                    }),
-                    _ => unreachable!("guard matched ReqSync"),
+            PhysPlan::Filter { input, predicate } => match &mut **input {
+                PhysPlan::ReqSync {
+                    input: below,
+                    attrs,
+                    ..
+                } if refs_any(predicate, attrs) => {
+                    let predicate = predicate.clone();
+                    insert_above(below, |input| PhysPlan::Filter { input, predicate });
+                    *p = std::mem::take(&mut **input);
+                    true
                 }
-            }
-            other => Err(other),
+                _ => false,
+            },
+            _ => false,
         },
         Mutation::HoistSortBelowSync => &mut |p| match p {
-            PhysPlan::Sort { input, keys } if matches!(&*input, PhysPlan::ReqSync { .. }) => {
-                match *input {
-                    PhysPlan::ReqSync {
-                        input,
-                        attrs,
-                        mode,
-                        cap,
-                    } => Ok(PhysPlan::ReqSync {
-                        input: Box::new(PhysPlan::Sort { input, keys }),
-                        attrs,
-                        mode,
-                        cap,
-                    }),
-                    _ => unreachable!("guard matched ReqSync"),
+            PhysPlan::Sort { input, keys } => match &mut **input {
+                PhysPlan::ReqSync { input: below, .. } => {
+                    let keys = keys.clone();
+                    insert_above(below, |input| PhysPlan::Sort { input, keys });
+                    *p = std::mem::take(&mut **input);
+                    true
                 }
-            }
-            other => Err(other),
+                _ => false,
+            },
+            _ => false,
         },
-        Mutation::AggregateBelowSync => &mut |p| match p {
-            PhysPlan::ReqSync {
+        Mutation::AggregateBelowSync => &mut |p| {
+            insert_below_sync(p, |input| PhysPlan::Aggregate {
                 input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
-                input: Box::new(PhysPlan::Aggregate {
-                    input,
-                    group_by: vec![],
-                    aggs: vec![(AggFunc::Count, None, "n".to_string())],
-                }),
-                attrs,
-                mode,
-                cap,
-            }),
-            other => Err(other),
+                group_by: vec![],
+                aggs: vec![(AggFunc::Count, None, "n".to_string())],
+            })
         },
-        Mutation::DistinctBelowSync => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
-                input: Box::new(PhysPlan::Distinct { input }),
-                attrs,
-                mode,
-                cap,
-            }),
-            other => Err(other),
-        },
-        Mutation::LimitBelowSync => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
-                input: Box::new(PhysPlan::Limit { input, n: 1 }),
-                attrs,
-                mode,
-                cap,
-            }),
-            other => Err(other),
-        },
+        Mutation::DistinctBelowSync => {
+            &mut |p| insert_below_sync(p, |input| PhysPlan::Distinct { input })
+        }
+        Mutation::LimitBelowSync => {
+            &mut |p| insert_below_sync(p, |input| PhysPlan::Limit { input, n: 1 })
+        }
         Mutation::ProjectAwayPlaceholder => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => {
+            PhysPlan::ReqSync { input, attrs, .. } if !attrs.is_empty() => {
                 let in_schema = input.schema();
                 let kept: Vec<&Column> = in_schema
                     .columns()
@@ -232,12 +172,7 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                     })
                     .collect();
                 if kept.is_empty() {
-                    return Err(PhysPlan::ReqSync {
-                        input,
-                        attrs,
-                        mode,
-                        cap,
-                    });
+                    return false;
                 }
                 let items = kept
                     .iter()
@@ -256,126 +191,93 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                         .map(|c| Column::new(c.name.clone(), c.dtype))
                         .collect(),
                 );
-                Ok(PhysPlan::ReqSync {
-                    input: Box::new(PhysPlan::Project {
-                        input,
-                        items,
-                        schema,
-                    }),
-                    attrs,
-                    mode,
-                    cap,
-                })
+                insert_above(input, |input| PhysPlan::Project {
+                    input,
+                    items,
+                    schema,
+                });
+                true
             }
-            other => Err(other),
+            _ => false,
         },
         Mutation::ComputeOverPlaceholder => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => {
+            PhysPlan::ReqSync { input, attrs, .. } if !attrs.is_empty() => {
                 let victim = attrs[0].clone();
-                Ok(PhysPlan::ReqSync {
-                    input: Box::new(PhysPlan::Project {
-                        input,
-                        items: vec![(
-                            Expr::binary(
-                                BinOp::Eq,
-                                Expr::Column(victim),
-                                Expr::Literal(Literal::Int(0)),
-                            ),
-                            "computed".to_string(),
-                        )],
-                        schema: Schema::new(vec![Column::new("computed", DataType::Int)]),
-                    }),
-                    attrs,
-                    mode,
-                    cap,
-                })
+                insert_above(input, |input| PhysPlan::Project {
+                    input,
+                    items: vec![(
+                        Expr::binary(
+                            BinOp::Eq,
+                            Expr::Column(victim),
+                            Expr::Literal(Literal::Int(0)),
+                        ),
+                        "computed".to_string(),
+                    )],
+                    schema: Schema::new(vec![Column::new("computed", DataType::Int)]),
+                });
+                true
             }
-            other => Err(other),
+            _ => false,
         },
         Mutation::BindToPlaceholder => &mut |p| match p {
-            PhysPlan::DependentJoin { left, right } => match first_aev_attr(&left) {
-                Some(attr) => match rebind(*right, attr) {
-                    Ok(r) => Ok(PhysPlan::DependentJoin {
-                        left,
-                        right: Box::new(r),
-                    }),
-                    Err(r) => Err(PhysPlan::DependentJoin {
-                        left,
-                        right: Box::new(r),
-                    }),
-                },
-                None => Err(PhysPlan::DependentJoin { left, right }),
-            },
-            other => Err(other),
+            PhysPlan::DependentJoin { left, right } => {
+                first_aev_attr(left).is_some_and(|attr| rebind(right, &attr))
+            }
+            _ => false,
         },
         Mutation::DesyncScan => &mut |p| match p {
-            PhysPlan::AEVScan(spec) => Ok(PhysPlan::EVScan(spec)),
-            other => Err(other),
+            PhysPlan::AEVScan(spec) => {
+                *p = PhysPlan::EVScan(spec.clone());
+                true
+            }
+            _ => false,
         },
         Mutation::ForgePrefetchDepth => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } => {
+            PhysPlan::ReqSync { input, cap, .. } => {
                 let forged = cap.unwrap_or(4);
-                match forge_depth(*input, forged + 3) {
-                    Ok(i) => Ok(PhysPlan::ReqSync {
-                        input: Box::new(i),
-                        attrs,
-                        mode,
-                        cap: Some(forged),
-                    }),
-                    // Not applicable here: rebuild unchanged.
-                    Err(i) => Err(PhysPlan::ReqSync {
-                        input: Box::new(i),
-                        attrs,
-                        mode,
-                        cap,
-                    }),
+                let fired = forge_depth(input, forged + 3);
+                if fired {
+                    *cap = Some(forged);
                 }
+                fired
             }
-            other => Err(other),
+            _ => false,
         },
-        Mutation::SinkRerankBelowSync => &mut |p| match p {
-            PhysPlan::ReqSync {
+        Mutation::SinkRerankBelowSync => &mut |p| {
+            insert_below_sync(p, |input| PhysPlan::Rerank {
                 input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
-                input: Box::new(PhysPlan::Rerank {
-                    input,
-                    scorer: RerankScorer::UrlLen,
-                }),
-                attrs,
-                mode,
-                cap,
-            }),
-            other => Err(other),
+                scorer: RerankScorer::UrlLen,
+            })
         },
         Mutation::DropStampedCap => &mut |p| match p {
             PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap: Some(_),
-            } => Ok(PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap: None,
-            }),
-            other => Err(other),
+                cap: cap @ Some(_), ..
+            } => {
+                *cap = None;
+                true
+            }
+            _ => false,
         },
     };
-    rewrite_first(plan.clone(), rewrite).ok()
+    let mut mutated = plan.clone();
+    rewrite_first(&mut mutated, rewrite).then_some(mutated)
+}
+
+/// Replace `*slot` with `wrap(<the old *slot>)`.
+fn insert_above(slot: &mut PhysPlan, wrap: impl FnOnce(Box<PhysPlan>) -> PhysPlan) {
+    *slot = wrap(Box::new(std::mem::take(slot)));
+}
+
+/// If `plan` is a ReqSync with a non-empty attribute set, insert
+/// `wrap(<its input>)` directly beneath it.
+fn insert_below_sync(plan: &mut PhysPlan, wrap: impl FnOnce(Box<PhysPlan>) -> PhysPlan) -> bool {
+    match plan {
+        PhysPlan::ReqSync { input, attrs, .. } if !attrs.is_empty() => {
+            insert_above(input, wrap);
+            true
+        }
+        _ => false,
+    }
 }
 
 /// First external attribute of an AEVScan whose placeholders are *not*
@@ -384,214 +286,48 @@ fn first_aev_attr(plan: &PhysPlan) -> Option<ColumnRef> {
     match plan {
         PhysPlan::AEVScan(s) => s.external_attrs().into_iter().next(),
         PhysPlan::ReqSync { .. } => None,
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::Sort { input, .. }
-        | PhysPlan::Aggregate { input, .. }
-        | PhysPlan::Distinct { input }
-        | PhysPlan::Limit { input, .. }
-        | PhysPlan::Rerank { input, .. } => first_aev_attr(input),
-        PhysPlan::DependentJoin { left, right }
-        | PhysPlan::NestedLoopJoin { left, right, .. }
-        | PhysPlan::CrossProduct { left, right } => {
-            first_aev_attr(left).or_else(|| first_aev_attr(right))
-        }
-        PhysPlan::ParallelDependentJoin { left, .. } => first_aev_attr(left),
-        _ => None,
+        _ => plan.children().find_map(first_aev_attr),
     }
 }
 
 /// Stamp the first AEVScan reachable without crossing a nested ReqSync
 /// (so the mutated scan's *nearest* enclosing ReqSync is the one the
-/// caller just capped) with prefetch depth `depth`. `Ok` = forged,
-/// `Err` = unchanged.
-fn forge_depth(plan: PhysPlan, depth: usize) -> Result<PhysPlan, PhysPlan> {
-    use PhysPlan::*;
+/// caller just capped) with prefetch depth `depth`; says whether one was
+/// found. A dependent join's inner scan is tried before its outer side.
+fn forge_depth(plan: &mut PhysPlan, depth: usize) -> bool {
     match plan {
-        AEVScan(mut spec) => {
+        PhysPlan::AEVScan(spec) => {
             spec.prefetch.depth = depth;
-            Ok(AEVScan(spec))
+            true
         }
-        ReqSync { .. } => Err(plan),
-        Filter { input, predicate } => match forge_depth(*input, depth) {
-            Ok(i) => Ok(Filter {
-                input: Box::new(i),
-                predicate,
-            }),
-            Err(i) => Err(Filter {
-                input: Box::new(i),
-                predicate,
-            }),
-        },
-        Project {
-            input,
-            items,
-            schema,
-        } => match forge_depth(*input, depth) {
-            Ok(i) => Ok(Project {
-                input: Box::new(i),
-                items,
-                schema,
-            }),
-            Err(i) => Err(Project {
-                input: Box::new(i),
-                items,
-                schema,
-            }),
-        },
-        DependentJoin { left, right } => match forge_depth(*right, depth) {
-            Ok(r) => Ok(DependentJoin {
-                left,
-                right: Box::new(r),
-            }),
-            Err(r) => match forge_depth(*left, depth) {
-                Ok(l) => Ok(DependentJoin {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                }),
-                Err(l) => Err(DependentJoin {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                }),
-            },
-        },
-        other => Err(other),
+        PhysPlan::ReqSync { .. } => false,
+        PhysPlan::DependentJoin { left, right } => {
+            forge_depth(right, depth) || forge_depth(left, depth)
+        }
+        _ => plan.children_mut().any(|c| forge_depth(c, depth)),
     }
 }
 
-/// Point the spec under a dependent join's right side at `col`.
-fn rebind(plan: PhysPlan, col: ColumnRef) -> Result<PhysPlan, PhysPlan> {
+/// Point the spec under a dependent join's right side at `col`; says
+/// whether there was an asynchronous scan to rebind.
+fn rebind(plan: &mut PhysPlan, col: &ColumnRef) -> bool {
     match plan {
-        PhysPlan::AEVScan(mut spec) => {
-            if spec.bindings.is_empty() {
-                spec.bindings.push(EvBinding::Column(col));
-            } else {
-                spec.bindings[0] = EvBinding::Column(col);
+        PhysPlan::AEVScan(spec) => {
+            let binding = EvBinding::Column(col.clone());
+            match spec.bindings.first_mut() {
+                Some(first) => *first = binding,
+                None => spec.bindings.push(binding),
             }
-            Ok(PhysPlan::AEVScan(spec))
+            true
         }
-        PhysPlan::Filter { input, predicate } => match rebind(*input, col) {
-            Ok(i) => Ok(PhysPlan::Filter {
-                input: Box::new(i),
-                predicate,
-            }),
-            Err(i) => Err(PhysPlan::Filter {
-                input: Box::new(i),
-                predicate,
-            }),
-        },
-        PhysPlan::ReqSync {
-            input,
-            attrs,
-            mode,
-            cap,
-        } => match rebind(*input, col) {
-            Ok(i) => Ok(PhysPlan::ReqSync {
-                input: Box::new(i),
-                attrs,
-                mode,
-                cap,
-            }),
-            Err(i) => Err(PhysPlan::ReqSync {
-                input: Box::new(i),
-                attrs,
-                mode,
-                cap,
-            }),
-        },
-        other => Err(other),
+        PhysPlan::Filter { input, .. } | PhysPlan::ReqSync { input, .. } => rebind(input, col),
+        _ => false,
     }
 }
 
-/// Pre-order rewrite: apply `f` to the first node it accepts; `Ok` is
-/// the rewritten tree, `Err` returns the tree unchanged.
-fn rewrite_first(
-    plan: PhysPlan,
-    f: &mut dyn FnMut(PhysPlan) -> Result<PhysPlan, PhysPlan>,
-) -> Result<PhysPlan, PhysPlan> {
-    use PhysPlan::*;
-    let plan = match f(plan) {
-        Ok(new) => return Ok(new),
-        Err(p) => p,
-    };
-    // Descend. Each arm threads the Ok/Err status through unchanged
-    // reconstruction.
-    macro_rules! unary {
-        ($variant:ident, $input:expr, $($field:ident),*) => {{
-            match rewrite_first(*$input, f) {
-                Ok(i) => Ok($variant { input: Box::new(i), $($field),* }),
-                Err(i) => Err($variant { input: Box::new(i), $($field),* }),
-            }
-        }};
-    }
-    macro_rules! binary {
-        ($variant:ident, $left:expr, $right:expr, $($field:ident),*) => {{
-            match rewrite_first(*$left, f) {
-                Ok(l) => Ok($variant {
-                    left: Box::new(l),
-                    right: $right,
-                    $($field),*
-                }),
-                Err(l) => match rewrite_first(*$right, f) {
-                    Ok(r) => Ok($variant {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        $($field),*
-                    }),
-                    Err(r) => Err($variant {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        $($field),*
-                    }),
-                },
-            }
-        }};
-    }
-    match plan {
-        Filter { input, predicate } => unary!(Filter, input, predicate),
-        Project {
-            input,
-            items,
-            schema,
-        } => unary!(Project, input, items, schema),
-        Sort { input, keys } => unary!(Sort, input, keys),
-        Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => unary!(Aggregate, input, group_by, aggs),
-        Distinct { input } => unary!(Distinct, input,),
-        Limit { input, n } => unary!(Limit, input, n),
-        Rerank { input, scorer } => unary!(Rerank, input, scorer),
-        ReqSync {
-            input,
-            attrs,
-            mode,
-            cap,
-        } => unary!(ReqSync, input, attrs, mode, cap),
-        DependentJoin { left, right } => binary!(DependentJoin, left, right,),
-        NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => binary!(NestedLoopJoin, left, right, predicate),
-        CrossProduct { left, right } => binary!(CrossProduct, left, right,),
-        ParallelDependentJoin {
-            left,
-            spec,
-            threads,
-        } => match rewrite_first(*left, f) {
-            Ok(l) => Ok(ParallelDependentJoin {
-                left: Box::new(l),
-                spec,
-                threads,
-            }),
-            Err(l) => Err(ParallelDependentJoin {
-                left: Box::new(l),
-                spec,
-                threads,
-            }),
-        },
-        leaf => Err(leaf),
-    }
+/// Pre-order rewrite: apply `f` to the first node it accepts (a join's
+/// outer side is searched before its inner side); says whether any node
+/// accepted.
+fn rewrite_first(plan: &mut PhysPlan, f: &mut dyn FnMut(&mut PhysPlan) -> bool) -> bool {
+    f(plan) || plan.children_mut().any(|c| rewrite_first(c, f))
 }

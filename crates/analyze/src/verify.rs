@@ -458,16 +458,6 @@ fn fmt_attrs(attrs: &[ColumnRef]) -> String {
         .join(", ")
 }
 
-/// The binding spec reachable through the right side of a dependent join
-/// (possibly wrapped in Filter/ReqSync), mirroring `asyncify`.
-fn spec_of(plan: &PhysPlan) -> Option<&EvSpec> {
-    match plan {
-        PhysPlan::EVScan(s) | PhysPlan::AEVScan(s) => Some(s),
-        PhysPlan::Filter { input, .. } | PhysPlan::ReqSync { input, .. } => spec_of(input),
-        _ => None,
-    }
-}
-
 struct Cx {
     forbid_ev: bool,
     violations: Vec<Violation>,
@@ -604,19 +594,12 @@ impl Cx {
             PhysPlan::DependentJoin { left, right } => {
                 let l = self.abs(left, &format!("{path}/DependentJoin.left"));
                 let r = self.abs(right, &format!("{path}/DependentJoin.right"));
-                if let Some(spec) = spec_of(right) {
+                if let Some(spec) = right.inner_spec() {
                     self.check_bindings(spec, &l, path);
                 }
                 let mut out = l;
                 out.extend(r);
                 out
-            }
-            PhysPlan::ParallelDependentJoin { left, spec, .. } => {
-                // The parallel join performs and completes its external
-                // calls internally: only the outer side's set flows on.
-                let l = self.abs(left, &format!("{path}/ParallelDependentJoin.left"));
-                self.check_bindings(spec, &l, path);
-                l
             }
             PhysPlan::NestedLoopJoin {
                 left,
@@ -815,18 +798,6 @@ impl BoundsCx {
                 let l = self.card(left, enclosing_cap, &format!("{path}/DependentJoin.left"));
                 let r = self.card(right, enclosing_cap, &format!("{path}/DependentJoin.right"));
                 l.times(r)
-            }
-            PhysPlan::ParallelDependentJoin { left, spec, .. } => {
-                let l = self.card(
-                    left,
-                    enclosing_cap,
-                    &format!("{path}/ParallelDependentJoin.left"),
-                );
-                let per = match spec.kind {
-                    wsq_engine::plan::VTableKind::WebCount => Bound::Finite(1),
-                    wsq_engine::plan::VTableKind::WebPages => Bound::Finite(spec.rank_limit as u64),
-                };
-                l.times(per)
             }
             PhysPlan::NestedLoopJoin { left, right, .. } => {
                 let l = self.card(left, enclosing_cap, &format!("{path}/NestedLoopJoin.left"));

@@ -168,22 +168,26 @@ fn main() {
 
     // ---------------------------------------------------------------
     // The paper's declared future work (§4.2): asynchronous iteration vs a
-    // parallel query processor. `ParallelJoins` is the thread-per-request
-    // dependent join of §4.5.4 Example 1: within one join it matches async
-    // concurrency, but a *stack* of joins serializes join-by-join and each
-    // concurrent request costs an OS thread.
+    // parallel query processor, whose dependent join overlaps the calls
+    // of one join while a *stack* of joins serializes join-by-join
+    // (§4.5.4 Example 1). Insertion-only placement has exactly that
+    // concurrency shape — a ReqSync pinned above each join — but goes
+    // through the pump instead of spending an OS thread per request.
     println!("\n=== Ablation 7: execution mode comparison ({base_ms}ms latency)");
     println!(
-        "{:<14}{:>14}{:>14}{:>16}",
-        "template", "sequential", "parallel DJ", "async iteration"
+        "{:<14}{:>18}{:>18}{:>18}",
+        "template", "sequential", "join-at-a-time", "full percolation"
     );
     for (name, template) in [("Template 1", Template::One), ("Template 2", Template::Two)] {
         let sql = template.instantiate(&pool, 0);
         let mut row = format!("{name:<14}");
-        for mode in [
-            ExecutionMode::Synchronous,
-            ExecutionMode::ParallelJoins,
-            ExecutionMode::Asynchronous,
+        for (mode, strategy) in [
+            (ExecutionMode::Synchronous, PlacementStrategy::Full),
+            (
+                ExecutionMode::Asynchronous,
+                PlacementStrategy::InsertionOnly,
+            ),
+            (ExecutionMode::Asynchronous, PlacementStrategy::Full),
         ] {
             let mut wsq = wsq_with(latency(base_ms), 64, true, false);
             let secs = timed(
@@ -191,17 +195,18 @@ fn main() {
                 &sql,
                 QueryOptions {
                     mode,
-                    parallel_threads: 64,
+                    strategy,
                     ..Default::default()
                 },
             );
-            row.push_str(&format!("{secs:>13.3}s"));
+            row.push_str(&format!("{secs:>17.3}s"));
         }
         println!("{row}");
     }
     println!(
-        "(parallel DJ matches async on single-join T1; on multi-join T2 the\n\
-         joins serialize — the §4.5.4 criticism — while async overlaps all calls)"
+        "(join-at-a-time matches full percolation on single-join T1; on\n\
+         multi-join T2 the joins serialize — the §4.5.4 criticism — while\n\
+         full percolation overlaps all calls)"
     );
 
     // ---------------------------------------------------------------

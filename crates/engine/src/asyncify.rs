@@ -20,31 +20,21 @@
 //! (case 1). Flushing merges every pending `Sync` into a **single**
 //! ReqSync — which is exactly Consolidation.
 
-use crate::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint};
+use crate::plan::{BufferMode, EvBinding, PhysPlan, PlacementStrategy, PrefetchHint};
 use wsq_sql::ast::{ColumnRef, Expr};
 
 /// Rewrite a synchronous plan into its asynchronous-iteration form.
 pub fn asyncify(plan: PhysPlan, strategy: PlacementStrategy, mode: BufferMode) -> PhysPlan {
-    asyncify_with_cap(plan, strategy, mode, None)
+    asyncify_with_opts(plan, strategy, mode, None, PrefetchHint::default())
 }
 
 /// [`asyncify`], additionally stamping every emitted ReqSync with an
 /// admission-control cap on buffered incomplete tuples
-/// (`QueryOptions::reqsync_cap`; `None` = unbounded).
-pub fn asyncify_with_cap(
-    plan: PhysPlan,
-    strategy: PlacementStrategy,
-    mode: BufferMode,
-    cap: Option<usize>,
-) -> PhysPlan {
-    asyncify_with_opts(plan, strategy, mode, cap, PrefetchHint::default())
-}
-
-/// [`asyncify_with_cap`], additionally stamping a [`PrefetchHint`] onto
-/// every emitted `AEVScan` (DESIGN.md §12). This is the one place the
-/// join lookahead is computed: a `batch > 1` means "depth at least
-/// `batch`", and the result is clamped against the ReqSync admission
-/// cap — a prefetching join may never hold more
+/// (`QueryOptions::reqsync_cap`; `None` = unbounded) and a
+/// [`PrefetchHint`] onto every emitted `AEVScan` (DESIGN.md §12). This
+/// is the one place the join lookahead is computed: a `batch > 1` means
+/// "depth at least `batch`", and the result is clamped against the
+/// ReqSync admission cap — a prefetching join may never hold more
 /// registered-but-undemanded calls than the §11 stall handshake would
 /// have admitted, so `depth <= cap` whenever a cap is set. The stamped
 /// hint carries `batch == 1` (folded) and a window of at least 1.
@@ -76,121 +66,47 @@ pub fn asyncify_with_opts(
         },
     };
     let (core, pending) = ctx.lift(plan);
-    consolidate_adjacent(ctx.flush(core, pending))
+    let mut plan = ctx.flush(core, pending);
+    consolidate_adjacent(&mut plan);
+    plan
 }
 
 /// Final Consolidation sweep: merge directly-adjacent ReqSync pairs
 /// (their attribute sets union — §4.5.3). The lift pass already
 /// consolidates at each flush point; this catches pairs formed when an
-/// input plan carried its own ReqSyncs (e.g. re-asyncification).
-fn consolidate_adjacent(plan: PhysPlan) -> PhysPlan {
-    use PhysPlan::*;
-    let map = |p: Box<PhysPlan>| Box::new(consolidate_adjacent(*p));
-    match plan {
-        ReqSync {
-            input,
-            attrs,
-            mode,
-            cap,
-        } => {
-            let inner = consolidate_adjacent(*input);
-            if let ReqSync {
-                input: inner_input,
-                attrs: inner_attrs,
-                cap: inner_cap,
-                ..
-            } = inner
-            {
-                let mut merged = attrs;
-                for a in inner_attrs {
-                    if !merged.contains(&a) {
-                        merged.push(a);
-                    }
-                }
-                ReqSync {
-                    input: inner_input,
-                    attrs: merged,
-                    mode,
-                    // The merged operator keeps the tighter cap: the pair
-                    // buffered independently before, so either bound alone
-                    // was already a promise to the administrator.
-                    cap: match (cap, inner_cap) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    },
-                }
-            } else {
-                ReqSync {
-                    input: Box::new(inner),
-                    attrs,
-                    mode,
-                    cap,
-                }
-            }
+/// input plan carried its own ReqSyncs (e.g. re-asyncification). It is a
+/// post-order walk, so a stack of ReqSyncs folds bottom-up into its top
+/// node.
+fn consolidate_adjacent(plan: &mut PhysPlan) {
+    plan.children_mut().for_each(consolidate_adjacent);
+    let PhysPlan::ReqSync {
+        input, attrs, cap, ..
+    } = plan
+    else {
+        return;
+    };
+    let PhysPlan::ReqSync {
+        input: below,
+        attrs: inner_attrs,
+        cap: inner_cap,
+        ..
+    } = &mut **input
+    else {
+        return;
+    };
+    for a in inner_attrs.drain(..) {
+        if !attrs.contains(&a) {
+            attrs.push(a);
         }
-        Filter { input, predicate } => Filter {
-            input: map(input),
-            predicate,
-        },
-        Project {
-            input,
-            items,
-            schema,
-        } => Project {
-            input: map(input),
-            items,
-            schema,
-        },
-        DependentJoin { left, right } => DependentJoin {
-            left: map(left),
-            right: map(right),
-        },
-        ParallelDependentJoin {
-            left,
-            spec,
-            threads,
-        } => ParallelDependentJoin {
-            left: map(left),
-            spec,
-            threads,
-        },
-        NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => NestedLoopJoin {
-            left: map(left),
-            right: map(right),
-            predicate,
-        },
-        CrossProduct { left, right } => CrossProduct {
-            left: map(left),
-            right: map(right),
-        },
-        Sort { input, keys } => Sort {
-            input: map(input),
-            keys,
-        },
-        Rerank { input, scorer } => Rerank {
-            input: map(input),
-            scorer,
-        },
-        Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => Aggregate {
-            input: map(input),
-            group_by,
-            aggs,
-        },
-        Distinct { input } => Distinct { input: map(input) },
-        Limit { input, n } => Limit {
-            input: map(input),
-            n,
-        },
-        leaf => leaf,
     }
+    // The merged operator keeps the tighter cap: the pair buffered
+    // independently before, so either bound alone was already a promise
+    // to the administrator.
+    *cap = match (*cap, *inner_cap) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    };
+    **input = std::mem::take(&mut **below);
 }
 
 /// An item still percolating upward.
@@ -392,24 +308,6 @@ impl Ctx {
                 )
             }
 
-            // A parallel dependent join performs and completes its calls
-            // internally (blocking threads): nothing percolates out of it.
-            PhysPlan::ParallelDependentJoin {
-                left,
-                spec,
-                threads,
-            } => {
-                let (l, pl) = self.lift(*left);
-                (
-                    PhysPlan::ParallelDependentJoin {
-                        left: Box::new(self.flush(l, pl)),
-                        spec,
-                        threads,
-                    },
-                    vec![],
-                )
-            }
-
             PhysPlan::Project {
                 input,
                 items,
@@ -590,110 +488,9 @@ impl Ctx {
     }
 }
 
-/// Rewrite every `DependentJoin` over a virtual scan into a
-/// [`PhysPlan::ParallelDependentJoin`] with the given thread cap — the
-/// parallel-DBMS-style execution the paper compares asynchronous
-/// iteration against.
-pub fn parallelize(plan: PhysPlan, threads: usize) -> PhysPlan {
-    use PhysPlan::*;
-    let map = |p: Box<PhysPlan>| Box::new(parallelize(*p, threads));
-    match plan {
-        DependentJoin { left, right } => {
-            let left = map(left);
-            match *right {
-                EVScan(spec) | AEVScan(spec) => ParallelDependentJoin {
-                    left,
-                    spec,
-                    threads,
-                },
-                other => DependentJoin {
-                    left,
-                    right: Box::new(parallelize(other, threads)),
-                },
-            }
-        }
-        ParallelDependentJoin {
-            left,
-            spec,
-            threads: t,
-        } => ParallelDependentJoin {
-            left: map(left),
-            spec,
-            threads: t,
-        },
-        Filter { input, predicate } => Filter {
-            input: map(input),
-            predicate,
-        },
-        Project {
-            input,
-            items,
-            schema,
-        } => Project {
-            input: map(input),
-            items,
-            schema,
-        },
-        NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => NestedLoopJoin {
-            left: map(left),
-            right: map(right),
-            predicate,
-        },
-        CrossProduct { left, right } => CrossProduct {
-            left: map(left),
-            right: map(right),
-        },
-        Sort { input, keys } => Sort {
-            input: map(input),
-            keys,
-        },
-        Rerank { input, scorer } => Rerank {
-            input: map(input),
-            scorer,
-        },
-        Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => Aggregate {
-            input: map(input),
-            group_by,
-            aggs,
-        },
-        Distinct { input } => Distinct { input: map(input) },
-        Limit { input, n } => Limit {
-            input: map(input),
-            n,
-        },
-        ReqSync {
-            input,
-            attrs,
-            mode,
-            cap,
-        } => ReqSync {
-            input: map(input),
-            attrs,
-            mode,
-            cap,
-        },
-        leaf => leaf,
-    }
-}
-
 /// The column bindings an inner virtual scan reads from its outer input.
 fn binding_columns(right: &PhysPlan) -> Vec<ColumnRef> {
-    fn find_spec(p: &PhysPlan) -> Option<&EvSpec> {
-        match p {
-            PhysPlan::EVScan(s) | PhysPlan::AEVScan(s) => Some(s),
-            PhysPlan::Filter { input, .. } | PhysPlan::ReqSync { input, .. } => find_spec(input),
-            _ => None,
-        }
-    }
-    match find_spec(right) {
+    match right.inner_spec() {
         Some(spec) => spec
             .bindings
             .iter()
@@ -709,7 +506,7 @@ fn binding_columns(right: &PhysPlan) -> Vec<ColumnRef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::VTableKind;
+    use crate::plan::{EvSpec, VTableKind};
     use wsq_common::{Column, DataType, Schema};
     use wsq_sql::ast::BinOp;
 

@@ -1068,30 +1068,17 @@ mod tests {
         plan_select(&stmt, &catalog, &engines).unwrap()
     }
 
-    fn find_spec(p: &PhysPlan) -> &EvSpec {
-        match p {
-            PhysPlan::EVScan(s) | PhysPlan::AEVScan(s) => s,
-            PhysPlan::Filter { input, .. }
-            | PhysPlan::Project { input, .. }
-            | PhysPlan::Sort { input, .. }
-            | PhysPlan::Rerank { input, .. }
-            | PhysPlan::Limit { input, .. } => find_spec(input),
-            PhysPlan::DependentJoin { left, right } => {
-                if let Some(s) = try_find(right) {
-                    s
-                } else {
-                    find_spec(left)
-                }
-            }
-            other => panic!("no spec in {other}"),
-        }
-    }
-
-    fn try_find(p: &PhysPlan) -> Option<&EvSpec> {
-        match p {
-            PhysPlan::EVScan(s) | PhysPlan::AEVScan(s) => Some(s),
-            _ => None,
-        }
+    /// The spec of the last-joined virtual scan: the inner side of the
+    /// topmost dependent join.
+    fn top_spec(p: &PhysPlan) -> &EvSpec {
+        let here = match p {
+            PhysPlan::DependentJoin { right, .. } => right.inner_spec(),
+            other => other.inner_spec(),
+        };
+        here.unwrap_or_else(|| match p.children().next() {
+            Some(outer) => top_spec(outer),
+            None => panic!("no spec in {p}"),
+        })
     }
 
     #[test]
@@ -1112,19 +1099,19 @@ mod tests {
     #[test]
     fn default_rank_limit_applied() {
         let p = plan("SELECT URL FROM States, WebPages WHERE Name = T1");
-        let spec = find_spec(&p);
+        let spec = top_spec(&p);
         assert_eq!(spec.rank_limit, DEFAULT_RANK_LIMIT);
         // An explicit bound replaces it; the tighter bound wins.
         let p = plan("SELECT URL FROM States, WebPages WHERE Name = T1 AND Rank <= 7 AND Rank < 5");
-        assert_eq!(find_spec(&p).rank_limit, 4);
+        assert_eq!(top_spec(&p).rank_limit, 4);
     }
 
     #[test]
     fn default_template_depends_on_engine() {
         let p = plan("SELECT Count FROM States, WebCount WHERE Name = T1 AND T2 = 'x'");
-        assert_eq!(find_spec(&p).effective_template(), "%1 near %2");
+        assert_eq!(top_spec(&p).effective_template(), "%1 near %2");
         let p = plan("SELECT Count FROM States, WebCount_Google WHERE Name = T1 AND T2 = 'x'");
-        let spec = find_spec(&p);
+        let spec = top_spec(&p);
         assert_eq!(spec.engine, "Google");
         assert!(!spec.supports_near);
         assert_eq!(spec.effective_template(), "%1 %2");
@@ -1145,7 +1132,7 @@ mod tests {
             "SELECT Count FROM States, WebCount_ANY WHERE Name = T1",
             |e| e.set_race_group(&["AV", "Google"]).unwrap(),
         );
-        let spec = find_spec(&p);
+        let spec = top_spec(&p);
         assert_eq!(spec.race, vec!["AV".to_string(), "Google".to_string()]);
         // The lead member names the spec; NEAR is the AND of the group
         // (Google lacks it, so the race must not emit NEAR templates).
@@ -1159,7 +1146,7 @@ mod tests {
             "SELECT Count FROM States, WebCount_ANY WHERE Name = T1",
             |e| e.set_race_group(&["AV"]).unwrap(),
         );
-        let spec = find_spec(&p);
+        let spec = top_spec(&p);
         assert!(spec.race.is_empty(), "no race for a group of one");
         assert_eq!(spec.engine, "AV");
         assert!(spec.supports_near);
@@ -1174,7 +1161,7 @@ mod tests {
                 e.set_race_group(&["AV", "Google"]).unwrap();
             },
         );
-        let spec = find_spec(&p);
+        let spec = top_spec(&p);
         assert!(spec.race.is_empty());
         assert_eq!(spec.engine, "ANY");
     }
@@ -1185,7 +1172,7 @@ mod tests {
             "SELECT Count FROM States, WebCount \
              WHERE SearchExp = '%2 AND %1' AND Name = T1 AND T2 = 'ski'",
         );
-        let spec = find_spec(&p);
+        let spec = top_spec(&p);
         assert_eq!(spec.template.as_deref(), Some("%2 AND %1"));
         assert_eq!(spec.bindings.len(), 2);
     }
@@ -1211,7 +1198,7 @@ mod tests {
     #[test]
     fn reversed_equality_binds_too() {
         let p = plan("SELECT Count FROM States, WebCount WHERE T1 = Name AND 'ski' = T2");
-        let spec = find_spec(&p);
+        let spec = top_spec(&p);
         assert_eq!(spec.bindings.len(), 2);
         assert!(matches!(spec.bindings[0], EvBinding::Column(_)));
         assert!(matches!(spec.bindings[1], EvBinding::Const(_)));

@@ -221,23 +221,6 @@ fn walk(plan: &PhysPlan, tables: &dyn TableSource) -> Acc {
                 local_rows: l.local_rows + l.rows * r.rows,
             }
         }
-        PhysPlan::ParallelDependentJoin { left, spec, .. } => {
-            let l = walk(left, tables);
-            let rows = match spec.kind {
-                VTableKind::WebCount => 1.0,
-                VTableKind::WebPages => spec.rank_limit as f64 * 0.8,
-            };
-            // Calls overlap within the join (one wave per join), so model
-            // them as one closed asynchronous wave.
-            Acc {
-                rows: l.rows * rows,
-                calls: l.calls + l.rows,
-                blocking_calls: l.blocking_calls,
-                waves: l.waves + 1,
-                open_calls: l.open_calls,
-                local_rows: l.local_rows + l.rows * rows,
-            }
-        }
         PhysPlan::NestedLoopJoin {
             left,
             right,

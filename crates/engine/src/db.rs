@@ -20,15 +20,12 @@ use wsq_storage::heap::HeapFile;
 /// Options controlling how SELECTs execute.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryOptions {
-    /// Synchronous (blocking EVScan), asynchronous iteration, or parallel
-    /// dependent joins.
+    /// Synchronous (blocking EVScan) or asynchronous iteration.
     pub mode: ExecutionMode,
     /// ReqSync placement strategy (asynchronous mode only).
     pub strategy: PlacementStrategy,
     /// ReqSync buffering discipline.
     pub buffer: BufferMode,
-    /// Worker-thread cap for [`ExecutionMode::ParallelJoins`].
-    pub parallel_threads: usize,
     /// Admission-control cap on incomplete tuples buffered per ReqSync
     /// (`None` = unbounded). When the buffer fills, the operator stops
     /// pulling from its child — stalling the AEVScan side so no new
@@ -61,7 +58,6 @@ impl Default for QueryOptions {
             mode: ExecutionMode::default(),
             strategy: PlacementStrategy::default(),
             buffer: BufferMode::default(),
-            parallel_threads: 16,
             reqsync_cap: None,
             prefetch_depth: 0,
             prefetch_window: 1,
@@ -547,9 +543,6 @@ impl Database {
                     crate::verify_gate::check(&plan, opts.reqsync_cap)?;
                 }
                 plan
-            }
-            ExecutionMode::ParallelJoins => {
-                crate::asyncify::parallelize(plan, opts.parallel_threads)
             }
         })
     }

@@ -33,9 +33,15 @@ fn prefix_values(expr: &str, bindings: &[Value]) -> Vec<Value> {
 /// Synchronous external virtual scan: each `open` performs a blocking
 /// search call — the query processor idles for the full latency, exactly
 /// the behavior asynchronous iteration exists to fix.
+///
+/// A blocking scan cannot race, so over a race group (`WebCount_ANY`) it
+/// fails over instead: the members are tried in order, the first `Ok`
+/// wins, and the scan errors — with the last member's error — only after
+/// every member failed (the rule `ReqPump::register_race` implements).
 pub struct EVScanExec {
     spec: EvSpec,
-    service: Arc<dyn SearchService>,
+    /// `(engine name, service)` per destination; one entry unless racing.
+    services: Vec<(String, Arc<dyn SearchService>)>,
     schema: Schema,
     bindings: Vec<Value>,
     rows: Vec<Tuple>,
@@ -44,12 +50,12 @@ pub struct EVScanExec {
 }
 
 impl EVScanExec {
-    /// Create a scan of `spec` against `service`.
-    pub fn new(spec: EvSpec, service: Arc<dyn SearchService>) -> Self {
+    /// Create a scan of `spec` against `services`, tried in order.
+    pub fn new(spec: EvSpec, services: Vec<(String, Arc<dyn SearchService>)>) -> Self {
         let schema = spec.schema();
         EVScanExec {
             spec,
-            service,
+            services,
             schema,
             bindings: Vec::new(),
             rows: Vec::new(),
@@ -88,8 +94,16 @@ impl Executor for EVScanExec {
         if !self.fetched {
             self.fetched = true;
             let expr = self.spec.instantiate(&self.bindings);
-            let req = request_for(&self.spec, expr.clone());
-            let result = blocking_execute(self.service.as_ref(), &req)?;
+            let mut req = request_for(&self.spec, expr.clone());
+            let mut result = Err(WsqError::Exec("EVScan has no engine".to_string()));
+            for (engine, service) in &self.services {
+                req.engine.clone_from(engine);
+                result = blocking_execute(service.as_ref(), &req);
+                if result.is_ok() {
+                    break;
+                }
+            }
+            let result = result?;
             let prefix = prefix_values(&expr, &self.bindings);
             self.rows = materialize_result(&self.spec, &prefix, &result);
             self.pos = 0;

@@ -5,7 +5,6 @@ mod basic;
 mod external;
 pub mod instrument;
 mod join;
-mod parallel;
 mod reqsync;
 mod rerank;
 #[cfg(test)]
@@ -18,7 +17,6 @@ pub use basic::{
 pub use external::{AEVScanExec, EVScanExec};
 pub use instrument::{Instrumentation, Instrumented, OpCounters, OpStats};
 pub use join::{DependentJoinExec, NestedLoopJoinExec};
-pub use parallel::ParallelDependentJoinExec;
 pub use reqsync::ReqSyncExec;
 pub use rerank::RerankExec;
 
@@ -151,11 +149,18 @@ fn build_node(
             rows.iter().map(|r| Tuple::new(r.clone())).collect(),
         ))),
         PhysPlan::EVScan(spec) => {
-            let (_, entry) = ctx.engines.get(&spec.engine)?;
-            Ok(Box::new(EVScanExec::new(
-                spec.clone(),
-                entry.service.clone(),
-            )))
+            // A racing spec hands the blocking scan the whole group, in
+            // member order, to fail over across.
+            let members = if spec.race.len() > 1 {
+                spec.race.as_slice()
+            } else {
+                std::slice::from_ref(&spec.engine)
+            };
+            let services = members
+                .iter()
+                .map(|name| Ok((name.clone(), ctx.engines.get(name)?.1.service.clone())))
+                .collect::<Result<Vec<_>>>()?;
+            Ok(Box::new(EVScanExec::new(spec.clone(), services)))
         }
         PhysPlan::AEVScan(spec) => Ok(Box::new(AEVScanExec::new(spec.clone(), ctx.pump.clone()))),
         PhysPlan::Filter { input, predicate } => {
@@ -189,20 +194,6 @@ fn build_node(
                     "dependent join inner must be a virtual scan, got:\n{other}"
                 ))),
             }
-        }
-        PhysPlan::ParallelDependentJoin {
-            left,
-            spec,
-            threads,
-        } => {
-            let l = build(left)?;
-            let (_, entry) = ctx.engines.get(&spec.engine)?;
-            Ok(Box::new(ParallelDependentJoinExec::new(
-                l,
-                spec.clone(),
-                entry.service.clone(),
-                *threads,
-            )?))
         }
         PhysPlan::NestedLoopJoin {
             left,

@@ -460,7 +460,10 @@ fn evscan_standalone_with_constant_bindings() {
         race: vec![],
     };
     let left = rows(Schema::empty(), vec![vec![]]);
-    let scan = Box::new(EVScanExec::new(spec.clone(), Arc::new(Scripted)));
+    let scan = Box::new(EVScanExec::new(
+        spec.clone(),
+        vec![(spec.engine.clone(), Arc::new(Scripted))],
+    ));
     let dj = Box::new(DependentJoinExec::new(left, scan, &spec).unwrap());
     let out = drain(dj);
     assert_eq!(out.len(), 1);

@@ -20,11 +20,6 @@ pub enum ExecutionMode {
     /// Asynchronous iteration: `AEVScan` + `ReqSync` + ReqPump.
     #[default]
     Asynchronous,
-    /// Thread-per-request parallel dependent joins — the heavyweight
-    /// alternative the paper argues against (§4.2/§4.5.4) and proposes to
-    /// compare against as future work. Calls overlap within one join but
-    /// joins serialize against each other.
-    ParallelJoins,
 }
 
 /// How ReqSync operators are placed during asyncification (§4.5).
@@ -134,8 +129,9 @@ pub struct EvSpec {
     /// Engines raced for this scan's expression (first result wins,
     /// losers cancelled). Empty or single-element = ordinary
     /// single-engine scan against `engine`; when racing, `engine` is the
-    /// first member (the fallback for execution modes that cannot race,
-    /// i.e. the synchronous and parallel-join paths).
+    /// first member. The synchronous `EVScan` cannot race: it tries the
+    /// members in this order and fails over, erroring only after every
+    /// member failed.
     pub race: Vec<String>,
 }
 
@@ -356,16 +352,6 @@ pub enum PhysPlan {
         /// Inner (virtual-table) input.
         right: Box<PhysPlan>,
     },
-    /// Thread-per-request parallel dependent join over a virtual table
-    /// ([`ExecutionMode::ParallelJoins`]).
-    ParallelDependentJoin {
-        /// Outer input.
-        left: Box<PhysPlan>,
-        /// The inner virtual scan.
-        spec: EvSpec,
-        /// Worker-thread cap.
-        threads: usize,
-    },
     /// Inner nested-loop join with a predicate.
     NestedLoopJoin {
         /// Outer input.
@@ -437,6 +423,18 @@ pub enum PhysPlan {
     },
 }
 
+/// The empty relation (`Values` with no columns and no rows). It exists
+/// so in-place passes can `std::mem::take` a node out of its parent's
+/// `Box` while they re-link the tree; it allocates nothing.
+impl Default for PhysPlan {
+    fn default() -> Self {
+        PhysPlan::Values {
+            schema: Schema::empty(),
+            rows: Vec::new(),
+        }
+    }
+}
+
 impl PhysPlan {
     /// Output schema of this node.
     pub fn schema(&self) -> Schema {
@@ -455,9 +453,6 @@ impl PhysPlan {
             PhysPlan::DependentJoin { left, right }
             | PhysPlan::NestedLoopJoin { left, right, .. }
             | PhysPlan::CrossProduct { left, right } => left.schema().join(&right.schema()),
-            PhysPlan::ParallelDependentJoin { left, spec, .. } => {
-                left.schema().join(&spec.schema())
-            }
             PhysPlan::Aggregate {
                 input,
                 group_by,
@@ -488,54 +483,85 @@ impl PhysPlan {
         }
     }
 
-    /// Number of plan nodes (for tests and stats).
-    pub fn node_count(&self) -> usize {
-        1 + match self {
+    /// The direct inputs of this node, outer/left before inner/right.
+    ///
+    /// This is the one definition of plan shape every generic pass walks
+    /// (`node_count`, `count_nodes`, asyncify's consolidation sweep, the
+    /// `wsq-analyze` mutators). The order is a contract: a pre-order
+    /// "first match" search (`mutate::rewrite_first`) visits a join's
+    /// outer side before its inner side, and a post-order rewrite
+    /// (`consolidate_adjacent`) finishes both sides, outer first, before
+    /// the join itself. The match is exhaustive on purpose — a new
+    /// variant must state its children here before anything compiles.
+    pub fn children(&self) -> impl Iterator<Item = &PhysPlan> {
+        let (first, second): (Option<&PhysPlan>, Option<&PhysPlan>) = match self {
             PhysPlan::SeqScan { .. }
             | PhysPlan::IndexScan { .. }
             | PhysPlan::Values { .. }
             | PhysPlan::EVScan(_)
-            | PhysPlan::AEVScan(_) => 0,
+            | PhysPlan::AEVScan(_) => (None, None),
             PhysPlan::Filter { input, .. }
             | PhysPlan::Project { input, .. }
             | PhysPlan::Sort { input, .. }
-            | PhysPlan::Rerank { input, .. }
             | PhysPlan::Aggregate { input, .. }
             | PhysPlan::Distinct { input }
             | PhysPlan::Limit { input, .. }
-            | PhysPlan::ReqSync { input, .. } => input.node_count(),
-            PhysPlan::ParallelDependentJoin { left, .. } => left.node_count(),
+            | PhysPlan::Rerank { input, .. }
+            | PhysPlan::ReqSync { input, .. } => (Some(input), None),
             PhysPlan::DependentJoin { left, right }
             | PhysPlan::NestedLoopJoin { left, right, .. }
-            | PhysPlan::CrossProduct { left, right } => left.node_count() + right.node_count(),
+            | PhysPlan::CrossProduct { left, right } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// [`PhysPlan::children`] with mutable access, in the same
+    /// outer/left-before-inner/right order, for passes that rewrite a
+    /// plan in place.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut PhysPlan> {
+        let (first, second): (Option<&mut PhysPlan>, Option<&mut PhysPlan>) = match self {
+            PhysPlan::SeqScan { .. }
+            | PhysPlan::IndexScan { .. }
+            | PhysPlan::Values { .. }
+            | PhysPlan::EVScan(_)
+            | PhysPlan::AEVScan(_) => (None, None),
+            PhysPlan::Filter { input, .. }
+            | PhysPlan::Project { input, .. }
+            | PhysPlan::Sort { input, .. }
+            | PhysPlan::Aggregate { input, .. }
+            | PhysPlan::Distinct { input }
+            | PhysPlan::Limit { input, .. }
+            | PhysPlan::Rerank { input, .. }
+            | PhysPlan::ReqSync { input, .. } => (Some(input), None),
+            PhysPlan::DependentJoin { left, right }
+            | PhysPlan::NestedLoopJoin { left, right, .. }
+            | PhysPlan::CrossProduct { left, right } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// The virtual-table scan this plan *is*, seen through the selections
+    /// and ReqSyncs the transformation may stack on a dependent join's
+    /// inner side: `Some` for an `EVScan`/`AEVScan`, possibly under
+    /// `Filter`/`ReqSync` nodes, `None` for anything else. It does not
+    /// descend through joins, so on a dependent join's `right` child it
+    /// names exactly the scan that join re-binds.
+    pub fn inner_spec(&self) -> Option<&EvSpec> {
+        match self {
+            PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => Some(spec),
+            PhysPlan::Filter { input, .. } | PhysPlan::ReqSync { input, .. } => input.inner_spec(),
+            _ => None,
         }
+    }
+
+    /// Number of plan nodes (for tests and stats).
+    pub fn node_count(&self) -> usize {
+        1 + self.children().map(PhysPlan::node_count).sum::<usize>()
     }
 
     /// Count nodes matching a predicate.
     pub fn count_nodes(&self, pred: &dyn Fn(&PhysPlan) -> bool) -> usize {
-        let self_count = usize::from(pred(self));
-        self_count
-            + match self {
-                PhysPlan::SeqScan { .. }
-                | PhysPlan::IndexScan { .. }
-                | PhysPlan::Values { .. }
-                | PhysPlan::EVScan(_)
-                | PhysPlan::AEVScan(_) => 0,
-                PhysPlan::Filter { input, .. }
-                | PhysPlan::Project { input, .. }
-                | PhysPlan::Sort { input, .. }
-                | PhysPlan::Rerank { input, .. }
-                | PhysPlan::Aggregate { input, .. }
-                | PhysPlan::Distinct { input }
-                | PhysPlan::Limit { input, .. }
-                | PhysPlan::ReqSync { input, .. } => input.count_nodes(pred),
-                PhysPlan::ParallelDependentJoin { left, .. } => left.count_nodes(pred),
-                PhysPlan::DependentJoin { left, right }
-                | PhysPlan::NestedLoopJoin { left, right, .. }
-                | PhysPlan::CrossProduct { left, right } => {
-                    left.count_nodes(pred) + right.count_nodes(pred)
-                }
-            }
+        usize::from(pred(self)) + self.children().map(|c| c.count_nodes(pred)).sum::<usize>()
     }
 
     /// Render the plan as an indented tree (EXPLAIN / the paper's figures).
@@ -604,17 +630,6 @@ impl PhysPlan {
                 out.push_str(&format!("{pad}Dependent Join: {bind}\n"));
                 left.fmt_tree(out, depth + 1);
                 right.fmt_tree(out, depth + 1);
-            }
-            PhysPlan::ParallelDependentJoin {
-                left,
-                spec,
-                threads,
-            } => {
-                out.push_str(&format!(
-                    "{pad}Parallel Dependent Join (threads={threads}): {}\n",
-                    spec_text(spec)
-                ));
-                left.fmt_tree(out, depth + 1);
             }
             PhysPlan::NestedLoopJoin {
                 left,
@@ -709,14 +724,7 @@ fn spec_text(spec: &EvSpec) -> String {
 fn dependent_join_label(right: &PhysPlan) -> String {
     // Describe the binding the inner scan receives (paper figures label
     // dependent joins "Sigs.Name + WebCount.T1").
-    fn find_spec(p: &PhysPlan) -> Option<&EvSpec> {
-        match p {
-            PhysPlan::EVScan(s) | PhysPlan::AEVScan(s) => Some(s),
-            PhysPlan::Filter { input, .. } | PhysPlan::ReqSync { input, .. } => find_spec(input),
-            _ => None,
-        }
-    }
-    match find_spec(right) {
+    match right.inner_spec() {
         Some(spec) => {
             let parts: Vec<String> = spec
                 .bindings
@@ -883,5 +891,131 @@ mod tests {
         };
         assert_eq!(j.schema().len(), 2);
         assert_eq!(j.node_count(), 3);
+    }
+    /// One plan holding all sixteen variants: every unary operator
+    /// stacked over joins of the five leaves, `Limit` twice.
+    fn every_variant() -> PhysPlan {
+        let b = Box::new;
+        let schema = Schema::new(vec![Column::qualified("A", "x", DataType::Int)]);
+        let cross = PhysPlan::CrossProduct {
+            left: b(PhysPlan::SeqScan {
+                table: "A".into(),
+                alias: "A".into(),
+                schema: schema.clone(),
+            }),
+            right: b(PhysPlan::IndexScan {
+                table: "A".into(),
+                alias: "A".into(),
+                column: "x".into(),
+                key: Value::Int(1),
+                schema: schema.clone(),
+            }),
+        };
+        let sync_join = PhysPlan::DependentJoin {
+            left: b(PhysPlan::Values {
+                schema,
+                rows: vec![],
+            }),
+            right: b(PhysPlan::EVScan(spec(VTableKind::WebCount, true))),
+        };
+        let join = PhysPlan::NestedLoopJoin {
+            left: b(cross),
+            right: b(sync_join),
+            predicate: Expr::column("x"),
+        };
+        let p = PhysPlan::DependentJoin {
+            left: b(join),
+            right: b(PhysPlan::AEVScan(spec(VTableKind::WebPages, true))),
+        };
+        let p = PhysPlan::ReqSync {
+            input: b(p),
+            attrs: vec![],
+            mode: BufferMode::Full,
+            cap: None,
+        };
+        let p = PhysPlan::Filter {
+            input: b(p),
+            predicate: Expr::column("x"),
+        };
+        let p = PhysPlan::Rerank {
+            input: b(p),
+            scorer: RerankScorer::Rank,
+        };
+        let p = PhysPlan::Sort {
+            input: b(p),
+            keys: vec![],
+        };
+        let p = PhysPlan::Aggregate {
+            input: b(p),
+            group_by: vec![],
+            aggs: vec![],
+        };
+        let p = PhysPlan::Distinct { input: b(p) };
+        let p = PhysPlan::Limit { input: b(p), n: 1 };
+        let p = PhysPlan::Project {
+            input: b(p),
+            items: vec![],
+            schema: Schema::empty(),
+        };
+        PhysPlan::Limit { input: b(p), n: 7 }
+    }
+
+    /// Pre-order node list built on `children` alone.
+    fn preorder(plan: &PhysPlan) -> Vec<&PhysPlan> {
+        let mut out = vec![plan];
+        for child in plan.children() {
+            out.extend(preorder(child));
+        }
+        out
+    }
+
+    #[test]
+    fn children_cover_every_variant_and_children_mut_edits_in_place() {
+        let mut plan = every_variant();
+        let nodes = preorder(&plan);
+        let mut variants = std::collections::HashSet::new();
+        let mut leaves = Vec::new();
+        for node in &nodes {
+            variants.insert(std::mem::discriminant(*node));
+            let want = match node {
+                PhysPlan::SeqScan { .. }
+                | PhysPlan::IndexScan { .. }
+                | PhysPlan::Values { .. }
+                | PhysPlan::EVScan(_)
+                | PhysPlan::AEVScan(_) => 0,
+                PhysPlan::DependentJoin { .. }
+                | PhysPlan::NestedLoopJoin { .. }
+                | PhysPlan::CrossProduct { .. } => 2,
+                _ => 1,
+            };
+            assert_eq!(node.children().count(), want, "children of:\n{node}");
+            if want == 0 {
+                leaves.push(node.display());
+            }
+        }
+        assert_eq!(variants.len(), 16, "the fixture must hold every variant");
+        assert_eq!(plan.node_count(), nodes.len());
+        // Outer/left before inner/right, for all three join variants.
+        let starts = ["Scan:", "IndexScan:", "Values:", "EVScan:", "AEVScan:"];
+        assert_eq!(leaves.len(), starts.len());
+        for (leaf, start) in leaves.iter().zip(starts) {
+            assert!(leaf.starts_with(start), "{leaf} should be {start}");
+        }
+
+        fn bump(plan: &mut PhysPlan) {
+            if let PhysPlan::Limit { n, .. } = plan {
+                *n += 100;
+            }
+            plan.children_mut().for_each(bump);
+        }
+        bump(&mut plan);
+        let limits: Vec<u64> = preorder(&plan)
+            .into_iter()
+            .filter_map(|p| match p {
+                PhysPlan::Limit { n, .. } => Some(*n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(limits, vec![107, 101]);
     }
 }

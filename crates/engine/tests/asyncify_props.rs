@@ -155,7 +155,6 @@ fn first_vattr(plan: &PhysPlan) -> Option<ColumnRef> {
         | PhysPlan::CrossProduct { left, right } => {
             first_vattr(right).or_else(|| first_vattr(left))
         }
-        PhysPlan::ParallelDependentJoin { left, .. } => first_vattr(left),
     }
 }
 
@@ -181,8 +180,6 @@ fn uncovered_attrs(plan: &PhysPlan) -> Vec<ColumnRef> {
             v.extend(uncovered_attrs(right));
             v
         }
-        // A parallel dependent join resolves its own calls internally.
-        PhysPlan::ParallelDependentJoin { left, .. } => uncovered_attrs(left),
     }
 }
 
@@ -282,7 +279,6 @@ fn check_safety(plan: &PhysPlan) -> Result<(), String> {
         | PhysPlan::Values { .. }
         | PhysPlan::EVScan(_)
         | PhysPlan::AEVScan(_) => Ok(()),
-        PhysPlan::ParallelDependentJoin { left, .. } => check_safety(left),
     }
 }
 

@@ -558,54 +558,6 @@ fn order_by_non_projected_column() {
 }
 
 #[test]
-fn parallel_joins_mode_matches_sync_results() {
-    let mut h = harness();
-    let queries = [
-        "SELECT Name, Count FROM States, WebCount WHERE Name = T1 \
-         ORDER BY Count DESC, Name",
-        "SELECT Name, URL, Rank FROM States, WebPages WHERE Name = T1 AND Rank <= 2 \
-         ORDER BY Name, Rank",
-        "SELECT Name, Count, URL, Rank FROM States, WebCount, WebPages \
-         WHERE Name = WebCount.T1 AND Name = WebPages.T1 AND WebPages.Rank <= 2 \
-         ORDER BY Name, Rank",
-    ];
-    for sql in queries {
-        let sync = h.query_with(
-            sql,
-            QueryOptions {
-                mode: ExecutionMode::Synchronous,
-                ..Default::default()
-            },
-        );
-        let parallel = h.query_with(
-            sql,
-            QueryOptions {
-                mode: ExecutionMode::ParallelJoins,
-                parallel_threads: 8,
-                ..Default::default()
-            },
-        );
-        assert_eq!(sync.rows, parallel.rows, "parallel diverged on: {sql}");
-    }
-    // The EXPLAIN output shows the parallel operator.
-    let plan =
-        h.db.explain(
-            queries[0],
-            &h.engines,
-            QueryOptions {
-                mode: ExecutionMode::ParallelJoins,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    assert!(
-        plan.contains("Parallel Dependent Join (threads=16)"),
-        "{plan}"
-    );
-    assert!(!plan.contains("ReqSync"));
-}
-
-#[test]
 fn pump_does_not_leak_calls() {
     let mut h = harness();
     h.query("SELECT Name, Count FROM States, WebCount WHERE Name = T1 ORDER BY Count DESC");

@@ -14,7 +14,7 @@
 //! * `.analyze <select>` — run it and show per-operator runtime stats
 //! * `.trace <select>`   — run it and show every external call's lifecycle
 //!   timeline (registered → queued → launched → completed → patched)
-//! * `.mode sync|async|parallel` — switch execution mode (in-process only)
+//! * `.mode sync|async`  — switch execution mode (in-process only)
 //! * `.tables`           — list stored tables (in-process only)
 //! * `.stats`            — pump, buffer-pool, and metrics-registry snapshot
 //! * `.metrics`          — Prometheus text dump of the metrics registry
@@ -130,9 +130,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             match mode.trim() {
                 "sync" => wsq.options_mut().mode = ExecutionMode::Synchronous,
                 "async" => wsq.options_mut().mode = ExecutionMode::Asynchronous,
-                "parallel" => wsq.options_mut().mode = ExecutionMode::ParallelJoins,
                 other => {
-                    println!("unknown mode '{other}' (sync|async|parallel)");
+                    println!("unknown mode '{other}' (sync|async)");
                     continue;
                 }
             }

@@ -41,11 +41,7 @@ fn flaky_engine_fails_queries_cleanly_in_all_modes() {
     // 100% failure: the query must error in every mode, leak nothing, and
     // leave the instance usable.
     let (mut wsq, flaky) = wsq_with_flaky(1000, None);
-    for mode in [
-        ExecutionMode::Synchronous,
-        ExecutionMode::Asynchronous,
-        ExecutionMode::ParallelJoins,
-    ] {
+    for mode in [ExecutionMode::Synchronous, ExecutionMode::Asynchronous] {
         let err = wsq
             .query_with(
                 QUERY,
@@ -439,4 +435,35 @@ fn chaos_matrix_preserves_rows_and_drains_every_resource() {
     // Scenario report for the CI artifact (best-effort: the assertions
     // above are the test; the file is observability).
     let _ = std::fs::write("target/degraded_scenarios.json", report);
+}
+
+#[test]
+fn dead_lead_member_fails_over_in_both_modes() {
+    // Race group {Chaos (every call a 503), Stable}: the asynchronous
+    // scan races the members, the blocking scan tries them in order —
+    // either way the healthy member must answer, and the rows must be
+    // those of the healthy engine queried alone.
+    let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+    wsq.load_reference_data().unwrap();
+    let healthy = wsq.web().engine(EngineKind::AltaVista);
+    wsq.register_engine("Chaos", flaky_service(healthy.clone(), 1000), true);
+    wsq.register_engine("Stable", healthy, true);
+    wsq.set_race_group(&["Chaos", "Stable"]).unwrap();
+
+    let stable_query = CHAOS_QUERY.replace("WebCount_Chaos", "WebCount_Stable");
+    let baseline = chaos_rows(&wsq.query(&stable_query).unwrap());
+    assert_eq!(baseline.len(), 50);
+    for mode in [ExecutionMode::Synchronous, ExecutionMode::Asynchronous] {
+        let r = wsq
+            .query_with(
+                RACE_QUERY,
+                QueryOptions {
+                    mode,
+                    ..Default::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("{mode:?} did not fail over: {e}"));
+        assert_eq!(chaos_rows(&r), baseline, "{mode:?} changed the rows");
+    }
+    assert_fully_drained(&wsq, "dead lead member");
 }
