@@ -26,7 +26,7 @@
 //!   pending call exactly as the scan stalls), never patches twice,
 //!   never exceeds the cap, and cannot deadlock at `cap == 1`.
 //! - [`window_flush_model`]: the submission-window flush path (pump.rs
-//!   `window_batches` + event-loop dispatch) — a fill-to-window flusher
+//!   `window_batches` + `launch_ready`) — a fill-to-window flusher
 //!   racing a timer-wake flusher over one shared queue, with completions
 //!   waking a waiter: no request launches twice, the waiter never misses
 //!   its wakeup, and every schedule terminates (no deadlock, no
@@ -54,6 +54,13 @@
 //!   releases only the race's slot ref (a coalesced joiner's ref keeps
 //!   the slot alive and its wakeup is never lost), a reclaimed slot
 //!   never receives a delivery, and no slot ref leaks.
+//! - [`caller_launch_model`]: the event-loop dispatcher's launch step
+//!   (`pump.rs` `launch_ready` / `event_loop`) — two registering threads
+//!   and the timer thread under a global cap of 1, one reply instant and
+//!   one timed: every call launches exactly once on whichever thread
+//!   made it launchable, the cap is never exceeded, and once the
+//!   threads go quiet no call is left queued, parked or in flight
+//!   (whoever frees capacity re-runs the launch step).
 
 use schedcheck::sync::{Condvar, Mutex};
 use schedcheck::{check_with, thread, Config, Stats};
@@ -331,10 +338,11 @@ pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
 }
 
 // ---------------------------------------------------------------------
-// Model: submission-window flush (pump.rs event-loop windowed dispatch).
+// Model: submission-window flush (pump.rs `launch_ready` windowed
+// dispatch).
 // ---------------------------------------------------------------------
 
-/// The launch queue at the event loop's lock boundary: calls enter under
+/// The launch queue at `launch_ready`'s lock boundary: calls enter under
 /// the state lock; flushers drain under the same lock and dispatch
 /// outside it (`window_batches` → `execute_batch`).
 struct WindowQueue {
@@ -405,10 +413,11 @@ impl MiniBatcher {
         }
     }
 
-    /// Timer-wake flusher: the event loop waking on a deadline drains
-    /// whatever is queued, full window or not. A deadline wake does not
-    /// block on the work condvar, so the model is a single drain the
-    /// scheduler places at an arbitrary point in the race.
+    /// Timer-wake flusher: the timer thread, having delivered what a
+    /// deadline made due, drains whatever is queued, full window or not.
+    /// A deadline wake does not block on the work condvar, so the model
+    /// is a single drain the scheduler places at an arbitrary point in
+    /// the race.
     fn timer_flush(&self) {
         let batch: Vec<u64> = {
             let mut st = self.state.lock();
@@ -1103,6 +1112,169 @@ pub fn race_cancel_model(n: u64) -> Stats {
     })
 }
 
+// ---------------------------------------------------------------------
+// Model 11: caller-side launch (pump.rs `launch_ready` / `event_loop`).
+// ---------------------------------------------------------------------
+
+/// `pump.rs::State` at the launch step's lock boundaries: the queue, the
+/// in-flight count the cap bounds, and the deadline heap the timer
+/// thread sleeps on.
+#[derive(Default)]
+struct LaunchState {
+    queue: Vec<u64>,
+    active: usize,
+    peak_active: usize,
+    /// Launched calls whose reply is parked for the timer thread. The
+    /// model has no clock: a parked reply is due whenever the timer runs.
+    deadlines: Vec<u64>,
+    launches: BTreeMap<u64, u32>,
+    results: BTreeMap<u64, u64>,
+    /// Set once every registrant has returned: the timer delivers what
+    /// is still parked, then exits.
+    registrants_done: bool,
+}
+
+struct MiniLaunchPump {
+    state: Mutex<LaunchState>,
+    /// Wakes the timer thread: an earlier deadline, or the end of the run.
+    work_cv: Condvar,
+    cap: usize,
+    /// The one call whose reply is instant; every other reply is timed.
+    instant: u64,
+}
+
+impl MiniLaunchPump {
+    /// `ReqPump::register`: queue under the lock, then run the launch
+    /// step on this thread.
+    fn register(&self, cid: u64) {
+        self.state.lock().queue.push(cid);
+        self.launch_ready();
+    }
+
+    /// `pump.rs::launch_ready`: pop what the cap admits under the lock,
+    /// "execute" outside it, park timed replies (waking the timer only
+    /// when the earliest deadline moved), complete instant ones here, and
+    /// go round again when completing freed capacity.
+    fn launch_ready(&self) {
+        loop {
+            let launches: Vec<u64> = {
+                let mut st = self.state.lock();
+                let mut popped = Vec::new();
+                while st.active < self.cap && !st.queue.is_empty() {
+                    let cid = st.queue.remove(0);
+                    st.active += 1;
+                    st.peak_active = st.peak_active.max(st.active);
+                    *st.launches.entry(cid).or_insert(0) += 1;
+                    popped.push(cid);
+                }
+                popped
+            };
+            let (instant, timed): (Vec<u64>, Vec<u64>) =
+                launches.into_iter().partition(|c| *c == self.instant);
+            if !timed.is_empty() {
+                let mut st = self.state.lock();
+                let earliest = st.deadlines.iter().min().copied();
+                st.deadlines.extend(timed);
+                if st.deadlines.iter().min().copied() != earliest {
+                    self.work_cv.notify_all();
+                }
+            }
+            if instant.is_empty() {
+                return; // nothing completed here, so no capacity was freed
+            }
+            for cid in instant {
+                self.complete(cid);
+            }
+        }
+    }
+
+    /// `pump.rs::complete`: free the slot and publish under the lock. It
+    /// never wakes the dispatcher — its caller re-runs the launch step.
+    /// (Waking the call's waiters is `targeted_wakeup_model`'s subject.)
+    fn complete(&self, cid: u64) {
+        let mut st = self.state.lock();
+        st.active -= 1;
+        assert!(
+            st.results.insert(cid, cid + 100).is_none(),
+            "double delivery of call {cid}"
+        );
+    }
+
+    /// `pump.rs::event_loop`: sleep until a reply is due, deliver it,
+    /// then run the launch step for what the freed capacity admits.
+    fn timer(&self) {
+        loop {
+            let due: Vec<u64> = {
+                let mut st = self.state.lock();
+                loop {
+                    if !st.deadlines.is_empty() {
+                        break st.deadlines.drain(..).collect();
+                    }
+                    if st.registrants_done {
+                        return;
+                    }
+                    st = self.work_cv.wait(st);
+                }
+            };
+            for cid in due {
+                self.complete(cid);
+            }
+            self.launch_ready();
+        }
+    }
+}
+
+/// Two registrants and the timer thread under a global cap of 1; call 1
+/// replies instantly, call 2 after a latency. Depending on the schedule
+/// each call is launched by its own registrant, by the *other* registrant
+/// (going round again after its inline completion freed the slot), or by
+/// the timer thread after a delivery. Over every interleaving: each call
+/// launches exactly once, at most one is ever in flight, and once the
+/// registrants have returned and the timer has delivered what was parked
+/// nothing is queued, parked or in flight — no call is stranded waiting
+/// for a launch step nobody will run.
+pub fn caller_launch_model() -> Stats {
+    check_with(bounds(), || {
+        let pump = Arc::new(MiniLaunchPump {
+            state: Mutex::new(LaunchState::default()),
+            work_cv: Condvar::new(),
+            cap: 1,
+            instant: 1,
+        });
+        let timer = {
+            let p = pump.clone();
+            thread::spawn(move || p.timer())
+        };
+        let other = {
+            let p = pump.clone();
+            thread::spawn(move || p.register(2))
+        };
+        pump.register(1);
+        other.join();
+        {
+            let mut st = pump.state.lock();
+            st.registrants_done = true;
+            pump.work_cv.notify_all();
+        }
+        timer.join();
+        let st = pump.state.lock();
+        assert!(
+            st.queue.is_empty(),
+            "a call was left queued: {:?}",
+            st.queue
+        );
+        assert!(st.deadlines.is_empty(), "a reply was never delivered");
+        assert_eq!(st.active, 0, "a slot leaked");
+        assert_eq!(st.peak_active, 1, "the cap of 1 was exceeded");
+        assert_eq!(
+            st.launches,
+            BTreeMap::from([(1, 1), (2, 1)]),
+            "every call launches exactly once"
+        );
+        assert_eq!(st.results, BTreeMap::from([(1, 101), (2, 102)]));
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1187,6 +1359,13 @@ mod tests {
     #[test]
     fn race_cancel_three_members_loses_no_wakeup_and_leaks_no_slot() {
         let stats = race_cancel_model(3);
+        assert!(stats.complete, "exploration hit the schedule cap");
+        assert!(stats.schedules >= 2, "expected multiple interleavings");
+    }
+
+    #[test]
+    fn caller_launch_never_strands_a_queued_call_or_exceeds_the_cap() {
+        let stats = caller_launch_model();
         assert!(stats.complete, "exploration hit the schedule cap");
         assert!(stats.schedules >= 2, "expected multiple interleavings");
     }

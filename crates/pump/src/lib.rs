@@ -12,12 +12,17 @@
 //!
 //! Two dispatchers are provided:
 //!
-//! * [`DispatchMode::EventLoop`] — a single background thread drives *all*
-//!   in-flight calls, the design the paper argues for (citing the Flash web
-//!   server): services compute their response eagerly and declare a
-//!   simulated network latency; the loop holds launched calls in a deadline
-//!   heap and delivers each when its latency elapses. Hundreds of
-//!   concurrent "network" calls cost one thread.
+//! * [`DispatchMode::EventLoop`] — the design the paper argues for (§4.2,
+//!   citing the Flash web server): registering a call *is* sending it.
+//!   Services compute their response eagerly and declare a simulated
+//!   network latency, so `execute` is cheap and any thread may run it.
+//!   `register` runs it on the registering thread for every call the caps
+//!   admit; a zero-latency reply (a cache hit) is stored before `register`
+//!   returns, with no other thread involved. A reply with latency goes on
+//!   a deadline heap, and one background timer thread sleeps until the
+//!   earliest deadline, delivers what is due, and launches whatever the
+//!   freed capacity admits. Hundreds of concurrent "network" calls cost
+//!   one thread, and that thread wakes only for deadlines.
 //! * [`DispatchMode::ThreadPool`] — a fixed pool of worker threads for
 //!   services that genuinely block (the Web-crawler example uses this).
 //!

@@ -1,6 +1,17 @@
 //! The ReqPump implementation: registration, concurrency-limited dispatch,
 //! result storage (`ReqPumpHash`), and completion signalling.
 //!
+//! # Launching
+//!
+//! Under [`DispatchMode::EventLoop`] a call is launched by whichever
+//! thread made it launchable (`launch_ready`): the registering thread
+//! for a call that fits under the caps, otherwise the thread whose
+//! delivery freed the capacity. Zero-latency replies complete on that
+//! same thread before it returns; the `reqpump-loop` thread is a timer
+//! that only wakes for a declared-latency deadline. The invariant that
+//! keeps a queued call from being stranded: *whoever frees capacity
+//! re-runs the launch step before returning*.
+//!
 //! # Completion delivery
 //!
 //! Completion signalling is *targeted*: each [`ReqPump::wait_any`] caller
@@ -17,6 +28,7 @@ use crate::service::{SearchRequest, SearchResult, SearchService, ServiceReply};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -27,9 +39,11 @@ use wsq_obs::{EventKind, Obs};
 /// How launched calls are driven to completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// One background thread drives all in-flight calls via a deadline heap
-    /// (services must compute cheaply and declare simulated latency). This
-    /// is the paper's preferred event-driven design (§4.2).
+    /// Calls are sent on the thread that registers them (or that frees
+    /// the capacity they queued for) and one background timer thread
+    /// delivers each reply when its declared latency elapses (services
+    /// must compute cheaply and declare simulated latency). This is the
+    /// paper's event-driven design (§4.2): registration *is* the send.
     EventLoop,
     /// A pool of `n` worker threads, for services that genuinely block.
     ThreadPool(usize),
@@ -213,6 +227,9 @@ struct State {
     race_member: HashMap<CallId, Vec<CallId>>,
     active_total: usize,
     active_per_dest: HashMap<String, usize>,
+    /// Launched calls whose declared latency has not elapsed yet, earliest
+    /// deadline first ([`DispatchMode::EventLoop`] only).
+    deadlines: BinaryHeap<Reverse<Pending>>,
     shutdown: bool,
 }
 
@@ -220,7 +237,9 @@ struct Shared {
     config: PumpConfig,
     services: RwLock<HashMap<String, Arc<dyn SearchService>>>,
     state: Mutex<State>,
-    /// Wakes the dispatcher (new work / capacity freed / shutdown).
+    /// Wakes the timer thread (earlier deadline / shutdown) or, under
+    /// [`DispatchMode::ThreadPool`], the workers (new work / capacity
+    /// freed / shutdown).
     work_cv: Condvar,
     stats: Counters,
 }
@@ -286,8 +305,12 @@ impl ReqPump {
             .insert(name.to_string(), service);
     }
 
-    /// Register an external call and return its id immediately. The call is
-    /// queued (respecting concurrency limits) and executed asynchronously.
+    /// Register an external call and return its id without waiting for
+    /// its reply. Under [`DispatchMode::EventLoop`] a call that fits under
+    /// the concurrency limits is sent before `register` returns — the
+    /// service's `execute` runs on this thread, and a zero-latency reply
+    /// is already stored when the id comes back; a call over the limits
+    /// queues until a delivery frees capacity.
     ///
     /// With coalescing enabled, an identical request already known to the
     /// pump returns the existing id with its reference count bumped.
@@ -314,7 +337,7 @@ impl ReqPump {
     ///     expr: "Colorado".into(),
     ///     kind: RequestKind::Count,
     /// })?;
-    /// // `register` returned without waiting; the result arrives later.
+    /// // `register` never waits out a reply's latency; `wait` does.
     /// assert_eq!(pump.wait(call)?.count(), Some(8));
     /// pump.release(call); // every registrant releases its reference
     /// # Ok::<(), wsq_common::WsqError>(())
@@ -323,12 +346,12 @@ impl ReqPump {
         let mut st = self.shared.state.lock();
         let cid = self.register_locked(&mut st, req)?;
         drop(st);
-        self.shared.work_cv.notify_all();
+        start_queued(&self.shared);
         Ok(cid)
     }
 
     /// Register a whole burst of requests under **one** state-lock
-    /// acquisition, waking the dispatcher once at the end. Semantically
+    /// acquisition, launching once at the end. Semantically
     /// identical to calling [`ReqPump::register`] once per request (same
     /// coalescing, same fail-fast on unknown engines, same ids), but a
     /// prefetching scan issuing `depth` calls — or a batch-at-a-time
@@ -346,7 +369,7 @@ impl ReqPump {
             ids.push(self.register_locked(&mut st, req)?);
         }
         drop(st);
-        self.shared.work_cv.notify_all();
+        start_queued(&self.shared);
         Ok(ids)
     }
 
@@ -437,7 +460,7 @@ impl ReqPump {
         for (g, w) in woken {
             w.wake(Wake::Done(g));
         }
-        self.shared.work_cv.notify_all();
+        start_queued(&self.shared);
         Ok(gid)
     }
 
@@ -450,8 +473,8 @@ impl ReqPump {
     }
 
     /// The registration body, run under the already-held state lock.
-    /// Does **not** notify the dispatcher — callers notify once after
-    /// dropping the lock.
+    /// Launches nothing — callers run [`start_queued`] once after dropping
+    /// the lock.
     fn register_locked(&self, st: &mut State, req: SearchRequest) -> Result<CallId> {
         if st.shutdown {
             return Err(WsqError::PumpShutdown);
@@ -648,7 +671,7 @@ impl ReqPump {
         &self.shared.config.obs
     }
 
-    /// Stop the dispatcher. Outstanding `wait` calls return
+    /// Stop the pump's threads. Outstanding `wait` calls return
     /// [`WsqError::PumpShutdown`]; queued calls are dropped.
     pub fn shutdown(&self) {
         let waiters: Vec<Arc<Waiter>> = {
@@ -834,18 +857,6 @@ fn dest_cap(config: &PumpConfig, dest: &str) -> usize {
         .unwrap_or(config.default_per_destination)
 }
 
-/// Is any queued call launchable under current limits?
-fn has_launchable(st: &State, config: &PumpConfig) -> bool {
-    if st.active_total >= config.max_concurrent {
-        return false;
-    }
-    st.queue.iter().any(|cid| {
-        let dest = &st.meta[cid].req.engine;
-        let used = st.active_per_dest.get(dest).copied().unwrap_or(0);
-        used < dest_cap(config, dest)
-    })
-}
-
 /// Find the first queued call that can launch under current limits.
 /// Scanning past the head avoids head-of-line blocking when one destination
 /// is saturated but another has capacity.
@@ -885,7 +896,10 @@ fn pop_launchable(st: &mut State, shared: &Shared) -> Option<CallId> {
 }
 
 /// Mark a call complete, store its result, free its capacity, and wake
-/// exactly the waiters interested in it.
+/// exactly the waiters interested in it. The capacity it frees may admit a
+/// queued call: the caller re-runs the launch step before it returns
+/// (`launch_ready` and `event_loop` loop back; `worker_loop` wakes its
+/// peers).
 fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
     let obs = &shared.config.obs;
     let (waiters, race_woken) = {
@@ -941,10 +955,9 @@ fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
     for (gid, w) in race_woken {
         w.wake(Wake::Done(gid));
     }
-    shared.work_cv.notify_all(); // capacity freed: dispatcher may launch more
 }
 
-/// Deadline-heap entry for the event loop.
+/// Deadline-heap entry: a launched call's reply, held until `deadline`.
 struct Pending {
     deadline: Instant,
     cid: CallId,
@@ -1006,113 +1019,186 @@ fn window_batches(
     batches
 }
 
-/// The event-driven dispatcher: launch within limits, hold replies in a
-/// deadline heap, deliver when their simulated latency elapses.
-fn event_loop(shared: Arc<Shared>) {
-    let mut heap: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+/// The failure a call completes with when its service panicked.
+fn panic_error(payload: Box<dyn std::any::Any + Send>) -> WsqError {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    WsqError::Search(format!("service panicked: {msg}"))
+}
+
+/// An instant failure reply.
+fn failed(err: WsqError) -> ServiceReply {
+    ServiceReply {
+        result: Err(err),
+        latency: Duration::ZERO,
+    }
+}
+
+/// Run one launched call's `execute`, outside every pump lock. A panic in
+/// the service becomes the call's failure instead of unwinding the
+/// launching thread with the call stuck in flight.
+fn execute_one(shared: &Shared, cid: CallId, req: &SearchRequest) -> ServiceReply {
+    let service = shared.services.read().get(&req.engine).cloned();
+    let Some(svc) = service else {
+        return failed(WsqError::Search(format!("unknown engine '{}'", req.engine)));
+    };
+    // `call_scope` lets decorators (retry/flaky/cache) deep in the execute
+    // stack attribute their trace events to `cid`.
+    catch_unwind(AssertUnwindSafe(|| {
+        wsq_obs::call_scope(cid, || svc.execute(req))
+    }))
+    .unwrap_or_else(|payload| failed(panic_error(payload)))
+}
+
+/// Run one destination window's `execute_batch` handoff, returning exactly
+/// one reply per call. Each reply keeps its own simulated latency, so
+/// delivery times are identical to per-request dispatch. Per-call trace
+/// attribution (`call_scope`) is unavailable inside a batch — decorator
+/// events like `Retried` are only recorded on the per-request path.
+fn execute_window(shared: &Shared, batch: &[(CallId, SearchRequest)]) -> Vec<ServiceReply> {
+    let engine = &batch[0].1.engine;
+    let service = shared.services.read().get(engine).cloned();
+    let reqs: Vec<SearchRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
+    let mut replies = match service {
+        Some(svc) => match catch_unwind(AssertUnwindSafe(|| svc.execute_batch(&reqs))) {
+            Ok(replies) => replies,
+            Err(payload) => {
+                let err = panic_error(payload);
+                reqs.iter().map(|_| failed(err.clone())).collect()
+            }
+        },
+        None => Vec::new(),
+    };
+    // Defensive: a misbehaving service must not strand calls.
+    replies.resize_with(batch.len(), || {
+        failed(WsqError::Search(format!(
+            "engine '{engine}' returned too few batch replies"
+        )))
+    });
+    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+    let obs = &shared.config.obs;
+    if let Some(m) = obs.metrics() {
+        // Convention: batch sizes are recorded as "milliseconds"
+        // (a window of n requests observes n ms) so the fixed
+        // latency bucket ladder doubles as a size ladder.
+        m.batch_size
+            .observe(Duration::from_millis(batch.len() as u64));
+    }
+    for (cid, _) in batch {
+        obs.event(*cid, EventKind::BatchLaunched);
+    }
+    replies
+}
+
+/// Start whatever registration just queued: on this thread under
+/// [`DispatchMode::EventLoop`]; by waking the workers under
+/// [`DispatchMode::ThreadPool`], whose services may block.
+fn start_queued(shared: &Shared) {
+    match shared.config.dispatch {
+        DispatchMode::EventLoop => launch_ready(shared),
+        DispatchMode::ThreadPool(_) => {
+            shared.work_cv.notify_all();
+        }
+    }
+}
+
+/// The event-loop launch step, run by whichever thread queued work or
+/// freed capacity: pop everything launchable under the state lock,
+/// `execute` it outside the lock, complete zero-latency replies here and
+/// park the rest on the deadline heap for the timer thread. Completing a
+/// reply frees capacity, so the step repeats until nothing is launchable.
+fn launch_ready(shared: &Shared) {
     loop {
-        // Launch phase: drain launchable calls, executing outside the lock.
         let mut launches: Vec<(CallId, SearchRequest)> = Vec::new();
         {
             let mut st = shared.state.lock();
             if st.shutdown {
                 return;
             }
-            while let Some(cid) = pop_launchable(&mut st, &shared) {
+            while let Some(cid) = pop_launchable(&mut st, shared) {
                 let req = st.meta[&cid].req.clone();
                 launches.push((cid, req));
             }
         }
-        let now = Instant::now();
-        for batch in window_batches(launches, shared.config.submission_window) {
-            if let [(cid, req)] = batch.as_slice() {
-                let (cid, req) = (*cid, req.clone());
-                let service = shared.services.read().get(&req.engine).cloned();
-                let reply = match service {
-                    // `call_scope` lets decorators (retry/flaky/cache) deep
-                    // in the execute stack attribute their trace events to
-                    // `cid`.
-                    Some(svc) => wsq_obs::call_scope(cid, || svc.execute(&req)),
-                    None => ServiceReply {
-                        result: Err(WsqError::Search(format!("unknown engine '{}'", req.engine))),
-                        latency: Duration::ZERO,
-                    },
-                };
-                heap.push(Reverse(Pending {
-                    deadline: now + reply.latency,
-                    cid,
-                    result: reply.result,
-                }));
-                continue;
-            }
-            // Windowed dispatch: one `execute_batch` handoff for the whole
-            // destination window, still outside the state lock. Each reply
-            // keeps its own simulated latency, so delivery times are
-            // identical to per-request dispatch. Per-call trace attribution
-            // (`call_scope`) is unavailable inside a batch — decorator
-            // events like `Retried` are only recorded on the per-request
-            // path.
-            let engine = batch[0].1.engine.clone();
-            let service = shared.services.read().get(&engine).cloned();
-            let reqs: Vec<SearchRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
-            let mut replies = match service {
-                Some(svc) => svc.execute_batch(&reqs),
-                None => Vec::new(),
-            };
-            // Defensive: a misbehaving service must not strand calls.
-            while replies.len() < batch.len() {
-                replies.push(ServiceReply {
-                    result: Err(WsqError::Search(format!(
-                        "engine '{engine}' returned too few batch replies"
-                    ))),
-                    latency: Duration::ZERO,
-                });
-            }
-            replies.truncate(batch.len());
-            shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-            let obs = &shared.config.obs;
-            if let Some(m) = obs.metrics() {
-                // Convention: batch sizes are recorded as "milliseconds"
-                // (a window of n requests observes n ms) so the fixed
-                // latency bucket ladder doubles as a size ladder.
-                m.batch_size
-                    .observe(Duration::from_millis(batch.len() as u64));
-            }
-            for ((cid, _), reply) in batch.into_iter().zip(replies) {
-                obs.event(cid, EventKind::BatchLaunched);
-                heap.push(Reverse(Pending {
-                    deadline: now + reply.latency,
-                    cid,
-                    result: reply.result,
-                }));
-            }
-        }
-
-        // Delivery phase: complete everything whose deadline has passed.
-        let now = Instant::now();
-        while heap.peek().is_some_and(|p| p.0.deadline <= now) {
-            if let Some(Reverse(p)) = heap.pop() {
-                complete(&shared, p.cid, p.result);
-            }
-        }
-
-        // Wait phase: sleep until the next deadline or new work arrives.
-        let mut st = shared.state.lock();
-        if st.shutdown {
+        if launches.is_empty() {
             return;
         }
-        if has_launchable(&st, &shared.config) {
-            continue; // go launch it
-        }
-        match heap.peek() {
-            Some(Reverse(p)) => {
-                let deadline = p.deadline;
-                let _ = shared.work_cv.wait_until(&mut st, deadline);
+        // One timestamp per launch round: a reply is due its declared
+        // latency after the round began, however long the round's other
+        // `execute` calls take.
+        let now = Instant::now();
+        let mut instant: Vec<(CallId, Result<SearchResult>)> = Vec::new();
+        let mut timed: Vec<Pending> = Vec::new();
+        for batch in window_batches(launches, shared.config.submission_window) {
+            let replies = match batch.as_slice() {
+                [(cid, req)] => vec![execute_one(shared, *cid, req)],
+                _ => execute_window(shared, &batch),
+            };
+            for ((cid, _), reply) in batch.into_iter().zip(replies) {
+                if reply.latency.is_zero() {
+                    instant.push((cid, reply.result));
+                } else {
+                    timed.push(Pending {
+                        deadline: now + reply.latency,
+                        cid,
+                        result: reply.result,
+                    });
+                }
             }
-            None => {
-                shared.work_cv.wait(&mut st);
+        }
+        if !timed.is_empty() {
+            let mut st = shared.state.lock();
+            let earliest = st.deadlines.peek().map(|p| p.0.deadline);
+            st.deadlines.extend(timed.into_iter().map(Reverse));
+            // The timer sleeps until the earliest deadline it saw; wake it
+            // only when that moved.
+            if st.deadlines.peek().map(|p| p.0.deadline) != earliest {
+                shared.work_cv.notify_all();
             }
         }
+        if instant.is_empty() {
+            return; // nothing completed here, so no capacity was freed
+        }
+        for (cid, result) in instant {
+            complete(shared, cid, result);
+        }
+    }
+}
+
+/// The event-loop timer thread: sleep until the earliest deadline, deliver
+/// what is due, then run the launch step for whatever the freed capacity
+/// admits.
+fn event_loop(shared: Arc<Shared>) {
+    loop {
+        let mut due: Vec<Pending> = Vec::new();
+        {
+            let mut st = shared.state.lock();
+            loop {
+                if st.shutdown {
+                    return;
+                }
+                let now = Instant::now();
+                while st.deadlines.peek().is_some_and(|p| p.0.deadline <= now) {
+                    due.extend(st.deadlines.pop().map(|p| p.0));
+                }
+                if !due.is_empty() {
+                    break;
+                }
+                match st.deadlines.peek().map(|p| p.0.deadline) {
+                    Some(deadline) => {
+                        let _ = shared.work_cv.wait_until(&mut st, deadline);
+                    }
+                    None => shared.work_cv.wait(&mut st),
+                }
+            }
+        }
+        for p in due {
+            complete(&shared, p.cid, p.result);
+        }
+        launch_ready(&shared);
     }
 }
 
@@ -1133,18 +1219,14 @@ fn worker_loop(shared: Arc<Shared>) {
                 shared.work_cv.wait(&mut st);
             }
         };
-        let service = shared.services.read().get(&req.engine).cloned();
-        let reply = match service {
-            Some(svc) => wsq_obs::call_scope(cid, || svc.execute(&req)),
-            None => ServiceReply {
-                result: Err(WsqError::Search(format!("unknown engine '{}'", req.engine))),
-                latency: Duration::ZERO,
-            },
-        };
+        let reply = execute_one(&shared, cid, &req);
         if !reply.latency.is_zero() {
             std::thread::sleep(reply.latency);
         }
         complete(&shared, cid, reply.result);
+        // Capacity freed: this worker loops back for the next call, and an
+        // idle peer may take another.
+        shared.work_cv.notify_all();
     }
 }
 
@@ -1173,8 +1255,9 @@ mod tests {
 
     impl SearchService for Probe {
         fn execute(&self, req: &SearchRequest) -> ServiceReply {
-            // In event-loop mode this observes *compute* concurrency (always
-            // 1); the pump's own stats observe in-flight concurrency.
+            // This observes *compute* concurrency (threads inside `execute`
+            // at once, each holding an in-flight slot); the pump's own stats
+            // observe in-flight concurrency.
             let cur = self.current.fetch_add(1, Ordering::SeqCst) + 1;
             self.peak.fetch_max(cur, Ordering::SeqCst);
             self.current.fetch_sub(1, Ordering::SeqCst);
@@ -1741,6 +1824,232 @@ mod tests {
         assert_eq!(pump.wait(gid).unwrap().count(), Some(3));
         pump.release(gid);
         assert_eq!(pump.live_calls(), 0);
+    }
+
+    /// Test service recording which thread ran each `execute`, keyed by
+    /// the request expression.
+    struct ThreadLog {
+        latency: Duration,
+        ran_on: Mutex<HashMap<String, std::thread::ThreadId>>,
+    }
+
+    impl ThreadLog {
+        fn new(latency: Duration) -> Arc<Self> {
+            Arc::new(ThreadLog {
+                latency,
+                ran_on: Mutex::new(HashMap::new()),
+            })
+        }
+
+        fn thread_of(&self, expr: &str) -> std::thread::ThreadId {
+            self.ran_on.lock()[expr]
+        }
+    }
+
+    impl SearchService for ThreadLog {
+        fn execute(&self, req: &SearchRequest) -> ServiceReply {
+            self.ran_on
+                .lock()
+                .insert(req.expr.clone(), std::thread::current().id());
+            ServiceReply {
+                result: Ok(SearchResult::Count(req.expr.len() as u64)),
+                latency: self.latency,
+            }
+        }
+    }
+
+    #[test]
+    fn instant_reply_is_stored_when_register_returns() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::ZERO));
+        let cid = pump.register(req("AV", "Colorado")).unwrap();
+        assert_eq!(pump.peek(cid).unwrap().unwrap().count(), Some(8));
+        let ids = pump
+            .register_batch(vec![req("AV", "a"), req("AV", "bb")])
+            .unwrap();
+        assert_eq!(pump.take_completed(&ids).len(), 2);
+        let gid = pump
+            .register_race(vec![req("AV", "ccc"), req("AV", "dddd")])
+            .unwrap();
+        assert_eq!(pump.peek(gid).unwrap().unwrap().count(), Some(3));
+    }
+
+    #[test]
+    fn execute_runs_on_the_registering_thread_only_under_event_loop() {
+        let me = std::thread::current().id();
+        let log = ThreadLog::new(Duration::ZERO);
+        let pump = ReqPump::with_service("AV", log.clone());
+        let cid = pump.register(req("AV", "loop")).unwrap();
+        pump.wait(cid).unwrap();
+        assert_eq!(log.thread_of("loop"), me);
+
+        let log = ThreadLog::new(Duration::ZERO);
+        let pump = ReqPump::new(PumpConfig {
+            dispatch: DispatchMode::ThreadPool(2),
+            ..PumpConfig::default()
+        });
+        pump.register_service("AV", log.clone());
+        for expr in ["p0", "p1", "p2", "p3"] {
+            let cid = pump.register(req("AV", expr)).unwrap();
+            pump.wait(cid).unwrap();
+            assert_ne!(log.thread_of(expr), me, "a worker must run {expr}");
+        }
+    }
+
+    #[test]
+    fn queued_call_is_launched_by_the_timer_thread_after_a_delivery() {
+        let me = std::thread::current().id();
+        let log = ThreadLog::new(Duration::from_millis(5));
+        let pump = ReqPump::new(PumpConfig {
+            max_concurrent: 1,
+            ..PumpConfig::default()
+        });
+        pump.register_service("AV", log.clone());
+        let first = pump.register(req("AV", "first")).unwrap();
+        let second = pump.register(req("AV", "second")).unwrap();
+        // Registration launched `first` here and left `second` queued.
+        assert_eq!(pump.stats().launched, 1);
+        assert_eq!(log.thread_of("first"), me);
+        // Nothing but the timer thread's delivery of `first` can launch
+        // `second` while this thread is blocked.
+        assert_eq!(pump.wait(second).unwrap().count(), Some(6));
+        assert_ne!(log.thread_of("second"), me);
+        assert_eq!(pump.stats().peak_in_flight, 1);
+        pump.wait(first).unwrap();
+        pump.release(first);
+        pump.release(second);
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn concurrent_registrants_stay_under_the_global_cap() {
+        let probe = Probe::new(Duration::from_millis(1));
+        let pump = ReqPump::new(PumpConfig {
+            max_concurrent: 2,
+            ..PumpConfig::default()
+        });
+        pump.register_service("AV", probe.clone());
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                let (pump, start) = (pump.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let ids: Vec<CallId> = (0..40)
+                        .map(|i| pump.register(req("AV", &format!("t{t}c{i:02}"))).unwrap())
+                        .collect();
+                    for cid in ids {
+                        pump.wait(cid).unwrap();
+                        pump.release(cid);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(probe.peak.load(Ordering::SeqCst) <= 2);
+        let stats = pump.stats();
+        assert!(stats.peak_in_flight <= 2);
+        assert_eq!((stats.launched, stats.completed), (80, 80));
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    /// Test service recording the size of every dispatch it receives.
+    #[derive(Default)]
+    struct WindowLog {
+        dispatches: Mutex<Vec<(String, usize)>>,
+    }
+
+    impl SearchService for WindowLog {
+        fn execute(&self, req: &SearchRequest) -> ServiceReply {
+            self.execute_batch(std::slice::from_ref(req)).remove(0)
+        }
+
+        fn execute_batch(&self, reqs: &[SearchRequest]) -> Vec<ServiceReply> {
+            self.dispatches
+                .lock()
+                .push((reqs[0].engine.clone(), reqs.len()));
+            reqs.iter()
+                .map(|r| ServiceReply::instant(SearchResult::Count(r.expr.len() as u64)))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn register_batch_forms_per_destination_submission_windows() {
+        let log = Arc::new(WindowLog::default());
+        let pump = ReqPump::new(PumpConfig {
+            submission_window: 8,
+            ..PumpConfig::default()
+        });
+        pump.register_service("AV", log.clone());
+        pump.register_service("Google", log.clone());
+        // 20 AV requests with 3 Google requests interleaved.
+        let reqs: Vec<SearchRequest> = (0..23)
+            .map(|i| match i {
+                2 | 9 | 16 => req("Google", &format!("g{i:02}")),
+                _ => req("AV", &format!("a{i:02}")),
+            })
+            .collect();
+        let ids = pump.register_batch(reqs).unwrap();
+        assert_eq!(pump.take_completed(&ids).len(), 23);
+        let sizes = |engine: &str| -> Vec<usize> {
+            let d = log.dispatches.lock();
+            d.iter()
+                .filter(|(e, _)| e == engine)
+                .map(|(_, n)| *n)
+                .collect()
+        };
+        assert_eq!(sizes("AV"), vec![8, 8, 4]);
+        assert_eq!(sizes("Google"), vec![3]);
+        assert_eq!(pump.stats().batches, 4);
+    }
+
+    /// Test service that panics on the expression `"boom"`.
+    struct Panicky;
+
+    impl SearchService for Panicky {
+        fn execute(&self, req: &SearchRequest) -> ServiceReply {
+            assert!(req.expr != "boom", "backend exploded");
+            ServiceReply::instant(SearchResult::Count(req.expr.len() as u64))
+        }
+    }
+
+    #[test]
+    fn panicking_service_fails_its_call_and_the_pump_survives() {
+        for (dispatch, window) in [
+            (DispatchMode::EventLoop, 1),
+            (DispatchMode::EventLoop, 4),
+            (DispatchMode::ThreadPool(2), 1),
+        ] {
+            let pump = ReqPump::new(PumpConfig {
+                dispatch,
+                submission_window: window,
+                max_concurrent: 2,
+                ..PumpConfig::default()
+            });
+            pump.register_service("AV", Arc::new(Panicky));
+            let ids = pump
+                .register_batch(vec![req("AV", "boom"), req("AV", "fine")])
+                .unwrap();
+            let err = pump.wait(ids[0]).unwrap_err().to_string();
+            assert!(
+                err.contains("service panicked: backend exploded"),
+                "{dispatch:?}/{window}: {err}"
+            );
+            // A windowed dispatch shares its panic; per-request does not.
+            assert_eq!(pump.wait(ids[1]).is_ok(), window == 1);
+            for cid in ids {
+                pump.release(cid);
+            }
+            assert_eq!(pump.live_calls(), 0);
+            // The slot came back and the dispatcher is still alive.
+            let again = pump.register(req("AV", "after")).unwrap();
+            assert_eq!(pump.wait(again).unwrap().count(), Some(5));
+            pump.release(again);
+            assert_eq!(pump.live_calls(), 0);
+            assert_eq!(pump.stats().launched, pump.stats().completed);
+        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! treats all phrases as an `AND` query, which is why the paper's default
 //! `SearchExp` differs per engine).
 
-use crate::corpus::Corpus;
+use crate::corpus::{Corpus, Posting};
 use crate::symbols::tokenize;
-use std::collections::HashMap;
 
 /// How a multi-phrase query combines its phrases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,84 +83,77 @@ pub struct PageMatch {
     pub occurrences: u32,
 }
 
-/// All start positions of `words` (as a consecutive phrase) per page.
-fn phrase_occurrences(corpus: &Corpus, words: &[String]) -> HashMap<u32, Vec<u32>> {
-    let mut out: HashMap<u32, Vec<u32>> = HashMap::new();
-    let Some(first_sym) = corpus.symbols.get(&words[0]) else {
-        return out;
-    };
-    let Some(first_postings) = corpus.index.get(&first_sym) else {
-        return out;
-    };
-    // Resolve the rest of the phrase to symbols up front; an unknown word
-    // means the phrase occurs nowhere.
-    let mut rest_syms = Vec::with_capacity(words.len() - 1);
-    for w in &words[1..] {
-        match corpus.symbols.get(w) {
-            Some(s) => rest_syms.push(s),
-            None => return out,
-        }
-    }
-    for posting in first_postings {
-        let page_terms = &corpus.pages[posting.page as usize].terms;
-        let mut starts = Vec::new();
-        'pos: for &p in &posting.positions {
-            for (k, &sym) in rest_syms.iter().enumerate() {
-                let idx = p as usize + k + 1;
-                if idx >= page_terms.len() || page_terms[idx] != sym {
-                    continue 'pos;
-                }
-            }
-            starts.push(p);
-        }
-        if !starts.is_empty() {
-            out.insert(posting.page, starts);
-        }
-    }
-    out
+/// One phrase resolved against the index: the page-sorted postings of its
+/// first word and the symbols that must follow each of their positions.
+struct ResolvedPhrase<'a> {
+    first: &'a [Posting],
+    rest: Vec<u32>,
 }
 
-/// Evaluate a query, returning matching pages (unsorted).
+/// Resolve `words` to symbols and postings; `None` when a word is unknown
+/// to the corpus, so the phrase occurs nowhere.
+fn resolve<'a>(corpus: &'a Corpus, words: &[String]) -> Option<ResolvedPhrase<'a>> {
+    let first = corpus.index.get(&corpus.symbols.get(&words[0])?)?;
+    let rest = words[1..]
+        .iter()
+        .map(|w| corpus.symbols.get(w))
+        .collect::<Option<Vec<u32>>>()?;
+    Some(ResolvedPhrase { first, rest })
+}
+
+/// Evaluate a query, returning matching pages in page order.
+///
+/// The phrase whose first word is rarest drives: each of its postings
+/// names a candidate page, the other phrases are probed for that page by
+/// binary search over their page-sorted postings, and phrase starts are
+/// collected into scratch vectors reused from page to page — nothing is
+/// built for a page the driver never names.
 pub fn evaluate(corpus: &Corpus, query: &WebQuery) -> Vec<PageMatch> {
-    if query.phrases.is_empty() {
-        return Vec::new();
-    }
-    let occ: Vec<HashMap<u32, Vec<u32>>> = query
+    let Some(phrases) = query
         .phrases
         .iter()
-        .map(|p| phrase_occurrences(corpus, p))
-        .collect();
-
-    // Candidate pages: intersection, driven by the smallest map.
-    let smallest = occ
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, m)| m.len())
-        .map(|(i, _)| i)
-        .expect("non-empty phrase list");
-
+        .map(|words| resolve(corpus, words))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return Vec::new();
+    };
+    let Some(driver) = phrases.iter().min_by_key(|p| p.first.len()) else {
+        return Vec::new();
+    };
+    let near = query.connective == Connective::Near;
+    let window = i64::from(corpus.near_window);
+    // starts[i]: where phrase i begins on the candidate page.
+    let mut starts: Vec<Vec<u32>> = vec![Vec::new(); phrases.len()];
     let mut matches = Vec::new();
-    'pages: for &page in occ[smallest].keys() {
-        for m in &occ {
-            if !m.contains_key(&page) {
+    'pages: for candidate in driver.first {
+        let page = candidate.page;
+        let terms = &corpus.pages[page as usize].terms;
+        for (phrase, starts) in phrases.iter().zip(&mut starts) {
+            starts.clear();
+            let Ok(at) = phrase.first.binary_search_by_key(&page, |p| p.page) else {
+                continue 'pages;
+            };
+            starts.extend(phrase.first[at].positions.iter().filter(|&&pos| {
+                let follow = terms.get(pos as usize + 1..).unwrap_or_default();
+                follow.starts_with(&phrase.rest)
+            }));
+            if starts.is_empty() {
                 continue 'pages;
             }
         }
-        if query.connective == Connective::Near && occ.len() > 1 {
-            // Chain semantics: consecutive phrases within the window.
-            let w = corpus.near_window as i64;
-            for pair in occ.windows(2) {
-                let a = &pair[0][&page];
-                let b = &pair[1][&page];
-                let close = a
-                    .iter()
-                    .any(|&pa| b.iter().any(|&pb| (pa as i64 - pb as i64).abs() <= w));
-                if !close {
-                    continue 'pages;
-                }
-            }
+        // Chain semantics: consecutive phrases within the window.
+        if near
+            && !starts.windows(2).all(|pair| {
+                pair[0].iter().any(|&a| {
+                    pair[1]
+                        .iter()
+                        .any(|&b| (i64::from(a) - i64::from(b)).abs() <= window)
+                })
+            })
+        {
+            continue;
         }
-        let occurrences: u32 = occ.iter().map(|m| m[&page].len() as u32).sum();
+        let occurrences = starts.iter().map(|s| s.len() as u32).sum();
         matches.push(PageMatch { page, occurrences });
     }
     matches

@@ -6,8 +6,10 @@
 //! "engine" is registered as `Fetcher`, so `WebCount_Fetcher(T1 = url)`
 //! "fetches" the page and reports its outgoing-link count. The fetcher
 //! genuinely blocks (sleeps), so this example uses the thread-pool
-//! dispatcher rather than the event loop — and demonstrates that both
-//! dispatchers plug into the same machinery.
+//! dispatcher — under the event-loop dispatcher `execute` runs on the
+//! thread that registers the call, where a blocking fetch would stall the
+//! query itself — and demonstrates that both dispatchers plug into the
+//! same machinery.
 //!
 //! ```sh
 //! cargo run --release --example web_crawler

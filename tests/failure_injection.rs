@@ -437,6 +437,47 @@ fn chaos_matrix_preserves_rows_and_drains_every_resource() {
     let _ = std::fs::write("target/degraded_scenarios.json", report);
 }
 
+/// An engine whose backend panics on any request mentioning Utah.
+struct PanicsOnUtah(Arc<dyn wsq_pump::SearchService>);
+
+impl wsq_pump::SearchService for PanicsOnUtah {
+    fn execute(&self, req: &wsq_pump::SearchRequest) -> wsq_pump::ServiceReply {
+        assert!(!req.expr.contains("Utah"), "backend exploded on Utah");
+        self.0.execute(req)
+    }
+}
+
+#[test]
+fn panicking_engine_fails_its_query_and_the_pump_survives() {
+    use wsq_pump::DispatchMode;
+    for dispatch in [DispatchMode::EventLoop, DispatchMode::ThreadPool(4)] {
+        let mut config = WsqConfig::fast();
+        config.pump.dispatch = dispatch;
+        let mut wsq = Wsq::open_in_memory(config).unwrap();
+        wsq.load_reference_data().unwrap();
+        let inner = wsq.web().engine(EngineKind::AltaVista);
+        wsq.register_engine("Shaky", Arc::new(PanicsOnUtah(inner)), true);
+
+        let err = wsq.query(QUERY).unwrap_err().to_string();
+        assert!(
+            err.contains("service panicked: backend exploded on Utah"),
+            "{dispatch:?}: {err}"
+        );
+        assert_fully_drained(&wsq, &format!("panicking engine, {dispatch:?}"));
+        // The same pump still launches, delivers and drains: through the
+        // engine that panicked, and through a healthy one.
+        let r = wsq
+            .query("SELECT Count FROM WebCount_Shaky WHERE T1 = 'Nevada'")
+            .unwrap();
+        assert!(r.rows[0].get(0).as_int().unwrap() > 0, "{dispatch:?}");
+        let r = wsq
+            .query("SELECT Name, Count FROM States, WebCount WHERE Name = T1")
+            .unwrap();
+        assert_eq!(r.rows.len(), 50, "{dispatch:?}");
+        assert_fully_drained(&wsq, &format!("after the panic, {dispatch:?}"));
+    }
+}
+
 #[test]
 fn dead_lead_member_fails_over_in_both_modes() {
     // Race group {Chaos (every call a 503), Stable}: the asynchronous
