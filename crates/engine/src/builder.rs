@@ -12,8 +12,9 @@
 use crate::catalog::Catalog;
 use crate::engines::EngineRegistry;
 use crate::plan::{EvBinding, EvSpec, PhysPlan, PrefetchHint, RerankScorer, VTableKind};
-use wsq_common::{Result, Schema, WsqError};
-use wsq_sql::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal, SelectItem, SelectStmt};
+use std::cmp::Ordering;
+use wsq_common::{DataType, Result, Schema, Value, WsqError};
+use wsq_sql::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal, SelectItem, SelectStmt, UnOp};
 
 /// The paper's default guard against runaway `WebPages` scans: `Rank < 20`
 /// means ranks 1..=19.
@@ -162,26 +163,30 @@ fn plan_select_depth(
                 running = plan.as_ref().expect("just set").schema();
             }
             None => {
-                // Stored table. Prefer a B+-tree lookup when an equality
-                // conjunct hits an indexed column (Redbase's access-path
-                // choice: index over file scan for equality selections).
+                // Stored table. Prefer a B+-tree range scan when conjuncts
+                // bound an indexed column (Redbase's access-path choice:
+                // index over file scan for selections on the key).
                 let stored = catalog.table_schema(&tref.table)?;
                 let schema = stored.with_qualifier(&alias);
-                let mut node = match pick_index_access(
-                    catalog,
-                    &tref.table,
-                    &alias,
-                    &schema,
-                    &mut conjuncts,
-                ) {
-                    Some(scan) => scan,
+                let unused = conjuncts.iter().filter(|c| !c.used).map(|c| &c.expr);
+                let mut node = match pick_index_access(catalog, &tref.table, &schema, unused) {
+                    Some(access) => PhysPlan::IndexScan {
+                        table: tref.table.clone(),
+                        alias: alias.clone(),
+                        column: access.column,
+                        lo: access.lo,
+                        hi: access.hi,
+                        schema: schema.clone(),
+                    },
                     None => PhysPlan::SeqScan {
                         table: tref.table.clone(),
                         alias: alias.clone(),
                         schema: schema.clone(),
                     },
                 };
-                // Push down single-table predicates.
+                // Push down single-table predicates — including the ones
+                // the index range was read from: the index narrows, the
+                // filter decides.
                 node = attach_filters(node, &mut conjuncts, &schema)?;
                 plan = Some(match plan.take() {
                     None => node,
@@ -381,50 +386,166 @@ fn plan_select_depth(
     Ok(plan)
 }
 
-/// Choose an index access path: the first unused `col = literal` conjunct
-/// over an indexed column of this table turns the scan into an
-/// [`PhysPlan::IndexScan`] (consuming the conjunct).
-fn pick_index_access(
+/// An index access path: scan `column`'s B+-tree over the inclusive key
+/// range `[lo, hi]` (`None` = open end).
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexAccess {
+    /// The indexed column, as the stored schema spells it.
+    pub column: String,
+    /// Inclusive lower bound.
+    pub lo: Option<Value>,
+    /// Inclusive upper bound.
+    pub hi: Option<Value>,
+}
+
+/// A literal operand: `lit`, or `-lit` for a number (the parser reads a
+/// negative constant as a negation).
+fn literal_operand(e: &Expr) -> Option<Value> {
+    match e {
+        Expr::Literal(lit) => Some(crate::expr::literal_value(lit)),
+        Expr::Unary {
+            op: UnOp::Neg,
+            expr,
+        } => match expr.as_ref() {
+            Expr::Literal(Literal::Int(i)) => i.checked_neg().map(Value::Int),
+            Expr::Literal(Literal::Float(f)) => Some(Value::Float(-f)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The inclusive bounds one conjunct puts on one column: `col = lit`,
+/// `col < <= > >= lit` with the operands in either order, or
+/// `col BETWEEN lit AND lit`. An exclusive bound is reported inclusive —
+/// the caller keeps the conjunct as a filter.
+fn conjunct_bounds(expr: &Expr) -> Option<(&ColumnRef, Option<Value>, Option<Value>)> {
+    match expr {
+        Expr::Binary { op, lhs, rhs } => {
+            let (col, lit, op) = match (lhs.as_ref(), rhs.as_ref()) {
+                (Expr::Column(c), other) => (c, literal_operand(other)?, *op),
+                (other, Expr::Column(c)) => (c, literal_operand(other)?, flip(*op)),
+                _ => return None,
+            };
+            match op {
+                BinOp::Eq => Some((col, Some(lit.clone()), Some(lit))),
+                BinOp::Gt | BinOp::GtEq => Some((col, Some(lit), None)),
+                BinOp::Lt | BinOp::LtEq => Some((col, None, Some(lit))),
+                _ => None,
+            }
+        }
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated: false,
+        } => match expr.as_ref() {
+            Expr::Column(c) => Some((c, Some(literal_operand(low)?), Some(literal_operand(high)?))),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Can a bound `v` narrow a scan of a `dtype` column's index? Only when
+/// the two are of one type class, so that index key order is
+/// [`Value::compare`] order: a `NULL` bound (the conjunct is then false
+/// for every row), a string against a number (ordered by type rank, not
+/// by key) and a NaN (equal to everything) never narrow.
+fn bound_fits(v: &Value, dtype: DataType) -> bool {
+    match (v, dtype) {
+        (Value::Int(_), DataType::Int | DataType::Float) => true,
+        (Value::Float(f), DataType::Int | DataType::Float) => !f.is_nan(),
+        (Value::Str(_), DataType::Varchar) => true,
+        _ => false,
+    }
+}
+
+/// The column of `schema` (by offset) and the inclusive key range that
+/// `conjunct` confines it to, if `conjunct` compares one of its columns
+/// with fitting literals.
+pub(crate) fn column_range(
+    conjunct: &Expr,
+    schema: &Schema,
+) -> Option<(usize, Option<Value>, Option<Value>)> {
+    let (col, lo, hi) = conjunct_bounds(conjunct)?;
+    let idx = schema.try_resolve(col.qualifier.as_deref(), &col.name)?;
+    let dtype = schema.column(idx).dtype;
+    (lo.iter().chain(&hi).all(|v| bound_fits(v, dtype))).then_some((idx, lo, hi))
+}
+
+/// Choose an index access path for one stored table — the one place
+/// SELECT, UPDATE and DELETE decide between the heap and a B+-tree.
+///
+/// Every conjunct of the shape `col = lit`, `col < <= > >= lit` (either
+/// operand order) or `col BETWEEN lit AND lit` over an indexed column of
+/// `schema` contributes bounds, provided its literals are of the column's
+/// type class — a `NULL`, a NaN or a string against a number never
+/// narrows. The bounds on one column are intersected into a single
+/// inclusive range. With several candidate columns a point range beats a
+/// two-sided range beats a half-open one, the earlier conjunct winning
+/// ties.
+///
+/// The range is a **superset** of the matching rows and the conjuncts are
+/// not consumed: the caller still applies every one of them as a filter.
+/// That is what makes `<`/`>`, an open end, a contradictory pair
+/// (`lo > hi`: an empty scan) and lossy keys correct here without any
+/// case analysis.
+pub fn pick_index_access<'a>(
     catalog: &Catalog,
     table: &str,
-    alias: &str,
     schema: &Schema,
-    conjuncts: &mut [Conjunct],
-) -> Option<PhysPlan> {
-    for c in conjuncts.iter_mut().filter(|c| !c.used) {
-        let Expr::Binary {
-            op: BinOp::Eq,
-            lhs,
-            rhs,
-        } = &c.expr
-        else {
+    conjuncts: impl IntoIterator<Item = &'a Expr>,
+) -> Option<IndexAccess> {
+    let indexed = catalog.indexes_on(table);
+    if indexed.is_empty() {
+        return None;
+    }
+    // (column offset, lo, hi) per candidate column, in first-seen order.
+    let mut ranges: Vec<(usize, Option<Value>, Option<Value>)> = Vec::new();
+    for conjunct in conjuncts {
+        let Some((idx, lo, hi)) = column_range(conjunct, schema) else {
             continue;
         };
-        for (col_side, lit_side) in [(lhs, rhs), (rhs, lhs)] {
-            let (Expr::Column(col), Expr::Literal(lit)) = (col_side.as_ref(), lit_side.as_ref())
-            else {
-                continue;
-            };
-            if schema
-                .try_resolve(col.qualifier.as_deref(), &col.name)
-                .is_none()
-            {
-                continue;
-            }
-            if !catalog.has_index(table, &col.name) {
-                continue;
-            }
-            c.used = true;
-            return Some(PhysPlan::IndexScan {
-                table: table.to_string(),
-                alias: alias.to_string(),
-                column: col.name.clone(),
-                key: crate::expr::literal_value(lit),
-                schema: schema.clone(),
-            });
+        let name = &schema.column(idx).name;
+        if !indexed.iter().any(|c| c.eq_ignore_ascii_case(name)) {
+            continue;
         }
+        let pos = ranges
+            .iter()
+            .position(|(i, _, _)| *i == idx)
+            .unwrap_or_else(|| {
+                ranges.push((idx, None, None));
+                ranges.len() - 1
+            });
+        let (_, cur_lo, cur_hi) = &mut ranges[pos];
+        tighten(cur_lo, lo, Ordering::Greater);
+        tighten(cur_hi, hi, Ordering::Less);
     }
-    None
+    let rank = |lo: &Option<Value>, hi: &Option<Value>| match (lo, hi) {
+        (Some(lo), Some(hi)) if lo == hi => 0,
+        (Some(_), Some(_)) => 1,
+        _ => 2,
+    };
+    // `min_by_key` keeps the first of equally ranked candidates.
+    let (idx, lo, hi) = ranges.into_iter().min_by_key(|(_, lo, hi)| rank(lo, hi))?;
+    Some(IndexAccess {
+        column: schema.column(idx).name.clone(),
+        lo,
+        hi,
+    })
+}
+
+/// Replace `*cur` by `new` when `new` is the tighter bound, i.e. compares
+/// `tighter` to it. Fitting bounds of one column are always comparable.
+fn tighten(cur: &mut Option<Value>, new: Option<Value>, tighter: Ordering) {
+    let Some(new) = new else { return };
+    let keep_cur = cur
+        .as_ref()
+        .is_some_and(|c| new.compare(c).ok() != Some(tighter));
+    if !keep_cur {
+        *cur = Some(new);
+    }
 }
 
 /// Attach every unused conjunct fully resolvable against `schema`.
@@ -1079,6 +1200,98 @@ mod tests {
             Some(outer) => top_spec(outer),
             None => panic!("no spec in {p}"),
         })
+    }
+
+    /// The access path chosen for `SELECT 1 FROM States WHERE <predicate>`
+    /// with both columns indexed, as `column lo hi` text.
+    fn access(predicate: &str) -> Option<String> {
+        let (mut catalog, _) = setup();
+        catalog.create_index("States", "Population").unwrap();
+        catalog.create_index("States", "Name").unwrap();
+        let stmt = match wsq_sql::parse_one(&format!("SELECT 1 FROM States WHERE {predicate}")) {
+            Ok(wsq_sql::Statement::Select(s)) => s,
+            other => panic!("{other:?}"),
+        };
+        let schema = catalog
+            .table_schema("States")
+            .unwrap()
+            .with_qualifier("States");
+        let bound = |b: Option<Value>| b.map_or("..".to_string(), |v| v.to_string());
+        let predicate = stmt.where_clause.expect("a WHERE clause");
+        pick_index_access(&catalog, "States", &schema, predicate.conjuncts())
+            .map(|a| format!("{} {} {}", a.column, bound(a.lo), bound(a.hi)))
+    }
+
+    #[test]
+    fn index_access_intersects_the_bounds_on_one_column() {
+        // Either operand order; the tighter bound wins on each side.
+        assert_eq!(
+            access("Population >= 5 AND Population > 7 AND 20 >= Population AND Population < 30")
+                .as_deref(),
+            Some("Population 7 20")
+        );
+        assert_eq!(
+            access("Population BETWEEN 3 AND 9 AND States.Population = 5").as_deref(),
+            Some("Population 5 5")
+        );
+        assert_eq!(
+            access("-5 < Population").as_deref(),
+            Some("Population -5 ..")
+        );
+        assert_eq!(
+            access("Population <= 2.5").as_deref(),
+            Some("Population .. 2.5")
+        );
+        // A contradiction is a valid, empty, key range.
+        assert_eq!(
+            access("Population > 9 AND Population < 3").as_deref(),
+            Some("Population 9 3")
+        );
+        // Point beats two-sided beats half-open; ties go to the first.
+        assert_eq!(
+            access("Population > 5 AND Name = 'Utah'").as_deref(),
+            Some("Name Utah Utah")
+        );
+        assert_eq!(
+            access("Name >= 'A' AND Population BETWEEN 1 AND 2 AND Name <> 'B'").as_deref(),
+            Some("Population 1 2")
+        );
+        assert_eq!(
+            access("Name >= 'A' AND Population < 2").as_deref(),
+            Some("Name A ..")
+        );
+    }
+
+    #[test]
+    fn index_access_needs_a_fitting_literal_on_an_indexed_column() {
+        for predicate in [
+            "Population = NULL",
+            "Population BETWEEN NULL AND 5",
+            "Population > 'x'",
+            "Name < 5",
+            "Population <> 3",
+            "Population NOT BETWEEN 1 AND 2",
+            "Population + 1 > 3",
+            "Population > Population",
+            "Population > 3 OR Population < 1",
+            "Nope.Population = 3",
+        ] {
+            assert_eq!(access(predicate), None, "{predicate}");
+        }
+        // An unusable conjunct does not spoil a usable one beside it.
+        assert_eq!(
+            access("Population = NULL AND Population > 3").as_deref(),
+            Some("Population 3 ..")
+        );
+        // No index, no access path.
+        let (catalog, _) = setup();
+        let schema = catalog.table_schema("States").unwrap().clone();
+        let eq = Expr::binary(
+            BinOp::Eq,
+            Expr::column("Population"),
+            Expr::Literal(Literal::Int(3)),
+        );
+        assert_eq!(pick_index_access(&catalog, "States", &schema, [&eq]), None);
     }
 
     #[test]

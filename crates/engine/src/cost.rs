@@ -129,6 +129,21 @@ fn selectivity(pred: &Expr) -> f64 {
     }
 }
 
+/// Is `predicate` one of the conjuncts the index scan under this stack of
+/// selections took its key range from? The planner keeps those as filters
+/// above the scan; their selectivity is the scan's own 0.1 and must not be
+/// charged a second time.
+fn charged_by_index_scan(input: &PhysPlan, predicate: &Expr) -> bool {
+    match input {
+        PhysPlan::Filter { input, .. } => charged_by_index_scan(input, predicate),
+        PhysPlan::IndexScan { column, schema, .. } => {
+            crate::builder::column_range(predicate, schema)
+                .is_some_and(|(idx, _, _)| schema.column(idx).name.eq_ignore_ascii_case(column))
+        }
+        _ => false,
+    }
+}
+
 struct Acc {
     rows: f64,
     /// Asynchronous calls (AEVScan → ReqPump; overlap within a wave).
@@ -205,7 +220,9 @@ fn walk(plan: &PhysPlan, tables: &dyn TableSource) -> Acc {
         }
         PhysPlan::Filter { input, predicate } => {
             let mut a = walk(input, tables);
-            a.rows *= selectivity(predicate);
+            if !charged_by_index_scan(input, predicate) {
+                a.rows *= selectivity(predicate);
+            }
             a
         }
         PhysPlan::Project { input, .. } => walk(input, tables),

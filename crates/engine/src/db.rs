@@ -1,6 +1,6 @@
 //! The database driver: file management, DDL/DML, and query execution.
 
-use crate::builder::plan_select;
+use crate::builder::{pick_index_access, plan_select};
 use crate::catalog::Catalog;
 use crate::engines::EngineRegistry;
 use crate::exec::{self, ExecContext, TableSource};
@@ -15,7 +15,7 @@ use wsq_storage::btree::BTree;
 use wsq_storage::buffer::BufferPool;
 use wsq_storage::codec;
 use wsq_storage::disk::{FileStorage, MemStorage, Storage};
-use wsq_storage::heap::HeapFile;
+use wsq_storage::heap::{HeapFile, Rid};
 
 /// Options controlling how SELECTs execute.
 #[derive(Debug, Clone, Copy)]
@@ -398,6 +398,61 @@ impl Database {
         Ok(tuples.len())
     }
 
+    /// The rows of `table` that satisfy `predicate` (every row when
+    /// `None`), with their rids, in heap order — the victims of an UPDATE
+    /// or DELETE.
+    ///
+    /// Access path: [`pick_index_access`] reads the predicate's top-level
+    /// conjuncts exactly as it does for a SELECT; with a usable index the
+    /// candidates are the rids of its key range, otherwise the whole heap.
+    /// Either way **the whole predicate is evaluated on every candidate**
+    /// (the range is only a superset), and the result is collected in full
+    /// before the caller's first write: an UPDATE that moves a row, or its
+    /// key, forward must not meet that row again.
+    fn matching_rows(
+        &self,
+        table: &str,
+        schema: &Schema,
+        predicate: Option<&wsq_sql::ast::Expr>,
+    ) -> Result<Vec<(Rid, Tuple)>> {
+        let heap = self.heap(table)?;
+        let pred = predicate
+            .map(|p| crate::expr::compile(p, schema))
+            .transpose()?;
+        let access =
+            predicate.and_then(|p| pick_index_access(&self.catalog, table, schema, p.conjuncts()));
+        let mut rows = Vec::new();
+        let mut consider = |rid: Rid, bytes: &[u8]| -> Result<()> {
+            let tuple = codec::decode(schema, bytes)?;
+            let hit = match &pred {
+                Some(p) => p.eval_bool(&tuple)?,
+                None => true,
+            };
+            if hit {
+                rows.push((rid, tuple));
+            }
+            Ok(())
+        };
+        match access {
+            Some(access) => {
+                let tree = self.index(table, &access.column).ok_or_else(|| {
+                    WsqError::Catalog(format!("index file for {table}.{} missing", access.column))
+                })?;
+                let rids = exec::index_range_rids(&tree, access.lo.as_ref(), access.hi.as_ref())?;
+                for rid in rids {
+                    consider(rid, &heap.get(rid)?)?;
+                }
+            }
+            None => {
+                for rec in heap.scan() {
+                    let (rid, bytes) = rec?;
+                    consider(rid, &bytes)?;
+                }
+            }
+        }
+        Ok(rows)
+    }
+
     /// Delete rows matching `predicate` (all rows when `None`), returning
     /// the count. Indexes are maintained.
     pub fn delete_rows(
@@ -408,21 +463,7 @@ impl Database {
         let schema = self.catalog.table_schema(table)?.clone();
         let heap = self.heap(table)?;
         let indexes = self.table_indexes(table, &schema)?;
-        let pred = predicate
-            .map(|p| crate::expr::compile(p, &schema))
-            .transpose()?;
-        let mut victims = Vec::new();
-        for rec in heap.scan() {
-            let (rid, bytes) = rec?;
-            let tuple = codec::decode(&schema, &bytes)?;
-            let hit = match &pred {
-                Some(p) => p.eval_bool(&tuple)?,
-                None => true,
-            };
-            if hit {
-                victims.push((rid, tuple));
-            }
-        }
+        let victims = self.matching_rows(table, &schema, predicate)?;
         for (rid, tuple) in &victims {
             heap.delete(*rid)?;
             for (col, tree) in &indexes {
@@ -444,9 +485,6 @@ impl Database {
         let schema = self.catalog.table_schema(table)?.clone();
         let heap = self.heap(table)?;
         let indexes = self.table_indexes(table, &schema)?;
-        let pred = predicate
-            .map(|p| crate::expr::compile(p, &schema))
-            .transpose()?;
         let assignments = sets
             .iter()
             .map(|(col, e)| {
@@ -457,18 +495,7 @@ impl Database {
             })
             .collect::<Result<Vec<_>>>()?;
 
-        let mut victims = Vec::new();
-        for rec in heap.scan() {
-            let (rid, bytes) = rec?;
-            let tuple = codec::decode(&schema, &bytes)?;
-            let hit = match &pred {
-                Some(p) => p.eval_bool(&tuple)?,
-                None => true,
-            };
-            if hit {
-                victims.push((rid, tuple));
-            }
-        }
+        let victims = self.matching_rows(table, &schema, predicate)?;
         let count = victims.len();
         for (rid, old) in victims {
             let mut new = old.clone();

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use wsq_common::{GroupKey, Result, Schema, Tuple, Value, WsqError};
 use wsq_sql::ast::{AggFunc, ColumnRef, Expr, Literal};
 use wsq_storage::codec;
-use wsq_storage::heap::HeapFile;
+use wsq_storage::heap::{HeapFile, Rid};
+use wsq_storage::BTree;
 
 /// Sequential scan of a stored heap file.
 pub struct SeqScanExec {
@@ -54,33 +55,53 @@ impl Executor for SeqScanExec {
     }
 }
 
-/// B+-tree equality lookup: resolve rids through the index, then fetch
-/// the rows from the heap.
+/// The rids `tree` files under the inclusive key range `[lo, hi]`
+/// (`None` = open end), in rid order: the order a sequential scan meets
+/// the rows in, so an index changes no result's order and consecutive
+/// fetches stay on one heap page.
+pub(crate) fn index_range_rids(
+    tree: &BTree,
+    lo: Option<&Value>,
+    hi: Option<&Value>,
+) -> Result<Vec<Rid>> {
+    let (lo, hi) = codec::encode_key_range(lo, hi)?;
+    let mut rids = Vec::new();
+    tree.scan_range(&lo, &hi, |_, rid| rids.push(rid))?;
+    rids.sort_unstable();
+    Ok(rids)
+}
+
+/// B+-tree range scan: resolve the rids of the inclusive key range
+/// through the index, then fetch the rows from the heap in rid order.
 pub struct IndexScanExec {
     heap: Arc<HeapFile>,
-    tree: Arc<wsq_storage::BTree>,
+    tree: Arc<BTree>,
     schema: Schema,
-    key: Vec<u8>,
-    rids: Vec<wsq_storage::Rid>,
+    lo: Option<Value>,
+    hi: Option<Value>,
+    rids: Vec<Rid>,
     pos: usize,
 }
 
 impl IndexScanExec {
-    /// Scan rows of `heap` whose indexed column equals `key`.
+    /// Scan rows of `heap` whose indexed column lies in `[lo, hi]`
+    /// (`None` = open end).
     pub fn new(
         heap: Arc<HeapFile>,
-        tree: Arc<wsq_storage::BTree>,
+        tree: Arc<BTree>,
         schema: Schema,
-        key: Value,
-    ) -> Result<Self> {
-        Ok(IndexScanExec {
+        lo: Option<Value>,
+        hi: Option<Value>,
+    ) -> Self {
+        IndexScanExec {
             heap,
             tree,
             schema,
-            key: wsq_storage::codec::encode_key(&key)?,
+            lo,
+            hi,
             rids: Vec::new(),
             pos: 0,
-        })
+        }
     }
 }
 
@@ -90,16 +111,15 @@ impl Executor for IndexScanExec {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.rids = self.tree.search(&self.key)?;
+        self.rids = index_range_rids(&self.tree, self.lo.as_ref(), self.hi.as_ref())?;
         self.pos = 0;
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.pos >= self.rids.len() {
+        let Some(&rid) = self.rids.get(self.pos) else {
             return Ok(None);
-        }
-        let rid = self.rids[self.pos];
+        };
         self.pos += 1;
         let bytes = self.heap.get(rid)?;
         Ok(Some(codec::decode(&self.schema, &bytes)?))

@@ -1,4 +1,5 @@
-//! Join executors: nested-loop join / cross product, and the dependent
+//! Join executors: nested-loop join / cross product (probing a hash of
+//! the inner side when the predicate has an equi-join key), and the dependent
 //! join that feeds bindings to virtual-table scans through one outer
 //! lookahead queue — one tuple deep on demand, or up to the stamped
 //! prefetch depth with the calls registered ahead of need in one
@@ -8,12 +9,13 @@ use super::external::request_for;
 use super::Executor;
 use crate::expr::{compile, CExpr};
 use crate::plan::{EvBinding, EvSpec, PrefetchHint};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
-use wsq_common::{CallId, Result, Schema, Tuple, Value};
+use wsq_common::{CallId, DataType, GroupKey, Result, Schema, Tuple, Value};
 use wsq_obs::{EventKind, HistogramSnapshot};
 use wsq_pump::ReqPump;
-use wsq_sql::ast::Expr;
+use wsq_sql::ast::{BinOp, Expr};
 
 /// Inner nested-loop join (predicate `None` = cross product).
 ///
@@ -21,14 +23,102 @@ use wsq_sql::ast::Expr;
 /// classic implementation, this has the property §4 wants: any `AEVScan`s
 /// in the inner subtree register *all* their calls up front, maximizing
 /// concurrency.
+///
+/// # Probing
+///
+/// When the predicate has a top-level `outer.col = inner.col` conjunct
+/// whose two columns share a declared type of `INT` or `VARCHAR`, `open`
+/// also buckets the inner tuples by that key (NULL keys left out — `=`
+/// with NULL is false) and `next` pairs each outer tuple with its bucket
+/// only, not with every inner tuple. The hash is a *prefilter*: the whole
+/// predicate is still evaluated on every candidate pair, and rows come out
+/// in the order the plain loop produces them (outer order, then inner
+/// order), so plans, EXPLAIN and results are those of the loop.
+///
+/// The prefilter must never drop a pair [`Value::compare`] calls equal,
+/// and it hashes with [`Value::group_key`], under which `1` and `1.0`
+/// differ. So a run-time key that is not `Int`, `Str` or `Null` — a
+/// `Float` in a column whose declared type was only inferred, a `Pending`
+/// — turns probing off for the rest of that `open` and the loop runs,
+/// errors included. The one observable difference while probing is on: an
+/// error that only a **non-matching** pair would raise (say a type error
+/// in another conjunct) is no longer raised, because that pair is never
+/// formed.
 pub struct NestedLoopJoinExec {
     left: Box<dyn Executor>,
     right: Box<dyn Executor>,
     predicate: Option<CExpr>,
     schema: Schema,
     inner: Vec<Tuple>,
+    /// `(outer offset, inner offset)` of the equi-join key, if the
+    /// predicate has one.
+    equi: Option<(usize, usize)>,
+    /// The inner side bucketed by key; `None` = plain loop.
+    probe: Option<Probe>,
     outer: Option<Tuple>,
-    inner_pos: usize,
+    /// The current outer tuple's remaining candidates: positions in
+    /// `Probe::order` while probing, in `inner` otherwise.
+    candidates: Range<usize>,
+}
+
+/// Inner positions grouped by join key.
+struct Probe {
+    /// Offset of the key in an outer tuple.
+    outer_col: usize,
+    /// Positions into `inner`, key group after key group, in inner order
+    /// within a group.
+    order: Vec<usize>,
+    /// Key → its group's range of `order`.
+    groups: HashMap<GroupKey, Range<usize>>,
+}
+
+/// A run-time join key as the probe sees it.
+enum ProbeKey {
+    /// NULL: equal to nothing.
+    Null,
+    /// Hashes exactly as [`Value::compare`] compares.
+    Key(GroupKey),
+    /// A `Float` (`1.0` equals `1` but hashes apart) or a `Pending`: the
+    /// hash cannot stand in for the comparison.
+    Unhashable,
+}
+
+fn probe_key(v: &Value) -> ProbeKey {
+    match v {
+        Value::Null => ProbeKey::Null,
+        Value::Int(_) | Value::Str(_) => ProbeKey::Key(v.group_key()),
+        Value::Float(_) | Value::Pending(_) => ProbeKey::Unhashable,
+    }
+}
+
+/// The first top-level `outer.col = inner.col` conjunct of `pred` over two
+/// columns of one declared type, INT or VARCHAR: `(outer offset, inner
+/// offset)`. Columns `< left_len` of `schema` are the outer side's.
+fn equi_key(pred: &CExpr, schema: &Schema, left_len: usize) -> Option<(usize, usize)> {
+    match pred {
+        CExpr::Binary {
+            op: BinOp::And,
+            lhs,
+            rhs,
+        } => equi_key(lhs, schema, left_len).or_else(|| equi_key(rhs, schema, left_len)),
+        CExpr::Binary {
+            op: BinOp::Eq,
+            lhs,
+            rhs,
+        } => {
+            let (CExpr::Column(a), CExpr::Column(b)) = (lhs.as_ref(), rhs.as_ref()) else {
+                return None;
+            };
+            let (outer, inner) = (*a.min(b), *a.max(b));
+            let dtype = schema.column(outer).dtype;
+            (outer < left_len
+                && inner >= left_len
+                && dtype != DataType::Float
+                && dtype == schema.column(inner).dtype)
+                .then_some((outer, inner - left_len))
+        }
+        _ => None,
+    }
 }
 
 impl NestedLoopJoinExec {
@@ -41,15 +131,69 @@ impl NestedLoopJoinExec {
     ) -> Result<Self> {
         let schema = left.schema().join(right.schema());
         let predicate = predicate.map(|p| compile(p, &schema)).transpose()?;
+        let equi = predicate
+            .as_ref()
+            .and_then(|p| equi_key(p, &schema, left.schema().len()));
         Ok(NestedLoopJoinExec {
             left,
             right,
             predicate,
             schema,
             inner: Vec::new(),
+            equi,
+            probe: None,
             outer: None,
-            inner_pos: 0,
+            candidates: 0..0,
         })
+    }
+
+    /// Is the probe still in use? (Set at `open`, cleared by a key it
+    /// cannot hash.)
+    #[cfg(test)]
+    pub(super) fn probing(&self) -> bool {
+        self.probe.is_some()
+    }
+
+    /// Bucket the materialized inner side by the equi-join key; `None`
+    /// when there is no such key or one of its values is unhashable.
+    fn build_probe(&self) -> Option<Probe> {
+        let (outer_col, inner_col) = self.equi?;
+        let mut by_key: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+        for (pos, t) in self.inner.iter().enumerate() {
+            match probe_key(t.get(inner_col)) {
+                ProbeKey::Null => {}
+                ProbeKey::Key(key) => by_key.entry(key).or_default().push(pos),
+                ProbeKey::Unhashable => return None,
+            }
+        }
+        let mut order = Vec::with_capacity(self.inner.len());
+        let groups = by_key
+            .into_iter()
+            .map(|(key, positions)| {
+                let start = order.len();
+                order.extend(positions);
+                (key, start..order.len())
+            })
+            .collect();
+        Some(Probe {
+            outer_col,
+            order,
+            groups,
+        })
+    }
+
+    /// The candidates for a fresh outer tuple: its key's bucket, or the
+    /// whole inner side when there is no probe — or when this tuple's key
+    /// ends probing.
+    fn candidates_for(&mut self, outer: &Tuple) -> Range<usize> {
+        if let Some(probe) = &self.probe {
+            match probe_key(outer.get(probe.outer_col)) {
+                ProbeKey::Null => return 0..0,
+                ProbeKey::Key(key) => return probe.groups.get(&key).cloned().unwrap_or(0..0),
+                ProbeKey::Unhashable => self.probe = None,
+            }
+        }
+        0..self.inner.len()
     }
 }
 
@@ -65,9 +209,10 @@ impl Executor for NestedLoopJoinExec {
             self.inner.push(t);
         }
         self.right.close()?;
+        self.probe = self.build_probe();
         self.left.open()?;
         self.outer = None;
-        self.inner_pos = 0;
+        self.candidates = 0..0;
         Ok(())
     }
 
@@ -75,17 +220,20 @@ impl Executor for NestedLoopJoinExec {
         loop {
             let outer = match self.outer.take() {
                 Some(t) => t,
-                None => {
-                    self.inner_pos = 0;
-                    match self.left.next()? {
-                        Some(t) => t,
-                        None => return Ok(None),
+                None => match self.left.next()? {
+                    Some(t) => {
+                        self.candidates = self.candidates_for(&t);
+                        t
                     }
-                }
+                    None => return Ok(None),
+                },
             };
-            while self.inner_pos < self.inner.len() {
-                let joined = outer.join(&self.inner[self.inner_pos]);
-                self.inner_pos += 1;
+            for i in self.candidates.by_ref() {
+                let pos = match &self.probe {
+                    Some(probe) => probe.order[i],
+                    None => i,
+                };
+                let joined = outer.join(&self.inner[pos]);
                 let keep = match &self.predicate {
                     Some(p) => p.eval_bool(&joined)?,
                     None => true,

@@ -10,6 +10,7 @@ mod rerank;
 #[cfg(test)]
 mod tests;
 
+pub(crate) use basic::index_range_rids;
 pub use basic::{
     AggregateExec, DistinctExec, FilterExec, IndexScanExec, LimitExec, ProjectExec, SeqScanExec,
     SortExec, ValuesExec,
@@ -129,7 +130,8 @@ fn build_node(
             table,
             alias,
             column,
-            key,
+            lo,
+            hi,
             ..
         } => {
             let (heap, schema) = ctx.tables.table(table)?;
@@ -141,8 +143,9 @@ fn build_node(
                 heap,
                 tree,
                 schema.with_qualifier(alias),
-                key.clone(),
-            )?))
+                lo.clone(),
+                hi.clone(),
+            )))
         }
         PhysPlan::Values { schema, rows } => Ok(Box::new(ValuesExec::new(
             schema.clone(),

@@ -239,6 +239,146 @@ fn nested_loop_join_and_reopen() {
     assert_eq!(collect(&mut cp).unwrap().len(), 2);
 }
 
+/// Probe vs loop: `NestedLoopJoinExec` must return exactly what the plain
+/// double loop returns — same rows, same order (outer, then inner) —
+/// whether or not it probes, and must probe only when its hash cannot
+/// disagree with `Value::compare`.
+#[test]
+fn nested_loop_join_matches_the_brute_force_double_loop() {
+    // Deterministic pseudo-random picks from a small domain: duplicates
+    // and NULLs on both sides.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut pick = move |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let mut column = |dtype: DataType, n: usize| -> Vec<Value> {
+        (0..n)
+            .map(|_| match (pick(6), dtype) {
+                (0, _) => Value::Null,
+                (k, DataType::Int) => Value::Int(k as i64),
+                (k, DataType::Float) => Value::Float(k as f64),
+                (k, DataType::Varchar) => Value::from(format!("k{k}")),
+            })
+            .collect()
+    };
+    let two_cols = |q: &str, dtype: DataType| {
+        Schema::new(vec![
+            Column::qualified(q, "k", dtype),
+            Column::qualified(q, "v", DataType::Int),
+        ])
+    };
+    let eq = Expr::binary(
+        BinOp::Eq,
+        Expr::qualified("l", "k"),
+        Expr::qualified("r", "k"),
+    );
+    let residual = Expr::binary(
+        BinOp::Lt,
+        Expr::qualified("l", "v"),
+        Expr::qualified("r", "v"),
+    );
+    let flipped_and_residual = Expr::binary(
+        BinOp::And,
+        residual.clone(),
+        Expr::binary(
+            BinOp::Eq,
+            Expr::qualified("r", "k"),
+            Expr::qualified("l", "k"),
+        ),
+    );
+    let theta = Expr::binary(
+        BinOp::Lt,
+        Expr::qualified("l", "k"),
+        Expr::qualified("r", "k"),
+    );
+
+    use DataType::{Float, Int, Varchar};
+    // (outer key type, inner key type, predicate, probes?)
+    let shapes: Vec<(DataType, DataType, Option<&Expr>, bool)> = vec![
+        (Int, Int, Some(&eq), true),
+        (Varchar, Varchar, Some(&eq), true),
+        (Int, Int, Some(&flipped_and_residual), true),
+        (Varchar, Varchar, Some(&flipped_and_residual), true),
+        (Int, Int, Some(&theta), false),
+        (Int, Int, Some(&residual), false),
+        (Int, Int, None, false),
+        // `1 = 1.0` is true but hashes apart: FLOAT on either side loops.
+        (Int, Float, Some(&eq), false),
+        (Float, Int, Some(&eq), false),
+        (Float, Float, Some(&eq), false),
+    ];
+    for (ldt, rdt, pred, probes) in shapes {
+        let (lschema, rschema) = (two_cols("l", ldt), two_cols("r", rdt));
+        let table = |keys: Vec<Value>, vals: Vec<Value>| -> Vec<Vec<Value>> {
+            keys.into_iter()
+                .zip(vals)
+                .map(|(k, v)| vec![k, v])
+                .collect()
+        };
+        let left = table(column(ldt, 37), column(Int, 37));
+        let right = table(column(rdt, 41), column(Int, 41));
+        let probed = check_against_double_loop(&lschema, &left, &rschema, &right, pred);
+        assert_eq!(probed, probes, "{ldt} = {rdt} under {pred:?}");
+    }
+
+    // A FLOAT value in an INT-declared column (a projection's inferred
+    // type can be wrong): found on the inner side at `open`, on the outer
+    // side mid-stream. Either way the loop takes over and `1 = 1.0` holds.
+    let (lschema, rschema) = (two_cols("l", Int), two_cols("r", Int));
+    let ints = |ks: &[i64]| -> Vec<Vec<Value>> {
+        ks.iter()
+            .map(|k| vec![Value::Int(*k), Value::Int(*k)])
+            .collect()
+    };
+    let mut with_float = ints(&[1, 2, 1, 3]);
+    with_float.insert(2, vec![Value::Float(1.0), Value::Int(9)]);
+    for (left, right) in [
+        (ints(&[1, 1, 2, 4]), with_float.clone()),
+        (with_float, ints(&[1, 1, 2, 4])),
+    ] {
+        let probed = check_against_double_loop(&lschema, &left, &rschema, &right, Some(&eq));
+        assert!(!probed, "a Float key must end probing");
+    }
+}
+
+/// Run `NestedLoopJoinExec` over the two tables (twice: a join is
+/// re-opened when nested) and assert it returns the double loop's rows in
+/// the double loop's order. Returns whether it was still probing at the
+/// end.
+fn check_against_double_loop(
+    lschema: &Schema,
+    left: &[Vec<Value>],
+    rschema: &Schema,
+    right: &[Vec<Value>],
+    pred: Option<&Expr>,
+) -> bool {
+    let joined = lschema.join(rschema);
+    let compiled = pred.map(|p| crate::expr::compile(p, &joined).unwrap());
+    let mut want = Vec::new();
+    for l in left {
+        for r in right {
+            let t = Tuple::new(l.iter().chain(r).cloned().collect());
+            if compiled.as_ref().is_none_or(|p| p.eval_bool(&t).unwrap()) {
+                want.push(t);
+            }
+        }
+    }
+    let mut join = NestedLoopJoinExec::new(
+        rows(lschema.clone(), left.to_vec()),
+        rows(rschema.clone(), right.to_vec()),
+        pred,
+    )
+    .unwrap();
+    for _ in 0..2 {
+        let got = collect(&mut join).unwrap();
+        assert_eq!(got, want, "{pred:?} over {lschema:?} x {rschema:?}");
+    }
+    join.probing()
+}
+
 /// A scripted search service for ReqSync semantics tests.
 struct Scripted;
 

@@ -302,7 +302,15 @@ pub enum PhysPlan {
         /// Output schema (already qualified).
         schema: Schema,
     },
-    /// B+-tree equality lookup on an indexed column.
+    /// B+-tree scan of one indexed column over an inclusive key range.
+    ///
+    /// *The index narrows, the filter decides*: the scan returns a
+    /// **superset** of the rows the conjuncts it was chosen from accept,
+    /// and those conjuncts stay as [`PhysPlan::Filter`] nodes above it
+    /// (see `builder::pick_index_access`). That is what lets one inclusive
+    /// range stand for `<` and `>`, for an open end, and for keys the
+    /// index encodes lossily (integers beyond 2^53) without the scan ever
+    /// changing a query's answer.
     IndexScan {
         /// Stored table name.
         table: String,
@@ -310,8 +318,11 @@ pub enum PhysPlan {
         alias: String,
         /// Indexed column.
         column: String,
-        /// Equality key.
-        key: Value,
+        /// Inclusive lower bound (`None` = from the first key). Equality
+        /// is `lo == hi`.
+        lo: Option<Value>,
+        /// Inclusive upper bound (`None` = to the last key).
+        hi: Option<Value>,
         /// Output schema (already qualified).
         schema: Schema,
     },
@@ -585,7 +596,8 @@ impl PhysPlan {
                 table,
                 alias,
                 column,
-                key,
+                lo,
+                hi,
                 ..
             } => {
                 let alias_part = if table.eq_ignore_ascii_case(alias) {
@@ -593,9 +605,16 @@ impl PhysPlan {
                 } else {
                     format!(" AS {alias}")
                 };
-                out.push_str(&format!(
-                    "{pad}IndexScan: {table}{alias_part} ({column} = '{key}')\n"
-                ));
+                let range = match (lo, hi) {
+                    (Some(lo), Some(hi)) if lo == hi => format!("{column} = '{lo}'"),
+                    (Some(lo), Some(hi)) => {
+                        format!("{} <= {column} <= {}", bound_text(lo), bound_text(hi))
+                    }
+                    (Some(lo), None) => format!("{column} >= {}", bound_text(lo)),
+                    (None, Some(hi)) => format!("{column} <= {}", bound_text(hi)),
+                    (None, None) => format!("{column}: every key"),
+                };
+                out.push_str(&format!("{pad}IndexScan: {table}{alias_part} ({range})\n"));
             }
             PhysPlan::Values { rows, .. } => {
                 out.push_str(&format!("{pad}Values: {} row(s)\n", rows.len()));
@@ -695,6 +714,14 @@ impl PhysPlan {
                 input.fmt_tree(out, depth + 1);
             }
         }
+    }
+}
+
+/// A range bound as EXPLAIN prints it: strings quoted, numbers bare.
+fn bound_text(v: &Value) -> String {
+    match v {
+        Value::Str(s) => format!("'{s}'"),
+        other => other.to_string(),
     }
 }
 
@@ -874,6 +901,32 @@ mod tests {
     }
 
     #[test]
+    fn index_scan_displays_its_key_range() {
+        let scan = |lo: Option<Value>, hi: Option<Value>| {
+            PhysPlan::IndexScan {
+                table: "Orders".into(),
+                alias: "o".into(),
+                column: "Id".into(),
+                lo,
+                hi,
+                schema: Schema::empty(),
+            }
+            .display()
+        };
+        let int = |i| Some(Value::Int(i));
+        assert_eq!(scan(int(5), int(5)), "IndexScan: Orders AS o (Id = '5')\n");
+        assert_eq!(
+            scan(int(100), int(299)),
+            "IndexScan: Orders AS o (100 <= Id <= 299)\n"
+        );
+        assert_eq!(scan(int(100), None), "IndexScan: Orders AS o (Id >= 100)\n");
+        assert_eq!(
+            scan(None, Some(Value::from("m"))),
+            "IndexScan: Orders AS o (Id <= 'm')\n"
+        );
+    }
+
+    #[test]
     fn schema_of_joins_concatenates() {
         let left = PhysPlan::SeqScan {
             table: "A".into(),
@@ -907,7 +960,8 @@ mod tests {
                 table: "A".into(),
                 alias: "A".into(),
                 column: "x".into(),
-                key: Value::Int(1),
+                lo: Some(Value::Int(1)),
+                hi: Some(Value::Int(1)),
                 schema: schema.clone(),
             }),
         };

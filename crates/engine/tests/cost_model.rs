@@ -260,3 +260,38 @@ fn model_ranking_matches_measured_ranking() {
         sync_measured
     );
 }
+
+/// The conjuncts an index scan's key range was read from stay in the plan
+/// as filters; the model charges them once — the scan's own 0.1 — however
+/// many of them there are, and still charges every other conjunct.
+#[test]
+fn an_index_scans_own_conjuncts_are_charged_once() {
+    let (mut db, engines, _pump) = setup();
+    db.create_index("States", "Population").unwrap();
+    let rows = |sql: &str| {
+        db.estimate_query(
+            sql,
+            &engines,
+            QueryOptions::default(),
+            &CostParams::default(),
+        )
+        .unwrap()
+        .rows
+    };
+    let point = rows("SELECT Name FROM States WHERE Population = 5");
+    assert_eq!(point, 5.0, "50 states x the index scan's 0.1");
+    assert_eq!(
+        rows("SELECT Name FROM States WHERE Population >= 5 AND Population < 9000000"),
+        point
+    );
+    assert_eq!(
+        rows("SELECT Name FROM States WHERE Population >= 5 AND Name = 'Utah'"),
+        point * 0.1,
+        "a conjunct on another column is still charged"
+    );
+    // A shape the range was not read from is charged even on the key.
+    assert_eq!(
+        rows("SELECT Name FROM States WHERE Population >= 5 AND Population <> 7"),
+        point * 0.9
+    );
+}

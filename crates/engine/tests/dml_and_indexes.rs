@@ -125,14 +125,50 @@ fn index_scan_is_chosen_and_correct() {
             opts,
         )
         .unwrap();
+    // The index narrows, the filter decides: the conjunct the range was
+    // read from stays above the scan.
     assert!(
-        plan.contains("IndexScan: People (City = 'Denver')"),
+        plan.contains("  Select: (City = 'Denver')\n    IndexScan: People (City = 'Denver')\n"),
         "{plan}"
     );
 
     let mut names = t.rows("SELECT Name FROM People WHERE City = 'Denver'");
     names.sort();
     assert_eq!(names, vec!["<Ann>", "<Cy>", "<Eli>"]);
+
+    // Range conjuncts on the indexed column, in either operand order,
+    // intersect into one inclusive key range; `<` stays exact through its
+    // residual filter.
+    let sql = "SELECT Name FROM People WHERE City >= 'B' AND 'D' > City AND Age > 30";
+    let plan = t.db.explain(sql, &t.engines, opts).unwrap();
+    assert!(
+        plan.contains(
+            "  Select: (Age > 30)\n    Select: ('D' > City)\n      Select: (City >= 'B')\n        \
+             IndexScan: People ('B' <= City <= 'D')\n"
+        ),
+        "{plan}"
+    );
+    assert_eq!(t.rows(sql), vec!["<Bob>"]);
+    let plan =
+        t.db.explain("SELECT Name FROM People WHERE City > 'C'", &t.engines, opts)
+            .unwrap();
+    assert!(plan.contains("IndexScan: People (City >= 'C')"), "{plan}");
+    let sql = "SELECT Name FROM People WHERE City BETWEEN 'Austin' AND 'Boston' ORDER BY Name";
+    let plan = t.db.explain(sql, &t.engines, opts).unwrap();
+    assert!(
+        plan.contains("IndexScan: People ('Austin' <= City <= 'Boston')"),
+        "{plan}"
+    );
+    assert_eq!(t.rows(sql), vec!["<Bob>", "<Dee>"]);
+    // A literal of the wrong type class orders by type, not by key, and a
+    // NULL matches nothing: neither can narrow the scan.
+    for sql in [
+        "SELECT Name FROM People WHERE City > 5",
+        "SELECT Name FROM People WHERE City = NULL",
+    ] {
+        let plan = t.db.explain(sql, &t.engines, opts).unwrap();
+        assert!(!plan.contains("IndexScan"), "{sql}: {plan}");
+    }
 
     // Non-indexed predicates still use a sequential scan.
     let plan =
@@ -358,4 +394,114 @@ fn index_on_join_column_used_in_wsq_query() {
         .unwrap();
     assert!(plan.contains("IndexScan"), "{plan}");
     assert!(plan.contains("AEVScan"));
+}
+
+/// `=` with NULL is false for every row — the row whose key *is* NULL
+/// included, although the index files it under a NULL key.
+#[test]
+fn null_literal_matches_nothing_through_an_index() {
+    let mut t = h();
+    t.run(
+        "CREATE TABLE T (Id INT, V INT);\
+         INSERT INTO T VALUES (NULL, 1), (5, 2), (NULL, 3);\
+         CREATE INDEX ON T (Id)",
+    );
+    assert!(t.rows("SELECT V FROM T WHERE Id = NULL").is_empty());
+    assert!(t.rows("SELECT V FROM T WHERE Id <= NULL").is_empty());
+    assert!(t
+        .rows("SELECT V FROM T WHERE Id BETWEEN NULL AND 9")
+        .is_empty());
+    assert_eq!(t.affected("UPDATE T SET V = 0 WHERE Id = NULL"), 0);
+    assert_eq!(t.affected("DELETE FROM T WHERE Id = NULL"), 0);
+    // An open-ended range starts below the NULL keys; the filter drops them.
+    assert_eq!(t.rows("SELECT V FROM T WHERE Id < 9"), vec!["<2>"]);
+    assert_eq!(t.affected("DELETE FROM T WHERE Id < 9"), 1);
+    assert_eq!(t.rows("SELECT V FROM T ORDER BY V"), vec!["<1>", "<3>"]);
+}
+
+/// Index keys go through `f64`, so 2^53 and 2^53 + 1 share one: the key
+/// range finds both, the kept filter tells them apart.
+#[test]
+fn lossy_index_keys_do_not_widen_a_match() {
+    let mut t = h();
+    t.run(
+        "CREATE TABLE T (Id INT, V INT);\
+         INSERT INTO T VALUES (9007199254740992, 1), (9007199254740993, 2), (9007199254740994, 3);\
+         CREATE INDEX ON T (Id)",
+    );
+    let plan =
+        t.db.explain(
+            "SELECT V FROM T WHERE Id = 9007199254740993",
+            &t.engines,
+            QueryOptions::default(),
+        )
+        .unwrap();
+    assert!(plan.contains("IndexScan"), "{plan}");
+    assert_eq!(
+        t.rows("SELECT V FROM T WHERE Id = 9007199254740993"),
+        vec!["<2>"]
+    );
+    assert_eq!(
+        t.rows("SELECT V FROM T WHERE Id > 9007199254740992 ORDER BY V"),
+        vec!["<2>", "<3>"]
+    );
+    assert_eq!(
+        t.affected("UPDATE T SET V = 20 WHERE Id = 9007199254740993"),
+        1
+    );
+    assert_eq!(t.affected("DELETE FROM T WHERE Id = 9007199254740992"), 1);
+    assert_eq!(t.rows("SELECT V FROM T ORDER BY V"), vec!["<3>", "<20>"]);
+    // The survivor that shared the deleted row's key is still indexed.
+    assert_eq!(
+        t.rows("SELECT V FROM T WHERE Id = 9007199254740993"),
+        vec!["<20>"]
+    );
+}
+
+/// Page requests (pool hits + misses) one statement makes.
+fn pages_requested(t: &mut H, sql: &str) -> u64 {
+    let before = t.db.pool_stats();
+    t.run(sql);
+    let after = t.db.pool_stats();
+    (after.hits + after.misses) - (before.hits + before.misses)
+}
+
+/// Deterministic guard on the access path itself: on a 20 000-row table
+/// (about 300 heap pages) a statement that names a key must cost a descent
+/// and a row, not the table. Counts, not times.
+#[test]
+fn keyed_statements_touch_a_handful_of_pages() {
+    let mut t = h();
+    t.run("CREATE TABLE Orders (Id INT, Cust INT, Note VARCHAR(40))");
+    for chunk in (0..20_000).collect::<Vec<i64>>().chunks(500) {
+        let values: Vec<String> = chunk
+            .iter()
+            .map(|id| format!("({id}, {}, 'note {id} on the order')", id % 500))
+            .collect();
+        t.run(&format!("INSERT INTO Orders VALUES {}", values.join(",")));
+    }
+    t.run("CREATE INDEX ON Orders (Id)");
+
+    let update = pages_requested(&mut t, "UPDATE Orders SET Cust = 1 WHERE Id = 12345");
+    let delete = pages_requested(&mut t, "DELETE FROM Orders WHERE Id = 12346");
+    let range = pages_requested(
+        &mut t,
+        "SELECT Cust, COUNT(*) FROM Orders WHERE Id >= 4000 AND Id < 4200 GROUP BY Cust",
+    );
+    assert!(update < 20, "UPDATE by key requested {update} pages");
+    assert!(delete < 20, "DELETE by key requested {delete} pages");
+    assert!(range < 250, "200-id range SELECT requested {range} pages");
+    // Without a usable key the same statements still scan.
+    let scan = pages_requested(&mut t, "UPDATE Orders SET Cust = 2 WHERE Cust = 499");
+    assert!(
+        scan > 250,
+        "an unindexed UPDATE requested only {scan} pages"
+    );
+    assert_eq!(
+        t.rows("SELECT Cust FROM Orders WHERE Id = 12345"),
+        vec!["<1>"]
+    );
+    assert!(t
+        .rows("SELECT Cust FROM Orders WHERE Id = 12346")
+        .is_empty());
 }

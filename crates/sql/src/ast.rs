@@ -428,6 +428,23 @@ impl Expr {
         }
     }
 
+    /// [`Expr::split_conjuncts`] by reference, in the same left-to-right
+    /// order.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Binary {
+                op: BinOp::And,
+                lhs,
+                rhs,
+            } => {
+                let mut out = lhs.conjuncts();
+                out.extend(rhs.conjuncts());
+                out
+            }
+            other => vec![other],
+        }
+    }
+
     /// Re-join conjuncts into one expression (`None` if the slice is empty).
     pub fn join_conjuncts(mut exprs: Vec<Expr>) -> Option<Expr> {
         let first = if exprs.is_empty() {
@@ -639,6 +656,7 @@ mod tests {
         );
         let parts = e.clone().split_conjuncts();
         assert_eq!(parts.len(), 3);
+        assert_eq!(e.conjuncts(), parts.iter().collect::<Vec<_>>());
         let joined = Expr::join_conjuncts(parts).unwrap();
         assert_eq!(joined, e);
         assert_eq!(Expr::join_conjuncts(vec![]), None);
@@ -647,6 +665,7 @@ mod tests {
     #[test]
     fn or_is_not_split() {
         let e = Expr::binary(BinOp::Or, Expr::column("a"), Expr::column("b"));
+        assert_eq!(e.conjuncts(), vec![&e]);
         assert_eq!(e.clone().split_conjuncts(), vec![e]);
     }
 

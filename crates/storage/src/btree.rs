@@ -65,8 +65,61 @@ impl Cell {
     }
 }
 
-/// Decoded node contents (nodes are small; decoding to a Vec keeps the
-/// mutation logic simple and safe).
+/// A node page read in place: the read paths compare a handful of keys
+/// per page, so they borrow them from the page bytes instead of decoding
+/// every cell into an owned [`Node`].
+#[derive(Clone, Copy)]
+struct NodeRef<'a>(&'a [u8]);
+
+impl<'a> NodeRef<'a> {
+    fn is_leaf(self) -> bool {
+        self.0[0] == KIND_LEAF
+    }
+
+    /// Leaf: the next leaf (0 = none). Internal: the leftmost child.
+    fn link(self) -> u32 {
+        read_u32(self.0, 3)
+    }
+
+    /// The cells in stored order as `(key, rid)`, keys borrowed from the
+    /// page; an internal cell's right child is `rid.page`.
+    fn cells(self) -> impl Iterator<Item = (&'a [u8], Rid)> {
+        let d = self.0;
+        let leaf = self.is_leaf();
+        let mut at = HDR;
+        (0..read_u16(d, 1)).map(move |_| {
+            let klen = read_u16(d, at) as usize;
+            let key = &d[at + 2..at + 2 + klen];
+            at += 2 + klen;
+            let page = PageId(read_u32(d, at));
+            let slot = if leaf { read_u16(d, at + 4) } else { 0 };
+            at += if leaf { 6 } else { 4 };
+            (
+                key,
+                Rid {
+                    page,
+                    slot: SlotId(slot),
+                },
+            )
+        })
+    }
+
+    /// The leftmost child of an internal node that can hold `key`: the
+    /// right child of the last cell whose key is below it, else `link`.
+    fn child_for(self, key: &[u8]) -> u32 {
+        let mut child = self.link();
+        for (k, r) in self.cells() {
+            if k >= key {
+                break;
+            }
+            child = r.page.0;
+        }
+        child
+    }
+}
+
+/// Decoded node contents, for the paths that mutate a node (nodes are
+/// small; editing a Vec keeps the insert/split logic simple and safe).
 #[derive(Debug)]
 struct Node {
     leaf: bool,
@@ -76,35 +129,18 @@ struct Node {
 
 impl Node {
     fn decode(d: &[u8]) -> Node {
-        let leaf = d[0] == KIND_LEAF;
-        let nkeys = read_u16(d, 1) as usize;
-        let link = read_u32(d, 3);
-        let mut cells = Vec::with_capacity(nkeys);
-        let mut at = HDR;
-        for _ in 0..nkeys {
-            let klen = read_u16(d, at) as usize;
-            at += 2;
-            let key = d[at..at + klen].to_vec();
-            at += klen;
-            let rid = if leaf {
-                let page = read_u32(d, at);
-                let slot = read_u16(d, at + 4);
-                at += 6;
-                Rid {
-                    page: PageId(page),
-                    slot: SlotId(slot),
-                }
-            } else {
-                let child = read_u32(d, at);
-                at += 4;
-                Rid {
-                    page: PageId(child),
-                    slot: SlotId(0),
-                }
-            };
-            cells.push(Cell { key, rid });
+        let page = NodeRef(d);
+        Node {
+            leaf: page.is_leaf(),
+            link: page.link(),
+            cells: page
+                .cells()
+                .map(|(key, rid)| Cell {
+                    key: key.to_vec(),
+                    rid,
+                })
+                .collect(),
         }
-        Node { leaf, link, cells }
     }
 
     fn encode(&self, d: &mut [u8]) {
@@ -240,24 +276,28 @@ impl BTree {
                 max_key_len()
             )));
         }
-        // Descend to the target leaf, remembering the path.
-        let mut path: Vec<u32> = Vec::new();
+        // Descend to the target leaf, remembering the path: each internal
+        // page with the cell index at which a separator for a split of
+        // the child taken belongs (right after that child's own cell).
+        // Finding that index again by key would put a separator equal to
+        // its neighbours — duplicates spanning leaves — on the wrong side
+        // of them.
+        let mut path: Vec<(u32, usize)> = Vec::new();
         let mut page = self.root()?;
-        loop {
+        let mut node = loop {
             let node = self.load(page)?;
             if node.leaf {
-                break;
+                break node;
             }
-            path.push(page);
             let idx = node.lower_bound(key, Some(rid));
+            path.push((page, idx));
             page = if idx == 0 {
                 node.link
             } else {
                 node.cells[idx - 1].rid.page.0
             };
-        }
+        };
 
-        let mut node = self.load(page)?;
         let pos = node.lower_bound(key, Some(rid));
         if node
             .cells
@@ -283,9 +323,8 @@ impl BTree {
 
         while let Some((sep, right)) = split.take() {
             match path.pop() {
-                Some(parent_page) => {
+                Some((parent_page, idx)) => {
                     let mut parent = self.load(parent_page)?;
-                    let idx = parent.lower_bound(&sep, None);
                     parent.cells.insert(
                         idx,
                         Cell {
@@ -364,95 +403,104 @@ impl BTree {
         Ok(out)
     }
 
-    /// Visit every entry with `low <= key <= high` in key order.
-    pub fn scan_range(
-        &self,
-        low: &[u8],
-        high: &[u8],
-        mut visit: impl FnMut(&[u8], Rid),
-    ) -> Result<()> {
-        // Descend to the leaf that could contain `low`.
+    /// Descend from the root to the leftmost leaf that can hold `key`
+    /// (duplicates of a key may continue into the leaves after it).
+    fn find_leaf(&self, key: &[u8]) -> Result<u32> {
         let mut page = self.root()?;
         loop {
-            let node = self.load(page)?;
-            if node.leaf {
-                break;
+            let child = self.pool.with_page(self.file, PageId(page), |d| {
+                let node = NodeRef(d);
+                (!node.is_leaf()).then(|| node.child_for(key))
+            })?;
+            match child {
+                Some(child) => page = child,
+                None => return Ok(page),
             }
-            let idx = node.lower_bound(low, None);
-            page = if idx == 0 {
-                node.link
-            } else {
-                node.cells[idx - 1].rid.page.0
-            };
-        }
-        loop {
-            let node = self.load(page)?;
-            for c in &node.cells {
-                if c.key.as_slice() > high {
-                    return Ok(());
-                }
-                if c.key.as_slice() >= low {
-                    visit(&c.key, c.rid);
-                }
-            }
-            if node.link == 0 {
-                return Ok(());
-            }
-            page = node.link;
         }
     }
 
+    /// Walk the leaf chain from `page`, visiting every entry with
+    /// `low <= key` and, when `high` is given, `key <= high`; stops at the
+    /// first key above `high`. Each leaf's matches are copied out under
+    /// the pool lock and visited after it is released.
+    fn scan_leaves(
+        &self,
+        mut page: u32,
+        low: &[u8],
+        high: Option<&[u8]>,
+        mut visit: impl FnMut(&[u8], Rid),
+    ) -> Result<()> {
+        // One leaf's matching keys, back to back, and `(key end, rid)`.
+        let mut keys: Vec<u8> = Vec::new();
+        let mut hits: Vec<(usize, Rid)> = Vec::new();
+        while page != 0 {
+            keys.clear();
+            hits.clear();
+            page = self.pool.with_page(self.file, PageId(page), |d| {
+                let node = NodeRef(d);
+                for (key, rid) in node.cells() {
+                    if high.is_some_and(|high| key > high) {
+                        return 0;
+                    }
+                    if key >= low {
+                        keys.extend_from_slice(key);
+                        hits.push((keys.len(), rid));
+                    }
+                }
+                node.link()
+            })?;
+            let mut start = 0;
+            for &(end, rid) in &hits {
+                visit(&keys[start..end], rid);
+                start = end;
+            }
+        }
+        Ok(())
+    }
+
+    /// Visit every entry with `low <= key <= high` in key order.
+    pub fn scan_range(&self, low: &[u8], high: &[u8], visit: impl FnMut(&[u8], Rid)) -> Result<()> {
+        self.scan_leaves(self.find_leaf(low)?, low, Some(high), visit)
+    }
+
     /// Visit every entry in key order.
-    pub fn scan_all(&self, mut visit: impl FnMut(&[u8], Rid)) -> Result<()> {
-        let mut page = self.root()?;
-        loop {
-            let node = self.load(page)?;
-            if node.leaf {
-                break;
-            }
-            page = node.link;
-        }
-        loop {
-            let node = self.load(page)?;
-            for c in &node.cells {
-                visit(&c.key, c.rid);
-            }
-            if node.link == 0 {
-                return Ok(());
-            }
-            page = node.link;
-        }
+    pub fn scan_all(&self, visit: impl FnMut(&[u8], Rid)) -> Result<()> {
+        self.scan_leaves(self.find_leaf(&[])?, &[], None, visit)
     }
 
     /// Remove the entry `(key, rid)`. Returns whether it existed. Lazy:
     /// no rebalancing.
     pub fn delete(&self, key: &[u8], rid: Rid) -> Result<bool> {
-        let mut page = self.root()?;
-        loop {
-            let node = self.load(page)?;
-            if node.leaf {
-                break;
+        // Separators carry no rid, so duplicates of `key` that span
+        // several leaves are not routable by `(key, rid)`: follow the
+        // chain from the leftmost leaf that can hold `key`.
+        let mut page = self.find_leaf(key)?;
+        while page != 0 {
+            // `Ok(pos)`: found in this leaf. `Err(next)`: look there (0 =
+            // a larger key was met, or the chain ended).
+            let found = self.pool.with_page(self.file, PageId(page), |d| {
+                let node = NodeRef(d);
+                for (pos, (k, r)) in node.cells().enumerate() {
+                    match k.cmp(key) {
+                        std::cmp::Ordering::Less => {}
+                        std::cmp::Ordering::Equal if r == rid => return Ok(pos),
+                        std::cmp::Ordering::Equal => {}
+                        std::cmp::Ordering::Greater => return Err(0),
+                    }
+                }
+                Err(node.link())
+            })?;
+            match found {
+                Ok(pos) => {
+                    let mut node = self.load(page)?;
+                    node.cells.remove(pos);
+                    self.store(page, &node)?;
+                    return Ok(true);
+                }
+                Err(next) => page = next,
             }
-            let idx = node.lower_bound(key, Some(rid));
-            page = if idx == 0 {
-                node.link
-            } else {
-                node.cells[idx - 1].rid.page.0
-            };
         }
-        let mut node = self.load(page)?;
-        let pos = node.lower_bound(key, Some(rid));
-        if node
-            .cells
-            .get(pos)
-            .is_some_and(|c| c.key == key && c.rid == rid)
-        {
-            node.cells.remove(pos);
-            self.store(page, &node)?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        Ok(false)
     }
 
     /// Number of entries (full scan; for tests and stats).
@@ -602,6 +650,26 @@ mod tests {
         assert!(!t.delete(b"same", rid(25)).unwrap());
         assert_eq!(t.search(b"same").unwrap().len(), 49);
         assert!(!t.delete(b"other", rid(1)).unwrap());
+    }
+
+    /// Separators carry no rid, so a duplicate that a split left in a
+    /// right-hand leaf is not routable by `(key, rid)`: delete must walk
+    /// the chain from the leftmost leaf holding the key.
+    #[test]
+    fn delete_finds_duplicates_that_straddle_leaves() {
+        let t = tree();
+        let n = 3000u32;
+        for i in 0..n {
+            t.insert(b"same", rid(i)).unwrap();
+        }
+        t.insert(b"other", rid(n)).unwrap();
+        assert!(t.height().unwrap() >= 2, "duplicates should span leaves");
+        for i in 0..n {
+            assert!(t.delete(b"same", rid(i)).unwrap(), "entry {i}");
+        }
+        assert!(!t.delete(b"same", rid(0)).unwrap());
+        assert_eq!(t.search(b"other").unwrap(), vec![rid(n)]);
+        assert_eq!(t.len().unwrap(), 1);
     }
 
     #[test]

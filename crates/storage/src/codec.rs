@@ -118,11 +118,12 @@ pub fn decode(schema: &Schema, bytes: &[u8]) -> Result<Tuple> {
 /// * Type tag first (NULL < numbers < strings, as in `Value::compare`).
 /// * Integers: offset-binary (sign bit flipped), big-endian.
 /// * Floats: IEEE-754 total-order trick (flip all bits for negatives, flip
-///   the sign bit for positives), big-endian. Ints and floats encode under
-///   the same numeric tag via the float path so `2` and `2.5` order
-///   correctly against each other (index keys come from one declared
-///   column type, so the f64 round-trip through `i64` is exact for the
-///   values a column realistically holds; see `encode_key` tests).
+///   the sign bit for positives), big-endian; `-0.0` is keyed as `0.0`.
+///   Ints and floats encode under the same numeric tag via the float
+///   path so `2` and `2.5` order correctly against each other. The map is
+///   monotone but not injective — integers beyond 2^53 that round to one
+///   `f64` share a key — so a key range is a *superset* of the value
+///   range and index readers re-check the values they fetch.
 /// * Strings: raw UTF-8 bytes (prefix ordering is correct for keys that
 ///   are compared in full).
 pub fn encode_key(value: &Value) -> Result<Vec<u8>> {
@@ -135,7 +136,10 @@ pub fn encode_key(value: &Value) -> Result<Vec<u8>> {
         }
         Value::Float(f) => {
             out.push(0x01);
-            out.extend_from_slice(&total_order_f64(*f));
+            // `-0.0` compares equal to `0`, so it must share its key: a
+            // range ending at `0` would otherwise miss it.
+            let f = if *f == 0.0 { 0.0 } else { *f };
+            out.extend_from_slice(&total_order_f64(f));
         }
         Value::Str(s) => {
             out.push(0x02);
@@ -148,6 +152,18 @@ pub fn encode_key(value: &Value) -> Result<Vec<u8>> {
         }
     }
     Ok(out)
+}
+
+/// The byte bounds [`crate::BTree::scan_range`] takes for the inclusive
+/// value range `[lo, hi]`; `None` is an open end (below the NULL tag, above
+/// the string tag).
+pub fn encode_key_range(lo: Option<&Value>, hi: Option<&Value>) -> Result<(Vec<u8>, Vec<u8>)> {
+    Ok((
+        lo.map(encode_key).transpose()?.unwrap_or_default(),
+        hi.map(encode_key)
+            .transpose()?
+            .unwrap_or_else(|| vec![0xFF]),
+    ))
 }
 
 /// IEEE-754 total-order encoding: big-endian bits, with all bits flipped
@@ -297,6 +313,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn equal_values_share_a_key_and_open_ends_bracket_every_key() {
+        let key = |v: Value| encode_key(&v).unwrap();
+        assert_eq!(key(Value::Float(-0.0)), key(Value::Int(0)));
+        // Lossy, but monotone: 2^53 + 1 rounds onto 2^53's key.
+        let big = 1i64 << 53;
+        assert_eq!(key(Value::Int(big + 1)), key(Value::Int(big)));
+        assert!(key(Value::Int(big + 2)) > key(Value::Int(big)));
+        let (lo, hi) = encode_key_range(None, None).unwrap();
+        for v in [Value::Null, Value::Int(i64::MAX), Value::from("\u{10FFFF}")] {
+            assert!(lo <= key(v.clone()) && key(v) <= hi);
+        }
+        let (lo, hi) = encode_key_range(Some(&Value::Int(3)), None).unwrap();
+        assert_eq!(lo, key(Value::Int(3)));
+        assert!(hi > key(Value::from("z")));
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! These exercise the invariants that the unit tests only spot-check:
 //! codec roundtrips over arbitrary tuples, slotted pages under arbitrary
-//! op sequences, and heap files behaving like an in-memory map from rid to
-//! bytes regardless of page boundaries or buffer pool pressure.
+//! op sequences, heap files behaving like an in-memory map from rid to
+//! bytes regardless of page boundaries or buffer pool pressure, and B+-tree
+//! range scans agreeing with a filtered full scan.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema, Tuple, Value};
+use wsq_storage::btree::BTree;
 use wsq_storage::buffer::BufferPool;
 use wsq_storage::codec::{decode, encode};
 use wsq_storage::disk::MemStorage;
@@ -209,5 +211,67 @@ proptest! {
         expect.sort_by_key(|(rid, _)| *rid);
         prop_assert_eq!(scanned, expect);
         prop_assert_eq!(heap.len().unwrap() as usize, live.len());
+    }
+}
+
+/// Short keys over a three-letter alphabet: plenty of duplicates, prefixes
+/// of one another, and the empty key.
+fn arb_key() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(0u8..3, 0..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `scan_range(lo, hi)` visits exactly the entries of `scan_all` with
+    /// `lo <= key <= hi`, in the same order — for duplicate keys, ranges
+    /// that match nothing and inverted ranges, on a tree deep enough that
+    /// ranges start and end inside leaves — and still does after deletes.
+    #[test]
+    fn range_scan_is_a_filtered_full_scan(
+        keys in prop::collection::vec(arb_key(), 0..1600),
+        pad in 0usize..120,
+        deletes in prop::collection::vec(0usize..1600, 0..120),
+        ranges in prop::collection::vec((arb_key(), arb_key()), 1..12),
+    ) {
+        let pool = Arc::new(BufferPool::new(8));
+        let file = pool.register_file(Box::new(MemStorage::new()));
+        let tree = BTree::create(pool, file).unwrap();
+        // Padding the keys varies the fan-out (hence the height) by case.
+        let padded = |key: &[u8]| -> Vec<u8> {
+            key.iter().copied().chain(std::iter::repeat_n(b'.', pad)).collect()
+        };
+        let rid = |n: usize| wsq_storage::Rid {
+            page: wsq_storage::page::PageId(n as u32 / 50 + 1),
+            slot: slotted::SlotId((n % 50) as u16),
+        };
+        for (n, key) in keys.iter().enumerate() {
+            tree.insert(&padded(key), rid(n)).unwrap();
+        }
+        let mut live = keys.len();
+        for n in deletes {
+            if n < keys.len() {
+                // The first delete of an entry finds it, a repeat does not.
+                let first = tree.delete(&padded(&keys[n]), rid(n)).unwrap();
+                live -= usize::from(first);
+                prop_assert!(!tree.delete(&padded(&keys[n]), rid(n)).unwrap());
+            }
+        }
+        let mut all: Vec<(Vec<u8>, wsq_storage::Rid)> = Vec::new();
+        tree.scan_all(|k, r| all.push((k.to_vec(), r))).unwrap();
+        prop_assert_eq!(all.len(), live);
+        prop_assert!(all.windows(2).all(|w| w[0].0 <= w[1].0), "scan_all is key-ordered");
+        for (lo, hi) in ranges {
+            // An unpadded bound sorts below every padded key it prefixes.
+            let (lo, hi) = (lo, padded(&hi));
+            let mut got: Vec<(Vec<u8>, wsq_storage::Rid)> = Vec::new();
+            tree.scan_range(&lo, &hi, |k, r| got.push((k.to_vec(), r))).unwrap();
+            let want: Vec<(Vec<u8>, wsq_storage::Rid)> = all
+                .iter()
+                .filter(|(k, _)| lo <= *k && *k <= hi)
+                .cloned()
+                .collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -17,16 +17,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
            ('Colorado', 1997, 5), ('Utah', 1997, 4), ('Maine', 1998, 3),
            ('Colorado', 1998, 4), ('Hawaii', 1999, 5), ('Texas', 1999, 2),
            ('Colorado', 1999, 5), ('Utah', 1999, 3);
-         CREATE INDEX ON Journal (Place)",
+         CREATE INDEX ON Journal (Place);
+         CREATE INDEX ON Journal (Year)",
     )?;
 
-    // The index turns the Place lookup into a B+-tree probe:
+    // The index turns the Place lookup into a B+-tree probe. The conjunct
+    // stays above the scan as a filter: the index narrows, the filter
+    // decides.
     let sql = "SELECT Place, Year, Rating FROM Journal WHERE Place = 'Colorado' ORDER BY Year";
     println!("{}", wsq.explain(sql)?);
     println!("{}", wsq.query(sql)?.to_table());
 
-    // Fix up some data.
-    wsq.execute("UPDATE Journal SET Rating = Rating + 1 WHERE Place = 'Texas'")?;
+    // Range conjuncts on an indexed column — either operand order, BETWEEN
+    // too — intersect into one inclusive key range; `<` stays exact
+    // through its filter.
+    let sql = "SELECT Place, Year FROM Journal \
+               WHERE Year >= 1998 AND 2000 > Year AND Rating > 3 ORDER BY Year, Place";
+    println!("{}", wsq.explain(sql)?);
+    println!("{}", wsq.query(sql)?.to_table());
+
+    // Fix up some data. UPDATE and DELETE find their victims through the
+    // same access-path chooser as SELECT; EXPLAIN takes a SELECT, so the
+    // one with the UPDATE's WHERE clause shows the path (a point on Place
+    // beats the half-open range on Year).
+    let victims = "Year >= 1999 AND Place = 'Texas'";
+    println!(
+        "{}",
+        wsq.explain(&format!("SELECT * FROM Journal WHERE {victims}"))?
+    );
+    wsq.execute(&format!(
+        "UPDATE Journal SET Rating = Rating + 1 WHERE {victims}"
+    ))?;
     wsq.execute("DELETE FROM Journal WHERE Year = 1997")?;
     println!(
         "after UPDATE/DELETE:\n{}",
