@@ -37,6 +37,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use wsq_common::{Result, Tuple, WsqError};
 use wsq_protocol::{
@@ -59,6 +60,9 @@ pub enum RemoteStatementResult {
 /// connection at a frame boundary and the client remains usable.
 pub struct Client {
     stream: TcpStream,
+    /// The read side, buffered: the server sends a small reply's frames in
+    /// one `write`, and one `read` here picks them all up.
+    reader: BufReader<TcpStream>,
     session: u64,
     server: String,
 }
@@ -68,7 +72,7 @@ impl Client {
     /// server's logs; [`Client::connect`] uses `"wsq-client"`.
     pub fn connect_as(addr: impl ToSocketAddrs, client_name: &str) -> Result<Client> {
         let mut stream = TcpStream::connect(addr).map_err(|e| WsqError::Io(e.to_string()))?;
-        // Requests and replies are small flushed frames; without
+        // Requests and replies are small writes the peer waits on; without
         // TCP_NODELAY, Nagle + delayed ACK stalls each round trip.
         stream
             .set_nodelay(true)
@@ -92,8 +96,15 @@ impl Client {
                         "server speaks protocol v{version}, client v{PROTOCOL_VERSION}"
                     )));
                 }
+                // Buffer reads only from here on: the handshake read
+                // exactly its one frame off the bare stream.
+                let reader = stream
+                    .try_clone()
+                    .map(BufReader::new)
+                    .map_err(|e| WsqError::Io(e.to_string()))?;
                 Ok(Client {
                     stream,
+                    reader,
                     session,
                     server,
                 })
@@ -231,7 +242,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<Frame> {
-        match read_frame(&mut self.stream).map_err(io_err)? {
+        match read_frame(&mut self.reader).map_err(io_err)? {
             Some(frame) => Ok(frame),
             None => Err(WsqError::Io(
                 "server closed the connection mid-stream".to_string(),

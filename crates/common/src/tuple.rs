@@ -86,17 +86,21 @@ impl Tuple {
 
     /// The distinct set of pending calls this tuple is waiting on.
     pub fn pending_calls(&self) -> Vec<CallId> {
-        let mut calls: Vec<CallId> = self
-            .values
-            .iter()
-            .filter_map(|v| match v {
-                Value::Pending(p) => Some(p.call),
-                _ => None,
-            })
-            .collect();
-        calls.sort_unstable();
-        calls.dedup();
+        let mut calls = Vec::new();
+        self.pending_calls_into(&mut calls);
         calls
+    }
+
+    /// [`Tuple::pending_calls`] written over `out`, for a caller that asks
+    /// once per tuple and keeps the buffer.
+    pub fn pending_calls_into(&self, out: &mut Vec<CallId>) {
+        out.clear();
+        out.extend(self.values.iter().filter_map(|v| match v {
+            Value::Pending(p) => Some(p.call),
+            _ => None,
+        }));
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -138,6 +142,26 @@ mod tests {
         let j = a.join(&b);
         assert_eq!(j.len(), 3);
         assert_eq!(j.get(1).as_str().unwrap(), "x");
+    }
+
+    #[test]
+    fn clone_and_join_share_string_storage() {
+        let shares = |a: &Value, b: &Value| match (a, b) {
+            (Value::Str(a), Value::Str(b)) => std::sync::Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        let left = Tuple::new(vec![Value::from("Colorado"), Value::Int(1)]);
+        let right = Tuple::new(vec![Value::from("four corners")]);
+        let copy = left.clone();
+        assert!(shares(copy.get(0), left.get(0)));
+        let joined = left.join(&right);
+        assert!(shares(joined.get(0), left.get(0)));
+        assert!(shares(joined.get(2), right.get(0)));
+        // A grouping key shares them too.
+        assert!(matches!(
+            (left.get(0).group_key(), left.get(0)),
+            (crate::value::GroupKey::Str(k), Value::Str(v)) if std::sync::Arc::ptr_eq(&k, v)
+        ));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::error::{Result, WsqError};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a pending external call registered with the request pump.
 ///
@@ -88,8 +89,12 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string, reference-counted: cloning a value — and so cloning,
+    /// joining or projecting the tuple that holds it — shares the bytes
+    /// instead of copying them. A string is immutable once built; construct
+    /// one through `From<&str>` / `From<String>` (one allocation either
+    /// way) and read it through [`Value::as_str`].
+    Str(Arc<str>),
     /// Placeholder for a value a pending external call will supply.
     Pending(Placeholder),
 }
@@ -204,8 +209,8 @@ pub enum GroupKey {
     Int(i64),
     /// Float key (bit pattern).
     Float(u64),
-    /// String key.
-    Str(String),
+    /// String key (shares the value's bytes).
+    Str(Arc<str>),
     /// Placeholder key (only meaningful inside async plans).
     Pending(Placeholder),
 }
@@ -241,12 +246,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 

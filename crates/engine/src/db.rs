@@ -1059,7 +1059,7 @@ fn value_to_literal(v: Value) -> Result<Literal> {
         Value::Null => Literal::Null,
         Value::Int(i) => Literal::Int(i),
         Value::Float(f) => Literal::Float(f),
-        Value::Str(s) => Literal::Str(s),
+        Value::Str(s) => Literal::Str(s.to_string()),
         Value::Pending(p) => {
             return Err(WsqError::Exec(format!(
                 "subquery produced unresolved placeholder {p}"

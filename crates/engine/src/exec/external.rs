@@ -22,12 +22,27 @@ pub(crate) fn request_for(spec: &EvSpec, expr: String) -> SearchRequest {
     }
 }
 
-/// Prefix columns shared by every produced tuple: SearchExp then T1..Tn.
-fn prefix_values(expr: &str, bindings: &[Value]) -> Vec<Value> {
-    let mut vals = Vec::with_capacity(bindings.len() + 1);
-    vals.push(Value::Str(expr.to_string()));
-    vals.extend(bindings.iter().cloned());
+/// Prefix columns shared by every produced tuple — SearchExp then T1..Tn —
+/// in a vector with room for `external` more columns.
+fn prefix_values(expr: &str, bindings: &[Value], external: usize) -> Vec<Value> {
+    let mut vals = Vec::with_capacity(1 + bindings.len() + external);
+    vals.push(Value::from(expr));
+    vals.extend_from_slice(bindings);
     vals
+}
+
+/// Check a rebind's arity and refill `bindings` from `values` in place.
+fn rebind_into(spec: &EvSpec, bindings: &mut Vec<Value>, values: &[Value]) -> Result<()> {
+    if values.len() != spec.bindings.len() {
+        return Err(WsqError::Exec(format!(
+            "expected {} bindings, got {}",
+            spec.bindings.len(),
+            values.len()
+        )));
+    }
+    bindings.clear();
+    bindings.extend_from_slice(values);
+    Ok(())
 }
 
 /// Synchronous external virtual scan: each `open` performs a blocking
@@ -71,14 +86,7 @@ impl Executor for EVScanExec {
     }
 
     fn rebind(&mut self, values: &[Value]) -> Result<()> {
-        if values.len() != self.spec.bindings.len() {
-            return Err(WsqError::Exec(format!(
-                "expected {} bindings, got {}",
-                self.spec.bindings.len(),
-                values.len()
-            )));
-        }
-        self.bindings = values.to_vec();
+        rebind_into(&self.spec, &mut self.bindings, values)?;
         self.fetched = false;
         Ok(())
     }
@@ -93,8 +101,7 @@ impl Executor for EVScanExec {
     fn next(&mut self) -> Result<Option<Tuple>> {
         if !self.fetched {
             self.fetched = true;
-            let expr = self.spec.instantiate(&self.bindings);
-            let mut req = request_for(&self.spec, expr.clone());
+            let mut req = request_for(&self.spec, self.spec.instantiate(&self.bindings));
             let mut result = Err(WsqError::Exec("EVScan has no engine".to_string()));
             for (engine, service) in &self.services {
                 req.engine.clone_from(engine);
@@ -104,7 +111,7 @@ impl Executor for EVScanExec {
                 }
             }
             let result = result?;
-            let prefix = prefix_values(&expr, &self.bindings);
+            let prefix = prefix_values(&req.expr, &self.bindings, 0);
             self.rows = materialize_result(&self.spec, &prefix, &result);
             self.pos = 0;
         }
@@ -182,14 +189,7 @@ impl Executor for AEVScanExec {
     }
 
     fn rebind(&mut self, values: &[Value]) -> Result<()> {
-        if values.len() != self.spec.bindings.len() {
-            return Err(WsqError::Exec(format!(
-                "expected {} bindings, got {}",
-                self.spec.bindings.len(),
-                values.len()
-            )));
-        }
-        self.bindings = values.to_vec();
+        rebind_into(&self.spec, &mut self.bindings, values)?;
         self.emitted = false;
         Ok(())
     }
@@ -216,6 +216,11 @@ impl Executor for AEVScanExec {
             }
         }
         let expr = self.spec.instantiate(&self.bindings);
+        let external = match self.spec.kind {
+            VTableKind::WebCount => 1,
+            VTableKind::WebPages => 3,
+        };
+        let mut vals = prefix_values(&expr, &self.bindings, external);
         // A racing spec (`WebCount_ANY`) registers one call per member
         // engine as a race group: the group's CallId resolves with the
         // first successful member and the pump cancels the losers.
@@ -232,12 +237,11 @@ impl Executor for AEVScanExec {
                 .collect();
             self.pump.register_race(reqs)?
         } else {
-            self.pump.register(request_for(&self.spec, expr.clone()))?
+            self.pump.register(request_for(&self.spec, expr))?
         };
         if let Some(m) = self.pump.obs().metrics() {
             m.placeholder_tuples.inc();
         }
-        let mut vals = prefix_values(&expr, &self.bindings);
         let ph = |col: PendingCol| Value::Pending(Placeholder { call, col });
         match self.spec.kind {
             VTableKind::WebCount => vals.push(ph(PendingCol::Count)),

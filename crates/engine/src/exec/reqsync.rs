@@ -11,7 +11,9 @@
 //! Copies retain any placeholders for *other* pending calls (§4.4's
 //! nuance) and are re-indexed under those calls. Exactly one tuple "owns"
 //! each pump registration; ownership drives `ReqPump::release` so results
-//! are freed exactly once even when copies proliferate references.
+//! are freed exactly once even when copies proliferate references. The
+//! calls a tuple owns are not stored: an owner owns exactly the calls its
+//! placeholders still name.
 //!
 //! # Admission control (backpressure)
 //!
@@ -41,9 +43,11 @@ use wsq_pump::{ReqPump, SearchResult};
 
 struct BufTuple {
     tuple: Tuple,
-    /// Calls whose pump registration this tuple is responsible for
-    /// releasing (copies own nothing unless explicitly transferred).
-    owns: Vec<CallId>,
+    /// Whether this tuple is responsible for releasing the pump
+    /// registration of every call it still waits on. A tuple admitted from
+    /// the child is, and hands that on to the first tuple patched from it;
+    /// the other §4.3 copies own nothing.
+    owner: bool,
     /// When the tuple entered the buffer (patch-delay histogram anchor).
     admitted: Instant,
 }
@@ -65,6 +69,9 @@ pub struct ReqSyncExec {
     index: HashMap<CallId, Vec<u64>>,
     /// Admission-control cap on `buffered` (`None` = unbounded).
     cap: Option<usize>,
+    /// The pending calls of the tuple in hand (nearly always one or two),
+    /// refilled per tuple instead of allocated per tuple.
+    scratch: Vec<CallId>,
     next_id: u64,
     child_done: bool,
     opened: bool,
@@ -97,6 +104,7 @@ impl ReqSyncExec {
             buffered: HashMap::new(),
             index: HashMap::new(),
             cap: cap.map(|c| c.max(1)),
+            scratch: Vec::new(),
             next_id: 0,
             child_done: false,
             opened: false,
@@ -161,15 +169,18 @@ impl ReqSyncExec {
         Ok(())
     }
 
-    fn admit(&mut self, tuple: Tuple) {
+    /// Emit a complete tuple; buffer an incomplete one under every call it
+    /// waits on. Takes the child's tuples (owners) and puts a patched —
+    /// possibly still incomplete — tuple back.
+    fn admit(&mut self, tuple: Tuple, owner: bool) {
         if !tuple.is_incomplete() {
             self.ready.push_back(tuple);
             return;
         }
-        let calls = tuple.pending_calls();
         let id = self.next_id;
         self.next_id += 1;
-        for &c in &calls {
+        tuple.pending_calls_into(&mut self.scratch);
+        for &c in &self.scratch {
             self.index.entry(c).or_default().push(id);
         }
         if let Some(m) = self.obs.metrics() {
@@ -179,24 +190,10 @@ impl ReqSyncExec {
             id,
             BufTuple {
                 tuple,
-                owns: calls,
+                owner,
                 admitted: Instant::now(),
             },
         );
-    }
-
-    /// Remove a tuple id from the index lists of `calls`, dropping lists
-    /// that become empty (so `pending_calls` never names a call the pump
-    /// may already have forgotten).
-    fn unindex(&mut self, id: u64, calls: &[CallId]) {
-        for c in calls {
-            if let Some(list) = self.index.get_mut(c) {
-                list.retain(|&x| x != id);
-                if list.is_empty() {
-                    self.index.remove(c);
-                }
-            }
-        }
     }
 
     /// Apply a completed call's `outcome` to every tuple waiting on it.
@@ -220,30 +217,20 @@ impl ReqSyncExec {
                 m.reqsync_buffered.add(-1);
                 m.patch_delay.observe(entry.admitted.elapsed());
             }
-            // Drop this tuple's entries under its *other* pending calls;
-            // readmitted descendants are indexed afresh.
-            let others: Vec<CallId> = entry
-                .tuple
-                .pending_calls()
-                .into_iter()
-                .filter(|c| *c != call)
-                .collect();
-            self.unindex(id, &others);
-            let BufTuple {
-                tuple, mut owns, ..
-            } = entry;
-            let owned_here = owns.iter().position(|c| *c == call).map(|i| {
-                owns.remove(i);
-            });
+            // Drop this tuple's entries under its *other* pending calls
+            // (`scratch`, until a patched tuple is put back); readmitted
+            // descendants are indexed afresh.
+            entry.tuple.pending_calls_into(&mut self.scratch);
+            self.scratch.retain(|c| *c != call);
+            unindex(&mut self.index, id, &self.scratch);
+            let BufTuple { tuple, owner, .. } = entry;
             match outcome {
                 Err(e) => {
                     // A failed external call fails the query. Release what
                     // we own first so the pump does not leak.
-                    if owned_here.is_some() {
+                    if owner {
                         self.pump.release(call);
-                    }
-                    for c in owns {
-                        self.pump.release(c);
+                        release_all(&self.pump, &self.scratch);
                     }
                     // Compact the *remaining* waiters on this call too.
                     // `index[call]` was already removed above; abandoning
@@ -261,15 +248,12 @@ impl ReqSyncExec {
                         if let Some(m) = self.obs.metrics() {
                             m.reqsync_buffered.add(-1);
                         }
-                        let others: Vec<CallId> = entry
-                            .tuple
-                            .pending_calls()
-                            .into_iter()
-                            .filter(|c| *c != call)
-                            .collect();
-                        self.unindex(id, &others);
-                        for c in entry.owns {
-                            self.pump.release(c);
+                        // `call` included: its list is gone already, and
+                        // an owner still holds its registration.
+                        entry.tuple.pending_calls_into(&mut self.scratch);
+                        unindex(&mut self.index, id, &self.scratch);
+                        if entry.owner {
+                            release_all(&self.pump, &self.scratch);
                         }
                     }
                     return Err(e.clone());
@@ -284,7 +268,7 @@ impl ReqSyncExec {
                     if let Some(m) = self.obs.metrics() {
                         m.tuples_patched.inc();
                     }
-                    self.readmit(t, owns);
+                    self.admit(t, owner);
                 }
                 Ok(SearchResult::Pages(hits)) => {
                     if hits.is_empty() {
@@ -297,8 +281,8 @@ impl ReqSyncExec {
                         // needed by this tuple — other tuples referencing
                         // them hold their own registrations only if they
                         // made them, so transfer is unnecessary).
-                        for c in owns {
-                            self.pump.release(c);
+                        if owner {
+                            release_all(&self.pump, &self.scratch);
                         }
                     } else {
                         // Cases 2 and 3: one patched tuple per hit. The
@@ -316,42 +300,16 @@ impl ReqSyncExec {
                                 PendingCol::Date => Some(Value::Str(hit.date.clone())),
                                 PendingCol::Count => None,
                             });
-                            let owns_for_copy = if i == 0 { owns.clone() } else { Vec::new() };
-                            self.readmit(t, owns_for_copy);
+                            self.admit(t, owner && i == 0);
                         }
                     }
                 }
             }
-            if owned_here.is_some() {
+            if owner {
                 self.pump.release(call);
             }
         }
         Ok(())
-    }
-
-    /// Put a (possibly still incomplete) patched tuple back.
-    fn readmit(&mut self, tuple: Tuple, owns: Vec<CallId>) {
-        if !tuple.is_incomplete() {
-            debug_assert!(owns.is_empty(), "complete tuple cannot own pending calls");
-            self.ready.push_back(tuple);
-            return;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        for c in tuple.pending_calls() {
-            self.index.entry(c).or_default().push(id);
-        }
-        if let Some(m) = self.obs.metrics() {
-            m.reqsync_buffered.add(1);
-        }
-        self.buffered.insert(
-            id,
-            BufTuple {
-                tuple,
-                owns,
-                admitted: Instant::now(),
-            },
-        );
     }
 
     /// Opportunistically patch any already-completed pending calls.
@@ -410,6 +368,28 @@ impl ReqSyncExec {
     fn assert_compact(&self) {}
 }
 
+/// Remove a tuple id from the index lists of `calls`, dropping lists
+/// that become empty (so `pending_calls` never names a call the pump
+/// may already have forgotten).
+fn unindex(index: &mut HashMap<CallId, Vec<u64>>, id: u64, calls: &[CallId]) {
+    for c in calls {
+        if let Some(list) = index.get_mut(c) {
+            list.retain(|&x| x != id);
+            if list.is_empty() {
+                index.remove(c);
+            }
+        }
+    }
+}
+
+/// Release the pump registration of every call in `calls` (what an owner
+/// in hand still waits on).
+fn release_all(pump: &ReqPump, calls: &[CallId]) {
+    for &c in calls {
+        pump.release(c);
+    }
+}
+
 /// Replace every placeholder of `call` in `tuple` using `value_for`.
 fn fill(tuple: &mut Tuple, call: CallId, value_for: impl Fn(PendingCol) -> Option<Value>) {
     for v in tuple.values_mut() {
@@ -447,7 +427,7 @@ impl Executor for ReqSyncExec {
             // low-water mark frees slots. Completed tuples accumulate in
             // `ready`, so Full-mode semantics are unchanged.
             while let Some(t) = self.child.next()? {
-                self.admit(t);
+                self.admit(t, true);
                 self.stall_until_low_water()?;
             }
             self.child.close()?;
@@ -477,7 +457,7 @@ impl Executor for ReqSyncExec {
                         if !t.is_incomplete() {
                             return Ok(Some(t));
                         }
-                        self.admit(t);
+                        self.admit(t, true);
                         self.drain_completions()?;
                         continue;
                     }
@@ -515,8 +495,9 @@ impl Executor for ReqSyncExec {
             m.reqsync_buffered.add(-(self.buffered.len() as i64));
         }
         for (_, entry) in self.buffered.drain() {
-            for c in entry.owns {
-                self.pump.release(c);
+            if entry.owner {
+                entry.tuple.pending_calls_into(&mut self.scratch);
+                release_all(&self.pump, &self.scratch);
             }
         }
         self.index.clear();

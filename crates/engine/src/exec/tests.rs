@@ -398,7 +398,7 @@ impl SearchService for Scripted {
                 SearchResult::pages_from(
                     (1..=n)
                         .map(|rank| PageHit {
-                            url: format!("www.{}/{rank}", req.expr.replace(' ', "-")),
+                            url: format!("www.{}/{rank}", req.expr.replace(' ', "-")).into(),
                             rank,
                             date: "1999-10-01".into(),
                         })

@@ -67,7 +67,7 @@ pub fn literal_value(lit: &Literal) -> Value {
     match lit {
         Literal::Int(i) => Value::Int(*i),
         Literal::Float(f) => Value::Float(*f),
-        Literal::Str(s) => Value::Str(s.clone()),
+        Literal::Str(s) => Value::from(s.as_str()),
         Literal::Null => Value::Null,
     }
 }
@@ -284,7 +284,7 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     // String concatenation via `+`.
     if op == BinOp::Add {
         if let (Value::Str(a), Value::Str(b)) = (l, r) {
-            return Ok(Value::Str(format!("{a}{b}")));
+            return Ok(Value::from(format!("{a}{b}")));
         }
     }
     let float = matches!(l, Value::Float(_)) || matches!(r, Value::Float(_));

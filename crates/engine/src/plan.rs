@@ -6,7 +6,7 @@
 //! ReqSync Insertion, Percolation, Consolidation) straightforward tree
 //! surgery, independently testable from execution.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use wsq_common::{Column, DataType, Schema, Value};
 use wsq_sql::ast::{AggFunc, ColumnRef, Expr};
 
@@ -191,26 +191,89 @@ impl EvSpec {
             .join(sep)
     }
 
-    /// Instantiate the template with bound values: `%i` is replaced by the
-    /// i-th value, quoted when it contains whitespace (multi-word terms
-    /// must reach the engine as phrases).
+    /// Instantiate the template with bound values, in one left-to-right
+    /// pass that writes straight into the returned string.
+    ///
+    /// With `n = values.len()`, each `%i` in the template with `1 ≤ i ≤ n`
+    /// (written without leading zeros) is replaced by the i-th value; where
+    /// several `i` fit, the longest wins, so `%10` is the tenth value and
+    /// not the first followed by `0`. Anything else — `%0`, `%11` with ten
+    /// values beyond its `%1`, a trailing `%` — is copied as it stands. The
+    /// default template (see [`EvSpec::effective_template`]) is the values
+    /// in order with the engine's separator between them.
+    ///
+    /// A value is written with every `"` removed and, when it contains
+    /// whitespace, wrapped in `"`: multi-word terms must reach the engine
+    /// as phrases. **Substituted text is never rescanned**, so a value that
+    /// itself holds `%1` reaches the engine as written.
     pub fn instantiate(&self, values: &[Value]) -> String {
-        let mut out = self.effective_template();
-        // Replace in descending index order so %10 is not clobbered by %1.
-        for i in (1..=values.len()).rev() {
-            let raw = match &values[i - 1] {
-                Value::Str(s) => s.clone(),
-                other => other.to_string(),
-            };
-            let clean = raw.replace('"', "");
-            let term = if clean.contains(char::is_whitespace) {
-                format!("\"{clean}\"")
+        // Room for every term with its phrase quotes: one allocation.
+        let terms: usize = values
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => s.len() + 2,
+                _ => 20,
+            })
+            .sum();
+        let Some(template) = &self.template else {
+            let sep = if self.supports_near { " near " } else { " " };
+            let mut out = String::with_capacity(terms + sep.len() * values.len());
+            for (i, value) in values.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(sep);
+                }
+                push_term(&mut out, value);
+            }
+            return out;
+        };
+        let mut out = String::with_capacity(template.len() + terms);
+        let mut rest = template.as_str();
+        while let Some(at) = rest.find('%') {
+            out.push_str(&rest[..at]);
+            rest = &rest[at + 1..];
+            // The longest digit run naming a value: `index` only grows with
+            // each digit, so stop at the first that overshoots `n`.
+            let (mut index, mut digits) = (0, 0);
+            for (k, b) in rest.bytes().enumerate() {
+                if !b.is_ascii_digit() || (k == 0 && b == b'0') {
+                    break;
+                }
+                let longer = index * 10 + usize::from(b - b'0');
+                if longer > values.len() {
+                    break;
+                }
+                (index, digits) = (longer, k + 1);
+            }
+            if digits == 0 {
+                out.push('%');
             } else {
-                clean
-            };
-            out = out.replace(&format!("%{i}"), &term);
+                push_term(&mut out, &values[index - 1]);
+                rest = &rest[digits..];
+            }
         }
+        out.push_str(rest);
         out
+    }
+}
+
+/// Append one bound value as a search term (see [`EvSpec::instantiate`]).
+fn push_term(out: &mut String, value: &Value) {
+    let start = out.len();
+    match value {
+        Value::Str(s) => out.push_str(s),
+        other => {
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{other}");
+        }
+    }
+    if out[start..].contains('"') {
+        let clean = out[start..].replace('"', "");
+        out.truncate(start);
+        out.push_str(&clean);
+    }
+    if out[start..].contains(char::is_whitespace) {
+        out.insert(start, '"');
+        out.push('"');
     }
 }
 
@@ -823,13 +886,64 @@ mod tests {
         assert_eq!(expr, "Utah near skiing");
     }
 
+    /// A WebCount spec over `n` bindings with an explicit template.
+    fn templated(template: &str, n: usize) -> EvSpec {
+        let mut s = spec(VTableKind::WebCount, false);
+        s.template = Some(template.to_string());
+        s.bindings = vec![EvBinding::Const(Value::Null); n];
+        s
+    }
+
     #[test]
     fn instantiation_handles_ten_plus_params() {
-        let mut s = spec(VTableKind::WebCount, false);
-        s.template = Some("%10 %1".to_string());
-        s.bindings = (0..10).map(|i| EvBinding::Const(Value::Int(i))).collect();
         let vals: Vec<Value> = (0..10).map(Value::Int).collect();
-        assert_eq!(s.instantiate(&vals), "9 0");
+        assert_eq!(templated("%10 %1", 10).instantiate(&vals), "9 0");
+        // The longest index that names a value wins, wherever it stands.
+        assert_eq!(templated("%1%10%100", 10).instantiate(&vals), "0990");
+        // With nine values `%10` is the first value and a literal `0`.
+        assert_eq!(templated("%10", 9).instantiate(&vals[..9]), "00");
+    }
+
+    #[test]
+    fn instantiation_leaves_what_names_no_value_as_written() {
+        let vals: Vec<Value> = (0..10).map(Value::Int).collect();
+        let s = templated("%0 %01 %11 %x 100% %", 10);
+        assert_eq!(s.instantiate(&vals), "%0 %01 01 %x 100% %");
+        assert_eq!(templated("%1", 0).instantiate(&[]), "%1");
+        assert_eq!(templated("", 1).instantiate(&[Value::Int(1)]), "");
+    }
+
+    #[test]
+    fn instantiation_strips_quotes_and_phrases_whitespace() {
+        let s = templated("%1|%2|%3", 3);
+        let vals = [
+            Value::from("say \"cheese\""),
+            Value::from("\"quoted\""),
+            Value::from("tab\there"),
+        ];
+        assert_eq!(s.instantiate(&vals), "\"say cheese\"|quoted|\"tab\there\"");
+        // An empty or all-quote value leaves nothing behind.
+        let vals = [Value::from(""), Value::from("\"\""), Value::from("x")];
+        assert_eq!(s.instantiate(&vals), "||x");
+    }
+
+    #[test]
+    fn instantiation_renders_non_string_bindings() {
+        let s = templated("%1 %2 %3", 3);
+        let vals = [Value::Int(-7), Value::Null, Value::Float(2.5)];
+        assert_eq!(s.instantiate(&vals), "-7 NULL 2.5");
+        let mut default = spec(VTableKind::WebCount, true);
+        default.bindings.push(EvBinding::Const(Value::Null));
+        assert_eq!(default.instantiate(&vals), "-7 near NULL near 2.5");
+    }
+
+    #[test]
+    fn substituted_text_is_never_rescanned() {
+        let s = spec(VTableKind::WebCount, true);
+        let vals = [Value::from("utah"), Value::from("ski %1 pass")];
+        assert_eq!(s.instantiate(&vals), "utah near \"ski %1 pass\"");
+        let vals = [Value::from("%2"), Value::from("%1")];
+        assert_eq!(templated("%1 %2 %%1", 2).instantiate(&vals), "%2 %1 %%2");
     }
 
     #[test]

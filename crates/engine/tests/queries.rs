@@ -320,6 +320,28 @@ fn explicit_search_template() {
 }
 
 #[test]
+fn bound_value_holding_a_placeholder_is_not_substituted_into() {
+    // `%2`'s value itself holds `%1`. Building the expression by repeated
+    // replacement rescanned it and sent the engine `utah near "ski utah
+    // pass"`; synchronous and asynchronous plans shared that builder, so
+    // no equivalence test could see it.
+    let mut h = harness();
+    h.db.run_sql(
+        "CREATE TABLE P (A VARCHAR(20), B VARCHAR(20)); \
+         INSERT INTO P VALUES ('utah', 'ski %1 pass')",
+        &h.engines,
+        &h.pump,
+        QueryOptions::default(),
+    )
+    .unwrap();
+    let r = h.query_all_modes(
+        "SELECT SearchExp FROM P, WebCount WHERE A = T1 AND B = T2",
+        false,
+    );
+    assert_eq!(strings(&r, 0), vec!["utah near \"ski %1 pass\""]);
+}
+
+#[test]
 fn aggregation_over_web_counts() {
     let mut h = harness();
     // Total Web presence of all states (clash case 3: ReqSync must resolve

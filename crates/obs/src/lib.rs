@@ -180,6 +180,20 @@ impl Obs {
         }
     }
 
+    /// Record a lifecycle event labelled with `source`'s `Display`. The
+    /// ring keeps a reference to `source` and formats it only for a reader
+    /// ([`TraceRing::push_display`]): the emission site pays a reference
+    /// count, and nothing at all when the handle is disabled.
+    pub fn event_display<T>(&self, call: CallId, kind: EventKind, source: &Arc<T>)
+    where
+        T: std::fmt::Display + Send + Sync + 'static,
+    {
+        if let Some(core) = &self.core {
+            core.trace
+                .push_display(core.epoch.elapsed(), call, kind, source.clone());
+        }
+    }
+
     /// Current trace position (total events recorded); save it before a
     /// query and pass it to [`Obs::trace_events_since`] for a per-query
     /// timeline. Zero when disabled.

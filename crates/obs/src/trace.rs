@@ -18,6 +18,7 @@
 //! `wsq-analyze::models::trace_ring_model`.
 
 use parking_lot::Mutex;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -111,25 +112,54 @@ pub struct TraceEvent {
     pub session: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Optional annotation: the request display on `Registered`, the
-    /// error text on `Failed`. Shared, so cloning a snapshot is cheap.
+    /// Optional annotation: the request display on `Registered` (rendered
+    /// when the ring is read, see [`TraceRing::push_display`]), the error
+    /// text on `Failed`. Shared, so cloning a snapshot is cheap.
     pub label: Option<Arc<str>>,
 }
 
-struct Slot {
-    /// Sequence number of the stored event; `u64::MAX` marks empty.
+/// What a slot keeps of an event's label: enough to render it when the
+/// ring is read, so recording an event never formats anything.
+#[derive(Clone)]
+enum Label {
+    None,
+    /// Text the writer already had (an error message on `Failed`).
+    Text(Arc<str>),
+    /// A value the writer shares with the ring (the pump's request on
+    /// `Registered`); its `Display` is the label.
+    Display(Arc<dyn fmt::Display + Send + Sync>),
+}
+
+impl Label {
+    fn render(&self) -> Option<Arc<str>> {
+        match self {
+            Label::None => None,
+            Label::Text(text) => Some(text.clone()),
+            Label::Display(source) => Some(source.to_string().into()),
+        }
+    }
+}
+
+/// An event as a slot holds it: a [`TraceEvent`] whose label is still to
+/// be rendered.
+struct Stored {
     seq: u64,
-    event: Option<TraceEvent>,
+    at: Duration,
+    call: CallId,
+    session: u64,
+    kind: EventKind,
+    label: Label,
 }
 
 /// The fixed-capacity circular event buffer.
 pub struct TraceRing {
-    slots: Box<[Mutex<Slot>]>,
+    /// `None` until the slot is first written.
+    slots: Box<[Mutex<Option<Stored>>]>,
     head: AtomicU64,
 }
 
-impl std::fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for TraceRing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceRing")
             .field("capacity", &self.capacity())
             .field("recorded", &self.position())
@@ -143,14 +173,7 @@ impl TraceRing {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         TraceRing {
-            slots: (0..capacity)
-                .map(|_| {
-                    Mutex::new(Slot {
-                        seq: u64::MAX,
-                        event: None,
-                    })
-                })
-                .collect(),
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             head: AtomicU64::new(0),
         }
     }
@@ -171,17 +194,35 @@ impl TraceRing {
         self.position().saturating_sub(self.capacity() as u64)
     }
 
-    /// Record one event, assigning it the next sequence number.
+    /// Record one event, assigning it the next sequence number. A `label`
+    /// is text the caller already holds; the slot keeps the reference.
     pub fn push(&self, at: Duration, call: CallId, kind: EventKind, label: Option<Arc<str>>) {
+        self.store(at, call, kind, label.map_or(Label::None, Label::Text));
+    }
+
+    /// Record one event whose label is `source`'s `Display`. Nothing is
+    /// formatted here: the slot parks the shared `source` and
+    /// [`TraceRing::snapshot_since`] renders it for whoever reads the
+    /// event, so a label nobody reads costs a reference count.
+    pub fn push_display(
+        &self,
+        at: Duration,
+        call: CallId,
+        kind: EventKind,
+        source: Arc<dyn fmt::Display + Send + Sync>,
+    ) {
+        self.store(at, call, kind, Label::Display(source));
+    }
+
+    fn store(&self, at: Duration, call: CallId, kind: EventKind, label: Label) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         let mut guard = slot.lock();
         // A writer lapped before acquiring the lock must not clobber the
         // fresher event already stored (its own event is simply dropped —
         // accounted for by `dropped()` since head already advanced).
-        if guard.seq == u64::MAX || seq > guard.seq {
-            guard.seq = seq;
-            guard.event = Some(TraceEvent {
+        if guard.as_ref().is_none_or(|stored| seq > stored.seq) {
+            *guard = Some(Stored {
                 seq,
                 at,
                 call,
@@ -195,15 +236,38 @@ impl TraceRing {
     /// Every retained event with `seq >= since`, ordered by sequence
     /// number. Pass `0` for the full ring, or a saved
     /// [`TraceRing::position`] for a per-query window.
+    ///
+    /// Only the slots that can hold such an event are visited — those of
+    /// sequence numbers `max(since, recorded − capacity) .. recorded` — so
+    /// a query's window costs its own size, not the ring's; and only the
+    /// events returned have their labels rendered (see
+    /// [`TraceRing::push_display`]), after their slot's lock is released.
     pub fn snapshot_since(&self, since: u64) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = self
-            .slots
-            .iter()
-            .filter_map(|s| {
-                let guard = s.lock();
-                guard.event.as_ref().filter(|e| e.seq >= since).cloned()
-            })
-            .collect();
+        let head = self.position();
+        let oldest = head.saturating_sub(self.slots.len() as u64);
+        let mut events = Vec::new();
+        for seq in since.max(oldest)..head {
+            let (mut event, label) = {
+                let slot = self.slots[(seq % self.slots.len() as u64) as usize].lock();
+                // The slot may hold an older event (its writer has reserved
+                // `seq` but not stored yet) or a newer one (lapped since
+                // `head` was read): keep whatever falls in the window.
+                let Some(stored) = slot.as_ref().filter(|stored| stored.seq >= since) else {
+                    continue;
+                };
+                let event = TraceEvent {
+                    seq: stored.seq,
+                    at: stored.at,
+                    call: stored.call,
+                    session: stored.session,
+                    kind: stored.kind,
+                    label: None,
+                };
+                (event, stored.label.clone())
+            };
+            event.label = label.render();
+            events.push(event);
+        }
         events.sort_by_key(|e| e.seq);
         events
     }
@@ -259,6 +323,83 @@ mod tests {
         let window = ring.snapshot_since(pos);
         assert_eq!(window.len(), 2);
         assert!(window.iter().all(|e| e.call == cid(2)));
+    }
+
+    /// A label source that counts how often it is formatted.
+    struct Counted(AtomicU64);
+
+    impl fmt::Display for Counted {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            f.write_str("AV:count(\"Utah\")")
+        }
+    }
+
+    #[test]
+    fn display_label_is_rendered_when_read_not_when_recorded() {
+        let ring = TraceRing::new(8);
+        let source = Arc::new(Counted(AtomicU64::new(0)));
+        ring.push_display(
+            Duration::ZERO,
+            cid(1),
+            EventKind::Registered,
+            source.clone(),
+        );
+        ring.push(
+            Duration::ZERO,
+            cid(1),
+            EventKind::Failed,
+            Some("boom".into()),
+        );
+        ring.push(Duration::ZERO, cid(1), EventKind::Queued, None);
+        assert_eq!(
+            source.0.load(Ordering::Relaxed),
+            0,
+            "recording formats nothing"
+        );
+        let labels: Vec<Option<Arc<str>>> = ring
+            .snapshot_since(0)
+            .into_iter()
+            .map(|e| e.label)
+            .collect();
+        assert_eq!(
+            labels,
+            vec![Some("AV:count(\"Utah\")".into()), Some("boom".into()), None]
+        );
+        assert_eq!(source.0.load(Ordering::Relaxed), 1);
+        // An overwritten slot lets go of what it parked.
+        for i in 0..8 {
+            ring.push(Duration::ZERO, cid(i), EventKind::Queued, None);
+        }
+        assert_eq!(Arc::strong_count(&source), 1);
+    }
+
+    #[test]
+    fn a_window_costs_its_own_size_not_the_rings() {
+        let ring = TraceRing::new(65_536);
+        let source = Arc::new(Counted(AtomicU64::new(0)));
+        for i in 0..100_000u64 {
+            ring.push_display(
+                Duration::from_nanos(i),
+                cid(i),
+                EventKind::Registered,
+                source.clone(),
+            );
+        }
+        let head = ring.position();
+        assert_eq!((head, ring.dropped()), (100_000, 100_000 - 65_536));
+        let window = ring.snapshot_since(head - 10);
+        let seqs: Vec<u64> = window.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (head - 10..head).collect::<Vec<_>>());
+        assert_eq!(
+            source.0.load(Ordering::Relaxed),
+            10,
+            "only the events returned are rendered"
+        );
+        // A position the ring has lapped answers with what is retained.
+        assert_eq!(ring.snapshot_since(0).len(), 65_536);
+        assert!(ring.snapshot_since(head).is_empty());
+        assert!(ring.snapshot_since(head + 5).is_empty());
     }
 
     #[test]

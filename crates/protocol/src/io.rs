@@ -41,13 +41,18 @@ pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Frame>> {
         .map_err(|e: DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Write one frame to `stream` and flush it.
+/// Encode one frame, write it to `stream` and flush `stream`.
 ///
-/// Flushing per frame keeps latency-sensitive streams honest: the
-/// client sees rows as the server produces them, and a disconnected
-/// peer surfaces as a prompt write error (which is how the server
-/// notices a mid-query disconnect and drops the cursor, releasing its
-/// pump slots).
+/// What reaches the peer when is the caller's choice of `stream`. Given
+/// the socket itself — the client's requests, both sides of the handshake
+/// — each frame is one send, out before the call returns. The server
+/// instead gathers a reply's frames by passing a `Vec<u8>` (whose `flush`
+/// does nothing) and writes that buffer to the socket at two points: when
+/// a [`Frame::Rows`] batch fills, and when the reply ends. Rows therefore
+/// still reach the client as batches complete, a small reply is a single
+/// send, and a disconnected peer still surfaces as a prompt write error
+/// (which is how the server notices a mid-query disconnect and drops the
+/// cursor, releasing its pump slots).
 pub fn write_frame<W: Write>(stream: &mut W, frame: &Frame) -> io::Result<()> {
     let bytes = frame
         .try_encode()

@@ -122,10 +122,15 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.read_u64()?))
     }
 
-    pub(crate) fn read_string(&mut self) -> Result<String, DecodeError> {
+    /// A length-prefixed string, borrowed from the payload: the caller
+    /// makes the one allocation, in the representation it keeps.
+    pub(crate) fn read_str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.read_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::InvalidUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| DecodeError::InvalidUtf8)
+    }
+
+    pub(crate) fn read_string(&mut self) -> Result<String, DecodeError> {
+        Ok(self.read_str()?.to_string())
     }
 
     pub(crate) fn read_opt_string(&mut self) -> Result<Option<String>, DecodeError> {
@@ -232,7 +237,7 @@ pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
         VALUE_NULL => Ok(Value::Null),
         VALUE_INT => Ok(Value::Int(r.read_i64()?)),
         VALUE_FLOAT => Ok(Value::Float(r.read_f64()?)),
-        VALUE_STR => Ok(Value::Str(r.read_string()?)),
+        VALUE_STR => Ok(Value::from(r.read_str()?)),
         t => Err(DecodeError::UnknownValueTag(t)),
     }
 }

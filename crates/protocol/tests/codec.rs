@@ -104,14 +104,37 @@ fn every_value_kind_round_trips() {
             Value::Int(i64::MAX),
             Value::Float(-0.0),
             Value::Float(1.5e300),
-            Value::Str(String::new()),
-            Value::Str("snake \u{1F40D} river".to_string()),
+            Value::from(String::new()),
+            Value::from("snake \u{1F40D} river"),
         ])],
     };
     let bytes = frame.encode();
     let (decoded, used) = Frame::decode(&bytes).unwrap();
     assert_eq!(used, bytes.len());
     assert_eq!(decoded, frame);
+}
+
+/// The frame layout is a wire format: these bytes were captured before
+/// `Value::Str` became reference-counted and must never move.
+#[test]
+fn rows_frame_bytes_are_golden() {
+    let frame = Frame::Rows {
+        rows: vec![Tuple::new(vec![
+            Value::Null,
+            Value::Int(-42),
+            Value::Float(2.5),
+            Value::from(""),
+            Value::from("snake \u{1F40D} river"),
+        ])],
+    };
+    let bytes = frame.encode();
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "360000008301000000050000000001d6ffffffffffffff0200000000000004400300000000\
+         0310000000736e616b6520f09f908d207269766572"
+    );
+    assert_eq!(Frame::decode(&bytes).unwrap(), (frame, bytes.len()));
 }
 
 #[test]

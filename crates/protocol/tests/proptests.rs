@@ -15,7 +15,7 @@ fn arb_value() -> BoxedStrategy<Value> {
         1 => Just(Value::Null),
         3 => any::<i64>().prop_map(Value::Int),
         2 => any::<i64>().prop_map(|b| Value::Float(b as f64 / 128.0)),
-        3 => "[a-zA-Z0-9 .:%-]{0,24}".prop_map(Value::Str),
+        3 => "[a-zA-Z0-9 .:%-]{0,24}".prop_map(Value::from),
     ]
     .boxed()
 }

@@ -186,7 +186,9 @@ enum CallState {
 }
 
 struct CallMeta {
-    req: SearchRequest,
+    /// The request, shared with the coalescing index, every launch of the
+    /// call and the trace ring: registration wraps it once.
+    req: Arc<SearchRequest>,
     refs: usize,
     state: CallState,
     /// When the call was registered (queue-delay histogram anchor).
@@ -216,8 +218,9 @@ struct State {
     meta: HashMap<CallId, CallMeta>,
     /// `ReqPumpHash`: completed results keyed by call id.
     results: HashMap<CallId, Result<SearchResult>>,
-    /// Coalescing index over calls that are still known to the pump.
-    index: HashMap<SearchRequest, CallId>,
+    /// Coalescing index over calls that are still known to the pump
+    /// (keyed by each call's shared request, probed by `&SearchRequest`).
+    index: HashMap<Arc<SearchRequest>, CallId>,
     /// Waiters blocked on each not-yet-completed call.
     interest: HashMap<CallId, Vec<Arc<Waiter>>>,
     /// Racing groups keyed by their virtual group call id.
@@ -400,17 +403,11 @@ impl ReqPump {
             if st.shutdown {
                 return Err(WsqError::PumpShutdown);
             }
-            let mut members = Vec::with_capacity(reqs.len());
-            for req in &reqs {
-                members.push(self.register_locked(&mut st, req.clone())?);
-            }
-            let gid = CallId(st.next_call);
-            st.next_call += 1;
             // The group gets a real meta entry (so `live_calls` counts it
             // and `wait_any`'s unknown-call guard accepts it) under a
             // synthesized request that can never enter the coalescing
             // index; it is never queued or launched.
-            let synth = SearchRequest {
+            let synth = Arc::new(SearchRequest {
                 engine: format!(
                     "race({})",
                     reqs.iter()
@@ -420,9 +417,15 @@ impl ReqPump {
                 ),
                 expr: reqs[0].expr.clone(),
                 kind: reqs[0].kind.clone(),
-            };
+            });
+            let mut members = Vec::with_capacity(reqs.len());
+            for req in reqs {
+                members.push(self.register_locked(&mut st, req)?);
+            }
+            let gid = CallId(st.next_call);
+            st.next_call += 1;
             let obs = &self.shared.config.obs;
-            obs.event_with(gid, EventKind::Registered, || synth.to_string().into());
+            obs.event_display(gid, EventKind::Registered, &synth);
             st.meta.insert(
                 gid,
                 CallMeta {
@@ -502,7 +505,8 @@ impl ReqPump {
         }
         let cid = CallId(st.next_call);
         st.next_call += 1;
-        obs.event_with(cid, EventKind::Registered, || req.to_string().into());
+        let req = Arc::new(req);
+        obs.event_display(cid, EventKind::Registered, &req);
 
         // Fail fast on unknown destinations: complete with an error. The
         // call id is brand new, so no waiter can be interested yet.
@@ -857,10 +861,13 @@ fn dest_cap(config: &PumpConfig, dest: &str) -> usize {
         .unwrap_or(config.default_per_destination)
 }
 
-/// Find the first queued call that can launch under current limits.
+/// A call taken off the queue, with the request to hand its service.
+type Launch = (CallId, Arc<SearchRequest>);
+
+/// Take the first queued call that can launch under current limits.
 /// Scanning past the head avoids head-of-line blocking when one destination
 /// is saturated but another has capacity.
-fn pop_launchable(st: &mut State, shared: &Shared) -> Option<CallId> {
+fn pop_launchable(st: &mut State, shared: &Shared) -> Option<Launch> {
     let config = &shared.config;
     if st.active_total >= config.max_concurrent {
         return None;
@@ -876,9 +883,14 @@ fn pop_launchable(st: &mut State, shared: &Shared) -> Option<CallId> {
     let now = Instant::now();
     meta.launched_at = Some(now);
     let queue_delay = now.saturating_duration_since(meta.registered_at);
-    let dest = meta.req.engine.clone();
+    let req = meta.req.clone();
     st.active_total += 1;
-    *st.active_per_dest.entry(dest).or_insert(0) += 1;
+    match st.active_per_dest.get_mut(&req.engine) {
+        Some(n) => *n += 1,
+        None => {
+            st.active_per_dest.insert(req.engine.clone(), 1);
+        }
+    }
     shared.stats.launched.fetch_add(1, Ordering::Relaxed);
     shared
         .stats
@@ -892,7 +904,7 @@ fn pop_launchable(st: &mut State, shared: &Shared) -> Option<CallId> {
         m.queue_delay.observe(queue_delay);
     }
     obs.event(cid, EventKind::Launched);
-    Some(cid)
+    Some((cid, req))
 }
 
 /// Mark a call complete, store its result, free its capacity, and wake
@@ -903,19 +915,18 @@ fn pop_launchable(st: &mut State, shared: &Shared) -> Option<CallId> {
 fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
     let obs = &shared.config.obs;
     let (waiters, race_woken) = {
-        let mut st = shared.state.lock();
+        let mut guard = shared.state.lock();
+        let st = &mut *guard;
         st.active_total = st.active_total.saturating_sub(1);
         let mut launched_at = None;
         let orphaned = match st.meta.get_mut(&cid) {
             Some(meta) => {
                 meta.state = CallState::Done;
                 launched_at = meta.launched_at;
-                let dest = meta.req.engine.clone();
-                let refs = meta.refs;
-                if let Some(n) = st.active_per_dest.get_mut(&dest) {
+                if let Some(n) = st.active_per_dest.get_mut(&meta.req.engine) {
                     *n = n.saturating_sub(1);
                 }
-                refs == 0
+                meta.refs == 0
             }
             None => true,
         };
@@ -946,7 +957,7 @@ fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
         // (an orphaned member has no race entries — groups hold a
         // reference, so a raced member can't be orphaned while any of
         // its groups is undecided).
-        let race_woken = race_resolve(shared, &mut st, cid, &result);
+        let race_woken = race_resolve(shared, st, cid, &result);
         (st.interest.remove(&cid).unwrap_or_default(), race_woken)
     };
     for w in waiters {
@@ -983,40 +994,35 @@ impl Ord for Pending {
     }
 }
 
-/// Group one launch phase's calls into per-destination submission
-/// windows of at most `window` requests, preserving launch order within
-/// each destination. `window <= 1` degenerates to singleton batches
-/// (the per-request dispatch path).
-fn window_batches(
-    launches: Vec<(CallId, SearchRequest)>,
-    window: usize,
-) -> Vec<Vec<(CallId, SearchRequest)>> {
-    if window <= 1 {
-        return launches.into_iter().map(|l| vec![l]).collect();
-    }
-    let mut order: Vec<String> = Vec::new();
-    let mut per_dest: HashMap<String, Vec<(CallId, SearchRequest)>> = HashMap::new();
-    for (cid, req) in launches {
-        let dest = req.engine.clone();
-        let entry = per_dest.entry(dest.clone()).or_default();
-        if entry.is_empty() {
-            order.push(dest);
+/// Split one launch phase's calls into submission windows: runs of at most
+/// `window` calls for one destination, yielded as slices of `launches`.
+/// With `window > 1` the calls are first regrouped — destinations in order
+/// of first appearance, launch order kept within each — so a destination's
+/// calls fill whole windows; with `window <= 1` every call is its own
+/// window, in launch order (the per-request dispatch path).
+fn window_batches(launches: &mut [Launch], window: usize) -> impl Iterator<Item = &[Launch]> {
+    if window > 1 {
+        let mut dests: Vec<Arc<SearchRequest>> = Vec::new();
+        for (_, req) in launches.iter() {
+            if !dests.iter().any(|d| d.engine == req.engine) {
+                dests.push(req.clone());
+            }
         }
-        entry.push((cid, req));
+        // Stable, so launch order survives within a destination.
+        launches.sort_by_key(|(_, req)| dests.iter().position(|d| d.engine == req.engine));
     }
-    let mut batches = Vec::new();
-    for dest in order {
-        let mut calls = per_dest.remove(&dest).unwrap_or_default();
-        while calls.len() > window {
-            let rest = calls.split_off(window);
-            batches.push(calls);
-            calls = rest;
-        }
-        if !calls.is_empty() {
-            batches.push(calls);
-        }
-    }
-    batches
+    let mut rest: &[Launch] = launches;
+    std::iter::from_fn(move || {
+        let dest = &rest.first()?.1.engine;
+        let len = rest
+            .iter()
+            .take(window.max(1))
+            .take_while(|(_, req)| req.engine == *dest)
+            .count();
+        let (batch, tail) = rest.split_at(len);
+        rest = tail;
+        Some(batch)
+    })
 }
 
 /// The failure a call completes with when its service panicked.
@@ -1058,10 +1064,11 @@ fn execute_one(shared: &Shared, cid: CallId, req: &SearchRequest) -> ServiceRepl
 /// delivery times are identical to per-request dispatch. Per-call trace
 /// attribution (`call_scope`) is unavailable inside a batch — decorator
 /// events like `Retried` are only recorded on the per-request path.
-fn execute_window(shared: &Shared, batch: &[(CallId, SearchRequest)]) -> Vec<ServiceReply> {
+fn execute_window(shared: &Shared, batch: &[Launch]) -> Vec<ServiceReply> {
     let engine = &batch[0].1.engine;
     let service = shared.services.read().get(engine).cloned();
-    let reqs: Vec<SearchRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
+    // `execute_batch` takes the requests side by side.
+    let reqs: Vec<SearchRequest> = batch.iter().map(|(_, r)| (**r).clone()).collect();
     let mut replies = match service {
         Some(svc) => match catch_unwind(AssertUnwindSafe(|| svc.execute_batch(&reqs))) {
             Ok(replies) => replies,
@@ -1112,15 +1119,14 @@ fn start_queued(shared: &Shared) {
 /// reply frees capacity, so the step repeats until nothing is launchable.
 fn launch_ready(shared: &Shared) {
     loop {
-        let mut launches: Vec<(CallId, SearchRequest)> = Vec::new();
+        let mut launches: Vec<Launch> = Vec::new();
         {
             let mut st = shared.state.lock();
             if st.shutdown {
                 return;
             }
-            while let Some(cid) = pop_launchable(&mut st, shared) {
-                let req = st.meta[&cid].req.clone();
-                launches.push((cid, req));
+            while let Some(launch) = pop_launchable(&mut st, shared) {
+                launches.push(launch);
             }
         }
         if launches.is_empty() {
@@ -1132,20 +1138,24 @@ fn launch_ready(shared: &Shared) {
         let now = Instant::now();
         let mut instant: Vec<(CallId, Result<SearchResult>)> = Vec::new();
         let mut timed: Vec<Pending> = Vec::new();
-        for batch in window_batches(launches, shared.config.submission_window) {
-            let replies = match batch.as_slice() {
-                [(cid, req)] => vec![execute_one(shared, *cid, req)],
-                _ => execute_window(shared, &batch),
-            };
-            for ((cid, _), reply) in batch.into_iter().zip(replies) {
-                if reply.latency.is_zero() {
-                    instant.push((cid, reply.result));
-                } else {
-                    timed.push(Pending {
-                        deadline: now + reply.latency,
-                        cid,
-                        result: reply.result,
-                    });
+        let mut sort_reply = |cid: CallId, reply: ServiceReply| {
+            if reply.latency.is_zero() {
+                instant.push((cid, reply.result));
+            } else {
+                timed.push(Pending {
+                    deadline: now + reply.latency,
+                    cid,
+                    result: reply.result,
+                });
+            }
+        };
+        for batch in window_batches(&mut launches, shared.config.submission_window) {
+            match batch {
+                [(cid, req)] => sort_reply(*cid, execute_one(shared, *cid, req)),
+                _ => {
+                    for ((cid, _), reply) in batch.iter().zip(execute_window(shared, batch)) {
+                        sort_reply(*cid, reply);
+                    }
                 }
             }
         }
@@ -1212,9 +1222,8 @@ fn worker_loop(shared: Arc<Shared>) {
                 if st.shutdown {
                     return;
                 }
-                if let Some(cid) = pop_launchable(&mut st, &shared) {
-                    let req = st.meta[&cid].req.clone();
-                    break (cid, req);
+                if let Some(launch) = pop_launchable(&mut st, &shared) {
+                    break launch;
                 }
                 shared.work_cv.wait(&mut st);
             }
@@ -1651,27 +1660,64 @@ mod tests {
 
     #[test]
     fn window_batches_groups_by_destination_and_chunks() {
-        let launches: Vec<(CallId, SearchRequest)> = vec![
-            (CallId(0), req("AV", "a")),
-            (CallId(1), req("Google", "b")),
-            (CallId(2), req("AV", "c")),
-            (CallId(3), req("AV", "d")),
-            (CallId(4), req("AV", "e")),
+        let launches: Vec<Launch> = vec![
+            (CallId(0), Arc::new(req("AV", "a"))),
+            (CallId(1), Arc::new(req("Google", "b"))),
+            (CallId(2), Arc::new(req("AV", "c"))),
+            (CallId(3), Arc::new(req("AV", "d"))),
+            (CallId(4), Arc::new(req("AV", "e"))),
         ];
-        let batches = window_batches(launches.clone(), 3);
-        assert_eq!(batches.len(), 3);
+        let ids = |launches: &mut [Launch], window| -> Vec<Vec<u64>> {
+            window_batches(launches, window)
+                .map(|b| b.iter().map(|(c, _)| c.0).collect())
+                .collect()
+        };
+        // AV's window fills in launch order, its overflow starts a new
+        // window, and Google (first seen second) follows.
         assert_eq!(
-            batches[0].iter().map(|(c, _)| c.0).collect::<Vec<_>>(),
-            vec![0, 2, 3],
-            "AV window fills in launch order"
+            ids(&mut launches.clone(), 3),
+            vec![vec![0, 2, 3], vec![4], vec![1]]
         );
-        assert_eq!(batches[1].len(), 1, "AV overflow starts a new window");
-        assert_eq!(batches[1][0].0, CallId(4));
-        assert_eq!(batches[2][0].0, CallId(1));
-        // window=1 degenerates to singletons in order.
-        let singles = window_batches(launches, 1);
-        assert_eq!(singles.len(), 5);
-        assert!(singles.iter().all(|b| b.len() == 1));
+        // window=1 degenerates to singletons in launch order.
+        assert_eq!(
+            ids(&mut launches.clone(), 1),
+            vec![vec![0], vec![1], vec![2], vec![3], vec![4]]
+        );
+        assert_eq!(ids(&mut [], 4), Vec::<Vec<u64>>::new());
+    }
+
+    #[test]
+    fn shared_request_coalesces_by_value_and_leaves_nothing_behind() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(20)));
+        // Two separately built, equal requests: the index holds the first
+        // one's `Arc` and is probed with the second by reference.
+        let a = pump.register(req("AV", "same")).unwrap();
+        let b = pump.register(req("AV", "same")).unwrap();
+        assert_eq!(a, b, "an identical request in flight must coalesce");
+        {
+            let st = pump.shared.state.lock();
+            assert_eq!((st.index.len(), st.meta.len()), (1, 1));
+            let (key, &cid) = st.index.iter().next().unwrap();
+            assert_eq!(cid, a);
+            assert!(
+                Arc::ptr_eq(key, &st.meta[&a].req),
+                "index and meta share one request"
+            );
+        }
+        pump.wait(a).unwrap();
+        pump.release(a);
+        pump.release(b);
+        // A released call leaves no entry keyed by a stale `Arc` …
+        {
+            let st = pump.shared.state.lock();
+            assert!(st.index.is_empty() && st.meta.is_empty() && st.results.is_empty());
+        }
+        // … so the same request registers afresh instead of attaching to it.
+        let c = pump.register(req("AV", "same")).unwrap();
+        assert_ne!(c, a);
+        pump.wait(c).unwrap();
+        pump.release(c);
+        assert_eq!(pump.live_calls(), 0);
     }
 
     #[test]

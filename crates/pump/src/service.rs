@@ -53,14 +53,18 @@ impl fmt::Display for SearchRequest {
 }
 
 /// One ranked search hit.
+///
+/// The strings are reference-counted so that a `WebPages` row patched
+/// from a (cached) hit shares the hit's bytes with every other row and
+/// query that reads it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageHit {
     /// Result URL.
-    pub url: String,
+    pub url: Arc<str>,
     /// 1-based rank assigned by the engine.
     pub rank: u32,
     /// Page date as an ISO `YYYY-MM-DD` string.
-    pub date: String,
+    pub date: Arc<str>,
 }
 
 /// A completed search result.

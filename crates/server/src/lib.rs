@@ -13,10 +13,16 @@
 //! Lifecycle properties the tests pin down:
 //!
 //! * **Disconnect cancels calls.** Rows are streamed straight off a
-//!   [`wsq_core::SessionCursor`], flushing per frame; when a client
-//!   vanishes mid-query the next write fails, the handler drops the
-//!   cursor, and the executor `Drop` impls release every pump slot and
-//!   buffered tuple.
+//!   [`wsq_core::SessionCursor`] and written whenever a
+//!   [`Frame::Rows`] batch fills; when a client vanishes mid-query the
+//!   next write fails, the handler drops the cursor, and the executor
+//!   `Drop` impls release every pump slot and buffered tuple.
+//! * **One `write` per small reply.** A reply's frames are encoded into
+//!   one buffer that goes to the socket at exactly two points: when a
+//!   `Rows` batch is full (with whatever header frames precede it) and
+//!   when the reply ends — so no row waits longer than its batch, and a
+//!   result of at most `rows_per_frame` rows (`Schema Rows Done`), an
+//!   `Affected ScriptDone` pair or an in-band error is a single send.
 //! * **Graceful shutdown drains in-flight queries.**
 //!   [`ServerHandle::shutdown`] stops the accept loop, half-closes the
 //!   *read* side of every live connection (so idle clients unblock) and
@@ -38,7 +44,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -177,8 +183,9 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        // Replies are many small flushed frames; without TCP_NODELAY,
-        // Nagle + delayed ACK turns each exchange into a ~40 ms stall.
+        // Replies are small writes the client waits on; without
+        // TCP_NODELAY, Nagle + delayed ACK turns each exchange into a
+        // ~40 ms stall.
         let _ = stream.set_nodelay(true);
         if state.active.load(Ordering::SeqCst) >= state.config.max_connections {
             let mut s = stream;
@@ -252,11 +259,14 @@ fn serve_connection(
     )?;
 
     let rows_per_frame = state.config.rows_per_frame.max(1);
+    // The reply under construction: handlers append encoded frames, and
+    // it is written when a `Rows` batch fills and when the reply ends.
+    let mut out = Vec::new();
     while let Some(frame) = read_frame(&mut stream)? {
         match frame {
             Frame::Query { sql } => match session.query_cursor(&sql) {
-                Ok(cursor) => stream_cursor(&mut stream, cursor, rows_per_frame)?,
-                Err(e) => send_error(&mut stream, &e)?,
+                Ok(cursor) => stream_cursor(&mut stream, &mut out, cursor, rows_per_frame)?,
+                Err(e) => push_error(&mut out, &e)?,
             },
             Frame::Execute { sql } => match session.execute(&sql) {
                 Ok(results) => {
@@ -264,32 +274,32 @@ fn serve_connection(
                     for r in results {
                         match r {
                             StatementResult::Rows(q) => {
-                                send_result(&mut stream, &q, rows_per_frame, None)?
+                                send_result(&mut stream, &mut out, &q, rows_per_frame, None)?
                             }
                             StatementResult::Affected(rows) => {
-                                write_frame(&mut stream, &Frame::Affected { rows: rows as u64 })?
+                                write_frame(&mut out, &Frame::Affected { rows: rows as u64 })?
                             }
                         }
                     }
-                    write_frame(&mut stream, &Frame::ScriptDone { statements: n })?;
+                    write_frame(&mut out, &Frame::ScriptDone { statements: n })?;
                 }
-                Err(e) => send_error(&mut stream, &e)?,
+                Err(e) => push_error(&mut out, &e)?,
             },
             Frame::Analyze { sql } => match session.analyze(&sql) {
                 Ok((result, report)) => {
-                    send_result(&mut stream, &result, rows_per_frame, Some(report))?
+                    send_result(&mut stream, &mut out, &result, rows_per_frame, Some(report))?
                 }
-                Err(e) => send_error(&mut stream, &e)?,
+                Err(e) => push_error(&mut out, &e)?,
             },
             Frame::Explain { sql, verify } => {
-                let out = if verify {
+                let text = if verify {
                     session.explain_verify(&sql)
                 } else {
                     session.explain(&sql)
                 };
-                match out {
-                    Ok(text) => write_frame(&mut stream, &Frame::Info { text })?,
-                    Err(e) => send_error(&mut stream, &e)?,
+                match text {
+                    Ok(text) => write_frame(&mut out, &Frame::Info { text })?,
+                    Err(e) => push_error(&mut out, &e)?,
                 }
             }
             Frame::Metrics { format } => {
@@ -297,32 +307,42 @@ fn serve_connection(
                     MetricsFormat::Text => session.metrics_text(),
                     MetricsFormat::Json => session.metrics_json(),
                 };
-                write_frame(&mut stream, &Frame::Info { text })?;
+                write_frame(&mut out, &Frame::Info { text })?;
             }
-            Frame::Ping => write_frame(&mut stream, &Frame::Pong)?,
+            Frame::Ping => write_frame(&mut out, &Frame::Pong)?,
             Frame::Goodbye => break,
             // A server→client frame (or repeated Hello) from a client is
             // a protocol violation; answer in-band and carry on.
-            other => send_error(
-                &mut stream,
+            other => push_error(
+                &mut out,
                 &WsqError::Other(format!("unexpected frame: {other:?}")),
             )?,
         }
+        send(&mut stream, &mut out)?;
     }
     Ok(())
 }
 
-/// Stream a cursor as `Schema Rows* Done`, flushing each frame. Any
-/// transport error drops the cursor on the way out — that `Drop` is the
-/// disconnect-cancellation path (pump slots and buffered tuples are
-/// released by the executor tree's destructors).
+/// Write the frames gathered in `out` with one `write` and empty it.
+fn send(stream: &mut impl Write, out: &mut Vec<u8>) -> io::Result<()> {
+    let sent = stream.write_all(out);
+    out.clear();
+    sent
+}
+
+/// Stream a cursor as `Schema Rows* Done`, sending each `Rows` batch as it
+/// fills (the caller sends the tail). Any transport error drops the cursor
+/// on the way out — that `Drop` is the disconnect-cancellation path (pump
+/// slots and buffered tuples are released by the executor tree's
+/// destructors).
 fn stream_cursor(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
+    out: &mut Vec<u8>,
     mut cursor: wsq_core::SessionCursor,
     rows_per_frame: usize,
 ) -> io::Result<()> {
     write_frame(
-        stream,
+        out,
         &Frame::Schema {
             schema: cursor.schema().clone(),
         },
@@ -336,66 +356,151 @@ fn stream_cursor(
                 if batch.len() >= rows_per_frame {
                     total += batch.len() as u64;
                     write_frame(
-                        stream,
+                        out,
                         &Frame::Rows {
                             rows: std::mem::take(&mut batch),
                         },
                     )?;
+                    send(stream, out)?;
                 }
             }
             Ok(None) => break,
             Err(e) => {
                 // Mid-stream execution error: report in-band; the
                 // stream for this query ends without a Done.
-                return send_error(stream, &e);
+                return push_error(out, &e);
             }
         }
     }
     if !batch.is_empty() {
         total += batch.len() as u64;
-        write_frame(stream, &Frame::Rows { rows: batch })?;
+        write_frame(out, &Frame::Rows { rows: batch })?;
     }
-    write_frame(stream, &Frame::Done { rows: total })
+    write_frame(out, &Frame::Done { rows: total })
 }
 
-/// Send a materialized result as `Schema Rows* [Footer] Done`.
+/// Gather a materialized result as `Schema Rows* [Footer] Done`, sending
+/// each full `Rows` batch (the caller sends the tail).
 fn send_result(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
+    out: &mut Vec<u8>,
     result: &QueryResult,
     rows_per_frame: usize,
     footer: Option<String>,
 ) -> io::Result<()> {
     write_frame(
-        stream,
+        out,
         &Frame::Schema {
             schema: result.schema.clone(),
         },
     )?;
-    for chunk in result.rows.chunks(rows_per_frame.max(1)) {
+    for chunk in result.rows.chunks(rows_per_frame) {
         write_frame(
-            stream,
+            out,
             &Frame::Rows {
                 rows: chunk.to_vec(),
             },
         )?;
+        if chunk.len() == rows_per_frame {
+            send(stream, out)?;
+        }
     }
     if let Some(report) = footer {
-        write_frame(stream, &Frame::Footer { report })?;
+        write_frame(out, &Frame::Footer { report })?;
     }
     write_frame(
-        stream,
+        out,
         &Frame::Done {
             rows: result.rows.len() as u64,
         },
     )
 }
 
-fn send_error(stream: &mut TcpStream, e: &WsqError) -> io::Result<()> {
+fn push_error(out: &mut Vec<u8>, e: &WsqError) -> io::Result<()> {
     write_frame(
-        stream,
+        out,
         &Frame::Error {
             code: error_code(e),
             message: e.to_string(),
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wsq_common::{Column, DataType, Schema, Tuple, Value};
+
+    /// A socket stand-in that keeps each `write` apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frames(mut bytes: &[u8]) -> Vec<Frame> {
+        let mut out = Vec::new();
+        while !bytes.is_empty() {
+            let (frame, used) = Frame::decode(bytes).unwrap();
+            out.push(frame);
+            bytes = &bytes[used..];
+        }
+        out
+    }
+
+    fn result(rows: i64) -> QueryResult {
+        QueryResult {
+            schema: Schema::new(vec![Column::new("n", DataType::Int)]),
+            rows: (0..rows).map(|n| Tuple::new(vec![Value::Int(n)])).collect(),
+        }
+    }
+
+    #[test]
+    fn a_reply_is_written_when_a_rows_batch_fills_and_when_it_ends() {
+        // Up to `rows_per_frame` rows: nothing is written before the reply
+        // ends, and the caller's one `send` carries `Schema Rows Done`.
+        let (mut socket, mut out) = (Writes::default(), Vec::new());
+        send_result(&mut socket, &mut out, &result(3), 4, None).unwrap();
+        assert!(socket.0.is_empty());
+        send(&mut socket, &mut out).unwrap();
+        assert!(out.is_empty());
+        assert!(matches!(
+            frames(&socket.0[0])[..],
+            [
+                Frame::Schema { .. },
+                Frame::Rows { .. },
+                Frame::Done { rows: 3 }
+            ]
+        ));
+        assert_eq!(socket.0.len(), 1);
+
+        // Longer: each full batch goes out as it fills (the first with the
+        // schema), the short tail with the footer and `Done`.
+        let (mut socket, mut out) = (Writes::default(), Vec::new());
+        send_result(&mut socket, &mut out, &result(9), 4, Some("report".into())).unwrap();
+        send(&mut socket, &mut out).unwrap();
+        let writes: Vec<Vec<Frame>> = socket.0.iter().map(|w| frames(w)).collect();
+        assert_eq!(writes.len(), 3);
+        assert!(matches!(
+            writes[0][..],
+            [Frame::Schema { .. }, Frame::Rows { .. }]
+        ));
+        assert!(matches!(writes[1][..], [Frame::Rows { .. }]));
+        assert!(matches!(
+            writes[2][..],
+            [
+                Frame::Rows { .. },
+                Frame::Footer { .. },
+                Frame::Done { rows: 9 }
+            ]
+        ));
+    }
 }

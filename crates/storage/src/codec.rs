@@ -98,7 +98,7 @@ pub fn decode(schema: &Schema, bytes: &[u8]) -> Result<Tuple> {
                 let s = std::str::from_utf8(sb).map_err(|_| {
                     WsqError::Storage(format!("column {i}: invalid UTF-8 in record"))
                 })?;
-                values.push(Value::Str(s.to_string()));
+                values.push(Value::from(s));
                 rest = tail;
             }
         }
@@ -210,6 +210,34 @@ mod tests {
             Value::Float(0.125),
         ]);
         let bytes = encode(&s, &t).unwrap();
+        assert_eq!(decode(&s, &bytes).unwrap(), t);
+    }
+
+    /// The record format is a disk format: these bytes were captured
+    /// before `Value::Str` became reference-counted and must never move.
+    #[test]
+    fn record_bytes_are_golden() {
+        let s = Schema::new(vec![
+            Column::new("n", DataType::Int),
+            Column::new("i", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("e", DataType::Varchar),
+            Column::new("s", DataType::Varchar),
+        ]);
+        let t = Tuple::new(vec![
+            Value::Null,
+            Value::Int(-42),
+            Value::Float(2.5),
+            Value::from(""),
+            Value::from("snake \u{1F40D} river"),
+        ]);
+        let bytes = encode(&s, &t).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "01d6ffffffffffffff00000000000004400000000010000000\
+             736e616b6520f09f908d207269766572"
+        );
         assert_eq!(decode(&s, &bytes).unwrap(), t);
     }
 

@@ -82,9 +82,9 @@ impl SimEngine {
             .map(|(i, m)| {
                 let page = &self.corpus.pages[m.page as usize];
                 PageHit {
-                    url: page.url.clone(),
+                    url: page.url.as_str().into(),
                     rank: i as u32 + 1,
-                    date: page.date.clone(),
+                    date: page.date.as_str().into(),
                 }
             })
             .collect()
@@ -186,9 +186,9 @@ mod tests {
             "Georgia",
             "Nevada",
         ] {
-            let a: std::collections::HashSet<String> =
+            let a: std::collections::HashSet<Arc<str>> =
                 av.search(state, 5).into_iter().map(|h| h.url).collect();
-            let g: std::collections::HashSet<String> =
+            let g: std::collections::HashSet<Arc<str>> =
                 go.search(state, 5).into_iter().map(|h| h.url).collect();
             agreements += a.intersection(&g).count();
             disagreements += a.difference(&g).count();
