@@ -7,8 +7,8 @@
 //! 1. **Blocking call under a live guard**
 //!    ([`ConcRule::BlockingUnderGuard`]): no call from the configurable
 //!    blocking set ([`AuditConfig::blocking`]; by default `execute`,
-//!    `execute_batch`, `wait_any`, `thread::sleep`, `recv`, and
-//!    zero-argument `join`) may happen while any lock guard is live.
+//!    `wait_any`, `thread::sleep`, `recv`, and zero-argument `join`)
+//!    may happen while any lock guard is live.
 //!    Guard tracking is token-based, so it survives idioms the old
 //!    lexical pass admitted it could not see: guards bound across line
 //!    breaks, `if let Ok(g) = m.lock()` / `while let` bindings, early
@@ -117,17 +117,10 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
-            blocking: [
-                "execute",
-                "execute_batch",
-                "wait_any",
-                "sleep",
-                "recv",
-                "join",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+            blocking: ["execute", "wait_any", "sleep", "recv", "join"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
         }
     }
 }

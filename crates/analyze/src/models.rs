@@ -25,12 +25,6 @@
 //!   never loses a wakeup (even when the pump completes the last
 //!   pending call exactly as the scan stalls), never patches twice,
 //!   never exceeds the cap, and cannot deadlock at `cap == 1`.
-//! - [`window_flush_model`]: the submission-window flush path (pump.rs
-//!   `window_batches` + `launch_ready`) — a fill-to-window flusher
-//!   racing a timer-wake flusher over one shared queue, with completions
-//!   waking a waiter: no request launches twice, the waiter never misses
-//!   its wakeup, and every schedule terminates (no deadlock, no
-//!   stranded tail below the window size).
 //! - [`single_flight_model`]: the cache's Ready/Pending promotion elects
 //!   exactly one leader per key; followers coalesce onto the leader's
 //!   flight and observe its published value.
@@ -338,162 +332,6 @@ pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
 }
 
 // ---------------------------------------------------------------------
-// Model: submission-window flush (pump.rs `launch_ready` windowed
-// dispatch).
-// ---------------------------------------------------------------------
-
-/// The launch queue at `launch_ready`'s lock boundary: calls enter under
-/// the state lock; flushers drain under the same lock and dispatch
-/// outside it (`window_batches` → `execute_batch`).
-struct WindowQueue {
-    queue: Vec<u64>,
-    producer_done: bool,
-}
-
-/// The windowed dispatch protocol, at the real code's synchronization
-/// points: drains are exclusive (queue pops under the state lock — the
-/// real `pop_launchable` marks a call InFlight under that lock, so no
-/// two drains can claim the same call), dispatch happens unlocked, and
-/// completions are published before the waiter condvar is notified.
-struct MiniBatcher {
-    state: Mutex<WindowQueue>,
-    work_cv: Condvar,
-    window: usize,
-    /// Launch counts and published results (one lock: the model checks
-    /// ordering of drains and wakeups, not counter contention).
-    launched: Mutex<(BTreeMap<u64, u32>, BTreeMap<u64, u64>)>,
-    done_cv: Condvar,
-}
-
-impl MiniBatcher {
-    fn new(window: usize) -> MiniBatcher {
-        MiniBatcher {
-            state: Mutex::new(WindowQueue {
-                queue: Vec::new(),
-                producer_done: false,
-            }),
-            work_cv: Condvar::new(),
-            window,
-            launched: Mutex::new((BTreeMap::new(), BTreeMap::new())),
-            done_cv: Condvar::new(),
-        }
-    }
-
-    /// `ReqPump::register`: enqueue under the lock, then notify.
-    fn enqueue(&self, cid: u64) {
-        let mut st = self.state.lock();
-        st.queue.push(cid);
-        self.work_cv.notify_all();
-    }
-
-    fn finish_producing(&self) {
-        let mut st = self.state.lock();
-        st.producer_done = true;
-        self.work_cv.notify_all();
-    }
-
-    /// Fill-to-window flusher: sleeps until a full window is available,
-    /// but once production stops it flushes the remaining tail too — a
-    /// partial window must never be stranded waiting for fills that will
-    /// not come.
-    fn fill_flush(&self) {
-        loop {
-            let batch: Vec<u64> = {
-                let mut st = self.state.lock();
-                while st.queue.len() < self.window && !st.producer_done {
-                    st = self.work_cv.wait(st);
-                }
-                if st.queue.is_empty() {
-                    return; // producer_done and nothing left
-                }
-                let take = st.queue.len().min(self.window);
-                st.queue.drain(..take).collect()
-            };
-            self.dispatch(&batch);
-        }
-    }
-
-    /// Timer-wake flusher: the timer thread, having delivered what a
-    /// deadline made due, drains whatever is queued, full window or not.
-    /// A deadline wake does not block on the work condvar, so the model
-    /// is a single drain the scheduler places at an arbitrary point in
-    /// the race.
-    fn timer_flush(&self) {
-        let batch: Vec<u64> = {
-            let mut st = self.state.lock();
-            let take = st.queue.len().min(self.window);
-            st.queue.drain(..take).collect()
-        };
-        if !batch.is_empty() {
-            self.dispatch(&batch);
-        }
-    }
-
-    /// One windowed dispatch plus its completions (collapsed: the model
-    /// checks launch/flush ordering, not simulated latency). Results are
-    /// published before the wake — the `complete` order.
-    fn dispatch(&self, batch: &[u64]) {
-        let mut l = self.launched.lock();
-        for &cid in batch {
-            let n = l.0.entry(cid).or_insert(0);
-            *n += 1;
-            assert_eq!(*n, 1, "request {cid} launched twice");
-            l.1.insert(cid, cid + 100);
-        }
-        self.done_cv.notify_all();
-    }
-
-    /// The blocked caller (`wait_any` shape): the no-lost-wakeup
-    /// property is this loop terminating under every schedule.
-    fn wait_all(&self, n: usize) {
-        let mut l = self.launched.lock();
-        while l.1.len() < n {
-            l = self.done_cv.wait(l);
-        }
-    }
-}
-
-/// Fill-to-window vs. timer flush racing over one queue while a waiter
-/// blocks on completions: 2 requests through a 2-wide window. Schedules
-/// where the timer flusher steals one request early leave a sub-window
-/// tail of one behind, which the fill flusher must still launch once
-/// production stops. Every interleaving launches each request exactly
-/// once (drains are exclusive under the state lock), flushes the tail,
-/// wakes the waiter, and terminates.
-pub fn window_flush_model() -> Stats {
-    check_with(bounds(), || {
-        let b = Arc::new(MiniBatcher::new(2));
-        let fill = {
-            let b = b.clone();
-            thread::spawn(move || b.fill_flush())
-        };
-        let timer = {
-            let b = b.clone();
-            thread::spawn(move || b.timer_flush())
-        };
-        // The main thread is the producer (registering calls) and then
-        // the blocked waiter — the ReqSync side of the real protocol.
-        for cid in 1..=2u64 {
-            b.enqueue(cid);
-        }
-        b.finish_producing();
-        b.wait_all(2);
-        fill.join();
-        timer.join();
-        let l = b.launched.lock();
-        assert_eq!(l.0.len(), 2, "a request was never launched");
-        assert!(
-            l.0.values().all(|&n| n == 1),
-            "a request launched twice: {:?}",
-            l.0
-        );
-        for cid in 1..=2u64 {
-            assert_eq!(l.1.get(&cid), Some(&(cid + 100)));
-        }
-    })
-}
-
-// ---------------------------------------------------------------------
 // Models 3–4: single-flight cache (websim cache.rs Ready/Pending
 // promotion).
 // ---------------------------------------------------------------------
@@ -529,14 +367,14 @@ impl Flight {
     }
 }
 
-/// One cache shard: a single key's slot is all the model needs.
+/// The cache map: a single key's slot is all the model needs.
 enum Slot {
     Ready(u64),
     Pending(Arc<Flight>),
 }
 
 struct MiniCache {
-    shard: Mutex<Option<Slot>>,
+    map: Mutex<Option<Slot>>,
     /// Inner-service call count (the single-flight property under test).
     inner_calls: Mutex<u32>,
     /// How many inner calls should fail before succeeding.
@@ -546,18 +384,18 @@ struct MiniCache {
 impl MiniCache {
     fn new(failures: u32) -> MiniCache {
         MiniCache {
-            shard: Mutex::new(None),
+            map: Mutex::new(None),
             inner_calls: Mutex::new(0),
             failures_left: Mutex::new(failures),
         }
     }
 
     /// `cache.rs::CachedService::execute` / `lead`, with the same lock
-    /// boundaries: decide hit/coalesce/lead under the shard lock; run
+    /// boundaries: decide hit/coalesce/lead under the map lock; run
     /// the inner call with the lock released; re-take it to publish.
     fn execute(&self) -> Result<u64, ()> {
         let flight = {
-            let mut map = self.shard.lock();
+            let mut map = self.map.lock();
             match &*map {
                 Some(Slot::Ready(v)) => return Ok(*v),
                 Some(Slot::Pending(f)) => f.clone(),
@@ -587,7 +425,7 @@ impl MiniCache {
             }
         };
         {
-            let mut map = self.shard.lock();
+            let mut map = self.map.lock();
             match result {
                 Ok(v) => *map = Some(Slot::Ready(v)),
                 // Failure: remove the Pending entry so the next request
@@ -622,7 +460,7 @@ pub fn single_flight_model() -> Stats {
         assert_eq!(r2, Ok(42));
         assert_eq!(*cache.inner_calls.lock(), 1, "single-flight violated");
         assert!(
-            matches!(*cache.shard.lock(), Some(Slot::Ready(42))),
+            matches!(*cache.map.lock(), Some(Slot::Ready(42))),
             "slot not promoted to Ready"
         );
     })
@@ -649,7 +487,7 @@ pub fn leader_failure_model() -> Stats {
         // failed flight may not leave a poisoned Pending entry behind.
         let settled = cache.execute();
         assert_eq!(settled, Ok(42), "failed leader poisoned the key");
-        assert!(matches!(*cache.shard.lock(), Some(Slot::Ready(42))));
+        assert!(matches!(*cache.map.lock(), Some(Slot::Ready(42))));
         let calls = *cache.inner_calls.lock();
         assert!(
             (2..=3).contains(&calls),
@@ -1303,13 +1141,6 @@ mod tests {
     #[test]
     fn stall_resume_loses_no_wakeup_under_adversarial_completion_order() {
         let stats = stall_resume_model(2, true);
-        assert!(stats.complete, "exploration hit the schedule cap");
-        assert!(stats.schedules >= 2, "expected multiple interleavings");
-    }
-
-    #[test]
-    fn window_flush_launches_once_and_never_strands_the_tail() {
-        let stats = window_flush_model();
         assert!(stats.complete, "exploration hit the schedule cap");
         assert!(stats.schedules >= 2, "expected multiple interleavings");
     }

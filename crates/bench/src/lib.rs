@@ -6,8 +6,6 @@
 //! crate reproduces that methodology: [`Template`] instantiation,
 //! sync-vs-async timing, and paper-style result tables.
 
-pub mod fastpath;
-
 use std::time::{Duration, Instant};
 use wsq_core::{ExecutionMode, QueryOptions, Wsq, WsqConfig};
 use wsq_websim::{CorpusConfig, LatencyModel};

@@ -72,24 +72,42 @@ fn four_concurrent_clients_match_four_sequential_sessions() {
     handle.shutdown();
 }
 
+/// An integer metric out of the registry's JSON snapshot.
+fn metric(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let at = json
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {name} in:\n{json}"));
+    let value = &json[at + key.len()..];
+    let digits = value.bytes().take_while(u8::is_ascii_digit).count();
+    value[..digits].parse().unwrap()
+}
+
 #[test]
 fn cross_session_single_flight_misses_equal_backend_calls() {
+    const SESSIONS: usize = 8;
+    const LOOKUPS: usize = 48;
+    const EXPRESSIONS: usize = 16;
     let handle = serve(
         WsqConfig {
             cache: true,
+            // Enough latency that sessions overlap on in-flight misses.
+            latency: wsq_websim::LatencyModel::Fixed(Duration::from_millis(2)),
             ..WsqConfig::fast()
         },
         ServerConfig::default(),
     );
     let addr = handle.addr();
-    let sql = "SELECT Count FROM WebCount WHERE T1 = 'Nevada'";
 
-    let threads: Vec<_> = (0..4)
+    let threads: Vec<_> = (0..SESSIONS)
         .map(|_| {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
-                let r = c.query(sql).unwrap();
-                assert_eq!(r.rows.len(), 1);
+                for q in 0..LOOKUPS {
+                    let term = q % EXPRESSIONS;
+                    let sql = format!("SELECT Count FROM WebCount WHERE T1 = 'shared{term:02}'");
+                    assert_eq!(c.query(&sql).unwrap().rows.len(), 1);
+                }
                 c.goodbye().unwrap();
             })
         })
@@ -98,15 +116,22 @@ fn cross_session_single_flight_misses_equal_backend_calls() {
         t.join().unwrap();
     }
 
-    // One backend call total across all four sessions; the other three
-    // were cache hits or coalesced onto the in-flight miss.
+    // The fleet pays for one copy of the workload: 16 backend calls for
+    // 384 requests, and every registered call is a cache hit, a first
+    // miss, or a join onto an identical in-flight call at the pump.
     let mut c = Client::connect(addr).unwrap();
     let json = c.metrics(MetricsFormat::Json).unwrap();
-    assert!(
-        json.contains("\"wsq_cache_misses_total\":1"),
-        "expected exactly one miss in:\n{json}"
+    let requests = (SESSIONS * LOOKUPS) as u64;
+    assert_eq!(metric(&json, "wsq_cache_misses_total"), EXPRESSIONS as u64);
+    assert_eq!(metric(&json, "wsq_calls_registered_total"), requests);
+    assert_eq!(
+        metric(&json, "wsq_cache_hits_total")
+            + metric(&json, "wsq_cache_misses_total")
+            + metric(&json, "wsq_calls_coalesced_total"),
+        requests,
+        "{json}"
     );
-    assert!(json.contains("\"wsq_sessions_total\":5"), "{json}");
+    assert_eq!(metric(&json, "wsq_sessions_total"), SESSIONS as u64 + 1);
     c.goodbye().unwrap();
     handle.shutdown();
 }
@@ -464,7 +489,7 @@ fn analyze_footer_wire_format_golden() {
         "-- pump: registered=1 launched=1 completed=1 coalesced=0 peak_in_flight=1 peak_queued=1",
         "-- trace: calls=1 call_p50=_ call_p95=_ call_max=_ queue_p95=_ patch_p95=_ \
          max_concurrent=1 stalls=0 stall_p95=_ buffered_hw=1 events=6 dropped=0 \
-         prefetch_issued=0 prefetch_wasted=0 batches=0",
+         prefetch_issued=0 prefetch_wasted=0",
         "-- cache[AV]: hits=1 misses=0 coalesced=0 evictions=0 expirations=0",
         "-- cache[Google]: hits=0 misses=0 coalesced=0 evictions=0 expirations=0",
         "-- verify: ok (verified 5 nodes: 1 async scan(s), 1 ReqSync(s), max placeholder set 1, \

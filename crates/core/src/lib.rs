@@ -52,13 +52,13 @@ pub struct WsqConfig {
     pub query: QueryOptions,
     /// Wrap engines in a memoizing result cache (HN96).
     pub cache: bool,
-    /// Tuning for the result cache (shard count, LRU capacity, TTL);
-    /// only consulted when `cache` is set.
+    /// Tuning for the result cache (LRU capacity, TTL); only consulted
+    /// when `cache` is set.
     pub cache_tuning: CacheConfig,
     /// Collect call-lifecycle traces and metrics (DESIGN.md §10). On by
     /// default: the facade is the interactive surface where `.stats`,
     /// `.trace`, and the ANALYZE trace footer live. Set `false` for a
-    /// true no-op sink (verified <2% overhead by the bench ablation).
+    /// true no-op sink; what leaving it on costs is ROADMAP item 7b.
     pub obs: bool,
 }
 

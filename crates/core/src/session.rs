@@ -10,7 +10,7 @@
 //! coalesce *across* sessions — the paper's single-flight invariant
 //! (cache misses == backend calls) holds for the whole fleet, not just
 //! one query. The PR-4 ReqSync buffer cap and the pump's
-//! per-destination windows likewise become service-wide admission
+//! per-destination caps likewise become service-wide admission
 //! control.
 //!
 //! Concurrency model: SELECTs only need `&Database` (plans and cursors

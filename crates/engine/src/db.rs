@@ -36,10 +36,9 @@ pub struct QueryOptions {
     /// mode only; `0` disables). Clamped to `reqsync_cap` by the planner
     /// so prefetch can never admit calls admission control would refuse.
     pub prefetch_depth: usize,
-    /// Per-destination submission-window advice stamped into the plan
-    /// (`1` = per-request dispatch). The pump's own
-    /// `PumpConfig::submission_window` governs actual batching; this
-    /// field only records the planner's intent in the `PrefetchHint`.
+    /// Inert: stamped into `PrefetchHint::window`, which no dispatcher
+    /// reads. Survives only because `wsqbench` names it; goes with
+    /// ROADMAP 1(d).
     pub prefetch_window: usize,
     /// Let the histogram-driven controller vary the lookahead between 1
     /// and `prefetch_depth` (no effect while `prefetch_depth` is 0).

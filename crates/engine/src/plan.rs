@@ -72,10 +72,9 @@ pub enum EvBinding {
 /// `depth` is the number of outer tuples a dependent join may pull (and
 /// register calls for) *ahead* of what its consumer has demanded; `0`
 /// disables prefetch and keeps the paper's purely demand-driven
-/// registration. `window` is forwarded to the pump's submission-window
-/// configuration hint (per-destination batched dispatch). `adaptive`
-/// turns `depth` into an upper bound steered at runtime by the
-/// `AdaptiveDepth` controller from the live latency histograms.
+/// registration. `window` is inert. `adaptive` turns `depth` into an
+/// upper bound steered at runtime by the `AdaptiveDepth` controller from
+/// the live latency histograms.
 /// `batch` is an *input* to asyncify only: a value `b > 1` requests
 /// "lookahead of at least `b`" and is folded into `depth` there, so a
 /// stamped hint always carries `batch == 1` and executors and the
@@ -84,7 +83,8 @@ pub enum EvBinding {
 pub struct PrefetchHint {
     /// Maximum outer tuples pulled ahead of demand (0 = off).
     pub depth: usize,
-    /// Preferred submission-window size for this scan's destination.
+    /// Inert: no dispatcher reads it. Survives only because `wsqbench`
+    /// names it; goes with ROADMAP 1(d).
     pub window: usize,
     /// Steer the effective depth from live latency histograms.
     pub adaptive: bool,

@@ -23,8 +23,8 @@
 //! [`Obs`] is a cheap-clone handle wrapping `Option<Arc<..>>`.
 //! [`Obs::disabled`] carries `None`, so every emission site costs one
 //! null-check and branch — no clock read, no allocation, no atomics.
-//! The `pump_cache` bench's ablation section verifies the end-to-end
-//! overhead stays within noise (<2% on the miss-storm scenario).
+//! An *enabled* handle is not free: `wsqbench --traced` reports it as
+//! `obs.enabled_overhead_pct` (ROADMAP item 7b).
 //!
 //! # Example
 //!

@@ -380,10 +380,6 @@ pub struct WellKnown {
     pub stall_duration: Arc<Histogram>,
     /// End-to-end wall time per query.
     pub query_latency: Arc<Histogram>,
-    /// Submission-window fill: a windowed dispatch of n requests records
-    /// an observation of n **milliseconds** (the latency bucket ladder
-    /// doubling as a size ladder; count = number of windowed dispatches).
-    pub batch_size: Arc<Histogram>,
 }
 
 impl WellKnown {
@@ -497,10 +493,6 @@ impl WellKnown {
             query_latency: registry.histogram(
                 "wsq_query_latency_seconds",
                 "End-to-end wall time per query",
-            ),
-            batch_size: registry.histogram(
-                "wsq_batch_size",
-                "Submission-window fill per windowed dispatch (recorded as n milliseconds)",
             ),
         }
     }

@@ -28,7 +28,6 @@ pub struct QueryWindow {
     stalls0: u64,
     prefetch_issued0: u64,
     prefetch_wasted0: u64,
-    batches0: u64,
 }
 
 impl QueryWindow {
@@ -48,7 +47,6 @@ impl QueryWindow {
                     stalls0: m.reqsync_stalls.get(),
                     prefetch_issued0: m.prefetch_issued.get(),
                     prefetch_wasted0: m.prefetch_wasted.get(),
-                    batches0: m.batch_size.snapshot().count,
                 }
             }
             None => QueryWindow {
@@ -62,7 +60,6 @@ impl QueryWindow {
                 stalls0: 0,
                 prefetch_issued0: 0,
                 prefetch_wasted0: 0,
-                batches0: 0,
             },
         }
     }
@@ -106,7 +103,6 @@ impl QueryWindow {
                 .prefetch_wasted
                 .get()
                 .saturating_sub(self.prefetch_wasted0),
-            batches: m.batch_size.snapshot().count.saturating_sub(self.batches0),
         })
     }
 }
@@ -147,15 +143,13 @@ pub struct QuerySummary {
     pub prefetch_issued: u64,
     /// Prefetched calls whose tuple was never consumed.
     pub prefetch_wasted: u64,
-    /// Windowed `execute_batch` dispatches during the window.
-    pub batches: u64,
 }
 
 impl fmt::Display for QuerySummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "calls={} call_p50={} call_p95={} call_max={} queue_p95={} patch_p95={} max_concurrent={} stalls={} stall_p95={} buffered_hw={} events={} dropped={} prefetch_issued={} prefetch_wasted={} batches={}",
+            "calls={} call_p50={} call_p95={} call_max={} queue_p95={} patch_p95={} max_concurrent={} stalls={} stall_p95={} buffered_hw={} events={} dropped={} prefetch_issued={} prefetch_wasted={}",
             self.calls,
             fmt_ms(self.call_p50),
             fmt_ms(self.call_p95),
@@ -170,7 +164,6 @@ impl fmt::Display for QuerySummary {
             self.dropped,
             self.prefetch_issued,
             self.prefetch_wasted,
-            self.batches,
         )
     }
 }

@@ -59,10 +59,6 @@ pub enum EventKind {
     /// The call was registered ahead of demand by a prefetching scan
     /// (DESIGN.md §12).
     PrefetchIssued,
-    /// The call was handed to its service as part of a windowed
-    /// `execute_batch` dispatch (instead of a per-request `Launched`
-    /// handoff; the `Launched` event still fires when capacity is taken).
-    BatchLaunched,
     /// A racing group's first successful member completed and its result
     /// was adopted as the group's result (anchored to the group call).
     RaceWon,
@@ -89,7 +85,6 @@ impl EventKind {
             EventKind::Stalled => "stalled",
             EventKind::Resumed => "resumed",
             EventKind::PrefetchIssued => "prefetch-issued",
-            EventKind::BatchLaunched => "batch-launched",
             EventKind::RaceWon => "race-won",
             EventKind::RaceCancelled => "race-cancelled",
         }

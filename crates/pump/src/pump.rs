@@ -63,14 +63,6 @@ pub struct PumpConfig {
     pub default_per_destination: usize,
     /// Merge identical in-flight requests into one network call.
     pub coalesce: bool,
-    /// Submission-window size for the event-loop dispatcher: up to this
-    /// many launchable requests for **one destination** are handed to the
-    /// service as a single [`SearchService::execute_batch`] dispatch.
-    /// `1` (the default) keeps the per-request dispatch path; per-call
-    /// concurrency accounting, caps, and `Launched` events are identical
-    /// either way. Ignored by [`DispatchMode::ThreadPool`] workers, which
-    /// are inherently per-request.
-    pub submission_window: usize,
     /// Dispatcher choice.
     pub dispatch: DispatchMode,
     /// Observability sink for call-lifecycle events and metrics
@@ -85,7 +77,6 @@ impl Default for PumpConfig {
             per_destination: HashMap::new(),
             default_per_destination: 64,
             coalesce: true,
-            submission_window: 1,
             dispatch: DispatchMode::EventLoop,
             obs: Obs::disabled(),
         }
@@ -107,8 +98,8 @@ pub struct PumpStats {
     pub peak_in_flight: u64,
     /// Highest queue length observed while waiting for capacity.
     pub peak_queued: u64,
-    /// Windowed dispatches: `execute_batch` handoffs covering two or more
-    /// requests (per-request dispatches are not counted).
+    /// Always 0: every launch is one per-request dispatch. The field
+    /// survives only because `wsqbench` names it; it goes with ROADMAP 1(d).
     pub batches: u64,
 }
 
@@ -121,7 +112,6 @@ struct Counters {
     coalesced: AtomicU64,
     peak_in_flight: AtomicU64,
     peak_queued: AtomicU64,
-    batches: AtomicU64,
 }
 
 impl Counters {
@@ -133,7 +123,7 @@ impl Counters {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             peak_in_flight: self.peak_in_flight.load(Ordering::Relaxed),
             peak_queued: self.peak_queued.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            batches: 0,
         }
     }
 }
@@ -357,10 +347,8 @@ impl ReqPump {
     /// acquisition, launching once at the end. Semantically
     /// identical to calling [`ReqPump::register`] once per request (same
     /// coalescing, same fail-fast on unknown engines, same ids), but a
-    /// prefetching scan issuing `depth` calls — or a batch-at-a-time
-    /// dependent join registering a whole outer batch of `batch_size`
-    /// calls (DESIGN.md §14) — pays one lock round instead of one per
-    /// call.
+    /// prefetching scan issuing `depth` calls pays one lock round instead
+    /// of one per call.
     ///
     /// Fails atomically only on shutdown: requests registered before the
     /// shutdown flag was observed keep their ids (the caller must release
@@ -994,37 +982,6 @@ impl Ord for Pending {
     }
 }
 
-/// Split one launch phase's calls into submission windows: runs of at most
-/// `window` calls for one destination, yielded as slices of `launches`.
-/// With `window > 1` the calls are first regrouped — destinations in order
-/// of first appearance, launch order kept within each — so a destination's
-/// calls fill whole windows; with `window <= 1` every call is its own
-/// window, in launch order (the per-request dispatch path).
-fn window_batches(launches: &mut [Launch], window: usize) -> impl Iterator<Item = &[Launch]> {
-    if window > 1 {
-        let mut dests: Vec<Arc<SearchRequest>> = Vec::new();
-        for (_, req) in launches.iter() {
-            if !dests.iter().any(|d| d.engine == req.engine) {
-                dests.push(req.clone());
-            }
-        }
-        // Stable, so launch order survives within a destination.
-        launches.sort_by_key(|(_, req)| dests.iter().position(|d| d.engine == req.engine));
-    }
-    let mut rest: &[Launch] = launches;
-    std::iter::from_fn(move || {
-        let dest = &rest.first()?.1.engine;
-        let len = rest
-            .iter()
-            .take(window.max(1))
-            .take_while(|(_, req)| req.engine == *dest)
-            .count();
-        let (batch, tail) = rest.split_at(len);
-        rest = tail;
-        Some(batch)
-    })
-}
-
 /// The failure a call completes with when its service panicked.
 fn panic_error(payload: Box<dyn std::any::Any + Send>) -> WsqError {
     let msg = payload
@@ -1057,47 +1014,6 @@ fn execute_one(shared: &Shared, cid: CallId, req: &SearchRequest) -> ServiceRepl
         wsq_obs::call_scope(cid, || svc.execute(req))
     }))
     .unwrap_or_else(|payload| failed(panic_error(payload)))
-}
-
-/// Run one destination window's `execute_batch` handoff, returning exactly
-/// one reply per call. Each reply keeps its own simulated latency, so
-/// delivery times are identical to per-request dispatch. Per-call trace
-/// attribution (`call_scope`) is unavailable inside a batch — decorator
-/// events like `Retried` are only recorded on the per-request path.
-fn execute_window(shared: &Shared, batch: &[Launch]) -> Vec<ServiceReply> {
-    let engine = &batch[0].1.engine;
-    let service = shared.services.read().get(engine).cloned();
-    // `execute_batch` takes the requests side by side.
-    let reqs: Vec<SearchRequest> = batch.iter().map(|(_, r)| (**r).clone()).collect();
-    let mut replies = match service {
-        Some(svc) => match catch_unwind(AssertUnwindSafe(|| svc.execute_batch(&reqs))) {
-            Ok(replies) => replies,
-            Err(payload) => {
-                let err = panic_error(payload);
-                reqs.iter().map(|_| failed(err.clone())).collect()
-            }
-        },
-        None => Vec::new(),
-    };
-    // Defensive: a misbehaving service must not strand calls.
-    replies.resize_with(batch.len(), || {
-        failed(WsqError::Search(format!(
-            "engine '{engine}' returned too few batch replies"
-        )))
-    });
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-    let obs = &shared.config.obs;
-    if let Some(m) = obs.metrics() {
-        // Convention: batch sizes are recorded as "milliseconds"
-        // (a window of n requests observes n ms) so the fixed
-        // latency bucket ladder doubles as a size ladder.
-        m.batch_size
-            .observe(Duration::from_millis(batch.len() as u64));
-    }
-    for (cid, _) in batch {
-        obs.event(*cid, EventKind::BatchLaunched);
-    }
-    replies
 }
 
 /// Start whatever registration just queued: on this thread under
@@ -1138,7 +1054,8 @@ fn launch_ready(shared: &Shared) {
         let now = Instant::now();
         let mut instant: Vec<(CallId, Result<SearchResult>)> = Vec::new();
         let mut timed: Vec<Pending> = Vec::new();
-        let mut sort_reply = |cid: CallId, reply: ServiceReply| {
+        for (cid, req) in launches {
+            let reply = execute_one(shared, cid, &req);
             if reply.latency.is_zero() {
                 instant.push((cid, reply.result));
             } else {
@@ -1147,16 +1064,6 @@ fn launch_ready(shared: &Shared) {
                     cid,
                     result: reply.result,
                 });
-            }
-        };
-        for batch in window_batches(&mut launches, shared.config.submission_window) {
-            match batch {
-                [(cid, req)] => sort_reply(*cid, execute_one(shared, *cid, req)),
-                _ => {
-                    for ((cid, _), reply) in batch.iter().zip(execute_window(shared, batch)) {
-                        sort_reply(*cid, reply);
-                    }
-                }
             }
         }
         if !timed.is_empty() {
@@ -1633,60 +1540,6 @@ mod tests {
     }
 
     #[test]
-    fn submission_window_batches_same_destination_dispatches() {
-        let config = PumpConfig {
-            submission_window: 4,
-            ..PumpConfig::default()
-        };
-        let pump = ReqPump::new(config);
-        pump.register_service("AV", Probe::new(Duration::from_millis(5)));
-        let ids = pump
-            .register_batch((0..8).map(|i| req("AV", &format!("b{i:02}"))).collect())
-            .unwrap();
-        for &cid in &ids {
-            assert!(pump.wait(cid).unwrap().count().is_some());
-        }
-        let stats = pump.stats();
-        assert_eq!(stats.launched, 8);
-        assert!(
-            stats.batches >= 1,
-            "8 same-destination calls under window=4 never batched"
-        );
-        for &cid in &ids {
-            pump.release(cid);
-        }
-        assert_eq!(pump.live_calls(), 0);
-    }
-
-    #[test]
-    fn window_batches_groups_by_destination_and_chunks() {
-        let launches: Vec<Launch> = vec![
-            (CallId(0), Arc::new(req("AV", "a"))),
-            (CallId(1), Arc::new(req("Google", "b"))),
-            (CallId(2), Arc::new(req("AV", "c"))),
-            (CallId(3), Arc::new(req("AV", "d"))),
-            (CallId(4), Arc::new(req("AV", "e"))),
-        ];
-        let ids = |launches: &mut [Launch], window| -> Vec<Vec<u64>> {
-            window_batches(launches, window)
-                .map(|b| b.iter().map(|(c, _)| c.0).collect())
-                .collect()
-        };
-        // AV's window fills in launch order, its overflow starts a new
-        // window, and Google (first seen second) follows.
-        assert_eq!(
-            ids(&mut launches.clone(), 3),
-            vec![vec![0, 2, 3], vec![4], vec![1]]
-        );
-        // window=1 degenerates to singletons in launch order.
-        assert_eq!(
-            ids(&mut launches.clone(), 1),
-            vec![vec![0], vec![1], vec![2], vec![3], vec![4]]
-        );
-        assert_eq!(ids(&mut [], 4), Vec::<Vec<u64>>::new());
-    }
-
-    #[test]
     fn shared_request_coalesces_by_value_and_leaves_nothing_behind() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(20)));
         // Two separately built, equal requests: the index holds the first
@@ -2000,57 +1853,6 @@ mod tests {
         assert_eq!(pump.live_calls(), 0);
     }
 
-    /// Test service recording the size of every dispatch it receives.
-    #[derive(Default)]
-    struct WindowLog {
-        dispatches: Mutex<Vec<(String, usize)>>,
-    }
-
-    impl SearchService for WindowLog {
-        fn execute(&self, req: &SearchRequest) -> ServiceReply {
-            self.execute_batch(std::slice::from_ref(req)).remove(0)
-        }
-
-        fn execute_batch(&self, reqs: &[SearchRequest]) -> Vec<ServiceReply> {
-            self.dispatches
-                .lock()
-                .push((reqs[0].engine.clone(), reqs.len()));
-            reqs.iter()
-                .map(|r| ServiceReply::instant(SearchResult::Count(r.expr.len() as u64)))
-                .collect()
-        }
-    }
-
-    #[test]
-    fn register_batch_forms_per_destination_submission_windows() {
-        let log = Arc::new(WindowLog::default());
-        let pump = ReqPump::new(PumpConfig {
-            submission_window: 8,
-            ..PumpConfig::default()
-        });
-        pump.register_service("AV", log.clone());
-        pump.register_service("Google", log.clone());
-        // 20 AV requests with 3 Google requests interleaved.
-        let reqs: Vec<SearchRequest> = (0..23)
-            .map(|i| match i {
-                2 | 9 | 16 => req("Google", &format!("g{i:02}")),
-                _ => req("AV", &format!("a{i:02}")),
-            })
-            .collect();
-        let ids = pump.register_batch(reqs).unwrap();
-        assert_eq!(pump.take_completed(&ids).len(), 23);
-        let sizes = |engine: &str| -> Vec<usize> {
-            let d = log.dispatches.lock();
-            d.iter()
-                .filter(|(e, _)| e == engine)
-                .map(|(_, n)| *n)
-                .collect()
-        };
-        assert_eq!(sizes("AV"), vec![8, 8, 4]);
-        assert_eq!(sizes("Google"), vec![3]);
-        assert_eq!(pump.stats().batches, 4);
-    }
-
     /// Test service that panics on the expression `"boom"`.
     struct Panicky;
 
@@ -2063,14 +1865,9 @@ mod tests {
 
     #[test]
     fn panicking_service_fails_its_call_and_the_pump_survives() {
-        for (dispatch, window) in [
-            (DispatchMode::EventLoop, 1),
-            (DispatchMode::EventLoop, 4),
-            (DispatchMode::ThreadPool(2), 1),
-        ] {
+        for dispatch in [DispatchMode::EventLoop, DispatchMode::ThreadPool(2)] {
             let pump = ReqPump::new(PumpConfig {
                 dispatch,
-                submission_window: window,
                 max_concurrent: 2,
                 ..PumpConfig::default()
             });
@@ -2081,10 +1878,10 @@ mod tests {
             let err = pump.wait(ids[0]).unwrap_err().to_string();
             assert!(
                 err.contains("service panicked: backend exploded"),
-                "{dispatch:?}/{window}: {err}"
+                "{dispatch:?}: {err}"
             );
-            // A windowed dispatch shares its panic; per-request does not.
-            assert_eq!(pump.wait(ids[1]).is_ok(), window == 1);
+            // The healthy call registered beside it is untouched.
+            assert_eq!(pump.wait(ids[1]).unwrap().count(), Some(4), "{dispatch:?}");
             for cid in ids {
                 pump.release(cid);
             }

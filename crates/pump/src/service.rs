@@ -160,19 +160,6 @@ pub trait SearchService: Send + Sync {
     /// `WsqError::Search("service panicked: …")`; it does not take the
     /// launching thread or the pump down.
     fn execute(&self, req: &SearchRequest) -> ServiceReply;
-
-    /// Compute replies for a whole submission window in one handoff,
-    /// returning exactly one reply per request, in order.
-    ///
-    /// The default falls back to per-request [`SearchService::execute`],
-    /// so decorators (cache/retry/flaky) compose unchanged: each request
-    /// in the window still traverses the full decorator stack, and
-    /// single-flight / retry / injection semantics are identical to N
-    /// separate calls. Backends that can amortize a round trip (or a
-    /// lock) across the window override this.
-    fn execute_batch(&self, reqs: &[SearchRequest]) -> Vec<ServiceReply> {
-        reqs.iter().map(|r| self.execute(r)).collect()
-    }
 }
 
 /// Execute a request synchronously, stalling the caller for the full

@@ -4,7 +4,7 @@
 //! ```text
 //! wsq-server [--addr HOST:PORT] [--paper-like] [--no-cache]
 //!            [--max-connections N] [--rows-per-frame N]
-//!            [--pump-max N] [--window N] [--reqsync-cap N]
+//!            [--pump-max N] [--reqsync-cap N]
 //! ```
 //!
 //! Type `quit` (or close stdin) for a graceful shutdown: in-flight
@@ -17,7 +17,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: wsq-server [--addr HOST:PORT] [--paper-like] [--no-cache]\n\
          \u{20}                 [--max-connections N] [--rows-per-frame N]\n\
-         \u{20}                 [--pump-max N] [--window N] [--reqsync-cap N]"
+         \u{20}                 [--pump-max N] [--reqsync-cap N]"
     );
     std::process::exit(2)
 }
@@ -53,7 +53,6 @@ fn main() {
             }
             "--rows-per-frame" => server_config.rows_per_frame = parse(&value("--rows-per-frame")),
             "--pump-max" => wsq_config.pump.max_concurrent = parse(&value("--pump-max")),
-            "--window" => wsq_config.pump.submission_window = parse(&value("--window")),
             "--reqsync-cap" => wsq_config.query.reqsync_cap = Some(parse(&value("--reqsync-cap"))),
             "--help" | "-h" => usage(),
             other => {

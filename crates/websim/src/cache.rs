@@ -8,12 +8,11 @@
 //!
 //! # Design
 //!
-//! The cache is sharded: the request hash selects one of N power-of-two
-//! shards, each guarded by its own `RwLock`, so concurrent lookups on
-//! different keys never contend and hits on the *same* key share a read
-//! lock. Counters are atomics, off every lock.
+//! The cache is one map behind one `RwLock`: hits share the read lock,
+//! only a miss (install the flight, store the result) takes the write
+//! lock. Counters are atomics, off the lock.
 //!
-//! Each shard slot is either a ready entry or a *pending* flight. The
+//! Each slot is either a ready entry or a *pending* flight. The
 //! first thread to miss on a key installs a flight and calls the inner
 //! service; concurrent misses on the same key find the flight and block
 //! on its condvar instead of issuing duplicate external calls
@@ -36,33 +35,18 @@ use wsq_obs::Obs;
 use wsq_pump::{SearchRequest, SearchResult, SearchService, ServiceReply};
 
 /// Tuning knobs for [`CachedService`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CacheConfig {
-    /// Number of shards; rounded up to a power of two, minimum 1. More
-    /// shards means less lock contention under concurrent load.
-    pub shards: usize,
-    /// Maximum number of ready entries across the whole cache; `None` is
-    /// unbounded. The bound is split evenly across shards, so with more
-    /// than one shard it is approximate. When a shard is full the
-    /// least-recently-used entry in that shard is evicted.
+    /// Maximum number of ready entries; `None` is unbounded. An insert
+    /// that would exceed it evicts the least-recently-used entry.
     pub capacity: Option<usize>,
-    /// Entries older than this are treated as absent (and removed) on
+    /// Entries older than this are treated as absent (and replaced) on
     /// lookup; `None` disables expiry.
     pub ttl: Option<Duration>,
 }
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            shards: 16,
-            capacity: None,
-            ttl: None,
-        }
-    }
-}
-
 /// Cache counters. All maintained with atomics; reading them never takes
-/// a shard lock.
+/// the map lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests served without a new inner call (ready entries plus
@@ -127,9 +111,7 @@ enum Slot {
     Pending(Arc<Flight>),
 }
 
-type Shard = RwLock<HashMap<SearchRequest, Slot>>;
-
-/// A sharded, single-flight caching wrapper around a search service.
+/// A single-flight caching wrapper around a search service.
 ///
 /// # Example
 ///
@@ -165,9 +147,8 @@ type Shard = RwLock<HashMap<SearchRequest, Slot>>;
 pub struct CachedService {
     inner: Arc<dyn SearchService>,
     obs: Obs,
-    shards: Box<[Shard]>,
-    mask: usize,
-    per_shard_capacity: Option<usize>,
+    map: RwLock<HashMap<SearchRequest, Slot>>,
+    capacity: Option<usize>,
     ttl: Option<Duration>,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -179,8 +160,8 @@ pub struct CachedService {
 }
 
 impl CachedService {
-    /// Wrap `inner` with the default configuration (16 shards, unbounded,
-    /// no expiry).
+    /// Wrap `inner` with the default configuration (unbounded, no
+    /// expiry).
     pub fn new(inner: Arc<dyn SearchService>) -> Arc<Self> {
         Self::with_config(inner, CacheConfig::default())
     }
@@ -198,14 +179,11 @@ impl CachedService {
         config: CacheConfig,
         obs: Obs,
     ) -> Arc<Self> {
-        let shards = config.shards.max(1).next_power_of_two();
-        let per_shard_capacity = config.capacity.map(|c| (c / shards).max(1));
         Arc::new(CachedService {
             inner,
             obs,
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            mask: shards - 1,
-            per_shard_capacity,
+            map: RwLock::new(HashMap::new()),
+            capacity: config.capacity,
             ttl: config.ttl,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -217,17 +195,6 @@ impl CachedService {
         })
     }
 
-    fn shard(&self, req: &SearchRequest) -> &Shard {
-        // FNV-1a over engine + expression: shard selection must not
-        // re-pay the map's full SipHash on every lookup.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in req.engine.bytes().chain(req.expr.bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        &self.shards[h as usize & self.mask]
-    }
-
     fn expired(&self, ready: &Ready) -> bool {
         self.ttl.is_some_and(|ttl| ready.inserted.elapsed() >= ttl)
     }
@@ -235,7 +202,7 @@ impl CachedService {
     fn touch(&self, ready: &Ready) {
         // Recency only matters for LRU eviction; an unbounded cache
         // skips the shared tick (it would bounce a cache line per hit).
-        if self.per_shard_capacity.is_some() {
+        if self.capacity.is_some() {
             let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
             ready.last_used.store(now, Ordering::Relaxed);
         }
@@ -257,24 +224,14 @@ impl CachedService {
     /// runs" protocol, in one call). In-flight leaders are left to finish
     /// and will re-insert their results.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard
-                .write()
-                .retain(|_, slot| matches!(slot, Slot::Pending(_)));
-        }
+        self.map
+            .write()
+            .retain(|_, slot| matches!(slot, Slot::Pending(_)));
     }
 
     /// Number of ready cached results.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        ready_len(&self.map.read())
     }
 
     /// True iff no ready results are cached.
@@ -282,28 +239,24 @@ impl CachedService {
         self.len() == 0
     }
 
-    /// Evict the least-recently-used ready entry if the shard is over
-    /// capacity. Called with the write lock held, after an insert.
+    /// Evict least-recently-used ready entries until the cache is back
+    /// under `capacity`. Called with the write lock held, after an insert.
     fn enforce_capacity(&self, map: &mut HashMap<SearchRequest, Slot>) {
-        let Some(cap) = self.per_shard_capacity else {
+        let Some(cap) = self.capacity else {
             return;
         };
-        loop {
-            let ready = map
+        for _ in cap..ready_len(map) {
+            let victim = map
                 .iter()
                 .filter_map(|(k, slot)| match slot {
-                    Slot::Ready(r) => Some((k, r.last_used.load(Ordering::Relaxed))),
+                    Slot::Ready(r) => Some((r.last_used.load(Ordering::Relaxed), k)),
                     Slot::Pending(_) => None,
                 })
-                .collect::<Vec<_>>();
-            if ready.len() <= cap {
-                return;
-            }
-            let victim = ready
-                .iter()
-                .min_by_key(|(_, used)| *used)
-                .map(|(k, _)| (*k).clone())
-                .expect("non-empty over-capacity shard");
+                .min_by_key(|(used, _)| *used)
+                .map(|(_, k)| k.clone());
+            let Some(victim) = victim else {
+                break;
+            };
             map.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -332,7 +285,7 @@ impl CachedService {
         let reply = self.inner.execute(req);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
 
-        let mut map = self.shard(req).write();
+        let mut map = self.map.write();
         match &reply.result {
             Ok(result) => {
                 let ready = Ready {
@@ -356,42 +309,41 @@ impl CachedService {
     }
 }
 
+/// Ready entries in `map` (pending flights hold no result yet).
+fn ready_len(map: &HashMap<SearchRequest, Slot>) -> usize {
+    map.values()
+        .filter(|slot| matches!(slot, Slot::Ready(_)))
+        .count()
+}
+
 impl SearchService for CachedService {
     fn execute(&self, req: &SearchRequest) -> ServiceReply {
-        let shard = self.shard(req);
-
         // Fast path: shared read lock, no map mutation.
-        let mut stale = false;
-        if let Some(slot) = shard.read().get(req) {
-            match slot {
-                Slot::Ready(ready) if !self.expired(ready) => {
-                    return self.hit_reply(ready);
-                }
-                Slot::Ready(_) => stale = true,
-                Slot::Pending(_) => {}
-            }
-        }
-        if stale {
-            // Expired: drop it under the write lock (re-checking — a
-            // leader may have refreshed it since the read lock fell).
-            let mut map = shard.write();
-            if let Some(Slot::Ready(ready)) = map.get(req) {
-                if self.expired(ready) {
-                    map.remove(req);
-                    self.expirations.fetch_add(1, Ordering::Relaxed);
-                }
+        if let Some(Slot::Ready(ready)) = self.map.read().get(req) {
+            if !self.expired(ready) {
+                return self.hit_reply(ready);
             }
         }
 
         // Slow path: take the write lock and either become the leader or
         // join an existing flight.
-        let mut map = shard.write();
+        let mut map = self.map.write();
         match map.entry(req.clone()) {
-            MapEntry::Occupied(entry) => match entry.get() {
-                Slot::Ready(ready) => {
+            MapEntry::Occupied(mut entry) => match entry.get() {
+                // Re-checked under the write lock: a leader may have
+                // refreshed the entry since the read lock fell.
+                Slot::Ready(ready) if !self.expired(ready) => {
                     let reply = self.hit_reply(ready);
                     drop(map);
                     reply
+                }
+                // Expired: the new flight replaces it in the same pass.
+                Slot::Ready(_) => {
+                    self.expirations.fetch_add(1, Ordering::Relaxed);
+                    let flight = Flight::new();
+                    entry.insert(Slot::Pending(flight.clone()));
+                    drop(map);
+                    self.lead(req, &flight)
                 }
                 Slot::Pending(flight) => {
                     let flight = flight.clone();
@@ -578,11 +530,9 @@ mod tests {
 
     #[test]
     fn lru_eviction_drops_least_recently_used() {
-        // One shard so the capacity bound (and thus LRU order) is exact.
         let cached = CachedService::with_config(
             Counting::new(),
             CacheConfig {
-                shards: 1,
                 capacity: Some(2),
                 ttl: None,
             },
@@ -602,12 +552,27 @@ mod tests {
     }
 
     #[test]
+    fn capacity_bounds_the_whole_cache() {
+        let cached = CachedService::with_config(
+            Counting::with_latency(Duration::ZERO),
+            CacheConfig {
+                capacity: Some(8),
+                ..CacheConfig::default()
+            },
+        );
+        for i in 0..64 {
+            cached.execute(&req(&format!("key-{i:02}")));
+            assert!(cached.len() <= 8, "{} entries after {i}", cached.len());
+        }
+        assert_eq!(cached.stats().evictions, 56);
+    }
+
+    #[test]
     fn ttl_expires_entries() {
         let inner = Counting::with_latency(Duration::ZERO);
         let cached = CachedService::with_config(
             inner.clone(),
             CacheConfig {
-                shards: 1,
                 capacity: None,
                 ttl: Some(Duration::from_millis(30)),
             },
@@ -635,7 +600,7 @@ mod tests {
                     barrier.wait();
                     for i in 0..PER_THREAD {
                         // 16 distinct keys, every thread touching all of
-                        // them: heavy same-key and cross-shard traffic.
+                        // them: heavy same-key traffic.
                         let key = (t + i) % 16;
                         let reply = cached.execute(&req(&format!("key-{key}")));
                         assert!(reply.result.is_ok());
@@ -649,10 +614,10 @@ mod tests {
         let stats = cached.stats();
         let requests = (THREADS * PER_THREAD) as u64;
         assert_eq!(stats.hits + stats.misses, requests);
-        // Misses are exactly the inner calls, and every distinct key
-        // missed at least once.
-        assert_eq!(stats.misses, inner.calls.load(Ordering::SeqCst));
-        assert!(stats.misses >= 16);
+        // No TTL and no capacity, so each of the 16 keys misses exactly
+        // once, and misses are exactly the inner calls.
+        assert_eq!(stats.misses, 16);
+        assert_eq!(inner.calls.load(Ordering::SeqCst), 16);
         assert_eq!(stats.inflight, 0);
     }
 }

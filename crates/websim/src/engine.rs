@@ -123,16 +123,6 @@ impl SearchService for SimEngine {
             latency: self.latency.sample(&format!("{req}")),
         }
     }
-
-    /// Batched windows hand the whole slice over in one call. Each reply
-    /// is computed exactly as `execute` would — same evaluation, same
-    /// per-request latency sample — so windowed dispatch is
-    /// byte-identical to N individual calls. Decorators (caching, retry,
-    /// fault injection) deliberately keep the trait's per-request
-    /// default, which preserves their single-flight accounting.
-    fn execute_batch(&self, reqs: &[SearchRequest]) -> Vec<ServiceReply> {
-        reqs.iter().map(|r| self.execute(r)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -256,39 +246,6 @@ mod tests {
         };
         let reply = av.execute(&req);
         assert_eq!(reply.result.unwrap().pages().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn batch_replies_match_individual_execution() {
-        let c = corpus();
-        let av = SimEngine::new(
-            c,
-            EngineKind::AltaVista,
-            LatencyModel::Jitter {
-                base: Duration::from_millis(1),
-                jitter: Duration::from_millis(4),
-            },
-        );
-        let reqs: Vec<SearchRequest> = ["Texas", "Ohio", "Nevada"]
-            .iter()
-            .map(|s| SearchRequest {
-                engine: "AV".into(),
-                expr: (*s).to_string(),
-                kind: RequestKind::Count,
-            })
-            .collect();
-        let batched = av.execute_batch(&reqs);
-        assert_eq!(batched.len(), reqs.len());
-        for (req, reply) in reqs.iter().zip(&batched) {
-            let solo = av.execute(req);
-            // Latency sampling is keyed on the request, so even jittered
-            // models agree between the two paths.
-            assert_eq!(reply.latency, solo.latency);
-            assert_eq!(
-                reply.result.as_ref().unwrap().count().unwrap(),
-                solo.result.unwrap().count().unwrap()
-            );
-        }
     }
 
     #[test]

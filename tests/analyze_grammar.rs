@@ -9,7 +9,7 @@
 //! trace_line  := "-- trace: calls=.. call_p50=.. call_p95=.. call_max=..
 //!                 queue_p95=.. patch_p95=.. max_concurrent=.. stalls=..
 //!                 stall_p95=.. buffered_hw=.. events=.. dropped=..
-//!                 prefetch_issued=.. prefetch_wasted=.. batches=.."
+//!                 prefetch_issued=.. prefetch_wasted=.."
 //! cache_line  := "-- cache[ENGINE]: hits=.. misses=.. coalesced=.. evictions=..
 //!                 expirations=.."
 //! verify_line := "-- verify: ok (verified .. nodes: .., peak buffered B,
@@ -177,8 +177,7 @@ fn analyze_report_matches_the_documented_grammar() {
             "events",
             "dropped",
             "prefetch_issued",
-            "prefetch_wasted",
-            "batches"
+            "prefetch_wasted"
         ]
     );
     for kv in footers[1].split_once(": ").unwrap().1.split_whitespace() {

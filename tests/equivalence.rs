@@ -56,19 +56,9 @@ fn registry() -> EngineRegistry {
 }
 
 fn pump_with(max_concurrent: usize, coalesce: bool, jitter: bool) -> Arc<ReqPump> {
-    pump_with_window(max_concurrent, coalesce, jitter, 1)
-}
-
-fn pump_with_window(
-    max_concurrent: usize,
-    coalesce: bool,
-    jitter: bool,
-    submission_window: usize,
-) -> Arc<ReqPump> {
     let pump = ReqPump::new(PumpConfig {
         max_concurrent,
         coalesce,
-        submission_window,
         ..PumpConfig::default()
     });
     // Jittered latency makes completion *order* adversarial: calls
@@ -290,61 +280,56 @@ proptest! {
             cap, batch, strategy, buffer, max_concurrent, coalesce, q.sql);
         prop_assert_eq!(pump.live_calls(), 0);
 
-        // Ahead-of-need prefetch and windowed submission are invisible
-        // too: every depth × window combination returns the demand-driven
-        // multiset byte-for-byte, and drains the pump completely. The
-        // prefetching pump coalesces (prefetch is disabled otherwise) and
-        // runs under the same admission cap, so the depth-to-cap clamp is
-        // exercised whenever cap < depth.
+        // Ahead-of-need prefetch is invisible too: every depth returns
+        // the demand-driven multiset byte-for-byte, and drains the pump
+        // completely. The prefetching pump coalesces (prefetch is
+        // disabled otherwise) and runs under the same admission cap, so
+        // the depth-to-cap clamp is exercised whenever cap < depth.
         for depth in [1usize, 4, 16] {
-            for window in [1usize, 8] {
-                let ppump = pump_with_window(max_concurrent, true, jitter, window);
-                let mut pre = run(&db, &ppump, &q.sql, EngineOpts {
-                    mode: ExecutionMode::Asynchronous,
-                    strategy,
-                    buffer,
-                    reqsync_cap: cap,
-                    prefetch_depth: depth,
-                    prefetch_window: window,
-                    batch_size: batch,
-                    ..Default::default()
-                });
-                if !q.ordered { pre.sort(); }
-                prop_assert_eq!(&pre, &baseline,
-                    "prefetch depth={} window={} batch={} diverged under ({:?},{:?},cap={:?}): {}",
-                    depth, window, batch, strategy, buffer, cap, q.sql);
-                prop_assert_eq!(ppump.live_calls(), 0,
-                    "prefetch depth={} window={} batch={} leaked calls", depth, window, batch);
+            let ppump = pump_with(max_concurrent, true, jitter);
+            let mut pre = run(&db, &ppump, &q.sql, EngineOpts {
+                mode: ExecutionMode::Asynchronous,
+                strategy,
+                buffer,
+                reqsync_cap: cap,
+                prefetch_depth: depth,
+                batch_size: batch,
+                ..Default::default()
+            });
+            if !q.ordered { pre.sort(); }
+            prop_assert_eq!(&pre, &baseline,
+                "prefetch depth={} batch={} diverged under ({:?},{:?},cap={:?}): {}",
+                depth, batch, strategy, buffer, cap, q.sql);
+            prop_assert_eq!(ppump.live_calls(), 0,
+                "prefetch depth={} batch={} leaked calls", depth, batch);
 
-                // Static resource bounds hold for the exact plan that
-                // just ran: every stamped ReqSync cap honours the
-                // session cap, no AEVScan's prefetch depth exceeds its
-                // enclosing cap, and the symbolic peak of buffered
-                // tuples is provably <= the cap.
-                let stmt = wsqdsq::sql::parse_one(&q.sql).unwrap();
-                let sel = match stmt {
-                    wsqdsq::sql::Statement::Select(s) => s,
-                    _ => unreachable!(),
-                };
-                let plan = db.plan_query(&sel, &registry(), EngineOpts {
-                    mode: ExecutionMode::Asynchronous,
-                    strategy,
-                    buffer,
-                    reqsync_cap: cap,
-                    prefetch_depth: depth,
-                    prefetch_window: window,
-                    batch_size: batch,
-                    ..Default::default()
-                }).unwrap();
-                let bounds = wsq_analyze::verify_bounds(&plan, cap)
-                    .unwrap_or_else(|e| panic!(
-                        "bounds rejected (cap={cap:?} depth={depth} batch={batch}): {e}\nplan: {plan:?}"));
-                if let Some(cap) = cap {
-                    prop_assert!(
-                        bounds.peak_buffered.le(wsq_analyze::Bound::Finite(cap as u64)),
-                        "peak buffered {} above cap {} for: {}",
-                        bounds.peak_buffered, cap, q.sql);
-                }
+            // Static resource bounds hold for the exact plan that
+            // just ran: every stamped ReqSync cap honours the
+            // session cap, no AEVScan's prefetch depth exceeds its
+            // enclosing cap, and the symbolic peak of buffered
+            // tuples is provably <= the cap.
+            let stmt = wsqdsq::sql::parse_one(&q.sql).unwrap();
+            let sel = match stmt {
+                wsqdsq::sql::Statement::Select(s) => s,
+                _ => unreachable!(),
+            };
+            let plan = db.plan_query(&sel, &registry(), EngineOpts {
+                mode: ExecutionMode::Asynchronous,
+                strategy,
+                buffer,
+                reqsync_cap: cap,
+                prefetch_depth: depth,
+                batch_size: batch,
+                ..Default::default()
+            }).unwrap();
+            let bounds = wsq_analyze::verify_bounds(&plan, cap)
+                .unwrap_or_else(|e| panic!(
+                    "bounds rejected (cap={cap:?} depth={depth} batch={batch}): {e}\nplan: {plan:?}"));
+            if let Some(cap) = cap {
+                prop_assert!(
+                    bounds.peak_buffered.le(wsq_analyze::Bound::Finite(cap as u64)),
+                    "peak buffered {} above cap {} for: {}",
+                    bounds.peak_buffered, cap, q.sql);
             }
         }
     }

@@ -128,34 +128,19 @@ fn capped_query_failure_releases_every_buffer_slot() {
 }
 
 #[test]
-fn flaky_backend_mid_window_releases_every_prefetched_slot() {
+fn flaky_backend_mid_prefetch_releases_every_prefetched_slot() {
     // Ahead-of-need prefetch registers calls for outer tuples nobody has
-    // demanded yet, and a submission window of 8 dispatches them in
-    // batches. When the backend exhausts its retries mid-window the
-    // query errors with most of the lookahead still unconsumed — every
+    // demanded yet. When the backend exhausts its retries the query
+    // errors with most of the lookahead still unconsumed — every
     // prefetched registration must be released (counted as wasted) and
     // the gauges must drain to zero.
-    let mut wsq = Wsq::open_in_memory(WsqConfig {
-        pump: PumpConfig {
-            submission_window: 8,
-            ..PumpConfig::default()
-        },
-        ..WsqConfig::fast()
-    })
-    .unwrap();
-    wsq.load_reference_data().unwrap();
-    let inner = wsq.web().engine(EngineKind::AltaVista);
-    let flaky = flaky_service(inner, 1000);
-    let service: Arc<dyn wsq_pump::SearchService> = RetryService::new(flaky.clone(), 2);
-    wsq.register_engine("Shaky", service, true);
-
+    let (mut wsq, flaky) = wsq_with_flaky(1000, Some(2));
     let err = wsq
         .query_with(
             QUERY,
             QueryOptions {
                 reqsync_cap: Some(4),
                 prefetch_depth: 8, // planner clamps the lookahead to the cap
-                prefetch_window: 8,
                 ..Default::default()
             },
         )
