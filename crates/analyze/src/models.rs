@@ -500,12 +500,12 @@ pub fn leader_failure_model() -> Stats {
 // Models 5–6: the obs trace ring (crates/obs trace.rs push/snapshot).
 // ---------------------------------------------------------------------
 
-/// The ring at `obs::TraceRing`'s exact lock boundaries: reserve a
-/// sequence number first (one atomic `fetch_add` in the real code — a
-/// mutexed counter here, schedcheck models no atomics), then write slot
-/// `seq % capacity` under that slot's own lock, but only if the slot
-/// holds nothing newer — a lapped slow writer must never clobber
-/// fresher data.
+/// The ring at `obs::TraceRing`'s exact lock boundaries: reserve the
+/// sequence numbers of a whole step first (one atomic `fetch_add(n)` in
+/// the real code — a mutexed counter here, schedcheck models no atomics),
+/// then write each slot `seq & (capacity − 1)` under that slot's own
+/// lock, but only if the slot holds nothing newer — a lapped slow writer
+/// must never clobber fresher data.
 struct MiniRing {
     head: Mutex<u64>,
     /// `(seq, value)` per slot; `None` = never written.
@@ -520,18 +520,22 @@ impl MiniRing {
         }
     }
 
-    fn push(&self, value: u64) {
-        let seq = {
+    /// `TraceRing::record`: one reservation for the step's `values`,
+    /// then one guarded slot write each.
+    fn record(&self, values: &[u64]) {
+        let first = {
             let mut h = self.head.lock();
             let s = *h;
-            *h += 1;
+            *h += values.len() as u64;
             s
         };
-        let mut slot = self.slots[seq as usize % self.slots.len()].lock();
-        match *slot {
-            // Someone with a newer sequence got here first: drop ours.
-            Some((cur, _)) if cur > seq => {}
-            _ => *slot = Some((seq, value)),
+        for (seq, &value) in (first..).zip(values) {
+            let mut slot = self.slots[seq as usize & (self.slots.len() - 1)].lock();
+            match *slot {
+                // Someone with a newer sequence got here first: drop ours.
+                Some((cur, _)) if cur > seq => {}
+                _ => *slot = Some((seq, value)),
+            }
         }
     }
 
@@ -576,7 +580,7 @@ pub fn trace_ring_model() -> Stats {
             .into_iter()
             .map(|value| {
                 let r = ring.clone();
-                thread::spawn(move || r.push(value))
+                thread::spawn(move || r.record(&[value]))
             })
             .collect();
         // Concurrent reader: whatever prefix of the race it observes
@@ -598,10 +602,10 @@ pub fn trace_ring_model() -> Stats {
 }
 
 /// At capacity the ring keeps exactly the newest `capacity` events and
-/// counts drops exactly: 4 events through 2 slots leave sequences
-/// {2, 3} and `dropped() == 2` under **every** interleaving — the
-/// seq-guard means even a lapped writer scheduled last cannot resurrect
-/// an old event.
+/// counts drops exactly: two steps of 2 events each through 2 slots
+/// leave sequences {2, 3} and `dropped() == 2` under **every**
+/// interleaving — the seq-guard means even a lapped writer scheduled
+/// last, midway through its step, cannot resurrect an old event.
 pub fn trace_ring_overwrite_model() -> Stats {
     check_with(bounds(), || {
         let ring = Arc::new(MiniRing::new(2));
@@ -609,10 +613,7 @@ pub fn trace_ring_overwrite_model() -> Stats {
             .into_iter()
             .map(|base| {
                 let r = ring.clone();
-                thread::spawn(move || {
-                    r.push(base);
-                    r.push(base + 1);
-                })
+                thread::spawn(move || r.record(&[base, base + 1]))
             })
             .collect();
         assert_snapshot_sane(&ring.snapshot_since(0), 2);
@@ -623,6 +624,9 @@ pub fn trace_ring_overwrite_model() -> Stats {
         let seqs: Vec<u64> = snap.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![2, 3], "ring must keep exactly the newest events");
         assert_eq!(ring.dropped(), 2, "drop counter must be exact");
+        // The survivors are one step's two events, in the step's order.
+        let values: Vec<u64> = snap.iter().map(|(_, v)| *v).collect();
+        assert!(values == [10, 11] || values == [20, 21], "{values:?}");
         // A window query that starts after the drop horizon sees only
         // its own events.
         assert_eq!(ring.snapshot_since(3).len(), 1);

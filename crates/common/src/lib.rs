@@ -13,11 +13,13 @@
 //! that will eventually supply the real value.
 
 pub mod error;
+pub mod idhash;
 pub mod schema;
 pub mod tuple;
 pub mod value;
 
 pub use error::{Result, WsqError};
+pub use idhash::{IdHasher, IdMap};
 pub use schema::{Column, Schema};
 pub use tuple::Tuple;
 pub use value::{CallId, DataType, GroupKey, PendingCol, Placeholder, Value};

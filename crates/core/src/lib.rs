@@ -203,13 +203,8 @@ impl Wsq {
     pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
         // Lightweight per-query metrics (no trace-ring snapshot): the
         // full QueryWindow summary is reserved for analyze/trace_query.
-        let started = self.obs.is_enabled().then(std::time::Instant::now);
-        let result = self.query_inner(sql);
-        if let (Some(t0), Some(m)) = (started, self.obs.metrics()) {
-            m.queries.inc();
-            m.query_latency.observe(t0.elapsed());
-        }
-        result
+        let obs = self.obs.clone();
+        obs.timed_query(|| self.query_inner(sql))
     }
 
     fn query_inner(&mut self, sql: &str) -> Result<QueryResult> {
@@ -238,15 +233,17 @@ impl Wsq {
     }
 
     /// Open a streaming cursor over a SELECT (rows on demand; combine with
-    /// [`BufferMode::Streaming`] for early first rows).
+    /// [`BufferMode::Streaming`] for early first rows). Counted in
+    /// `wsq_queries_total` like [`Wsq::query`]; the latency recorded is
+    /// that of opening the cursor, as for [`Session::query_cursor`].
     pub fn query_cursor(&mut self, sql: &str) -> Result<wsq_engine::db::Cursor> {
-        match wsq_sql::parse_one(sql)? {
+        self.obs.timed_query(|| match wsq_sql::parse_one(sql)? {
             wsq_sql::Statement::Select(sel) => {
                 self.db
                     .open_query(&sel, &self.engines, &self.pump, self.opts)
             }
             _ => Err(WsqError::Plan("cursor requires a SELECT".to_string())),
-        }
+        })
     }
 
     /// EXPLAIN ANALYZE: run a SELECT and return its rows plus a
@@ -745,6 +742,90 @@ mod tests {
         }
         assert!(timeline.contains("AV:count"), "{timeline}");
         assert!(timeline.contains("50 calls"), "{timeline}");
+    }
+
+    #[test]
+    fn a_fail_fast_call_says_why_in_the_timeline() {
+        let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+        wsq.load_reference_data().unwrap();
+        // An engine the planner knows and the pump does not: its calls
+        // fail at registration. Raced against AV, the query still answers.
+        let av = wsq
+            .web
+            .engine_with_latency(EngineKind::AltaVista, LatencyModel::Zero);
+        wsq.engines.register("Ghost", av, true);
+        wsq.set_race_group(&["Ghost", "AV"]).unwrap();
+        let (result, timeline) = wsq
+            .trace_query("SELECT Count FROM WebCount_ANY WHERE T1 = 'Utah'")
+            .unwrap();
+        assert_eq!(result.rows.len(), 1);
+        let ghost = timeline
+            .split("\nC")
+            .find(|call| call.contains("Ghost:count"))
+            .unwrap_or_else(|| panic!("no Ghost call in:\n{timeline}"));
+        assert!(
+            ghost.contains("failed  search error: unknown engine 'Ghost'"),
+            "{timeline}"
+        );
+        assert!(!ghost.contains("launched"), "{timeline}");
+        assert!(timeline.contains("race-won"), "{timeline}");
+    }
+
+    #[test]
+    fn a_cursor_counts_as_a_query() {
+        let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+        wsq.load_reference_data().unwrap();
+        let counted = |wsq: &Wsq| {
+            let m = wsq.obs().metrics().unwrap();
+            (m.queries.get(), m.query_latency.snapshot().count)
+        };
+        for n in 1..=3 {
+            let mut cursor = wsq
+                .query_cursor("SELECT Count FROM WebCount WHERE T1 = 'Utah'")
+                .unwrap();
+            assert!(cursor.next_row().unwrap().is_some());
+            assert_eq!(
+                counted(&wsq),
+                (n, n),
+                "one per cursor, however far it is read"
+            );
+        }
+        assert!(wsq.query_cursor("CREATE TABLE T (x INT)").is_err());
+        assert_eq!(
+            counted(&wsq),
+            (4, 4),
+            "a refused cursor is a query too, as for `query`"
+        );
+    }
+
+    #[test]
+    fn pump_stats_and_the_registry_read_the_same_cells() {
+        let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+        wsq.load_reference_data().unwrap();
+        // 50 calls, then the same 50 again (the first 50 were released,
+        // so nothing coalesces across the two queries).
+        let sql = "SELECT Name, Count FROM States, WebCount WHERE Name = T1";
+        wsq.query(sql).unwrap();
+        wsq.query(sql).unwrap();
+        let stats = wsq.pump().stats();
+        let text = wsq.metrics_text();
+        let counter = |name: &str| -> u64 {
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&format!("{name} ")))
+                .unwrap_or_else(|| panic!("no {name} in:\n{text}"));
+            line[name.len() + 1..].parse().unwrap()
+        };
+        assert_eq!(stats.registered, 100);
+        assert_eq!(counter("wsq_calls_registered_total"), stats.registered);
+        assert_eq!(counter("wsq_calls_launched_total"), stats.launched);
+        assert_eq!(counter("wsq_calls_coalesced_total"), stats.coalesced);
+        assert_eq!(
+            counter("wsq_calls_completed_total") + counter("wsq_calls_failed_total"),
+            stats.completed
+        );
+        assert_eq!(counter("wsq_calls_failed_total"), 0);
+        assert_eq!(counter("wsq_calls_completed_total"), stats.completed);
     }
 
     #[test]

@@ -207,18 +207,15 @@ impl Session {
         self.queries += 1;
         let shared = self.shared.clone();
         let opts = self.opts;
-        let started = shared.obs.is_enabled().then(std::time::Instant::now);
-        let result = session_scope(self.id, || match wsq_sql::parse_one(sql)? {
-            wsq_sql::Statement::Select(sel) => {
-                let db = shared.db.read();
-                db.run_query(&sel, &shared.engines, &shared.pump, opts)
-            }
-            _ => Err(WsqError::Plan("query requires a SELECT".to_string())),
+        let result = shared.obs.timed_query(|| {
+            session_scope(self.id, || match wsq_sql::parse_one(sql)? {
+                wsq_sql::Statement::Select(sel) => {
+                    let db = shared.db.read();
+                    db.run_query(&sel, &shared.engines, &shared.pump, opts)
+                }
+                _ => Err(WsqError::Plan("query requires a SELECT".to_string())),
+            })
         });
-        if let (Some(t0), Some(m)) = (started, shared.obs.metrics()) {
-            m.queries.inc();
-            m.query_latency.observe(t0.elapsed());
-        }
         self.track(result, |r| r.rows.len() as u64)
     }
 
@@ -272,18 +269,15 @@ impl Session {
         self.queries += 1;
         let shared = self.shared.clone();
         let opts = self.opts;
-        let started = shared.obs.is_enabled().then(std::time::Instant::now);
-        let result = session_scope(self.id, || match wsq_sql::parse_one(sql)? {
-            wsq_sql::Statement::Select(sel) => {
-                let db = shared.db.read();
-                db.open_query(&sel, &shared.engines, &shared.pump, opts)
-            }
-            _ => Err(WsqError::Plan("cursor requires a SELECT".to_string())),
+        let result = shared.obs.timed_query(|| {
+            session_scope(self.id, || match wsq_sql::parse_one(sql)? {
+                wsq_sql::Statement::Select(sel) => {
+                    let db = shared.db.read();
+                    db.open_query(&sel, &shared.engines, &shared.pump, opts)
+                }
+                _ => Err(WsqError::Plan("cursor requires a SELECT".to_string())),
+            })
         });
-        if let (Some(t0), Some(m)) = (started, shared.obs.metrics()) {
-            m.queries.inc();
-            m.query_latency.observe(t0.elapsed());
-        }
         match result {
             Ok(cursor) => Ok(SessionCursor {
                 cursor,

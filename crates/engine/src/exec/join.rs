@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 use wsq_common::{CallId, DataType, GroupKey, Result, Schema, Tuple, Value};
-use wsq_obs::{EventKind, HistogramSnapshot};
+use wsq_obs::{EventKind, HistogramSnapshot, Label, Step};
 use wsq_pump::ReqPump;
 use wsq_sql::ast::{BinOp, Expr};
 
@@ -481,8 +481,11 @@ impl DependentJoinExec {
         if let Some(m) = obs.metrics() {
             m.prefetch_issued.add(ids.len() as u64);
         }
+        let issued = ids
+            .iter()
+            .map(|&cid| (cid, EventKind::PrefetchIssued, Label::None));
+        obs.emit(&Step::new(), issued);
         for (slot, cid) in slots_of_reqs.into_iter().zip(ids) {
-            obs.event(cid, EventKind::PrefetchIssued);
             self.lookahead[slot].call = Some(cid);
         }
         Ok(())

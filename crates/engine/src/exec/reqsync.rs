@@ -34,11 +34,11 @@
 
 use super::Executor;
 use crate::plan::BufferMode;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use wsq_common::{CallId, PendingCol, Result, Schema, Tuple, Value};
-use wsq_obs::{EventKind, Obs};
+use wsq_common::{CallId, IdMap, PendingCol, Result, Schema, Tuple, Value};
+use wsq_obs::{EventKind, Label, Obs, Step};
 use wsq_pump::{ReqPump, SearchResult};
 
 struct BufTuple {
@@ -48,8 +48,9 @@ struct BufTuple {
     /// the child is, and hands that on to the first tuple patched from it;
     /// the other §4.3 copies own nothing.
     owner: bool,
-    /// When the tuple entered the buffer (patch-delay histogram anchor).
-    admitted: Instant,
+    /// The clock reading of the step that put the tuple in the buffer
+    /// (patch-delay anchor), kept only while observability is on.
+    admitted: Option<Instant>,
 }
 
 /// The request synchronizer executor.
@@ -62,11 +63,11 @@ pub struct ReqSyncExec {
     /// Completed tuples awaiting emission.
     ready: VecDeque<Tuple>,
     /// Incomplete tuples, keyed by an internal id.
-    buffered: HashMap<u64, BufTuple>,
+    buffered: IdMap<u64, BufTuple>,
     /// Pending call → buffered tuple ids. Compacted on every removal —
     /// an id listed here always resolves in `buffered` (asserted in
     /// debug builds), and the map is empty whenever the buffer is.
-    index: HashMap<CallId, Vec<u64>>,
+    index: IdMap<CallId, Vec<u64>>,
     /// Admission-control cap on `buffered` (`None` = unbounded).
     cap: Option<usize>,
     /// The pending calls of the tuple in hand (nearly always one or two),
@@ -101,8 +102,8 @@ impl ReqSyncExec {
             mode,
             schema,
             ready: VecDeque::new(),
-            buffered: HashMap::new(),
-            index: HashMap::new(),
+            buffered: IdMap::default(),
+            index: IdMap::default(),
             cap: cap.map(|c| c.max(1)),
             scratch: Vec::new(),
             next_id: 0,
@@ -135,11 +136,12 @@ impl ReqSyncExec {
             return Ok(());
         }
         let low_water = cap / 2;
-        let stalled_at = Instant::now();
+        let stalled = Step::new();
+        let stalled_at = self.obs.stamp(&stalled);
         let anchor = if self.obs.is_enabled() {
             let a = self.pending_calls().into_iter().min();
             if let Some(c) = a {
-                self.obs.event(c, EventKind::Stalled);
+                self.obs.event(&stalled, c, EventKind::Stalled);
             }
             a
         } else {
@@ -149,7 +151,8 @@ impl ReqSyncExec {
             m.reqsync_stalls.inc();
         }
         loop {
-            self.drain_completions()?;
+            // Each pass after a wait is a step of its own.
+            self.drain_completions(&Step::new())?;
             if self.buffered.len() <= low_water {
                 break;
             }
@@ -160,19 +163,21 @@ impl ReqSyncExec {
             }
             self.pump.wait_any(&pending)?;
         }
-        if let Some(m) = self.obs.metrics() {
-            m.stall_duration.observe(stalled_at.elapsed());
+        let resumed = Step::new();
+        if let (Some(m), Some(since)) = (self.obs.metrics(), stalled_at) {
+            m.stall_duration
+                .observe(resumed.now().saturating_duration_since(since));
         }
         if let Some(c) = self.pending_calls().into_iter().min().or(anchor) {
-            self.obs.event(c, EventKind::Resumed);
+            self.obs.event(&resumed, c, EventKind::Resumed);
         }
         Ok(())
     }
 
     /// Emit a complete tuple; buffer an incomplete one under every call it
-    /// waits on. Takes the child's tuples (owners) and puts a patched —
-    /// possibly still incomplete — tuple back.
-    fn admit(&mut self, tuple: Tuple, owner: bool) {
+    /// waits on, as part of `step`. Takes the child's tuples (owners) and
+    /// puts a patched — possibly still incomplete — tuple back.
+    fn admit(&mut self, tuple: Tuple, owner: bool, step: &Step) {
         if !tuple.is_incomplete() {
             self.ready.push_back(tuple);
             return;
@@ -191,18 +196,39 @@ impl ReqSyncExec {
             BufTuple {
                 tuple,
                 owner,
-                admitted: Instant::now(),
+                admitted: self.obs.stamp(step),
             },
         );
     }
 
-    /// Apply a completed call's `outcome` to every tuple waiting on it.
-    /// Stale calls (no tuple waits on them any more) are a no-op.
-    fn patch_with(&mut self, call: CallId, outcome: &Result<SearchResult>) -> Result<()> {
+    /// Apply a completed call's `outcome` to every tuple waiting on it, as
+    /// part of delivery step `step`. Stale calls (no tuple waits on them
+    /// any more) are a no-op.
+    fn patch_with(
+        &mut self,
+        call: CallId,
+        outcome: &Result<SearchResult>,
+        step: &Step,
+    ) -> Result<()> {
         let Some(ids) = self.index.remove(&call) else {
             return Ok(());
         };
-        self.obs.event(call, EventKind::Delivered);
+        // What happens to each waiting tuple follows from the outcome
+        // alone, so the delivery and its per-tuple events are recorded
+        // together: one sequence reservation for the call.
+        let per_tuple = match outcome {
+            Err(_) => None,
+            Ok(SearchResult::Pages(hits)) if hits.is_empty() => Some(EventKind::TupleCancelled),
+            Ok(_) => Some(EventKind::Patched),
+        };
+        let tuples = per_tuple.map_or(0, |_| ids.len());
+        self.obs.emit(
+            step,
+            (0..1 + tuples).map(|i| match per_tuple {
+                Some(kind) if i > 0 => (call, kind, Label::None),
+                _ => (call, EventKind::Delivered, Label::None),
+            }),
+        );
         let mut ids = ids.into_iter();
         while let Some(id) = ids.next() {
             // The index is compacted on every removal (`unindex`, and the
@@ -215,7 +241,10 @@ impl ReqSyncExec {
             };
             if let Some(m) = self.obs.metrics() {
                 m.reqsync_buffered.add(-1);
-                m.patch_delay.observe(entry.admitted.elapsed());
+                if let Some(admitted) = entry.admitted {
+                    m.patch_delay
+                        .observe(step.now().saturating_duration_since(admitted));
+                }
             }
             // Drop this tuple's entries under its *other* pending calls
             // (`scratch`, until a patched tuple is put back); readmitted
@@ -264,15 +293,13 @@ impl ReqSyncExec {
                         PendingCol::Count => Some(Value::Int(*n as i64)),
                         _ => None,
                     });
-                    self.obs.event(call, EventKind::Patched);
                     if let Some(m) = self.obs.metrics() {
                         m.tuples_patched.inc();
                     }
-                    self.admit(t, owner);
+                    self.admit(t, owner, step);
                 }
                 Ok(SearchResult::Pages(hits)) => {
                     if hits.is_empty() {
-                        self.obs.event(call, EventKind::TupleCancelled);
                         if let Some(m) = self.obs.metrics() {
                             m.tuples_cancelled.inc();
                         }
@@ -288,7 +315,6 @@ impl ReqSyncExec {
                         // Cases 2 and 3: one patched tuple per hit. The
                         // first copy inherits ownership of the remaining
                         // calls; the rest own nothing (§4.4).
-                        self.obs.event(call, EventKind::Patched);
                         if let Some(m) = self.obs.metrics() {
                             m.tuples_patched.add(hits.len() as u64);
                         }
@@ -300,7 +326,7 @@ impl ReqSyncExec {
                                 PendingCol::Date => Some(Value::Str(hit.date.clone())),
                                 PendingCol::Count => None,
                             });
-                            self.admit(t, owner && i == 0);
+                            self.admit(t, owner && i == 0, step);
                         }
                     }
                 }
@@ -312,14 +338,16 @@ impl ReqSyncExec {
         Ok(())
     }
 
-    /// Opportunistically patch any already-completed pending calls.
+    /// Opportunistically patch any already-completed pending calls: one
+    /// delivery step, however many calls and rounds it absorbs (the thread
+    /// does not wait in between).
     ///
     /// One [`ReqPump::take_completed`] round gathers every finished call
     /// in a single pump-lock acquisition (the old shape peeked — and
     /// locked — once per pending call per round). The loop re-runs
     /// because patching can readmit tuples that wait on other calls
     /// which finished in the meantime.
-    fn drain_completions(&mut self) -> Result<()> {
+    fn drain_completions(&mut self, step: &Step) -> Result<()> {
         loop {
             let pending = self.pending_calls();
             if pending.is_empty() {
@@ -330,7 +358,7 @@ impl ReqSyncExec {
                 return Ok(());
             }
             for (cid, outcome) in done {
-                self.patch_with(cid, &outcome)?;
+                self.patch_with(cid, &outcome, step)?;
             }
         }
     }
@@ -371,7 +399,7 @@ impl ReqSyncExec {
 /// Remove a tuple id from the index lists of `calls`, dropping lists
 /// that become empty (so `pending_calls` never names a call the pump
 /// may already have forgotten).
-fn unindex(index: &mut HashMap<CallId, Vec<u64>>, id: u64, calls: &[CallId]) {
+fn unindex(index: &mut IdMap<CallId, Vec<u64>>, id: u64, calls: &[CallId]) {
     for c in calls {
         if let Some(list) = index.get_mut(c) {
             list.retain(|&x| x != id);
@@ -427,7 +455,7 @@ impl Executor for ReqSyncExec {
             // low-water mark frees slots. Completed tuples accumulate in
             // `ready`, so Full-mode semantics are unchanged.
             while let Some(t) = self.child.next()? {
-                self.admit(t, true);
+                self.admit(t, true, &Step::new());
                 self.stall_until_low_water()?;
             }
             self.child.close()?;
@@ -457,8 +485,12 @@ impl Executor for ReqSyncExec {
                         if !t.is_incomplete() {
                             return Ok(Some(t));
                         }
-                        self.admit(t, true);
-                        self.drain_completions()?;
+                        // Admitting the tuple and delivering what has
+                        // already completed — its own call, if the reply
+                        // was instant — are one step.
+                        let step = Step::new();
+                        self.admit(t, true, &step);
+                        self.drain_completions(&step)?;
                         continue;
                     }
                     None => {
@@ -482,8 +514,9 @@ impl Executor for ReqSyncExec {
             // in a single batched drain.
             let pending = self.pending_calls();
             self.pump.wait_any(&pending)?;
+            let step = Step::new();
             for (cid, outcome) in self.pump.take_completed(&pending) {
-                self.patch_with(cid, &outcome)?;
+                self.patch_with(cid, &outcome, &step)?;
             }
         }
     }

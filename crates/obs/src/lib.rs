@@ -9,7 +9,7 @@
 //! * [`TraceRing`] — a lock-light, fixed-capacity, drop-counting ring of
 //!   per-[`CallId`] lifecycle events (registered → queued → launched →
 //!   completed/failed → delivered → patched), timestamped against a
-//!   monotonic epoch.
+//!   monotonic epoch and recorded one [`Step`] at a time.
 //! * [`metrics`] — atomic [`Counter`]s, [`Gauge`]s with high-water
 //!   marks, and fixed-bucket latency [`Histogram`]s, pre-registered as
 //!   the [`WellKnown`] set and fed by ReqPump, ReqSync, AEVScan, and the
@@ -26,30 +26,55 @@
 //! An *enabled* handle is not free: `wsqbench --traced` reports it as
 //! `obs.enabled_overhead_pct` (ROADMAP item 7b).
 //!
+//! # The stamping rule
+//!
+//! What an enabled handle costs is mostly clock readings, so the clock is
+//! read once per **step**, not once per event. A step is one uninterrupted
+//! piece of a call's path — its registration, the launch round that sends
+//! it, its completion, the ReqSync pass that admits tuples and delivers
+//! results — and every event a step records carries that step's one
+//! reading ([`Step`]). The delays the histograms and `.trace` report
+//! are differences of step readings: queue delay is launch round minus
+//! registration, call latency is completion minus launch round, patch
+//! delay is delivery minus admission. A call that completes inline reads
+//! the clock four times; the same call on a disabled handle reads it not
+//! at all.
+//!
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
 //! use std::time::Duration;
 //! use wsq_common::CallId;
-//! use wsq_obs::{EventKind, Obs};
+//! use wsq_obs::{EventKind, Label, Obs, Step};
 //!
 //! let obs = Obs::enabled();
-//! obs.event_with(CallId(1), EventKind::Registered, || "AV:count(\"Utah\")".into());
-//! obs.event(CallId(1), EventKind::Launched);
-//! if let Some(m) = obs.metrics() {
+//! let request = Arc::new("AV:count(\"Utah\")");
+//! // Registration: one reading, one sequence reservation, two events.
+//! let step = Step::new();
+//! obs.emit(&step, [
+//!     (CallId(1), EventKind::Registered, obs.display(&request)),
+//!     (CallId(1), EventKind::Queued, Label::None),
+//! ]);
+//! let registered = obs.stamp(&step);
+//! // The launch round measures the queue delay from that reading.
+//! let step = Step::new();
+//! obs.event(&step, CallId(1), EventKind::Launched);
+//! if let (Some(m), Some(then)) = (obs.metrics(), registered) {
 //!     m.calls_launched.inc();
-//!     m.call_latency.observe(Duration::from_millis(25));
+//!     m.queue_delay.observe(step.now().saturating_duration_since(then));
 //! }
-//! obs.event(CallId(1), EventKind::Completed);
 //!
 //! let timeline = obs.trace_events_since(0);
 //! assert_eq!(timeline.len(), 3);
+//! assert_eq!(timeline[0].at, timeline[1].at);
+//! assert_eq!(timeline[0].label.as_deref(), Some("AV:count(\"Utah\")"));
 //! assert!(obs.prometheus_text().contains("wsq_calls_launched_total 1"));
 //!
 //! // Disabled handles swallow everything for free.
 //! let off = Obs::disabled();
-//! off.event(CallId(2), EventKind::Registered);
-//! assert!(off.metrics().is_none());
+//! off.event(&step, CallId(2), EventKind::Registered);
+//! assert!(off.stamp(&step).is_none() && off.metrics().is_none());
 //! ```
 
 pub mod metrics;
@@ -61,7 +86,7 @@ pub use metrics::{
     WellKnown, BUCKET_BOUNDS_US, BUCKET_COUNT,
 };
 pub use query::{render_timeline, QuerySummary, QueryWindow};
-pub use trace::{EventKind, TraceEvent, TraceRing};
+pub use trace::{EventKind, Label, TraceEvent, TraceRing};
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -164,33 +189,51 @@ impl Obs {
         self.core.as_deref().map(|c| &c.trace)
     }
 
-    /// Record an unlabelled lifecycle event for `call`.
-    pub fn event(&self, call: CallId, kind: EventKind) {
+    /// `step`'s clock reading for a later step to measure a delay from;
+    /// `None`, and no clock read, on a disabled handle.
+    pub fn stamp(&self, step: &Step) -> Option<Instant> {
+        self.core.as_ref().map(|_| step.now())
+    }
+
+    /// Record the events of `step` under consecutive sequence numbers
+    /// (one reservation), each stamped with the step's reading and the
+    /// thread's session.
+    pub fn emit<I>(&self, step: &Step, events: I)
+    where
+        I: IntoIterator<Item = (CallId, EventKind, Label)>,
+        I::IntoIter: ExactSizeIterator,
+    {
         if let Some(core) = &self.core {
-            core.trace.push(core.epoch.elapsed(), call, kind, None);
+            let (now, session) = step.reading();
+            let at = now.saturating_duration_since(core.epoch);
+            core.trace.record(at, session, events.into_iter());
         }
     }
 
-    /// Record a labelled lifecycle event; `label` is only invoked (and
-    /// its string only allocated) when the handle is enabled.
-    pub fn event_with(&self, call: CallId, kind: EventKind, label: impl FnOnce() -> Arc<str>) {
-        if let Some(core) = &self.core {
-            core.trace
-                .push(core.epoch.elapsed(), call, kind, Some(label()));
+    /// Record one unlabelled event of `step`.
+    pub fn event(&self, step: &Step, call: CallId, kind: EventKind) {
+        self.emit(step, [(call, kind, Label::None)]);
+    }
+
+    /// A text label; `text` is only invoked (and its string only
+    /// allocated) when the handle is enabled.
+    pub fn text(&self, text: impl FnOnce() -> Arc<str>) -> Label {
+        match self.core {
+            Some(_) => Label::Text(text()),
+            None => Label::None,
         }
     }
 
-    /// Record a lifecycle event labelled with `source`'s `Display`. The
-    /// ring keeps a reference to `source` and formats it only for a reader
-    /// ([`TraceRing::push_display`]): the emission site pays a reference
-    /// count, and nothing at all when the handle is disabled.
-    pub fn event_display<T>(&self, call: CallId, kind: EventKind, source: &Arc<T>)
+    /// A label that is `source`'s `Display`, formatted only for a reader
+    /// of the ring: the emission site pays a reference count, and nothing
+    /// at all when the handle is disabled.
+    pub fn display<T>(&self, source: &Arc<T>) -> Label
     where
         T: std::fmt::Display + Send + Sync + 'static,
     {
-        if let Some(core) = &self.core {
-            core.trace
-                .push_display(core.epoch.elapsed(), call, kind, source.clone());
+        match self.core {
+            Some(_) => Label::Display(source.clone()),
+            None => Label::None,
         }
     }
 
@@ -219,21 +262,30 @@ impl Obs {
     /// and is untagged — and may be *shared* with other sessions that
     /// coalesced onto the same call. Collecting the session's calls
     /// first, then keeping all events for those calls, returns the full
-    /// lifecycle including shared segments. Empty when disabled or when
-    /// `session` is `0` (untagged events are not a session).
+    /// lifecycle including shared segments; only the events returned have
+    /// their labels rendered. Empty when disabled or when `session` is `0`
+    /// (untagged events are not a session).
     pub fn trace_events_for_session(&self, since: u64, session: u64) -> Vec<TraceEvent> {
-        if session == 0 {
-            return Vec::new();
+        match self.core.as_deref() {
+            Some(core) if session != 0 => core.trace.snapshot_for_session(since, session),
+            _ => Vec::new(),
         }
-        let all = self.trace_events_since(since);
-        let calls: std::collections::HashSet<CallId> = all
-            .iter()
-            .filter(|e| e.session == session)
-            .map(|e| e.call)
-            .collect();
-        all.into_iter()
-            .filter(|e| calls.contains(&e.call))
-            .collect()
+    }
+
+    /// Run `query` as one query through the facade: bump
+    /// `wsq_queries_total` and record its wall time in
+    /// `wsq_query_latency_seconds` (the lightweight per-query metrics —
+    /// no trace-ring snapshot; [`Obs::begin_query`] is the full window).
+    /// Just calls `query` when disabled.
+    pub fn timed_query<R>(&self, query: impl FnOnce() -> R) -> R {
+        let Some(m) = self.metrics() else {
+            return query();
+        };
+        let started = Instant::now();
+        let result = query();
+        m.queries.inc();
+        m.query_latency.observe(started.elapsed());
+        result
     }
 
     /// Open a per-query measurement window (snapshots the histograms,
@@ -329,6 +381,38 @@ impl Obs {
     }
 }
 
+/// One step of a call's path through pump and ReqSync, as observability
+/// sees it (the crate docs' stamping rule): the single clock reading that
+/// everything the step records is stamped with, taken when the step first
+/// needs it. A step that records nothing reads nothing.
+#[derive(Debug, Default)]
+pub struct Step {
+    /// The clock reading and the thread's session, taken together.
+    reading: Cell<Option<(Instant, u64)>>,
+}
+
+impl Step {
+    /// A step that has not read the clock yet.
+    pub fn new() -> Step {
+        Step::default()
+    }
+
+    fn reading(&self) -> (Instant, u64) {
+        self.reading.get().unwrap_or_else(|| {
+            let reading = (Instant::now(), current_session());
+            self.reading.set(Some(reading));
+            reading
+        })
+    }
+
+    /// The step's clock reading, taken now if nothing has needed it yet.
+    /// Independent of any handle: for callers that need the time whatever
+    /// observability does (a reply's deadline).
+    pub fn now(&self) -> Instant {
+        self.reading().0
+    }
+}
+
 fn push_meta(out: &mut String, name: &str, help: &str, kind: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
@@ -379,8 +463,7 @@ pub fn session_scope<R>(session: u64, f: impl FnOnce() -> R) -> R {
 }
 
 /// The server session the current thread is working for (`0` when
-/// untagged). Read by [`TraceRing::push`] to stamp
-/// [`TraceEvent::session`].
+/// untagged). Read once per [`Step`] to stamp [`TraceEvent::session`].
 pub fn current_session() -> u64 {
     CURRENT_SESSION.with(|c| c.get())
 }
@@ -393,10 +476,15 @@ mod tests {
     fn disabled_is_inert() {
         let obs = Obs::disabled();
         assert!(!obs.is_enabled());
-        obs.event(CallId(1), EventKind::Registered);
-        obs.event_with(CallId(1), EventKind::Failed, || {
-            panic!("label closure must not run when disabled")
-        });
+        let step = Step::new();
+        obs.event(&step, CallId(1), EventKind::Registered);
+        let label = obs.text(|| panic!("label closure must not run when disabled"));
+        obs.emit(&step, [(CallId(1), EventKind::Failed, label)]);
+        assert!(obs.stamp(&step).is_none());
+        assert!(
+            step.reading.get().is_none(),
+            "a disabled handle reads no clock"
+        );
         assert!(obs.metrics().is_none());
         assert!(obs.trace_events_since(0).is_empty());
         assert_eq!(obs.prometheus_text(), "");
@@ -407,8 +495,9 @@ mod tests {
     #[test]
     fn enabled_records_events_and_metrics() {
         let obs = Obs::enabled();
-        obs.event_with(CallId(7), EventKind::Registered, || "r".into());
-        obs.event(CallId(7), EventKind::Launched);
+        let registered = (CallId(7), EventKind::Registered, obs.text(|| "r".into()));
+        obs.emit(&Step::new(), [registered]);
+        obs.event(&Step::new(), CallId(7), EventKind::Launched);
         let m = obs.metrics().unwrap();
         m.calls_registered.inc();
         m.in_flight.add(1);
@@ -440,17 +529,44 @@ mod tests {
     #[test]
     fn session_scope_tags_events_and_filters() {
         let obs = Obs::enabled();
-        session_scope(7, || obs.event(CallId(1), EventKind::Registered));
+        session_scope(7, || {
+            obs.event(&Step::new(), CallId(1), EventKind::Registered)
+        });
         // The worker-thread half of the lifecycle is untagged but must
         // still appear in the session's filtered view (shared call).
-        obs.event(CallId(1), EventKind::Completed);
-        session_scope(9, || obs.event(CallId(2), EventKind::Registered));
+        obs.event(&Step::new(), CallId(1), EventKind::Completed);
+        session_scope(9, || {
+            obs.event(&Step::new(), CallId(2), EventKind::Registered)
+        });
         let mine = obs.trace_events_for_session(0, 7);
         assert_eq!(mine.len(), 2);
         assert!(mine.iter().all(|e| e.call == CallId(1)));
         assert_eq!(obs.trace_events_for_session(0, 9).len(), 1);
         assert!(obs.trace_events_for_session(0, 0).is_empty());
         assert_eq!(current_session(), 0, "scope restores the previous id");
+    }
+
+    #[test]
+    fn a_step_reads_the_clock_and_the_session_once() {
+        let obs = Obs::enabled();
+        let step = Step::new();
+        session_scope(4, || obs.event(&step, CallId(1), EventKind::Registered));
+        std::thread::sleep(Duration::from_millis(2));
+        // Later in the same step, outside the scope: same stamp, same tag.
+        obs.event(&step, CallId(1), EventKind::Queued);
+        let later = Step::new();
+        obs.event(&later, CallId(1), EventKind::Launched);
+        let events = obs.trace_events_since(0);
+        assert_eq!(events[0].at, events[1].at);
+        assert_eq!((events[0].session, events[1].session), (4, 4));
+        assert!(events[2].at >= events[1].at + Duration::from_millis(2));
+        assert_eq!(events[2].session, 0);
+        // Delays are differences of step readings.
+        assert_eq!(
+            later.now().saturating_duration_since(step.now()),
+            events[2].at - events[1].at
+        );
+        assert_eq!(obs.stamp(&step), Some(step.now()));
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! behind an `Arc`, and emitters hold the `Arc` directly (the registry
 //! map is only locked at registration and exposition time). Histograms
 //! use a fixed logarithmic bucket ladder ([`BUCKET_BOUNDS_US`]) so an
-//! `observe` is one array index plus three `fetch_add`s, and snapshots
-//! of two points in time can be subtracted to get an exact per-window
-//! distribution (see [`HistogramSnapshot::delta`]).
+//! `observe` is one array index plus two `fetch_add`s (the count is the
+//! sum of the buckets; a maximum or high-water mark is written only when
+//! it rises), and snapshots of two points in time can be subtracted to
+//! get an exact per-window distribution (see
+//! [`HistogramSnapshot::delta`]).
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -58,13 +60,20 @@ impl Gauge {
     /// Add `delta` (may be negative) and update the high-water mark.
     pub fn add(&self, delta: i64) {
         let v = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.high.fetch_max(v, Ordering::Relaxed);
+        self.raise_high_water(v);
     }
 
     /// Set the gauge to `v` outright (still tracks the high-water mark).
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-        self.high.fetch_max(v, Ordering::Relaxed);
+        self.raise_high_water(v);
+    }
+
+    /// A gauge sits below its mark nearly always: look before writing.
+    fn raise_high_water(&self, v: i64) {
+        if v > self.high.load(Ordering::Relaxed) {
+            self.high.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -99,9 +108,21 @@ pub const BUCKET_BOUNDS_US: [u64; 16] = [
 /// Total number of buckets, including the overflow bucket.
 pub const BUCKET_COUNT: usize = BUCKET_BOUNDS_US.len() + 1;
 
+/// `d` in whole microseconds, saturating (`as_micros` goes through `u128`).
+fn micros(d: Duration) -> u64 {
+    let secs = d.as_secs().saturating_mul(1_000_000);
+    secs.saturating_add(d.subsec_micros().into())
+}
+
+/// `d` in nanoseconds, saturating (`as_nanos` goes through `u128`).
+fn nanos(d: Duration) -> u64 {
+    let secs = d.as_secs().saturating_mul(1_000_000_000);
+    secs.saturating_add(d.subsec_nanos().into())
+}
+
 /// The bucket index a duration falls into.
 pub fn bucket_index(d: Duration) -> usize {
-    let us = d.as_micros() as u64;
+    let us = micros(d);
     BUCKET_BOUNDS_US
         .iter()
         .position(|&b| us <= b)
@@ -112,7 +133,6 @@ pub fn bucket_index(d: Duration) -> usize {
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKET_COUNT],
-    count: AtomicU64,
     sum_nanos: AtomicU64,
     max_nanos: AtomicU64,
 }
@@ -121,7 +141,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_nanos: AtomicU64::new(0),
             max_nanos: AtomicU64::new(0),
         }
@@ -136,18 +155,22 @@ impl Histogram {
 
     /// Record one duration.
     pub fn observe(&self, d: Duration) {
-        let nanos = d.as_nanos() as u64;
+        let nanos = nanos(d);
         self.buckets[bucket_index(d)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        if nanos > self.max_nanos.load(Ordering::Relaxed) {
+            self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        }
     }
 
-    /// A point-in-time copy of the cells.
+    /// A point-in-time copy of the cells; `count` is the sum of the
+    /// bucket cells as copied, so the two always agree.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: [u64; BUCKET_COUNT] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            buckets,
+            count: buckets.iter().sum(),
             sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
             max_nanos: self.max_nanos.load(Ordering::Relaxed),
         }
@@ -550,6 +573,59 @@ mod tests {
                 + Duration::from_secs(30).as_nanos() as u64
         );
         assert_eq!(s.max_nanos, Duration::from_secs(30).as_nanos() as u64);
+    }
+
+    proptest::proptest! {
+        /// The cells an `observe` no longer writes are still what a reader
+        /// gets: `count` is the number of observations and the sum of the
+        /// buckets, and windows subtract exactly — every field equals that
+        /// of a snapshot kept by hand, so `quantile` and `mean`, which read
+        /// only the snapshot, answer as before.
+        #[test]
+        fn count_is_the_sum_of_the_buckets(
+            earlier in proptest::collection::vec(0u64..20_000_000_000, 0..40),
+            window in proptest::collection::vec(0u64..20_000_000_000, 0..40),
+        ) {
+            let h = Histogram::new();
+            let by_hand = |all: &[&u64]| {
+                let mut s = HistogramSnapshot::empty();
+                for &&n in all {
+                    let d = Duration::from_nanos(n);
+                    let us = d.as_micros() as u64;
+                    let i = BUCKET_BOUNDS_US.iter().position(|&b| us <= b);
+                    s.buckets[i.unwrap_or(BUCKET_BOUNDS_US.len())] += 1;
+                    s.count += 1;
+                    s.sum_nanos += d.as_nanos() as u64;
+                    s.max_nanos = s.max_nanos.max(d.as_nanos() as u64);
+                }
+                s
+            };
+            for &n in &earlier {
+                h.observe(Duration::from_nanos(n));
+            }
+            let before = h.snapshot();
+            proptest::prop_assert_eq!(before, by_hand(&earlier.iter().collect::<Vec<_>>()));
+            for &n in &window {
+                h.observe(Duration::from_nanos(n));
+            }
+            let after = h.snapshot();
+            let all: Vec<&u64> = earlier.iter().chain(&window).collect();
+            proptest::prop_assert_eq!(after, by_hand(&all));
+            proptest::prop_assert_eq!(after.count, after.buckets.iter().sum::<u64>());
+            let delta = after.delta(&before);
+            let mut expected = by_hand(&window.iter().collect::<Vec<_>>());
+            expected.max_nanos = after.max_nanos;
+            proptest::prop_assert_eq!(delta, expected);
+        }
+    }
+
+    #[test]
+    fn durations_beyond_u64_saturate_into_the_overflow_bucket() {
+        assert_eq!(bucket_index(Duration::MAX), BUCKET_COUNT - 1);
+        let h = Histogram::new();
+        h.observe(Duration::MAX);
+        h.observe(Duration::MAX);
+        assert_eq!(h.snapshot().max_nanos, u64::MAX);
     }
 
     #[test]

@@ -201,9 +201,9 @@ fn max_call_latency(events: &[TraceEvent]) -> Option<Duration> {
 
 /// Render a per-call timeline from a trace window, as shown by the
 /// REPL's `.trace` command. Calls appear in first-event order; each
-/// event line shows its offset from the window's first event, and
+/// event line shows its offset from the window's first event,
 /// launches/completions are annotated with the queue and call
-/// durations they imply.
+/// durations they imply, and a failure with its error text.
 pub fn render_timeline(events: &[TraceEvent], dropped: u64) -> String {
     if events.is_empty() {
         return "no trace events captured (observability disabled or no external calls)\n"
@@ -247,6 +247,9 @@ pub fn render_timeline(events: &[TraceEvent], dropped: u64) -> String {
                     if let Some(l) = launched_at {
                         note = format!("  (call {})", fmt_rel(e.at.saturating_sub(l)));
                     }
+                    if let (EventKind::Failed, Some(why)) = (e.kind, &e.label) {
+                        note.push_str(&format!("  {why}"));
+                    }
                 }
                 _ => {}
             }
@@ -288,9 +291,9 @@ mod tests {
 
         let w = obs.begin_query();
         m.in_flight.add(3);
-        obs.event(CallId(1), EventKind::Launched);
+        obs.event(&crate::Step::new(), CallId(1), EventKind::Launched);
         m.call_latency.observe(Duration::from_millis(2));
-        obs.event(CallId(1), EventKind::Completed);
+        obs.event(&crate::Step::new(), CallId(1), EventKind::Completed);
         m.in_flight.add(-3);
         let s = w.finish(&obs).unwrap();
 
@@ -324,9 +327,19 @@ mod tests {
             mk(3, 37, 1, EventKind::Completed, None),
             mk(4, 38, 1, EventKind::Delivered, None),
             mk(5, 38, 1, EventKind::Patched, None),
+            mk(6, 40, 2, EventKind::Registered, Some("AV:count(\"Ohio\")")),
+            mk(7, 41, 2, EventKind::Launched, None),
+            mk(
+                8,
+                43,
+                2,
+                EventKind::Failed,
+                Some("search error: engine down"),
+            ),
         ];
         let out = render_timeline(&events, 0);
-        assert!(out.starts_with("1 calls, 6 events (0 dropped)"));
+        assert!(out.starts_with("2 calls, 9 events (0 dropped)"));
+        assert!(out.contains("failed  (call 2.000ms)  search error: engine down"));
         assert!(out.contains("C1  AV:count(\"Utah\")"));
         assert!(out.contains("launched  (waited 2.000ms)"));
         assert!(out.contains("completed  (call 25.000ms)"));

@@ -3,21 +3,24 @@
 //!
 //! # Protocol
 //!
-//! Writers reserve a global sequence number with one `fetch_add` on
-//! `head`, then write their event into slot `seq % capacity` under that
-//! slot's own mutex (per-slot locking — writers to different slots never
-//! contend, and a snapshot reader only blocks one writer at a time).
-//! A writer only stores its event if its sequence number is newer than
-//! what the slot already holds, so a slow writer lapped by the ring can
-//! never clobber fresher data.
+//! A writer records one *step* at a time ([`TraceRing::record`]): the `n`
+//! events the step produced, which share its timestamp and session. It
+//! reserves `n` consecutive global sequence numbers with one `fetch_add`
+//! on `head`, then writes each event into slot `seq & (capacity − 1)` (the
+//! capacity is a power of two) under that slot's own mutex — per-slot
+//! locking: writers to different slots never contend, and a snapshot
+//! reader only blocks one writer at a time. A writer only stores an event
+//! if its sequence number is newer than what the slot already holds, so a
+//! slow writer lapped by the ring can never clobber fresher data.
 //!
 //! Because every reserved sequence number is written exactly once, the
 //! number of *dropped* (overwritten) events is exactly
 //! `head.saturating_sub(capacity)` — no separate drop counter can race.
-//! The same protocol is model-checked under schedcheck in
-//! `wsq-analyze::models::trace_ring_model`.
+//! The same protocol, batch reservation included, is model-checked under
+//! schedcheck in `wsq-analyze::models::trace_ring_model`.
 
 use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,20 +106,24 @@ pub struct TraceEvent {
     pub call: CallId,
     /// The server session (connection) on whose behalf the event was
     /// recorded, or `0` when untagged (in-process use, pump worker
-    /// threads). Set from the thread-local [`crate::session_scope`].
+    /// threads). Read from the thread-local [`crate::session_scope`] once
+    /// per [`crate::Step`].
     pub session: u64,
     /// What happened.
     pub kind: EventKind,
     /// Optional annotation: the request display on `Registered` (rendered
-    /// when the ring is read, see [`TraceRing::push_display`]), the error
-    /// text on `Failed`. Shared, so cloning a snapshot is cheap.
+    /// when the ring is read, see [`Label`]), the error text on `Failed`.
+    /// Shared, so cloning a snapshot is cheap.
     pub label: Option<Arc<str>>,
 }
 
 /// What a slot keeps of an event's label: enough to render it when the
-/// ring is read, so recording an event never formats anything.
+/// ring is read, so recording an event never formats anything. Emission
+/// sites build one with [`crate::Obs::text`] / [`crate::Obs::display`],
+/// which cost nothing on a disabled handle.
 #[derive(Clone)]
-enum Label {
+pub enum Label {
+    /// No annotation.
     None,
     /// Text the writer already had (an error message on `Failed`).
     Text(Arc<str>),
@@ -137,6 +144,7 @@ impl Label {
 
 /// An event as a slot holds it: a [`TraceEvent`] whose label is still to
 /// be rendered.
+#[derive(Clone)]
 struct Stored {
     seq: u64,
     at: Duration,
@@ -144,6 +152,19 @@ struct Stored {
     session: u64,
     kind: EventKind,
     label: Label,
+}
+
+impl Stored {
+    fn render(self) -> TraceEvent {
+        TraceEvent {
+            seq: self.seq,
+            at: self.at,
+            call: self.call,
+            session: self.session,
+            kind: self.kind,
+            label: self.label.render(),
+        }
+    }
 }
 
 /// The fixed-capacity circular event buffer.
@@ -164,9 +185,10 @@ impl fmt::Debug for TraceRing {
 }
 
 impl TraceRing {
-    /// A ring holding at most `capacity` events (min 1).
+    /// A ring holding at most `capacity` events, rounded up to a power of
+    /// two (min 1) so a sequence number finds its slot with a mask.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+        let capacity = capacity.max(1).next_power_of_two();
         TraceRing {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             head: AtomicU64::new(0),
@@ -189,82 +211,92 @@ impl TraceRing {
         self.position().saturating_sub(self.capacity() as u64)
     }
 
-    /// Record one event, assigning it the next sequence number. A `label`
-    /// is text the caller already holds; the slot keeps the reference.
-    pub fn push(&self, at: Duration, call: CallId, kind: EventKind, label: Option<Arc<str>>) {
-        self.store(at, call, kind, label.map_or(Label::None, Label::Text));
+    fn slot(&self, seq: u64) -> &Mutex<Option<Stored>> {
+        &self.slots[(seq & (self.slots.len() as u64 - 1)) as usize]
     }
 
-    /// Record one event whose label is `source`'s `Display`. Nothing is
-    /// formatted here: the slot parks the shared `source` and
-    /// [`TraceRing::snapshot_since`] renders it for whoever reads the
+    /// Record the events of one step — all stamped `at`, all recorded for
+    /// `session` — under consecutive sequence numbers reserved with one
+    /// `fetch_add`. Nothing is formatted here: a slot parks its event's
+    /// [`Label`] and the snapshot methods render it for whoever reads the
     /// event, so a label nobody reads costs a reference count.
-    pub fn push_display(
+    pub fn record(
         &self,
         at: Duration,
-        call: CallId,
-        kind: EventKind,
-        source: Arc<dyn fmt::Display + Send + Sync>,
+        session: u64,
+        events: impl ExactSizeIterator<Item = (CallId, EventKind, Label)>,
     ) {
-        self.store(at, call, kind, Label::Display(source));
+        let n = events.len();
+        if n == 0 {
+            return;
+        }
+        let first = self.head.fetch_add(n as u64, Ordering::Relaxed);
+        // `take`: an iterator that yields more than it announced must not
+        // write sequence numbers it never reserved.
+        for (seq, (call, kind, label)) in (first..).zip(events.take(n)) {
+            let mut guard = self.slot(seq).lock();
+            // A writer lapped before acquiring the lock must not clobber the
+            // fresher event already stored (its own event is simply dropped —
+            // accounted for by `dropped()` since head already advanced).
+            if guard.as_ref().is_none_or(|stored| seq > stored.seq) {
+                *guard = Some(Stored {
+                    seq,
+                    at,
+                    call,
+                    session,
+                    kind,
+                    label,
+                });
+            }
+        }
     }
 
-    fn store(&self, at: Duration, call: CallId, kind: EventKind, label: Label) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        let mut guard = slot.lock();
-        // A writer lapped before acquiring the lock must not clobber the
-        // fresher event already stored (its own event is simply dropped —
-        // accounted for by `dropped()` since head already advanced).
-        if guard.as_ref().is_none_or(|stored| seq > stored.seq) {
-            *guard = Some(Stored {
-                seq,
-                at,
-                call,
-                session: crate::current_session(),
-                kind,
-                label,
-            });
-        }
+    /// Every retained event with `seq >= since`, unrendered, ordered by
+    /// sequence number. Only the slots that can hold such an event are
+    /// visited — those of sequence numbers `max(since, recorded −
+    /// capacity) .. recorded` — so a query's window costs its own size,
+    /// not the ring's.
+    fn window(&self, since: u64) -> Vec<Stored> {
+        let head = self.position();
+        let oldest = head.saturating_sub(self.slots.len() as u64);
+        let mut events: Vec<Stored> = (since.max(oldest)..head)
+            .filter_map(|seq| {
+                // The slot may hold an older event (its writer has reserved
+                // `seq` but not stored yet) or a newer one (lapped since
+                // `head` was read): keep whatever falls in the window.
+                let slot = self.slot(seq).lock();
+                slot.as_ref().filter(|stored| stored.seq >= since).cloned()
+            })
+            .collect();
+        events.sort_by_key(|e| e.seq);
+        events
     }
 
     /// Every retained event with `seq >= since`, ordered by sequence
     /// number. Pass `0` for the full ring, or a saved
-    /// [`TraceRing::position`] for a per-query window.
-    ///
-    /// Only the slots that can hold such an event are visited — those of
-    /// sequence numbers `max(since, recorded − capacity) .. recorded` — so
-    /// a query's window costs its own size, not the ring's; and only the
-    /// events returned have their labels rendered (see
-    /// [`TraceRing::push_display`]), after their slot's lock is released.
+    /// [`TraceRing::position`] for a per-query window. Only the events
+    /// returned have their labels rendered, with no slot lock held.
     pub fn snapshot_since(&self, since: u64) -> Vec<TraceEvent> {
-        let head = self.position();
-        let oldest = head.saturating_sub(self.slots.len() as u64);
-        let mut events = Vec::new();
-        for seq in since.max(oldest)..head {
-            let (mut event, label) = {
-                let slot = self.slots[(seq % self.slots.len() as u64) as usize].lock();
-                // The slot may hold an older event (its writer has reserved
-                // `seq` but not stored yet) or a newer one (lapped since
-                // `head` was read): keep whatever falls in the window.
-                let Some(stored) = slot.as_ref().filter(|stored| stored.seq >= since) else {
-                    continue;
-                };
-                let event = TraceEvent {
-                    seq: stored.seq,
-                    at: stored.at,
-                    call: stored.call,
-                    session: stored.session,
-                    kind: stored.kind,
-                    label: None,
-                };
-                (event, stored.label.clone())
-            };
-            event.label = label.render();
-            events.push(event);
-        }
-        events.sort_by_key(|e| e.seq);
-        events
+        self.window(since).into_iter().map(Stored::render).collect()
+    }
+
+    /// The events of [`TraceRing::snapshot_since`] that belong to a call
+    /// with at least one event recorded for `session` — the whole
+    /// lifecycle of every call the session took part in. The selection
+    /// runs on the unrendered slots, so other sessions' labels are never
+    /// formatted.
+    pub fn snapshot_for_session(&self, since: u64, session: u64) -> Vec<TraceEvent> {
+        let window = self.window(since);
+        let calls: HashSet<CallId> = window
+            .iter()
+            .filter(|e| e.session == session)
+            .map(|e| e.call)
+            .collect();
+        window
+            .into_iter()
+            .filter(|e| calls.contains(&e.call))
+            .map(Stored::render)
+            .collect()
     }
 }
 
@@ -276,17 +308,18 @@ mod tests {
         CallId(n)
     }
 
+    /// A one-event step recorded for no session.
+    fn push(ring: &TraceRing, at: Duration, call: CallId, kind: EventKind, label: Label) {
+        ring.record(at, 0, [(call, kind, label)].into_iter());
+    }
+
     #[test]
     fn records_and_snapshots_in_order() {
         let ring = TraceRing::new(8);
-        ring.push(
-            Duration::from_millis(1),
-            cid(1),
-            EventKind::Registered,
-            None,
-        );
-        ring.push(Duration::from_millis(2), cid(1), EventKind::Launched, None);
-        ring.push(Duration::from_millis(3), cid(1), EventKind::Completed, None);
+        let ms = Duration::from_millis;
+        push(&ring, ms(1), cid(1), EventKind::Registered, Label::None);
+        push(&ring, ms(2), cid(1), EventKind::Launched, Label::None);
+        push(&ring, ms(3), cid(1), EventKind::Completed, Label::None);
         let events = ring.snapshot_since(0);
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].kind, EventKind::Registered);
@@ -295,26 +328,88 @@ mod tests {
     }
 
     #[test]
+    fn a_step_takes_consecutive_sequence_numbers_and_one_stamp() {
+        let ring = TraceRing::new(8);
+        push(
+            &ring,
+            Duration::ZERO,
+            cid(9),
+            EventKind::Coalesced,
+            Label::None,
+        );
+        ring.record(
+            Duration::from_micros(5),
+            3,
+            [
+                (cid(1), EventKind::Registered, Label::Text("r".into())),
+                (cid(1), EventKind::Queued, Label::None),
+            ]
+            .into_iter(),
+        );
+        ring.record(Duration::from_micros(6), 3, std::iter::empty());
+        assert_eq!(ring.position(), 3, "an empty step reserves nothing");
+        let step: Vec<TraceEvent> = ring.snapshot_since(1);
+        let seqs: Vec<u64> = step.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2]);
+        assert!(step
+            .iter()
+            .all(|e| e.at == Duration::from_micros(5) && e.session == 3));
+        assert_eq!(step[0].label.as_deref(), Some("r"));
+        assert_eq!(step[1].kind, EventKind::Queued);
+    }
+
+    #[test]
+    fn capacity_rounds_up_to_a_power_of_two() {
+        assert_eq!(TraceRing::new(0).capacity(), 1);
+        assert_eq!(TraceRing::new(5).capacity(), 8);
+        assert_eq!(TraceRing::new(65_536).capacity(), 65_536);
+    }
+
+    #[test]
     fn overwrites_oldest_and_counts_drops_exactly() {
         let ring = TraceRing::new(4);
-        for i in 0..10u64 {
-            ring.push(Duration::from_millis(i), cid(i), EventKind::Queued, None);
+        // Steps of one, two and three events: a batch wraps like singles.
+        let mut next = 0usize;
+        for len in [1usize, 2, 3, 1, 3] {
+            let step = (next..next + len).map(|i| (cid(i as u64), EventKind::Queued, Label::None));
+            ring.record(Duration::from_millis(next as u64), 0, step);
+            next += len;
         }
+        assert_eq!(next, 10);
         assert_eq!(ring.dropped(), 6);
         let events = ring.snapshot_since(0);
         assert_eq!(events.len(), 4);
         // The survivors are the newest four, in order.
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
+        assert!(events.iter().all(|e| e.call == cid(e.seq)));
     }
 
     #[test]
     fn snapshot_since_scopes_a_window() {
         let ring = TraceRing::new(16);
-        ring.push(Duration::ZERO, cid(1), EventKind::Registered, None);
+        push(
+            &ring,
+            Duration::ZERO,
+            cid(1),
+            EventKind::Registered,
+            Label::None,
+        );
         let pos = ring.position();
-        ring.push(Duration::ZERO, cid(2), EventKind::Registered, None);
-        ring.push(Duration::ZERO, cid(2), EventKind::Launched, None);
+        push(
+            &ring,
+            Duration::ZERO,
+            cid(2),
+            EventKind::Registered,
+            Label::None,
+        );
+        push(
+            &ring,
+            Duration::ZERO,
+            cid(2),
+            EventKind::Launched,
+            Label::None,
+        );
         let window = ring.snapshot_since(pos);
         assert_eq!(window.len(), 2);
         assert!(window.iter().all(|e| e.call == cid(2)));
@@ -334,19 +429,22 @@ mod tests {
     fn display_label_is_rendered_when_read_not_when_recorded() {
         let ring = TraceRing::new(8);
         let source = Arc::new(Counted(AtomicU64::new(0)));
-        ring.push_display(
-            Duration::ZERO,
+        let at = Duration::ZERO;
+        push(
+            &ring,
+            at,
             cid(1),
             EventKind::Registered,
-            source.clone(),
+            Label::Display(source.clone()),
         );
-        ring.push(
-            Duration::ZERO,
+        push(
+            &ring,
+            at,
             cid(1),
             EventKind::Failed,
-            Some("boom".into()),
+            Label::Text("boom".into()),
         );
-        ring.push(Duration::ZERO, cid(1), EventKind::Queued, None);
+        push(&ring, at, cid(1), EventKind::Queued, Label::None);
         assert_eq!(
             source.0.load(Ordering::Relaxed),
             0,
@@ -364,9 +462,61 @@ mod tests {
         assert_eq!(source.0.load(Ordering::Relaxed), 1);
         // An overwritten slot lets go of what it parked.
         for i in 0..8 {
-            ring.push(Duration::ZERO, cid(i), EventKind::Queued, None);
+            push(&ring, at, cid(i), EventKind::Queued, Label::None);
         }
         assert_eq!(Arc::strong_count(&source), 1);
+    }
+
+    #[test]
+    fn a_session_read_renders_only_that_sessions_calls() {
+        let ring = TraceRing::new(64);
+        let source = Arc::new(Counted(AtomicU64::new(0)));
+        // Eight calls, each registered by its own session and finished by
+        // an untagged pump thread.
+        for call in 1..=8u64 {
+            ring.record(
+                Duration::from_micros(call),
+                call,
+                [
+                    (
+                        cid(call),
+                        EventKind::Registered,
+                        Label::Display(source.clone()),
+                    ),
+                    (cid(call), EventKind::Queued, Label::None),
+                ]
+                .into_iter(),
+            );
+        }
+        for call in 1..=8u64 {
+            push(
+                &ring,
+                Duration::from_millis(1),
+                cid(call),
+                EventKind::Completed,
+                Label::None,
+            );
+        }
+        let mine = ring.snapshot_for_session(0, 5);
+        let kinds: Vec<EventKind> = mine.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::Registered,
+                EventKind::Queued,
+                EventKind::Completed
+            ],
+            "the untagged half of the lifecycle comes along"
+        );
+        assert!(mine.iter().all(|e| e.call == cid(5)));
+        assert_eq!(mine[0].label.as_deref(), Some("AV:count(\"Utah\")"));
+        assert_eq!(
+            source.0.load(Ordering::Relaxed),
+            1,
+            "one of the eight labels in the window is formatted"
+        );
+        assert!(ring.snapshot_for_session(0, 99).is_empty());
+        assert_eq!(source.0.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -374,11 +524,12 @@ mod tests {
         let ring = TraceRing::new(65_536);
         let source = Arc::new(Counted(AtomicU64::new(0)));
         for i in 0..100_000u64 {
-            ring.push_display(
+            push(
+                &ring,
                 Duration::from_nanos(i),
                 cid(i),
                 EventKind::Registered,
-                source.clone(),
+                Label::Display(source.clone()),
             );
         }
         let head = ring.position();
@@ -404,13 +555,10 @@ mod tests {
             .map(|t| {
                 let ring = ring.clone();
                 std::thread::spawn(move || {
-                    for i in 0..256u64 {
-                        ring.push(
-                            Duration::from_nanos(i),
-                            cid(t * 1000 + i),
-                            EventKind::Queued,
-                            None,
-                        );
+                    for i in (0..256usize).step_by(2) {
+                        let step = (i..i + 2)
+                            .map(|i| (cid(t * 1000 + i as u64), EventKind::Queued, Label::None));
+                        ring.record(Duration::from_nanos(i as u64), t, step);
                     }
                 })
             })
@@ -420,6 +568,13 @@ mod tests {
         }
         assert_eq!(ring.position(), 8 * 256);
         assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.snapshot_since(0).len(), 8 * 256);
+        let events = ring.snapshot_since(0);
+        assert_eq!(events.len(), 8 * 256);
+        // A step's two events sit side by side whatever the interleaving.
+        for pair in events.chunks(2) {
+            assert_eq!(pair[0].seq + 1, pair[1].seq);
+            assert_eq!(pair[0].call.0 + 1, pair[1].call.0);
+            assert_eq!(pair[0].session, pair[1].session);
+        }
     }
 }

@@ -23,9 +23,20 @@
 //! the pump lock. Statistics are plain atomics, read without locking, and
 //! [`ReqPump::take_completed`] drains any number of finished calls in one
 //! lock acquisition.
+//!
+//! # Bookkeeping
+//!
+//! What a call costs beyond its service is kept small four ways. Each
+//! step — a registration, a launch round, a completion — reads the clock
+//! at most once ([`wsq_obs::Step`]) and not at all with observability off,
+//! unless a reply declares latency. The maps keyed by call id hash the id
+//! as an id ([`IdMap`]). A call's destination — cap, in-flight count,
+//! service — is looked up by name once, at registration, and carried as a
+//! slot index from there. And each statistic has one cell, which `stats()`
+//! and the metrics registry both read.
 
 use crate::service::{SearchRequest, SearchResult, SearchService, ServiceReply};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,8 +44,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wsq_common::{CallId, Result, WsqError};
-use wsq_obs::{EventKind, Obs};
+use wsq_common::{CallId, IdMap, Result, WsqError};
+use wsq_obs::{Counter, EventKind, Label, Obs, Step};
 
 /// How launched calls are driven to completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +77,10 @@ pub struct PumpConfig {
     /// Dispatcher choice.
     pub dispatch: DispatchMode,
     /// Observability sink for call-lifecycle events and metrics
-    /// ([`Obs::disabled`] by default — a pure no-op).
+    /// ([`Obs::disabled`] by default — a pure no-op). One handle feeds one
+    /// pump: the pump counts its calls in the handle's
+    /// `wsq_calls_*_total` cells, so [`ReqPump::stats`] and the metrics
+    /// registry read the same numbers.
     pub obs: Obs,
 }
 
@@ -90,7 +104,9 @@ pub struct PumpStats {
     pub registered: u64,
     /// Distinct calls actually launched to a service.
     pub launched: u64,
-    /// Calls completed.
+    /// Calls that reached a result, good or bad: `wsq_calls_completed_total`
+    /// plus `wsq_calls_failed_total` (so it exceeds `launched` by the
+    /// registrations failed fast for an unknown engine).
     pub completed: u64,
     /// Registrations satisfied by attaching to an existing call.
     pub coalesced: u64,
@@ -104,27 +120,53 @@ pub struct PumpStats {
 }
 
 /// Lock-free statistic counters; `stats()` never touches the state mutex.
-#[derive(Default)]
+/// The call counters are the observability handle's own `wsq_calls_*_total`
+/// cells when it is enabled (private cells otherwise), so each call is
+/// counted once whoever reads the number.
 struct Counters {
-    registered: AtomicU64,
-    launched: AtomicU64,
-    completed: AtomicU64,
-    coalesced: AtomicU64,
+    registered: Arc<Counter>,
+    launched: Arc<Counter>,
+    completed: Arc<Counter>,
+    failed: Arc<Counter>,
+    coalesced: Arc<Counter>,
     peak_in_flight: AtomicU64,
     peak_queued: AtomicU64,
 }
 
 impl Counters {
+    fn new(obs: &Obs) -> Counters {
+        let cell = |shared: fn(&wsq_obs::WellKnown) -> &Arc<Counter>| {
+            obs.metrics().map(shared).cloned().unwrap_or_default()
+        };
+        Counters {
+            registered: cell(|m| &m.calls_registered),
+            launched: cell(|m| &m.calls_launched),
+            completed: cell(|m| &m.calls_completed),
+            failed: cell(|m| &m.calls_failed),
+            coalesced: cell(|m| &m.calls_coalesced),
+            peak_in_flight: AtomicU64::new(0),
+            peak_queued: AtomicU64::new(0),
+        }
+    }
+
     fn snapshot(&self) -> PumpStats {
         PumpStats {
-            registered: self.registered.load(Ordering::Relaxed),
-            launched: self.launched.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            registered: self.registered.get(),
+            launched: self.launched.get(),
+            completed: self.completed.get() + self.failed.get(),
+            coalesced: self.coalesced.get(),
             peak_in_flight: self.peak_in_flight.load(Ordering::Relaxed),
             peak_queued: self.peak_queued.load(Ordering::Relaxed),
             batches: 0,
         }
+    }
+}
+
+/// Raise a lifetime peak. Peaks move under the state lock and rarely
+/// rise: look before writing.
+fn raise(peak: &AtomicU64, v: u64) {
+    if v > peak.load(Ordering::Relaxed) {
+        peak.fetch_max(v, Ordering::Relaxed);
     }
 }
 
@@ -181,10 +223,24 @@ struct CallMeta {
     req: Arc<SearchRequest>,
     refs: usize,
     state: CallState,
-    /// When the call was registered (queue-delay histogram anchor).
-    registered_at: Instant,
-    /// When the call was launched, once it has been.
+    /// The call's slot in [`State::dests`]; `None` for a call that never
+    /// launches (a racing group, a registration for an unknown engine).
+    dest: Option<usize>,
+    /// The registering step's clock reading (queue-delay anchor), kept
+    /// only while observability is on.
+    registered_at: Option<Instant>,
+    /// The launch round's reading (call-latency anchor), likewise.
     launched_at: Option<Instant>,
+}
+
+/// One destination: what registration resolves an engine name to, once,
+/// so that launching and completing a call hash no strings.
+struct Dest {
+    /// Per-destination in-flight cap.
+    cap: usize,
+    /// Calls in flight to this destination.
+    active: usize,
+    service: Arc<dyn SearchService>,
 }
 
 /// A first-result-wins racing group (`WebCount_ANY`): one virtual call
@@ -205,21 +261,25 @@ struct RaceGroup {
 struct State {
     next_call: u64,
     queue: VecDeque<CallId>,
-    meta: HashMap<CallId, CallMeta>,
+    meta: IdMap<CallId, CallMeta>,
     /// `ReqPumpHash`: completed results keyed by call id.
-    results: HashMap<CallId, Result<SearchResult>>,
+    results: IdMap<CallId, Result<SearchResult>>,
     /// Coalescing index over calls that are still known to the pump
     /// (keyed by each call's shared request, probed by `&SearchRequest`).
     index: HashMap<Arc<SearchRequest>, CallId>,
     /// Waiters blocked on each not-yet-completed call.
-    interest: HashMap<CallId, Vec<Arc<Waiter>>>,
+    interest: IdMap<CallId, Vec<Arc<Waiter>>>,
     /// Racing groups keyed by their virtual group call id.
-    races: HashMap<CallId, RaceGroup>,
+    races: IdMap<CallId, RaceGroup>,
     /// Member call id → the undecided groups it runs for (one member can
     /// serve several groups when registrations coalesce).
-    race_member: HashMap<CallId, Vec<CallId>>,
+    race_member: IdMap<CallId, Vec<CallId>>,
     active_total: usize,
-    active_per_dest: HashMap<String, usize>,
+    /// Registered destinations; a slot is never removed, so a call's
+    /// [`CallMeta::dest`] stays valid for the call's life.
+    dests: Vec<Dest>,
+    /// Engine name → slot in `dests` (keyed by user text: default hasher).
+    dest_index: HashMap<String, usize>,
     /// Launched calls whose declared latency has not elapsed yet, earliest
     /// deadline first ([`DispatchMode::EventLoop`] only).
     deadlines: BinaryHeap<Reverse<Pending>>,
@@ -228,7 +288,6 @@ struct State {
 
 struct Shared {
     config: PumpConfig,
-    services: RwLock<HashMap<String, Arc<dyn SearchService>>>,
     state: Mutex<State>,
     /// Wakes the timer thread (earlier deadline / shutdown) or, under
     /// [`DispatchMode::ThreadPool`], the workers (new work / capacity
@@ -248,11 +307,10 @@ impl ReqPump {
     /// engines with [`ReqPump::register_service`] before issuing calls.
     pub fn new(config: PumpConfig) -> Arc<Self> {
         let shared = Arc::new(Shared {
+            stats: Counters::new(&config.obs),
             config: config.clone(),
-            services: RwLock::new(HashMap::new()),
             state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
-            stats: Counters::default(),
         });
         let mut workers = Vec::new();
         match config.dispatch {
@@ -291,11 +349,21 @@ impl ReqPump {
     }
 
     /// Register (or replace) the service handling destination `name`.
+    /// Calls to `name` still queued launch against the replacement.
     pub fn register_service(&self, name: &str, service: Arc<dyn SearchService>) {
-        self.shared
-            .services
-            .write()
-            .insert(name.to_string(), service);
+        let mut guard = self.shared.state.lock();
+        let st = &mut *guard;
+        match st.dest_index.get(name) {
+            Some(&slot) => st.dests[slot].service = service,
+            None => {
+                st.dest_index.insert(name.to_string(), st.dests.len());
+                st.dests.push(Dest {
+                    cap: dest_cap(&self.shared.config, name),
+                    active: 0,
+                    service,
+                });
+            }
+        }
     }
 
     /// Register an external call and return its id without waiting for
@@ -337,7 +405,7 @@ impl ReqPump {
     /// ```
     pub fn register(&self, req: SearchRequest) -> Result<CallId> {
         let mut st = self.shared.state.lock();
-        let cid = self.register_locked(&mut st, req)?;
+        let cid = self.register_locked(&mut st, req, &Step::new())?;
         drop(st);
         start_queued(&self.shared);
         Ok(cid)
@@ -355,9 +423,10 @@ impl ReqPump {
     /// any ids it obtained if it aborts).
     pub fn register_batch(&self, reqs: Vec<SearchRequest>) -> Result<Vec<CallId>> {
         let mut st = self.shared.state.lock();
+        let step = Step::new();
         let mut ids = Vec::with_capacity(reqs.len());
         for req in reqs {
-            ids.push(self.register_locked(&mut st, req)?);
+            ids.push(self.register_locked(&mut st, req, &step)?);
         }
         drop(st);
         start_queued(&self.shared);
@@ -406,21 +475,23 @@ impl ReqPump {
                 expr: reqs[0].expr.clone(),
                 kind: reqs[0].kind.clone(),
             });
+            let obs = &self.shared.config.obs;
+            let step = &Step::new();
             let mut members = Vec::with_capacity(reqs.len());
             for req in reqs {
-                members.push(self.register_locked(&mut st, req)?);
+                members.push(self.register_locked(&mut st, req, step)?);
             }
             let gid = CallId(st.next_call);
             st.next_call += 1;
-            let obs = &self.shared.config.obs;
-            obs.event_display(gid, EventKind::Registered, &synth);
+            obs.emit(step, [(gid, EventKind::Registered, obs.display(&synth))]);
             st.meta.insert(
                 gid,
                 CallMeta {
                     req: synth,
                     refs: 1,
                     state: CallState::InFlight,
-                    registered_at: Instant::now(),
+                    dest: None,
+                    registered_at: obs.stamp(step),
                     launched_at: None,
                 },
             );
@@ -443,7 +514,7 @@ impl ReqPump {
                     break;
                 }
                 if let Some(r) = st.results.get(&m).cloned() {
-                    woken.extend(race_resolve(&self.shared, &mut st, m, &r));
+                    woken.extend(race_resolve(&self.shared, &mut st, m, &r, step));
                 }
             }
             (gid, woken)
@@ -463,30 +534,26 @@ impl ReqPump {
         self.shared.config.coalesce
     }
 
-    /// The registration body, run under the already-held state lock.
-    /// Launches nothing — callers run [`start_queued`] once after dropping
-    /// the lock.
-    fn register_locked(&self, st: &mut State, req: SearchRequest) -> Result<CallId> {
+    /// The registration body, run under the already-held state lock as
+    /// part of `step` (a burst registered under one lock acquisition is one
+    /// step). Launches nothing — callers run [`start_queued`] once after
+    /// dropping the lock.
+    fn register_locked(&self, st: &mut State, req: SearchRequest, step: &Step) -> Result<CallId> {
         if st.shutdown {
             return Err(WsqError::PumpShutdown);
         }
         let obs = &self.shared.config.obs;
-        self.shared.stats.registered.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = obs.metrics() {
-            m.calls_registered.inc();
-        }
+        let stats = &self.shared.stats;
+        stats.registered.inc();
         if self.shared.config.coalesce {
             if let Some(&cid) = st.index.get(&req) {
                 // The index and meta maps are kept in step under the state
                 // lock; if the entry is somehow gone, fall through and
                 // register a fresh call rather than panic.
                 if let Some(meta) = st.meta.get_mut(&cid) {
-                    self.shared.stats.coalesced.fetch_add(1, Ordering::Relaxed);
+                    stats.coalesced.inc();
                     meta.refs += 1;
-                    if let Some(m) = obs.metrics() {
-                        m.calls_coalesced.inc();
-                    }
-                    obs.event(cid, EventKind::Coalesced);
+                    obs.event(step, cid, EventKind::Coalesced);
                     return Ok(cid);
                 }
             }
@@ -494,32 +561,31 @@ impl ReqPump {
         let cid = CallId(st.next_call);
         st.next_call += 1;
         let req = Arc::new(req);
-        obs.event_display(cid, EventKind::Registered, &req);
+        let registered = (cid, EventKind::Registered, obs.display(&req));
 
         // Fail fast on unknown destinations: complete with an error. The
         // call id is brand new, so no waiter can be interested yet.
-        if !self.shared.services.read().contains_key(&req.engine) {
+        let Some(&dest) = st.dest_index.get(&req.engine) else {
+            let err = WsqError::Search(format!("unknown engine '{}'", req.engine));
+            let failed = (cid, EventKind::Failed, obs.text(|| err.to_string().into()));
+            obs.emit(step, [registered, failed]);
+            stats.failed.inc();
             st.meta.insert(
                 cid,
                 CallMeta {
-                    req: req.clone(),
+                    req,
                     refs: 1,
                     state: CallState::Done,
-                    registered_at: Instant::now(),
+                    dest: None,
+                    registered_at: obs.stamp(step),
                     launched_at: None,
                 },
             );
-            st.results.insert(
-                cid,
-                Err(WsqError::Search(format!("unknown engine '{}'", req.engine))),
-            );
-            if let Some(m) = obs.metrics() {
-                m.calls_failed.inc();
-            }
-            obs.event(cid, EventKind::Failed);
+            st.results.insert(cid, Err(err));
             return Ok(cid);
-        }
+        };
 
+        obs.emit(step, [registered, (cid, EventKind::Queued, Label::None)]);
         st.index.insert(req.clone(), cid);
         st.meta.insert(
             cid,
@@ -527,20 +593,16 @@ impl ReqPump {
                 req,
                 refs: 1,
                 state: CallState::Queued,
-                registered_at: Instant::now(),
+                dest: Some(dest),
+                registered_at: obs.stamp(step),
                 launched_at: None,
             },
         );
         st.queue.push_back(cid);
-        let queued = st.queue.len() as u64;
-        self.shared
-            .stats
-            .peak_queued
-            .fetch_max(queued, Ordering::Relaxed);
+        raise(&stats.peak_queued, st.queue.len() as u64);
         if let Some(m) = obs.metrics() {
             m.queue_depth.add(1);
         }
-        obs.event(cid, EventKind::Queued);
         Ok(cid)
     }
 
@@ -641,7 +703,7 @@ impl ReqPump {
     /// may transiently count it.
     pub fn release(&self, call: CallId) {
         let mut st = self.shared.state.lock();
-        release_locked(&self.shared, &mut st, call);
+        release_locked(&self.shared, &mut st, call, &Step::new());
     }
 
     /// Number of calls the pump still knows about (for leak tests).
@@ -700,7 +762,7 @@ impl Drop for ReqPump {
 /// its reference on every member; releasing an undecided group releases
 /// all member references), which must release under the lock they
 /// already hold.
-fn release_locked(shared: &Shared, st: &mut State, call: CallId) {
+fn release_locked(shared: &Shared, st: &mut State, call: CallId, step: &Step) {
     let (refs, cstate) = {
         let Some(meta) = st.meta.get_mut(&call) else {
             return;
@@ -727,7 +789,7 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId) {
                         st.race_member.remove(&m);
                     }
                 }
-                release_locked(shared, st, m);
+                release_locked(shared, st, m, step);
             }
         }
         return;
@@ -744,7 +806,7 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId) {
                 m.calls_cancelled.inc();
                 m.queue_depth.add(-1);
             }
-            obs.event(call, EventKind::Cancelled);
+            obs.event(step, call, EventKind::Cancelled);
         }
         CallState::Done => {
             if let Some(meta) = st.meta.remove(&call) {
@@ -770,6 +832,7 @@ fn race_resolve(
     st: &mut State,
     member: CallId,
     result: &Result<SearchResult>,
+    step: &Step,
 ) -> Vec<(CallId, Arc<Waiter>)> {
     let Some(gids) = st.race_member.get(&member).cloned() else {
         return Vec::new();
@@ -809,11 +872,14 @@ fn race_resolve(
                 if let Some(m) = obs.metrics() {
                     m.race_won.inc();
                 }
-                obs.event(gid, EventKind::RaceWon);
+                obs.event(step, gid, EventKind::RaceWon);
             }
             Err(e) => {
                 st.results.insert(gid, Err(e.clone()));
-                obs.event_with(gid, EventKind::Failed, || e.to_string().into());
+                obs.emit(
+                    step,
+                    [(gid, EventKind::Failed, obs.text(|| e.to_string().into()))],
+                );
             }
         }
         for &m in &members {
@@ -829,9 +895,9 @@ fn race_resolve(
                 if let Some(mt) = obs.metrics() {
                     mt.race_cancelled.inc();
                 }
-                obs.event(m, EventKind::RaceCancelled);
+                obs.event(step, m, EventKind::RaceCancelled);
             }
-            release_locked(shared, st, m);
+            release_locked(shared, st, m, step);
         }
         for w in st.interest.remove(&gid).unwrap_or_default() {
             woken.push((gid, w));
@@ -849,50 +915,51 @@ fn dest_cap(config: &PumpConfig, dest: &str) -> usize {
         .unwrap_or(config.default_per_destination)
 }
 
-/// A call taken off the queue, with the request to hand its service.
-type Launch = (CallId, Arc<SearchRequest>);
+/// A call taken off the queue, with the request and the service to hand
+/// it to.
+struct Launch {
+    cid: CallId,
+    req: Arc<SearchRequest>,
+    service: Arc<dyn SearchService>,
+}
 
-/// Take the first queued call that can launch under current limits.
-/// Scanning past the head avoids head-of-line blocking when one destination
-/// is saturated but another has capacity.
-fn pop_launchable(st: &mut State, shared: &Shared) -> Option<Launch> {
-    let config = &shared.config;
-    if st.active_total >= config.max_concurrent {
+/// Take the first queued call that can launch under current limits, as
+/// part of launch round `step`. Scanning past the head avoids head-of-line
+/// blocking when one destination is saturated but another has capacity.
+fn pop_launchable(st: &mut State, shared: &Shared, step: &Step) -> Option<Launch> {
+    let obs = &shared.config.obs;
+    if st.active_total >= shared.config.max_concurrent {
         return None;
     }
-    let pos = st.queue.iter().position(|cid| {
-        let dest = &st.meta[cid].req.engine;
-        let used = st.active_per_dest.get(dest).copied().unwrap_or(0);
-        used < dest_cap(config, dest)
-    })?;
+    // Only calls with a destination are ever queued.
+    let has_room = |cid: &CallId| {
+        let dest = st.meta.get(cid).and_then(|meta| meta.dest);
+        dest.is_some_and(|d| st.dests[d].active < st.dests[d].cap)
+    };
+    let pos = st.queue.iter().position(has_room)?;
     let cid = st.queue.remove(pos)?;
     let meta = st.meta.get_mut(&cid)?;
+    let dest = &mut st.dests[meta.dest?];
     meta.state = CallState::InFlight;
-    let now = Instant::now();
-    meta.launched_at = Some(now);
-    let queue_delay = now.saturating_duration_since(meta.registered_at);
-    let req = meta.req.clone();
+    meta.launched_at = obs.stamp(step);
+    dest.active += 1;
     st.active_total += 1;
-    match st.active_per_dest.get_mut(&req.engine) {
-        Some(n) => *n += 1,
-        None => {
-            st.active_per_dest.insert(req.engine.clone(), 1);
-        }
-    }
-    shared.stats.launched.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .peak_in_flight
-        .fetch_max(st.active_total as u64, Ordering::Relaxed);
-    let obs = &shared.config.obs;
+    shared.stats.launched.inc();
+    raise(&shared.stats.peak_in_flight, st.active_total as u64);
     if let Some(m) = obs.metrics() {
-        m.calls_launched.inc();
         m.queue_depth.add(-1);
         m.in_flight.add(1);
-        m.queue_delay.observe(queue_delay);
+        if let Some(registered) = meta.registered_at {
+            m.queue_delay
+                .observe(step.now().saturating_duration_since(registered));
+        }
     }
-    obs.event(cid, EventKind::Launched);
-    Some((cid, req))
+    obs.event(step, cid, EventKind::Launched);
+    Some(Launch {
+        cid,
+        req: meta.req.clone(),
+        service: dest.service.clone(),
+    })
 }
 
 /// Mark a call complete, store its result, free its capacity, and wake
@@ -905,33 +972,39 @@ fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
     let (waiters, race_woken) = {
         let mut guard = shared.state.lock();
         let st = &mut *guard;
+        let step = &Step::new();
         st.active_total = st.active_total.saturating_sub(1);
         let mut launched_at = None;
         let orphaned = match st.meta.get_mut(&cid) {
             Some(meta) => {
                 meta.state = CallState::Done;
                 launched_at = meta.launched_at;
-                if let Some(n) = st.active_per_dest.get_mut(&meta.req.engine) {
-                    *n = n.saturating_sub(1);
+                if let Some(dest) = meta.dest {
+                    st.dests[dest].active = st.dests[dest].active.saturating_sub(1);
                 }
                 meta.refs == 0
             }
             None => true,
         };
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = obs.metrics() {
             m.in_flight.add(-1);
-            if let Some(t) = launched_at {
-                m.call_latency.observe(t.elapsed());
-            }
-            match &result {
-                Ok(_) => m.calls_completed.inc(),
-                Err(_) => m.calls_failed.inc(),
+            if let Some(launched) = launched_at {
+                m.call_latency
+                    .observe(step.now().saturating_duration_since(launched));
             }
         }
         match &result {
-            Ok(_) => obs.event(cid, EventKind::Completed),
-            Err(e) => obs.event_with(cid, EventKind::Failed, || e.to_string().into()),
+            Ok(_) => {
+                shared.stats.completed.inc();
+                obs.event(step, cid, EventKind::Completed);
+            }
+            Err(e) => {
+                shared.stats.failed.inc();
+                obs.emit(
+                    step,
+                    [(cid, EventKind::Failed, obs.text(|| e.to_string().into()))],
+                );
+            }
         }
         if orphaned {
             // Every registrant released before completion: drop everything.
@@ -945,7 +1018,7 @@ fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
         // (an orphaned member has no race entries — groups hold a
         // reference, so a raced member can't be orphaned while any of
         // its groups is undecided).
-        let race_woken = race_resolve(shared, st, cid, &result);
+        let race_woken = race_resolve(shared, st, cid, &result, step);
         (st.interest.remove(&cid).unwrap_or_default(), race_woken)
     };
     for w in waiters {
@@ -1003,15 +1076,11 @@ fn failed(err: WsqError) -> ServiceReply {
 /// Run one launched call's `execute`, outside every pump lock. A panic in
 /// the service becomes the call's failure instead of unwinding the
 /// launching thread with the call stuck in flight.
-fn execute_one(shared: &Shared, cid: CallId, req: &SearchRequest) -> ServiceReply {
-    let service = shared.services.read().get(&req.engine).cloned();
-    let Some(svc) = service else {
-        return failed(WsqError::Search(format!("unknown engine '{}'", req.engine)));
-    };
+fn execute_one(launch: &Launch) -> ServiceReply {
     // `call_scope` lets decorators (retry/flaky/cache) deep in the execute
-    // stack attribute their trace events to `cid`.
+    // stack attribute their trace events to the call.
     catch_unwind(AssertUnwindSafe(|| {
-        wsq_obs::call_scope(cid, || svc.execute(req))
+        wsq_obs::call_scope(launch.cid, || launch.service.execute(&launch.req))
     }))
     .unwrap_or_else(|payload| failed(panic_error(payload)))
 }
@@ -1035,33 +1104,34 @@ fn start_queued(shared: &Shared) {
 /// reply frees capacity, so the step repeats until nothing is launchable.
 fn launch_ready(shared: &Shared) {
     loop {
+        // One clock reading per launch round: it stamps the round's
+        // `Launched` events, and a reply is due its declared latency after
+        // it, however long the round's other `execute` calls take. (With
+        // observability off it is first read for the first such reply.)
+        let round = Step::new();
         let mut launches: Vec<Launch> = Vec::new();
         {
             let mut st = shared.state.lock();
             if st.shutdown {
                 return;
             }
-            while let Some(launch) = pop_launchable(&mut st, shared) {
+            while let Some(launch) = pop_launchable(&mut st, shared, &round) {
                 launches.push(launch);
             }
         }
         if launches.is_empty() {
             return;
         }
-        // One timestamp per launch round: a reply is due its declared
-        // latency after the round began, however long the round's other
-        // `execute` calls take.
-        let now = Instant::now();
         let mut instant: Vec<(CallId, Result<SearchResult>)> = Vec::new();
         let mut timed: Vec<Pending> = Vec::new();
-        for (cid, req) in launches {
-            let reply = execute_one(shared, cid, &req);
+        for launch in launches {
+            let reply = execute_one(&launch);
             if reply.latency.is_zero() {
-                instant.push((cid, reply.result));
+                instant.push((launch.cid, reply.result));
             } else {
                 timed.push(Pending {
-                    deadline: now + reply.latency,
-                    cid,
+                    deadline: round.now() + reply.latency,
+                    cid: launch.cid,
                     result: reply.result,
                 });
             }
@@ -1123,23 +1193,23 @@ fn event_loop(shared: Arc<Shared>) {
 /// sleep the declared latency, deliver.
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        let (cid, req) = {
+        let launch = {
             let mut st = shared.state.lock();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(launch) = pop_launchable(&mut st, &shared) {
+                if let Some(launch) = pop_launchable(&mut st, &shared, &Step::new()) {
                     break launch;
                 }
                 shared.work_cv.wait(&mut st);
             }
         };
-        let reply = execute_one(&shared, cid, &req);
+        let reply = execute_one(&launch);
         if !reply.latency.is_zero() {
             std::thread::sleep(reply.latency);
         }
-        complete(&shared, cid, reply.result);
+        complete(&shared, launch.cid, reply.result);
         // Capacity freed: this worker loops back for the next call, and an
         // idle peer may take another.
         shared.work_cv.notify_all();

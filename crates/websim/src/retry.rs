@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsq_obs::{EventKind, Obs};
+use wsq_obs::{EventKind, Obs, Step};
 use wsq_pump::{SearchRequest, SearchService, ServiceReply};
 
 /// Retries the inner service until it succeeds or attempts are exhausted.
@@ -52,7 +52,7 @@ impl SearchService for RetryService {
                     m.retries.inc();
                 }
                 if let Some(call) = wsq_obs::current_call() {
-                    self.obs.event(call, EventKind::Retried);
+                    self.obs.event(&Step::new(), call, EventKind::Retried);
                 }
             }
             // Salt the request so a deterministic flake doesn't fail every
