@@ -8,6 +8,7 @@
 //! rather than accepting everything.
 
 use crate::verify::{refs_any, same_ref};
+use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema};
 use wsq_engine::plan::{EvBinding, PhysPlan, RerankScorer};
 use wsq_sql::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal};
@@ -148,7 +149,7 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             insert_below_sync(p, |input| PhysPlan::Aggregate {
                 input,
                 group_by: vec![],
-                aggs: vec![(AggFunc::Count, None, "n".to_string())],
+                aggs: vec![(AggFunc::Count, None, "n".into())],
             })
         },
         Mutation::DistinctBelowSync => {
@@ -211,7 +212,7 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                             Expr::Column(victim),
                             Expr::Literal(Literal::Int(0)),
                         ),
-                        "computed".to_string(),
+                        "computed".into(),
                     )],
                     schema: Schema::new(vec![Column::new("computed", DataType::Int)]),
                 });
@@ -297,7 +298,7 @@ fn first_aev_attr(plan: &PhysPlan) -> Option<ColumnRef> {
 fn forge_depth(plan: &mut PhysPlan, depth: usize) -> bool {
     match plan {
         PhysPlan::AEVScan(spec) => {
-            spec.prefetch.depth = depth;
+            Arc::make_mut(spec).prefetch.depth = depth;
             true
         }
         PhysPlan::ReqSync { .. } => false,
@@ -313,11 +314,13 @@ fn forge_depth(plan: &mut PhysPlan, depth: usize) -> bool {
 fn rebind(plan: &mut PhysPlan, col: &ColumnRef) -> bool {
     match plan {
         PhysPlan::AEVScan(spec) => {
+            let mut bindings = spec.bindings().to_vec();
             let binding = EvBinding::Column(col.clone());
-            match spec.bindings.first_mut() {
+            match bindings.first_mut() {
                 Some(first) => *first = binding,
-                None => spec.bindings.push(binding),
+                None => bindings.push(binding),
             }
+            *spec = Arc::new(spec.with_bindings(bindings));
             true
         }
         PhysPlan::Filter { input, .. } | PhysPlan::ReqSync { input, .. } => rebind(input, col),

@@ -276,24 +276,15 @@ impl fmt::Display for Report {
 /// ```
 /// use wsq_analyze::verify;
 /// use wsq_common::Value;
-/// use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PrefetchHint, VTableKind};
+/// use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, VTableKind};
 ///
 /// // The minimal legal asynchronous plan: an AEVScan producing a
 /// // placeholder Count, patched by a covering ReqSync above it.
-/// let spec = EvSpec {
-///     kind: VTableKind::WebCount,
-///     engine: "AV".into(),
-///     alias: "WebCount".into(),
-///     template: None,
-///     bindings: vec![EvBinding::Const(Value::from("Utah"))],
-///     rank_limit: 19,
-///     supports_near: true,
-///     prefetch: PrefetchHint::default(),
-///     race: vec![],
-/// };
+/// let utah = vec![EvBinding::Const(Value::from("Utah"))];
+/// let spec = EvSpec::new(VTableKind::WebCount, "AV", "WebCount", utah, true);
 /// let plan = PhysPlan::ReqSync {
 ///     attrs: spec.external_attrs(),
-///     input: Box::new(PhysPlan::AEVScan(spec)),
+///     input: Box::new(PhysPlan::AEVScan(spec.into())),
 ///     mode: BufferMode::Full,
 ///     cap: None,
 /// };
@@ -314,21 +305,13 @@ pub fn verify(plan: &PhysPlan) -> Result<Report, VerifyError> {
 /// ```
 /// use wsq_analyze::{verify, verify_async, Rule};
 /// use wsq_common::Value;
-/// use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, PrefetchHint, VTableKind};
+/// use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, VTableKind};
 ///
 /// // A blocking EVScan has no placeholders, so plain `verify` accepts
 /// // it — but it must not survive asyncification.
-/// let plan = PhysPlan::EVScan(EvSpec {
-///     kind: VTableKind::WebCount,
-///     engine: "AV".into(),
-///     alias: "WebCount".into(),
-///     template: None,
-///     bindings: vec![EvBinding::Const(Value::from("Utah"))],
-///     rank_limit: 19,
-///     supports_near: true,
-///     prefetch: PrefetchHint::default(),
-///     race: vec![],
-/// });
+/// let utah = vec![EvBinding::Const(Value::from("Utah"))];
+/// let spec = EvSpec::new(VTableKind::WebCount, "AV", "WebCount", utah, true);
+/// let plan = PhysPlan::EVScan(spec.into());
 /// assert!(verify(&plan).is_ok());
 /// let err = verify_async(&plan).unwrap_err();
 /// assert_eq!(err.violations[0].rule, Rule::SyncScanInAsyncPlan);
@@ -387,22 +370,13 @@ fn verify_inner(plan: &PhysPlan, forbid_ev: bool) -> Result<Report, VerifyError>
 /// ```
 /// use wsq_analyze::verify::{verify_bounds, Bound};
 /// use wsq_common::Value;
-/// use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PrefetchHint, VTableKind};
+/// use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, VTableKind};
 ///
-/// let spec = EvSpec {
-///     kind: VTableKind::WebCount,
-///     engine: "AV".into(),
-///     alias: "WebCount".into(),
-///     template: None,
-///     bindings: vec![EvBinding::Const(Value::from("Utah"))],
-///     rank_limit: 19,
-///     supports_near: true,
-///     prefetch: PrefetchHint::default(),
-///     race: vec![],
-/// };
+/// let utah = vec![EvBinding::Const(Value::from("Utah"))];
+/// let spec = EvSpec::new(VTableKind::WebCount, "AV", "WebCount", utah, true);
 /// let plan = PhysPlan::ReqSync {
 ///     attrs: spec.external_attrs(),
-///     input: Box::new(PhysPlan::AEVScan(spec)),
+///     input: Box::new(PhysPlan::AEVScan(spec.into())),
 ///     mode: BufferMode::Full,
 ///     cap: Some(8),
 /// };
@@ -450,10 +424,7 @@ pub(crate) fn refs_any(expr: &Expr, attrs: &[ColumnRef]) -> bool {
 fn fmt_attrs(attrs: &[ColumnRef]) -> String {
     attrs
         .iter()
-        .map(|a| match &a.qualifier {
-            Some(q) => format!("{q}.{}", a.name),
-            None => a.name.clone(),
-        })
+        .map(ColumnRef::to_string)
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -474,7 +445,7 @@ impl Cx {
     }
 
     fn check_bindings(&mut self, spec: &EvSpec, outer: &[ColumnRef], path: &str) {
-        for b in &spec.bindings {
+        for b in spec.bindings() {
             if let EvBinding::Column(c) = b {
                 if outer.iter().any(|a| same_ref(c, a)) {
                     self.push(
@@ -483,7 +454,7 @@ impl Cx {
                         format!(
                             "binding of virtual table '{}' reads may-be-placeholder \
                              attribute {} of the outer side",
-                            spec.alias,
+                            spec.alias(),
                             fmt_attrs(std::slice::from_ref(c)),
                         ),
                     );
@@ -723,13 +694,13 @@ impl BoundsCx {
                                 format!(
                                     "AEVScan '{}' stamped prefetch depth {depth} exceeds \
                                      the enclosing ReqSync admission cap {cap}",
-                                    spec.alias
+                                    spec.alias()
                                 ),
                             );
                         }
                     }
                 }
-                match spec.kind {
+                match spec.kind() {
                     wsq_engine::plan::VTableKind::WebCount => Bound::Finite(1),
                     wsq_engine::plan::VTableKind::WebPages => Bound::Finite(spec.rank_limit as u64),
                 }

@@ -19,8 +19,8 @@ use wsq_sql::ast::{BinOp, ColumnRef, Expr, Literal};
 
 fn states_scan() -> PhysPlan {
     PhysPlan::SeqScan {
-        table: "States".to_string(),
-        alias: "States".to_string(),
+        table: "States".into(),
+        alias: "States".into(),
         schema: Schema::new(vec![
             Column::qualified("States", "Name", DataType::Varchar),
             Column::qualified("States", "Population", DataType::Int),
@@ -29,33 +29,26 @@ fn states_scan() -> PhysPlan {
 }
 
 fn spec(alias: &str, kind: VTableKind) -> EvSpec {
-    EvSpec {
-        kind,
-        engine: "AV".into(),
-        alias: alias.to_string(),
-        template: None,
-        bindings: vec![EvBinding::Column(ColumnRef {
-            qualifier: Some("States".into()),
-            name: "Name".into(),
-        })],
-        rank_limit: 3,
-        supports_near: true,
-        prefetch: PrefetchHint::default(),
-        race: vec![],
-    }
+    let name = EvBinding::Column(ColumnRef {
+        qualifier: Some("States".into()),
+        name: "Name".into(),
+    });
+    let mut spec = EvSpec::new(kind, "AV", alias, vec![name], true);
+    spec.rank_limit = 3;
+    spec
 }
 
 fn dj(left: PhysPlan, spec: EvSpec) -> PhysPlan {
     PhysPlan::DependentJoin {
         left: Box::new(left),
-        right: Box::new(PhysPlan::EVScan(spec)),
+        right: Box::new(PhysPlan::EVScan(spec.into())),
     }
 }
 
 fn col(qualifier: &str, name: &str) -> Expr {
     Expr::Column(ColumnRef {
-        qualifier: Some(qualifier.to_string()),
-        name: name.to_string(),
+        qualifier: Some(qualifier.into()),
+        name: name.into(),
     })
 }
 
@@ -83,8 +76,8 @@ fn bases() -> Vec<(&'static str, PhysPlan)> {
     );
     let projected = PhysPlan::Project {
         items: vec![
-            (col("States", "Name"), "Name".to_string()),
-            (col("V1", "Count"), "Count".to_string()),
+            (col("States", "Name"), "Name".into()),
+            (col("V1", "Count"), "Count".into()),
         ],
         schema: Schema::new(vec![
             Column::new("Name", DataType::Varchar),

@@ -20,6 +20,6 @@ pub mod value;
 
 pub use error::{Result, WsqError};
 pub use idhash::{IdHasher, IdMap};
-pub use schema::{Column, Schema};
+pub use schema::{with_ascii_lowercase, Column, Schema};
 pub use tuple::Tuple;
 pub use value::{CallId, DataType, GroupKey, PendingCol, Placeholder, Value};

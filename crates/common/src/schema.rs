@@ -1,24 +1,30 @@
 //! Schemas: ordered lists of (possibly qualified) typed columns.
+//!
+//! Names are reference-counted (`Arc<str>`) and a schema is a shared slice
+//! of columns, so cloning either is a reference-count increment: a name is
+//! allocated once, where the query text or the catalog first spells it, and
+//! every plan node and operator that carries it afterwards shares it.
 
 use crate::error::{Result, WsqError};
 use crate::value::DataType;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single column of a schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Table alias / relation name qualifying the column, if any.
     /// Scans produce qualified columns; projections may drop the qualifier.
-    pub qualifier: Option<String>,
+    pub qualifier: Option<Arc<str>>,
     /// Column name. Matching is case-insensitive.
-    pub name: String,
+    pub name: Arc<str>,
     /// Declared data type.
     pub dtype: DataType,
 }
 
 impl Column {
     /// An unqualified column.
-    pub fn new(name: impl Into<String>, dtype: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, dtype: DataType) -> Self {
         Column {
             qualifier: None,
             name: name.into(),
@@ -28,8 +34,8 @@ impl Column {
 
     /// A qualified column (`qualifier.name`).
     pub fn qualified(
-        qualifier: impl Into<String>,
-        name: impl Into<String>,
+        qualifier: impl Into<Arc<str>>,
+        name: impl Into<Arc<str>>,
         dtype: DataType,
     ) -> Self {
         Column {
@@ -61,7 +67,7 @@ impl Column {
     pub fn display_name(&self) -> String {
         match &self.qualifier {
             Some(q) => format!("{q}.{}", self.name),
-            None => self.name.clone(),
+            None => self.name.to_string(),
         }
     }
 }
@@ -74,20 +80,25 @@ impl fmt::Display for Column {
 
 /// An ordered list of columns describing tuples produced by an operator or
 /// stored in a table.
+///
+/// The columns are shared: a clone is a reference-count increment, so an
+/// operator can hold its own copy of its child's schema for free.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
 }
 
 impl Schema {
     /// Build a schema from columns.
     pub fn new(columns: Vec<Column>) -> Self {
-        Schema { columns }
+        Schema {
+            columns: columns.into(),
+        }
     }
 
-    /// The empty schema.
+    /// The empty schema (allocates nothing).
     pub fn empty() -> Self {
-        Schema { columns: vec![] }
+        Schema::default()
     }
 
     /// Columns, in order.
@@ -136,22 +147,30 @@ impl Schema {
         self.columns.iter().position(|c| c.matches(qualifier, name))
     }
 
-    /// Concatenate two schemas (used by joins / cross products).
+    /// Concatenate two schemas (used by joins / cross products). One
+    /// allocation: the names are shared.
     pub fn join(&self, right: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
-        columns.extend(right.columns.iter().cloned());
-        Schema { columns }
+        Schema {
+            columns: self
+                .columns
+                .iter()
+                .chain(right.columns.iter())
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Re-qualify all columns with a new table alias (used when a stored
-    /// table is scanned under an alias).
-    pub fn with_qualifier(&self, qualifier: &str) -> Schema {
+    /// table is scanned under an alias). One allocation for the columns
+    /// (and one for `qualifier` if it is not already an `Arc<str>`).
+    pub fn with_qualifier(&self, qualifier: impl Into<Arc<str>>) -> Schema {
+        let qualifier = qualifier.into();
         Schema {
             columns: self
                 .columns
                 .iter()
                 .map(|c| Column {
-                    qualifier: Some(qualifier.to_string()),
+                    qualifier: Some(qualifier.clone()),
                     name: c.name.clone(),
                     dtype: c.dtype,
                 })
@@ -165,11 +184,39 @@ impl Schema {
     }
 }
 
+/// Collect columns into a schema: one allocation when the iterator knows
+/// its length.
+impl FromIterator<Column> for Schema {
+    fn from_iter<I: IntoIterator<Item = Column>>(iter: I) -> Self {
+        Schema {
+            columns: iter.into_iter().collect(),
+        }
+    }
+}
+
 fn refname(qualifier: Option<&str>, name: &str) -> String {
     match qualifier {
         Some(q) => format!("{q}.{name}"),
         None => name.to_string(),
     }
+}
+
+/// Call `f` with `name` in ASCII lower case — the form case-insensitive
+/// name maps (the catalog's, the database's) are keyed by — built on the
+/// stack when the name is short, so that looking a name up allocates
+/// nothing.
+pub fn with_ascii_lowercase<R>(name: &str, f: impl FnOnce(&str) -> R) -> R {
+    let mut buf = [0u8; 64];
+    if let Some(key) = buf.get_mut(..name.len()) {
+        key.copy_from_slice(name.as_bytes());
+        key.make_ascii_lowercase();
+        // Lower-casing ASCII bytes keeps UTF-8 valid, so this always
+        // succeeds.
+        if let Ok(key) = std::str::from_utf8(key) {
+            return f(key);
+        }
+    }
+    f(&name.to_ascii_lowercase())
 }
 
 impl fmt::Display for Schema {
@@ -236,8 +283,24 @@ mod tests {
         let right = Schema::new(vec![Column::new("b", DataType::Float)]);
         let j = left.join(&right);
         assert_eq!(j.len(), 2);
-        assert_eq!(j.column(0).name, "a");
-        assert_eq!(j.column(1).name, "b");
+        assert_eq!(&*j.column(0).name, "a");
+        assert_eq!(&*j.column(1).name, "b");
+    }
+
+    #[test]
+    fn clones_joins_and_requalification_share_names() {
+        let s = sample();
+        let copy = s.clone();
+        assert!(std::ptr::eq(s.columns(), copy.columns()));
+        let joined = s.join(&copy);
+        assert!(Arc::ptr_eq(&joined.column(3).name, &s.column(0).name));
+        let alias: Arc<str> = Arc::from("S");
+        let requalified = s.with_qualifier(alias.clone());
+        assert!(Arc::ptr_eq(&requalified.column(1).name, &s.column(1).name));
+        assert!(Arc::ptr_eq(
+            requalified.column(2).qualifier.as_ref().unwrap(),
+            &alias
+        ));
     }
 
     #[test]
@@ -245,6 +308,14 @@ mod tests {
         let s = sample().with_qualifier("S");
         assert_eq!(s.resolve(Some("S"), "Name").unwrap(), 0);
         assert!(s.resolve(Some("States"), "Name").is_err());
+    }
+
+    #[test]
+    fn lowercase_keys_short_and_long() {
+        assert_eq!(with_ascii_lowercase("StAtEs_É", str::to_string), "states_É");
+        let long = "X".repeat(100);
+        assert_eq!(with_ascii_lowercase(&long, str::to_string), "x".repeat(100));
+        assert_eq!(with_ascii_lowercase("", str::len), 0);
     }
 
     #[test]

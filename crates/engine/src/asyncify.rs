@@ -20,7 +20,8 @@
 //! (case 1). Flushing merges every pending `Sync` into a **single**
 //! ReqSync — which is exactly Consolidation.
 
-use crate::plan::{BufferMode, EvBinding, PhysPlan, PlacementStrategy, PrefetchHint};
+use crate::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint};
+use std::sync::Arc;
 use wsq_sql::ast::{ColumnRef, Expr};
 
 /// Rewrite a synchronous plan into its asynchronous-iteration form.
@@ -139,21 +140,32 @@ fn same_ref(a: &ColumnRef, b: &ColumnRef) -> bool {
 }
 
 /// Does `expr` reference any of `attrs`?
-fn refs_any(expr: &Expr, attrs: &[ColumnRef]) -> bool {
-    expr.columns()
-        .iter()
-        .any(|c| attrs.iter().any(|a| same_ref(c, a)))
+fn refs_any<'a>(expr: &Expr, attrs: impl Iterator<Item = &'a ColumnRef> + Clone) -> bool {
+    !expr.all_columns(|c| !attrs.clone().any(|a| same_ref(c, a)))
 }
 
 /// All placeholder attributes across the pending set.
-fn pending_attrs(pending: &[Pending]) -> Vec<ColumnRef> {
-    pending
-        .iter()
-        .flat_map(|p| match p {
-            Pending::Sync(attrs) => attrs.clone(),
-            Pending::Carried(_) => vec![],
-        })
-        .collect()
+fn pending_attrs(pending: &[Pending]) -> impl Iterator<Item = &ColumnRef> + Clone {
+    pending.iter().flat_map(|p| match p {
+        Pending::Sync(attrs) => attrs.as_slice(),
+        Pending::Carried(_) => &[],
+    })
+}
+
+/// The output name under which a projection passes placeholder attribute
+/// `attr` through untouched, as a plain column item; `None` when an item
+/// computes over it, or none passes it.
+fn passthrough_name(items: &[(Expr, Arc<str>)], attr: &ColumnRef) -> Option<Arc<str>> {
+    let mut passing = None;
+    for (e, name) in items {
+        match e {
+            Expr::Column(c) if same_ref(c, attr) => passing = passing.or(Some(name)),
+            Expr::Column(_) => {}
+            computed if refs_any(computed, std::iter::once(attr)) => return None,
+            _ => {}
+        }
+    }
+    passing.cloned()
 }
 
 impl Ctx {
@@ -202,16 +214,17 @@ impl Ctx {
             // Insertion: every external scan becomes asynchronous, with a
             // ReqSync born directly above it (here: as a pending item).
             // The scan also receives the (cap-clamped) prefetch hint.
-            PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => {
-                let mut spec = spec;
-                spec.prefetch = self.prefetch;
+            PhysPlan::EVScan(mut spec) | PhysPlan::AEVScan(mut spec) => {
+                // The spec is still the planner's only reference: stamping
+                // it copies nothing.
+                Arc::make_mut(&mut spec).prefetch = self.prefetch;
                 let attrs = spec.external_attrs();
                 (PhysPlan::AEVScan(spec), vec![Pending::Sync(attrs)])
             }
 
             PhysPlan::Filter { input, predicate } => {
                 let (core, pending) = self.lift(*input);
-                if refs_any(&predicate, &pending_attrs(&pending)) {
+                if refs_any(&predicate, pending_attrs(&pending)) {
                     // Clash case 1: pull the selection above the rising
                     // ReqSync instead of blocking it.
                     let mut pending = pending;
@@ -234,12 +247,9 @@ impl Ctx {
                 // If the inner scan's bindings read placeholder attributes
                 // of the left side, those calls must resolve before the
                 // join can re-bind: flush the left pending set below.
-                let binding_cols = binding_columns(&r);
-                let attrs = pending_attrs(&pl);
-                let l = if binding_cols
-                    .iter()
-                    .any(|c| attrs.iter().any(|a| same_ref(c, a)))
-                {
+                let reads_placeholder =
+                    binding_columns(&r).any(|c| pending_attrs(&pl).any(|a| same_ref(c, a)));
+                let l = if reads_placeholder {
                     let flushed = self.flush(l, std::mem::take(&mut pl));
                     pl = vec![];
                     flushed
@@ -270,7 +280,7 @@ impl Ctx {
                 let (r, pr) = self.lift(*right);
                 let mut pending = pl;
                 pending.extend(pr);
-                if refs_any(&predicate, &pending_attrs(&pending)) {
+                if refs_any(&predicate, pending_attrs(&pending)) {
                     // Clash: rewrite the join as a selection over a
                     // cross-product and carry the selection upward
                     // (§4.5.2, demonstrated in Figure 8).
@@ -313,7 +323,7 @@ impl Ctx {
                 items,
                 schema,
             } => {
-                let (core, pending) = self.lift(*input);
+                let (core, mut pending) = self.lift(*input);
                 if pending.is_empty() {
                     return (
                         PhysPlan::Project {
@@ -330,72 +340,40 @@ impl Ctx {
                 // flight (their predicates reference pre-projection
                 // names). Otherwise flush below (clash cases 1 and 2).
                 let has_carried = pending.iter().any(|p| matches!(p, Pending::Carried(_)));
-                let attrs = pending_attrs(&pending);
-                let renames: Option<Vec<(ColumnRef, ColumnRef)>> = attrs
-                    .iter()
-                    .map(|a| {
-                        // Reject if any item computes over the attribute.
-                        let computed = items.iter().any(|(e, _)| {
-                            !matches!(e, Expr::Column(_)) && refs_any(e, std::slice::from_ref(a))
-                        });
-                        if computed {
-                            return None;
+                let rises = !has_carried
+                    && pending_attrs(&pending).all(|a| passthrough_name(&items, a).is_some());
+                if !rises {
+                    let flushed = self.flush(core, pending);
+                    return (
+                        PhysPlan::Project {
+                            input: Box::new(flushed),
+                            items,
+                            schema,
+                        },
+                        vec![],
+                    );
+                }
+                // Rename each attribute to the name it passes through as.
+                for p in &mut pending {
+                    if let Pending::Sync(attrs) = p {
+                        for a in attrs {
+                            if let Some(name) = passthrough_name(&items, a) {
+                                *a = ColumnRef {
+                                    qualifier: None,
+                                    name,
+                                };
+                            }
                         }
-                        items
-                            .iter()
-                            .find(|(e, _)| matches!(e, Expr::Column(c) if same_ref(c, a)))
-                            .map(|(_, name)| {
-                                (
-                                    a.clone(),
-                                    ColumnRef {
-                                        qualifier: None,
-                                        name: name.clone(),
-                                    },
-                                )
-                            })
-                    })
-                    .collect();
-                match renames {
-                    Some(renames) if !has_carried => {
-                        let renamed: Vec<Pending> = pending
-                            .into_iter()
-                            .map(|p| match p {
-                                Pending::Sync(attrs) => Pending::Sync(
-                                    attrs
-                                        .into_iter()
-                                        .map(|a| {
-                                            renames
-                                                .iter()
-                                                .find(|(from, _)| from == &a)
-                                                .map(|(_, to)| to.clone())
-                                                .unwrap_or(a)
-                                        })
-                                        .collect(),
-                                ),
-                                carried => carried,
-                            })
-                            .collect();
-                        (
-                            PhysPlan::Project {
-                                input: Box::new(core),
-                                items,
-                                schema,
-                            },
-                            renamed,
-                        )
-                    }
-                    _ => {
-                        let flushed = self.flush(core, pending);
-                        (
-                            PhysPlan::Project {
-                                input: Box::new(flushed),
-                                items,
-                                schema,
-                            },
-                            vec![],
-                        )
                     }
                 }
+                (
+                    PhysPlan::Project {
+                        input: Box::new(core),
+                        items,
+                        schema,
+                    },
+                    pending,
+                )
             }
 
             // Order/cardinality-sensitive operators: clash case 3 (and its
@@ -489,18 +467,15 @@ impl Ctx {
 }
 
 /// The column bindings an inner virtual scan reads from its outer input.
-fn binding_columns(right: &PhysPlan) -> Vec<ColumnRef> {
-    match right.inner_spec() {
-        Some(spec) => spec
-            .bindings
-            .iter()
-            .filter_map(|b| match b {
-                EvBinding::Column(c) => Some(c.clone()),
-                EvBinding::Const(_) => None,
-            })
-            .collect(),
-        None => vec![],
-    }
+fn binding_columns(right: &PhysPlan) -> impl Iterator<Item = &ColumnRef> {
+    right
+        .inner_spec()
+        .into_iter()
+        .flat_map(EvSpec::bindings)
+        .filter_map(|b| match b {
+            EvBinding::Column(c) => Some(c),
+            EvBinding::Const(_) => None,
+        })
 }
 
 #[cfg(test)]
@@ -512,8 +487,8 @@ mod tests {
 
     fn scan(name: &str, cols: &[&str]) -> PhysPlan {
         PhysPlan::SeqScan {
-            table: name.to_string(),
-            alias: name.to_string(),
+            table: name.into(),
+            alias: name.into(),
             schema: Schema::new(
                 cols.iter()
                     .map(|c| Column::qualified(name, *c, DataType::Varchar))
@@ -522,38 +497,25 @@ mod tests {
         }
     }
 
+    /// A `kind` scan of `engine` under `alias`, bound to `bind_col`.
+    fn evscan(kind: VTableKind, alias: &str, engine: &str, bind_col: (&str, &str)) -> PhysPlan {
+        let binding = EvBinding::Column(ColumnRef {
+            qualifier: Some(bind_col.0.into()),
+            name: bind_col.1.into(),
+        });
+        let mut spec = EvSpec::new(kind, engine, alias, vec![binding], true);
+        if kind == VTableKind::WebPages {
+            spec.rank_limit = 3;
+        }
+        PhysPlan::EVScan(Arc::new(spec))
+    }
+
     fn webcount(alias: &str, bind_col: (&str, &str)) -> PhysPlan {
-        PhysPlan::EVScan(EvSpec {
-            kind: VTableKind::WebCount,
-            engine: "AV".into(),
-            alias: alias.into(),
-            template: None,
-            bindings: vec![EvBinding::Column(ColumnRef {
-                qualifier: Some(bind_col.0.into()),
-                name: bind_col.1.into(),
-            })],
-            rank_limit: 19,
-            supports_near: true,
-            prefetch: PrefetchHint::default(),
-            race: vec![],
-        })
+        evscan(VTableKind::WebCount, alias, "AV", bind_col)
     }
 
     fn webpages(alias: &str, engine: &str, bind_col: (&str, &str)) -> PhysPlan {
-        PhysPlan::EVScan(EvSpec {
-            kind: VTableKind::WebPages,
-            engine: engine.into(),
-            alias: alias.into(),
-            template: None,
-            bindings: vec![EvBinding::Column(ColumnRef {
-                qualifier: Some(bind_col.0.into()),
-                name: bind_col.1.into(),
-            })],
-            rank_limit: 3,
-            supports_near: true,
-            prefetch: PrefetchHint::default(),
-            race: vec![],
-        })
+        evscan(VTableKind::WebPages, alias, engine, bind_col)
     }
 
     fn dj(left: PhysPlan, right: PhysPlan) -> PhysPlan {
@@ -726,20 +688,7 @@ mod tests {
     #[test]
     fn binding_on_placeholder_blocks_percolation() {
         // WebPages S feeds its URL into WebCount's T1.
-        let inner = PhysPlan::EVScan(EvSpec {
-            kind: VTableKind::WebCount,
-            engine: "AV".into(),
-            alias: "WC".into(),
-            template: None,
-            bindings: vec![EvBinding::Column(ColumnRef {
-                qualifier: Some("S".into()),
-                name: "URL".into(),
-            })],
-            rank_limit: 19,
-            supports_near: true,
-            prefetch: PrefetchHint::default(),
-            race: vec![],
-        });
+        let inner = webcount("WC", ("S", "URL"));
         let plan = dj(
             dj(
                 scan("Sigs", &["Name"]),

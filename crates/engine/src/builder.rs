@@ -11,8 +11,9 @@
 
 use crate::catalog::Catalog;
 use crate::engines::EngineRegistry;
-use crate::plan::{EvBinding, EvSpec, PhysPlan, PrefetchHint, RerankScorer, VTableKind};
+use crate::plan::{EvBinding, EvSpec, PhysPlan, RerankScorer, VTableKind};
 use std::cmp::Ordering;
+use std::sync::Arc;
 use wsq_common::{DataType, Result, Schema, Value, WsqError};
 use wsq_sql::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal, SelectItem, SelectStmt, UnOp};
 
@@ -23,29 +24,30 @@ pub const DEFAULT_RANK_LIMIT: u32 = 19;
 /// Is `name` a virtual-table reference? Returns the kind and the engine
 /// suffix (`None` = default engine).
 pub fn parse_virtual_name(name: &str) -> Option<(VTableKind, Option<&str>)> {
-    let lower = name.to_ascii_lowercase();
-    for (prefix, kind) in [
+    [
         ("webcount", VTableKind::WebCount),
         ("webpages", VTableKind::WebPages),
-    ] {
-        if lower == prefix {
-            return Some((kind, None));
+    ]
+    .into_iter()
+    .find_map(|(prefix, kind)| {
+        let head = name.get(..prefix.len())?;
+        if !head.eq_ignore_ascii_case(prefix) {
+            return None;
         }
-        if lower.starts_with(prefix) && name.len() > prefix.len() {
-            let rest = &name[prefix.len()..];
-            if let Some(suffix) = rest.strip_prefix('_') {
-                if !suffix.is_empty() {
-                    return Some((kind, Some(suffix)));
-                }
-            }
+        match &name[prefix.len()..] {
+            "" => Some((kind, None)),
+            rest => match rest.strip_prefix('_') {
+                Some(suffix) if !suffix.is_empty() => Some((kind, Some(suffix))),
+                _ => None,
+            },
         }
-    }
-    None
+    })
 }
 
-/// One WHERE conjunct with a consumed flag.
-struct Conjunct {
-    expr: Expr,
+/// One WHERE conjunct, read in place from the statement, with a consumed
+/// flag. A plan node that applies it clones it then, once.
+struct Conjunct<'q> {
+    expr: &'q Expr,
     used: bool,
 }
 
@@ -60,6 +62,27 @@ pub fn plan_select(
 
 /// Maximum view-expansion nesting (guards against definition cycles).
 const MAX_VIEW_DEPTH: usize = 16;
+
+/// Check that every column `expr` references resolves in `schema`,
+/// reporting the first that does not.
+fn resolve_columns(expr: &Expr, schema: &Schema) -> Result<()> {
+    let mut result = Ok(());
+    expr.visit(&mut |e| {
+        if let (Ok(()), Expr::Column(c)) = (&result, e) {
+            result = schema.resolve(c.qualifier.as_deref(), &c.name).map(drop);
+        }
+    });
+    result
+}
+
+/// Does every column `expr` references resolve in `schema`?
+fn resolves_in(expr: &Expr, schema: &Schema) -> bool {
+    expr.all_columns(|c| {
+        schema
+            .try_resolve(c.qualifier.as_deref(), &c.name)
+            .is_some()
+    })
+}
 
 fn plan_select_depth(
     stmt: &SelectStmt,
@@ -77,53 +100,109 @@ fn plan_select_depth(
     }
 
     // Duplicate binding names are ambiguous.
-    {
-        let mut seen = std::collections::HashSet::new();
-        for t in &stmt.from {
-            if !seen.insert(t.binding_name().to_ascii_lowercase()) {
-                return Err(WsqError::Plan(format!(
-                    "duplicate table name/alias '{}' in FROM",
-                    t.binding_name()
-                )));
-            }
+    for (i, t) in stmt.from.iter().enumerate() {
+        let name = t.binding_name();
+        if stmt.from[..i]
+            .iter()
+            .any(|earlier| earlier.binding_name().eq_ignore_ascii_case(name))
+        {
+            return Err(WsqError::Plan(format!(
+                "duplicate table name/alias '{name}' in FROM"
+            )));
         }
     }
 
-    let mut conjuncts: Vec<Conjunct> = stmt
-        .where_clause
-        .clone()
-        .map(|e| e.split_conjuncts())
-        .unwrap_or_default()
-        .into_iter()
-        .map(|expr| Conjunct { expr, used: false })
-        .collect();
+    let mut conjuncts: Vec<Conjunct<'_>> = Vec::new();
+    if let Some(w) = &stmt.where_clause {
+        w.for_each_conjunct(&mut |expr| conjuncts.push(Conjunct { expr, used: false }));
+    }
 
-    // Which FROM entries are virtual? (Needed to attribute unqualified
-    // `Ti` references when only one virtual table is present.)
-    let virtuals: Vec<usize> = stmt
+    // How many FROM entries are virtual? (Unqualified `Ti` references are
+    // attributed to a virtual table only when it is the only one.)
+    let virtual_tables = stmt
         .from
         .iter()
-        .enumerate()
-        .filter(|(_, t)| parse_virtual_name(&t.table).is_some())
-        .map(|(i, _)| i)
-        .collect();
+        .filter(|t| parse_virtual_name(&t.table).is_some())
+        .count();
 
     let mut plan: Option<PhysPlan> = None;
     let mut running = Schema::empty();
 
-    for (idx, tref) in stmt.from.iter().enumerate() {
-        let alias = tref.binding_name().to_string();
-        match parse_virtual_name(&tref.table) {
-            None if catalog.view_definition(&tref.table).is_some() => {
+    for tref in &stmt.from {
+        let alias = tref.binding_name();
+        if let Some((kind, engine_suffix)) = parse_virtual_name(&tref.table) {
+            // `_ANY` races the registry's configured engine group (first
+            // result wins) — unless an engine literally named "ANY" is
+            // registered, which then takes precedence.
+            let mut race: Vec<Arc<str>> = Vec::new();
+            let (engine_name, supports_near) = match engine_suffix {
+                Some(s) if s.eq_ignore_ascii_case("any") && engines.get(s).is_err() => {
+                    let group = engines.race_group();
+                    let Some(lead) = group.first() else {
+                        return Err(WsqError::Plan(format!(
+                            "'{}' races the engine group, but none is \
+                             configured (Wsq::set_race_group)",
+                            tref.table
+                        )));
+                    };
+                    // NEAR templates are only safe if every raced engine
+                    // understands them.
+                    let near = group.iter().all(|n| {
+                        engines
+                            .get(n)
+                            .map(|(_, e)| e.supports_near)
+                            .unwrap_or(false)
+                    });
+                    if group.len() > 1 {
+                        race = group.to_vec();
+                    }
+                    (lead.clone(), near)
+                }
+                Some(s) => {
+                    let (_, entry) = engines.get(s)?;
+                    (entry.name.clone(), entry.supports_near)
+                }
+                None => {
+                    let (_, entry) = engines.get(engines.default_name()?)?;
+                    (entry.name.clone(), entry.supports_near)
+                }
+            };
+            let mut spec = analyze_virtual(
+                stmt,
+                &mut conjuncts,
+                kind,
+                engine_name,
+                alias,
+                supports_near,
+                virtual_tables == 1,
+                &running,
+            )?;
+            spec.race = race;
+            let left = plan.take().unwrap_or_else(|| {
+                // Standalone virtual table: drive the dependent join with
+                // one empty tuple.
+                PhysPlan::Values {
+                    schema: Schema::empty(),
+                    rows: vec![vec![]],
+                }
+            });
+            let node = PhysPlan::DependentJoin {
+                left: Box::new(left),
+                right: Box::new(PhysPlan::EVScan(Arc::new(spec))),
+            };
+            running = node.schema();
+            // Attach now-resolvable predicates (e.g. on Count/URL).
+            plan = Some(attach_filters(node, &mut conjuncts, &running));
+            continue;
+        }
+
+        let (node, schema) = match catalog.view_definition(&tref.table) {
+            Some(definition) => {
                 // A view: expand its definition as a subplan, re-qualified
                 // under the binding alias (WebCount itself is "an
                 // aggregate view over WebPages", paper §1 — stored views
                 // get the same treatment).
-                let definition = catalog
-                    .view_definition(&tref.table)
-                    .expect("checked above")
-                    .to_string();
-                let view_stmt = match wsq_sql::parse_one(&definition)? {
+                let view_stmt = match wsq_sql::parse_one(definition)? {
                     wsq_sql::Statement::Select(s) => s,
                     _ => {
                         return Err(WsqError::Plan(format!(
@@ -144,32 +223,29 @@ fn plan_select_depth(
                         }),
                         c.name.clone(),
                     ));
-                    cols.push(wsq_common::Column::qualified(&alias, &c.name, c.dtype));
+                    cols.push(wsq_common::Column::qualified(
+                        alias.clone(),
+                        c.name.clone(),
+                        c.dtype,
+                    ));
                 }
                 let schema = Schema::new(cols);
-                let mut node = PhysPlan::Project {
+                let node = PhysPlan::Project {
                     input: Box::new(sub),
                     items,
                     schema: schema.clone(),
                 };
-                node = attach_filters(node, &mut conjuncts, &schema)?;
-                plan = Some(match plan.take() {
-                    None => node,
-                    Some(left) => {
-                        let combined = running.join(&schema);
-                        join_with_predicates(left, node, &combined, &mut conjuncts)?
-                    }
-                });
-                running = plan.as_ref().expect("just set").schema();
+                (node, schema)
             }
             None => {
                 // Stored table. Prefer a B+-tree range scan when conjuncts
                 // bound an indexed column (Redbase's access-path choice:
                 // index over file scan for selections on the key).
-                let stored = catalog.table_schema(&tref.table)?;
-                let schema = stored.with_qualifier(&alias);
-                let unused = conjuncts.iter().filter(|c| !c.used).map(|c| &c.expr);
-                let mut node = match pick_index_access(catalog, &tref.table, &schema, unused) {
+                let schema = catalog
+                    .table_schema(&tref.table)?
+                    .with_qualifier(alias.clone());
+                let unused = conjuncts.iter().filter(|c| !c.used).map(|c| c.expr);
+                let node = match pick_index_access(catalog, &tref.table, &schema, unused) {
                     Some(access) => PhysPlan::IndexScan {
                         table: tref.table.clone(),
                         alias: alias.clone(),
@@ -184,100 +260,28 @@ fn plan_select_depth(
                         schema: schema.clone(),
                     },
                 };
-                // Push down single-table predicates — including the ones
-                // the index range was read from: the index narrows, the
-                // filter decides.
-                node = attach_filters(node, &mut conjuncts, &schema)?;
-                plan = Some(match plan.take() {
-                    None => node,
-                    Some(left) => {
-                        let combined = running.join(&schema);
-                        join_with_predicates(left, node, &combined, &mut conjuncts)?
-                    }
-                });
-                running = plan.as_ref().expect("just set").schema();
+                (node, schema)
             }
-            Some((kind, engine_suffix)) => {
-                // `_ANY` races the registry's configured engine group
-                // (first result wins) — unless an engine literally named
-                // "ANY" is registered, which then takes precedence.
-                let mut race: Vec<String> = Vec::new();
-                let (engine_name, supports_near) = match engine_suffix {
-                    Some(s) if s.eq_ignore_ascii_case("any") && engines.get(s).is_err() => {
-                        let group = engines.race_group();
-                        if group.is_empty() {
-                            return Err(WsqError::Plan(format!(
-                                "'{}' races the engine group, but none is \
-                                 configured (Wsq::set_race_group)",
-                                tref.table
-                            )));
-                        }
-                        // NEAR templates are only safe if every raced
-                        // engine understands them.
-                        let near = group.iter().all(|n| {
-                            engines
-                                .get(n)
-                                .map(|(_, e)| e.supports_near)
-                                .unwrap_or(false)
-                        });
-                        if group.len() > 1 {
-                            race = group.to_vec();
-                        }
-                        (group[0].clone(), near)
-                    }
-                    Some(s) => {
-                        let (name, entry) = engines.get(s)?;
-                        (name.to_string(), entry.supports_near)
-                    }
-                    None => {
-                        let name = engines.default_name()?.to_string();
-                        let (_, entry) = engines.get(&name)?;
-                        (name, entry.supports_near)
-                    }
-                };
-                let only_virtual = virtuals.len() == 1 && virtuals[0] == idx;
-
-                let mut spec = analyze_virtual(
-                    stmt,
-                    &mut conjuncts,
-                    kind,
-                    engine_name,
-                    &alias,
-                    supports_near,
-                    only_virtual,
-                    &running,
-                )?;
-                spec.race = race;
-                let right = PhysPlan::EVScan(spec);
-                let left = match plan.take() {
-                    Some(p) => p,
-                    // Standalone virtual table: drive the dependent join
-                    // with one empty tuple.
-                    None => PhysPlan::Values {
-                        schema: Schema::empty(),
-                        rows: vec![vec![]],
-                    },
-                };
-                let mut node = PhysPlan::DependentJoin {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                };
-                running = node.schema();
-                // Attach now-resolvable predicates (e.g. on Count/URL).
-                node = attach_filters(node, &mut conjuncts, &running)?;
-                plan = Some(node);
+        };
+        // Push down single-table predicates — for an index scan including
+        // the ones its range was read from: the index narrows, the filter
+        // decides.
+        let node = attach_filters(node, &mut conjuncts, &schema);
+        plan = Some(match plan.take() {
+            None => node,
+            Some(left) => {
+                let combined = running.join(&schema);
+                join_with_predicates(left, node, &combined, &mut conjuncts)
             }
-        }
+        });
+        running = plan.as_ref().map(PhysPlan::schema).unwrap_or_default();
     }
 
-    let mut plan = plan.expect("FROM checked non-empty");
-    running = plan.schema();
+    let mut plan = plan.ok_or_else(|| WsqError::Plan("FROM clause is required".to_string()))?;
 
     // Any leftover conjunct must now resolve, or the query is erroneous.
     for c in conjuncts.iter_mut().filter(|c| !c.used) {
-        for col in c.expr.columns() {
-            running.resolve(col.qualifier.as_deref(), &col.name)?;
-        }
+        resolve_columns(c.expr, &running)?;
         c.used = true;
         plan = PhysPlan::Filter {
             input: Box::new(plan),
@@ -352,9 +356,7 @@ fn plan_select_depth(
                     let expr = dealias_order_key(&o.expr, &items)?;
                     // Validate against the input schema now for a clear
                     // error message.
-                    for col in expr.columns() {
-                        running.resolve(col.qualifier.as_deref(), &col.name)?;
-                    }
+                    resolve_columns(&expr, &running)?;
                     Ok((expr, o.desc))
                 })
                 .collect::<Result<Vec<_>>>()?;
@@ -366,7 +368,7 @@ fn plan_select_depth(
         let schema = project_schema(&items, &running);
         plan = PhysPlan::Project {
             input: Box::new(plan),
-            items: items.clone(),
+            items,
             schema,
         };
         if stmt.distinct {
@@ -391,7 +393,7 @@ fn plan_select_depth(
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexAccess {
     /// The indexed column, as the stored schema spells it.
-    pub column: String,
+    pub column: Arc<str>,
     /// Inclusive lower bound.
     pub lo: Option<Value>,
     /// Inclusive upper bound.
@@ -549,18 +551,9 @@ fn tighten(cur: &mut Option<Value>, new: Option<Value>, tighter: Ordering) {
 }
 
 /// Attach every unused conjunct fully resolvable against `schema`.
-fn attach_filters(
-    mut node: PhysPlan,
-    conjuncts: &mut [Conjunct],
-    schema: &Schema,
-) -> Result<PhysPlan> {
+fn attach_filters(mut node: PhysPlan, conjuncts: &mut [Conjunct<'_>], schema: &Schema) -> PhysPlan {
     for c in conjuncts.iter_mut().filter(|c| !c.used) {
-        let all_resolve = c.expr.columns().iter().all(|col| {
-            schema
-                .try_resolve(col.qualifier.as_deref(), &col.name)
-                .is_some()
-        });
-        if all_resolve && !c.expr.contains_aggregate() {
+        if resolves_in(c.expr, schema) && !c.expr.contains_aggregate() {
             c.used = true;
             node = PhysPlan::Filter {
                 input: Box::new(node),
@@ -568,7 +561,7 @@ fn attach_filters(
             };
         }
     }
-    Ok(node)
+    node
 }
 
 /// Join two subtrees, turning newly-resolvable conjuncts into the join
@@ -577,21 +570,16 @@ fn join_with_predicates(
     left: PhysPlan,
     right: PhysPlan,
     combined: &Schema,
-    conjuncts: &mut [Conjunct],
-) -> Result<PhysPlan> {
+    conjuncts: &mut [Conjunct<'_>],
+) -> PhysPlan {
     let mut preds = Vec::new();
     for c in conjuncts.iter_mut().filter(|c| !c.used) {
-        let all_resolve = c.expr.columns().iter().all(|col| {
-            combined
-                .try_resolve(col.qualifier.as_deref(), &col.name)
-                .is_some()
-        });
-        if all_resolve && !c.expr.contains_aggregate() {
+        if resolves_in(c.expr, combined) && !c.expr.contains_aggregate() {
             c.used = true;
             preds.push(c.expr.clone());
         }
     }
-    Ok(match Expr::join_conjuncts(preds) {
+    match Expr::join_conjuncts(preds) {
         Some(predicate) => PhysPlan::NestedLoopJoin {
             left: Box::new(left),
             right: Box::new(right),
@@ -601,14 +589,13 @@ fn join_with_predicates(
             left: Box::new(left),
             right: Box::new(right),
         },
-    })
+    }
 }
 
 /// Does a column reference denote `alias.Ti` (or unqualified `Ti` when
 /// this is the only virtual table)? Returns the 1-based index.
 fn t_index(col: &ColumnRef, alias: &str, only_virtual: bool) -> Option<usize> {
-    let name = col.name.as_str();
-    let rest = name.strip_prefix(['T', 't'])?;
+    let rest = col.name.strip_prefix(['T', 't'])?;
     if rest.is_empty() || !rest.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
@@ -639,10 +626,10 @@ fn is_vcol(col: &ColumnRef, alias: &str, field: &str, only_virtual: bool) -> boo
 #[allow(clippy::too_many_arguments)]
 fn analyze_virtual(
     stmt: &SelectStmt,
-    conjuncts: &mut [Conjunct],
+    conjuncts: &mut [Conjunct<'_>],
     kind: VTableKind,
-    engine: String,
-    alias: &str,
+    engine: Arc<str>,
+    alias: &Arc<str>,
     supports_near: bool,
     only_virtual: bool,
     left_schema: &Schema,
@@ -651,11 +638,13 @@ fn analyze_virtual(
     //    "infinite family" — the column count is query-dependent, §3.)
     let mut n = 0usize;
     let mut visit = |e: &Expr| {
-        for col in e.columns() {
-            if let Some(i) = t_index(col, alias, only_virtual) {
-                n = n.max(i);
+        e.visit(&mut |e| {
+            if let Expr::Column(col) = e {
+                if let Some(i) = t_index(col, alias, only_virtual) {
+                    n = n.max(i);
+                }
             }
-        }
+        })
     };
     for item in &stmt.items {
         if let SelectItem::Expr { expr, .. } = item {
@@ -671,11 +660,11 @@ fn analyze_virtual(
 
     // 2. Bind each Ti from an equality conjunct.
     let mut bindings: Vec<Option<EvBinding>> = vec![None; n];
-    let mut template: Option<String> = None;
+    let mut template: Option<Arc<str>> = None;
     let mut rank_limit: Option<u32> = None;
 
     for c in conjuncts.iter_mut().filter(|c| !c.used) {
-        let Expr::Binary { op, lhs, rhs } = &c.expr else {
+        let Expr::Binary { op, lhs, rhs } = c.expr else {
             continue;
         };
         // Normalize so the virtual column is on the left.
@@ -765,17 +754,10 @@ fn analyze_virtual(
         )));
     }
 
-    Ok(EvSpec {
-        kind,
-        engine,
-        alias: alias.to_string(),
-        template,
-        bindings,
-        rank_limit: rank_limit.unwrap_or(DEFAULT_RANK_LIMIT),
-        supports_near,
-        prefetch: PrefetchHint::default(),
-        race: vec![],
-    })
+    let mut spec = EvSpec::new(kind, engine, alias.clone(), bindings, supports_near);
+    spec.template = template;
+    spec.rank_limit = rank_limit.unwrap_or(DEFAULT_RANK_LIMIT);
+    Ok(spec)
 }
 
 fn flip(op: BinOp) -> BinOp {
@@ -795,13 +777,11 @@ fn expand_items(
     items: &[SelectItem],
     schema: &Schema,
     has_agg: bool,
-) -> Result<Vec<(Expr, String)>> {
-    let mut out = Vec::new();
+) -> Result<Vec<(Expr, Arc<str>)>> {
+    let mut out = Vec::with_capacity(items.len());
     for item in items {
         if let SelectItem::Expr { expr, .. } = item {
-            for col in expr.columns() {
-                schema.resolve(col.qualifier.as_deref(), &col.name)?;
-            }
+            resolve_columns(expr, schema)?;
         }
         match item {
             SelectItem::Star => {
@@ -825,7 +805,7 @@ fn expand_items(
                     Some(a) => a.clone(),
                     None => match expr {
                         Expr::Column(c) => c.name.clone(),
-                        other => other.to_string(),
+                        other => other.to_string().into(),
                     },
                 };
                 out.push((expr.clone(), name));
@@ -836,16 +816,14 @@ fn expand_items(
 }
 
 /// Output schema of a projection.
-fn project_schema(items: &[(Expr, String)], input: &Schema) -> Schema {
-    Schema::new(
-        items
-            .iter()
-            .map(|(e, name)| {
-                let dt = crate::expr::infer_type(e, input).unwrap_or(wsq_common::DataType::Varchar);
-                wsq_common::Column::new(name.clone(), dt)
-            })
-            .collect(),
-    )
+fn project_schema(items: &[(Expr, Arc<str>)], input: &Schema) -> Schema {
+    items
+        .iter()
+        .map(|(e, name)| {
+            let dt = crate::expr::infer_type(e, input).unwrap_or(DataType::Varchar);
+            wsq_common::Column::new(name.clone(), dt)
+        })
+        .collect()
 }
 
 /// Plan GROUP BY / aggregate queries: Aggregate computes raw aggregates
@@ -853,7 +831,7 @@ fn project_schema(items: &[(Expr, String)], input: &Schema) -> Schema {
 fn plan_aggregation(
     input: PhysPlan,
     stmt: &SelectStmt,
-    items: &[(Expr, String)],
+    items: &[(Expr, Arc<str>)],
 ) -> Result<PhysPlan> {
     let in_schema = input.schema();
 
@@ -863,8 +841,8 @@ fn plan_aggregation(
     }
 
     // Collect distinct aggregate calls across all select items.
-    let mut aggs: Vec<(AggFunc, Option<Expr>, String)> = Vec::new();
-    let mut rewritten_items: Vec<(Expr, String)> = Vec::new();
+    let mut aggs: Vec<(AggFunc, Option<Expr>, Arc<str>)> = Vec::new();
+    let mut rewritten_items: Vec<(Expr, Arc<str>)> = Vec::new();
     for (expr, name) in items {
         let rewritten = rewrite_aggs(expr, &mut aggs)?;
         // Non-aggregate select columns must appear in GROUP BY.
@@ -902,7 +880,7 @@ fn plan_aggregation(
     let mut agg_plan = PhysPlan::Aggregate {
         input: Box::new(input),
         group_by: stmt.group_by.clone(),
-        aggs: aggs.clone(),
+        aggs,
     };
     if let Some(h) = having {
         agg_plan = PhysPlan::Filter {
@@ -914,7 +892,7 @@ fn plan_aggregation(
 
     // Rewrite grouped column references to the aggregate's output names
     // (unqualified group column names).
-    let final_items: Vec<(Expr, String)> = rewritten_items
+    let final_items: Vec<(Expr, Arc<str>)> = rewritten_items
         .into_iter()
         .map(|(e, name)| (strip_qualifiers_in_group_refs(e, &stmt.group_by), name))
         .collect();
@@ -928,7 +906,7 @@ fn plan_aggregation(
 
 /// Replace aggregate calls with references to synthetic columns, adding
 /// each distinct call to `aggs`.
-fn rewrite_aggs(expr: &Expr, aggs: &mut Vec<(AggFunc, Option<Expr>, String)>) -> Result<Expr> {
+fn rewrite_aggs(expr: &Expr, aggs: &mut Vec<(AggFunc, Option<Expr>, Arc<str>)>) -> Result<Expr> {
     Ok(match expr {
         Expr::Agg { func, arg } => {
             let arg_expr = arg.as_ref().map(|a| a.as_ref().clone());
@@ -937,7 +915,7 @@ fn rewrite_aggs(expr: &Expr, aggs: &mut Vec<(AggFunc, Option<Expr>, String)>) ->
                 .iter()
                 .position(|(f, a, _)| f == func && a == &arg_expr)
                 .unwrap_or_else(|| {
-                    let name = format!("#agg{}", aggs.len());
+                    let name = format!("#agg{}", aggs.len()).into();
                     aggs.push((*func, arg_expr.clone(), name));
                     aggs.len() - 1
                 });
@@ -1057,7 +1035,7 @@ fn strip_qualifiers_in_group_refs(expr: Expr, group_by: &[ColumnRef]) -> Expr {
 /// output-name references become the corresponding select item's
 /// expression; everything else passes through to resolve against the
 /// input schema.
-fn dealias_order_key(expr: &Expr, items: &[(Expr, String)]) -> Result<Expr> {
+fn dealias_order_key(expr: &Expr, items: &[(Expr, Arc<str>)]) -> Result<Expr> {
     if let Expr::Literal(Literal::Int(k)) = expr {
         if *k >= 1 && (*k as usize) <= items.len() {
             return Ok(items[*k as usize - 1].0.clone());
@@ -1082,7 +1060,7 @@ fn dealias_order_key(expr: &Expr, items: &[(Expr, String)]) -> Result<Expr> {
 
 /// Resolve an ORDER BY key against the projected output: ordinals, output
 /// names/aliases, or syntactic equality with a select item.
-fn rewrite_order_key(expr: &Expr, items: &[(Expr, String)], out_schema: &Schema) -> Result<Expr> {
+fn rewrite_order_key(expr: &Expr, items: &[(Expr, Arc<str>)], out_schema: &Schema) -> Result<Expr> {
     // Ordinal.
     if let Expr::Literal(Literal::Int(k)) = expr {
         if *k >= 1 && (*k as usize) <= out_schema.len() {
@@ -1325,7 +1303,7 @@ mod tests {
         assert_eq!(top_spec(&p).effective_template(), "%1 near %2");
         let p = plan("SELECT Count FROM States, WebCount_Google WHERE Name = T1 AND T2 = 'x'");
         let spec = top_spec(&p);
-        assert_eq!(spec.engine, "Google");
+        assert_eq!(&*spec.engine, "Google");
         assert!(!spec.supports_near);
         assert_eq!(spec.effective_template(), "%1 %2");
     }
@@ -1346,10 +1324,10 @@ mod tests {
             |e| e.set_race_group(&["AV", "Google"]).unwrap(),
         );
         let spec = top_spec(&p);
-        assert_eq!(spec.race, vec!["AV".to_string(), "Google".to_string()]);
+        assert_eq!(spec.race, vec![Arc::from("AV"), Arc::from("Google")]);
         // The lead member names the spec; NEAR is the AND of the group
         // (Google lacks it, so the race must not emit NEAR templates).
-        assert_eq!(spec.engine, "AV");
+        assert_eq!(&*spec.engine, "AV");
         assert!(!spec.supports_near);
     }
 
@@ -1361,7 +1339,7 @@ mod tests {
         );
         let spec = top_spec(&p);
         assert!(spec.race.is_empty(), "no race for a group of one");
-        assert_eq!(spec.engine, "AV");
+        assert_eq!(&*spec.engine, "AV");
         assert!(spec.supports_near);
     }
 
@@ -1376,7 +1354,7 @@ mod tests {
         );
         let spec = top_spec(&p);
         assert!(spec.race.is_empty());
-        assert_eq!(spec.engine, "ANY");
+        assert_eq!(&*spec.engine, "ANY");
     }
 
     #[test]
@@ -1387,7 +1365,7 @@ mod tests {
         );
         let spec = top_spec(&p);
         assert_eq!(spec.template.as_deref(), Some("%2 AND %1"));
-        assert_eq!(spec.bindings.len(), 2);
+        assert_eq!(spec.bindings().len(), 2);
     }
 
     #[test]
@@ -1412,9 +1390,9 @@ mod tests {
     fn reversed_equality_binds_too() {
         let p = plan("SELECT Count FROM States, WebCount WHERE T1 = Name AND 'ski' = T2");
         let spec = top_spec(&p);
-        assert_eq!(spec.bindings.len(), 2);
-        assert!(matches!(spec.bindings[0], EvBinding::Column(_)));
-        assert!(matches!(spec.bindings[1], EvBinding::Const(_)));
+        assert_eq!(spec.bindings().len(), 2);
+        assert!(matches!(spec.bindings()[0], EvBinding::Column(_)));
+        assert!(matches!(spec.bindings()[1], EvBinding::Const(_)));
     }
 
     #[test]

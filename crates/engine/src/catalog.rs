@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use wsq_common::{Column, DataType, Result, Schema, Tuple, Value, WsqError};
+use wsq_common::{with_ascii_lowercase, Column, DataType, Result, Schema, Tuple, Value, WsqError};
 use wsq_storage::buffer::BufferPool;
 use wsq_storage::codec;
 use wsq_storage::heap::HeapFile;
@@ -64,7 +64,9 @@ fn viewcat_schema() -> Schema {
 /// record per relation), `attrcat` (one per attribute), `indexcat` (one
 /// per index, Redbase's IX bookkeeping), and `viewcat` (one per view,
 /// holding its defining SQL). In-memory caches mirror the heap contents
-/// for fast lookup.
+/// for fast lookup; they are keyed by lower-cased name, and a lookup
+/// lower-cases the name it is given on the stack
+/// ([`with_ascii_lowercase`]), so that finding a table allocates nothing.
 pub struct Catalog {
     relcat: HeapFile,
     attrcat: HeapFile,
@@ -216,9 +218,7 @@ impl Catalog {
 
     /// The defining SQL of a view, if `name` is one.
     pub fn view_definition(&self, name: &str) -> Option<&str> {
-        self.view_cache
-            .get(&name.to_ascii_lowercase())
-            .map(String::as_str)
+        with_ascii_lowercase(name, |key| self.view_cache.get(key)).map(String::as_str)
     }
 
     /// Names of all views (lowercased), sorted.
@@ -291,17 +291,14 @@ impl Catalog {
 
     /// Does `table.column` have an index?
     pub fn has_index(&self, table: &str, column: &str) -> bool {
-        self.index_cache
-            .get(&table.to_ascii_lowercase())
-            .is_some_and(|cols| cols.iter().any(|c| c.eq_ignore_ascii_case(column)))
+        self.indexes_on(table)
+            .iter()
+            .any(|c| c.eq_ignore_ascii_case(column))
     }
 
     /// Indexed columns of `table` (lowercased).
-    pub fn indexes_on(&self, table: &str) -> Vec<String> {
-        self.index_cache
-            .get(&table.to_ascii_lowercase())
-            .cloned()
-            .unwrap_or_default()
+    pub fn indexes_on(&self, table: &str) -> &[String] {
+        with_ascii_lowercase(table, |key| self.index_cache.get(key)).map_or(&[], Vec::as_slice)
     }
 
     /// Register a new table.
@@ -340,7 +337,7 @@ impl Catalog {
         for (i, c) in schema.iter() {
             let t = Tuple::new(vec![
                 Value::from(name),
-                Value::from(c.name.as_str()),
+                Value::Str(c.name.clone()),
                 Value::Int(i as i64),
                 Value::from(type_name(c.dtype)),
             ]);
@@ -388,14 +385,13 @@ impl Catalog {
 
     /// A table's stored schema (unqualified columns).
     pub fn table_schema(&self, name: &str) -> Result<&Schema> {
-        self.cache
-            .get(&name.to_ascii_lowercase())
+        with_ascii_lowercase(name, |key| self.cache.get(key))
             .ok_or_else(|| WsqError::Catalog(format!("no such table '{name}'")))
     }
 
     /// Does a table exist?
     pub fn has_table(&self, name: &str) -> bool {
-        self.cache.contains_key(&name.to_ascii_lowercase())
+        with_ascii_lowercase(name, |key| self.cache.contains_key(key))
     }
 
     /// Names of all user tables (lowercased), sorted.
@@ -491,8 +487,8 @@ mod tests {
         assert!(cat.has_table("States"));
         assert!(!cat.has_table("Sigs"));
         let s = cat.table_schema("States").unwrap();
-        assert_eq!(s.column(0).name, "Name");
-        assert_eq!(s.column(2).name, "Capital");
+        assert_eq!(&*s.column(0).name, "Name");
+        assert_eq!(&*s.column(2).name, "Capital");
         assert_eq!(cat.table_names(), vec!["states".to_string()]);
         assert!(cat.has_index("states", "NAME"));
         assert!(!cat.has_index("States", "Capital"));

@@ -203,7 +203,7 @@ fn walk(plan: &PhysPlan, tables: &dyn TableSource) -> Acc {
         // dependent join scales by outer cardinality. EVScans block the
         // processor per call; AEVScans register and move on.
         PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => {
-            let rows = match spec.kind {
+            let rows = match spec.kind() {
                 VTableKind::WebCount => 1.0,
                 // Assume engines usually fill most of the rank budget.
                 VTableKind::WebPages => spec.rank_limit as f64 * 0.8,

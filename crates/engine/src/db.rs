@@ -5,10 +5,11 @@ use crate::catalog::Catalog;
 use crate::engines::EngineRegistry;
 use crate::exec::{self, ExecContext, TableSource};
 use crate::plan::{BufferMode, ExecutionMode, PhysPlan, PlacementStrategy};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use wsq_common::{Column, Result, Schema, Tuple, Value, WsqError};
+use wsq_common::{with_ascii_lowercase, Column, Result, Schema, Tuple, Value, WsqError};
 use wsq_pump::ReqPump;
 use wsq_sql::ast::{Literal, SelectStmt, Statement};
 use wsq_storage::btree::BTree;
@@ -82,7 +83,7 @@ impl QueryResult {
             .schema
             .columns()
             .iter()
-            .map(|c| c.name.clone())
+            .map(|c| c.name.to_string())
             .collect();
         let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
         let rows: Vec<Vec<String>> = self
@@ -181,9 +182,11 @@ pub struct Database {
     pool: Arc<BufferPool>,
     backing: Backing,
     catalog: Catalog,
+    /// Table (lowercased) → heap. Looked up with [`with_ascii_lowercase`],
+    /// like the catalog, so that finding a table allocates nothing.
     tables: HashMap<String, Arc<HeapFile>>,
-    /// `(table, column)` (lowercased) → B+-tree index.
-    indexes: HashMap<(String, String), Arc<BTree>>,
+    /// Table → column (both lowercased) → B+-tree index.
+    indexes: HashMap<String, HashMap<String, Arc<BTree>>>,
 }
 
 const POOL_PAGES: usize = 256;
@@ -235,11 +238,14 @@ impl Database {
             let file = db.pool.register_file(storage);
             let heap = HeapFile::open(db.pool.clone(), file)?;
             db.tables.insert(name.clone(), Arc::new(heap));
-            for col in db.catalog.indexes_on(&name) {
+            for col in db.catalog.indexes_on(&name).to_vec() {
                 let storage = db.index_storage(&name, &col)?;
                 let file = db.pool.register_file(storage);
                 let tree = BTree::open(db.pool.clone(), file)?;
-                db.indexes.insert((name.clone(), col), Arc::new(tree));
+                db.indexes
+                    .entry(name.clone())
+                    .or_default()
+                    .insert(col, Arc::new(tree));
             }
         }
         Ok(db)
@@ -292,11 +298,12 @@ impl Database {
     /// Drop a table, its file, and its indexes.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let key = name.to_ascii_lowercase();
-        let index_cols = self.catalog.indexes_on(&key);
+        let index_cols = self.catalog.indexes_on(&key).to_vec();
         self.catalog.drop_table(name)?;
         for col in index_cols {
             self.remove_index_file(&key, &col)?;
         }
+        self.indexes.remove(&key);
         if let Some(heap) = self.tables.remove(&key) {
             let file = heap.file_id();
             drop(heap);
@@ -329,7 +336,7 @@ impl Database {
             let tuple = codec::decode(&schema, &bytes)?;
             tree.insert(&codec::encode_key(tuple.get(col_idx))?, rid)?;
         }
-        self.indexes.insert((tkey, ckey), tree);
+        self.indexes.entry(tkey).or_default().insert(ckey, tree);
         Ok(())
     }
 
@@ -340,7 +347,11 @@ impl Database {
     }
 
     fn remove_index_file(&mut self, tkey: &str, ckey: &str) -> Result<()> {
-        if let Some(tree) = self.indexes.remove(&(tkey.to_string(), ckey.to_string())) {
+        if let Some(tree) = self
+            .indexes
+            .get_mut(tkey)
+            .and_then(|cols| cols.remove(ckey))
+        {
             let file = tree.file_id();
             drop(tree);
             self.pool.unregister_file(file)?;
@@ -356,14 +367,12 @@ impl Database {
 
     /// The open index on `table.column`, if any.
     pub fn index(&self, table: &str, column: &str) -> Option<Arc<BTree>> {
-        self.indexes
-            .get(&(table.to_ascii_lowercase(), column.to_ascii_lowercase()))
-            .cloned()
+        let columns = with_ascii_lowercase(table, |key| self.indexes.get(key))?;
+        with_ascii_lowercase(column, |key| columns.get(key)).cloned()
     }
 
     fn heap(&self, table: &str) -> Result<Arc<HeapFile>> {
-        self.tables
-            .get(&table.to_ascii_lowercase())
+        with_ascii_lowercase(table, |key| self.tables.get(key))
             .cloned()
             .ok_or_else(|| WsqError::Catalog(format!("no such table '{table}'")))
     }
@@ -372,8 +381,8 @@ impl Database {
     fn table_indexes(&self, table: &str, schema: &Schema) -> Result<Vec<(usize, Arc<BTree>)>> {
         let mut out = Vec::new();
         for col in self.catalog.indexes_on(table) {
-            let idx = schema.resolve(None, &col)?;
-            let tree = self.index(table, &col).ok_or_else(|| {
+            let idx = schema.resolve(None, col)?;
+            let tree = self.index(table, col).ok_or_else(|| {
                 WsqError::Catalog(format!("index file for {table}.{col} missing"))
             })?;
             out.push((idx, tree));
@@ -531,10 +540,7 @@ impl Database {
 
     /// Number of rows in a stored table.
     pub fn row_count(&self, table: &str) -> Result<u64> {
-        self.tables
-            .get(&table.to_ascii_lowercase())
-            .ok_or_else(|| WsqError::Catalog(format!("no such table '{table}'")))?
-            .len()
+        self.heap(table)?.len()
     }
 
     /// Plan a SELECT under `opts` (including the asynchronous-iteration
@@ -587,14 +593,19 @@ impl Database {
         self.run_plan(&plan, engines, pump)
     }
 
-    /// Fold uncorrelated subqueries into literals by evaluating them.
-    fn resolve_subqueries(
+    /// Fold uncorrelated subqueries into literals by evaluating them. A
+    /// statement without one — nearly every statement — is borrowed, not
+    /// copied.
+    fn resolve_subqueries<'s>(
         &self,
-        stmt: &SelectStmt,
+        stmt: &'s SelectStmt,
         engines: &EngineRegistry,
         pump: &Arc<ReqPump>,
         opts: QueryOptions,
-    ) -> Result<SelectStmt> {
+    ) -> Result<Cow<'s, SelectStmt>> {
+        if !stmt.contains_subquery() {
+            return Ok(Cow::Borrowed(stmt));
+        }
         let mut out = stmt.clone();
         let resolve = |e: &mut wsq_sql::ast::Expr| -> Result<()> {
             *e = self.fold_subqueries(
@@ -619,7 +630,23 @@ impl Database {
         for o in &mut out.order_by {
             resolve(&mut o.expr)?;
         }
-        Ok(out)
+        Ok(Cow::Owned(out))
+    }
+
+    /// `e` with its subqueries folded into literals: borrowed when it has
+    /// none.
+    fn fold_expr<'e>(
+        &self,
+        e: &'e wsq_sql::ast::Expr,
+        engines: &EngineRegistry,
+        pump: &Arc<ReqPump>,
+        opts: QueryOptions,
+    ) -> Result<Cow<'e, wsq_sql::ast::Expr>> {
+        if !e.contains_subquery() {
+            return Ok(Cow::Borrowed(e));
+        }
+        self.fold_subqueries(e.clone(), engines, pump, opts)
+            .map(Cow::Owned)
     }
 
     fn fold_subqueries(
@@ -860,10 +887,10 @@ impl Database {
             Statement::Delete { table, predicate } => {
                 let predicate = predicate
                     .as_ref()
-                    .map(|p| self.fold_subqueries(p.clone(), engines, pump, opts))
+                    .map(|p| self.fold_expr(p, engines, pump, opts))
                     .transpose()?;
                 Ok(StatementResult::Affected(
-                    self.delete_rows(table, predicate.as_ref())?,
+                    self.delete_rows(table, predicate.as_deref())?,
                 ))
             }
             Statement::Update {
@@ -873,21 +900,24 @@ impl Database {
             } => {
                 let predicate = predicate
                     .as_ref()
-                    .map(|p| self.fold_subqueries(p.clone(), engines, pump, opts))
+                    .map(|p| self.fold_expr(p, engines, pump, opts))
                     .transpose()?;
-                let sets = sets
-                    .iter()
-                    .map(|(c, e)| {
-                        Ok((
-                            c.clone(),
-                            self.fold_subqueries(e.clone(), engines, pump, opts)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
+                let sets: Cow<'_, [(String, wsq_sql::ast::Expr)]> =
+                    if sets.iter().any(|(_, e)| e.contains_subquery()) {
+                        let folded = sets.iter().map(|(c, e)| {
+                            Ok((
+                                c.clone(),
+                                self.fold_expr(e, engines, pump, opts)?.into_owned(),
+                            ))
+                        });
+                        Cow::Owned(folded.collect::<Result<_>>()?)
+                    } else {
+                        Cow::Borrowed(sets)
+                    };
                 Ok(StatementResult::Affected(self.update_rows(
                     table,
                     &sets,
-                    predicate.as_ref(),
+                    predicate.as_deref(),
                 )?))
             }
             Statement::InsertSelect { table, query } => {
@@ -978,7 +1008,7 @@ impl Database {
                     .iter()
                     .map(|c| {
                         Tuple::new(vec![
-                            Value::from(c.name.as_str()),
+                            Value::Str(c.name.clone()),
                             Value::from(c.dtype.to_string()),
                             Value::Int(i64::from(self.catalog.has_index(table, &c.name))),
                         ])
@@ -1058,7 +1088,7 @@ fn value_to_literal(v: Value) -> Result<Literal> {
         Value::Null => Literal::Null,
         Value::Int(i) => Literal::Int(i),
         Value::Float(f) => Literal::Float(f),
-        Value::Str(s) => Literal::Str(s.to_string()),
+        Value::Str(s) => Literal::Str(s),
         Value::Pending(p) => {
             return Err(WsqError::Exec(format!(
                 "subquery produced unresolved placeholder {p}"

@@ -9,6 +9,9 @@ use wsq_pump::SearchService;
 /// A registered search engine.
 #[derive(Clone)]
 pub struct EngineEntry {
+    /// The name it was registered under, shared by every plan that
+    /// targets it.
+    pub name: Arc<str>,
     /// The service executing requests (shared with the ReqPump).
     pub service: Arc<dyn SearchService>,
     /// Does the engine support the `NEAR` operator? Decides the default
@@ -26,7 +29,7 @@ pub struct EngineRegistry {
     default: Option<String>,
     /// Engines raced by `WebCount_ANY` / `WebPages_ANY` references
     /// (empty = racing unavailable).
-    race_group: Vec<String>,
+    race_group: Vec<Arc<str>>,
 }
 
 impl EngineRegistry {
@@ -44,6 +47,7 @@ impl EngineRegistry {
         self.engines.insert(
             name.to_string(),
             EngineEntry {
+                name: name.into(),
                 service,
                 supports_near,
             },
@@ -87,10 +91,9 @@ impl EngineRegistry {
     pub fn set_race_group(&mut self, names: &[&str]) -> Result<()> {
         let mut canonical = Vec::with_capacity(names.len());
         for name in names {
-            let (canon, _) = self.get(name)?;
-            let canon = canon.to_string();
-            if !canonical.contains(&canon) {
-                canonical.push(canon);
+            let (_, entry) = self.get(name)?;
+            if !canonical.contains(&entry.name) {
+                canonical.push(entry.name.clone());
             }
         }
         self.race_group = canonical;
@@ -98,7 +101,7 @@ impl EngineRegistry {
     }
 
     /// The engines an `ANY` reference races (empty = none configured).
-    pub fn race_group(&self) -> &[String] {
+    pub fn race_group(&self) -> &[Arc<str>] {
         &self.race_group
     }
 

@@ -216,7 +216,11 @@ pub struct ProjectExec {
 
 impl ProjectExec {
     /// Project `items` out of `child`.
-    pub fn new(child: Box<dyn Executor>, items: &[(Expr, String)], schema: Schema) -> Result<Self> {
+    pub fn new(
+        child: Box<dyn Executor>,
+        items: &[(Expr, Arc<str>)],
+        schema: Schema,
+    ) -> Result<Self> {
         let in_schema = child.schema();
         let exprs = items
             .iter()
@@ -551,7 +555,7 @@ impl AggregateExec {
     pub fn new(
         child: Box<dyn Executor>,
         group_by: &[ColumnRef],
-        aggs: &[(AggFunc, Option<Expr>, String)],
+        aggs: &[(AggFunc, Option<Expr>, Arc<str>)],
         schema: Schema,
     ) -> Result<Self> {
         let in_schema = child.schema();

@@ -11,9 +11,9 @@ use wsq_pump::{
 
 pub(crate) fn request_for(spec: &EvSpec, expr: String) -> SearchRequest {
     SearchRequest {
-        engine: spec.engine.clone(),
+        engine: spec.engine.to_string(),
         expr,
-        kind: match spec.kind {
+        kind: match spec.kind() {
             VTableKind::WebCount => RequestKind::Count,
             VTableKind::WebPages => RequestKind::Pages {
                 max_rank: spec.rank_limit,
@@ -33,10 +33,10 @@ fn prefix_values(expr: &str, bindings: &[Value], external: usize) -> Vec<Value> 
 
 /// Check a rebind's arity and refill `bindings` from `values` in place.
 fn rebind_into(spec: &EvSpec, bindings: &mut Vec<Value>, values: &[Value]) -> Result<()> {
-    if values.len() != spec.bindings.len() {
+    if values.len() != spec.bindings().len() {
         return Err(WsqError::Exec(format!(
             "expected {} bindings, got {}",
-            spec.bindings.len(),
+            spec.bindings().len(),
             values.len()
         )));
     }
@@ -54,10 +54,10 @@ fn rebind_into(spec: &EvSpec, bindings: &mut Vec<Value>, values: &[Value]) -> Re
 /// wins, and the scan errors — with the last member's error — only after
 /// every member failed (the rule `ReqPump::register_race` implements).
 pub struct EVScanExec {
-    spec: EvSpec,
+    /// Shared with the plan, and the source of this scan's schema.
+    spec: Arc<EvSpec>,
     /// `(engine name, service)` per destination; one entry unless racing.
-    services: Vec<(String, Arc<dyn SearchService>)>,
-    schema: Schema,
+    services: Vec<(Arc<str>, Arc<dyn SearchService>)>,
     bindings: Vec<Value>,
     rows: Vec<Tuple>,
     pos: usize,
@@ -66,12 +66,10 @@ pub struct EVScanExec {
 
 impl EVScanExec {
     /// Create a scan of `spec` against `services`, tried in order.
-    pub fn new(spec: EvSpec, services: Vec<(String, Arc<dyn SearchService>)>) -> Self {
-        let schema = spec.schema();
+    pub fn new(spec: Arc<EvSpec>, services: Vec<(Arc<str>, Arc<dyn SearchService>)>) -> Self {
         EVScanExec {
             spec,
             services,
-            schema,
             bindings: Vec::new(),
             rows: Vec::new(),
             pos: 0,
@@ -82,7 +80,7 @@ impl EVScanExec {
 
 impl Executor for EVScanExec {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.spec.schema()
     }
 
     fn rebind(&mut self, values: &[Value]) -> Result<()> {
@@ -104,7 +102,8 @@ impl Executor for EVScanExec {
             let mut req = request_for(&self.spec, self.spec.instantiate(&self.bindings));
             let mut result = Err(WsqError::Exec("EVScan has no engine".to_string()));
             for (engine, service) in &self.services {
-                req.engine.clone_from(engine);
+                req.engine.clear();
+                req.engine.push_str(engine);
                 result = blocking_execute(service.as_ref(), &req);
                 if result.is_ok() {
                     break;
@@ -130,7 +129,7 @@ pub(crate) fn materialize_result(
     prefix: &[Value],
     result: &SearchResult,
 ) -> Vec<Tuple> {
-    match (spec.kind, result) {
+    match (spec.kind(), result) {
         (VTableKind::WebCount, SearchResult::Count(n)) => {
             let mut vals = prefix.to_vec();
             vals.push(Value::Int(*n as i64));
@@ -162,21 +161,19 @@ pub(crate) fn materialize_result(
 /// subtree, so no `next` reaches this scan and no new calls enter the
 /// pump while the buffer is full.
 pub struct AEVScanExec {
-    spec: EvSpec,
+    /// Shared with the plan, and the source of this scan's schema.
+    spec: Arc<EvSpec>,
     pump: Arc<ReqPump>,
-    schema: Schema,
     bindings: Vec<Value>,
     emitted: bool,
 }
 
 impl AEVScanExec {
     /// Create an async scan of `spec` registering through `pump`.
-    pub fn new(spec: EvSpec, pump: Arc<ReqPump>) -> Self {
-        let schema = spec.schema();
+    pub fn new(spec: Arc<EvSpec>, pump: Arc<ReqPump>) -> Self {
         AEVScanExec {
             spec,
             pump,
-            schema,
             bindings: Vec::new(),
             emitted: false,
         }
@@ -185,7 +182,7 @@ impl AEVScanExec {
 
 impl Executor for AEVScanExec {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.spec.schema()
     }
 
     fn rebind(&mut self, values: &[Value]) -> Result<()> {
@@ -216,7 +213,7 @@ impl Executor for AEVScanExec {
             }
         }
         let expr = self.spec.instantiate(&self.bindings);
-        let external = match self.spec.kind {
+        let external = match self.spec.kind() {
             VTableKind::WebCount => 1,
             VTableKind::WebPages => 3,
         };
@@ -231,7 +228,7 @@ impl Executor for AEVScanExec {
                 .iter()
                 .map(|engine| {
                     let mut req = request_for(&self.spec, expr.clone());
-                    req.engine = engine.clone();
+                    req.engine = engine.to_string();
                     req
                 })
                 .collect();
@@ -243,7 +240,7 @@ impl Executor for AEVScanExec {
             m.placeholder_tuples.inc();
         }
         let ph = |col: PendingCol| Value::Pending(Placeholder { call, col });
-        match self.spec.kind {
+        match self.spec.kind() {
             VTableKind::WebCount => vals.push(ph(PendingCol::Count)),
             VTableKind::WebPages => {
                 vals.push(ph(PendingCol::Url));

@@ -275,7 +275,7 @@ struct AdaptiveDepth {
 /// without coalescing every prefetch would be a duplicate backend call.
 struct Prefetcher {
     pump: Arc<ReqPump>,
-    spec: EvSpec,
+    spec: Arc<EvSpec>,
     hint: PrefetchHint,
     /// Current lookahead target, in `[1, hint.depth]`; fixed at
     /// `hint.depth` unless `hint.adaptive`.
@@ -284,7 +284,7 @@ struct Prefetcher {
 }
 
 impl Prefetcher {
-    fn new(pump: Arc<ReqPump>, spec: EvSpec) -> Self {
+    fn new(pump: Arc<ReqPump>, spec: Arc<EvSpec>) -> Self {
         let hint = spec.prefetch;
         // Baseline the controller at construction so its windows cover
         // only this query's activity, not process history.
@@ -378,9 +378,9 @@ impl DependentJoinExec {
     /// Build from the inner scan's [`EvSpec`]; column bindings are
     /// resolved against the outer schema here, once.
     pub fn new(left: Box<dyn Executor>, right: Box<dyn Executor>, spec: &EvSpec) -> Result<Self> {
-        let left_schema = left.schema().clone();
+        let left_schema = left.schema();
         let slots = spec
-            .bindings
+            .bindings()
             .iter()
             .map(|b| match b {
                 EvBinding::Const(v) => Ok(BindingSlot::Const(v.clone())),
@@ -411,7 +411,7 @@ impl DependentJoinExec {
     pub fn with_pump(
         left: Box<dyn Executor>,
         right: Box<dyn Executor>,
-        spec: &EvSpec,
+        spec: &Arc<EvSpec>,
         pump: Arc<ReqPump>,
     ) -> Result<Self> {
         let mut join = Self::new(left, right, spec)?;

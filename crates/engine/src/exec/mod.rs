@@ -119,22 +119,21 @@ fn build_node(
 ) -> Result<Box<dyn Executor>> {
     let build = |p: &PhysPlan| build_with(p, ctx, instr, depth + 1);
     match plan {
-        PhysPlan::SeqScan { table, alias, .. } => {
-            let (heap, schema) = ctx.tables.table(table)?;
-            Ok(Box::new(SeqScanExec::new(
-                heap,
-                schema.with_qualifier(alias),
-            )))
+        // Scans decode under the plan's schema: the stored one, qualified
+        // when the plan was built.
+        PhysPlan::SeqScan { table, schema, .. } => {
+            let (heap, _) = ctx.tables.table(table)?;
+            Ok(Box::new(SeqScanExec::new(heap, schema.clone())))
         }
         PhysPlan::IndexScan {
             table,
-            alias,
             column,
             lo,
             hi,
+            schema,
             ..
         } => {
-            let (heap, schema) = ctx.tables.table(table)?;
+            let (heap, _) = ctx.tables.table(table)?;
             let tree = ctx
                 .tables
                 .table_index(table, column)
@@ -142,7 +141,7 @@ fn build_node(
             Ok(Box::new(basic::IndexScanExec::new(
                 heap,
                 tree,
-                schema.with_qualifier(alias),
+                schema.clone(),
                 lo.clone(),
                 hi.clone(),
             )))

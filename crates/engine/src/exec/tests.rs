@@ -3,7 +3,7 @@
 //! carrying other pending calls).
 
 use super::*;
-use crate::plan::{BufferMode, EvBinding, EvSpec, PrefetchHint, VTableKind};
+use crate::plan::{BufferMode, EvBinding, EvSpec, VTableKind};
 use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema, Tuple, Value};
 use wsq_pump::{
@@ -56,7 +56,7 @@ fn filter_project_limit_chain() {
             filtered,
             &[(
                 Expr::binary(BinOp::Add, Expr::column("a"), Expr::column("b")),
-                "s".to_string(),
+                "s".into(),
             )],
             int_schema(&["s"]),
         )
@@ -417,20 +417,13 @@ fn pump() -> Arc<ReqPump> {
 }
 
 fn pages_spec(alias: &str) -> EvSpec {
-    EvSpec {
-        kind: VTableKind::WebPages,
-        engine: "AV".into(),
-        alias: alias.into(),
-        template: None,
-        bindings: vec![EvBinding::Column(ColumnRef {
-            qualifier: None,
-            name: "term".into(),
-        })],
-        rank_limit: 3,
-        supports_near: true,
-        prefetch: PrefetchHint::default(),
-        race: vec![],
-    }
+    let term = EvBinding::Column(ColumnRef {
+        qualifier: None,
+        name: "term".into(),
+    });
+    let mut spec = EvSpec::new(VTableKind::WebPages, "AV", alias, vec![term], true);
+    spec.rank_limit = 3;
+    spec
 }
 
 /// Dependent join of terms against an async WebPages scan, synchronized.
@@ -441,7 +434,7 @@ fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>, mode: BufferMode) -
         terms.iter().map(|t| vec![Value::from(*t)]).collect(),
     );
     let spec = pages_spec("W");
-    let scan = Box::new(AEVScanExec::new(spec.clone(), pump.clone()));
+    let scan = Box::new(AEVScanExec::new(Arc::new(spec.clone()), pump.clone()));
     let dj = Box::new(DependentJoinExec::new(left, scan, &spec).unwrap());
     let sync = Box::new(ReqSyncExec::new(dj, pump.clone(), mode));
     drain(sync)
@@ -484,13 +477,13 @@ fn reqsync_copies_propagate_other_pending_calls() {
     let left = rows(schema, vec![vec![Value::from("many")]]);
 
     let spec_a = pages_spec("A");
-    let scan_a = Box::new(AEVScanExec::new(spec_a.clone(), p.clone()));
+    let scan_a = Box::new(AEVScanExec::new(Arc::new(spec_a.clone()), p.clone()));
     let dj_a = Box::new(DependentJoinExec::new(left, scan_a, &spec_a).unwrap());
 
     let mut spec_b = pages_spec("B");
     spec_b.rank_limit = 2;
     // B binds on the same original term column.
-    let scan_b = Box::new(AEVScanExec::new(spec_b.clone(), p.clone()));
+    let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone()));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
     let sync = Box::new(ReqSyncExec::new(dj_b, p.clone(), BufferMode::Full));
@@ -541,11 +534,11 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
     let schema = Schema::new(vec![Column::new("term", DataType::Varchar)]);
     let left = rows(schema, vec![vec![Value::from("many")]]);
     let spec_a = pages_spec("A");
-    let scan_a = Box::new(AEVScanExec::new(spec_a.clone(), p.clone()));
+    let scan_a = Box::new(AEVScanExec::new(Arc::new(spec_a.clone()), p.clone()));
     let dj_a = Box::new(DependentJoinExec::new(left, scan_a, &spec_a).unwrap());
     let mut spec_b = pages_spec("B");
     spec_b.engine = "BAD".into();
-    let scan_b = Box::new(AEVScanExec::new(spec_b.clone(), p.clone()));
+    let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone()));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
     let mut sync = ReqSyncExec::new(dj_b, p.clone(), BufferMode::Full);
@@ -588,17 +581,13 @@ fn reqsync_passthrough_of_complete_tuples() {
 #[test]
 fn evscan_standalone_with_constant_bindings() {
     // Synchronous EVScan driven by a Values(1 empty row) dependent join.
-    let spec = EvSpec {
-        kind: VTableKind::WebCount,
-        engine: "AV".into(),
-        alias: "WC".into(),
-        template: None,
-        bindings: vec![EvBinding::Const(Value::from("hello"))],
-        rank_limit: 19,
-        supports_near: true,
-        prefetch: PrefetchHint::default(),
-        race: vec![],
-    };
+    let spec = Arc::new(EvSpec::new(
+        VTableKind::WebCount,
+        "AV",
+        "WC",
+        vec![EvBinding::Const(Value::from("hello"))],
+        true,
+    ));
     let left = rows(Schema::empty(), vec![vec![]]);
     let scan = Box::new(EVScanExec::new(
         spec.clone(),
@@ -617,7 +606,7 @@ fn evscan_standalone_with_constant_bindings() {
 fn aevscan_rejects_pending_bindings() {
     let p = pump();
     let spec = pages_spec("W");
-    let mut scan = AEVScanExec::new(spec, p);
+    let mut scan = AEVScanExec::new(Arc::new(spec), p);
     scan.rebind(&[Value::Pending(wsq_common::Placeholder {
         call: wsq_common::CallId(1),
         col: wsq_common::PendingCol::Url,

@@ -67,7 +67,7 @@ pub fn literal_value(lit: &Literal) -> Value {
     match lit {
         Literal::Int(i) => Value::Int(*i),
         Literal::Float(f) => Value::Float(*f),
-        Literal::Str(s) => Value::from(s.as_str()),
+        Literal::Str(s) => Value::Str(s.clone()),
         Literal::Null => Value::Null,
     }
 }

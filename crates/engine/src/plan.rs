@@ -7,6 +7,7 @@
 //! surgery, independently testable from execution.
 
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema, Value};
 use wsq_sql::ast::{AggFunc, ColumnRef, Expr};
 
@@ -106,18 +107,24 @@ impl Default for PrefetchHint {
 }
 
 /// Specification of an external virtual table scan.
+///
+/// Plans hold it behind an `Arc` ([`PhysPlan::EVScan`],
+/// [`PhysPlan::AEVScan`]), and the executors built from a plan share it.
+/// Its output schema is built once, by [`EvSpec::new`], from its kind,
+/// alias and number of bindings, so those three are private and fixed
+/// for the life of a spec; the public fields may be set freely.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvSpec {
     /// WebCount or WebPages.
-    pub kind: VTableKind,
+    kind: VTableKind,
     /// Destination engine (registry key, e.g. `"AV"`).
-    pub engine: String,
+    pub engine: Arc<str>,
     /// Alias other clauses qualify this table's columns with.
-    pub alias: String,
+    alias: Arc<str>,
     /// Explicit `SearchExp`, or `None` for the default template.
-    pub template: Option<String>,
+    pub template: Option<Arc<str>>,
     /// Bindings for `T1..Tn`, in order.
-    pub bindings: Vec<EvBinding>,
+    bindings: Vec<EvBinding>,
     /// Upper bound on `Rank` (WebPages only; the default guard is 19,
     /// from the paper's `Rank < 20`).
     pub rank_limit: u32,
@@ -132,48 +139,85 @@ pub struct EvSpec {
     /// first member. The synchronous `EVScan` cannot race: it tries the
     /// members in this order and fails over, erroring only after every
     /// member failed.
-    pub race: Vec<String>,
+    pub race: Vec<Arc<str>>,
+    /// The output schema (see [`EvSpec::schema`]).
+    schema: Schema,
 }
 
 impl EvSpec {
-    /// Output schema of this scan (qualified by the alias).
-    pub fn schema(&self) -> Schema {
-        let mut cols = vec![Column::qualified(
-            &self.alias,
-            "SearchExp",
-            DataType::Varchar,
-        )];
-        for i in 1..=self.bindings.len() {
-            cols.push(Column::qualified(
-                &self.alias,
-                format!("T{i}"),
-                DataType::Varchar,
-            ));
+    /// A scan of `engine` under `alias` with the given bindings for
+    /// `T1..Tn`: the default template, the default rank guard
+    /// ([`crate::builder::DEFAULT_RANK_LIMIT`]), no prefetch, no race.
+    pub fn new(
+        kind: VTableKind,
+        engine: impl Into<Arc<str>>,
+        alias: impl Into<Arc<str>>,
+        bindings: Vec<EvBinding>,
+        supports_near: bool,
+    ) -> EvSpec {
+        let alias = alias.into();
+        let schema = vtable_schema(kind, &alias, bindings.len());
+        EvSpec {
+            kind,
+            engine: engine.into(),
+            alias,
+            template: None,
+            bindings,
+            rank_limit: crate::builder::DEFAULT_RANK_LIMIT,
+            supports_near,
+            prefetch: PrefetchHint::default(),
+            race: Vec::new(),
+            schema,
         }
-        match self.kind {
-            VTableKind::WebCount => {
-                cols.push(Column::qualified(&self.alias, "Count", DataType::Int));
-            }
-            VTableKind::WebPages => {
-                cols.push(Column::qualified(&self.alias, "URL", DataType::Varchar));
-                cols.push(Column::qualified(&self.alias, "Rank", DataType::Int));
-                cols.push(Column::qualified(&self.alias, "Date", DataType::Varchar));
-            }
+    }
+
+    /// This spec with other bindings for `T1..Tn` (and the schema that
+    /// goes with their number), everything else kept.
+    pub fn with_bindings(&self, bindings: Vec<EvBinding>) -> EvSpec {
+        EvSpec {
+            schema: vtable_schema(self.kind, &self.alias, bindings.len()),
+            bindings,
+            ..self.clone()
         }
-        Schema::new(cols)
+    }
+
+    /// WebCount or WebPages.
+    pub fn kind(&self) -> VTableKind {
+        self.kind
+    }
+
+    /// The alias other clauses qualify this table's columns with.
+    pub fn alias(&self) -> &Arc<str> {
+        &self.alias
+    }
+
+    /// Bindings for `T1..Tn`, in order.
+    pub fn bindings(&self) -> &[EvBinding] {
+        &self.bindings
+    }
+
+    /// Output schema of this scan (qualified by the alias): `SearchExp`,
+    /// `T1..Tn`, then the external columns.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
     }
 
     /// Qualified names of the externally-supplied columns — the attribute
-    /// set `ReqSync.A` that placeholders stand in for (§4.5.2).
+    /// set `ReqSync.A` that placeholders stand in for (§4.5.2). They are
+    /// the schema's last columns, and share its names.
     pub fn external_attrs(&self) -> Vec<ColumnRef> {
-        let mk = |name: &str| ColumnRef {
-            qualifier: Some(self.alias.clone()),
-            name: name.to_string(),
+        let external = match self.kind {
+            VTableKind::WebCount => 1,
+            VTableKind::WebPages => 3,
         };
-        match self.kind {
-            VTableKind::WebCount => vec![mk("Count")],
-            VTableKind::WebPages => vec![mk("URL"), mk("Rank"), mk("Date")],
-        }
+        let columns = self.schema.columns();
+        columns[columns.len() - external..]
+            .iter()
+            .map(|c| ColumnRef {
+                qualifier: c.qualifier.clone(),
+                name: c.name.clone(),
+            })
+            .collect()
     }
 
     /// The `SearchExp` template, explicit or defaulted.
@@ -182,7 +226,7 @@ impl EvSpec {
     /// `"%1 %2 … %n"` otherwise (paper §3, footnote 1).
     pub fn effective_template(&self) -> String {
         if let Some(t) = &self.template {
-            return t.clone();
+            return t.to_string();
         }
         let sep = if self.supports_near { " near " } else { " " };
         (1..=self.bindings.len())
@@ -227,7 +271,7 @@ impl EvSpec {
             return out;
         };
         let mut out = String::with_capacity(template.len() + terms);
-        let mut rest = template.as_str();
+        let mut rest = &**template;
         while let Some(at) = rest.find('%') {
             out.push_str(&rest[..at]);
             rest = &rest[at + 1..];
@@ -254,6 +298,26 @@ impl EvSpec {
         out.push_str(rest);
         out
     }
+}
+
+/// The schema of a `kind` virtual table under `alias` with `n` search
+/// terms.
+fn vtable_schema(kind: VTableKind, alias: &Arc<str>, n: usize) -> Schema {
+    let col = |name: &str, dtype| Column::qualified(alias.clone(), name, dtype);
+    let mut cols = Vec::with_capacity(n + 4);
+    cols.push(col("SearchExp", DataType::Varchar));
+    for i in 1..=n {
+        cols.push(col(&format!("T{i}"), DataType::Varchar));
+    }
+    match kind {
+        VTableKind::WebCount => cols.push(col("Count", DataType::Int)),
+        VTableKind::WebPages => {
+            cols.push(col("URL", DataType::Varchar));
+            cols.push(col("Rank", DataType::Int));
+            cols.push(col("Date", DataType::Varchar));
+        }
+    }
+    Schema::new(cols)
 }
 
 /// Append one bound value as a search term (see [`EvSpec::instantiate`]).
@@ -359,9 +423,9 @@ pub enum PhysPlan {
     /// Sequential scan of a stored table under an alias.
     SeqScan {
         /// Stored table name.
-        table: String,
+        table: Arc<str>,
         /// Alias qualifying output columns.
-        alias: String,
+        alias: Arc<str>,
         /// Output schema (already qualified).
         schema: Schema,
     },
@@ -376,11 +440,11 @@ pub enum PhysPlan {
     /// changing a query's answer.
     IndexScan {
         /// Stored table name.
-        table: String,
+        table: Arc<str>,
         /// Alias qualifying output columns.
-        alias: String,
+        alias: Arc<str>,
         /// Indexed column.
-        column: String,
+        column: Arc<str>,
         /// Inclusive lower bound (`None` = from the first key). Equality
         /// is `lo == hi`.
         lo: Option<Value>,
@@ -398,10 +462,10 @@ pub enum PhysPlan {
         rows: Vec<Vec<Value>>,
     },
     /// Synchronous external virtual table scan.
-    EVScan(EvSpec),
+    EVScan(Arc<EvSpec>),
     /// Asynchronous external virtual table scan (returns placeholder
     /// tuples immediately).
-    AEVScan(EvSpec),
+    AEVScan(Arc<EvSpec>),
     /// Selection.
     Filter {
         /// Input plan.
@@ -414,7 +478,7 @@ pub enum PhysPlan {
         /// Input plan.
         input: Box<PhysPlan>,
         /// `(expression, output name)` pairs.
-        items: Vec<(Expr, String)>,
+        items: Vec<(Expr, Arc<str>)>,
         /// Output schema.
         schema: Schema,
     },
@@ -457,7 +521,7 @@ pub enum PhysPlan {
         group_by: Vec<ColumnRef>,
         /// Aggregate computations: `(function, argument, output name)`.
         /// `None` argument = `COUNT(*)`.
-        aggs: Vec<(AggFunc, Option<Expr>, String)>,
+        aggs: Vec<(AggFunc, Option<Expr>, Arc<str>)>,
     },
     /// Duplicate elimination.
     Distinct {
@@ -510,13 +574,14 @@ impl Default for PhysPlan {
 }
 
 impl PhysPlan {
-    /// Output schema of this node.
+    /// Output schema of this node: shared with the node for scans and
+    /// projections, built for joins and aggregations.
     pub fn schema(&self) -> Schema {
         match self {
             PhysPlan::SeqScan { schema, .. }
             | PhysPlan::IndexScan { schema, .. }
             | PhysPlan::Values { schema, .. } => schema.clone(),
-            PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => spec.schema(),
+            PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => spec.schema().clone(),
             PhysPlan::Filter { input, .. }
             | PhysPlan::Distinct { input }
             | PhysPlan::Limit { input, .. }
@@ -697,7 +762,7 @@ impl PhysPlan {
                     .iter()
                     .map(|(e, name)| {
                         let es = e.to_string();
-                        if &es == name {
+                        if *es == **name {
                             es
                         } else {
                             format!("{es} AS {name}")
@@ -806,7 +871,7 @@ fn spec_text(spec: &EvSpec) -> String {
     let dest = if spec.race.len() > 1 {
         spec.race.join("|")
     } else {
-        spec.engine.clone()
+        spec.engine.to_string()
     };
     format!("{kind}@{} AS {} ({})", dest, spec.alias, conds.join(", "))
 }
@@ -846,23 +911,14 @@ mod tests {
     use super::*;
 
     fn spec(kind: VTableKind, near: bool) -> EvSpec {
-        EvSpec {
-            kind,
-            engine: "AV".into(),
-            alias: "WebCount".into(),
-            template: None,
-            bindings: vec![
-                EvBinding::Column(ColumnRef {
-                    qualifier: Some("States".into()),
-                    name: "Name".into(),
-                }),
-                EvBinding::Const(Value::from("four corners")),
-            ],
-            rank_limit: 19,
-            supports_near: near,
-            prefetch: PrefetchHint::default(),
-            race: vec![],
-        }
+        let bindings = vec![
+            EvBinding::Column(ColumnRef {
+                qualifier: Some("States".into()),
+                name: "Name".into(),
+            }),
+            EvBinding::Const(Value::from("four corners")),
+        ];
+        EvSpec::new(kind, "AV", "WebCount", bindings, near)
     }
 
     #[test]
@@ -888,9 +944,9 @@ mod tests {
 
     /// A WebCount spec over `n` bindings with an explicit template.
     fn templated(template: &str, n: usize) -> EvSpec {
-        let mut s = spec(VTableKind::WebCount, false);
-        s.template = Some(template.to_string());
-        s.bindings = vec![EvBinding::Const(Value::Null); n];
+        let bindings = vec![EvBinding::Const(Value::Null); n];
+        let mut s = EvSpec::new(VTableKind::WebCount, "AV", "WebCount", bindings, false);
+        s.template = Some(template.into());
         s
     }
 
@@ -932,8 +988,9 @@ mod tests {
         let s = templated("%1 %2 %3", 3);
         let vals = [Value::Int(-7), Value::Null, Value::Float(2.5)];
         assert_eq!(s.instantiate(&vals), "-7 NULL 2.5");
-        let mut default = spec(VTableKind::WebCount, true);
-        default.bindings.push(EvBinding::Const(Value::Null));
+        let mut default = templated("", 3);
+        default.template = None;
+        default.supports_near = true;
         assert_eq!(default.instantiate(&vals), "-7 near NULL near 2.5");
     }
 
@@ -955,20 +1012,25 @@ mod tests {
 
     #[test]
     fn schemas_by_kind() {
-        let s = spec(VTableKind::WebCount, true).schema();
-        assert_eq!(
-            s.columns()
+        let names = |kind| {
+            let spec = spec(kind, true);
+            let schema = spec.schema();
+            assert!(schema
+                .columns()
                 .iter()
-                .map(|c| c.name.as_str())
-                .collect::<Vec<_>>(),
+                .all(|c| c.qualifier.as_deref() == Some("WebCount")));
+            schema
+                .columns()
+                .iter()
+                .map(|c| c.name.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            names(VTableKind::WebCount),
             vec!["SearchExp", "T1", "T2", "Count"]
         );
-        let s = spec(VTableKind::WebPages, true).schema();
         assert_eq!(
-            s.columns()
-                .iter()
-                .map(|c| c.name.as_str())
-                .collect::<Vec<_>>(),
+            names(VTableKind::WebPages),
             vec!["SearchExp", "T1", "T2", "URL", "Rank", "Date"]
         );
     }
@@ -1000,7 +1062,10 @@ mod tests {
                             DataType::Varchar,
                         )]),
                     }),
-                    right: Box::new(PhysPlan::AEVScan(spec(VTableKind::WebCount, true))),
+                    right: Box::new(PhysPlan::AEVScan(Arc::new(spec(
+                        VTableKind::WebCount,
+                        true,
+                    )))),
                 }),
             }),
         };
@@ -1084,7 +1149,7 @@ mod tests {
                 schema,
                 rows: vec![],
             }),
-            right: b(PhysPlan::EVScan(spec(VTableKind::WebCount, true))),
+            right: b(PhysPlan::EVScan(Arc::new(spec(VTableKind::WebCount, true)))),
         };
         let join = PhysPlan::NestedLoopJoin {
             left: b(cross),
@@ -1093,7 +1158,10 @@ mod tests {
         };
         let p = PhysPlan::DependentJoin {
             left: b(join),
-            right: b(PhysPlan::AEVScan(spec(VTableKind::WebPages, true))),
+            right: b(PhysPlan::AEVScan(Arc::new(spec(
+                VTableKind::WebPages,
+                true,
+            )))),
         };
         let p = PhysPlan::ReqSync {
             input: b(p),

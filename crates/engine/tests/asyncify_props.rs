@@ -18,11 +18,10 @@
 //! 6. The transformation is idempotent.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema};
 use wsq_engine::asyncify;
-use wsq_engine::plan::{
-    BufferMode, EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint, VTableKind,
-};
+use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PlacementStrategy, VTableKind};
 use wsq_sql::ast::{BinOp, ColumnRef, Expr};
 
 /// Tables available to the generator (name, columns).
@@ -35,8 +34,8 @@ const TABLES: &[(&str, &[&str])] = &[
 fn scan(i: usize) -> PhysPlan {
     let (name, cols) = TABLES[i % TABLES.len()];
     PhysPlan::SeqScan {
-        table: name.to_string(),
-        alias: name.to_string(),
+        table: name.into(),
+        alias: name.into(),
         schema: Schema::new(
             cols.iter()
                 .map(|c| Column::qualified(name, *c, DataType::Varchar))
@@ -60,24 +59,20 @@ fn arb_plan(depth: u32) -> BoxedStrategy<PhysPlan> {
         3 => (inner.clone(), any::<u8>(), any::<bool>()).prop_map(|(left, salt, pages)| {
             let left_schema = left.schema();
             let bind_col = left_schema.column(0).clone();
-            let alias = format!("V{salt}");
-            let spec = EvSpec {
-                kind: if pages { VTableKind::WebPages } else { VTableKind::WebCount },
-                engine: "AV".into(),
-                alias,
-                template: None,
-                bindings: vec![EvBinding::Column(ColumnRef {
+            let mut spec = EvSpec::new(
+                if pages { VTableKind::WebPages } else { VTableKind::WebCount },
+                "AV",
+                format!("V{salt}"),
+                vec![EvBinding::Column(ColumnRef {
                     qualifier: bind_col.qualifier.clone(),
                     name: bind_col.name.clone(),
                 })],
-                rank_limit: 3,
-                supports_near: true,
-                prefetch: PrefetchHint::default(),
-    race: vec![],
-            };
+                true,
+            );
+            spec.rank_limit = 3;
             PhysPlan::DependentJoin {
                 left: Box::new(left),
-                right: Box::new(PhysPlan::EVScan(spec)),
+                right: Box::new(PhysPlan::EVScan(Arc::new(spec))),
             }
         }),
         // Filter: either on a base column or on a virtual attribute of
@@ -241,7 +236,7 @@ fn check_safety(plan: &PhysPlan) -> Result<(), String> {
             }
             if let Some(spec) = spec_of(right) {
                 let uncovered = uncovered_attrs(left);
-                for b in &spec.bindings {
+                for b in spec.bindings() {
                     if let EvBinding::Column(c) = b {
                         if refs_any(&Expr::Column(c.clone()), &uncovered) {
                             return Err(format!(
@@ -341,21 +336,19 @@ proptest! {
     }
 }
 
-fn count_spec(alias: &str) -> EvSpec {
-    EvSpec {
-        kind: VTableKind::WebCount,
-        engine: "AV".into(),
-        alias: alias.to_string(),
-        template: None,
-        bindings: vec![EvBinding::Column(ColumnRef {
+fn count_spec(alias: &str) -> Arc<EvSpec> {
+    let mut spec = EvSpec::new(
+        VTableKind::WebCount,
+        "AV",
+        alias,
+        vec![EvBinding::Column(ColumnRef {
             qualifier: Some("States".into()),
             name: "Name".into(),
         })],
-        rank_limit: 3,
-        supports_near: true,
-        prefetch: PrefetchHint::default(),
-        race: vec![],
-    }
+        true,
+    );
+    spec.rank_limit = 3;
+    Arc::new(spec)
 }
 
 /// Regression for `consolidate_adjacent`'s flush-point pairing: when the

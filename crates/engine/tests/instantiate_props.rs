@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use wsq_common::Value;
-use wsq_engine::plan::{EvBinding, EvSpec, PrefetchHint, VTableKind};
+use wsq_engine::plan::{EvBinding, EvSpec, VTableKind};
 
 fn marker(i: usize) -> String {
     char::from_u32(0xE000 + i as u32).unwrap().to_string()
@@ -61,17 +61,16 @@ fn arb_template() -> impl Strategy<Value = String> {
 }
 
 fn spec(template: Option<String>, n: usize, supports_near: bool) -> EvSpec {
-    EvSpec {
-        kind: VTableKind::WebCount,
-        engine: "AV".into(),
-        alias: "WebCount".into(),
-        template,
-        bindings: vec![EvBinding::Const(Value::Null); n],
-        rank_limit: 19,
+    let bindings = vec![EvBinding::Const(Value::Null); n];
+    let mut spec = EvSpec::new(
+        VTableKind::WebCount,
+        "AV",
+        "WebCount",
+        bindings,
         supports_near,
-        prefetch: PrefetchHint::default(),
-        race: vec![],
-    }
+    );
+    spec.template = template.map(Into::into);
+    spec
 }
 
 proptest! {

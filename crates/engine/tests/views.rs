@@ -184,6 +184,33 @@ fn view_error_handling() {
     assert!(t.err("DROP VIEW V").contains("no such view"));
 }
 
+/// A view is stored as SQL text and parsed again on every use, so its
+/// literals must print as what they are: a float `1.0` once came back as
+/// the integer `1`, a float beyond `i64` as an unreadable integer, and
+/// `i64::MIN` could not be written at all.
+#[test]
+fn views_keep_their_literals_types() {
+    let mut t = h();
+    let direct = "SELECT Population * 1.0 AS P, -9223372036854775808 AS M FROM States \
+                  WHERE Name = 'Wyoming'";
+    t.run(&format!("CREATE VIEW W AS {direct}"));
+    assert_eq!(t.rows(direct), vec!["<481000.0, -9223372036854775808>"]);
+    let through_view = t.rows("SELECT P, M FROM W");
+    assert_eq!(through_view, t.rows(direct));
+    match t.run("SELECT P FROM W").remove(0) {
+        StatementResult::Rows(r) => {
+            assert_eq!(r.rows[0].get(0), &wsq_common::Value::Float(481000.0))
+        }
+        other => panic!("{other:?}"),
+    }
+
+    t.run(
+        "CREATE VIEW W2 AS SELECT Name FROM States \
+         WHERE Population < 100000000000000000000.5 AND Population > 1e3",
+    );
+    assert_eq!(t.rows("SELECT Name FROM W2 ORDER BY Name").len(), 4);
+}
+
 #[test]
 fn view_definition_roundtrips_complex_sql() {
     let mut t = h();

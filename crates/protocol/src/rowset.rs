@@ -23,7 +23,7 @@ impl RowSet {
             .schema
             .columns()
             .iter()
-            .map(|c| c.name.clone())
+            .map(|c| c.name.to_string())
             .collect();
         let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
         let rows: Vec<Vec<String>> = self

@@ -192,7 +192,7 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    pub(crate) fn put_opt_string(&mut self, s: &Option<String>) {
+    pub(crate) fn put_opt_string(&mut self, s: Option<&str>) {
         match s {
             None => self.put_u8(0),
             Some(s) => {
@@ -262,7 +262,7 @@ fn dtype_from(code: u8) -> Result<DataType, DecodeError> {
 pub(crate) fn put_schema(w: &mut Writer, schema: &Schema) {
     w.put_u32(schema.columns().len() as u32);
     for c in schema.columns() {
-        w.put_opt_string(&c.qualifier);
+        w.put_opt_string(c.qualifier.as_deref());
         w.put_string(&c.name);
         w.put_u8(dtype_code(c.dtype));
     }
@@ -276,8 +276,8 @@ pub(crate) fn read_schema(r: &mut Reader<'_>) -> Result<Schema, DecodeError> {
         let name = r.read_string()?;
         let dtype = dtype_from(r.read_u8()?)?;
         cols.push(Column {
-            qualifier,
-            name,
+            qualifier: qualifier.map(Into::into),
+            name: name.into(),
             dtype,
         });
     }

@@ -36,8 +36,8 @@ fn golden_query_frame_bytes() {
 fn golden_schema_and_rows_bytes() {
     let schema = Frame::Schema {
         schema: Schema::new(vec![Column {
-            qualifier: Some("S".to_string()),
-            name: "N".to_string(),
+            qualifier: Some("S".into()),
+            name: "N".into(),
             dtype: DataType::Int,
         }]),
     };

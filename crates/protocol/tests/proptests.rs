@@ -38,8 +38,8 @@ fn arb_schema() -> BoxedStrategy<Schema> {
         Schema::new(
             cols.into_iter()
                 .map(|(name, qualified, dtype)| Column {
-                    qualifier: qualified.then(|| format!("T{}", name.len())),
-                    name,
+                    qualifier: qualified.then(|| format!("T{}", name.len()).into()),
+                    name: name.into(),
                     dtype,
                 })
                 .collect(),

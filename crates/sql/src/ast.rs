@@ -1,6 +1,12 @@
 //! Abstract syntax tree for the SQL subset.
+//!
+//! The tree owns its text and has no lifetime. Every name a query's plan
+//! can carry — table references, column references, select-list aliases —
+//! and every string literal is an `Arc<str>`, allocated once by the parser
+//! and shared from then on by plans, schemas and runtime values.
 
 use std::fmt;
+use std::sync::Arc;
 use wsq_common::DataType;
 
 /// A parsed SQL statement.
@@ -99,15 +105,15 @@ pub struct ColumnDef {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRef {
     /// Table (or virtual table) name.
-    pub table: String,
+    pub table: Arc<str>,
     /// Optional alias; when absent the table name is the alias.
-    pub alias: Option<String>,
+    pub alias: Option<Arc<str>>,
 }
 
 impl TableRef {
     /// The name other clauses refer to this table by.
-    pub fn binding_name(&self) -> &str {
-        self.alias.as_deref().unwrap_or(&self.table)
+    pub fn binding_name(&self) -> &Arc<str> {
+        self.alias.as_ref().unwrap_or(&self.table)
     }
 }
 
@@ -115,9 +121,9 @@ impl TableRef {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnRef {
     /// Optional table qualifier.
-    pub qualifier: Option<String>,
+    pub qualifier: Option<Arc<str>>,
     /// Column name.
-    pub name: String,
+    pub name: Arc<str>,
 }
 
 impl fmt::Display for ColumnRef {
@@ -137,15 +143,20 @@ pub enum Literal {
     /// Float literal.
     Float(f64),
     /// Single-quoted string literal.
-    Str(String),
+    Str(Arc<str>),
     /// `NULL`.
     Null,
 }
 
+/// Literals print as SQL that lexes back to the same literal: a string is
+/// quoted with `'` doubled, and a float always has a fractional part
+/// (`1.0`, not `1`), so that a view definition stored as text keeps its
+/// float literals floats.
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Literal::Int(i) => write!(f, "{i}"),
+            Literal::Float(x) if x.is_finite() && x.fract() == 0.0 => write!(f, "{x}.0"),
             Literal::Float(x) => write!(f, "{x}"),
             Literal::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Literal::Null => write!(f, "NULL"),
@@ -334,82 +345,89 @@ impl Expr {
     pub fn column(name: &str) -> Expr {
         Expr::Column(ColumnRef {
             qualifier: None,
-            name: name.to_string(),
+            name: name.into(),
         })
     }
 
     /// Qualified column reference.
     pub fn qualified(qualifier: &str, name: &str) -> Expr {
         Expr::Column(ColumnRef {
-            qualifier: Some(qualifier.to_string()),
-            name: name.to_string(),
+            qualifier: Some(qualifier.into()),
+            name: name.into(),
         })
     }
 
-    /// Does this expression (transitively) contain an aggregate call?
-    pub fn contains_aggregate(&self) -> bool {
+    /// Call `f` on this expression and on every expression inside it,
+    /// parent before children, left to right. A subquery's expressions
+    /// belong to its own scope and are not visited (an `IN (SELECT …)`'s
+    /// tested expression is).
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
         match self {
-            Expr::Agg { .. } => true,
-            Expr::Binary { lhs, rhs, .. } => lhs.contains_aggregate() || rhs.contains_aggregate(),
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::Column(_) | Expr::Literal(_) => false,
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            // Subqueries have their own aggregation scope.
-            Expr::Subquery(_) => false,
-            Expr::InSubquery { expr, .. } => expr.contains_aggregate(),
-        }
-    }
-
-    /// Collect every column referenced by this expression.
-    pub fn columns(&self) -> Vec<&ColumnRef> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a ColumnRef>) {
-        match self {
-            Expr::Column(c) => out.push(c),
-            Expr::Literal(_) => {}
+            Expr::Column(_) | Expr::Literal(_) | Expr::Subquery(_) => {}
             Expr::Binary { lhs, rhs, .. } => {
-                lhs.collect_columns(out);
-                rhs.collect_columns(out);
+                lhs.visit(f);
+                rhs.visit(f);
             }
-            Expr::Unary { expr, .. } => expr.collect_columns(out),
+            Expr::Unary { expr, .. } | Expr::InSubquery { expr, .. } => expr.visit(f),
             Expr::Agg { arg, .. } => {
                 if let Some(a) = arg {
-                    a.collect_columns(out);
+                    a.visit(f);
                 }
             }
             Expr::Like { expr, pattern, .. } => {
-                expr.collect_columns(out);
-                pattern.collect_columns(out);
+                expr.visit(f);
+                pattern.visit(f);
             }
             Expr::InList { expr, list, .. } => {
-                expr.collect_columns(out);
+                expr.visit(f);
                 for e in list {
-                    e.collect_columns(out);
+                    e.visit(f);
                 }
             }
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.collect_columns(out);
-                low.collect_columns(out);
-                high.collect_columns(out);
+                expr.visit(f);
+                low.visit(f);
+                high.visit(f);
             }
-            // Subquery columns belong to the inner scope (uncorrelated).
-            Expr::Subquery(_) => {}
-            Expr::InSubquery { expr, .. } => expr.collect_columns(out),
         }
+    }
+
+    /// Does any expression [`Expr::visit`] reaches satisfy `pred`?
+    fn any(&self, mut pred: impl FnMut(&Expr) -> bool) -> bool {
+        let mut found = false;
+        self.visit(&mut |e| found = found || pred(e));
+        found
+    }
+
+    /// Does this expression (transitively) contain an aggregate call?
+    /// Subqueries have their own aggregation scope.
+    pub fn contains_aggregate(&self) -> bool {
+        self.any(|e| matches!(e, Expr::Agg { .. }))
+    }
+
+    /// Does this expression contain a scalar or `IN` subquery?
+    pub fn contains_subquery(&self) -> bool {
+        self.any(|e| matches!(e, Expr::Subquery(_) | Expr::InSubquery { .. }))
+    }
+
+    /// Collect every column referenced by this expression.
+    pub fn columns(&self) -> Vec<&ColumnRef> {
+        let mut out = Vec::new();
+        self.visit(&mut |e| {
+            if let Expr::Column(c) = e {
+                out.push(c);
+            }
+        });
+        out
+    }
+
+    /// Does every column this expression references satisfy `pred`?
+    /// ([`Expr::columns`] without collecting them.)
+    pub fn all_columns(&self, mut pred: impl FnMut(&ColumnRef) -> bool) -> bool {
+        !self.any(|e| matches!(e, Expr::Column(c) if !pred(c)))
     }
 
     /// Split a conjunction into its conjuncts (`a AND b AND c` → 3 exprs).
@@ -431,17 +449,24 @@ impl Expr {
     /// [`Expr::split_conjuncts`] by reference, in the same left-to-right
     /// order.
     pub fn conjuncts(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        self.for_each_conjunct(&mut |e| out.push(e));
+        out
+    }
+
+    /// Call `f` on each conjunct, in [`Expr::conjuncts`] order, without
+    /// collecting them.
+    pub fn for_each_conjunct<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         match self {
             Expr::Binary {
                 op: BinOp::And,
                 lhs,
                 rhs,
             } => {
-                let mut out = lhs.conjuncts();
-                out.extend(rhs.conjuncts());
-                out
+                lhs.for_each_conjunct(f);
+                rhs.for_each_conjunct(f);
             }
-            other => vec![other],
+            other => f(other),
         }
     }
 
@@ -469,7 +494,14 @@ impl fmt::Display for Expr {
             Expr::Unary {
                 op: UnOp::Neg,
                 expr,
-            } => write!(f, "(-{expr})"),
+            } => match **expr {
+                // `--` would start a comment.
+                Expr::Literal(Literal::Int(i)) if i < 0 => write!(f, "(- {expr})"),
+                Expr::Literal(Literal::Float(x)) if x.is_sign_negative() => {
+                    write!(f, "(- {expr})")
+                }
+                _ => write!(f, "(-{expr})"),
+            },
             Expr::Unary {
                 op: UnOp::Not,
                 expr,
@@ -532,7 +564,7 @@ pub enum SelectItem {
         /// The expression.
         expr: Expr,
         /// `AS alias`.
-        alias: Option<String>,
+        alias: Option<Arc<str>>,
     },
 }
 
@@ -570,6 +602,23 @@ pub struct SelectStmt {
     pub order_by: Vec<OrderItem>,
     /// `LIMIT` row count.
     pub limit: Option<u64>,
+}
+
+impl SelectStmt {
+    /// Does `WHERE`, `HAVING`, the select list or `ORDER BY` hold a
+    /// subquery? (`FROM` names tables only.)
+    pub fn contains_subquery(&self) -> bool {
+        let items = self.items.iter().filter_map(|i| match i {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Star => None,
+        });
+        self.where_clause
+            .iter()
+            .chain(&self.having)
+            .chain(items)
+            .chain(self.order_by.iter().map(|o| &o.expr))
+            .any(Expr::contains_subquery)
+    }
 }
 
 impl fmt::Display for SelectStmt {
@@ -710,16 +759,57 @@ mod tests {
     }
 
     #[test]
+    fn float_literals_print_with_a_fractional_part() {
+        let shown = |x: f64| Literal::Float(x).to_string();
+        assert_eq!(shown(1.0), "1.0");
+        assert_eq!(shown(0.5), "0.5");
+        assert_eq!(shown(-2.0), "-2.0");
+        assert_eq!(shown(1e20), "100000000000000000000.0");
+        assert_eq!(shown(1e-7), "0.0000001");
+        assert_eq!(Literal::Int(1).to_string(), "1");
+    }
+
+    #[test]
+    fn subquery_detection() {
+        let sub = SelectStmt {
+            distinct: false,
+            items: vec![SelectItem::Star],
+            from: vec![],
+            where_clause: None,
+            group_by: vec![],
+            having: None,
+            rerank: None,
+            order_by: vec![],
+            limit: None,
+        };
+        let scalar = Expr::binary(
+            BinOp::Gt,
+            Expr::column("x"),
+            Expr::Subquery(Box::new(sub.clone())),
+        );
+        assert!(scalar.contains_subquery());
+        assert!(!scalar.contains_aggregate());
+        assert!(!Expr::column("x").contains_subquery());
+        let mut outer = sub.clone();
+        assert!(!outer.contains_subquery());
+        outer.order_by.push(OrderItem {
+            expr: scalar,
+            desc: false,
+        });
+        assert!(outer.contains_subquery());
+    }
+
+    #[test]
     fn table_ref_binding_name() {
         let t = TableRef {
             table: "WebPages_AV".into(),
             alias: Some("AV".into()),
         };
-        assert_eq!(t.binding_name(), "AV");
+        assert_eq!(&**t.binding_name(), "AV");
         let t = TableRef {
             table: "States".into(),
             alias: None,
         };
-        assert_eq!(t.binding_name(), "States");
+        assert_eq!(&**t.binding_name(), "States");
     }
 }

@@ -1,58 +1,95 @@
 //! Recursive-descent parser for the SQL subset.
+//!
+//! It reads the lexer's tokens by reference and copies each name once,
+//! into the AST.
 
 use crate::ast::*;
 use crate::lexer::{lex, Token};
+use std::sync::Arc;
 use wsq_common::{DataType, Result, WsqError};
 
 /// Parse a string of one or more `;`-separated statements.
 pub fn parse(input: &str) -> Result<Vec<Statement>> {
-    let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let mut out = Vec::new();
-    loop {
-        while p.eat(&Token::Semi) {}
-        if p.at_end() {
-            break;
-        }
-        out.push(p.statement()?);
+    while let Some(stmt) = p.next_statement()? {
+        out.push(stmt);
     }
     Ok(out)
 }
 
 /// Parse exactly one statement.
 pub fn parse_one(input: &str) -> Result<Statement> {
-    let mut stmts = parse(input)?;
-    match stmts.len() {
-        1 => Ok(stmts.remove(0)),
-        n => Err(WsqError::Parse(format!("expected 1 statement, found {n}"))),
+    let mut p = Parser::new(input)?;
+    let first = p.next_statement()?;
+    let mut n = usize::from(first.is_some());
+    while p.next_statement()?.is_some() {
+        n += 1;
+    }
+    match first {
+        Some(stmt) if n == 1 => Ok(stmt),
+        _ => Err(WsqError::Parse(format!("expected 1 statement, found {n}"))),
     }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
+/// The message for an integer literal beyond `i64`.
+fn int_overflow(magnitude: impl std::fmt::Display) -> WsqError {
+    WsqError::Parse(format!(
+        "bad integer literal '{magnitude}': number too large to fit in target type"
+    ))
+}
+
+/// A non-negative integer literal.
+fn int_value(magnitude: u64) -> Result<i64> {
+    i64::try_from(magnitude).map_err(|_| int_overflow(magnitude))
+}
+
+/// A negated integer literal: `-9223372036854775808` is `i64::MIN`.
+fn negated_int_value(magnitude: u64) -> Result<i64> {
+    0i64.checked_sub_unsigned(magnitude)
+        .ok_or_else(|| int_overflow(format_args!("-{magnitude}")))
+}
+
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Result<Self> {
+        Ok(Parser {
+            tokens: lex(input)?,
+            pos: 0,
+        })
+    }
+
+    /// The next `;`-separated statement, or `None` at the end of input.
+    fn next_statement(&mut self) -> Result<Option<Statement>> {
+        while self.eat(&Token::Semi) {}
+        if self.at_end() {
+            return Ok(None);
+        }
+        self.statement().map(Some)
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Result<Token> {
+    fn next(&mut self) -> Result<&Token<'a>> {
         let t = self
             .tokens
             .get(self.pos)
-            .cloned()
             .ok_or_else(|| WsqError::Parse("unexpected end of input".to_string()))?;
         self.pos += 1;
         Ok(t)
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
+    fn eat(&mut self, t: &Token<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -61,9 +98,9 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token) -> Result<()> {
+    fn expect(&mut self, t: &Token<'_>) -> Result<()> {
         let got = self.next()?;
-        if &got == t {
+        if got == t {
             Ok(())
         } else {
             Err(WsqError::Parse(format!("expected '{t}', found '{got}'")))
@@ -95,13 +132,19 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    /// The next token as an identifier, borrowed from the input.
+    fn ident(&mut self) -> Result<&'a str> {
         match self.next()? {
-            Token::Ident(s) => Ok(s),
+            Token::Ident(s) => Ok(*s),
             other => Err(WsqError::Parse(format!(
                 "expected identifier, found '{other}'"
             ))),
         }
+    }
+
+    /// [`Parser::ident`] as an AST name.
+    fn name(&mut self) -> Result<Arc<str>> {
+        self.ident().map(Arc::from)
     }
 
     fn statement(&mut self) -> Result<Statement> {
@@ -113,7 +156,7 @@ impl Parser {
                 return self.create_table();
             }
             if self.eat_keyword("VIEW") {
-                let name = self.ident()?;
+                let name = self.ident()?.to_string();
                 self.expect_keyword("AS")?;
                 let query = self.select()?;
                 return Ok(Statement::CreateView { name, query });
@@ -124,11 +167,11 @@ impl Parser {
         }
         if self.eat_keyword("DROP") {
             if self.eat_keyword("TABLE") {
-                let name = self.ident()?;
+                let name = self.ident()?.to_string();
                 return Ok(Statement::DropTable { name });
             }
             if self.eat_keyword("VIEW") {
-                let name = self.ident()?;
+                let name = self.ident()?.to_string();
                 return Ok(Statement::DropView { name });
             }
             self.expect_keyword("INDEX")?;
@@ -144,12 +187,12 @@ impl Parser {
             return Ok(Statement::ShowTables);
         }
         if self.eat_keyword("DESCRIBE") || self.eat_keyword("DESC") {
-            let table = self.ident()?;
+            let table = self.ident()?.to_string();
             return Ok(Statement::Describe { table });
         }
         if self.eat_keyword("DELETE") {
             self.expect_keyword("FROM")?;
-            let table = self.ident()?;
+            let table = self.ident()?.to_string();
             let predicate = if self.eat_keyword("WHERE") {
                 Some(self.expr()?)
             } else {
@@ -158,11 +201,11 @@ impl Parser {
             return Ok(Statement::Delete { table, predicate });
         }
         if self.eat_keyword("UPDATE") {
-            let table = self.ident()?;
+            let table = self.ident()?.to_string();
             self.expect_keyword("SET")?;
             let mut sets = Vec::new();
             loop {
-                let col = self.ident()?;
+                let col = self.ident()?.to_string();
                 self.expect(&Token::Eq)?;
                 let e = self.expr()?;
                 sets.push((col, e));
@@ -190,41 +233,44 @@ impl Parser {
     /// `ON table (column)` — the target clause of CREATE/DROP INDEX.
     fn index_target(&mut self) -> Result<(String, String)> {
         self.expect_keyword("ON")?;
-        let table = self.ident()?;
+        let table = self.ident()?.to_string();
         self.expect(&Token::LParen)?;
-        let column = self.ident()?;
+        let column = self.ident()?.to_string();
         self.expect(&Token::RParen)?;
         Ok((table, column))
     }
 
     fn create_table(&mut self) -> Result<Statement> {
-        let name = self.ident()?;
+        let name = self.ident()?.to_string();
         self.expect(&Token::LParen)?;
         let mut columns = Vec::new();
         loop {
-            let col = self.ident()?;
+            let col = self.ident()?.to_string();
             let ty = self.ident()?;
-            let dtype = match ty.to_ascii_uppercase().as_str() {
-                "INT" | "INTEGER" => DataType::Int,
-                "FLOAT" | "REAL" | "DOUBLE" => DataType::Float,
-                "VARCHAR" | "CHAR" | "TEXT" | "STRING" => {
-                    // Optional advisory length: VARCHAR(32).
-                    if self.eat(&Token::LParen) {
-                        match self.next()? {
-                            Token::Int(_) => {}
-                            other => {
-                                return Err(WsqError::Parse(format!(
-                                    "expected length, found '{other}'"
-                                )))
-                            }
+            let is = |names: &[&str]| names.iter().any(|n| ty.eq_ignore_ascii_case(n));
+            let dtype = if is(&["INT", "INTEGER"]) {
+                DataType::Int
+            } else if is(&["FLOAT", "REAL", "DOUBLE"]) {
+                DataType::Float
+            } else if is(&["VARCHAR", "CHAR", "TEXT", "STRING"]) {
+                // Optional advisory length: VARCHAR(32).
+                if self.eat(&Token::LParen) {
+                    match self.next()? {
+                        Token::Int(_) => {}
+                        other => {
+                            return Err(WsqError::Parse(format!(
+                                "expected length, found '{other}'"
+                            )))
                         }
-                        self.expect(&Token::RParen)?;
                     }
-                    DataType::Varchar
+                    self.expect(&Token::RParen)?;
                 }
-                other => {
-                    return Err(WsqError::Parse(format!("unknown type '{other}'")));
-                }
+                DataType::Varchar
+            } else {
+                return Err(WsqError::Parse(format!(
+                    "unknown type '{}'",
+                    ty.to_ascii_uppercase()
+                )));
             };
             columns.push(ColumnDef { name: col, dtype });
             if !self.eat(&Token::Comma) {
@@ -236,7 +282,7 @@ impl Parser {
     }
 
     fn insert(&mut self) -> Result<Statement> {
-        let table = self.ident()?;
+        let table = self.ident()?.to_string();
         if self.at_keyword("SELECT") {
             let query = self.select()?;
             return Ok(Statement::InsertSelect { table, query });
@@ -263,11 +309,11 @@ impl Parser {
 
     fn literal(&mut self) -> Result<Literal> {
         match self.next()? {
-            Token::Int(i) => Ok(Literal::Int(i)),
-            Token::Float(f) => Ok(Literal::Float(f)),
-            Token::Str(s) => Ok(Literal::Str(s)),
+            Token::Int(i) => Ok(Literal::Int(int_value(*i)?)),
+            Token::Float(f) => Ok(Literal::Float(*f)),
+            Token::Str(s) => Ok(Literal::Str(Arc::from(&**s))),
             Token::Minus => match self.next()? {
-                Token::Int(i) => Ok(Literal::Int(-i)),
+                Token::Int(i) => Ok(Literal::Int(negated_int_value(*i)?)),
                 Token::Float(f) => Ok(Literal::Float(-f)),
                 other => Err(WsqError::Parse(format!(
                     "expected number after '-', found '{other}'"
@@ -291,7 +337,7 @@ impl Parser {
             } else {
                 let expr = self.expr()?;
                 let alias = if self.eat_keyword("AS") {
-                    Some(self.ident()?)
+                    Some(self.name()?)
                 } else {
                     None
                 };
@@ -305,10 +351,10 @@ impl Parser {
         self.expect_keyword("FROM")?;
         let mut from = Vec::new();
         loop {
-            let table = self.ident()?;
+            let table = self.name()?;
             // Optional alias: a bare identifier that is not a clause keyword.
             let alias = match self.peek() {
-                Some(Token::Ident(s)) if !is_clause_keyword(s) => Some(self.ident()?),
+                Some(Token::Ident(s)) if !is_clause_keyword(s) => Some(self.name()?),
                 _ => None,
             };
             from.push(TableRef { table, alias });
@@ -342,7 +388,7 @@ impl Parser {
 
         let rerank = if self.eat_keyword("RERANK") {
             self.expect_keyword("BY")?;
-            Some(self.ident()?)
+            Some(self.ident()?.to_string())
         } else {
             None
         };
@@ -367,7 +413,7 @@ impl Parser {
 
         let limit = if self.eat_keyword("LIMIT") {
             match self.next()? {
-                Token::Int(n) if n >= 0 => Some(n as u64),
+                Token::Int(n) => Some(int_value(*n)? as u64),
                 other => {
                     return Err(WsqError::Parse(format!(
                         "expected row count after LIMIT, found '{other}'"
@@ -392,9 +438,9 @@ impl Parser {
     }
 
     fn column_ref(&mut self) -> Result<ColumnRef> {
-        let first = self.ident()?;
+        let first = self.name()?;
         if self.eat(&Token::Dot) {
-            let name = self.ident()?;
+            let name = self.name()?;
             Ok(ColumnRef {
                 qualifier: Some(first),
                 name,
@@ -560,6 +606,12 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&Token::Minus) {
+            // The one integer whose magnitude is no `i64` is `i64::MIN`:
+            // read it as the literal it is.
+            if self.peek() == Some(&Token::Int(1 << 63)) {
+                self.pos += 1;
+                return Ok(Expr::Literal(Literal::Int(i64::MIN)));
+            }
             let inner = self.unary()?;
             return Ok(Expr::Unary {
                 op: UnOp::Neg,
@@ -570,21 +622,14 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        match self.peek().cloned() {
-            Some(Token::Int(i)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Int(i)))
-            }
-            Some(Token::Float(f)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Float(f)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Str(s)))
-            }
-            Some(Token::LParen) => {
-                self.pos += 1;
+        let tok = self
+            .next()
+            .map_err(|_| WsqError::Parse("expected expression, found ''".to_string()))?;
+        match tok {
+            Token::Int(i) => Ok(Expr::Literal(Literal::Int(int_value(*i)?))),
+            Token::Float(f) => Ok(Expr::Literal(Literal::Float(*f))),
+            Token::Str(s) => Ok(Expr::Literal(Literal::Str(Arc::from(&**s)))),
+            Token::LParen => {
                 if self.at_keyword("SELECT") {
                     let q = self.select()?;
                     self.expect(&Token::RParen)?;
@@ -594,13 +639,12 @@ impl Parser {
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Some(Token::Ident(name)) => {
-                self.pos += 1;
+            &Token::Ident(name) => {
                 if name.eq_ignore_ascii_case("NULL") {
                     return Ok(Expr::Literal(Literal::Null));
                 }
                 // Aggregate call?
-                if let Some(func) = agg_func(&name) {
+                if let Some(func) = agg_func(name) {
                     if self.eat(&Token::LParen) {
                         if self.eat(&Token::Star) {
                             self.expect(&Token::RParen)?;
@@ -622,35 +666,34 @@ impl Parser {
                     // (the WebCount virtual table has one!).
                 }
                 if self.eat(&Token::Dot) {
-                    let col = self.ident()?;
                     Ok(Expr::Column(ColumnRef {
-                        qualifier: Some(name),
-                        name: col,
+                        qualifier: Some(name.into()),
+                        name: self.name()?,
                     }))
                 } else {
                     Ok(Expr::Column(ColumnRef {
                         qualifier: None,
-                        name,
+                        name: name.into(),
                     }))
                 }
             }
             other => Err(WsqError::Parse(format!(
-                "expected expression, found '{}'",
-                other.map(|t| t.to_string()).unwrap_or_default()
+                "expected expression, found '{other}'"
             ))),
         }
     }
 }
 
 fn agg_func(name: &str) -> Option<AggFunc> {
-    match name.to_ascii_uppercase().as_str() {
-        "COUNT" => Some(AggFunc::Count),
-        "SUM" => Some(AggFunc::Sum),
-        "MIN" => Some(AggFunc::Min),
-        "MAX" => Some(AggFunc::Max),
-        "AVG" => Some(AggFunc::Avg),
-        _ => None,
-    }
+    [
+        ("COUNT", AggFunc::Count),
+        ("SUM", AggFunc::Sum),
+        ("MIN", AggFunc::Min),
+        ("MAX", AggFunc::Max),
+        ("AVG", AggFunc::Avg),
+    ]
+    .into_iter()
+    .find_map(|(n, f)| name.eq_ignore_ascii_case(n).then_some(f))
 }
 
 fn is_clause_keyword(s: &str) -> bool {
@@ -679,7 +722,7 @@ mod tests {
              Where Name = T1 Order By Count Desc");
         assert_eq!(s.items.len(), 2);
         assert_eq!(s.from.len(), 2);
-        assert_eq!(s.from[1].table, "WebCount");
+        assert_eq!(&*s.from[1].table, "WebCount");
         assert!(s.where_clause.is_some());
         assert_eq!(s.order_by.len(), 1);
         assert!(s.order_by[0].desc);
@@ -704,8 +747,8 @@ mod tests {
         let s = sel("Select Capital, C.Count, Name, S.Count \
              From States, WebCount C, WebCount S \
              Where Capital = C.T1 and Name = S.T1 and C.Count > S.Count");
-        assert_eq!(s.from[1].binding_name(), "C");
-        assert_eq!(s.from[2].binding_name(), "S");
+        assert_eq!(&**s.from[1].binding_name(), "C");
+        assert_eq!(&**s.from[2].binding_name(), "S");
         let conjuncts = s.where_clause.unwrap().split_conjuncts();
         assert_eq!(conjuncts.len(), 3);
         assert_eq!(conjuncts[2].to_string(), "(C.Count > S.Count)");
@@ -719,7 +762,7 @@ mod tests {
              G.Rank <= 5 and AV.URL = G.URL",
         );
         assert_eq!(s.from.len(), 3);
-        assert_eq!(s.from[1].table, "WebPages_AV");
+        assert_eq!(&*s.from[1].table, "WebPages_AV");
         assert_eq!(s.from[1].alias.as_deref(), Some("AV"));
         assert_eq!(s.where_clause.unwrap().split_conjuncts().len(), 5);
     }
@@ -992,5 +1035,98 @@ mod tests {
         let again = sel(&rendered);
         assert_eq!(again.rerank.as_deref(), Some("rank"));
         assert_eq!(again.to_string(), rendered);
+    }
+
+    #[test]
+    fn i64_min_is_writable_and_every_other_overflow_is_an_error() {
+        let s = sel("SELECT -9223372036854775808 FROM T WHERE x > -9223372036854775808");
+        match &s.items[0] {
+            SelectItem::Expr { expr, .. } => {
+                assert_eq!(expr, &Expr::Literal(Literal::Int(i64::MIN)));
+            }
+            _ => panic!(),
+        }
+        // Other negative literals stay negations.
+        let s = sel("SELECT -9223372036854775807 FROM T");
+        match &s.items[0] {
+            SelectItem::Expr { expr, .. } => assert_eq!(expr.to_string(), "(-9223372036854775807)"),
+            _ => panic!(),
+        }
+        match parse_one("INSERT INTO T VALUES (-9223372036854775808, 9223372036854775807)") {
+            Ok(Statement::Insert { rows, .. }) => {
+                assert_eq!(
+                    rows[0],
+                    vec![Literal::Int(i64::MIN), Literal::Int(i64::MAX)]
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+        for bad in [
+            "SELECT 9223372036854775808 FROM T",
+            "SELECT a - 9223372036854775808 FROM T",
+            "SELECT -(9223372036854775808) FROM T",
+            "SELECT -9223372036854775809 FROM T",
+            "SELECT 1 FROM T LIMIT 9223372036854775808",
+            "INSERT INTO T VALUES (9223372036854775808)",
+            "INSERT INTO T VALUES (-9223372036854775809)",
+        ] {
+            let err = parse(bad).unwrap_err().to_string();
+            assert!(err.contains("bad integer literal"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn float_literals_with_exponents() {
+        let s = sel("SELECT 1e300, 2.5E-3 FROM T WHERE x < 1.0");
+        let lits: Vec<String> = s
+            .items
+            .iter()
+            .map(|i| match i {
+                SelectItem::Expr { expr, .. } => expr.to_string(),
+                SelectItem::Star => panic!(),
+            })
+            .collect();
+        assert_eq!(lits[1], "0.0025");
+        assert_eq!(
+            s.where_clause.unwrap(),
+            Expr::binary(
+                BinOp::Lt,
+                Expr::column("x"),
+                Expr::Literal(Literal::Float(1.0))
+            )
+        );
+        // An integral float prints as a float, so it re-parses as one.
+        let again = sel(&format!("SELECT {} FROM T", lits[0]));
+        assert_eq!(again.items, s.items[..1]);
+    }
+
+    #[test]
+    fn keywords_and_types_are_case_insensitive() {
+        let s = sel("select count(*), Sum(x), aVg(y) from T");
+        assert_eq!(s.items.len(), 3);
+        match &s.items[2] {
+            SelectItem::Expr { expr, .. } => assert_eq!(expr.to_string(), "AVG(y)"),
+            _ => panic!(),
+        }
+        assert!(matches!(
+            parse_one("create table T (a integer, b Real, c varchar(3), d Text)"),
+            Ok(Statement::CreateTable { .. })
+        ));
+        // The error names the type in upper case.
+        let err = parse("CREATE TABLE T (x blob)").unwrap_err().to_string();
+        assert!(err.contains("unknown type 'BLOB'"), "{err}");
+    }
+
+    #[test]
+    fn parse_one_counts_statements() {
+        for (sql, n) in [("", 0), (";;", 0), ("SELECT a FROM T; SELECT b FROM T;", 2)] {
+            let err = parse_one(sql).unwrap_err().to_string();
+            assert!(err.contains(&format!("found {n}")), "{sql}: {err}");
+        }
+        // A later statement's syntax error is still reported.
+        let err = parse_one("SELECT a FROM T; SELECT FROM")
+            .unwrap_err()
+            .to_string();
+        assert!(!err.contains("statement"), "{err}");
     }
 }

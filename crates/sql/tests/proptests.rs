@@ -1,27 +1,68 @@
-//! Parser robustness properties: no input panics the parser, and
-//! expression pretty-printing round-trips through re-parsing.
+//! Parser properties: no input panics the parser, and what the AST prints
+//! parses back to the same AST — literals of every kind, expressions and
+//! whole `SELECT` statements, compared with `==`. View definitions are
+//! stored as printed SQL and parsed again on every use, so a round trip
+//! that changes a literal's type or value changes a view's answers.
 
 use proptest::prelude::*;
-use wsq_sql::ast::{BinOp, Expr, Literal, Statement, UnOp};
+use wsq_sql::ast::{
+    AggFunc, BinOp, ColumnRef, Expr, Literal, OrderItem, SelectItem, SelectStmt, Statement,
+    TableRef, UnOp,
+};
 use wsq_sql::{parse, parse_one};
+
+/// Words the parser reads as keywords wherever a name may stand.
+const KEYWORDS: [&str; 22] = [
+    "select", "distinct", "from", "where", "group", "by", "having", "rerank", "order", "limit",
+    "as", "and", "or", "not", "like", "in", "between", "null", "asc", "desc", "on", "union",
+];
+
+/// Identifiers, some of them non-ASCII, none of them a keyword.
+fn arb_ident() -> impl Strategy<Value = String> {
+    "[a-zéΩ_][a-z0-9_é]{0,6}".prop_filter("not a keyword", |s| {
+        !KEYWORDS.iter().any(|k| s.eq_ignore_ascii_case(k))
+    })
+}
+
+/// Every finite non-negative float: any bit pattern (huge, tiny and
+/// subnormal ones included), integral values, and short decimals. A
+/// negative literal prints as `-x`, which parses as the negation of `x`:
+/// equal in value, different in shape.
+fn arb_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<f64>()
+            .prop_map(f64::abs)
+            .prop_filter("finite", |x| x.is_finite()),
+        (0u32..1_000_000).prop_map(f64::from),
+        (0i32..1000, 1u32..100).prop_map(|(a, b)| a as f64 + 1.0 / b as f64),
+    ]
+}
 
 fn arb_literal() -> impl Strategy<Value = Literal> {
     prop_oneof![
-        // Non-negative: `-1` prints as `-1` but re-parses as `Neg(1)`,
-        // which is semantically equal yet structurally different.
+        // Non-negative, for the reason given at `arb_float`, and
+        // `i64::MIN`, whose magnitude is no `i64`: it must print as a
+        // literal that reads back as itself.
         (0..i64::MAX).prop_map(Literal::Int),
-        // Finite positive floats with exact decimal display round-trip.
-        (0i32..1000, 1u32..100).prop_map(|(a, b)| Literal::Float(a as f64 + 1.0 / b as f64)),
-        "[a-z ]{0,12}".prop_map(Literal::Str),
+        Just(Literal::Int(i64::MIN)),
+        arb_float().prop_map(Literal::Float),
+        // Quotes and non-ASCII text.
+        "[a-z 'éΩ]{0,12}".prop_map(|s| Literal::Str(s.into())),
         Just(Literal::Null),
     ]
+}
+
+fn arb_column() -> impl Strategy<Value = ColumnRef> {
+    (prop::option::of(arb_ident()), arb_ident()).prop_map(|(q, n)| ColumnRef {
+        qualifier: q.map(Into::into),
+        name: n.into(),
+    })
 }
 
 fn arb_expr(depth: u32) -> BoxedStrategy<Expr> {
     let leaf = prop_oneof![
         arb_literal().prop_map(Expr::Literal),
-        "[a-z][a-z0-9_]{0,6}".prop_map(|n| Expr::column(&n)),
-        ("[a-z][a-z0-9_]{0,4}", "[a-z][a-z0-9_]{0,4}").prop_map(|(q, n)| Expr::qualified(&q, &n)),
+        arb_column().prop_map(Expr::Column),
     ]
     .boxed();
     if depth == 0 {
@@ -48,10 +89,27 @@ fn arb_expr(depth: u32) -> BoxedStrategy<Expr> {
             op: UnOp::Not,
             expr: Box::new(e)
         }),
-        1 => (inner.clone(), "[a-z%_]{0,6}").prop_map(|(e, p)| Expr::Like {
-            expr: Box::new(e),
-            pattern: Box::new(Expr::Literal(Literal::Str(p))),
-            negated: false,
+        1 => (
+            prop_oneof![
+                Just(AggFunc::Count), Just(AggFunc::Sum), Just(AggFunc::Min),
+                Just(AggFunc::Max), Just(AggFunc::Avg),
+            ],
+            prop::option::of(inner.clone()),
+        )
+            .prop_map(|(func, arg)| Expr::Agg {
+                // Only COUNT takes `*`.
+                arg: match (func, arg) {
+                    (AggFunc::Count, arg) => arg.map(Box::new),
+                    (_, arg) => Some(Box::new(arg.unwrap_or_else(|| Expr::column("x")))),
+                },
+                func,
+            }),
+        1 => (inner.clone(), "[a-z%_'é]{0,6}", any::<bool>()).prop_map(|(e, p, negated)| {
+            Expr::Like {
+                expr: Box::new(e),
+                pattern: Box::new(Expr::Literal(Literal::Str(p.into()))),
+                negated,
+            }
         }),
         1 => (inner.clone(), prop::collection::vec(arb_literal(), 1..4), any::<bool>())
             .prop_map(|(e, lits, negated)| Expr::InList {
@@ -70,24 +128,122 @@ fn arb_expr(depth: u32) -> BoxedStrategy<Expr> {
     .boxed()
 }
 
+/// A whole SELECT; with `depth > 0` its expressions may hold scalar and
+/// `IN` subqueries of their own.
+fn arb_select(depth: u32) -> BoxedStrategy<SelectStmt> {
+    let expr = if depth == 0 {
+        arb_expr(2)
+    } else {
+        let sub = arb_select(depth - 1);
+        prop_oneof![
+            4 => arb_expr(2),
+            1 => sub.clone().prop_map(|q| Expr::Subquery(Box::new(q))),
+            1 => (arb_expr(1), sub, any::<bool>()).prop_map(|(e, q, negated)| {
+                Expr::InSubquery {
+                    expr: Box::new(e),
+                    query: Box::new(q),
+                    negated,
+                }
+            }),
+        ]
+        .boxed()
+    };
+    let item = prop_oneof![
+        1 => Just(SelectItem::Star),
+        4 => (expr.clone(), prop::option::of(arb_ident())).prop_map(|(expr, alias)| {
+            SelectItem::Expr {
+                expr,
+                alias: alias.map(Into::into),
+            }
+        }),
+    ];
+    let table = (arb_ident(), prop::option::of(arb_ident())).prop_map(|(table, alias)| TableRef {
+        table: table.into(),
+        alias: alias.map(Into::into),
+    });
+    let order = (expr.clone(), any::<bool>()).prop_map(|(expr, desc)| OrderItem { expr, desc });
+    (
+        (any::<bool>(), prop::collection::vec(item, 1..4)),
+        prop::collection::vec(table, 1..4),
+        (
+            prop::option::of(expr.clone()),
+            prop::collection::vec(arb_column(), 0..3),
+        ),
+        (prop::option::of(expr), prop::option::of(arb_ident())),
+        prop::collection::vec(order, 0..3),
+        prop::option::of(0..i64::MAX as u64),
+    )
+        .prop_map(
+            |(
+                (distinct, items),
+                from,
+                (where_clause, group_by),
+                (having, rerank),
+                order_by,
+                limit,
+            )| {
+                SelectStmt {
+                    distinct,
+                    items,
+                    from,
+                    where_clause,
+                    group_by,
+                    having,
+                    rerank,
+                    order_by,
+                    limit,
+                }
+            },
+        )
+        .boxed()
+}
+
+/// The one statement of `sql`, which must be a SELECT.
+fn select_of(sql: &str) -> SelectStmt {
+    match parse_one(sql) {
+        Ok(Statement::Select(s)) => s,
+        other => panic!("{sql}: {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every literal prints as SQL that reads back as the same literal.
+    #[test]
+    fn literal_display_reparses(lit in arb_literal()) {
+        let sql = format!("SELECT {lit} FROM t");
+        let got = select_of(&sql);
+        prop_assert_eq!(
+            &got.items[0],
+            &SelectItem::Expr { expr: Expr::Literal(lit), alias: None }
+        );
+    }
 
     /// Pretty-printed expressions re-parse to the same AST. (The printer
     /// fully parenthesizes, so precedence can't distort the round trip.)
     #[test]
     fn expression_display_reparses(expr in arb_expr(3)) {
         let sql = format!("SELECT {expr} FROM t");
-        let stmt = parse_one(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        match stmt {
-            Statement::Select(s) => match &s.items[0] {
-                wsq_sql::SelectItem::Expr { expr: got, .. } => {
-                    prop_assert_eq!(got.to_string(), expr.to_string());
-                }
-                other => prop_assert!(false, "unexpected item {:?}", other),
-            },
-            other => prop_assert!(false, "unexpected stmt {:?}", other),
-        }
+        let got = select_of(&sql);
+        prop_assert_eq!(&got.items[0], &SelectItem::Expr { expr, alias: None });
+    }
+
+    /// A whole SELECT — the form views are stored in — re-parses to the
+    /// same AST.
+    #[test]
+    fn select_display_reparses(stmt in arb_select(1)) {
+        let sql = stmt.to_string();
+        prop_assert_eq!(select_of(&sql), stmt);
+    }
+
+    /// Lexer error offsets count bytes, also after non-ASCII text.
+    #[test]
+    fn lexer_error_offsets_are_byte_offsets(text in "[a-zé Ω']{0,10}") {
+        let prefix = format!("SELECT {} ", Literal::Str(text.into()));
+        let err = parse(&format!("{prefix}@ FROM t")).unwrap_err().to_string();
+        let want = format!("'@' at offset {}", prefix.len());
+        prop_assert!(err.contains(&want), "{} does not say {}", err, want);
     }
 
     /// The parser never panics, whatever the input.
@@ -109,6 +265,7 @@ proptest! {
                 Just("BETWEEN"), Just("AND"), Just("OR"), Just("("), Just(")"),
                 Just(","), Just("*"), Just("="), Just("<="), Just("'text'"),
                 Just("42"), Just("3.5"), Just("name"), Just("T.col"), Just(";"),
+                Just("-"), Just("9223372036854775808"), Just("1e300"), Just("'é''s'"),
             ],
             0..25,
         )

@@ -249,26 +249,21 @@ fn lint() -> ExitCode {
 /// join.
 fn representative_plan(name: &str) -> PhysPlan {
     let states = PhysPlan::SeqScan {
-        table: "States".to_string(),
-        alias: "States".to_string(),
+        table: "States".into(),
+        alias: "States".into(),
         schema: Schema::new(vec![
             Column::qualified("States", "Name", DataType::Varchar),
             Column::qualified("States", "Population", DataType::Int),
         ]),
     };
-    let spec = |alias: &str, kind| EvSpec {
-        kind,
-        engine: "AV".into(),
-        alias: alias.to_string(),
-        template: None,
-        bindings: vec![EvBinding::Column(ColumnRef {
+    let spec = |alias: &str, kind| {
+        let name = EvBinding::Column(ColumnRef {
             qualifier: Some("States".into()),
             name: "Name".into(),
-        })],
-        rank_limit: 3,
-        supports_near: true,
-        prefetch: PrefetchHint::default(),
-        race: vec![],
+        });
+        let mut spec = EvSpec::new(kind, "AV", alias, vec![name], true);
+        spec.rank_limit = 3;
+        std::sync::Arc::new(spec)
     };
     match name {
         "nested" => PhysPlan::DependentJoin {

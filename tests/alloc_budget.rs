@@ -1,11 +1,15 @@
-//! Regression guard for sharing on the external-call path: with every call
-//! a cache hit at zero latency, what a query costs beyond parse and plan is
-//! what it allocates and copies per external call. Values, requests and
-//! page hits are reference-counted from AEVScan through the pump, the
-//! cache and ReqSync to the projected row, and each search expression is
-//! built once, so a warm query's heap allocations stay near one third of
-//! what they were when every hop deep-copied its strings (3 247 / 7 814 /
-//! 6 668 a query for the three templates below).
+//! Regression guard for sharing, on a statement's path from text to an
+//! open executor tree and on the external-call path. With every call a
+//! cache hit at zero latency, what a warm query costs is what it allocates
+//! and copies:
+//!
+//! - the front end allocates each name once, where the lexer finds it in
+//!   the text, and shares it from then on: the binder, the plan's schemas
+//!   and the executors hold reference-counted names and schemas, and an
+//!   external scan's spec is one `Arc` from plan to executor;
+//! - values, requests and page hits are reference-counted from AEVScan
+//!   through the pump, the cache and ReqSync to the projected row, and
+//!   each search expression is built once.
 //!
 //! The count is taken by a counting global allocator over every thread
 //! (this file holds one test, so nothing else in the process runs; the
@@ -59,20 +63,35 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocation budgets per warm query for the three templates below: about
-/// 10 % above what this code measures — 1 078 / 2 167 / 1 833 optimized,
-/// 1 155 / 2 261 / 1 956 in a debug build, where the plan-verifier gate
-/// walks every plan before it runs — and under 40 % of the counts before
-/// sharing (1 298 / 3 125 / 2 667).
-const BUDGETS: [u64; 3] = if cfg!(debug_assertions) {
-    [1270, 2485, 2150]
+/// Allocation budgets per warm query for the queries below, about 10 %
+/// above what this code measures. Optimized: 73 / 40 for the lookup and
+/// the point SELECT, 834 / 1 587 / 1 241 for the three templates. A debug
+/// build adds the plan-verifier gate's walk over every asynchronous plan:
+/// 98 / 53 / 908 / 1 673 / 1 352. Before the front end stopped copying
+/// names they were 208 / 189 / 1 078 / 2 167 / 1 833, and before the
+/// external-call path shared its strings the templates took 3 247 / 7 814
+/// / 6 668.
+const BUDGETS: [u64; 5] = if cfg!(debug_assertions) {
+    [108, 58, 1000, 1840, 1490]
 } else {
-    [1185, 2380, 2015]
+    [80, 44, 920, 1745, 1365]
 };
 
-/// The three Table-1 templates, spelled as `wsqbench/src/workloads/fanout.rs`
-/// spells them, with the rows each returns on the default corpus.
-const TEMPLATES: [(&str, &str, usize); 3] = [
+/// A one-call lookup — the fixed cost of a short statement — an indexed
+/// point SELECT on a stored table, and the three Table-1 templates,
+/// spelled as `wsqbench/src/workloads/fanout.rs` spells them, each with
+/// the rows it returns on the default corpus.
+const QUERIES: [(&str, &str, usize); 5] = [
+    (
+        "Lookup (1 call)",
+        "SELECT Count FROM WebCount WHERE T1 = 'Utah' AND T2 = 'computer'",
+        1,
+    ),
+    (
+        "Indexed point SELECT",
+        "SELECT Id, Cust, Amount, Note FROM Orders WHERE Id = 1234",
+        1,
+    ),
     (
         "Template 1 (50 calls)",
         "SELECT Name, Count FROM States, WebCount \
@@ -107,8 +126,17 @@ fn warm_queries_stay_inside_their_allocation_budget() {
     })
     .unwrap();
     wsq.load_reference_data().unwrap();
+    // `local_sql_rw`'s table, 2 000 rows, indexed on its key.
+    wsq.execute("CREATE TABLE Orders (Id INT, Cust INT, Amount INT, Note VARCHAR(40))")
+        .unwrap();
+    let rows: Vec<String> = (0..2000)
+        .map(|id| format!("({id}, {}, {}, 'note {id}')", id % 50, id * 7 % 1000))
+        .collect();
+    wsq.execute(&format!("INSERT INTO Orders VALUES {}", rows.join(",")))
+        .unwrap();
+    wsq.execute("CREATE INDEX ON Orders (Id)").unwrap();
 
-    for ((name, sql, rows), budget) in TEMPLATES.into_iter().zip(BUDGETS) {
+    for ((name, sql, rows), budget) in QUERIES.into_iter().zip(BUDGETS) {
         // Run until warm: a tuple cancelled in one pass can leave a call
         // unlaunched that a later pass reaches.
         let misses = |wsq: &Wsq| wsq.cache_stats().values().map(|c| c.misses).sum::<u64>();
@@ -129,7 +157,7 @@ fn warm_queries_stay_inside_their_allocation_budget() {
         assert!(
             per_query <= budget,
             "{name}: {per_query} heap allocations per warm query, budget {budget}: \
-             a copy is back on the external-call path"
+             a copy is back on the statement's or the external call's path"
         );
     }
     assert_eq!(wsq.pump().live_calls(), 0);
