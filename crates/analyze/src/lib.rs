@@ -18,8 +18,8 @@
 //!   graph with potential-deadlock (cycle) detection, run over the
 //!   engine/pump/obs/websim sources by `cargo xtask lint`.
 //! - [`models`]: deterministic-schedule (loom-style) models of the
-//!   ReqPump/cache concurrency hot paths, explored exhaustively by the
-//!   in-tree `schedcheck` shim.
+//!   ReqPump, ReqSync and trace-ring concurrency hot paths, explored
+//!   exhaustively by the in-tree `schedcheck` shim.
 //! - [`lint`]: source-level lints (panic-site burn-down budget) behind
 //!   `cargo xtask lint`.
 //!

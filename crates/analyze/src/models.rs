@@ -1,12 +1,12 @@
 //! Deterministic-schedule models of the PR-1 concurrency hot paths.
 //!
-//! Each model re-states one protocol from `crates/pump` / `crates/websim`
-//! in terms of [`schedcheck`] primitives and lets the checker explore
-//! **every** thread interleaving reachable from its synchronization
-//! points. The models mirror the real code shape (same lock boundaries,
-//! same publish orders) rather than calling into it — the real modules
-//! spawn OS worker threads and sleep on wall-clock deadlines, which a
-//! deterministic scheduler cannot control.
+//! Each model re-states one protocol from `crates/pump`, the engine's
+//! ReqSync and dependent join, or `crates/obs` in terms of [`schedcheck`]
+//! primitives and lets the checker explore **every** thread interleaving
+//! reachable from its synchronization points. The models mirror the real
+//! code shape (same lock boundaries, same publish orders) rather than
+//! calling into it — the real modules spawn OS worker threads and sleep on
+//! wall-clock deadlines, which a deterministic scheduler cannot control.
 //!
 //! What each model proves (within exhaustive bounds — see
 //! [`Stats::complete`](schedcheck::Stats)):
@@ -25,12 +25,6 @@
 //!   never loses a wakeup (even when the pump completes the last
 //!   pending call exactly as the scan stalls), never patches twice,
 //!   never exceeds the cap, and cannot deadlock at `cap == 1`.
-//! - [`single_flight_model`]: the cache's Ready/Pending promotion elects
-//!   exactly one leader per key; followers coalesce onto the leader's
-//!   flight and observe its published value.
-//! - [`leader_failure_model`]: a failed leader removes the Pending entry
-//!   (no poisoning): concurrent followers see the error, but the next
-//!   request elects a fresh leader and succeeds.
 //! - [`trace_ring_model`] / [`trace_ring_overwrite_model`]: the obs
 //!   trace ring's reserve-then-write protocol (`crates/obs/trace.rs`)
 //!   loses nothing below capacity, keeps exactly the newest events at
@@ -327,171 +321,6 @@ pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
         assert!(
             high_water <= cap,
             "occupancy {high_water} exceeded the cap {cap}"
-        );
-    })
-}
-
-// ---------------------------------------------------------------------
-// Models 3–4: single-flight cache (websim cache.rs Ready/Pending
-// promotion).
-// ---------------------------------------------------------------------
-
-/// `cache.rs::Flight`: the latch coalesced followers wait on.
-struct Flight {
-    outcome: Mutex<Option<Result<u64, ()>>>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    fn publish(&self, r: Result<u64, ()>) {
-        let mut o = self.outcome.lock();
-        *o = Some(r);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> Result<u64, ()> {
-        let mut o = self.outcome.lock();
-        loop {
-            if let Some(r) = *o {
-                return r;
-            }
-            o = self.done.wait(o);
-        }
-    }
-}
-
-/// The cache map: a single key's slot is all the model needs.
-enum Slot {
-    Ready(u64),
-    Pending(Arc<Flight>),
-}
-
-struct MiniCache {
-    map: Mutex<Option<Slot>>,
-    /// Inner-service call count (the single-flight property under test).
-    inner_calls: Mutex<u32>,
-    /// How many inner calls should fail before succeeding.
-    failures_left: Mutex<u32>,
-}
-
-impl MiniCache {
-    fn new(failures: u32) -> MiniCache {
-        MiniCache {
-            map: Mutex::new(None),
-            inner_calls: Mutex::new(0),
-            failures_left: Mutex::new(failures),
-        }
-    }
-
-    /// `cache.rs::CachedService::execute` / `lead`, with the same lock
-    /// boundaries: decide hit/coalesce/lead under the map lock; run
-    /// the inner call with the lock released; re-take it to publish.
-    fn execute(&self) -> Result<u64, ()> {
-        let flight = {
-            let mut map = self.map.lock();
-            match &*map {
-                Some(Slot::Ready(v)) => return Ok(*v),
-                Some(Slot::Pending(f)) => f.clone(),
-                None => {
-                    let f = Arc::new(Flight::new());
-                    *map = Some(Slot::Pending(f.clone()));
-                    drop(map);
-                    return self.lead(f);
-                }
-            }
-        };
-        flight.wait()
-    }
-
-    fn lead(&self, flight: Arc<Flight>) -> Result<u64, ()> {
-        // Inner call, lock-free (the lint in this same crate enforces
-        // that shape on the real code).
-        let result = {
-            let mut calls = self.inner_calls.lock();
-            *calls += 1;
-            let mut fl = self.failures_left.lock();
-            if *fl > 0 {
-                *fl -= 1;
-                Err(())
-            } else {
-                Ok(42)
-            }
-        };
-        {
-            let mut map = self.map.lock();
-            match result {
-                Ok(v) => *map = Some(Slot::Ready(v)),
-                // Failure: remove the Pending entry so the next request
-                // retries (no poisoning).
-                Err(()) => *map = None,
-            }
-        }
-        flight.publish(result);
-        result
-    }
-}
-
-/// Exactly one leader per key: two concurrent executors plus the
-/// calling thread all observe the same value, and the inner service
-/// runs exactly once.
-pub fn single_flight_model() -> Stats {
-    check_with(bounds(), || {
-        let cache = Arc::new(MiniCache::new(0));
-        let t1 = {
-            let c = cache.clone();
-            thread::spawn(move || c.execute())
-        };
-        let t2 = {
-            let c = cache.clone();
-            thread::spawn(move || c.execute())
-        };
-        let r0 = cache.execute();
-        let r1 = t1.join();
-        let r2 = t2.join();
-        assert_eq!(r0, Ok(42));
-        assert_eq!(r1, Ok(42));
-        assert_eq!(r2, Ok(42));
-        assert_eq!(*cache.inner_calls.lock(), 1, "single-flight violated");
-        assert!(
-            matches!(*cache.map.lock(), Some(Slot::Ready(42))),
-            "slot not promoted to Ready"
-        );
-    })
-}
-
-/// Leader failure does not poison the key: a concurrent follower may
-/// observe the error, but once the failed flight is gone a fresh
-/// request elects a new leader and succeeds.
-pub fn leader_failure_model() -> Stats {
-    check_with(bounds(), || {
-        let cache = Arc::new(MiniCache::new(1));
-        let racer = {
-            let c = cache.clone();
-            thread::spawn(move || c.execute())
-        };
-        let first = cache.execute();
-        let raced = racer.join();
-        // Each concurrent request either failed with the doomed leader
-        // or succeeded (as leader or follower of a retry) — never hangs.
-        for r in [first, raced] {
-            assert!(r == Err(()) || r == Ok(42), "unexpected result {r:?}");
-        }
-        // After the dust settles a fresh request must succeed: the
-        // failed flight may not leave a poisoned Pending entry behind.
-        let settled = cache.execute();
-        assert_eq!(settled, Ok(42), "failed leader poisoned the key");
-        assert!(matches!(*cache.map.lock(), Some(Slot::Ready(42))));
-        let calls = *cache.inner_calls.lock();
-        assert!(
-            (2..=3).contains(&calls),
-            "expected one failed + one or two successful inner calls, saw {calls}"
         );
     })
 }
@@ -1145,20 +974,6 @@ mod tests {
     #[test]
     fn stall_resume_loses_no_wakeup_under_adversarial_completion_order() {
         let stats = stall_resume_model(2, true);
-        assert!(stats.complete, "exploration hit the schedule cap");
-        assert!(stats.schedules >= 2, "expected multiple interleavings");
-    }
-
-    #[test]
-    fn single_flight_elects_one_leader() {
-        let stats = single_flight_model();
-        assert!(stats.complete, "exploration hit the schedule cap");
-        assert!(stats.schedules >= 2, "expected multiple interleavings");
-    }
-
-    #[test]
-    fn leader_failure_does_not_poison() {
-        let stats = leader_failure_model();
         assert!(stats.complete, "exploration hit the schedule cap");
         assert!(stats.schedules >= 2, "expected multiple interleavings");
     }

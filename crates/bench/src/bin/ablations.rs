@@ -32,13 +32,12 @@ fn latency(ms: u64) -> LatencyModel {
     }
 }
 
-fn wsq_with(lat: LatencyModel, max_concurrent: usize, coalesce: bool, cache: bool) -> Wsq {
+fn wsq_with(lat: LatencyModel, max_concurrent: usize, cache: bool) -> Wsq {
     let config = WsqConfig {
         corpus: CorpusConfig::default(),
         latency: lat,
         pump: PumpConfig {
             max_concurrent,
-            coalesce,
             ..PumpConfig::default()
         },
         cache,
@@ -71,7 +70,7 @@ fn main() {
     };
     let mut sequential = None;
     for &cap in caps {
-        let mut wsq = wsq_with(latency(base_ms), cap, true, false);
+        let mut wsq = wsq_with(latency(base_ms), cap, false);
         let secs = timed(&mut wsq, &t1, QueryOptions::default());
         let seq = *sequential.get_or_insert(secs);
         println!("{cap:<16}{secs:>12.3}{:>11.1}x", seq / secs);
@@ -89,7 +88,7 @@ fn main() {
         &[0, 5, 10, 20, 40, 80]
     };
     for &ms in lats {
-        let mut wsq = wsq_with(latency(ms), 64, true, false);
+        let mut wsq = wsq_with(latency(ms), 64, false);
         let s = timed(
             &mut wsq,
             &t1,
@@ -109,7 +108,7 @@ fn main() {
         ("Full percolation", PlacementStrategy::Full),
         ("Insertion-only", PlacementStrategy::InsertionOnly),
     ] {
-        let mut wsq = wsq_with(latency(base_ms), 64, true, false);
+        let mut wsq = wsq_with(latency(base_ms), 64, false);
         let secs = timed(
             &mut wsq,
             &t3,
@@ -129,7 +128,7 @@ fn main() {
         ("Full buffering", BufferMode::Full),
         ("Streaming", BufferMode::Streaming),
     ] {
-        let mut wsq = wsq_with(latency(base_ms), 64, true, false);
+        let mut wsq = wsq_with(latency(base_ms), 64, false);
         let secs = timed(
             &mut wsq,
             &t2,
@@ -147,23 +146,24 @@ fn main() {
     let fig7 = "SELECT Name, AV.Count, N, G.Count \
                 FROM Sigs, WebCount_AV AV, R, WebCount_Google G \
                 WHERE Name = AV.T1 AND Name = G.T1";
+    // At prefetch depth 0 every registration is one demanded call, so
+    // `registered` counts the calls a pump without coalescing would send
+    // and `launched` the calls this one sent.
     println!(
-        "{:<26}{:>10}{:>12}{:>12}",
-        "configuration", "secs", "launched", "cache hits"
+        "{:<14}{:>10}{:>14}{:>12}{:>12}",
+        "configuration", "secs", "uncoalesced", "launched", "cache hits"
     );
-    for (name, coalesce, cache) in [
-        ("no coalesce, no cache", false, false),
-        ("coalesce", true, false),
-        ("coalesce + cache", true, true),
-    ] {
-        let mut wsq = wsq_with(latency(base_ms), 64, coalesce, cache);
-        wsq.execute("CREATE TABLE R (N INT)").unwrap();
-        wsq.execute("INSERT INTO R VALUES (1), (2), (3), (4)")
+    for (name, cache) in [("no cache", false), ("cache", true)] {
+        let mut wsq = wsq_with(latency(base_ms), 64, cache);
+        wsq.execute("CREATE TABLE R (N INT); INSERT INTO R VALUES (1), (2), (3), (4)")
             .unwrap();
         let secs = timed(&mut wsq, fig7, QueryOptions::default());
         let stats = wsq.pump().stats();
         let hits: u64 = wsq.cache_stats().values().map(|c| c.hits).sum();
-        println!("{name:<26}{secs:>10.3}{:>12}{hits:>12}", stats.launched);
+        println!(
+            "{name:<14}{secs:>10.3}{:>14}{:>12}{hits:>12}",
+            stats.registered, stats.launched
+        );
     }
 
     // ---------------------------------------------------------------
@@ -189,7 +189,7 @@ fn main() {
             ),
             (ExecutionMode::Asynchronous, PlacementStrategy::Full),
         ] {
-            let mut wsq = wsq_with(latency(base_ms), 64, true, false);
+            let mut wsq = wsq_with(latency(base_ms), 64, false);
             let secs = timed(
                 &mut wsq,
                 &sql,
@@ -216,7 +216,7 @@ fn main() {
     for &k in ranks {
         let sql =
             format!("SELECT Name, URL, Rank FROM Sigs, WebPages WHERE Name = T1 AND Rank <= {k}");
-        let mut wsq = wsq_with(latency(base_ms), 64, true, false);
+        let mut wsq = wsq_with(latency(base_ms), 64, false);
         let t0 = Instant::now();
         let (_, rows) = time_query(&mut wsq, &sql, ExecutionMode::Asynchronous);
         println!("{k:<12}{rows:>10}{:>10.3}", t0.elapsed().as_secs_f64());

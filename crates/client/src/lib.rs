@@ -8,8 +8,8 @@
 //!
 //! The server executes every connection against the *same* shared
 //! ReqPump and result caches, so two clients issuing the same
-//! web-search expression perform one backend call between them (the
-//! paper's single-flight invariant at fleet scale — see DESIGN.md §15).
+//! web-search expression perform one backend call between them (see
+//! DESIGN.md §15).
 //!
 //! # Example
 //!
@@ -217,7 +217,7 @@ impl Client {
 
     /// Fetch the server's shared metrics registry in the requested
     /// exposition format. Counters cover *all* sessions — this is where
-    /// a cross-session cache coalesce shows up.
+    /// cross-session coalescing and cache hits show up.
     pub fn metrics(&mut self, format: MetricsFormat) -> Result<String> {
         self.send(&Frame::Metrics { format })?;
         self.read_info()

@@ -490,8 +490,8 @@ fn analyze_footer_wire_format_golden() {
         "-- trace: calls=1 call_p50=_ call_p95=_ call_max=_ queue_p95=_ patch_p95=_ \
          max_concurrent=1 stalls=0 stall_p95=_ buffered_hw=1 events=6 dropped=0 \
          prefetch_issued=0 prefetch_wasted=0",
-        "-- cache[AV]: hits=1 misses=0 coalesced=0 evictions=0 expirations=0",
-        "-- cache[Google]: hits=0 misses=0 coalesced=0 evictions=0 expirations=0",
+        "-- cache[AV]: hits=1 misses=0 evictions=0 expirations=0",
+        "-- cache[Google]: hits=0 misses=0 evictions=0 expirations=0",
         "-- verify: ok (verified 5 nodes: 1 async scan(s), 1 ReqSync(s), max placeholder set 1, \
          peak buffered 1, prefetch refs 0, peak in-flight 1)",
     ];

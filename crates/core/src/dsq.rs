@@ -7,14 +7,13 @@
 //! often near the phrase — and even state/movie/phrase **triples** (the
 //! paper's example: an underwater thriller filmed in Florida).
 //!
-//! Implementation: every candidate term becomes one `WebCount`-style
-//! request (`term NEAR phrase`), all issued concurrently through ReqPump —
-//! the same asynchronous-iteration machinery WSQ uses, driven from the
-//! other direction.
+//! Implementation: DSQ *is* a WSQ query over the vocabulary table — one
+//! `WebCount` row per term, `term NEAR phrase` — so it runs as SQL through
+//! [`Wsq::query`]. Its calls go through ReqPump and ReqSync like any
+//! query's: the admission cap, the query's trace scope and ANALYZE all
+//! apply to it.
 
-use std::sync::Arc;
-use wsq_common::{Result, WsqError};
-use wsq_pump::{CallId, ReqPump, RequestKind, SearchRequest};
+use wsq_common::{Result, Tuple};
 
 use crate::Wsq;
 
@@ -40,70 +39,23 @@ pub struct PairCorrelation {
 
 /// Explores correlations between Web phrases and database vocabulary.
 pub struct DsqExplorer {
-    pump: Arc<ReqPump>,
     engine: String,
-    supports_near: bool,
 }
 
 impl DsqExplorer {
     /// Build an explorer over one of `wsq`'s registered engines.
     pub fn new(wsq: &Wsq, engine: &str) -> Result<DsqExplorer> {
-        let (name, entry) = wsq.engines().get(engine)?;
+        let (name, _) = wsq.engines().get(engine)?;
         Ok(DsqExplorer {
-            pump: wsq.pump().clone(),
             engine: name.to_string(),
-            supports_near: entry.supports_near,
         })
     }
 
-    fn quoted(term: &str) -> String {
-        if term.contains(char::is_whitespace) {
-            format!("\"{}\"", term.replace('"', ""))
-        } else {
-            term.to_string()
-        }
-    }
-
-    fn expr(&self, terms: &[&str]) -> String {
-        let sep = if self.supports_near { " near " } else { " " };
-        terms
-            .iter()
-            .map(|t| Self::quoted(t))
-            .collect::<Vec<_>>()
-            .join(sep)
-    }
-
-    /// Issue one count request per expression concurrently, returning the
-    /// counts in input order.
-    fn batch_counts(&self, exprs: &[String]) -> Result<Vec<u64>> {
-        let calls: Vec<CallId> = exprs
-            .iter()
-            .map(|expr| {
-                self.pump.register(SearchRequest {
-                    engine: self.engine.clone(),
-                    expr: expr.clone(),
-                    kind: RequestKind::Count,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let mut counts = Vec::with_capacity(calls.len());
-        for call in calls {
-            let result = self.pump.wait(call);
-            self.pump.release(call);
-            let count = result?
-                .count()
-                .ok_or_else(|| WsqError::Search("count request returned pages".to_string()))?;
-            counts.push(count);
-        }
-        Ok(counts)
-    }
-
-    /// The WSQ query equivalent to [`DsqExplorer::correlate`] — DSQ *is*
-    /// expressible as a Web-supported SQL query over the vocabulary table
-    /// (the two directions share one machinery; §1 of the paper).
-    pub fn suggest_sql(&self, phrase: &str, table: &str, column: &str) -> String {
+    /// `SELECT {items}` over the terms of `table.column` that co-occur with
+    /// `phrase`, strongest first.
+    fn ranked_sql(&self, items: &str, phrase: &str, table: &str, column: &str) -> String {
         format!(
-            "SELECT {column}, Count FROM {table}, WebCount_{engine} \
+            "SELECT {items} FROM {table}, WebCount_{engine} \
              WHERE {column} = T1 AND T2 = '{phrase}' AND Count > 0 \
              ORDER BY Count DESC, {column}",
             engine = self.engine,
@@ -111,79 +63,85 @@ impl DsqExplorer {
         )
     }
 
-    /// Correlate `phrase` with each term, strongest first. Terms with zero
-    /// co-occurrence are dropped.
-    pub fn correlate(&self, phrase: &str, terms: &[String]) -> Result<Vec<Correlation>> {
-        let exprs: Vec<String> = terms
-            .iter()
-            .map(|t| self.expr(&[t.as_str(), phrase]))
-            .collect();
-        let counts = self.batch_counts(&exprs)?;
-        let mut out: Vec<Correlation> = terms
-            .iter()
-            .zip(counts)
-            .filter(|(_, c)| *c > 0)
-            .map(|(term, count)| Correlation {
-                term: term.clone(),
-                count,
-            })
-            .collect();
-        out.sort_by(|x, y| y.count.cmp(&x.count).then(x.term.cmp(&y.term)));
-        Ok(out)
+    /// The WSQ query [`DsqExplorer::correlate`] runs — DSQ *is* a
+    /// Web-supported SQL query over the vocabulary table (the two
+    /// directions share one machinery; §1 of the paper).
+    pub fn suggest_sql(&self, phrase: &str, table: &str, column: &str) -> String {
+        self.ranked_sql(&format!("{column}, Count"), phrase, table, column)
     }
 
-    /// Find term pairs (one from each vocabulary) jointly correlated with
-    /// `phrase`. To bound fan-out, only the `top_k` strongest singles from
-    /// each vocabulary are paired.
+    /// Correlate `phrase` with each term of `table.column`, strongest
+    /// first. Terms with zero co-occurrence are dropped.
+    pub fn correlate(
+        &self,
+        wsq: &mut Wsq,
+        phrase: &str,
+        table: &str,
+        column: &str,
+    ) -> Result<Vec<Correlation>> {
+        let rows = wsq.query(&self.suggest_sql(phrase, table, column))?.rows;
+        rows.iter()
+            .map(|row| {
+                Ok(Correlation {
+                    term: term(row, 0)?,
+                    count: row.get(1).as_int()? as u64,
+                })
+            })
+            .collect()
+    }
+
+    /// Find term pairs, one from each `(table, column)` vocabulary,
+    /// jointly correlated with `phrase`. To bound fan-out, only the
+    /// `top_k` strongest singles of each vocabulary are paired: one
+    /// three-way `WebCount` join whose two `IN` subqueries are
+    /// [`DsqExplorer::correlate`]'s queries cut to `top_k`, so the join
+    /// itself issues at most `top_k²` calls.
     pub fn correlate_pairs(
         &self,
+        wsq: &mut Wsq,
         phrase: &str,
-        vocab_a: &[String],
-        vocab_b: &[String],
+        (table_a, column_a): (&str, &str),
+        (table_b, column_b): (&str, &str),
         top_k: usize,
     ) -> Result<Vec<PairCorrelation>> {
-        let singles_a = self.correlate(phrase, vocab_a)?;
-        let singles_b = self.correlate(phrase, vocab_b)?;
-        let a: Vec<&str> = singles_a
-            .iter()
-            .take(top_k)
-            .map(|c| c.term.as_str())
-            .collect();
-        let b: Vec<&str> = singles_b
-            .iter()
-            .take(top_k)
-            .map(|c| c.term.as_str())
-            .collect();
-
-        let mut pairs = Vec::new();
-        let mut exprs = Vec::new();
-        for ta in &a {
-            for tb in &b {
-                pairs.push((ta.to_string(), tb.to_string()));
-                exprs.push(self.expr(&[ta, tb, phrase]));
-            }
-        }
-        let counts = self.batch_counts(&exprs)?;
-        let mut out: Vec<PairCorrelation> = pairs
-            .into_iter()
-            .zip(counts)
-            .filter(|(_, c)| *c > 0)
-            .map(|((a, b), count)| PairCorrelation { a, b, count })
-            .collect();
-        out.sort_by(|x, y| {
-            y.count
-                .cmp(&x.count)
-                .then(x.a.cmp(&y.a))
-                .then(x.b.cmp(&y.b))
-        });
-        Ok(out)
+        let top_a = self.ranked_sql(column_a, phrase, table_a, column_a);
+        let top_b = self.ranked_sql(column_b, phrase, table_b, column_b);
+        let sql = format!(
+            "SELECT A.{column_a}, B.{column_b}, W.Count \
+             FROM {table_a} A, {table_b} B, WebCount_{engine} W \
+             WHERE A.{column_a} IN ({top_a} LIMIT {top_k}) \
+             AND B.{column_b} IN ({top_b} LIMIT {top_k}) \
+             AND A.{column_a} = W.T1 AND B.{column_b} = W.T2 AND W.T3 = '{phrase}' \
+             AND W.Count > 0 ORDER BY W.Count DESC, A.{column_a}, B.{column_b}",
+            engine = self.engine,
+            phrase = phrase.replace('\'', "''"),
+        );
+        let rows = wsq.query(&sql)?.rows;
+        rows.iter()
+            .map(|row| {
+                Ok(PairCorrelation {
+                    a: term(row, 0)?,
+                    b: term(row, 1)?,
+                    count: row.get(2).as_int()? as u64,
+                })
+            })
+            .collect()
     }
+}
+
+/// Column `i` of a result row, as an owned term.
+fn term(row: &Tuple, i: usize) -> Result<String> {
+    Ok(row.get(i).as_str()?.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::WsqConfig;
+    use std::time::Duration;
+    use wsq_websim::LatencyModel;
+
+    const PHRASE: &str = "scuba diving";
 
     fn setup() -> (Wsq, DsqExplorer) {
         let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
@@ -195,8 +153,7 @@ mod tests {
     #[test]
     fn scuba_diving_correlates_with_coastal_states() {
         let (mut wsq, dsq) = setup();
-        let states = wsq.column_values("States", "Name").unwrap();
-        let corr = dsq.correlate("scuba diving", &states).unwrap();
+        let corr = dsq.correlate(&mut wsq, PHRASE, "States", "Name").unwrap();
         assert!(!corr.is_empty());
         assert_eq!(corr[0].term, "Florida");
         let top: Vec<&str> = corr.iter().take(3).map(|c| c.term.as_str()).collect();
@@ -212,8 +169,7 @@ mod tests {
     #[test]
     fn scuba_diving_correlates_with_underwater_movies() {
         let (mut wsq, dsq) = setup();
-        let movies = wsq.column_values("Movies", "Title").unwrap();
-        let corr = dsq.correlate("scuba diving", &movies).unwrap();
+        let corr = dsq.correlate(&mut wsq, PHRASE, "Movies", "Title").unwrap();
         assert!(!corr.is_empty());
         // The underwater thrillers lead (exact order among the top two is
         // sampling noise on the small test corpus).
@@ -225,32 +181,40 @@ mod tests {
     }
 
     #[test]
-    fn triples_find_state_movie_combinations() {
+    fn triples_issue_k_squared_calls_and_leave_no_ddl_behind() {
         let (mut wsq, dsq) = setup();
-        let states = wsq.column_values("States", "Name").unwrap();
-        let movies = wsq.column_values("Movies", "Title").unwrap();
+        let tables = wsq.db().catalog().table_names();
+        let vocabularies = (("States", "Name"), ("Movies", "Title"));
         let pairs = dsq
-            .correlate_pairs("scuba diving", &states, &movies, 3)
+            .correlate_pairs(&mut wsq, PHRASE, vocabularies.0, vocabularies.1, 3)
             .unwrap();
         assert!(!pairs.is_empty(), "no state/movie/scuba triples found");
-        for p in &pairs {
-            assert!(p.count > 0);
-        }
+        assert!(pairs.iter().all(|p| p.count > 0));
+        // One call per state and per movie for the two top-3 cuts, then
+        // exactly 3 × 3 for the pairs.
+        assert_eq!(wsq.pump().stats().registered, 50 + 20 + 3 * 3);
+        assert_eq!(wsq.db().catalog().table_names(), tables);
+        assert!(wsq.db().catalog().view_names().is_empty());
         assert_eq!(wsq.pump().live_calls(), 0);
     }
 
     #[test]
-    fn suggest_sql_is_equivalent_to_correlate() {
+    fn a_capped_correlate_matches_the_uncapped_one() {
         let (mut wsq, dsq) = setup();
-        let sql = dsq.suggest_sql("scuba diving", "States", "Name");
-        let via_sql = wsq.query(&sql).unwrap();
-        let states = wsq.column_values("States", "Name").unwrap();
-        let via_api = dsq.correlate("scuba diving", &states).unwrap();
-        assert_eq!(via_sql.rows.len(), via_api.len());
-        for (row, corr) in via_sql.rows.iter().zip(&via_api) {
-            assert_eq!(row.get(0).as_str().unwrap(), corr.term);
-            assert_eq!(row.get(1).as_int().unwrap() as u64, corr.count);
-        }
+        let uncapped = dsq.correlate(&mut wsq, PHRASE, "States", "Name").unwrap();
+        let mut config = WsqConfig::fast();
+        config.query.reqsync_cap = Some(4);
+        // Calls that take a while, so that the cap binds.
+        config.latency = LatencyModel::Fixed(Duration::from_millis(1));
+        let mut wsq = Wsq::open_in_memory(config).unwrap();
+        wsq.load_reference_data().unwrap();
+        let capped = dsq.correlate(&mut wsq, PHRASE, "States", "Name").unwrap();
+        assert_eq!(capped, uncapped);
+        let m = wsq.obs().metrics().unwrap();
+        let high_water = m.reqsync_buffered.high_water();
+        assert!(high_water <= 4, "{high_water}");
+        assert!(m.reqsync_stalls.get() > 0, "the cap never bound");
+        assert_eq!(wsq.pump().live_calls(), 0);
     }
 
     #[test]
@@ -261,7 +225,13 @@ mod tests {
 
     #[test]
     fn empty_vocabulary_is_fine() {
-        let (_, dsq) = setup();
-        assert_eq!(dsq.correlate("scuba diving", &[]).unwrap().len(), 0);
+        let (mut wsq, dsq) = setup();
+        wsq.execute("CREATE TABLE Nothing (Term VARCHAR(8))")
+            .unwrap();
+        let corr = dsq.correlate(&mut wsq, PHRASE, "Nothing", "Term");
+        assert!(corr.unwrap().is_empty());
+        let empty = ("Nothing", "Term");
+        let pairs = dsq.correlate_pairs(&mut wsq, PHRASE, empty, ("Movies", "Title"), 3);
+        assert!(pairs.unwrap().is_empty());
     }
 }

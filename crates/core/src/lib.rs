@@ -364,16 +364,6 @@ impl Wsq {
         }
     }
 
-    /// Distinct non-null string values of `table.column` (DSQ vocabulary
-    /// extraction).
-    pub fn column_values(&mut self, table: &str, column: &str) -> Result<Vec<String>> {
-        let r = self.query(&format!("SELECT DISTINCT {column} FROM {table}"))?;
-        Ok(r.rows
-            .iter()
-            .filter_map(|t| t.get(0).as_str().ok().map(str::to_string))
-            .collect())
-    }
-
     /// Create and populate the paper's reference tables: `States(Name,
     /// Population, Capital)`, `Sigs(Name)`, `CSFields(Name)`, and
     /// `Movies(Title)`.
@@ -453,7 +443,6 @@ fn analyze_select(
             &[
                 ("hits", now.hits - b.hits),
                 ("misses", now.misses - b.misses),
-                ("coalesced", now.coalesced - b.coalesced),
                 ("evictions", now.evictions - b.evictions),
                 ("expirations", now.expirations - b.expirations),
             ],
@@ -605,15 +594,6 @@ mod tests {
         wsq.query("SELECT Count FROM WebCount WHERE T1 = 'Utah'")
             .unwrap();
         assert_eq!(wsq.cache_stats().get("AV").unwrap().misses, 2);
-    }
-
-    #[test]
-    fn column_values_extracts_vocabulary() {
-        let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
-        wsq.load_reference_data().unwrap();
-        let movies = wsq.column_values("Movies", "Title").unwrap();
-        assert_eq!(movies.len(), 20);
-        assert!(movies.contains(&"Jaws".to_string()));
     }
 
     #[test]

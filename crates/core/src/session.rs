@@ -7,11 +7,11 @@
 //! and opens one [`Session`] per accepted connection. Because every
 //! session registers its external calls with the shared pump and
 //! resolves them through the shared `CachedService`s, identical calls
-//! coalesce *across* sessions — the paper's single-flight invariant
-//! (cache misses == backend calls) holds for the whole fleet, not just
-//! one query. The PR-4 ReqSync buffer cap and the pump's
-//! per-destination caps likewise become service-wide admission
-//! control.
+//! are made once *across* sessions: the pump coalesces the ones in
+//! flight, the cache answers the ones that come later, and cache misses
+//! equal backend calls for the whole fleet, not just one query. The
+//! ReqSync buffer cap and the pump's per-destination caps likewise
+//! become service-wide admission control.
 //!
 //! Concurrency model: SELECTs only need `&Database` (plans and cursors
 //! borrow the catalog during build, then own their executor tree), so
@@ -133,13 +133,6 @@ impl SharedWsq {
             .iter()
             .map(|(k, v)| (k.clone(), v.stats()))
             .collect()
-    }
-
-    /// Drop all cached search results.
-    pub fn clear_caches(&self) {
-        for c in self.inner.caches.values() {
-            c.clear();
-        }
     }
 
     /// Sessions ever opened.
@@ -359,15 +352,6 @@ impl Session {
         &self.shared.pump
     }
 
-    /// Result-cache statistics per engine (shared across sessions).
-    pub fn cache_stats(&self) -> HashMap<String, wsq_websim::CacheStats> {
-        self.shared
-            .caches
-            .iter()
-            .map(|(k, v)| (k.clone(), v.stats()))
-            .collect()
-    }
-
     /// Trace events attributable to *this* session since ring position
     /// `since`: every event of every call this session registered or
     /// coalesced onto, including lifecycle segments recorded on shared
@@ -458,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_session_calls_coalesce_in_the_shared_cache() {
+    fn cross_session_calls_share_the_cache() {
         let sw = shared(true);
         let mut a = sw.session();
         let mut b = sw.session();
@@ -466,9 +450,9 @@ mod tests {
         a.query(sql).unwrap();
         b.query(sql).unwrap();
         let av = sw.cache_stats().remove("AV").unwrap();
-        // Single-flight across sessions: one backend call total.
+        // One backend call total: the second session's call is a hit.
         assert_eq!(av.misses, 1, "misses == backend calls, fleet-wide");
-        assert_eq!(av.hits + av.coalesced, 1);
+        assert_eq!(av.hits, 1);
     }
 
     #[test]

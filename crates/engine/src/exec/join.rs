@@ -269,10 +269,10 @@ struct AdaptiveDepth {
 
 /// Ahead-of-need registration for one dependent join (DESIGN.md §12).
 ///
-/// Only constructed when the planner stamped a non-zero depth AND the
-/// pump coalesces identical requests — prefetch relies on the demand-side
-/// `AEVScan` registration attaching to the call this driver started, so
-/// without coalescing every prefetch would be a duplicate backend call.
+/// Only constructed when the planner stamped a non-zero depth. Prefetch
+/// relies on the pump's coalescing: the demand-side `AEVScan`
+/// registration attaches to the call the prefetcher started instead of
+/// issuing a duplicate backend call.
 struct Prefetcher {
     pump: Arc<ReqPump>,
     spec: Arc<EvSpec>,
@@ -404,10 +404,9 @@ impl DependentJoinExec {
     }
 
     /// Like [`DependentJoinExec::new`], but enables ahead-of-need
-    /// prefetch when `spec.prefetch.depth > 0` and the pump coalesces
-    /// identical requests (without coalescing the demand-side scan could
-    /// not attach to the prefetched call and every search would run
-    /// twice).
+    /// prefetch when `spec.prefetch.depth > 0`: the demand-side scan's
+    /// registration coalesces onto the prefetched call, so each search
+    /// still runs once.
     pub fn with_pump(
         left: Box<dyn Executor>,
         right: Box<dyn Executor>,
@@ -419,7 +418,7 @@ impl DependentJoinExec {
         // plain single-engine calls, and a race *group* can never
         // coalesce onto one of those (the group id is virtual), so the
         // demand-side registration would duplicate every search.
-        if spec.prefetch.depth > 0 && pump.coalescing_enabled() && spec.race.len() <= 1 {
+        if spec.prefetch.depth > 0 && spec.race.len() <= 1 {
             join.prefetch = Some(Prefetcher::new(pump, spec.clone()));
         }
         Ok(join)

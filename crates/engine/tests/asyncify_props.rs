@@ -311,29 +311,35 @@ proptest! {
             Just(PlacementStrategy::InsertionOnly)
         ],
     ) {
-        let ev_before = count(&plan, |p| matches!(p, PhysPlan::EVScan(_)));
-        let out = asyncify(plan, strategy, BufferMode::Full);
-
-        // 1. Scan conversion.
-        prop_assert_eq!(count(&out, |p| matches!(p, PhysPlan::EVScan(_))), 0);
-        prop_assert_eq!(
-            count(&out, |p| matches!(p, PhysPlan::AEVScan(_))),
-            ev_before
-        );
-        // 2. Root coverage.
-        prop_assert!(
-            uncovered_attrs(&out).is_empty(),
-            "uncovered placeholders escape the root:\n{}",
-            out
-        );
-        // 3–5. Clash safety.
-        if let Err(msg) = check_safety(&out) {
-            prop_assert!(false, "{}", msg);
-        }
-        // 6. Idempotency.
-        let twice = asyncify(out.clone(), strategy, BufferMode::Full);
-        prop_assert_eq!(twice, out);
+        check_invariants(plan, strategy)?;
     }
+}
+
+/// Invariants 1–6 for one plan under one placement strategy.
+fn check_invariants(plan: PhysPlan, strategy: PlacementStrategy) -> Result<(), TestCaseError> {
+    let ev_before = count(&plan, |p| matches!(p, PhysPlan::EVScan(_)));
+    let out = asyncify(plan, strategy, BufferMode::Full);
+
+    // 1. Scan conversion.
+    prop_assert_eq!(count(&out, |p| matches!(p, PhysPlan::EVScan(_))), 0);
+    prop_assert_eq!(
+        count(&out, |p| matches!(p, PhysPlan::AEVScan(_))),
+        ev_before
+    );
+    // 2. Root coverage.
+    prop_assert!(
+        uncovered_attrs(&out).is_empty(),
+        "uncovered placeholders escape the root:\n{}",
+        out
+    );
+    // 3–5. Clash safety.
+    if let Err(msg) = check_safety(&out) {
+        prop_assert!(false, "{}", msg);
+    }
+    // 6. Idempotency.
+    let twice = asyncify(out.clone(), strategy, BufferMode::Full);
+    prop_assert_eq!(twice, out);
+    Ok(())
 }
 
 fn count_spec(alias: &str) -> Arc<EvSpec> {
@@ -418,4 +424,16 @@ fn consolidation_merges_carried_reqsync_at_flush_point() {
             .any(|v| v.rule == wsq_analyze::Rule::AdjacentReqSync),
         "expected AdjacentReqSync, got: {err}"
     );
+}
+
+/// The shrunk failing case recorded for `asyncify_invariants_hold`: a
+/// single `States ⋈ EVScan` dependent join under insertion-only
+/// placement.
+#[test]
+fn asyncify_invariants_hold_for_the_recorded_states_join() {
+    let plan = PhysPlan::DependentJoin {
+        left: Box::new(scan(0)),
+        right: Box::new(PhysPlan::EVScan(count_spec("V0"))),
+    };
+    check_invariants(plan, PlacementStrategy::InsertionOnly).unwrap();
 }

@@ -356,12 +356,10 @@ pub struct WellKnown {
     pub race_won: Arc<Counter>,
     /// Losing race members cancelled or orphaned after a group decided.
     pub race_cancelled: Arc<Counter>,
-    /// Result-cache hits (ready entries plus coalesced followers).
+    /// Result-cache hits.
     pub cache_hits: Arc<Counter>,
     /// Result-cache misses (inner-service invocations).
     pub cache_misses: Arc<Counter>,
-    /// Cache followers that waited on an in-flight identical miss.
-    pub cache_coalesced: Arc<Counter>,
     /// Retry attempts beyond the first (RetryService).
     pub retries: Arc<Counter>,
     /// Requests failed by injection (DegradedService).
@@ -442,10 +440,6 @@ impl WellKnown {
             cache_misses: registry.counter(
                 "wsq_cache_misses_total",
                 "Result-cache misses (inner-service invocations)",
-            ),
-            cache_coalesced: registry.counter(
-                "wsq_cache_coalesced_total",
-                "Cache followers that waited on an in-flight identical miss",
             ),
             retries: registry.counter(
                 "wsq_retries_total",

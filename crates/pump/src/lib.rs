@@ -29,6 +29,8 @@
 //! ReqPump also *coalesces* identical in-flight requests (one network call,
 //! many placeholders) — the countermeasure to the paper's Example 2, where
 //! a cross-product would otherwise send `|R|` identical calls per tuple.
+//! It is the only layer that does: a result cache behind it is a plain
+//! memo.
 
 pub mod pump;
 pub mod service;

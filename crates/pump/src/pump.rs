@@ -72,8 +72,6 @@ pub struct PumpConfig {
     pub per_destination: HashMap<String, usize>,
     /// Default per-destination cap.
     pub default_per_destination: usize,
-    /// Merge identical in-flight requests into one network call.
-    pub coalesce: bool,
     /// Dispatcher choice.
     pub dispatch: DispatchMode,
     /// Observability sink for call-lifecycle events and metrics
@@ -90,7 +88,6 @@ impl Default for PumpConfig {
             max_concurrent: 64,
             per_destination: HashMap::new(),
             default_per_destination: 64,
-            coalesce: true,
             dispatch: DispatchMode::EventLoop,
             obs: Obs::disabled(),
         }
@@ -373,8 +370,8 @@ impl ReqPump {
     /// is already stored when the id comes back; a call over the limits
     /// queues until a delivery frees capacity.
     ///
-    /// With coalescing enabled, an identical request already known to the
-    /// pump returns the existing id with its reference count bumped.
+    /// An identical request already known to the pump returns the existing
+    /// id with its reference count bumped (coalescing).
     ///
     /// # Example
     ///
@@ -526,14 +523,6 @@ impl ReqPump {
         Ok(gid)
     }
 
-    /// Whether identical in-flight requests coalesce onto one call.
-    /// Prefetching callers check this: with coalescing off, an eager
-    /// registration plus the later demand-side registration would issue
-    /// the same request twice.
-    pub fn coalescing_enabled(&self) -> bool {
-        self.shared.config.coalesce
-    }
-
     /// The registration body, run under the already-held state lock as
     /// part of `step` (a burst registered under one lock acquisition is one
     /// step). Launches nothing — callers run [`start_queued`] once after
@@ -545,17 +534,15 @@ impl ReqPump {
         let obs = &self.shared.config.obs;
         let stats = &self.shared.stats;
         stats.registered.inc();
-        if self.shared.config.coalesce {
-            if let Some(&cid) = st.index.get(&req) {
-                // The index and meta maps are kept in step under the state
-                // lock; if the entry is somehow gone, fall through and
-                // register a fresh call rather than panic.
-                if let Some(meta) = st.meta.get_mut(&cid) {
-                    stats.coalesced.inc();
-                    meta.refs += 1;
-                    obs.event(step, cid, EventKind::Coalesced);
-                    return Ok(cid);
-                }
+        if let Some(&cid) = st.index.get(&req) {
+            // The index and meta maps are kept in step under the state
+            // lock; if the entry is somehow gone, fall through and
+            // register a fresh call rather than panic.
+            if let Some(meta) = st.meta.get_mut(&cid) {
+                stats.coalesced.inc();
+                meta.refs += 1;
+                obs.event(step, cid, EventKind::Coalesced);
+                return Ok(cid);
             }
         }
         let cid = CallId(st.next_call);
@@ -607,16 +594,16 @@ impl ReqPump {
     }
 
     /// Non-blocking: the result of `call` if it has completed.
-    pub fn peek(&self, call: CallId) -> Option<Result<SearchResult>> {
+    fn peek(&self, call: CallId) -> Option<Result<SearchResult>> {
         self.shared.state.lock().results.get(&call).cloned()
     }
 
     /// Non-blocking bulk drain: the results of every call in `calls` that
     /// has completed, gathered under a single lock acquisition. Results
-    /// stay in the store until released, exactly like [`ReqPump::peek`].
+    /// stay in the store until released.
     ///
     /// This is the batched path `ReqSync` uses to absorb a burst of
-    /// completions: one lock round instead of one `peek` per call.
+    /// completions: one lock round for the whole burst.
     pub fn take_completed(&self, calls: &[CallId]) -> Vec<(CallId, Result<SearchResult>)> {
         let st = self.shared.state.lock();
         calls
@@ -1399,19 +1386,6 @@ mod tests {
         pump.wait(c).unwrap();
         pump.release(c);
         assert_eq!(pump.live_calls(), 0);
-    }
-
-    #[test]
-    fn coalescing_can_be_disabled() {
-        let config = PumpConfig {
-            coalesce: false,
-            ..PumpConfig::default()
-        };
-        let pump = ReqPump::new(config);
-        pump.register_service("AV", Probe::new(Duration::ZERO));
-        let a = pump.register(req("AV", "same")).unwrap();
-        let b = pump.register(req("AV", "same")).unwrap();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! never leak calls.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use wsq_pump::{
@@ -54,18 +53,74 @@ fn arb_op() -> impl Strategy<Value = Op> {
 fn arb_config() -> impl Strategy<Value = PumpConfig> {
     (
         prop_oneof![Just(1usize), Just(2), Just(4), Just(64)],
-        any::<bool>(),
         prop_oneof![
             Just(DispatchMode::EventLoop),
             Just(DispatchMode::ThreadPool(4))
         ],
     )
-        .prop_map(|(max_concurrent, coalesce, dispatch)| PumpConfig {
+        .prop_map(|(max_concurrent, dispatch)| PumpConfig {
             max_concurrent,
-            coalesce,
             dispatch,
             ..PumpConfig::default()
         })
+}
+
+/// Run `ops` against a fresh pump and check it against the model: every
+/// wait returns the right result, and nothing leaks once all is released.
+fn check_ops(ops: Vec<Op>, config: PumpConfig) -> Result<(), TestCaseError> {
+    let pump = ReqPump::new(config);
+    pump.register_service("AV", Arc::new(HashService));
+
+    // Live registrations: (call id, expr). One entry per register() call
+    // — coalesced registrations appear multiple times and must be
+    // released once each.
+    let mut live: Vec<(wsq_pump::CallId, String)> = Vec::new();
+
+    for op in ops {
+        match op {
+            Op::Register(i) => {
+                let expr = format!("query number {i}");
+                let call = pump
+                    .register(SearchRequest {
+                        engine: "AV".into(),
+                        expr: expr.clone(),
+                        kind: RequestKind::Count,
+                    })
+                    .unwrap();
+                live.push((call, expr));
+            }
+            Op::Wait(n) if !live.is_empty() => {
+                let (call, expr) = live[n % live.len()].clone();
+                let result = pump.wait(call).unwrap();
+                prop_assert_eq!(result.count(), Some(expected_count(&expr)));
+            }
+            Op::Release(n) if !live.is_empty() => {
+                let (call, _) = live.remove(n % live.len());
+                pump.release(call);
+            }
+            Op::Wait(_) | Op::Release(_) => {}
+        }
+    }
+    // Drain: every remaining registration must still be waitable and
+    // produce the correct result.
+    for (call, expr) in live.drain(..) {
+        let result = pump.wait(call).unwrap();
+        prop_assert_eq!(result.count(), Some(expected_count(&expr)));
+        pump.release(call);
+    }
+    // A call released while in flight is cleaned up when its reply
+    // arrives (the pump needs the delivery event to free per-destination
+    // capacity), so allow brief quiescence.
+    let deadline = std::time::Instant::now() + Duration::from_millis(500);
+    while pump.live_calls() > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    prop_assert_eq!(pump.live_calls(), 0, "pump leaked calls");
+
+    let stats = pump.stats();
+    prop_assert!(stats.peak_in_flight <= 64);
+    prop_assert!(stats.launched <= stats.registered);
+    Ok(())
 }
 
 proptest! {
@@ -76,61 +131,33 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..40),
         config in arb_config(),
     ) {
-        let pump = ReqPump::new(config);
-        pump.register_service("AV", Arc::new(HashService));
-
-        // Live registrations: (call id, expr). One entry per register()
-        // call — coalesced registrations appear multiple times and must be
-        // released once each.
-        let mut live: Vec<(wsq_pump::CallId, String)> = Vec::new();
-        let mut registered_per_expr: HashMap<String, usize> = HashMap::new();
-
-        for op in ops {
-            match op {
-                Op::Register(i) => {
-                    let expr = format!("query number {i}");
-                    let call = pump.register(SearchRequest {
-                        engine: "AV".into(),
-                        expr: expr.clone(),
-                        kind: RequestKind::Count,
-                    }).unwrap();
-                    *registered_per_expr.entry(expr.clone()).or_default() += 1;
-                    live.push((call, expr));
-                }
-                Op::Wait(n) => {
-                    if live.is_empty() { continue; }
-                    let (call, expr) = live[n % live.len()].clone();
-                    let result = pump.wait(call).unwrap();
-                    prop_assert_eq!(result.count(), Some(expected_count(&expr)));
-                }
-                Op::Release(n) => {
-                    if live.is_empty() { continue; }
-                    let idx = n % live.len();
-                    let (call, _) = live.remove(idx);
-                    pump.release(call);
-                }
-            }
-        }
-        // Drain: every remaining registration must still be waitable and
-        // produce the correct result.
-        for (call, expr) in live.drain(..) {
-            let result = pump.wait(call).unwrap();
-            prop_assert_eq!(result.count(), Some(expected_count(&expr)));
-            pump.release(call);
-        }
-        // A call released while in flight is cleaned up when its reply
-        // arrives (the pump needs the delivery event to free per-
-        // destination capacity), so allow brief quiescence.
-        let deadline = std::time::Instant::now() + Duration::from_millis(500);
-        while pump.live_calls() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        prop_assert_eq!(pump.live_calls(), 0, "pump leaked calls");
-
-        let stats = pump.stats();
-        prop_assert!(stats.peak_in_flight <= 64);
-        prop_assert!(stats.launched <= stats.registered);
+        check_ops(ops, config)?;
     }
+}
+
+/// A shrunk failing case recorded for `pump_matches_model`: a call
+/// registered twice (coalesced) and released twice, a second call queued
+/// behind it under a global cap of 1, then waited on and re-registered.
+#[test]
+fn pump_matches_model_replays_the_recorded_cap_one_case() {
+    use Op::*;
+    let ops = vec![
+        Register(0),
+        Register(0),
+        Register(2),
+        Release(0),
+        Release(0),
+        Wait(0),
+        Release(0),
+        Register(2),
+        Release(0),
+    ];
+    let config = PumpConfig {
+        max_concurrent: 1,
+        dispatch: DispatchMode::EventLoop,
+        ..PumpConfig::default()
+    };
+    check_ops(ops, config).unwrap();
 }
 
 #[test]

@@ -3,12 +3,11 @@
 //!
 //! Every accepted connection gets its own [`wsq_core::Session`], but
 //! all sessions share the *same* ReqPump and `CachedService`s — so
-//! identical external calls coalesce across clients, and the paper's
-//! single-flight invariant (cache misses == backend calls) holds for
-//! the whole service. The ReqSync buffer cap and the pump's
-//! per-destination submission windows likewise act as fleet-wide
-//! admission control: N greedy clients share one launch budget instead
-//! of getting N private ones.
+//! identical external calls coalesce across clients at the pump, and
+//! cache misses equal backend calls for the whole service. The ReqSync
+//! buffer cap and the pump's per-destination caps likewise act as
+//! fleet-wide admission control: N greedy clients share one launch
+//! budget instead of getting N private ones.
 //!
 //! Lifecycle properties the tests pin down:
 //!

@@ -88,10 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     lat.count,
                 );
                 println!(
-                    "cache: hits={} misses={} coalesced={}  retries={} flaky_failures={}",
+                    "cache: hits={} misses={}  retries={} flaky_failures={}",
                     m.cache_hits.get(),
                     m.cache_misses.get(),
-                    m.cache_coalesced.get(),
                     m.retries.get(),
                     m.flaky_failures.get(),
                 );

@@ -10,8 +10,7 @@
 //!                 queue_p95=.. patch_p95=.. max_concurrent=.. stalls=..
 //!                 stall_p95=.. buffered_hw=.. events=.. dropped=..
 //!                 prefetch_issued=.. prefetch_wasted=.."
-//! cache_line  := "-- cache[ENGINE]: hits=.. misses=.. coalesced=.. evictions=..
-//!                 expirations=.."
+//! cache_line  := "-- cache[ENGINE]: hits=.. misses=.. evictions=.. expirations=.."
 //! verify_line := "-- verify: ok (verified .. nodes: .., peak buffered B,
 //!                 prefetch refs B, peak in-flight B)" | "-- verify: FAILED: .."
 //! bound       := n | "inf"
@@ -199,7 +198,7 @@ fn analyze_report_matches_the_documented_grammar() {
     for line in &cache_lines {
         assert_eq!(
             footer_keys(line),
-            ["hits", "misses", "coalesced", "evictions", "expirations"]
+            ["hits", "misses", "evictions", "expirations"]
         );
         assert_integer_values(line);
     }

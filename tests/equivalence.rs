@@ -55,10 +55,9 @@ fn registry() -> EngineRegistry {
     engines
 }
 
-fn pump_with(max_concurrent: usize, coalesce: bool, jitter: bool) -> Arc<ReqPump> {
+fn pump_with(max_concurrent: usize, jitter: bool) -> Arc<ReqPump> {
     let pump = ReqPump::new(PumpConfig {
         max_concurrent,
-        coalesce,
         ..PumpConfig::default()
     });
     // Jittered latency makes completion *order* adversarial: calls
@@ -224,7 +223,6 @@ proptest! {
     fn async_iteration_is_transparent(
         q in arb_query(),
         max_concurrent in prop_oneof![Just(1usize), Just(3), Just(64)],
-        coalesce in any::<bool>(),
         strategy in prop_oneof![
             Just(PlacementStrategy::Full),
             Just(PlacementStrategy::InsertionOnly)
@@ -235,7 +233,7 @@ proptest! {
         batch in prop_oneof![Just(1usize), Just(3), Just(8), Just(64)],
     ) {
         let db = fresh_db();
-        let pump = pump_with(max_concurrent, coalesce, jitter);
+        let pump = pump_with(max_concurrent, jitter);
 
         let baseline = {
             let mut rows = run(&db, &pump, &q.sql, EngineOpts {
@@ -255,8 +253,8 @@ proptest! {
         if !q.ordered { got.sort(); }
 
         prop_assert_eq!(&got, &baseline,
-            "config ({:?},{:?},mc={},co={}) diverged on: {}",
-            strategy, buffer, max_concurrent, coalesce, q.sql);
+            "config ({:?},{:?},mc={}) diverged on: {}",
+            strategy, buffer, max_concurrent, q.sql);
         // No leaked pump registrations.
         prop_assert_eq!(pump.live_calls(), 0);
 
@@ -276,17 +274,16 @@ proptest! {
         });
         if !q.ordered { capped.sort(); }
         prop_assert_eq!(&capped, &got,
-            "cap={:?} batch={} changed results under ({:?},{:?},mc={},co={}): {}",
-            cap, batch, strategy, buffer, max_concurrent, coalesce, q.sql);
+            "cap={:?} batch={} changed results under ({:?},{:?},mc={}): {}",
+            cap, batch, strategy, buffer, max_concurrent, q.sql);
         prop_assert_eq!(pump.live_calls(), 0);
 
         // Ahead-of-need prefetch is invisible too: every depth returns
         // the demand-driven multiset byte-for-byte, and drains the pump
-        // completely. The prefetching pump coalesces (prefetch is
-        // disabled otherwise) and runs under the same admission cap, so
-        // the depth-to-cap clamp is exercised whenever cap < depth.
+        // completely. The prefetching pump runs under the same admission
+        // cap, so the depth-to-cap clamp is exercised whenever cap < depth.
         for depth in [1usize, 4, 16] {
-            let ppump = pump_with(max_concurrent, true, jitter);
+            let ppump = pump_with(max_concurrent, jitter);
             let mut pre = run(&db, &ppump, &q.sql, EngineOpts {
                 mode: ExecutionMode::Asynchronous,
                 strategy,
@@ -415,7 +412,7 @@ proptest! {
             }
         };
         let db = fresh_db();
-        let pump = pump_with(8, true, jitter);
+        let pump = pump_with(8, jitter);
         let engines = registry();
         let base_sql = format!(
             "SELECT Name, URL, Rank FROM States, WebPages \

@@ -3,10 +3,11 @@
 //! usable) in every execution mode, and a retry decorator must restore
 //! availability.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsqdsq::prelude::*;
-use wsqdsq::websim::{DegradedConfig, DegradedService, RetryService};
+use wsqdsq::websim::{CachedService, DegradedConfig, DegradedService, RetryService};
 
 const QUERY: &str = "SELECT Name, Count FROM States, WebCount_Shaky \
                      WHERE Name = T1 ORDER BY Count DESC, Name";
@@ -215,9 +216,11 @@ fn retries_restore_availability() {
 fn dsq_over_flaky_engine_with_retries() {
     let (mut wsq, _) = wsq_with_flaky(200, Some(6));
     let dsq = DsqExplorer::new(&wsq, "Shaky").unwrap();
-    let states = wsq.column_values("States", "Name").unwrap();
-    let corr = dsq.correlate("scuba diving", &states).unwrap();
+    let corr = dsq
+        .correlate(&mut wsq, "scuba diving", "States", "Name")
+        .unwrap();
     assert_eq!(corr[0].term, "Florida");
+    assert_eq!(wsq.pump().live_calls(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -461,6 +464,43 @@ fn panicking_engine_fails_its_query_and_the_pump_survives() {
         assert_eq!(r.rows.len(), 50, "{dispatch:?}");
         assert_fully_drained(&wsq, &format!("after the panic, {dispatch:?}"));
     }
+}
+
+/// A backend that panics on its first call and answers every later one.
+struct PanicsOnce(Arc<dyn wsq_pump::SearchService>, AtomicBool);
+
+impl wsq_pump::SearchService for PanicsOnce {
+    fn execute(&self, req: &wsq_pump::SearchRequest) -> wsq_pump::ServiceReply {
+        assert!(self.1.swap(true, Ordering::SeqCst), "backend exploded once");
+        self.0.execute(req)
+    }
+}
+
+#[test]
+fn a_panicking_service_wedges_no_cache_key() {
+    let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+    let inner = wsq.web().engine(EngineKind::AltaVista);
+    let cached = CachedService::new(Arc::new(PanicsOnce(inner, AtomicBool::new(false))));
+    wsq.register_engine("Shaky", cached.clone(), true);
+    let sql = "SELECT Count FROM WebCount_Shaky WHERE T1 = 'Utah'";
+    let err = wsq.query(sql).unwrap_err().to_string();
+    assert!(err.contains("service panicked"), "{err}");
+
+    // The same query again must reach the backend, not wait on the
+    // panicked call forever: give it 5 s on its own thread.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let second = std::thread::spawn(move || {
+        let rows = wsq.query(sql).map(|r| r.rows.len());
+        let _ = tx.send((rows, wsq.pump().live_calls()));
+    });
+    let (rows, live) = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the second query hung on the key the panic left behind");
+    second.join().unwrap();
+    assert_eq!(rows.unwrap(), 1);
+    assert_eq!(live, 0);
+    let stats = cached.stats();
+    assert_eq!((stats.hits, stats.misses, stats.inflight), (0, 2, 0));
 }
 
 #[test]
