@@ -329,28 +329,51 @@ pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
 // Models 5–6: the obs trace ring (crates/obs trace.rs push/snapshot).
 // ---------------------------------------------------------------------
 
-/// The ring at `obs::TraceRing`'s exact lock boundaries: reserve the
-/// sequence numbers of a whole step first (one atomic `fetch_add(n)` in
-/// the real code — a mutexed counter here, schedcheck models no atomics),
-/// then write each slot `seq & (capacity − 1)` under that slot's own
-/// lock, but only if the slot holds nothing newer — a lapped slow writer
-/// must never clobber fresher data.
+/// The ring at `obs::TraceRing`'s exact lock boundaries. A writer adds a
+/// batch at a time — a query recorder's whole buffer
+/// ([`MiniRing::publish`]) or, on a thread with no recorder, one step's
+/// events ([`MiniRing::record`]). It reserves the batch's sequence numbers
+/// first (one atomic `fetch_add(n)` in the real code — a mutexed counter
+/// here, schedcheck models no atomics), then writes slot
+/// `seq & (capacity − 1)` for each, taking each page of `page_slots`
+/// consecutive slots once per run of its slots, and storing only if the
+/// slot holds nothing newer — a lapped slow writer must never clobber
+/// fresher data.
 struct MiniRing {
     head: Mutex<u64>,
-    /// `(seq, value)` per slot; `None` = never written.
-    slots: Vec<Mutex<Option<(u64, u64)>>>,
+    page_slots: usize,
+    /// `(seq, value)` per slot, `page_slots` to a page; `None` = never
+    /// written.
+    pages: Vec<MiniPage>,
 }
 
+/// One page of `MiniRing` slots under its lock.
+type MiniPage = Mutex<Vec<Option<(u64, u64)>>>;
+
 impl MiniRing {
-    fn new(capacity: usize) -> MiniRing {
+    fn new(capacity: usize, page_slots: usize) -> MiniRing {
         MiniRing {
             head: Mutex::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            page_slots,
+            pages: (0..capacity / page_slots)
+                .map(|_| Mutex::new(vec![None; page_slots]))
+                .collect(),
         }
     }
 
-    /// `TraceRing::record`: one reservation for the step's `values`,
-    /// then one guarded slot write each.
+    fn capacity(&self) -> usize {
+        self.pages.len() * self.page_slots
+    }
+
+    /// `TraceRing::publish`: one reservation for the whole buffer, which
+    /// is left empty for the recorder to reuse.
+    fn publish(&self, buffer: &mut Vec<u64>) {
+        self.record(buffer);
+        buffer.clear();
+    }
+
+    /// `TraceRing::record`: one reservation for the batch's `values`,
+    /// then the guarded writes, page by page.
     fn record(&self, values: &[u64]) {
         let first = {
             let mut h = self.head.lock();
@@ -358,12 +381,29 @@ impl MiniRing {
             *h += values.len() as u64;
             s
         };
-        for (seq, &value) in (first..).zip(values) {
-            let mut slot = self.slots[seq as usize & (self.slots.len() - 1)].lock();
+        let mut values = values.iter();
+        self.for_each_slot(first, values.len() as u64, |seq, slot| {
+            let Some(&value) = values.next() else { return };
             match *slot {
                 // Someone with a newer sequence got here first: drop ours.
                 Some((cur, _)) if cur > seq => {}
                 _ => *slot = Some((seq, value)),
+            }
+        });
+    }
+
+    /// `TraceRing::for_each_slot`: visit the slots of `first .. first + n`
+    /// in order, locking each page once per run of its slots.
+    fn for_each_slot(&self, first: u64, n: u64, mut f: impl FnMut(u64, &mut Option<(u64, u64)>)) {
+        let (mut seq, end) = (first, first + n);
+        while seq < end {
+            let index = seq as usize & (self.capacity() - 1);
+            let (page, offset) = (index / self.page_slots, index % self.page_slots);
+            let run = ((self.page_slots - offset) as u64).min(end - seq) as usize;
+            let mut slots = self.pages[page].lock();
+            for slot in &mut slots[offset..offset + run] {
+                f(seq, slot);
+                seq += 1;
             }
         }
     }
@@ -371,18 +411,14 @@ impl MiniRing {
     /// Exact by construction: every reserved sequence is written exactly
     /// once, so the ring holds the `capacity` newest once it wraps.
     fn dropped(&self) -> u64 {
-        self.head.lock().saturating_sub(self.slots.len() as u64)
+        self.head.lock().saturating_sub(self.capacity() as u64)
     }
 
     fn snapshot_since(&self, pos: u64) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = Vec::new();
-        for slot in &self.slots {
-            if let Some((seq, v)) = *slot.lock() {
-                if seq >= pos {
-                    out.push((seq, v));
-                }
-            }
-        }
+        self.for_each_slot(0, self.capacity() as u64, |_, slot| {
+            out.extend(slot.filter(|&(seq, _)| seq >= pos));
+        });
         out.sort_unstable();
         out
     }
@@ -397,21 +433,25 @@ fn assert_snapshot_sane(snap: &[(u64, u64)], capacity: usize) {
     }
 }
 
-/// Below capacity nothing is ever lost: two writers push one event
-/// each into a 2-slot ring while the main thread snapshots mid-race;
-/// every reserved sequence is present afterwards and the drop counter
-/// is 0. (The ring is kept at two slots so the schedule tree exhausts;
-/// the protocol is slot-local, so width adds no new interleavings.)
+/// Below capacity nothing is ever lost: a recorder publishing a
+/// one-event buffer races a recorder-less writer's one-event step into a
+/// 2-slot ring (a page per slot) while the main thread snapshots
+/// mid-race; every reserved sequence is present afterwards and the drop
+/// counter is 0. (The ring is kept at two slots so the schedule tree
+/// exhausts; the protocol is page-local, so width adds no new
+/// interleavings.)
 pub fn trace_ring_model() -> Stats {
     check_with(bounds(), || {
-        let ring = Arc::new(MiniRing::new(2));
-        let writers: Vec<_> = [10u64, 20u64]
-            .into_iter()
-            .map(|value| {
-                let r = ring.clone();
-                thread::spawn(move || r.record(&[value]))
-            })
-            .collect();
+        let ring = Arc::new(MiniRing::new(2, 1));
+        let r = ring.clone();
+        let recorder = thread::spawn(move || {
+            let mut buffer = vec![10u64];
+            r.publish(&mut buffer);
+            assert!(buffer.is_empty(), "a published buffer is left empty");
+        });
+        let r = ring.clone();
+        let direct = thread::spawn(move || r.record(&[20]));
+        let writers = [recorder, direct];
         // Concurrent reader: whatever prefix of the race it observes
         // must be internally consistent.
         assert_snapshot_sane(&ring.snapshot_since(0), 2);
@@ -431,18 +471,19 @@ pub fn trace_ring_model() -> Stats {
 }
 
 /// At capacity the ring keeps exactly the newest `capacity` events and
-/// counts drops exactly: two steps of 2 events each through 2 slots
-/// leave sequences {2, 3} and `dropped() == 2` under **every**
-/// interleaving — the seq-guard means even a lapped writer scheduled
-/// last, midway through its step, cannot resurrect an old event.
+/// counts drops exactly: two recorders each publish a 2-event buffer
+/// (one reservation each) through 2 slots, a page per slot, and leave
+/// sequences {2, 3} and `dropped() == 2` under **every** interleaving —
+/// the seq-guard means even a lapped writer scheduled last, midway
+/// through its buffer, cannot resurrect an old event.
 pub fn trace_ring_overwrite_model() -> Stats {
     check_with(bounds(), || {
-        let ring = Arc::new(MiniRing::new(2));
+        let ring = Arc::new(MiniRing::new(2, 1));
         let writers: Vec<_> = [10u64, 20u64]
             .into_iter()
             .map(|base| {
                 let r = ring.clone();
-                thread::spawn(move || r.record(&[base, base + 1]))
+                thread::spawn(move || r.publish(&mut vec![base, base + 1]))
             })
             .collect();
         assert_snapshot_sane(&ring.snapshot_since(0), 2);
@@ -453,7 +494,7 @@ pub fn trace_ring_overwrite_model() -> Stats {
         let seqs: Vec<u64> = snap.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![2, 3], "ring must keep exactly the newest events");
         assert_eq!(ring.dropped(), 2, "drop counter must be exact");
-        // The survivors are one step's two events, in the step's order.
+        // The survivors are one buffer's two events, in buffer order.
         let values: Vec<u64> = snap.iter().map(|(_, v)| *v).collect();
         assert!(values == [10, 11] || values == [20, 21], "{values:?}");
         // A window query that starts after the drop horizon sees only

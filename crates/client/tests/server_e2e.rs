@@ -7,7 +7,8 @@
 //!   pump slot and buffered tuple,
 //! * graceful shutdown drains in-flight queries,
 //! * the analyze footer crosses the wire byte-identically (golden
-//!   structural test shared with `wire_golden.rs`),
+//!   structural test shared with `wire_golden.rs`), and two overlapping
+//!   sessions' footers each count only their own query's calls,
 //! * scripts, errors, version mismatch, and the connection cap.
 
 use std::collections::BTreeMap;
@@ -456,6 +457,70 @@ fn analyze_footer_crosses_the_wire_byte_identically_in_structure() {
         wire_golden_shared::skeleton(&local_report),
         "remote:\n{remote_report}\nlocal:\n{local_report}"
     );
+}
+
+/// The integer value of `key=` on an analyze report's `-- trace:` line.
+fn trace_footer(report: &str, key: &str) -> u64 {
+    let line = report
+        .lines()
+        .find(|l| l.starts_with("-- trace:"))
+        .unwrap_or_else(|| panic!("no trace footer in:\n{report}"));
+    let prefix = format!("{key}=");
+    line.split_whitespace()
+        .find_map(|tok| tok.strip_prefix(prefix.as_str()))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no integer {key}= in {line}"))
+}
+
+#[test]
+fn overlapping_analyze_footers_count_only_their_own_calls() {
+    // Two sessions ANALYZE different fan-outs at once. A cap of four calls
+    // in flight, shared, and a few milliseconds a call make each query
+    // take many rounds, so their calls interleave on the one pump.
+    const CAP: u64 = 4;
+    let mut config = WsqConfig {
+        latency: wsq_websim::LatencyModel::Fixed(Duration::from_millis(2)),
+        ..WsqConfig::fast()
+    };
+    config.pump.max_concurrent = CAP as usize;
+    let handle = serve(config, ServerConfig::default());
+    let addr = handle.addr();
+
+    let queries = [
+        "SELECT Name, Count FROM States, WebCount WHERE Name = T1",
+        "SELECT Name, Count FROM Sigs, WebCount WHERE Name = T1",
+    ];
+    let start = std::sync::Arc::new(std::sync::Barrier::new(queries.len()));
+    let threads: Vec<_> = queries
+        .into_iter()
+        .map(|sql| {
+            let start = start.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                start.wait();
+                let began = Instant::now();
+                let (rows, report) = c.analyze(sql).unwrap();
+                let span = (began, Instant::now());
+                c.goodbye().unwrap();
+                (rows.rows.len() as u64, report, span)
+            })
+        })
+        .collect();
+    let runs: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    handle.shutdown();
+
+    let (a, b) = (&runs[0], &runs[1]);
+    assert!(a.2 .0 < b.2 .1 && b.2 .0 < a.2 .1, "the queries overlapped");
+    assert_ne!(a.0, b.0, "fan-outs of different sizes");
+    for (calls, report, _) in &runs {
+        // One WebCount call per row, each the query's own.
+        assert_eq!(trace_footer(report, "calls"), *calls, "{report}");
+        assert_eq!(trace_footer(report, "events"), 6 * calls, "{report}");
+        let concurrent = trace_footer(report, "max_concurrent");
+        assert!((1..=CAP).contains(&concurrent), "{report}");
+        let buffered = trace_footer(report, "buffered_hw");
+        assert!((1..=*calls).contains(&buffered), "{report}");
+    }
 }
 
 /// Golden test pinning the analyze-footer-over-the-wire format

@@ -425,11 +425,11 @@ fn analyze_select(
 ) -> Result<(QueryResult, String)> {
     let before: HashMap<&String, wsq_websim::CacheStats> =
         caches.iter().map(|(k, v)| (k, v.stats())).collect();
-    let window = obs.begin_query();
-    let (result, mut report) = db.analyze_query(sel, engines, pump, opts)?;
-    // Per-query latency distribution + concurrency high-water from the
-    // metrics registry and the trace window.
-    if let Some(summary) = window.finish(obs) {
+    let mut window = obs.begin_query();
+    let (result, mut report) = window.run(|| db.analyze_query(sel, engines, pump, opts))?;
+    // The query's own latency distributions, buffer high-water and
+    // concurrency, from its recorder and its calls' events.
+    if let Some(summary) = window.finish() {
         report.push_str(&format!("-- trace: {summary}\n"));
     }
     // Append per-engine cache deltas after the pump footer.

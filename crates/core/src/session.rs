@@ -31,7 +31,7 @@ use std::sync::Arc;
 use wsq_common::{Result, Tuple, WsqError};
 use wsq_engine::db::{Cursor, Database};
 use wsq_engine::engines::EngineRegistry;
-use wsq_obs::{session_scope, Obs, TraceEvent};
+use wsq_obs::{session_scope, CounterId, GaugeId, Obs, TraceEvent};
 use wsq_pump::ReqPump;
 use wsq_websim::CachedService;
 
@@ -92,10 +92,8 @@ impl SharedWsq {
     /// threads).
     pub fn session(&self) -> Session {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(m) = self.inner.obs.metrics() {
-            m.sessions_total.inc();
-            m.sessions_active.add(1);
-        }
+        self.inner.obs.count(CounterId::SessionsTotal, 1);
+        self.inner.obs.shift(GaugeId::SessionsActive, 1);
         Session {
             shared: self.inner.clone(),
             id,
@@ -375,9 +373,7 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        if let Some(m) = self.shared.obs.metrics() {
-            m.sessions_active.add(-1);
-        }
+        self.shared.obs.shift(GaugeId::SessionsActive, -1);
     }
 }
 

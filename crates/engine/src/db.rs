@@ -124,9 +124,14 @@ impl QueryResult {
 }
 
 /// A streaming query cursor (see [`Database::open_query`]).
+///
+/// The cursor owns its query's recorder ([`wsq_obs::QueryRecorder`]): each
+/// call runs the executor tree with the recorder lent to the calling
+/// thread, and what the call recorded is published before it returns.
 pub struct Cursor {
     schema: Schema,
     executor: Box<dyn crate::exec::Executor>,
+    recorder: wsq_obs::QueryRecorder,
     done: bool,
 }
 
@@ -141,14 +146,15 @@ impl Cursor {
         if self.done {
             return Ok(None);
         }
-        match self.executor.next()? {
+        let executor = &mut self.executor;
+        let row = self.recorder.run(|| match executor.next()? {
             Some(t) => Ok(Some(t)),
-            None => {
-                self.done = true;
-                self.executor.close()?;
-                Ok(None)
-            }
-        }
+            None => executor.close().map(|()| None),
+        });
+        self.recorder.publish();
+        let row = row?;
+        self.done = row.is_none();
+        Ok(row)
     }
 
     /// Abandon the cursor early, releasing resources (pending pump
@@ -156,7 +162,8 @@ impl Cursor {
     pub fn finish(mut self) -> Result<()> {
         if !self.done {
             self.done = true;
-            self.executor.close()?;
+            let executor = &mut self.executor;
+            self.recorder.run(|| executor.close())?;
         }
         Ok(())
     }
@@ -773,11 +780,17 @@ impl Database {
             pump: pump.clone(),
             engines,
         };
-        let mut executor = exec::build(&plan, &ctx)?;
-        executor.open()?;
+        let mut recorder = pump.obs().recorder();
+        let executor = recorder.run(|| {
+            let mut executor = exec::build(&plan, &ctx)?;
+            executor.open()?;
+            Ok::<_, WsqError>(executor)
+        })?;
+        recorder.publish();
         Ok(Cursor {
             schema: plan.schema(),
             executor,
+            recorder,
             done: false,
         })
     }
@@ -800,9 +813,11 @@ impl Database {
             engines,
         };
         let instr = exec::Instrumentation::new();
-        let mut executor = exec::build_instrumented(&plan, &ctx, &instr)?;
         let before = pump.stats();
-        let rows = exec::collect(executor.as_mut())?;
+        let rows = pump.obs().record(|| {
+            let mut executor = exec::build_instrumented(&plan, &ctx, &instr)?;
+            exec::collect(executor.as_mut())
+        })?;
         let after = pump.stats();
         instr.note_counters(
             "pump",
@@ -824,7 +839,9 @@ impl Database {
         ))
     }
 
-    /// Execute an already-built plan.
+    /// Execute an already-built plan, under a recorder of its own
+    /// ([`wsq_obs::QueryRecorder`]) that publishes once the executor tree
+    /// is done.
     pub fn run_plan(
         &self,
         plan: &PhysPlan,
@@ -836,8 +853,10 @@ impl Database {
             pump: pump.clone(),
             engines,
         };
-        let mut exec = exec::build(plan, &ctx)?;
-        let rows = exec::collect(exec.as_mut())?;
+        let rows = pump.obs().record(|| {
+            let mut exec = exec::build(plan, &ctx)?;
+            exec::collect(exec.as_mut())
+        })?;
         Ok(QueryResult {
             schema: plan.schema(),
             rows,

@@ -236,9 +236,9 @@ impl Executor for AEVScanExec {
         } else {
             self.pump.register(request_for(&self.spec, expr))?
         };
-        if let Some(m) = self.pump.obs().metrics() {
-            m.placeholder_tuples.inc();
-        }
+        self.pump
+            .obs()
+            .count(wsq_obs::CounterId::PlaceholderTuples, 1);
         let ph = |col: PendingCol| Value::Pending(Placeholder { call, col });
         match self.spec.kind() {
             VTableKind::WebCount => vals.push(ph(PendingCol::Count)),

@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 use wsq_common::{CallId, DataType, GroupKey, Result, Schema, Tuple, Value};
-use wsq_obs::{EventKind, HistogramSnapshot, Label, Step};
+use wsq_obs::{CounterId, EventKind, HistogramId, HistogramSnapshot, Step};
 use wsq_pump::ReqPump;
 use wsq_sql::ast::{BinOp, Expr};
 
@@ -261,7 +261,8 @@ struct Pulled {
     call: Option<CallId>,
 }
 
-/// Snapshot baseline for the histogram-driven depth controller.
+/// Baseline for the histogram-driven depth controller: the query's own
+/// distributions when it last adapted.
 struct AdaptiveDepth {
     last_call: HistogramSnapshot,
     last_queue: HistogramSnapshot,
@@ -286,12 +287,14 @@ struct Prefetcher {
 impl Prefetcher {
     fn new(pump: Arc<ReqPump>, spec: Arc<EvSpec>) -> Self {
         let hint = spec.prefetch;
-        // Baseline the controller at construction so its windows cover
-        // only this query's activity, not process history.
-        let (last_call, last_queue) = match pump.obs().metrics() {
-            Some(m) => (m.call_latency.snapshot(), m.queue_delay.snapshot()),
-            None => (HistogramSnapshot::empty(), HistogramSnapshot::empty()),
+        // The controller reads the running query's own recorder, so its
+        // windows cover this query's calls only, never another session's.
+        let obs = pump.obs();
+        let own = |id| {
+            obs.query_histogram(id)
+                .unwrap_or(HistogramSnapshot::empty())
         };
+        let (last_call, last_queue) = (own(HistogramId::CallLatency), own(HistogramId::QueueDelay));
         Prefetcher {
             pump,
             spec,
@@ -305,21 +308,25 @@ impl Prefetcher {
     }
 
     /// Histogram-driven depth control: once per drain cycle, read the
-    /// per-window `wsq_call_latency_seconds` / `wsq_queue_delay_seconds`
-    /// deltas from the obs registry. Queue delay dominating call latency
+    /// query's own call-latency and queue-delay distributions since the
+    /// last adjustment from its recorder (a call's delays land there when
+    /// the query takes its result). Queue delay dominating call latency
     /// means launches are waiting on capacity — prefetching further ahead
     /// only lengthens the queue, so narrow. Queue delay well under call
     /// latency means the pump has headroom — widen. No-op on empty
-    /// windows or when the hint is not adaptive.
+    /// windows, when the hint is not adaptive, or outside a recorded
+    /// query.
     fn adapt(&mut self) {
         if !self.hint.adaptive {
             return;
         }
-        let Some(m) = self.pump.obs().metrics() else {
+        let obs = self.pump.obs();
+        let (Some(call), Some(queue)) = (
+            obs.query_histogram(HistogramId::CallLatency),
+            obs.query_histogram(HistogramId::QueueDelay),
+        ) else {
             return;
         };
-        let call = m.call_latency.snapshot();
-        let queue = m.queue_delay.snapshot();
         let call_win = call.delta(&self.adaptive.last_call);
         let queue_win = queue.delta(&self.adaptive.last_queue);
         if call_win.count == 0 || queue_win.count == 0 {
@@ -477,12 +484,8 @@ impl DependentJoinExec {
         };
         let ids = pf.pump.register_batch(reqs)?;
         let obs = pf.pump.obs();
-        if let Some(m) = obs.metrics() {
-            m.prefetch_issued.add(ids.len() as u64);
-        }
-        let issued = ids
-            .iter()
-            .map(|&cid| (cid, EventKind::PrefetchIssued, Label::None));
+        obs.count(CounterId::PrefetchIssued, ids.len() as u64);
+        let issued = ids.iter().map(|&cid| (cid, EventKind::PrefetchIssued));
         obs.emit(&Step::new(), issued);
         for (slot, cid) in slots_of_reqs.into_iter().zip(ids) {
             self.lookahead[slot].call = Some(cid);
@@ -507,9 +510,9 @@ impl DependentJoinExec {
         for cid in &held {
             pf.pump.release(*cid);
         }
-        if let Some(m) = pf.pump.obs().metrics() {
-            m.prefetch_wasted.add(held.len() as u64);
-        }
+        pf.pump
+            .obs()
+            .count(CounterId::PrefetchWasted, held.len() as u64);
     }
 }
 

@@ -36,9 +36,8 @@ use super::Executor;
 use crate::plan::BufferMode;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 use wsq_common::{CallId, IdMap, PendingCol, Result, Schema, Tuple, Value};
-use wsq_obs::{EventKind, Label, Obs, Step};
+use wsq_obs::{CounterId, EventKind, GaugeId, HistogramId, Obs, Step, Tick};
 use wsq_pump::{ReqPump, SearchResult};
 
 struct BufTuple {
@@ -49,8 +48,9 @@ struct BufTuple {
     /// the other §4.3 copies own nothing.
     owner: bool,
     /// The clock reading of the step that put the tuple in the buffer
-    /// (patch-delay anchor), kept only while observability is on.
-    admitted: Option<Instant>,
+    /// (patch-delay anchor), kept only while observability is on. `None`
+    /// while that step is still delivering (see [`ReqSyncExec::next`]).
+    admitted: Option<Tick>,
 }
 
 /// The request synchronizer executor.
@@ -147,12 +147,10 @@ impl ReqSyncExec {
         } else {
             None
         };
-        if let Some(m) = self.obs.metrics() {
-            m.reqsync_stalls.inc();
-        }
+        self.obs.count(CounterId::ReqsyncStalls, 1);
         loop {
             // Each pass after a wait is a step of its own.
-            self.drain_completions(&Step::new())?;
+            self.drain_completions(&Step::continuing())?;
             if self.buffered.len() <= low_water {
                 break;
             }
@@ -164,9 +162,9 @@ impl ReqSyncExec {
             self.pump.wait_any(&pending)?;
         }
         let resumed = Step::new();
-        if let (Some(m), Some(since)) = (self.obs.metrics(), stalled_at) {
-            m.stall_duration
-                .observe(resumed.now().saturating_duration_since(since));
+        if let (Some(since), Some(now)) = (stalled_at, self.obs.stamp(&resumed)) {
+            self.obs
+                .observe(HistogramId::StallDuration, now.since(since));
         }
         if let Some(c) = self.pending_calls().into_iter().min().or(anchor) {
             self.obs.event(&resumed, c, EventKind::Resumed);
@@ -175,12 +173,13 @@ impl ReqSyncExec {
     }
 
     /// Emit a complete tuple; buffer an incomplete one under every call it
-    /// waits on, as part of `step`. Takes the child's tuples (owners) and
-    /// puts a patched — possibly still incomplete — tuple back.
-    fn admit(&mut self, tuple: Tuple, owner: bool, step: &Step) {
+    /// waits on, stamped `admitted`. Takes the child's tuples (owners) and
+    /// puts a patched — possibly still incomplete — tuple back. Returns the
+    /// buffered tuple's id.
+    fn admit(&mut self, tuple: Tuple, owner: bool, admitted: Option<Tick>) -> Option<u64> {
         if !tuple.is_incomplete() {
             self.ready.push_back(tuple);
-            return;
+            return None;
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -188,17 +187,16 @@ impl ReqSyncExec {
         for &c in &self.scratch {
             self.index.entry(c).or_default().push(id);
         }
-        if let Some(m) = self.obs.metrics() {
-            m.reqsync_buffered.add(1);
-        }
+        self.obs.shift(GaugeId::ReqsyncBuffered, 1);
         self.buffered.insert(
             id,
             BufTuple {
                 tuple,
                 owner,
-                admitted: self.obs.stamp(step),
+                admitted,
             },
         );
+        Some(id)
     }
 
     /// Apply a completed call's `outcome` to every tuple waiting on it, as
@@ -215,7 +213,7 @@ impl ReqSyncExec {
         };
         // What happens to each waiting tuple follows from the outcome
         // alone, so the delivery and its per-tuple events are recorded
-        // together: one sequence reservation for the call.
+        // together, in one `emit`.
         let per_tuple = match outcome {
             Err(_) => None,
             Ok(SearchResult::Pages(hits)) if hits.is_empty() => Some(EventKind::TupleCancelled),
@@ -225,8 +223,8 @@ impl ReqSyncExec {
         self.obs.emit(
             step,
             (0..1 + tuples).map(|i| match per_tuple {
-                Some(kind) if i > 0 => (call, kind, Label::None),
-                _ => (call, EventKind::Delivered, Label::None),
+                Some(kind) if i > 0 => (call, kind),
+                _ => (call, EventKind::Delivered),
             }),
         );
         let mut ids = ids.into_iter();
@@ -239,12 +237,12 @@ impl ReqSyncExec {
                 debug_assert!(false, "index[{call:?}] held stale tuple id {id}");
                 continue;
             };
-            if let Some(m) = self.obs.metrics() {
-                m.reqsync_buffered.add(-1);
-                if let Some(admitted) = entry.admitted {
-                    m.patch_delay
-                        .observe(step.now().saturating_duration_since(admitted));
-                }
+            self.obs.shift(GaugeId::ReqsyncBuffered, -1);
+            if let Some(now) = self.obs.stamp(step) {
+                // Admitted in this very step: no delay.
+                let admitted = entry.admitted.unwrap_or(now);
+                self.obs
+                    .observe(HistogramId::PatchDelay, now.since(admitted));
             }
             // Drop this tuple's entries under its *other* pending calls
             // (`scratch`, until a patched tuple is put back); readmitted
@@ -274,9 +272,7 @@ impl ReqSyncExec {
                             );
                             continue;
                         };
-                        if let Some(m) = self.obs.metrics() {
-                            m.reqsync_buffered.add(-1);
-                        }
+                        self.obs.shift(GaugeId::ReqsyncBuffered, -1);
                         // `call` included: its list is gone already, and
                         // an owner still holds its registration.
                         entry.tuple.pending_calls_into(&mut self.scratch);
@@ -293,16 +289,12 @@ impl ReqSyncExec {
                         PendingCol::Count => Some(Value::Int(*n as i64)),
                         _ => None,
                     });
-                    if let Some(m) = self.obs.metrics() {
-                        m.tuples_patched.inc();
-                    }
-                    self.admit(t, owner, step);
+                    self.obs.count(CounterId::TuplesPatched, 1);
+                    self.admit(t, owner, self.obs.stamp(step));
                 }
                 Ok(SearchResult::Pages(hits)) => {
                     if hits.is_empty() {
-                        if let Some(m) = self.obs.metrics() {
-                            m.tuples_cancelled.inc();
-                        }
+                        self.obs.count(CounterId::TuplesCancelled, 1);
                         // §4.3 case 1: cancel the tuple; release any other
                         // calls it owned (their values are no longer
                         // needed by this tuple — other tuples referencing
@@ -315,9 +307,7 @@ impl ReqSyncExec {
                         // Cases 2 and 3: one patched tuple per hit. The
                         // first copy inherits ownership of the remaining
                         // calls; the rest own nothing (§4.4).
-                        if let Some(m) = self.obs.metrics() {
-                            m.tuples_patched.add(hits.len() as u64);
-                        }
+                        self.obs.count(CounterId::TuplesPatched, hits.len() as u64);
                         for (i, hit) in hits.iter().enumerate() {
                             let mut t = tuple.clone();
                             fill(&mut t, call, |col| match col {
@@ -326,7 +316,7 @@ impl ReqSyncExec {
                                 PendingCol::Date => Some(Value::Str(hit.date.clone())),
                                 PendingCol::Count => None,
                             });
-                            self.admit(t, owner && i == 0, step);
+                            self.admit(t, owner && i == 0, self.obs.stamp(step));
                         }
                     }
                 }
@@ -348,6 +338,10 @@ impl ReqSyncExec {
     /// because patching can readmit tuples that wait on other calls
     /// which finished in the meantime.
     fn drain_completions(&mut self, step: &Step) -> Result<()> {
+        // Each take after the first is a step of its own: its results may
+        // have completed after `step` settled its reading.
+        let mut later;
+        let mut step = step;
         loop {
             let pending = self.pending_calls();
             if pending.is_empty() {
@@ -360,6 +354,8 @@ impl ReqSyncExec {
             for (cid, outcome) in done {
                 self.patch_with(cid, &outcome, step)?;
             }
+            later = Step::continuing();
+            step = &later;
         }
     }
 
@@ -438,9 +434,8 @@ impl Executor for ReqSyncExec {
 
     fn open(&mut self) -> Result<()> {
         self.ready.clear();
-        if let Some(m) = self.obs.metrics() {
-            m.reqsync_buffered.add(-(self.buffered.len() as i64));
-        }
+        self.obs
+            .shift(GaugeId::ReqsyncBuffered, -(self.buffered.len() as i64));
         self.buffered.clear();
         self.index.clear();
         self.child_done = false;
@@ -455,7 +450,8 @@ impl Executor for ReqSyncExec {
             // low-water mark frees slots. Completed tuples accumulate in
             // `ready`, so Full-mode semantics are unchanged.
             while let Some(t) = self.child.next()? {
-                self.admit(t, true, &Step::new());
+                let admitted = self.obs.stamp(&Step::continuing());
+                self.admit(t, true, admitted);
                 self.stall_until_low_water()?;
             }
             self.child.close()?;
@@ -487,10 +483,17 @@ impl Executor for ReqSyncExec {
                         }
                         // Admitting the tuple and delivering what has
                         // already completed — its own call, if the reply
-                        // was instant — are one step.
-                        let step = Step::new();
-                        self.admit(t, true, &step);
+                        // was instant — are one step. Its reading is
+                        // settled once the completed calls are in hand, so
+                        // no delivery is stamped before the completion it
+                        // delivers (another thread may have completed one
+                        // a moment ago); the admission shares it.
+                        let step = Step::continuing();
+                        let id = self.admit(t, true, None);
                         self.drain_completions(&step)?;
+                        if let Some(entry) = id.and_then(|id| self.buffered.get_mut(&id)) {
+                            entry.admitted = self.obs.stamp(&step);
+                        }
                         continue;
                     }
                     None => {
@@ -514,7 +517,7 @@ impl Executor for ReqSyncExec {
             // in a single batched drain.
             let pending = self.pending_calls();
             self.pump.wait_any(&pending)?;
-            let step = Step::new();
+            let step = Step::continuing();
             for (cid, outcome) in self.pump.take_completed(&pending) {
                 self.patch_with(cid, &outcome, &step)?;
             }
@@ -524,9 +527,8 @@ impl Executor for ReqSyncExec {
     fn close(&mut self) -> Result<()> {
         // Release every registration still owned by buffered tuples (the
         // query may have been cut short by a LIMIT above us).
-        if let Some(m) = self.obs.metrics() {
-            m.reqsync_buffered.add(-(self.buffered.len() as i64));
-        }
+        self.obs
+            .shift(GaugeId::ReqsyncBuffered, -(self.buffered.len() as i64));
         for (_, entry) in self.buffered.drain() {
             if entry.owner {
                 entry.tuple.pending_calls_into(&mut self.scratch);

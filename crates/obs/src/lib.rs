@@ -14,6 +14,9 @@
 //!   marks, and fixed-bucket latency [`Histogram`]s, pre-registered as
 //!   the [`WellKnown`] set and fed by ReqPump, ReqSync, AEVScan, and the
 //!   websim decorators.
+//! * [`QueryRecorder`] — one per executing query: while it runs, the
+//!   query's events and metric changes are plain pushes and adds on its
+//!   thread, published to the ring and the registry in batches.
 //! * exposition — [`Obs::prometheus_text`], [`Obs::json_snapshot`], and
 //!   the per-query [`QueryWindow`] summaries surfaced by `.stats`,
 //!   `.trace`, and `Wsq::analyze`.
@@ -22,7 +25,8 @@
 //!
 //! [`Obs`] is a cheap-clone handle wrapping `Option<Arc<..>>`.
 //! [`Obs::disabled`] carries `None`, so every emission site costs one
-//! null-check and branch — no clock read, no allocation, no atomics.
+//! null-check and branch — no clock read, no allocation, no atomics; a
+//! recorder made from it holds nothing and lends nothing to the thread.
 //! An *enabled* handle is not free: `wsqbench --traced` reports it as
 //! `obs.enabled_overhead_pct` (ROADMAP item 7b).
 //!
@@ -36,9 +40,23 @@
 //! reading ([`Step`]). The delays the histograms and `.trace` report
 //! are differences of step readings: queue delay is launch round minus
 //! registration, call latency is completion minus launch round, patch
-//! delay is delivery minus admission. A call that completes inline reads
-//! the clock four times; the same call on a disabled handle reads it not
-//! at all.
+//! delay is delivery minus admission. A registration that launches its
+//! call at once is one step with its launch round, and a reply that comes
+//! back inline completes in the round that launched it. ReqSync's steps
+//! continue the thread's latest reading ([`Step::continuing`]) unless a
+//! result they deliver completed after it, so such a call reads the clock
+//! once, for `registered` … `completed`, and its `delivered` / `patched`
+//! carry that reading or a later one. Readings are kept as integer
+//! [`Tick`]s, so stamps and delays are subtractions. The same call on a
+//! disabled handle reads the clock not at all.
+//!
+//! # Where a step's records go
+//!
+//! On a thread running a query (its [`QueryRecorder`] lent to the thread)
+//! events and metric changes are buffered as plain data and published in
+//! batches; elsewhere they go straight to the ring and the atomics. Either
+//! way a reader sees the same events, in each call's lifecycle order, and
+//! the same totals once the query is done.
 //!
 //! # Example
 //!
@@ -46,27 +64,31 @@
 //! use std::sync::Arc;
 //! use std::time::Duration;
 //! use wsq_common::CallId;
-//! use wsq_obs::{EventKind, Label, Obs, Step};
+//! use wsq_obs::{CounterId, EventKind, HistogramId, Obs, Step};
 //!
 //! let obs = Obs::enabled();
 //! let request = Arc::new("AV:count(\"Utah\")");
-//! // Registration: one reading, one sequence reservation, two events.
+//! // Registration: one reading, two events.
 //! let step = Step::new();
-//! obs.emit(&step, [
-//!     (CallId(1), EventKind::Registered, obs.display(&request)),
-//!     (CallId(1), EventKind::Queued, Label::None),
-//! ]);
+//! obs.labelled(&step, CallId(1), EventKind::Registered, obs.display(&request));
+//! obs.event(&step, CallId(1), EventKind::Queued);
 //! let registered = obs.stamp(&step);
 //! // The launch round measures the queue delay from that reading.
 //! let step = Step::new();
 //! obs.event(&step, CallId(1), EventKind::Launched);
-//! if let (Some(m), Some(then)) = (obs.metrics(), registered) {
-//!     m.calls_launched.inc();
-//!     m.queue_delay.observe(step.now().saturating_duration_since(then));
+//! obs.count(CounterId::CallsLaunched, 1);
+//! if let (Some(then), Some(now)) = (registered, obs.stamp(&step)) {
+//!     obs.observe(HistogramId::QueueDelay, now.since(then));
 //! }
 //!
+//! // A query's recorder buffers what runs under it and publishes once.
+//! let mut query = obs.recorder();
+//! query.run(|| obs.event(&Step::new(), CallId(1), EventKind::Completed));
+//! assert_eq!(obs.trace_events_since(0).len(), 3, "not published yet");
+//! drop(query);
+//!
 //! let timeline = obs.trace_events_since(0);
-//! assert_eq!(timeline.len(), 3);
+//! assert_eq!(timeline.len(), 4);
 //! assert_eq!(timeline[0].at, timeline[1].at);
 //! assert_eq!(timeline[0].label.as_deref(), Some("AV:count(\"Utah\")"));
 //! assert!(obs.prometheus_text().contains("wsq_calls_launched_total 1"));
@@ -79,18 +101,21 @@
 
 pub mod metrics;
 mod query;
+mod recorder;
 mod trace;
 
 pub use metrics::{
-    bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, Metric, Registered, Registry,
-    WellKnown, BUCKET_BOUNDS_US, BUCKET_COUNT,
+    bucket_index, Counter, CounterId, Gauge, GaugeId, Histogram, HistogramId, HistogramSnapshot,
+    Metric, Registered, Registry, WellKnown, BUCKET_BOUNDS_US, BUCKET_COUNT,
 };
 pub use query::{render_timeline, QuerySummary, QueryWindow};
+pub use recorder::{QueryRecorder, BUFFER_EVENTS};
 pub use trace::{EventKind, Label, TraceEvent, TraceRing};
 
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use trace::Stamp;
 use wsq_common::CallId;
 
 /// Default trace ring capacity (events), enough for several hundred
@@ -101,6 +126,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 #[derive(Debug)]
 pub struct ObsCore {
     epoch: Instant,
+    /// `epoch` as a [`Tick`], what stamps are measured from.
+    epoch_tick: Tick,
     trace: TraceRing,
     registry: Registry,
     well: WellKnown,
@@ -141,9 +168,13 @@ impl Obs {
     pub fn with_capacity(trace_capacity: usize) -> Obs {
         let registry = Registry::new();
         let well = WellKnown::register(&registry);
+        // The origin first, so the epoch is a tick at or after it.
+        Tick::origin();
+        let epoch = Instant::now();
         Obs {
             core: Some(Arc::new(ObsCore {
-                epoch: Instant::now(),
+                epoch,
+                epoch_tick: Tick::of(epoch),
                 trace: TraceRing::new(trace_capacity),
                 registry,
                 well,
@@ -152,6 +183,7 @@ impl Obs {
     }
 
     /// Whether this handle records anything.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.core.is_some()
     }
@@ -164,19 +196,77 @@ impl Obs {
         }
     }
 
-    /// The well-known instrument set, or `None` when disabled. The
-    /// idiomatic emission site is one `if let`:
-    ///
-    /// ```
-    /// # use wsq_obs::Obs;
-    /// # use std::time::Duration;
-    /// # let obs = Obs::enabled();
-    /// if let Some(m) = obs.metrics() {
-    ///     m.call_latency.observe(Duration::from_millis(3));
-    /// }
-    /// ```
+    /// The well-known instrument set, or `None` when disabled: for
+    /// reading and exposition. Emission sites on a query's path record
+    /// through [`Obs::count`], [`Obs::shift`] and [`Obs::observe`], which
+    /// a query's recorder can buffer.
+    #[inline]
     pub fn metrics(&self) -> Option<&WellKnown> {
         self.core.as_deref().map(|c| &c.well)
+    }
+
+    /// Add `n` to counter `id`: into the query's recorder on a thread
+    /// running one for this handle, into the shared cell otherwise.
+    #[inline]
+    pub fn count(&self, id: CounterId, n: u64) {
+        if let Some(core) = &self.core {
+            if recorder::with_lent(core, |r| r.count(id, n)).is_none() {
+                core.well.counter(id).add(n);
+            }
+        }
+    }
+
+    /// Move gauge `id` by `delta`, like [`Obs::count`].
+    #[inline]
+    pub fn shift(&self, id: GaugeId, delta: i64) {
+        if let Some(core) = &self.core {
+            if recorder::with_lent(core, |r| r.shift(id, delta)).is_none() {
+                core.well.gauge(id).add(delta);
+            }
+        }
+    }
+
+    /// Record `d` in histogram `id`, like [`Obs::count`].
+    #[inline]
+    pub fn observe(&self, id: HistogramId, d: Duration) {
+        if let Some(core) = &self.core {
+            if recorder::with_lent(core, |r| r.observe(id, d)).is_none() {
+                core.well.histogram(id).observe(d);
+            }
+        }
+    }
+
+    /// A recorder for one query (see [`QueryRecorder`]); inert when the
+    /// handle is disabled. What it holds is published when it drops.
+    pub fn recorder(&self) -> QueryRecorder {
+        self.query_recorder(false)
+    }
+
+    pub(crate) fn query_recorder(&self, track_calls: bool) -> QueryRecorder {
+        QueryRecorder::new(self.core.as_ref(), track_calls)
+    }
+
+    /// Run `f` as one query under a recorder of its own, and publish what
+    /// it recorded when `f` returns.
+    pub fn record<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.recorder().run(f)
+    }
+
+    /// Publish what the recorder lent to this thread for this handle
+    /// holds, if there is one. The pump calls this before the thread
+    /// blocks and before it hands a call to another thread, so events of
+    /// one call reach the ring in lifecycle order.
+    #[inline]
+    pub fn publish(&self) {
+        if let Some(core) = &self.core {
+            recorder::with_lent(core, |r| r.publish());
+        }
+    }
+
+    /// The running query's own distribution of histogram `id` so far:
+    /// `None` unless a recorder for this handle is lent to this thread.
+    pub fn query_histogram(&self, id: HistogramId) -> Option<HistogramSnapshot> {
+        recorder::with_lent(self.core.as_ref()?, |r| r.histogram(id))
     }
 
     /// The full metrics registry (for exposition), `None` when disabled.
@@ -191,28 +281,50 @@ impl Obs {
 
     /// `step`'s clock reading for a later step to measure a delay from;
     /// `None`, and no clock read, on a disabled handle.
-    pub fn stamp(&self, step: &Step) -> Option<Instant> {
-        self.core.as_ref().map(|_| step.now())
+    #[inline]
+    pub fn stamp(&self, step: &Step) -> Option<Tick> {
+        self.core.as_ref().map(|_| step.reading().tick)
     }
 
-    /// Record the events of `step` under consecutive sequence numbers
-    /// (one reservation), each stamped with the step's reading and the
-    /// thread's session.
+    /// Record the unlabelled events of `step`, each stamped with the
+    /// step's reading and the thread's session: into the query's recorder
+    /// on a thread running one for this handle, otherwise straight into
+    /// the ring under consecutive sequence numbers (one reservation).
     pub fn emit<I>(&self, step: &Step, events: I)
     where
-        I: IntoIterator<Item = (CallId, EventKind, Label)>,
+        I: IntoIterator<Item = (CallId, EventKind)>,
         I::IntoIter: ExactSizeIterator,
     {
         if let Some(core) = &self.core {
-            let (now, session) = step.reading();
-            let at = now.saturating_duration_since(core.epoch);
-            core.trace.record(at, session, events.into_iter());
+            let stamp = step.stamp(core);
+            let mut events = events.into_iter();
+            if recorder::with_lent(core, |r| r.record(stamp, &mut events)).is_none() {
+                let events = events.map(|(call, kind)| (call, kind, Label::None));
+                core.trace.record(stamp, events);
+            }
         }
     }
 
     /// Record one unlabelled event of `step`.
+    #[inline]
     pub fn event(&self, step: &Step, call: CallId, kind: EventKind) {
-        self.emit(step, [(call, kind, Label::None)]);
+        self.labelled(step, call, kind, Label::None);
+    }
+
+    /// Record one event of `step` with `label` (see [`Obs::text`] and
+    /// [`Obs::display`]).
+    #[inline]
+    pub fn labelled(&self, step: &Step, call: CallId, kind: EventKind, label: Label) {
+        if let Some(core) = &self.core {
+            let stamp = step.stamp(core);
+            let event = trace::Recorded { stamp, call, kind };
+            let mut label = Some(label);
+            if recorder::with_lent(core, |r| r.push(event, label.take())).is_none() {
+                let label = label.unwrap_or(Label::None);
+                core.trace
+                    .record(stamp, std::iter::once((call, kind, label)));
+            }
+        }
     }
 
     /// A text label; `text` is only invoked (and its string only
@@ -227,6 +339,7 @@ impl Obs {
     /// A label that is `source`'s `Display`, formatted only for a reader
     /// of the ring: the emission site pays a reference count, and nothing
     /// at all when the handle is disabled.
+    #[inline]
     pub fn display<T>(&self, source: &Arc<T>) -> Label
     where
         T: std::fmt::Display + Send + Sync + 'static,
@@ -278,18 +391,20 @@ impl Obs {
     /// no trace-ring snapshot; [`Obs::begin_query`] is the full window).
     /// Just calls `query` when disabled.
     pub fn timed_query<R>(&self, query: impl FnOnce() -> R) -> R {
-        let Some(m) = self.metrics() else {
+        if !self.is_enabled() {
             return query();
-        };
+        }
         let started = Instant::now();
         let result = query();
-        m.queries.inc();
-        m.query_latency.observe(started.elapsed());
+        self.count(CounterId::Queries, 1);
+        self.observe(HistogramId::QueryLatency, started.elapsed());
         result
     }
 
-    /// Open a per-query measurement window (snapshots the histograms,
-    /// saves the trace position, resets the in-flight high-water mark).
+    /// Open a per-query measurement window: a recorder of the query's own
+    /// that also keeps the ids of the calls it registers, and the trace
+    /// position to find their events from. Run the query under
+    /// [`QueryWindow::run`], then [`QueryWindow::finish`].
     pub fn begin_query(&self) -> QueryWindow {
         QueryWindow::open(self)
     }
@@ -387,29 +502,124 @@ impl Obs {
 /// needs it. A step that records nothing reads nothing.
 #[derive(Debug, Default)]
 pub struct Step {
-    /// The clock reading and the thread's session, taken together.
-    reading: Cell<Option<(Instant, u64)>>,
+    reading: Cell<Option<Reading>>,
+    /// Whether the step may continue the thread's previous reading
+    /// ([`Step::continuing`]).
+    continuing: bool,
+}
+
+/// A step's clock reading, with the thread's session, taken together.
+#[derive(Debug, Clone, Copy)]
+struct Reading {
+    at: Instant,
+    /// `at` as a [`Tick`]: worked out once, so stamping events and
+    /// measuring delays from the reading are integer subtractions.
+    tick: Tick,
+    session: u64,
+}
+
+/// A clock reading as observability keeps it: nanoseconds since a
+/// process-wide origin, taken before any handle's epoch. Ticks compare
+/// and subtract as integers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Tick(u64);
+
+impl Tick {
+    /// Where ticks count from: fixed by the first use.
+    fn origin() -> Instant {
+        static ORIGIN: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+        *ORIGIN.get_or_init(Instant::now)
+    }
+
+    #[inline]
+    fn of(at: Instant) -> Tick {
+        Tick(metrics::nanos(at.saturating_duration_since(Tick::origin())))
+    }
+
+    /// The time from `earlier` to this tick; zero if `earlier` is later.
+    #[inline]
+    pub fn since(self, earlier: Tick) -> Duration {
+        Duration::from_nanos(self.0.saturating_sub(earlier.0))
+    }
 }
 
 impl Step {
     /// A step that has not read the clock yet.
+    #[inline]
     pub fn new() -> Step {
         Step::default()
     }
 
-    fn reading(&self) -> (Instant, u64) {
+    /// A step that continues the thread's work since its previous reading
+    /// (ReqSync admitting the tuple of a call just registered, and
+    /// delivering what has completed). When it first needs the time it
+    /// takes this thread's previous reading if every result the thread has
+    /// taken since a continuing step last settled its time ([`Step::taken`])
+    /// completed no later — the usual case for a reply that completed
+    /// inline a moment ago — and reads the clock only otherwise. Either
+    /// way nothing it records is stamped before a completion it delivers.
+    #[inline]
+    pub fn continuing() -> Step {
+        Step {
+            continuing: true,
+            ..Step::default()
+        }
+    }
+
+    /// Note that this thread has taken the result of a call that
+    /// completed at `finished`: a later [`Step::continuing`] on the thread
+    /// is stamped no earlier.
+    #[inline]
+    pub fn taken(finished: Tick) {
+        TAKEN.with(|t| t.set(t.get().max(finished)));
+    }
+
+    #[inline]
+    fn reading(&self) -> Reading {
         self.reading.get().unwrap_or_else(|| {
-            let reading = (Instant::now(), current_session());
+            let reading = self.continued().unwrap_or_else(|| {
+                let at = Instant::now();
+                let reading = Reading {
+                    at,
+                    tick: Tick::of(at),
+                    session: current_session(),
+                };
+                LAST_READING.with(|last| last.set(Some(reading)));
+                reading
+            });
             self.reading.set(Some(reading));
             reading
         })
     }
 
+    /// The thread's previous reading, if this step may continue it (see
+    /// [`Step::continuing`]).
+    #[inline]
+    fn continued(&self) -> Option<Reading> {
+        if !self.continuing {
+            return None;
+        }
+        let taken = TAKEN.with(|t| t.replace(Tick(0)));
+        let last = LAST_READING.with(Cell::get)?;
+        (last.tick >= taken && last.session == current_session()).then_some(last)
+    }
+
+    /// The step's stamp for events of `core`.
+    #[inline]
+    fn stamp(&self, core: &ObsCore) -> Stamp {
+        let Reading { tick, session, .. } = self.reading();
+        Stamp {
+            at_nanos: tick.0.saturating_sub(core.epoch_tick.0),
+            session,
+        }
+    }
+
     /// The step's clock reading, taken now if nothing has needed it yet.
     /// Independent of any handle: for callers that need the time whatever
     /// observability does (a reply's deadline).
+    #[inline]
     pub fn now(&self) -> Instant {
-        self.reading().0
+        self.reading().at
     }
 }
 
@@ -445,6 +655,11 @@ pub fn current_call() -> Option<CallId> {
 
 thread_local! {
     static CURRENT_SESSION: Cell<u64> = const { Cell::new(0) };
+    /// The latest clock reading a step took on this thread.
+    static LAST_READING: Cell<Option<Reading>> = const { Cell::new(None) };
+    /// The latest completion among the results this thread has taken since
+    /// a continuing step last settled its time ([`Step::taken`]).
+    static TAKEN: Cell<Tick> = const { Cell::new(Tick(0)) };
 }
 
 /// Run `f` with `session` installed as the thread's current server
@@ -464,6 +679,7 @@ pub fn session_scope<R>(session: u64, f: impl FnOnce() -> R) -> R {
 
 /// The server session the current thread is working for (`0` when
 /// untagged). Read once per [`Step`] to stamp [`TraceEvent::session`].
+#[inline]
 pub fn current_session() -> u64 {
     CURRENT_SESSION.with(|c| c.get())
 }
@@ -479,7 +695,7 @@ mod tests {
         let step = Step::new();
         obs.event(&step, CallId(1), EventKind::Registered);
         let label = obs.text(|| panic!("label closure must not run when disabled"));
-        obs.emit(&step, [(CallId(1), EventKind::Failed, label)]);
+        obs.labelled(&step, CallId(1), EventKind::Failed, label);
         assert!(obs.stamp(&step).is_none());
         assert!(
             step.reading.get().is_none(),
@@ -490,17 +706,139 @@ mod tests {
         assert_eq!(obs.prometheus_text(), "");
         assert_eq!(obs.json_snapshot(), "{}");
         assert_eq!(format!("{obs:?}"), "Obs(disabled)");
+
+        // Its recorder lends nothing to the thread: what runs under it
+        // records nowhere, reads no clock and allocates no buffer.
+        let mut query = obs.recorder();
+        let step = Step::new();
+        query.run(|| {
+            assert_eq!(recorder::lent_capacity(), None, "nothing lent");
+            obs.event(&step, CallId(1), EventKind::Registered);
+            obs.count(CounterId::CallsRegistered, 1);
+            obs.shift(GaugeId::InFlight, 1);
+            obs.observe(HistogramId::CallLatency, Duration::from_millis(1));
+            obs.publish();
+            assert!(obs.query_histogram(HistogramId::CallLatency).is_none());
+        });
+        assert!(step.reading.get().is_none(), "still no clock read");
+        assert_eq!(query.counter(CounterId::CallsRegistered), 0);
+        assert_eq!(format!("{query:?}"), "QueryRecorder { enabled: false }");
+        let mut window = obs.begin_query();
+        window.run(|| obs.event(&Step::new(), CallId(2), EventKind::Queued));
+        assert!(window.finish().is_none());
+    }
+
+    #[test]
+    fn a_recorder_buffers_until_it_publishes() {
+        let obs = Obs::enabled();
+        let m = obs.metrics().unwrap();
+        let mut query = obs.recorder();
+        query.run(|| {
+            let step = Step::new();
+            obs.emit(
+                &step,
+                [
+                    (CallId(1), EventKind::Registered),
+                    (CallId(1), EventKind::Queued),
+                ],
+            );
+            obs.count(CounterId::CallsRegistered, 1);
+            obs.shift(GaugeId::InFlight, 2);
+            obs.shift(GaugeId::InFlight, -1);
+            obs.observe(HistogramId::CallLatency, Duration::from_millis(1));
+            let own = obs.query_histogram(HistogramId::CallLatency).unwrap();
+            assert_eq!(own.count, 1);
+        });
+        // Nothing shared moved yet; the query's own totals did.
+        assert_eq!(obs.trace_position(), 0);
+        assert_eq!(m.calls_registered.get(), 0);
+        assert_eq!(query.counter(CounterId::CallsRegistered), 1);
+        assert_eq!(query.high_water(GaugeId::InFlight), 2);
+        // Outside `run` the thread records directly.
+        obs.event(&Step::new(), CallId(9), EventKind::Launched);
+        assert_eq!(obs.trace_position(), 1);
+
+        query.publish();
+        let events = obs.trace_events_since(0);
+        let seqs: Vec<(u64, u64)> = events.iter().map(|e| (e.seq, e.call.0)).collect();
+        assert_eq!(seqs, vec![(0, 9), (1, 1), (2, 1)], "one reservation");
+        assert_eq!(events[1].at, events[2].at);
+        assert_eq!(m.calls_registered.get(), 1);
+        assert_eq!((m.in_flight.get(), m.in_flight.high_water()), (1, 2));
+        assert_eq!(m.call_latency.snapshot().count, 1);
+
+        // Totals outlive a publication; a second one adds only what is new.
+        query.run(|| obs.count(CounterId::CallsRegistered, 2));
+        drop(query);
+        assert_eq!(m.calls_registered.get(), 3);
+        assert_eq!(m.call_latency.snapshot().count, 1);
+    }
+
+    #[test]
+    fn a_full_buffer_publishes_itself() {
+        let obs = Obs::enabled();
+        let mut query = obs.recorder();
+        query.run(|| {
+            for i in 0..BUFFER_EVENTS as u64 + 3 {
+                obs.event(&Step::new(), CallId(i), EventKind::Queued);
+            }
+            assert_eq!(obs.trace_position(), BUFFER_EVENTS as u64);
+        });
+        drop(query);
+        let calls: Vec<u64> = obs.trace_events_since(0).iter().map(|e| e.call.0).collect();
+        assert_eq!(calls, (0..BUFFER_EVENTS as u64 + 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn recorders_nest_and_keep_to_their_handle() {
+        let a = Obs::enabled();
+        let b = Obs::enabled();
+        let mut outer = a.recorder();
+        outer.run(|| {
+            // An inner query on the same handle records into the outer one.
+            a.record(|| a.count(CounterId::Queries, 1));
+            assert_eq!(a.metrics().unwrap().queries.get(), 0);
+            // Another handle's query lends its own recorder; while it runs,
+            // the outer handle's records go straight to the shared cells.
+            b.record(|| {
+                b.count(CounterId::Queries, 1);
+                a.count(CounterId::Queries, 1);
+            });
+            assert_eq!(b.metrics().unwrap().queries.get(), 1);
+            assert_eq!(a.metrics().unwrap().queries.get(), 1);
+            // And the outer recorder is back once it returns.
+            a.count(CounterId::Queries, 1);
+        });
+        assert_eq!(outer.counter(CounterId::Queries), 2);
+        drop(outer);
+        assert_eq!(a.metrics().unwrap().queries.get(), 3);
+    }
+
+    #[test]
+    fn a_finished_querys_buffers_are_reused() {
+        let obs = Obs::enabled();
+        let run = |n: u64| {
+            let mut query = obs.recorder();
+            query.run(|| {
+                for i in 0..n {
+                    obs.event(&Step::new(), CallId(i), EventKind::Queued);
+                }
+                recorder::lent_capacity()
+            })
+        };
+        let first = run(40).unwrap();
+        assert!(first >= 40);
+        assert_eq!(run(10), Some(first), "the same buffer, not a new one");
     }
 
     #[test]
     fn enabled_records_events_and_metrics() {
         let obs = Obs::enabled();
-        let registered = (CallId(7), EventKind::Registered, obs.text(|| "r".into()));
-        obs.emit(&Step::new(), [registered]);
+        let label = obs.text(|| "r".into());
+        obs.labelled(&Step::new(), CallId(7), EventKind::Registered, label);
         obs.event(&Step::new(), CallId(7), EventKind::Launched);
-        let m = obs.metrics().unwrap();
-        m.calls_registered.inc();
-        m.in_flight.add(1);
+        obs.count(CounterId::CallsRegistered, 1);
+        obs.shift(GaugeId::InFlight, 1);
         let events = obs.trace_events_since(0);
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].label.as_deref(), Some("r"));
@@ -566,7 +904,38 @@ mod tests {
             later.now().saturating_duration_since(step.now()),
             events[2].at - events[1].at
         );
-        assert_eq!(obs.stamp(&step), Some(step.now()));
+        let (then, now) = (obs.stamp(&step).unwrap(), obs.stamp(&later).unwrap());
+        assert_eq!(now.since(then), events[2].at - events[1].at);
+        assert_eq!(then.since(now), Duration::ZERO, "saturating");
+    }
+
+    #[test]
+    fn a_continuing_step_reuses_the_last_reading_unless_a_result_completed_later() {
+        let obs = Obs::enabled();
+        let first = obs.stamp(&Step::new()).unwrap();
+        // Nothing taken since, or only results that completed no later:
+        // the thread's last reading, no clock read.
+        assert_eq!(obs.stamp(&Step::continuing()), Some(first));
+        Step::taken(first);
+        assert_eq!(obs.stamp(&Step::continuing()), Some(first));
+        // A result another thread completed after it: a fresh reading,
+        // no earlier than that completion.
+        let other = obs.clone();
+        let completed = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(1));
+            other.stamp(&Step::new()).unwrap()
+        })
+        .join()
+        .unwrap();
+        Step::taken(completed);
+        let delivered = obs.stamp(&Step::continuing()).unwrap();
+        assert!(delivered >= completed && delivered > first);
+        // A plain step always reads the clock; a continuing one under
+        // another session does too.
+        std::thread::sleep(Duration::from_millis(1));
+        let tagged = session_scope(9, || obs.stamp(&Step::continuing()).unwrap());
+        assert!(tagged > delivered);
+        assert!(obs.stamp(&Step::new()).unwrap() > delivered);
     }
 
     #[test]

@@ -7,9 +7,21 @@
 //! use a fixed logarithmic bucket ladder ([`BUCKET_BOUNDS_US`]) so an
 //! `observe` is one array index plus two `fetch_add`s (the count is the
 //! sum of the buckets; a maximum or high-water mark is written only when
-//! it rises), and snapshots of two points in time can be subtracted to
-//! get an exact per-window distribution (see
-//! [`HistogramSnapshot::delta`]).
+//! it rises).
+//!
+//! # Per-query windows
+//!
+//! Emission sites name an instrument by id ([`CounterId`], [`GaugeId`],
+//! [`HistogramId`]) through [`crate::Obs::count`], [`crate::Obs::shift`]
+//! and [`crate::Obs::observe`]. On a thread running a query those land in
+//! the query's recorder as plain integers, which keeps the query's own
+//! totals — its histograms are [`HistogramSnapshot`]s filled with
+//! [`HistogramSnapshot::record`] — and merges what it has not merged yet
+//! into these shared instruments when it publishes
+//! ([`Histogram::merge`], [`Gauge::merge`]). A per-query view (the
+//! ANALYZE footer, the adaptive prefetch controller) reads the query's
+//! recorder, never a difference of shared cells, so concurrent queries do
+//! not see each other. The shared gauges keep lifetime high-water marks.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -28,11 +40,13 @@ impl Counter {
     }
 
     /// Add one.
+    #[inline]
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Add `n`.
+    #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
@@ -81,18 +95,17 @@ impl Gauge {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Highest value seen since construction or the last
-    /// [`Gauge::reset_high_water`].
+    /// Highest value seen since construction.
     pub fn high_water(&self) -> i64 {
         self.high.load(Ordering::Relaxed)
     }
 
-    /// Reset the high-water mark to the current value, returning the old
-    /// mark. Used to scope "max concurrent" readings to one query; with
-    /// overlapping queries the mark is shared (documented in DESIGN §10).
-    pub fn reset_high_water(&self) -> i64 {
-        self.high
-            .swap(self.value.load(Ordering::Relaxed), Ordering::Relaxed)
+    /// Merge a batch of changes recorded elsewhere: add their net `delta`,
+    /// and raise the mark to where the batch peaked, `peak` above the
+    /// value it started from (`peak >= delta.max(0)`).
+    pub fn merge(&self, delta: i64, peak: i64) {
+        let before = self.value.fetch_add(delta, Ordering::Relaxed);
+        self.raise_high_water(before + peak);
     }
 }
 
@@ -109,18 +122,21 @@ pub const BUCKET_BOUNDS_US: [u64; 16] = [
 pub const BUCKET_COUNT: usize = BUCKET_BOUNDS_US.len() + 1;
 
 /// `d` in whole microseconds, saturating (`as_micros` goes through `u128`).
+#[inline]
 fn micros(d: Duration) -> u64 {
     let secs = d.as_secs().saturating_mul(1_000_000);
     secs.saturating_add(d.subsec_micros().into())
 }
 
 /// `d` in nanoseconds, saturating (`as_nanos` goes through `u128`).
-fn nanos(d: Duration) -> u64 {
+#[inline]
+pub(crate) fn nanos(d: Duration) -> u64 {
     let secs = d.as_secs().saturating_mul(1_000_000_000);
     secs.saturating_add(d.subsec_nanos().into())
 }
 
 /// The bucket index a duration falls into.
+#[inline]
 pub fn bucket_index(d: Duration) -> usize {
     let us = micros(d);
     BUCKET_BOUNDS_US
@@ -163,6 +179,23 @@ impl Histogram {
         }
     }
 
+    /// Merge observations recorded elsewhere (a query's recorder): one
+    /// `fetch_add` per non-empty bucket and one for the sum.
+    pub fn merge(&self, batch: &HistogramSnapshot) {
+        if batch.count == 0 {
+            return;
+        }
+        for (cell, &n) in self.buckets.iter().zip(&batch.buckets) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.sum_nanos.fetch_add(batch.sum_nanos, Ordering::Relaxed);
+        if batch.max_nanos > self.max_nanos.load(Ordering::Relaxed) {
+            self.max_nanos.fetch_max(batch.max_nanos, Ordering::Relaxed);
+        }
+    }
+
     /// A point-in-time copy of the cells; `count` is the sum of the
     /// bucket cells as copied, so the two always agree.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -196,13 +229,24 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// An empty snapshot.
-    pub fn empty() -> Self {
+    pub const fn empty() -> Self {
         HistogramSnapshot {
             buckets: [0; BUCKET_COUNT],
             count: 0,
             sum_nanos: 0,
             max_nanos: 0,
         }
+    }
+
+    /// Record one duration in place: the plain-integer `observe` a query's
+    /// recorder runs, with no atomics.
+    #[inline]
+    pub fn record(&mut self, d: Duration) {
+        let nanos = nanos(d);
+        self.buckets[bucket_index(d)] += 1;
+        self.count += 1;
+        self.sum_nanos = self.sum_nanos.saturating_add(nanos);
+        self.max_nanos = self.max_nanos.max(nanos);
     }
 
     /// The observations recorded between `earlier` and `self` (cells are
@@ -515,6 +559,167 @@ impl WellKnown {
     }
 }
 
+/// A well-known counter, named for recording through
+/// [`crate::Obs::count`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // each variant is the `WellKnown` field of the same name
+pub enum CounterId {
+    CallsRegistered,
+    CallsCoalesced,
+    CallsLaunched,
+    CallsCompleted,
+    CallsFailed,
+    CallsCancelled,
+    RaceWon,
+    RaceCancelled,
+    CacheHits,
+    CacheMisses,
+    Retries,
+    FlakyFailures,
+    PlaceholderTuples,
+    TuplesPatched,
+    TuplesCancelled,
+    Queries,
+    SessionsTotal,
+    ReqsyncStalls,
+    PrefetchIssued,
+    PrefetchWasted,
+}
+
+impl CounterId {
+    /// How many there are (the length of a recorder's counter array).
+    pub const COUNT: usize = CounterId::PrefetchWasted as usize + 1;
+
+    /// Every counter, in declaration order (`ALL[id as usize] == id`).
+    pub const ALL: [CounterId; CounterId::COUNT] = {
+        use CounterId as C;
+        [
+            C::CallsRegistered,
+            C::CallsCoalesced,
+            C::CallsLaunched,
+            C::CallsCompleted,
+            C::CallsFailed,
+            C::CallsCancelled,
+            C::RaceWon,
+            C::RaceCancelled,
+            C::CacheHits,
+            C::CacheMisses,
+            C::Retries,
+            C::FlakyFailures,
+            C::PlaceholderTuples,
+            C::TuplesPatched,
+            C::TuplesCancelled,
+            C::Queries,
+            C::SessionsTotal,
+            C::ReqsyncStalls,
+            C::PrefetchIssued,
+            C::PrefetchWasted,
+        ]
+    };
+}
+
+/// A well-known gauge, named for recording through [`crate::Obs::shift`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // each variant is the `WellKnown` field of the same name
+pub enum GaugeId {
+    SessionsActive,
+    InFlight,
+    QueueDepth,
+    ReqsyncBuffered,
+}
+
+impl GaugeId {
+    /// How many there are.
+    pub const COUNT: usize = GaugeId::ReqsyncBuffered as usize + 1;
+
+    /// Every gauge, in declaration order.
+    pub const ALL: [GaugeId; GaugeId::COUNT] = [
+        GaugeId::SessionsActive,
+        GaugeId::InFlight,
+        GaugeId::QueueDepth,
+        GaugeId::ReqsyncBuffered,
+    ];
+}
+
+/// A well-known histogram, named for recording through
+/// [`crate::Obs::observe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // each variant is the `WellKnown` field of the same name
+pub enum HistogramId {
+    CallLatency,
+    QueueDelay,
+    PatchDelay,
+    StallDuration,
+    QueryLatency,
+}
+
+impl HistogramId {
+    /// How many there are.
+    pub const COUNT: usize = HistogramId::QueryLatency as usize + 1;
+
+    /// Every histogram, in declaration order.
+    pub const ALL: [HistogramId; HistogramId::COUNT] = [
+        HistogramId::CallLatency,
+        HistogramId::QueueDelay,
+        HistogramId::PatchDelay,
+        HistogramId::StallDuration,
+        HistogramId::QueryLatency,
+    ];
+}
+
+impl WellKnown {
+    /// The counter `id` names.
+    #[inline]
+    pub fn counter(&self, id: CounterId) -> &Counter {
+        use CounterId as C;
+        match id {
+            C::CallsRegistered => &self.calls_registered,
+            C::CallsCoalesced => &self.calls_coalesced,
+            C::CallsLaunched => &self.calls_launched,
+            C::CallsCompleted => &self.calls_completed,
+            C::CallsFailed => &self.calls_failed,
+            C::CallsCancelled => &self.calls_cancelled,
+            C::RaceWon => &self.race_won,
+            C::RaceCancelled => &self.race_cancelled,
+            C::CacheHits => &self.cache_hits,
+            C::CacheMisses => &self.cache_misses,
+            C::Retries => &self.retries,
+            C::FlakyFailures => &self.flaky_failures,
+            C::PlaceholderTuples => &self.placeholder_tuples,
+            C::TuplesPatched => &self.tuples_patched,
+            C::TuplesCancelled => &self.tuples_cancelled,
+            C::Queries => &self.queries,
+            C::SessionsTotal => &self.sessions_total,
+            C::ReqsyncStalls => &self.reqsync_stalls,
+            C::PrefetchIssued => &self.prefetch_issued,
+            C::PrefetchWasted => &self.prefetch_wasted,
+        }
+    }
+
+    /// The gauge `id` names.
+    #[inline]
+    pub fn gauge(&self, id: GaugeId) -> &Gauge {
+        match id {
+            GaugeId::SessionsActive => &self.sessions_active,
+            GaugeId::InFlight => &self.in_flight,
+            GaugeId::QueueDepth => &self.queue_depth,
+            GaugeId::ReqsyncBuffered => &self.reqsync_buffered,
+        }
+    }
+
+    /// The histogram `id` names.
+    #[inline]
+    pub fn histogram(&self, id: HistogramId) -> &Histogram {
+        match id {
+            HistogramId::CallLatency => &self.call_latency,
+            HistogramId::QueueDelay => &self.queue_delay,
+            HistogramId::PatchDelay => &self.patch_delay,
+            HistogramId::StallDuration => &self.stall_duration,
+            HistogramId::QueryLatency => &self.query_latency,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,10 +737,11 @@ mod tests {
         g.add(-4);
         assert_eq!(g.get(), 1);
         assert_eq!(g.high_water(), 5);
-        assert_eq!(g.reset_high_water(), 5);
-        assert_eq!(g.high_water(), 1);
         g.set(7);
         assert_eq!(g.high_water(), 7);
+        // A batch that went up by 4 and ended down 2 from where it began.
+        g.merge(-2, 4);
+        assert_eq!((g.get(), g.high_water()), (5, 11));
     }
 
     #[test]
@@ -623,6 +829,22 @@ mod tests {
     }
 
     #[test]
+    fn a_recorded_batch_merges_into_what_observing_gives() {
+        let direct = Histogram::new();
+        let merged = Histogram::new();
+        let mut batch = HistogramSnapshot::empty();
+        for us in [10, 70, 70, 3_000, 9_000_000] {
+            let d = Duration::from_micros(us);
+            direct.observe(d);
+            batch.record(d);
+        }
+        assert_eq!(batch, direct.snapshot());
+        merged.merge(&batch);
+        merged.merge(&HistogramSnapshot::empty());
+        assert_eq!(merged.snapshot(), direct.snapshot());
+    }
+
+    #[test]
     fn snapshot_delta_is_exact_per_window() {
         let h = Histogram::new();
         h.observe(Duration::from_millis(1));
@@ -677,5 +899,38 @@ mod tests {
         let names: Vec<&str> = r.list().iter().map(|m| m.name).collect();
         assert!(names.contains(&"wsq_call_latency_seconds"));
         assert!(names.contains(&"wsq_calls_in_flight"));
+    }
+
+    #[test]
+    fn every_id_names_its_own_instrument() {
+        let r = Registry::new();
+        let w = WellKnown::register(&r);
+        assert!(CounterId::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &id)| id as usize == i));
+        assert!(GaugeId::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &id)| id as usize == i));
+        assert!(HistogramId::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &id)| id as usize == i));
+        // Distinct ids, distinct cells: bump each once, read each once.
+        for id in CounterId::ALL {
+            w.counter(id).inc();
+        }
+        assert!(CounterId::ALL.iter().all(|&id| w.counter(id).get() == 1));
+        for id in GaugeId::ALL {
+            w.gauge(id).add(1);
+        }
+        assert!(GaugeId::ALL.iter().all(|&id| w.gauge(id).get() == 1));
+        for id in HistogramId::ALL {
+            w.histogram(id).observe(Duration::from_micros(1));
+        }
+        assert!(HistogramId::ALL
+            .iter()
+            .all(|&id| w.histogram(id).snapshot().count == 1));
     }
 }

@@ -1,16 +1,18 @@
 //! Per-query measurement windows and trace timeline rendering.
 //!
-//! A [`QueryWindow`] brackets one query: it snapshots the latency
-//! histograms, saves the trace position, and resets the in-flight
-//! high-water mark when opened; when finished it subtracts the
-//! snapshots ([`crate::HistogramSnapshot::delta`]) so the reported
-//! p50/p95 describe exactly the calls this query launched, and reads
-//! the per-query maximum and per-call timeline from the trace window.
+//! A [`QueryWindow`] brackets one query with a recorder of its own
+//! ([`crate::QueryRecorder`]) that also keeps the ids of the calls the
+//! query registered. When finished it reads the query's own histograms,
+//! counters and buffer high-water mark from that recorder, and its
+//! concurrency from the lifecycle events of its own calls in the trace —
+//! never a difference of shared cells, so a concurrent query on another
+//! session changes nothing in this one's summary.
 
-use crate::metrics::HistogramSnapshot;
+use crate::metrics::{CounterId, GaugeId, HistogramId};
+use crate::recorder::QueryRecorder;
 use crate::trace::{EventKind, TraceEvent};
 use crate::Obs;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Duration;
 use wsq_common::CallId;
@@ -18,124 +20,97 @@ use wsq_common::CallId;
 /// An open per-query measurement window; see [`Obs::begin_query`].
 #[derive(Debug)]
 pub struct QueryWindow {
-    enabled: bool,
+    recorder: QueryRecorder,
     start_pos: u64,
     started: Duration,
-    call_latency0: HistogramSnapshot,
-    queue_delay0: HistogramSnapshot,
-    patch_delay0: HistogramSnapshot,
-    stall_duration0: HistogramSnapshot,
-    stalls0: u64,
-    prefetch_issued0: u64,
-    prefetch_wasted0: u64,
 }
 
 impl QueryWindow {
     pub(crate) fn open(obs: &Obs) -> QueryWindow {
-        match obs.metrics() {
-            Some(m) => {
-                m.in_flight.reset_high_water();
-                m.reqsync_buffered.reset_high_water();
-                QueryWindow {
-                    enabled: true,
-                    start_pos: obs.trace_position(),
-                    started: obs.now(),
-                    call_latency0: m.call_latency.snapshot(),
-                    queue_delay0: m.queue_delay.snapshot(),
-                    patch_delay0: m.patch_delay.snapshot(),
-                    stall_duration0: m.stall_duration.snapshot(),
-                    stalls0: m.reqsync_stalls.get(),
-                    prefetch_issued0: m.prefetch_issued.get(),
-                    prefetch_wasted0: m.prefetch_wasted.get(),
-                }
-            }
-            None => QueryWindow {
-                enabled: false,
-                start_pos: 0,
-                started: Duration::ZERO,
-                call_latency0: HistogramSnapshot::empty(),
-                queue_delay0: HistogramSnapshot::empty(),
-                patch_delay0: HistogramSnapshot::empty(),
-                stall_duration0: HistogramSnapshot::empty(),
-                stalls0: 0,
-                prefetch_issued0: 0,
-                prefetch_wasted0: 0,
-            },
+        QueryWindow {
+            recorder: obs.query_recorder(true),
+            start_pos: obs.trace_position(),
+            started: obs.now(),
         }
+    }
+
+    /// Run `f` as part of the query: what it records on this thread lands
+    /// in the window's recorder (see [`QueryRecorder::run`]).
+    pub fn run<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.recorder.run(f)
     }
 
     /// Close the window: record the query's wall time in
     /// `wsq_query_latency_seconds`, bump `wsq_queries_total`, and return
     /// the summary. `None` when the handle is disabled.
-    pub fn finish(self, obs: &Obs) -> Option<QuerySummary> {
-        if !self.enabled {
-            return None;
-        }
-        let m = obs.metrics()?;
-        let elapsed = obs.now().saturating_sub(self.started);
-        m.queries.inc();
-        m.query_latency.observe(elapsed);
+    pub fn finish(mut self) -> Option<QuerySummary> {
+        let core = self.recorder.core()?.clone();
+        self.recorder.publish();
+        let elapsed = core.epoch.elapsed().saturating_sub(self.started);
+        core.well.queries.inc();
+        core.well.query_latency.observe(elapsed);
 
-        let calls = m.call_latency.snapshot().delta(&self.call_latency0);
-        let queue = m.queue_delay.snapshot().delta(&self.queue_delay0);
-        let patch = m.patch_delay.snapshot().delta(&self.patch_delay0);
-        let stall = m.stall_duration.snapshot().delta(&self.stall_duration0);
-        let events = obs.trace_events_since(self.start_pos);
+        let r = &self.recorder;
+        let calls = r.histogram(HistogramId::CallLatency);
+        let queue = r.histogram(HistogramId::QueueDelay);
+        let patch = r.histogram(HistogramId::PatchDelay);
+        let stall = r.histogram(HistogramId::StallDuration);
+        let own: HashSet<CallId> = r.calls().iter().copied().collect();
+        let events = core
+            .trace
+            .snapshot_for_calls(self.start_pos, |call| own.contains(&call));
         Some(QuerySummary {
             elapsed,
             calls: calls.count,
             call_p50: calls.quantile(0.5),
             call_p95: calls.quantile(0.95),
-            call_max: max_call_latency(&events).or_else(|| calls.quantile(1.0)),
+            call_max: (calls.count > 0).then(|| Duration::from_nanos(calls.max_nanos)),
             queue_p95: queue.quantile(0.95),
             patch_p95: patch.quantile(0.95),
-            max_concurrent: m.in_flight.high_water(),
-            stalls: m.reqsync_stalls.get().saturating_sub(self.stalls0),
+            max_concurrent: max_concurrent(&events),
+            stalls: r.counter(CounterId::ReqsyncStalls),
             stall_p95: stall.quantile(0.95),
-            buffered_hw: m.reqsync_buffered.high_water(),
+            buffered_hw: r.high_water(GaugeId::ReqsyncBuffered),
             events: events.len() as u64,
-            dropped: obs.trace().map_or(0, |t| t.dropped()),
-            prefetch_issued: m
-                .prefetch_issued
-                .get()
-                .saturating_sub(self.prefetch_issued0),
-            prefetch_wasted: m
-                .prefetch_wasted
-                .get()
-                .saturating_sub(self.prefetch_wasted0),
+            dropped: core.trace.dropped(),
+            prefetch_issued: r.counter(CounterId::PrefetchIssued),
+            prefetch_wasted: r.counter(CounterId::PrefetchWasted),
         })
     }
 }
 
-/// What one query did, distilled from the metrics registry and the
-/// trace window. Rendered as the `-- trace:` ANALYZE footer.
+/// What one query did, distilled from its recorder and the lifecycle
+/// events of its own calls. Rendered as the `-- trace:` ANALYZE footer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySummary {
     /// End-to-end wall time.
     pub elapsed: Duration,
-    /// External calls that completed (or failed) during the window.
+    /// External calls of this query that completed (or failed): those
+    /// whose results it took (a call shared with another query counts for
+    /// whichever took it first).
     pub calls: u64,
-    /// Median launch→completion latency (registry histogram delta).
+    /// Median launch→completion latency of those calls.
     pub call_p50: Option<Duration>,
     /// 95th-percentile launch→completion latency.
     pub call_p95: Option<Duration>,
-    /// Slowest single call, measured exactly from the trace window.
+    /// Slowest single call, exact.
     pub call_max: Option<Duration>,
     /// 95th-percentile registration→launch delay (capacity wait).
     pub queue_p95: Option<Duration>,
     /// 95th-percentile tuple admission→patch delay in ReqSync.
     pub patch_p95: Option<Duration>,
-    /// High-water mark of simultaneously in-flight calls.
+    /// Most of the query's own calls in flight at once, from their
+    /// `Launched` / `Completed` events.
     pub max_concurrent: i64,
     /// Admission-control stalls ReqSync operators took in the window.
     pub stalls: u64,
     /// 95th-percentile stall duration (stall → resume).
     pub stall_p95: Option<Duration>,
-    /// High-water mark of buffered incomplete tuples (ReqSync occupancy;
-    /// with `reqsync_cap` set this stays at or below the cap,
-    /// barring §4.3 case-3 copy multiplication).
+    /// High-water mark of incomplete tuples buffered by the query's own
+    /// ReqSync operators (with `reqsync_cap` set this stays at or below
+    /// the cap, barring §4.3 case-3 copy multiplication).
     pub buffered_hw: i64,
-    /// Trace events the window captured.
+    /// Trace events of the query's own calls.
     pub events: u64,
     /// Lifetime trace drops (non-zero means old windows were evicted).
     pub dropped: u64,
@@ -175,28 +150,29 @@ fn fmt_ms(d: Option<Duration>) -> String {
     }
 }
 
-/// Exact per-query maximum call latency: the largest launched→finished
-/// gap among calls whose both endpoints fall inside the event window.
-fn max_call_latency(events: &[TraceEvent]) -> Option<Duration> {
-    let mut launched: HashMap<CallId, Duration> = HashMap::new();
-    let mut max: Option<Duration> = None;
-    for e in events {
+/// The most calls in flight at once among `events` (one query's): each
+/// `Launched` opens an interval, its call's `Completed` or `Failed`
+/// closes it. Events are taken in time order; at equal stamps in the
+/// order they were recorded, so an instant reply — launched and completed
+/// in one step — counts as in flight.
+fn max_concurrent(events: &[TraceEvent]) -> i64 {
+    let mut order: Vec<&TraceEvent> = events.iter().collect();
+    order.sort_by_key(|e| (e.at, e.seq));
+    let mut open: HashSet<CallId> = HashSet::new();
+    let mut max = 0;
+    for e in order {
         match e.kind {
             EventKind::Launched => {
-                launched.insert(e.call, e.at);
+                open.insert(e.call);
+                max = max.max(open.len());
             }
             EventKind::Completed | EventKind::Failed => {
-                if let Some(start) = launched.get(&e.call) {
-                    let d = e.at.saturating_sub(*start);
-                    if max.is_none_or(|m| d > m) {
-                        max = Some(d);
-                    }
-                }
+                open.remove(&e.call);
             }
             _ => {}
         }
     }
-    max
+    max as i64
 }
 
 /// Render a per-call timeline from a trace window, as shown by the
@@ -271,43 +247,97 @@ fn fmt_rel(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Step;
     use std::sync::Arc;
 
     #[test]
     fn window_on_disabled_obs_yields_none() {
         let obs = Obs::disabled();
-        let w = obs.begin_query();
-        assert!(w.finish(&obs).is_none());
+        let mut w = obs.begin_query();
+        w.run(|| obs.count(CounterId::ReqsyncStalls, 1));
+        assert!(w.finish().is_none());
+    }
+
+    /// A call's registration, launch and instant completion as the pump
+    /// records them, its delays sampled by whoever takes the result.
+    fn instant_call(obs: &Obs, call: u64, latency: Duration) {
+        let step = Step::new();
+        obs.emit(
+            &step,
+            [
+                (CallId(call), EventKind::Registered),
+                (CallId(call), EventKind::Queued),
+                (CallId(call), EventKind::Launched),
+                (CallId(call), EventKind::Completed),
+            ],
+        );
+        obs.observe(HistogramId::QueueDelay, Duration::ZERO);
+        obs.observe(HistogramId::CallLatency, latency);
     }
 
     #[test]
     fn window_scopes_stats_to_one_query() {
         let obs = Obs::enabled();
-        let m = obs.metrics().unwrap();
-        // Noise from an earlier "query".
-        m.call_latency.observe(Duration::from_secs(4));
-        m.in_flight.add(50);
-        m.in_flight.add(-50);
+        // Noise from before the window and from another thread during it.
+        instant_call(&obs, 90, Duration::from_secs(4));
+        obs.shift(GaugeId::ReqsyncBuffered, 50);
 
-        let w = obs.begin_query();
-        m.in_flight.add(3);
-        obs.event(&crate::Step::new(), CallId(1), EventKind::Launched);
-        m.call_latency.observe(Duration::from_millis(2));
-        obs.event(&crate::Step::new(), CallId(1), EventKind::Completed);
-        m.in_flight.add(-3);
-        let s = w.finish(&obs).unwrap();
+        let mut w = obs.begin_query();
+        w.run(|| {
+            instant_call(&obs, 1, Duration::from_millis(2));
+            obs.shift(GaugeId::ReqsyncBuffered, 3);
+            let other = obs.clone();
+            std::thread::spawn(move || {
+                other.record(|| instant_call(&other, 91, Duration::from_secs(3)));
+            })
+            .join()
+            .unwrap();
+            obs.shift(GaugeId::ReqsyncBuffered, -3);
+            obs.count(CounterId::PrefetchIssued, 2);
+        });
+        let s = w.finish().unwrap();
 
         assert_eq!(s.calls, 1);
-        assert_eq!(s.max_concurrent, 3, "high-water reset scopes the mark");
+        assert_eq!(s.max_concurrent, 1);
+        assert_eq!(s.buffered_hw, 3, "the query's own ReqSync occupancy");
+        assert_eq!(s.call_max, Some(Duration::from_millis(2)));
         assert!(s.call_p95.unwrap() <= Duration::from_millis(3));
-        // The exact max comes from the trace, not the lifetime histogram max.
-        assert!(s.call_max.unwrap() < Duration::from_secs(1));
-        assert_eq!(s.events, 2);
+        assert_eq!(s.events, 4, "only the query's own call");
+        assert_eq!(s.prefetch_issued, 2);
+        let m = obs.metrics().unwrap();
         assert_eq!(m.queries.get(), 1);
         assert_eq!(m.query_latency.snapshot().count, 1);
+        // The shared instruments got everything, published.
+        assert_eq!(m.call_latency.snapshot().count, 3);
+        assert_eq!(m.prefetch_issued.get(), 2);
+        assert_eq!(m.reqsync_buffered.get(), 50);
         let line = s.to_string();
         assert!(line.starts_with("calls=1 "));
-        assert!(line.contains("max_concurrent=3"));
+        assert!(line.contains("max_concurrent=1"));
+    }
+
+    #[test]
+    fn concurrency_counts_overlapping_launches() {
+        let at = |ms| Duration::from_millis(ms);
+        let mk = |seq, ms, call, kind| TraceEvent {
+            seq,
+            at: at(ms),
+            call: CallId(call),
+            session: 0,
+            kind,
+            label: None,
+        };
+        // Recorded out of time order: call 2 on a thread that published late.
+        let events = vec![
+            mk(0, 1, 1, EventKind::Launched),
+            mk(1, 9, 1, EventKind::Completed),
+            mk(5, 2, 2, EventKind::Launched),
+            mk(6, 4, 2, EventKind::Failed),
+            mk(7, 9, 3, EventKind::Launched),
+            mk(8, 9, 3, EventKind::Completed),
+        ];
+        assert_eq!(max_concurrent(&events), 2);
+        assert_eq!(max_concurrent(&events[4..]), 1, "an instant reply");
     }
 
     #[test]

@@ -3,24 +3,44 @@
 //!
 //! # Protocol
 //!
-//! A writer records one *step* at a time ([`TraceRing::record`]): the `n`
-//! events the step produced, which share its timestamp and session. It
-//! reserves `n` consecutive global sequence numbers with one `fetch_add`
-//! on `head`, then writes each event into slot `seq & (capacity − 1)` (the
-//! capacity is a power of two) under that slot's own mutex — per-slot
-//! locking: writers to different slots never contend, and a snapshot
-//! reader only blocks one writer at a time. A writer only stores an event
-//! if its sequence number is newer than what the slot already holds, so a
-//! slow writer lapped by the ring can never clobber fresher data.
+//! A writer adds a *batch* of events at a time: a query's recorder
+//! publishes its whole buffer ([`TraceRing::publish`]), a thread with no
+//! recorder one step ([`TraceRing::record`]). It reserves the batch's `n`
+//! consecutive global sequence numbers with one `fetch_add` on `head`,
+//! then writes each event into slot `seq & (capacity − 1)` (the capacity
+//! is a power of two). Slots are locked a page at a time ([`PAGE_SLOTS`]
+//! consecutive slots share a mutex), and a batch takes each page it
+//! covers once: a published buffer of a few hundred events costs a few
+//! lock rounds, not one per event. Writers to different pages never
+//! contend, and a snapshot reader blocks one page at a time. A writer only
+//! stores an event if its sequence number is newer than what the slot
+//! already holds, so a slow writer lapped by the ring can never clobber
+//! fresher data.
 //!
 //! Because every reserved sequence number is written exactly once, the
 //! number of *dropped* (overwritten) events is exactly
 //! `head.saturating_sub(capacity)` — no separate drop counter can race.
-//! The same protocol, batch reservation included, is model-checked under
-//! schedcheck in `wsq-analyze::models::trace_ring_model`.
+//! The same protocol, whole-buffer reservation included, is model-checked
+//! under schedcheck in `wsq-analyze::models::trace_ring_model`.
+//!
+//! Sequence order is publication order. A recorder publishes before the
+//! thread blocks and before it hands a call to another thread (the pump's
+//! rules, `wsq-pump` crate docs), so the events of a call are in
+//! lifecycle order within the ring whichever threads recorded them.
+//!
+//! # Labels
+//!
+//! A slot is plain data — stamp, session, call, kind — so overwriting one
+//! frees nothing. An event's [`Label`] (the request on `Registered`, the
+//! error on `Failed`) is the only part that owns heap data, and it is kept
+//! beside the slots, for the newest [`LABELS`] labelled events only: a
+//! label keeps its request alive, and letting go of a request a few
+//! hundred calls later, while it is still in cache, costs a fraction of
+//! letting go of it a full ring later. An older event reads without its
+//! label.
 
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -117,10 +137,10 @@ pub struct TraceEvent {
     pub label: Option<Arc<str>>,
 }
 
-/// What a slot keeps of an event's label: enough to render it when the
-/// ring is read, so recording an event never formats anything. Emission
-/// sites build one with [`crate::Obs::text`] / [`crate::Obs::display`],
-/// which cost nothing on a disabled handle.
+/// An event's annotation, rendered only when the ring is read, so
+/// recording an event never formats anything. Emission sites build one
+/// with [`crate::Obs::text`] / [`crate::Obs::display`], which cost nothing
+/// on a disabled handle.
 #[derive(Clone)]
 pub enum Label {
     /// No annotation.
@@ -142,35 +162,68 @@ impl Label {
     }
 }
 
-/// An event as a slot holds it: a [`TraceEvent`] whose label is still to
-/// be rendered.
-#[derive(Clone)]
+/// Labels the ring keeps, for its newest labelled events (see the module
+/// docs): a few queries' worth of calls.
+pub const LABELS: usize = 1024;
+
+/// What a step stamps its events with: its clock reading, in nanoseconds
+/// since the observability epoch, and the session it ran for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    pub(crate) at_nanos: u64,
+    pub(crate) session: u64,
+}
+
+/// An event before the ring numbers it, label aside: what a query's
+/// recorder buffers and a slot holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Recorded {
+    pub(crate) stamp: Stamp,
+    pub(crate) call: CallId,
+    pub(crate) kind: EventKind,
+}
+
+/// An event as a slot holds it.
+#[derive(Clone, Copy)]
 struct Stored {
     seq: u64,
-    at: Duration,
-    call: CallId,
-    session: u64,
-    kind: EventKind,
-    label: Label,
+    event: Recorded,
 }
 
 impl Stored {
-    fn render(self) -> TraceEvent {
+    fn render(self, label: Option<&Label>) -> TraceEvent {
+        let e = self.event;
         TraceEvent {
             seq: self.seq,
-            at: self.at,
-            call: self.call,
-            session: self.session,
-            kind: self.kind,
-            label: self.label.render(),
+            at: Duration::from_nanos(e.stamp.at_nanos),
+            call: e.call,
+            session: e.stamp.session,
+            kind: e.kind,
+            label: label.and_then(Label::render),
         }
     }
 }
 
+/// Consecutive slots that share one lock (fewer in a smaller ring).
+pub const PAGE_SLOTS: usize = 64;
+
+/// One page of slots under its lock.
+type Page = Mutex<Box<[Option<Stored>]>>;
+
 /// The fixed-capacity circular event buffer.
 pub struct TraceRing {
-    /// `None` until the slot is first written.
-    slots: Box<[Mutex<Option<Stored>>]>,
+    /// The slots, [`TraceRing::page_slots`] to a page; a slot is `None`
+    /// until first written.
+    pages: Box<[Page]>,
+    /// The newest labels, each with its event's sequence number, oldest
+    /// first (in publication order, so nearly in sequence order).
+    labels: Mutex<VecDeque<(u64, Label)>>,
+    /// How many labels are kept: [`LABELS`], or the capacity if smaller.
+    label_capacity: usize,
+    /// Slots per page, a power of two.
+    page_slots: usize,
+    /// Total slots − 1 (the capacity is a power of two).
+    mask: u64,
     head: AtomicU64,
 }
 
@@ -189,15 +242,22 @@ impl TraceRing {
     /// two (min 1) so a sequence number finds its slot with a mask.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1).next_power_of_two();
+        let page_slots = PAGE_SLOTS.min(capacity);
         TraceRing {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            pages: (0..capacity / page_slots)
+                .map(|_| Mutex::new((0..page_slots).map(|_| None).collect()))
+                .collect(),
+            labels: Mutex::new(VecDeque::new()),
+            label_capacity: LABELS.min(capacity),
+            page_slots,
+            mask: capacity as u64 - 1,
             head: AtomicU64::new(0),
         }
     }
 
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask as usize + 1
     }
 
     /// Total events ever recorded; doubles as the "current position"
@@ -211,44 +271,92 @@ impl TraceRing {
         self.position().saturating_sub(self.capacity() as u64)
     }
 
-    fn slot(&self, seq: u64) -> &Mutex<Option<Stored>> {
-        &self.slots[(seq & (self.slots.len() as u64 - 1)) as usize]
+    /// Visit the slots of sequence numbers `first .. first + n` in order,
+    /// locking each page once per run of its slots.
+    fn for_each_slot(&self, first: u64, n: u64, mut f: impl FnMut(u64, &mut Option<Stored>)) {
+        let mut seq = first;
+        let end = first + n;
+        while seq < end {
+            let index = (seq & self.mask) as usize;
+            let (page, offset) = (index / self.page_slots, index % self.page_slots);
+            let run = ((self.page_slots - offset) as u64).min(end - seq);
+            let mut slots = self.pages[page].lock();
+            for slot in &mut slots[offset..offset + run as usize] {
+                f(seq, slot);
+                seq += 1;
+            }
+        }
     }
 
-    /// Record the events of one step — all stamped `at`, all recorded for
-    /// `session` — under consecutive sequence numbers reserved with one
-    /// `fetch_add`. Nothing is formatted here: a slot parks its event's
-    /// [`Label`] and the snapshot methods render it for whoever reads the
-    /// event, so a label nobody reads costs a reference count.
-    pub fn record(
+    /// Record the events of one step — all stamped alike — under
+    /// consecutive sequence numbers reserved with one `fetch_add`. Nothing
+    /// is formatted here: the ring keeps an event's [`Label`] and the
+    /// snapshot methods render it for whoever reads the event.
+    pub(crate) fn record(
         &self,
-        at: Duration,
-        session: u64,
+        stamp: Stamp,
         events: impl ExactSizeIterator<Item = (CallId, EventKind, Label)>,
     ) {
-        let n = events.len();
+        let n = events.len() as u64;
         if n == 0 {
             return;
         }
-        let first = self.head.fetch_add(n as u64, Ordering::Relaxed);
+        let first = self.head.fetch_add(n, Ordering::Relaxed);
         // `take`: an iterator that yields more than it announced must not
         // write sequence numbers it never reserved.
-        for (seq, (call, kind, label)) in (first..).zip(events.take(n)) {
-            let mut guard = self.slot(seq).lock();
-            // A writer lapped before acquiring the lock must not clobber the
-            // fresher event already stored (its own event is simply dropped —
-            // accounted for by `dropped()` since head already advanced).
-            if guard.as_ref().is_none_or(|stored| seq > stored.seq) {
-                *guard = Some(Stored {
-                    seq,
-                    at,
-                    call,
-                    session,
-                    kind,
-                    label,
-                });
+        let mut events = events.take(n as usize);
+        // Labels are kept once the slots are written, never under a page's
+        // lock. A step has one at most, barring a batch of failures.
+        let (mut label, mut more) = (None, Vec::new());
+        self.for_each_slot(first, n, |seq, slot| {
+            if let Some((call, kind, l)) = events.next() {
+                if !matches!(l, Label::None) {
+                    match label {
+                        None => label = Some((seq, l)),
+                        Some(_) => more.push((seq, l)),
+                    }
+                }
+                store(slot, seq, Recorded { stamp, call, kind });
             }
+        });
+        self.keep_labels(label.into_iter().chain(more));
+    }
+
+    /// Publish a recorder's buffer: one `fetch_add` reserves a sequence
+    /// number for every event in it, in buffer order. `labels` are the
+    /// buffered events' labels, each by its index in `events`. Both are
+    /// left empty, their capacity kept for reuse.
+    pub(crate) fn publish(&self, events: &mut Vec<Recorded>, labels: &mut Vec<(u64, Label)>) {
+        if events.is_empty() {
+            return;
         }
+        let n = events.len() as u64;
+        let first = self.head.fetch_add(n, Ordering::Relaxed);
+        let mut buffered = events.iter();
+        self.for_each_slot(first, n, |seq, slot| {
+            if let Some(&event) = buffered.next() {
+                store(slot, seq, event);
+            }
+        });
+        events.clear();
+        self.keep_labels(
+            labels
+                .drain(..)
+                .map(|(index, label)| (first + index, label)),
+        );
+    }
+
+    /// Add labels, each with its event's sequence number, letting go of
+    /// the oldest beyond [`LABELS`].
+    fn keep_labels(&self, new: impl Iterator<Item = (u64, Label)>) {
+        let mut new = new.peekable();
+        if new.peek().is_none() {
+            return;
+        }
+        let mut labels = self.labels.lock();
+        labels.extend(new);
+        let excess = labels.len().saturating_sub(self.label_capacity);
+        labels.drain(..excess);
     }
 
     /// Every retained event with `seq >= since`, unrendered, ordered by
@@ -258,16 +366,14 @@ impl TraceRing {
     /// not the ring's.
     fn window(&self, since: u64) -> Vec<Stored> {
         let head = self.position();
-        let oldest = head.saturating_sub(self.slots.len() as u64);
-        let mut events: Vec<Stored> = (since.max(oldest)..head)
-            .filter_map(|seq| {
-                // The slot may hold an older event (its writer has reserved
-                // `seq` but not stored yet) or a newer one (lapped since
-                // `head` was read): keep whatever falls in the window.
-                let slot = self.slot(seq).lock();
-                slot.as_ref().filter(|stored| stored.seq >= since).cloned()
-            })
-            .collect();
+        let from = since.max(head.saturating_sub(self.capacity() as u64));
+        let mut events: Vec<Stored> = Vec::new();
+        self.for_each_slot(from, head.saturating_sub(from), |_, slot| {
+            // The slot may hold an older event (its writer has reserved the
+            // number but not stored yet) or a newer one (lapped since `head`
+            // was read): keep whatever falls in the window.
+            events.extend(slot.as_ref().filter(|stored| stored.seq >= since).cloned());
+        });
         events.sort_by_key(|e| e.seq);
         events
     }
@@ -277,7 +383,7 @@ impl TraceRing {
     /// [`TraceRing::position`] for a per-query window. Only the events
     /// returned have their labels rendered, with no slot lock held.
     pub fn snapshot_since(&self, since: u64) -> Vec<TraceEvent> {
-        self.window(since).into_iter().map(Stored::render).collect()
+        self.render(self.window(since), |_| true)
     }
 
     /// The events of [`TraceRing::snapshot_since`] that belong to a call
@@ -289,14 +395,50 @@ impl TraceRing {
         let window = self.window(since);
         let calls: HashSet<CallId> = window
             .iter()
-            .filter(|e| e.session == session)
-            .map(|e| e.call)
+            .filter(|e| e.event.stamp.session == session)
+            .map(|e| e.event.call)
             .collect();
-        window
-            .into_iter()
-            .filter(|e| calls.contains(&e.call))
-            .map(Stored::render)
+        self.render(window, |call| calls.contains(&call))
+    }
+
+    /// The events of [`TraceRing::snapshot_since`] whose call `keep`s —
+    /// only those have their labels rendered.
+    pub(crate) fn snapshot_for_calls(
+        &self,
+        since: u64,
+        keep: impl Fn(CallId) -> bool,
+    ) -> Vec<TraceEvent> {
+        self.render(self.window(since), keep)
+    }
+
+    /// The events of `window` whose call `keep`s, with the labels the ring
+    /// still has for them — rendered with no lock held.
+    fn render(&self, window: Vec<Stored>, keep: impl Fn(CallId) -> bool) -> Vec<TraceEvent> {
+        let kept: Vec<Stored> = window.into_iter().filter(|e| keep(e.event.call)).collect();
+        let labels: HashMap<u64, Label> = match kept.first() {
+            Some(oldest) => self
+                .labels
+                .lock()
+                .iter()
+                .filter(|(seq, _)| *seq >= oldest.seq)
+                .cloned()
+                .collect(),
+            None => HashMap::new(),
+        };
+        kept.into_iter()
+            .map(|e| e.render(labels.get(&e.seq)))
             .collect()
+    }
+}
+
+/// Store `event` under `seq` unless the slot already holds a newer event:
+/// a writer lapped before it took the page's lock must not clobber fresher
+/// data (its own event is simply dropped — accounted for by `dropped()`,
+/// since `head` already advanced).
+#[inline]
+fn store(slot: &mut Option<Stored>, seq: u64, event: Recorded) {
+    if slot.is_none_or(|stored| seq > stored.seq) {
+        *slot = Some(Stored { seq, event });
     }
 }
 
@@ -308,9 +450,14 @@ mod tests {
         CallId(n)
     }
 
+    fn stamp(at: Duration, session: u64) -> Stamp {
+        let at_nanos = at.as_nanos() as u64;
+        Stamp { at_nanos, session }
+    }
+
     /// A one-event step recorded for no session.
     fn push(ring: &TraceRing, at: Duration, call: CallId, kind: EventKind, label: Label) {
-        ring.record(at, 0, [(call, kind, label)].into_iter());
+        ring.record(stamp(at, 0), [(call, kind, label)].into_iter());
     }
 
     #[test]
@@ -338,15 +485,14 @@ mod tests {
             Label::None,
         );
         ring.record(
-            Duration::from_micros(5),
-            3,
+            stamp(Duration::from_micros(5), 3),
             [
                 (cid(1), EventKind::Registered, Label::Text("r".into())),
                 (cid(1), EventKind::Queued, Label::None),
             ]
             .into_iter(),
         );
-        ring.record(Duration::from_micros(6), 3, std::iter::empty());
+        ring.record(stamp(Duration::from_micros(6), 3), std::iter::empty());
         assert_eq!(ring.position(), 3, "an empty step reserves nothing");
         let step: Vec<TraceEvent> = ring.snapshot_since(1);
         let seqs: Vec<u64> = step.iter().map(|e| e.seq).collect();
@@ -363,6 +509,7 @@ mod tests {
         assert_eq!(TraceRing::new(0).capacity(), 1);
         assert_eq!(TraceRing::new(5).capacity(), 8);
         assert_eq!(TraceRing::new(65_536).capacity(), 65_536);
+        assert_eq!(TraceRing::new(100).capacity(), 128);
     }
 
     #[test]
@@ -372,7 +519,7 @@ mod tests {
         let mut next = 0usize;
         for len in [1usize, 2, 3, 1, 3] {
             let step = (next..next + len).map(|i| (cid(i as u64), EventKind::Queued, Label::None));
-            ring.record(Duration::from_millis(next as u64), 0, step);
+            ring.record(stamp(Duration::from_millis(next as u64), 0), step);
             next += len;
         }
         assert_eq!(next, 10);
@@ -383,6 +530,45 @@ mod tests {
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
         assert!(events.iter().all(|e| e.call == cid(e.seq)));
+    }
+
+    #[test]
+    fn a_published_buffer_takes_one_run_of_numbers_and_wraps_exactly() {
+        let ring = TraceRing::new(4);
+        push(
+            &ring,
+            Duration::ZERO,
+            cid(0),
+            EventKind::Queued,
+            Label::None,
+        );
+        // A recorder's buffer: several steps, each with its own stamp, and
+        // the label of its fourth event.
+        let mut buffer: Vec<Recorded> = (1..=5u64)
+            .map(|i| Recorded {
+                stamp: stamp(Duration::from_millis(i / 2), 7),
+                call: cid(i),
+                kind: EventKind::Queued,
+            })
+            .collect();
+        let mut labels = vec![(3, Label::Text("fourth".into()))];
+        let capacity = buffer.capacity();
+        ring.publish(&mut buffer, &mut labels);
+        assert!(buffer.is_empty() && buffer.capacity() == capacity, "kept");
+        assert!(labels.is_empty());
+        ring.publish(&mut buffer, &mut labels);
+        assert_eq!((ring.position(), ring.dropped()), (6, 2));
+        let events = ring.snapshot_since(0);
+        let got: Vec<(u64, u64, Duration)> =
+            events.iter().map(|e| (e.seq, e.call.0, e.at)).collect();
+        let ms = Duration::from_millis;
+        assert_eq!(
+            got,
+            vec![(2, 2, ms(1)), (3, 3, ms(1)), (4, 4, ms(2)), (5, 5, ms(2))]
+        );
+        assert!(events.iter().all(|e| e.session == 7));
+        let labels: Vec<Option<&str>> = events.iter().map(|e| e.label.as_deref()).collect();
+        assert_eq!(labels, vec![None, None, Some("fourth"), None]);
     }
 
     #[test]
@@ -460,11 +646,40 @@ mod tests {
             vec![Some("AV:count(\"Utah\")".into()), Some("boom".into()), None]
         );
         assert_eq!(source.0.load(Ordering::Relaxed), 1);
-        // An overwritten slot lets go of what it parked.
+        // The ring lets go of a label once as many newer ones are kept as
+        // it has slots.
         for i in 0..8 {
-            push(&ring, at, cid(i), EventKind::Queued, Label::None);
+            push(
+                &ring,
+                at,
+                cid(i),
+                EventKind::Failed,
+                Label::Text("later".into()),
+            );
         }
         assert_eq!(Arc::strong_count(&source), 1);
+    }
+
+    #[test]
+    fn only_the_newest_labels_are_kept() {
+        let ring = TraceRing::new(4 * LABELS);
+        for i in 0..LABELS as u64 + 3 {
+            push(
+                &ring,
+                Duration::ZERO,
+                cid(i),
+                EventKind::Registered,
+                Label::Text("r".into()),
+            );
+        }
+        let events = ring.snapshot_since(0);
+        assert_eq!(events.len(), LABELS + 3, "every event is retained");
+        let unlabelled: Vec<u64> = events
+            .iter()
+            .filter(|e| e.label.is_none())
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(unlabelled, vec![0, 1, 2], "the oldest read without label");
     }
 
     #[test]
@@ -475,8 +690,7 @@ mod tests {
         // an untagged pump thread.
         for call in 1..=8u64 {
             ring.record(
-                Duration::from_micros(call),
-                call,
+                stamp(Duration::from_micros(call), call),
                 [
                     (
                         cid(call),
@@ -558,7 +772,7 @@ mod tests {
                     for i in (0..256usize).step_by(2) {
                         let step = (i..i + 2)
                             .map(|i| (cid(t * 1000 + i as u64), EventKind::Queued, Label::None));
-                        ring.record(Duration::from_nanos(i as u64), t, step);
+                        ring.record(stamp(Duration::from_nanos(i as u64), t), step);
                     }
                 })
             })

@@ -29,14 +29,30 @@
 //! What a call costs beyond its service is kept small four ways. Each
 //! step — a registration, a launch round, a completion — reads the clock
 //! at most once ([`wsq_obs::Step`]) and not at all with observability off,
-//! unless a reply declares latency. The maps keyed by call id hash the id
-//! as an id ([`IdMap`]). A call's destination — cap, in-flight count,
-//! service — is looked up by name once, at registration, and carried as a
-//! slot index from there. And each statistic has one cell, which `stats()`
-//! and the metrics registry both read.
+//! unless a reply declares latency; a registration launches what it can
+//! under the same lock hold as one step, and an instant reply completes in
+//! the step that launched it. The maps keyed by call id hash the id as an
+//! id ([`IdMap`]). A call's destination — cap, in-flight count, service —
+//! is looked up by name once, at registration, and carried as a slot index
+//! from there. And each statistic has one cell, which `stats()` and the
+//! metrics registry both read.
+//!
+//! # Observability on a query's thread
+//!
+//! A thread running a query records into that query's recorder
+//! ([`wsq_obs::QueryRecorder`]) and publishes it in batches. Two rules keep
+//! each call's events in lifecycle order in the trace ring: the thread
+//! publishes before it blocks in [`ReqPump::wait_any`], and before it lets
+//! another thread continue a call it has recorded events for — before it
+//! parks a timed reply for the timer thread, before it releases the state
+//! lock with calls still queued (a worker, the timer or another session may
+//! launch them), and before it wakes a waiter on a call it completed. A
+//! call's queue delay and latency are sampled by the first thread to take
+//! its result, so they land in the recorder of the query that waited for
+//! it, whichever thread completed the call.
 
 use crate::service::{SearchRequest, SearchResult, SearchService, ServiceReply};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,7 +61,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wsq_common::{CallId, IdMap, Result, WsqError};
-use wsq_obs::{Counter, EventKind, Label, Obs, Step};
+use wsq_obs::{CounterId, EventKind, GaugeId, HistogramId, Obs, Step, Tick};
 
 /// How launched calls are driven to completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,42 +132,47 @@ pub struct PumpStats {
     pub batches: u64,
 }
 
-/// Lock-free statistic counters; `stats()` never touches the state mutex.
-/// The call counters are the observability handle's own `wsq_calls_*_total`
-/// cells when it is enabled (private cells otherwise), so each call is
-/// counted once whoever reads the number.
+/// Statistic counters; `stats()` never touches the state mutex. The call
+/// counters are the observability handle's own `wsq_calls_*_total` cells,
+/// counted through it — into a running query's recorder on that query's
+/// thread — so each call is counted once whoever reads the number. With
+/// observability off they are the cells of a private handle that records
+/// nothing else.
 struct Counters {
-    registered: Arc<Counter>,
-    launched: Arc<Counter>,
-    completed: Arc<Counter>,
-    failed: Arc<Counter>,
-    coalesced: Arc<Counter>,
+    cells: Obs,
     peak_in_flight: AtomicU64,
     peak_queued: AtomicU64,
 }
 
 impl Counters {
     fn new(obs: &Obs) -> Counters {
-        let cell = |shared: fn(&wsq_obs::WellKnown) -> &Arc<Counter>| {
-            obs.metrics().map(shared).cloned().unwrap_or_default()
-        };
         Counters {
-            registered: cell(|m| &m.calls_registered),
-            launched: cell(|m| &m.calls_launched),
-            completed: cell(|m| &m.calls_completed),
-            failed: cell(|m| &m.calls_failed),
-            coalesced: cell(|m| &m.calls_coalesced),
+            cells: if obs.is_enabled() {
+                obs.clone()
+            } else {
+                Obs::with_capacity(1)
+            },
             peak_in_flight: AtomicU64::new(0),
             peak_queued: AtomicU64::new(0),
         }
     }
 
+    fn count(&self, id: CounterId) {
+        self.cells.count(id, 1);
+    }
+
     fn snapshot(&self) -> PumpStats {
+        // What this thread's query has counted but not published yet counts.
+        self.cells.publish();
+        // `cells` is always an enabled handle (see `Counters::new`).
+        let Some(m) = self.cells.metrics() else {
+            return PumpStats::default();
+        };
         PumpStats {
-            registered: self.registered.get(),
-            launched: self.launched.get(),
-            completed: self.completed.get() + self.failed.get(),
-            coalesced: self.coalesced.get(),
+            registered: m.calls_registered.get(),
+            launched: m.calls_launched.get(),
+            completed: m.calls_completed.get() + m.calls_failed.get(),
+            coalesced: m.calls_coalesced.get(),
             peak_in_flight: self.peak_in_flight.load(Ordering::Relaxed),
             peak_queued: self.peak_queued.load(Ordering::Relaxed),
             batches: 0,
@@ -225,9 +246,27 @@ struct CallMeta {
     dest: Option<usize>,
     /// The registering step's clock reading (queue-delay anchor), kept
     /// only while observability is on.
-    registered_at: Option<Instant>,
-    /// The launch round's reading (call-latency anchor), likewise.
-    launched_at: Option<Instant>,
+    registered_at: Option<Tick>,
+    /// The launch round's reading (call-latency anchor), likewise, until
+    /// the call's delays are sampled ([`sample_delays`]).
+    launched_at: Option<Tick>,
+    /// The reading of the step that completed the call (or decided its
+    /// race), likewise: whoever takes the result is told it
+    /// ([`Step::taken`]).
+    finished_at: Option<Tick>,
+}
+
+/// Record a finished call's queue delay and latency, once: by the first
+/// thread to take its result — a query's thread records them into that
+/// query's recorder — or by whoever drops the call untaken.
+fn sample_delays(obs: &Obs, meta: &mut CallMeta) {
+    let (Some(launched), Some(finished)) = (meta.launched_at.take(), meta.finished_at) else {
+        return;
+    };
+    if let Some(registered) = meta.registered_at {
+        obs.observe(HistogramId::QueueDelay, launched.since(registered));
+    }
+    obs.observe(HistogramId::CallLatency, finished.since(launched));
 }
 
 /// One destination: what registration resolves an engine name to, once,
@@ -401,10 +440,10 @@ impl ReqPump {
     /// # Ok::<(), wsq_common::WsqError>(())
     /// ```
     pub fn register(&self, req: SearchRequest) -> Result<CallId> {
+        let step = Step::new();
         let mut st = self.shared.state.lock();
-        let cid = self.register_locked(&mut st, req, &Step::new())?;
-        drop(st);
-        start_queued(&self.shared);
+        let cid = self.register_locked(&mut st, req, &step)?;
+        start_queued(&self.shared, st, &step);
         Ok(cid)
     }
 
@@ -419,14 +458,13 @@ impl ReqPump {
     /// shutdown flag was observed keep their ids (the caller must release
     /// any ids it obtained if it aborts).
     pub fn register_batch(&self, reqs: Vec<SearchRequest>) -> Result<Vec<CallId>> {
-        let mut st = self.shared.state.lock();
         let step = Step::new();
+        let mut st = self.shared.state.lock();
         let mut ids = Vec::with_capacity(reqs.len());
         for req in reqs {
             ids.push(self.register_locked(&mut st, req, &step)?);
         }
-        drop(st);
-        start_queued(&self.shared);
+        start_queued(&self.shared, st, &step);
         Ok(ids)
     }
 
@@ -452,6 +490,7 @@ impl ReqPump {
         if reqs.len() == 1 {
             return self.register(reqs.swap_remove(0));
         }
+        let step = &Step::new();
         let (gid, woken) = {
             let mut st = self.shared.state.lock();
             if st.shutdown {
@@ -473,14 +512,13 @@ impl ReqPump {
                 kind: reqs[0].kind.clone(),
             });
             let obs = &self.shared.config.obs;
-            let step = &Step::new();
             let mut members = Vec::with_capacity(reqs.len());
             for req in reqs {
                 members.push(self.register_locked(&mut st, req, step)?);
             }
             let gid = CallId(st.next_call);
             st.next_call += 1;
-            obs.emit(step, [(gid, EventKind::Registered, obs.display(&synth))]);
+            obs.labelled(step, gid, EventKind::Registered, obs.display(&synth));
             st.meta.insert(
                 gid,
                 CallMeta {
@@ -490,6 +528,7 @@ impl ReqPump {
                     dest: None,
                     registered_at: obs.stamp(step),
                     launched_at: None,
+                    finished_at: None,
                 },
             );
             st.races.insert(
@@ -514,32 +553,32 @@ impl ReqPump {
                     woken.extend(race_resolve(&self.shared, &mut st, m, &r, step));
                 }
             }
+            start_queued(&self.shared, st, step);
             (gid, woken)
         };
         for (g, w) in woken {
             w.wake(Wake::Done(g));
         }
-        start_queued(&self.shared);
         Ok(gid)
     }
 
     /// The registration body, run under the already-held state lock as
     /// part of `step` (a burst registered under one lock acquisition is one
-    /// step). Launches nothing — callers run [`start_queued`] once after
-    /// dropping the lock.
+    /// step). Launches nothing — callers hand the lock to [`start_queued`]
+    /// once at the end.
     fn register_locked(&self, st: &mut State, req: SearchRequest, step: &Step) -> Result<CallId> {
         if st.shutdown {
             return Err(WsqError::PumpShutdown);
         }
         let obs = &self.shared.config.obs;
         let stats = &self.shared.stats;
-        stats.registered.inc();
+        stats.count(CounterId::CallsRegistered);
         if let Some(&cid) = st.index.get(&req) {
             // The index and meta maps are kept in step under the state
             // lock; if the entry is somehow gone, fall through and
             // register a fresh call rather than panic.
             if let Some(meta) = st.meta.get_mut(&cid) {
-                stats.coalesced.inc();
+                stats.count(CounterId::CallsCoalesced);
                 meta.refs += 1;
                 obs.event(step, cid, EventKind::Coalesced);
                 return Ok(cid);
@@ -548,15 +587,19 @@ impl ReqPump {
         let cid = CallId(st.next_call);
         st.next_call += 1;
         let req = Arc::new(req);
-        let registered = (cid, EventKind::Registered, obs.display(&req));
+        obs.labelled(step, cid, EventKind::Registered, obs.display(&req));
 
         // Fail fast on unknown destinations: complete with an error. The
         // call id is brand new, so no waiter can be interested yet.
         let Some(&dest) = st.dest_index.get(&req.engine) else {
             let err = WsqError::Search(format!("unknown engine '{}'", req.engine));
-            let failed = (cid, EventKind::Failed, obs.text(|| err.to_string().into()));
-            obs.emit(step, [registered, failed]);
-            stats.failed.inc();
+            obs.labelled(
+                step,
+                cid,
+                EventKind::Failed,
+                obs.text(|| err.to_string().into()),
+            );
+            stats.count(CounterId::CallsFailed);
             st.meta.insert(
                 cid,
                 CallMeta {
@@ -566,13 +609,14 @@ impl ReqPump {
                     dest: None,
                     registered_at: obs.stamp(step),
                     launched_at: None,
+                    finished_at: obs.stamp(step),
                 },
             );
             st.results.insert(cid, Err(err));
             return Ok(cid);
         };
 
-        obs.emit(step, [registered, (cid, EventKind::Queued, Label::None)]);
+        obs.event(step, cid, EventKind::Queued);
         st.index.insert(req.clone(), cid);
         st.meta.insert(
             cid,
@@ -583,19 +627,18 @@ impl ReqPump {
                 dest: Some(dest),
                 registered_at: obs.stamp(step),
                 launched_at: None,
+                finished_at: None,
             },
         );
         st.queue.push_back(cid);
         raise(&stats.peak_queued, st.queue.len() as u64);
-        if let Some(m) = obs.metrics() {
-            m.queue_depth.add(1);
-        }
+        obs.shift(GaugeId::QueueDepth, 1);
         Ok(cid)
     }
 
     /// Non-blocking: the result of `call` if it has completed.
     fn peek(&self, call: CallId) -> Option<Result<SearchResult>> {
-        self.shared.state.lock().results.get(&call).cloned()
+        take_locked(&self.shared, &mut self.shared.state.lock(), call)
     }
 
     /// Non-blocking bulk drain: the results of every call in `calls` that
@@ -605,10 +648,10 @@ impl ReqPump {
     /// This is the batched path `ReqSync` uses to absorb a burst of
     /// completions: one lock round for the whole burst.
     pub fn take_completed(&self, calls: &[CallId]) -> Vec<(CallId, Result<SearchResult>)> {
-        let st = self.shared.state.lock();
+        let mut st = self.shared.state.lock();
         calls
             .iter()
-            .filter_map(|c| st.results.get(c).map(|r| (*c, r.clone())))
+            .filter_map(|&c| Some((c, take_locked(&self.shared, &mut st, c)?)))
             .collect()
     }
 
@@ -653,6 +696,10 @@ impl ReqPump {
             }
             waiter
         };
+        // Publish before blocking: while this thread sleeps, what it
+        // recorded is visible, and nothing it recorded can follow another
+        // thread's later events for the same calls.
+        self.shared.config.obs.publish();
         let wake = waiter.sleep();
         // Deregister from the calls that did not fire.
         {
@@ -744,6 +791,20 @@ impl Drop for ReqPump {
     }
 }
 
+/// A copy of `call`'s result if it has completed, sampling its delays on
+/// the first take and telling the taking thread when it completed. Runs
+/// under the already-held state lock.
+fn take_locked(shared: &Shared, st: &mut State, call: CallId) -> Option<Result<SearchResult>> {
+    let result = st.results.get(&call)?.clone();
+    if let Some(meta) = st.meta.get_mut(&call) {
+        if let Some(finished) = meta.finished_at {
+            Step::taken(finished);
+        }
+        sample_delays(&shared.config.obs, meta);
+    }
+    Some(result)
+}
+
 /// The release body, run under the already-held state lock. Shared by
 /// [`ReqPump::release`] and the racing paths (deciding a group releases
 /// its reference on every member; releasing an undecided group releases
@@ -789,14 +850,13 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId, step: &Step) {
                 st.index.remove(&meta.req);
             }
             let obs = &shared.config.obs;
-            if let Some(m) = obs.metrics() {
-                m.calls_cancelled.inc();
-                m.queue_depth.add(-1);
-            }
+            obs.count(CounterId::CallsCancelled, 1);
+            obs.shift(GaugeId::QueueDepth, -1);
             obs.event(step, call, EventKind::Cancelled);
         }
         CallState::Done => {
-            if let Some(meta) = st.meta.remove(&call) {
+            if let Some(mut meta) = st.meta.remove(&call) {
+                sample_delays(&shared.config.obs, &mut meta);
                 st.index.remove(&meta.req);
             }
             st.results.remove(&call);
@@ -852,20 +912,21 @@ fn race_resolve(
         };
         if let Some(meta) = st.meta.get_mut(&gid) {
             meta.state = CallState::Done;
+            meta.finished_at = obs.stamp(step);
         }
         match result {
             Ok(_) => {
                 st.results.insert(gid, result.clone());
-                if let Some(m) = obs.metrics() {
-                    m.race_won.inc();
-                }
+                obs.count(CounterId::RaceWon, 1);
                 obs.event(step, gid, EventKind::RaceWon);
             }
             Err(e) => {
                 st.results.insert(gid, Err(e.clone()));
-                obs.emit(
+                obs.labelled(
                     step,
-                    [(gid, EventKind::Failed, obs.text(|| e.to_string().into()))],
+                    gid,
+                    EventKind::Failed,
+                    obs.text(|| e.to_string().into()),
                 );
             }
         }
@@ -879,9 +940,7 @@ fn race_resolve(
             // Losers are only "cancelled" on a win; a collective failure
             // has no winner to lose to.
             if m != member && result.is_ok() {
-                if let Some(mt) = obs.metrics() {
-                    mt.race_cancelled.inc();
-                }
+                obs.count(CounterId::RaceCancelled, 1);
                 obs.event(step, m, EventKind::RaceCancelled);
             }
             release_locked(shared, st, m, step);
@@ -931,16 +990,10 @@ fn pop_launchable(st: &mut State, shared: &Shared, step: &Step) -> Option<Launch
     meta.launched_at = obs.stamp(step);
     dest.active += 1;
     st.active_total += 1;
-    shared.stats.launched.inc();
+    shared.stats.count(CounterId::CallsLaunched);
     raise(&shared.stats.peak_in_flight, st.active_total as u64);
-    if let Some(m) = obs.metrics() {
-        m.queue_depth.add(-1);
-        m.in_flight.add(1);
-        if let Some(registered) = meta.registered_at {
-            m.queue_delay
-                .observe(step.now().saturating_duration_since(registered));
-        }
-    }
+    obs.shift(GaugeId::QueueDepth, -1);
+    obs.shift(GaugeId::InFlight, 1);
     obs.event(step, cid, EventKind::Launched);
     Some(Launch {
         cid,
@@ -949,23 +1002,21 @@ fn pop_launchable(st: &mut State, shared: &Shared, step: &Step) -> Option<Launch
     })
 }
 
-/// Mark a call complete, store its result, free its capacity, and wake
-/// exactly the waiters interested in it. The capacity it frees may admit a
-/// queued call: the caller re-runs the launch step before it returns
-/// (`launch_ready` and `event_loop` loop back; `worker_loop` wakes its
-/// peers).
-fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
+/// Mark a call complete as part of `step`, store its result, free its
+/// capacity, and wake exactly the waiters interested in it. The capacity it
+/// frees may admit a queued call: the caller re-runs the launch step before
+/// it returns (`launch_ready` and `event_loop` loop back; `worker_loop`
+/// wakes its peers).
+fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>, step: &Step) {
     let obs = &shared.config.obs;
     let (waiters, race_woken) = {
         let mut guard = shared.state.lock();
         let st = &mut *guard;
-        let step = &Step::new();
         st.active_total = st.active_total.saturating_sub(1);
-        let mut launched_at = None;
         let orphaned = match st.meta.get_mut(&cid) {
             Some(meta) => {
                 meta.state = CallState::Done;
-                launched_at = meta.launched_at;
+                meta.finished_at = obs.stamp(step);
                 if let Some(dest) = meta.dest {
                     st.dests[dest].active = st.dests[dest].active.saturating_sub(1);
                 }
@@ -973,29 +1024,26 @@ fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
             }
             None => true,
         };
-        if let Some(m) = obs.metrics() {
-            m.in_flight.add(-1);
-            if let Some(launched) = launched_at {
-                m.call_latency
-                    .observe(step.now().saturating_duration_since(launched));
-            }
-        }
+        obs.shift(GaugeId::InFlight, -1);
         match &result {
             Ok(_) => {
-                shared.stats.completed.inc();
+                shared.stats.count(CounterId::CallsCompleted);
                 obs.event(step, cid, EventKind::Completed);
             }
             Err(e) => {
-                shared.stats.failed.inc();
-                obs.emit(
+                shared.stats.count(CounterId::CallsFailed);
+                obs.labelled(
                     step,
-                    [(cid, EventKind::Failed, obs.text(|| e.to_string().into()))],
+                    cid,
+                    EventKind::Failed,
+                    obs.text(|| e.to_string().into()),
                 );
             }
         }
         if orphaned {
             // Every registrant released before completion: drop everything.
-            if let Some(meta) = st.meta.remove(&cid) {
+            if let Some(mut meta) = st.meta.remove(&cid) {
+                sample_delays(obs, &mut meta);
                 st.index.remove(&meta.req);
             }
         } else {
@@ -1008,6 +1056,10 @@ fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
         let race_woken = race_resolve(shared, st, cid, &result, step);
         (st.interest.remove(&cid).unwrap_or_default(), race_woken)
     };
+    if !waiters.is_empty() || !race_woken.is_empty() {
+        // A woken thread records the delivery: the completion goes first.
+        obs.publish();
+    }
     for w in waiters {
         w.wake(Wake::Done(cid));
     }
@@ -1072,15 +1124,27 @@ fn execute_one(launch: &Launch) -> ServiceReply {
     .unwrap_or_else(|payload| failed(panic_error(payload)))
 }
 
-/// Start whatever registration just queued: on this thread under
-/// [`DispatchMode::EventLoop`]; by waking the workers under
-/// [`DispatchMode::ThreadPool`], whose services may block.
-fn start_queued(shared: &Shared) {
+/// Start what a registration just queued, as part of its step `step` and
+/// under the state lock `st` it still holds: on this thread under
+/// [`DispatchMode::EventLoop`], in the same lock hold; by waking the
+/// workers under [`DispatchMode::ThreadPool`], whose services may block.
+fn start_queued(shared: &Shared, st: MutexGuard<'_, State>, step: &Step) {
     match shared.config.dispatch {
-        DispatchMode::EventLoop => launch_ready(shared),
+        DispatchMode::EventLoop => launch_ready(shared, Some((st, step))),
         DispatchMode::ThreadPool(_) => {
+            publish_if_queued(shared, &st);
+            drop(st);
             shared.work_cv.notify_all();
         }
+    }
+}
+
+/// Publish this thread's records before the state lock is released with
+/// calls still queued: another thread may launch them, and its events must
+/// follow their registration in the ring.
+fn publish_if_queued(shared: &Shared, st: &State) {
+    if !st.queue.is_empty() {
+        shared.config.obs.publish();
     }
 }
 
@@ -1089,23 +1153,31 @@ fn start_queued(shared: &Shared) {
 /// `execute` it outside the lock, complete zero-latency replies here and
 /// park the rest on the deadline heap for the timer thread. Completing a
 /// reply frees capacity, so the step repeats until nothing is launchable.
-fn launch_ready(shared: &Shared) {
+///
+/// `held` is a registration's lock and step: its first round launches in
+/// that lock hold, so no other thread can launch the calls it just
+/// registered, and is stamped with that step's reading.
+fn launch_ready<'a>(shared: &'a Shared, mut held: Option<(MutexGuard<'a, State>, &Step)>) {
     loop {
         // One clock reading per launch round: it stamps the round's
-        // `Launched` events, and a reply is due its declared latency after
-        // it, however long the round's other `execute` calls take. (With
-        // observability off it is first read for the first such reply.)
-        let round = Step::new();
-        let mut launches: Vec<Launch> = Vec::new();
-        {
-            let mut st = shared.state.lock();
-            if st.shutdown {
-                return;
-            }
-            while let Some(launch) = pop_launchable(&mut st, shared, &round) {
-                launches.push(launch);
-            }
+        // `Launched` events and the completions of its instant replies, and
+        // a reply is due its declared latency after it, however long the
+        // round's other `execute` calls take. (With observability off it is
+        // first read for the first reply that declares latency.)
+        let fresh = Step::new();
+        let (mut st, round) = match held.take() {
+            Some((st, step)) => (st, step),
+            None => (shared.state.lock(), &fresh),
+        };
+        if st.shutdown {
+            return;
         }
+        let mut launches: Vec<Launch> = Vec::new();
+        while let Some(launch) = pop_launchable(&mut st, shared, round) {
+            launches.push(launch);
+        }
+        publish_if_queued(shared, &st);
+        drop(st);
         if launches.is_empty() {
             return;
         }
@@ -1124,6 +1196,8 @@ fn launch_ready(shared: &Shared) {
             }
         }
         if !timed.is_empty() {
+            // The timer thread completes these: their launches go first.
+            shared.config.obs.publish();
             let mut st = shared.state.lock();
             let earliest = st.deadlines.peek().map(|p| p.0.deadline);
             st.deadlines.extend(timed.into_iter().map(Reverse));
@@ -1137,7 +1211,7 @@ fn launch_ready(shared: &Shared) {
             return; // nothing completed here, so no capacity was freed
         }
         for (cid, result) in instant {
-            complete(shared, cid, result);
+            complete(shared, cid, result, round);
         }
     }
 }
@@ -1170,9 +1244,9 @@ fn event_loop(shared: Arc<Shared>) {
             }
         }
         for p in due {
-            complete(&shared, p.cid, p.result);
+            complete(&shared, p.cid, p.result, &Step::new());
         }
-        launch_ready(&shared);
+        launch_ready(&shared, None);
     }
 }
 
@@ -1196,7 +1270,7 @@ fn worker_loop(shared: Arc<Shared>) {
         if !reply.latency.is_zero() {
             std::thread::sleep(reply.latency);
         }
-        complete(&shared, launch.cid, reply.result);
+        complete(&shared, launch.cid, reply.result, &Step::new());
         // Capacity freed: this worker loops back for the next call, and an
         // idle peer may take another.
         shared.work_cv.notify_all();

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wsq_obs::Obs;
+use wsq_obs::{CounterId, Obs};
 use wsq_pump::{SearchRequest, SearchResult, SearchService, ServiceReply};
 
 /// Tuning knobs for [`CachedService`].
@@ -232,9 +232,7 @@ impl SearchService for CachedService {
             if !self.expired(ready) {
                 self.touch(ready);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.obs.metrics() {
-                    m.cache_hits.inc();
-                }
+                self.obs.count(CounterId::CacheHits, 1);
                 return ServiceReply {
                     result: Ok(ready.result.clone()),
                     latency: Duration::ZERO,
@@ -244,9 +242,7 @@ impl SearchService for CachedService {
 
         // Miss: call the inner service with no lock held.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.obs.metrics() {
-            m.cache_misses.inc();
-        }
+        self.obs.count(CounterId::CacheMisses, 1);
         self.inflight.fetch_add(1, Ordering::Relaxed);
         let reply = {
             let _inflight = InFlight(&self.inflight);

@@ -37,7 +37,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 use wsq_common::WsqError;
-use wsq_obs::Obs;
+use wsq_obs::{CounterId, Obs};
 use wsq_pump::{SearchRequest, SearchService, ServiceReply};
 
 /// How a [`DegradedService`] misbehaves. Every axis is optional; the
@@ -169,9 +169,7 @@ impl SearchService for DegradedService {
         }
         if self.would_fail(req) {
             self.stats.lock().failures += 1;
-            if let Some(m) = self.obs.metrics() {
-                m.flaky_failures.inc();
-            }
+            self.obs.count(CounterId::FlakyFailures, 1);
             return ServiceReply {
                 result: Err(WsqError::Search(format!(
                     "503 service unavailable for {req}"

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsq_obs::{EventKind, Obs, Step};
+use wsq_obs::{CounterId, EventKind, Obs, Step};
 use wsq_pump::{SearchRequest, SearchService, ServiceReply};
 
 /// Retries the inner service until it succeeds or attempts are exhausted.
@@ -48,9 +48,7 @@ impl SearchService for RetryService {
         let mut last = None;
         for attempt in 0..self.attempts {
             if attempt > 0 {
-                if let Some(m) = self.obs.metrics() {
-                    m.retries.inc();
-                }
+                self.obs.count(CounterId::Retries, 1);
                 if let Some(call) = wsq_obs::current_call() {
                     self.obs.event(&Step::new(), call, EventKind::Retried);
                 }

@@ -1,11 +1,15 @@
 //! Regression guard for what observability costs an external call: with
 //! the trace ring and the metrics on (the facade's default), each step of
 //! a call — registration, the launch round, completion, ReqSync's delivery
-//! — reads the clock once and stamps everything it records with that
-//! reading. A warm call used to read it twelve times, once per event and
-//! histogram sample; it now reads it four times, which shows in the trace
-//! as at most four distinct stamps per call, `Registered` sharing its
-//! stamp with `Queued` and `Delivered` with `Patched`.
+//! — reads the clock at most once and stamps everything it records with
+//! that reading. A warm call used to read it twelve times, once per event
+//! and histogram sample, then four times, once per step. Now a registration
+//! that launches its call at once shares its reading with the launch
+//! round, an instant reply completes in the round that launched it, and
+//! ReqSync's admission and delivery continue the thread's latest reading
+//! when nothing they deliver completed later: the trace shows at most
+//! three distinct stamps per call, `Registered` sharing its stamp with
+//! `Queued`, `Launched` with `Completed`, and `Delivered` with `Patched`.
 //!
 //! What a reader of `.trace` sees must not change with the bookkeeping:
 //! the rendered timeline of a warm Template-1 query, its timing digits
@@ -69,7 +73,7 @@ fn mask_durations(timeline: &str) -> String {
 }
 
 #[test]
-fn a_warm_call_is_stamped_by_four_clock_readings() {
+fn a_warm_call_is_stamped_by_three_clock_readings() {
     let mut wsq = Wsq::open_in_memory(WsqConfig {
         cache: true,
         ..WsqConfig::default()
@@ -105,10 +109,11 @@ fn a_warm_call_is_stamped_by_four_clock_readings() {
         let kinds: Vec<&str> = of_call.iter().map(|e| e.kind.name()).collect();
         assert_eq!(kinds, LIFECYCLE, "{call}");
         assert_eq!(of_call[0].at, of_call[1].at, "{call}: registered/queued");
+        assert_eq!(of_call[2].at, of_call[3].at, "{call}: launched/completed");
         assert_eq!(of_call[4].at, of_call[5].at, "{call}: delivered/patched");
         let stamps: BTreeSet<_> = of_call.iter().map(|e| e.at).collect();
         assert!(
-            stamps.len() <= 4,
+            stamps.len() <= 3,
             "{call}: {} distinct stamps, one step read the clock twice",
             stamps.len()
         );
