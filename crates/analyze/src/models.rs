@@ -12,7 +12,7 @@
 //! [`Stats::complete`](schedcheck::Stats)):
 //!
 //! - [`targeted_wakeup_model`]: ReqPump's `Waiter` protocol (register
-//!   interest under the state lock → sleep on a private slot; `complete`
+//!   interest under the state lock → sleep on a private slot; completion
 //!   publishes the result *then* wakes interested waiters outside the
 //!   lock) never loses a wakeup, never delivers twice into one slot, and
 //!   never wakes a waiter for a call whose result is absent.
@@ -48,9 +48,10 @@
 //!   one timed: every call launches exactly once on whichever thread
 //!   made it launchable, the cap is never exceeded, and once the
 //!   threads go quiet no call is left queued, parked or in flight
-//!   (whoever frees capacity re-runs the launch step).
+//!   (whoever frees capacity re-runs the launch step, in the hold that
+//!   freed it).
 
-use schedcheck::sync::{Condvar, Mutex};
+use schedcheck::sync::{Condvar, Mutex, MutexGuard};
 use schedcheck::{check_with, thread, Config, Stats};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -65,7 +66,7 @@ fn bounds() -> Config {
 }
 
 // ---------------------------------------------------------------------
-// Model 1: ReqPump targeted wakeups (pump.rs `Waiter` / `complete`).
+// Model 1: ReqPump targeted wakeups (pump.rs `Waiter` / `complete_locked` / `wake`).
 // ---------------------------------------------------------------------
 
 /// One blocked `wait_any` caller, exactly as in `pump.rs`: a private
@@ -156,7 +157,7 @@ impl MiniPump {
         cid
     }
 
-    /// `pump.rs::complete`: publish the result and detach the interest
+    /// `pump.rs::complete_locked`: publish the result and detach the interest
     /// list under the lock; wake the waiters outside it.
     fn complete(&self, cid: u64, value: u64) {
         let waiters = {
@@ -695,11 +696,11 @@ impl MiniRacePump {
         }
     }
 
-    /// `pump.rs::complete` for a race member: publish under the lock;
+    /// `pump.rs::complete_locked` for a race member: publish under the lock;
     /// the first completion decides the group and cancels the losers —
     /// releasing only the *race's* ref on each, so a coalesced joiner's
     /// ref keeps its slot alive — then wakes everyone after the lock
-    /// drops (the real `complete` order).
+    /// drops (the real `complete_locked` order).
     fn complete(&self, cid: u64) {
         {
             let mut st = self.state.lock();
@@ -857,34 +858,37 @@ struct MiniLaunchPump {
 
 impl MiniLaunchPump {
     /// `ReqPump::register`: queue under the lock, then run the launch
-    /// step on this thread.
+    /// step on this thread in the same hold.
     fn register(&self, cid: u64) {
-        self.state.lock().queue.push(cid);
-        self.launch_ready();
+        let mut st = self.state.lock();
+        st.queue.push(cid);
+        self.launch_ready(st);
     }
 
-    /// `pump.rs::launch_ready`: pop what the cap admits under the lock,
-    /// "execute" outside it, park timed replies (waking the timer only
-    /// when the earliest deadline moved), complete instant ones here, and
-    /// go round again when completing freed capacity.
-    fn launch_ready(&self) {
+    /// `pump.rs::launch_ready`, entered with the caller's hold: pop what
+    /// the cap admits, "execute" outside the lock, then in ONE hold park
+    /// timed replies (waking the timer only when the earliest deadline
+    /// moved), complete instant ones, and — when that freed capacity — pop
+    /// the next round in that same hold. Nothing queued means the step
+    /// ends there, without locking again to look.
+    fn launch_ready<'a>(&'a self, mut st: MutexGuard<'a, LaunchState>) {
         loop {
-            let launches: Vec<u64> = {
-                let mut st = self.state.lock();
-                let mut popped = Vec::new();
-                while st.active < self.cap && !st.queue.is_empty() {
-                    let cid = st.queue.remove(0);
-                    st.active += 1;
-                    st.peak_active = st.peak_active.max(st.active);
-                    *st.launches.entry(cid).or_insert(0) += 1;
-                    popped.push(cid);
-                }
-                popped
-            };
+            let mut launches = Vec::new();
+            while st.active < self.cap && !st.queue.is_empty() {
+                let cid = st.queue.remove(0);
+                st.active += 1;
+                st.peak_active = st.peak_active.max(st.active);
+                *st.launches.entry(cid).or_insert(0) += 1;
+                launches.push(cid);
+            }
+            drop(st);
+            if launches.is_empty() {
+                return;
+            }
             let (instant, timed): (Vec<u64>, Vec<u64>) =
                 launches.into_iter().partition(|c| *c == self.instant);
+            st = self.state.lock();
             if !timed.is_empty() {
-                let mut st = self.state.lock();
                 let earliest = st.deadlines.iter().min().copied();
                 st.deadlines.extend(timed);
                 if st.deadlines.iter().min().copied() != earliest {
@@ -895,45 +899,44 @@ impl MiniLaunchPump {
                 return; // nothing completed here, so no capacity was freed
             }
             for cid in instant {
-                self.complete(cid);
+                complete_locked(&mut st, cid);
             }
         }
     }
 
-    /// `pump.rs::complete`: free the slot and publish under the lock. It
-    /// never wakes the dispatcher — its caller re-runs the launch step.
-    /// (Waking the call's waiters is `targeted_wakeup_model`'s subject.)
-    fn complete(&self, cid: u64) {
-        let mut st = self.state.lock();
-        st.active -= 1;
-        assert!(
-            st.results.insert(cid, cid + 100).is_none(),
-            "double delivery of call {cid}"
-        );
-    }
-
-    /// `pump.rs::event_loop`: sleep until a reply is due, deliver it,
-    /// then run the launch step for what the freed capacity admits.
+    /// `pump.rs::event_loop`: sleep until a reply is due, then in one hold
+    /// deliver it and run the launch step for what the freed capacity
+    /// admits.
     fn timer(&self) {
         loop {
-            let due: Vec<u64> = {
-                let mut st = self.state.lock();
-                loop {
-                    if !st.deadlines.is_empty() {
-                        break st.deadlines.drain(..).collect();
-                    }
-                    if st.registrants_done {
-                        return;
-                    }
-                    st = self.work_cv.wait(st);
+            let mut st = self.state.lock();
+            let due: Vec<u64> = loop {
+                if !st.deadlines.is_empty() {
+                    break st.deadlines.drain(..).collect();
                 }
+                if st.registrants_done {
+                    return;
+                }
+                st = self.work_cv.wait(st);
             };
             for cid in due {
-                self.complete(cid);
+                complete_locked(&mut st, cid);
             }
-            self.launch_ready();
+            self.launch_ready(st);
         }
     }
+}
+
+/// `pump.rs::complete_locked`: free the slot and publish, under the hold
+/// its caller already has. It never wakes the dispatcher — its caller
+/// re-runs the launch step. (Waking the call's waiters is
+/// `targeted_wakeup_model`'s subject.)
+fn complete_locked(st: &mut LaunchState, cid: u64) {
+    st.active -= 1;
+    assert!(
+        st.results.insert(cid, cid + 100).is_none(),
+        "double delivery of call {cid}"
+    );
 }
 
 /// Two registrants and the timer thread under a global cap of 1; call 1

@@ -552,8 +552,10 @@ fn analyze_footer_wire_format_golden() {
         "Values: 1 row(s) [rows=1 nexts=2 opens=1 time=_",
         "AEVScan: WebCount@AV AS WebCount (T1 = 'Texas') [rows=1 nexts=2 opens=1 time=_",
         "-- pump: registered=1 launched=1 completed=1 coalesced=0 peak_in_flight=1 peak_queued=1",
+        // A cache hit is delivered with its registration: the scan emits
+        // the finished row, so ReqSync buffers nothing.
         "-- trace: calls=1 call_p50=_ call_p95=_ call_max=_ queue_p95=_ patch_p95=_ \
-         max_concurrent=1 stalls=0 stall_p95=_ buffered_hw=1 events=6 dropped=0 \
+         max_concurrent=1 stalls=0 stall_p95=_ buffered_hw=0 events=6 dropped=0 \
          prefetch_issued=0 prefetch_wasted=0",
         "-- cache[AV]: hits=1 misses=0 evictions=0 expirations=0",
         "-- cache[Google]: hits=0 misses=0 evictions=0 expirations=0",

@@ -752,6 +752,25 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_engine_fails_its_query_with_the_pumps_error() {
+        let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+        wsq.load_reference_data().unwrap();
+        // The planner knows the engine and the pump does not: each call
+        // fails at registration, and the failure is delivered to its scan.
+        let av = wsq
+            .web
+            .engine_with_latency(EngineKind::AltaVista, LatencyModel::Zero);
+        wsq.engines.register("Ghost", av, true);
+        let err = wsq
+            .query("SELECT Name, Count FROM States, WebCount_Ghost WHERE Name = T1")
+            .unwrap_err();
+        assert_eq!(err.to_string(), "search error: unknown engine 'Ghost'");
+        let m = wsq.obs().metrics().unwrap();
+        assert_eq!(m.placeholder_tuples.get(), 0);
+        assert_eq!(wsq.pump().live_calls(), 0);
+    }
+
+    #[test]
     fn a_cursor_counts_as_a_query() {
         let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
         wsq.load_reference_data().unwrap();
@@ -823,7 +842,9 @@ mod tests {
         for metric in [
             "wsq_calls_registered_total 2",
             "wsq_calls_completed_total 2",
-            "wsq_placeholder_tuples_total 2",
+            // Both replies were in hand at registration (a zero-latency
+            // miss, then a hit): each scan emitted its finished row.
+            "wsq_placeholder_tuples_total 0",
             "wsq_tuples_patched_total 2",
             "wsq_cache_hits_total 1",
             "wsq_cache_misses_total 1",

@@ -1,12 +1,23 @@
 //! External virtual table scans: the synchronous `EVScan` and the
 //! asynchronous `AEVScan` (paper §4.1).
+//!
+//! Both turn a search result into rows through one routine,
+//! [`materialize_result`]. The `AEVScan` uses it whenever the pump hands
+//! back a result with the registration ([`Registered::Delivered`]): a call
+//! whose reply is already in hand — a cache hit, a zero-latency engine, a
+//! registration that coalesced onto a finished call — yields finished rows
+//! at once, exactly as the synchronous scan would, and only a call that is
+//! really pending yields a placeholder tuple for `ReqSync` (§4.1: tuples
+//! that do not depend on a pending call pass directly through).
 
 use super::Executor;
 use crate::plan::{EvSpec, VTableKind};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use wsq_common::{CallId, PendingCol, Placeholder, Result, Schema, Tuple, Value, WsqError};
+use wsq_obs::{CounterId, EventKind, Step};
 use wsq_pump::{
-    blocking_execute, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService,
+    blocking_execute, Registered, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService,
 };
 
 pub(crate) fn request_for(spec: &EvSpec, expr: String) -> SearchRequest {
@@ -22,11 +33,19 @@ pub(crate) fn request_for(spec: &EvSpec, expr: String) -> SearchRequest {
     }
 }
 
-/// Prefix columns shared by every produced tuple — SearchExp then T1..Tn —
-/// in a vector with room for `external` more columns.
-fn prefix_values(expr: &str, bindings: &[Value], external: usize) -> Vec<Value> {
-    let mut vals = Vec::with_capacity(1 + bindings.len() + external);
-    vals.push(Value::from(expr));
+/// The columns a scan of `spec` adds after `SearchExp, T1..Tn`.
+fn external_columns(spec: &EvSpec) -> usize {
+    match spec.kind() {
+        VTableKind::WebCount => 1,
+        VTableKind::WebPages => 3,
+    }
+}
+
+/// The columns every row of a scan shares — SearchExp then T1..Tn — in a
+/// vector with room for the external columns that follow.
+fn row_prefix(spec: &EvSpec, expr: &Value, bindings: &[Value]) -> Vec<Value> {
+    let mut vals = Vec::with_capacity(1 + bindings.len() + external_columns(spec));
+    vals.push(expr.clone());
     vals.extend_from_slice(bindings);
     vals
 }
@@ -59,8 +78,8 @@ pub struct EVScanExec {
     /// `(engine name, service)` per destination; one entry unless racing.
     services: Vec<(Arc<str>, Arc<dyn SearchService>)>,
     bindings: Vec<Value>,
-    rows: Vec<Tuple>,
-    pos: usize,
+    /// The current binding's rows not yet emitted.
+    rows: VecDeque<Tuple>,
     fetched: bool,
 }
 
@@ -71,8 +90,7 @@ impl EVScanExec {
             spec,
             services,
             bindings: Vec::new(),
-            rows: Vec::new(),
-            pos: 0,
+            rows: VecDeque::new(),
             fetched: false,
         }
     }
@@ -91,7 +109,6 @@ impl Executor for EVScanExec {
 
     fn open(&mut self) -> Result<()> {
         self.rows.clear();
-        self.pos = 0;
         self.fetched = false;
         Ok(())
     }
@@ -109,63 +126,73 @@ impl Executor for EVScanExec {
                     break;
                 }
             }
-            let result = result?;
-            let prefix = prefix_values(&req.expr, &self.bindings, 0);
-            self.rows = materialize_result(&self.spec, &prefix, &result);
-            self.pos = 0;
+            let expr = Value::from(req.expr.as_str());
+            materialize_result(&self.spec, &expr, &self.bindings, &result?, &mut self.rows);
         }
-        if self.pos < self.rows.len() {
-            self.pos += 1;
-            Ok(Some(self.rows[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        Ok(self.rows.pop_front())
     }
 }
 
-/// Turn a search result into virtual-table tuples.
+/// Turn a search result into virtual-table tuples — `expr`, then
+/// `bindings`, then the result's columns — appended to `out`. Each row is
+/// built at its final width.
 pub(crate) fn materialize_result(
     spec: &EvSpec,
-    prefix: &[Value],
+    expr: &Value,
+    bindings: &[Value],
     result: &SearchResult,
-) -> Vec<Tuple> {
+    out: &mut VecDeque<Tuple>,
+) {
     match (spec.kind(), result) {
         (VTableKind::WebCount, SearchResult::Count(n)) => {
-            let mut vals = prefix.to_vec();
+            let mut vals = row_prefix(spec, expr, bindings);
             vals.push(Value::Int(*n as i64));
-            vec![Tuple::new(vals)]
+            out.push_back(Tuple::new(vals));
         }
-        (VTableKind::WebPages, SearchResult::Pages(hits)) => hits
-            .iter()
-            .map(|h| {
-                let mut vals = prefix.to_vec();
+        (VTableKind::WebPages, SearchResult::Pages(hits)) => {
+            out.extend(hits.iter().map(|h| {
+                let mut vals = row_prefix(spec, expr, bindings);
                 vals.push(Value::Str(h.url.clone()));
                 vals.push(Value::Int(h.rank as i64));
                 vals.push(Value::Str(h.date.clone()));
                 Tuple::new(vals)
-            })
-            .collect(),
+            }));
+        }
         // A mismatched result shape is a service bug; surface it as an
         // empty result rather than wrong data.
-        _ => vec![],
+        _ => {}
     }
 }
 
-/// Asynchronous external virtual scan: registers the call with ReqPump and
-/// immediately returns ONE optimistic tuple whose external attributes are
-/// placeholders; `ReqSync` later patches, cancels, or multiplies it.
+/// Asynchronous external virtual scan: registers the call with ReqPump
+/// and returns without waiting for it. A result the pump delivers with
+/// the registration becomes finished rows here; a call still pending
+/// becomes ONE optimistic tuple whose external attributes are
+/// placeholders, which `ReqSync` later patches, cancels, or multiplies.
 ///
 /// Calls are registered lazily, from `next`/`rebind` only. This is what
 /// makes ReqSync's admission control (DESIGN.md §11) work without any
 /// coordination at this level: a stalled ReqSync simply stops pulling its
 /// subtree, so no `next` reaches this scan and no new calls enter the
 /// pump while the buffer is full.
+///
+/// The scan keeps its reference to the last call delivered to it until
+/// its next registration — which releases it in the pump's same lock hold,
+/// after the new request has been matched — or until `close` or drop. So
+/// consecutive identical calls (the `|R|` duplicates of the paper's
+/// Example 2) coalesce onto one launch, as they do while pending.
 pub struct AEVScanExec {
     /// Shared with the plan, and the source of this scan's schema.
     spec: Arc<EvSpec>,
     pump: Arc<ReqPump>,
     bindings: Vec<Value>,
-    emitted: bool,
+    /// Whether the current binding's call is registered.
+    registered: bool,
+    /// The current binding's rows not yet emitted: a delivered result's
+    /// rows, or the placeholder tuple of a pending call.
+    rows: VecDeque<Tuple>,
+    /// The last delivered call, whose reference this scan still holds.
+    held: Option<CallId>,
 }
 
 impl AEVScanExec {
@@ -175,7 +202,98 @@ impl AEVScanExec {
             spec,
             pump,
             bindings: Vec::new(),
-            emitted: false,
+            registered: false,
+            rows: VecDeque::new(),
+            held: None,
+        }
+    }
+
+    /// Register the current binding's call, giving up the held one, and
+    /// queue what it yields: finished rows, or a placeholder tuple.
+    fn register(&mut self) -> Result<()> {
+        // Refuse to instantiate a search expression from placeholder
+        // bindings — the asyncify pass must have resolved them first.
+        if self.bindings.iter().any(Value::is_pending) {
+            return Err(WsqError::Exec(
+                "virtual-table binding is an unresolved placeholder \
+                 (percolation should have flushed the upstream ReqSync)"
+                    .to_string(),
+            ));
+        }
+        let expr = self.spec.instantiate(&self.bindings);
+        let expr_value = Value::from(expr.as_str());
+        let release = self.held.take();
+        // A racing spec (`WebCount_ANY`) registers one call per member
+        // engine as a race group: the group's CallId resolves with the
+        // first successful member and the pump cancels the losers.
+        let registered = if self.spec.race.len() > 1 {
+            let reqs = self
+                .spec
+                .race
+                .iter()
+                .map(|engine| {
+                    let mut req = request_for(&self.spec, expr.clone());
+                    req.engine = engine.to_string();
+                    req
+                })
+                .collect();
+            self.pump.register_race(reqs, release)?
+        } else {
+            self.pump
+                .register_delivered(request_for(&self.spec, expr), release)?
+        };
+        let call = match registered {
+            Registered::Pending(call) => call,
+            Registered::Delivered(call, result) => return self.deliver(call, &expr_value, result),
+        };
+        let obs = self.pump.obs();
+        obs.count(CounterId::PlaceholderTuples, 1);
+        let ph = |col: PendingCol| Value::Pending(Placeholder { call, col });
+        let mut vals = row_prefix(&self.spec, &expr_value, &self.bindings);
+        match self.spec.kind() {
+            VTableKind::WebCount => vals.push(ph(PendingCol::Count)),
+            VTableKind::WebPages => {
+                vals.push(ph(PendingCol::Url));
+                vals.push(ph(PendingCol::Rank));
+                vals.push(ph(PendingCol::Date));
+            }
+        }
+        self.rows.push_back(Tuple::new(vals));
+        Ok(())
+    }
+
+    /// Emit a result delivered with its registration: the rows, and the
+    /// delivery and patch (or cancellation) events `ReqSync` would have
+    /// recorded, continuing the step that completed the call. A failure
+    /// fails the query, and its reference is not kept.
+    fn deliver(&mut self, call: CallId, expr: &Value, result: Result<SearchResult>) -> Result<()> {
+        let obs = self.pump.obs();
+        let step = Step::continuing();
+        let result = match result {
+            Ok(result) => result,
+            Err(e) => {
+                obs.event(&step, call, EventKind::Delivered);
+                self.pump.release(call);
+                return Err(e);
+            }
+        };
+        materialize_result(&self.spec, expr, &self.bindings, &result, &mut self.rows);
+        let rows = self.rows.len() as u64;
+        let outcome = if rows == 0 {
+            obs.count(CounterId::TuplesCancelled, 1);
+            EventKind::TupleCancelled
+        } else {
+            obs.count(CounterId::TuplesPatched, rows);
+            EventKind::Patched
+        };
+        obs.emit(&step, [(call, EventKind::Delivered), (call, outcome)]);
+        self.held = Some(call);
+        Ok(())
+    }
+
+    fn release_held(&mut self) {
+        if let Some(call) = self.held.take() {
+            self.pump.release(call);
         }
     }
 }
@@ -187,67 +305,34 @@ impl Executor for AEVScanExec {
 
     fn rebind(&mut self, values: &[Value]) -> Result<()> {
         rebind_into(&self.spec, &mut self.bindings, values)?;
-        self.emitted = false;
+        self.registered = false;
+        self.rows.clear();
         Ok(())
     }
 
     fn open(&mut self) -> Result<()> {
-        self.emitted = false;
+        self.registered = false;
+        self.rows.clear();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.emitted {
-            return Ok(None);
+        if !self.registered {
+            self.registered = true;
+            self.register()?;
         }
-        self.emitted = true;
-        // Refuse to instantiate a search expression from placeholder
-        // bindings — the asyncify pass must have resolved them first.
-        for v in &self.bindings {
-            if v.is_pending() {
-                return Err(WsqError::Exec(
-                    "virtual-table binding is an unresolved placeholder \
-                     (percolation should have flushed the upstream ReqSync)"
-                        .to_string(),
-                ));
-            }
-        }
-        let expr = self.spec.instantiate(&self.bindings);
-        let external = match self.spec.kind() {
-            VTableKind::WebCount => 1,
-            VTableKind::WebPages => 3,
-        };
-        let mut vals = prefix_values(&expr, &self.bindings, external);
-        // A racing spec (`WebCount_ANY`) registers one call per member
-        // engine as a race group: the group's CallId resolves with the
-        // first successful member and the pump cancels the losers.
-        let call: CallId = if self.spec.race.len() > 1 {
-            let reqs = self
-                .spec
-                .race
-                .iter()
-                .map(|engine| {
-                    let mut req = request_for(&self.spec, expr.clone());
-                    req.engine = engine.to_string();
-                    req
-                })
-                .collect();
-            self.pump.register_race(reqs)?
-        } else {
-            self.pump.register(request_for(&self.spec, expr))?
-        };
-        self.pump
-            .obs()
-            .count(wsq_obs::CounterId::PlaceholderTuples, 1);
-        let ph = |col: PendingCol| Value::Pending(Placeholder { call, col });
-        match self.spec.kind() {
-            VTableKind::WebCount => vals.push(ph(PendingCol::Count)),
-            VTableKind::WebPages => {
-                vals.push(ph(PendingCol::Url));
-                vals.push(ph(PendingCol::Rank));
-                vals.push(ph(PendingCol::Date));
-            }
-        }
-        Ok(Some(Tuple::new(vals)))
+        Ok(self.rows.pop_front())
+    }
+
+    fn close(&mut self) -> Result<()> {
+        self.rows.clear();
+        self.release_held();
+        Ok(())
+    }
+}
+
+impl Drop for AEVScanExec {
+    fn drop(&mut self) {
+        self.release_held();
     }
 }

@@ -556,19 +556,20 @@ impl Executor for DependentJoinExec {
                     pf.pump.release(cid);
                 }
             }
-            match step? {
-                Some(r) => {
-                    let joined = outer.join(&r);
-                    self.outer = Some(outer);
-                    return Ok(Some(joined));
-                }
-                None => self.right.close()?,
+            // An exhausted inner scan is re-opened for the next outer tuple,
+            // not closed: an `AEVScan` keeps its last delivered call until
+            // its next registration, so an identical next call coalesces.
+            if let Some(r) = step? {
+                let joined = outer.join(&r);
+                self.outer = Some(outer);
+                return Ok(Some(joined));
             }
         }
     }
 
     fn close(&mut self) -> Result<()> {
         self.release_unconsumed();
+        self.right.close()?;
         self.left.close()
     }
 }

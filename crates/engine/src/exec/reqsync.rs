@@ -1,6 +1,11 @@
 //! The `ReqSync` operator (paper §4.1, §4.3, §4.4): buffers incomplete
 //! tuples and coordinates with ReqPump to patch them as calls complete.
 //!
+//! Only calls that are really pending reach it: an `AEVScan` whose reply
+//! is already in hand at registration emits finished rows, which pass
+//! straight through (streaming) or straight to the ready queue (full
+//! buffering) like any complete tuple.
+//!
 //! For each completed call `C`, every buffered tuple carrying a `C`
 //! placeholder is processed per §4.3:
 //!
@@ -48,8 +53,7 @@ struct BufTuple {
     /// the other §4.3 copies own nothing.
     owner: bool,
     /// The clock reading of the step that put the tuple in the buffer
-    /// (patch-delay anchor), kept only while observability is on. `None`
-    /// while that step is still delivering (see [`ReqSyncExec::next`]).
+    /// (patch-delay anchor), kept only while observability is on.
     admitted: Option<Tick>,
 }
 
@@ -174,12 +178,11 @@ impl ReqSyncExec {
 
     /// Emit a complete tuple; buffer an incomplete one under every call it
     /// waits on, stamped `admitted`. Takes the child's tuples (owners) and
-    /// puts a patched — possibly still incomplete — tuple back. Returns the
-    /// buffered tuple's id.
-    fn admit(&mut self, tuple: Tuple, owner: bool, admitted: Option<Tick>) -> Option<u64> {
+    /// puts a patched — possibly still incomplete — tuple back.
+    fn admit(&mut self, tuple: Tuple, owner: bool, admitted: Option<Tick>) {
         if !tuple.is_incomplete() {
             self.ready.push_back(tuple);
-            return None;
+            return;
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -196,7 +199,6 @@ impl ReqSyncExec {
                 admitted,
             },
         );
-        Some(id)
     }
 
     /// Apply a completed call's `outcome` to every tuple waiting on it, as
@@ -238,9 +240,7 @@ impl ReqSyncExec {
                 continue;
             };
             self.obs.shift(GaugeId::ReqsyncBuffered, -1);
-            if let Some(now) = self.obs.stamp(step) {
-                // Admitted in this very step: no delay.
-                let admitted = entry.admitted.unwrap_or(now);
+            if let (Some(admitted), Some(now)) = (entry.admitted, self.obs.stamp(step)) {
                 self.obs
                     .observe(HistogramId::PatchDelay, now.since(admitted));
             }
@@ -481,19 +481,13 @@ impl Executor for ReqSyncExec {
                         if !t.is_incomplete() {
                             return Ok(Some(t));
                         }
-                        // Admitting the tuple and delivering what has
-                        // already completed — its own call, if the reply
-                        // was instant — are one step. Its reading is
-                        // settled once the completed calls are in hand, so
-                        // no delivery is stamped before the completion it
-                        // delivers (another thread may have completed one
-                        // a moment ago); the admission shares it.
-                        let step = Step::continuing();
-                        let id = self.admit(t, true, None);
-                        self.drain_completions(&step)?;
-                        if let Some(entry) = id.and_then(|id| self.buffered.get_mut(&id)) {
-                            entry.admitted = self.obs.stamp(&step);
-                        }
+                        // Buffer the tuple, then deliver whatever has
+                        // completed meanwhile (a reply in hand at
+                        // registration never gets here: its scan emitted
+                        // finished rows).
+                        let admitted = self.obs.stamp(&Step::continuing());
+                        self.admit(t, true, admitted);
+                        self.drain_completions(&Step::continuing())?;
                         continue;
                     }
                     None => {

@@ -5,6 +5,7 @@
 use super::*;
 use crate::plan::{BufferMode, EvBinding, EvSpec, VTableKind};
 use std::sync::Arc;
+use std::time::Duration;
 use wsq_common::{Column, DataType, Schema, Tuple, Value};
 use wsq_pump::{
     PageHit, PumpConfig, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService,
@@ -410,10 +411,53 @@ impl SearchService for Scripted {
     }
 }
 
+/// `S` with a declared latency, so its calls are pending when their scan
+/// registers them.
+struct Declared<S>(S, Duration);
+
+impl<S: SearchService> SearchService for Declared<S> {
+    fn execute(&self, req: &SearchRequest) -> ServiceReply {
+        ServiceReply {
+            latency: self.1,
+            ..self.0.execute(req)
+        }
+    }
+}
+
+/// A pump whose `AV` calls are pending when registered, so every
+/// asynchronous scan's tuple goes through ReqSync.
 fn pump() -> Arc<ReqPump> {
     let p = ReqPump::new(PumpConfig::default());
-    p.register_service("AV", Arc::new(Scripted));
+    p.register_service("AV", Arc::new(Declared(Scripted, Duration::from_millis(1))));
     p
+}
+
+#[test]
+fn instant_replies_are_delivered_to_their_scan_as_finished_rows() {
+    // The `reqsync_generation_cancellation_and_fill` pipeline with instant
+    // replies: each scan emits the finished rows of its own call — three,
+    // one, none — and no placeholder ever reaches ReqSync.
+    for mode in [BufferMode::Full, BufferMode::Streaming] {
+        let obs = wsq_obs::Obs::enabled();
+        let p = ReqPump::new(PumpConfig {
+            obs: obs.clone(),
+            ..PumpConfig::default()
+        });
+        p.register_service("AV", Arc::new(Scripted));
+        let out = async_pages_pipeline(&["many", "one", "none"], &p, mode);
+        let urls: Vec<&str> = out.iter().map(|t| t.get(3).as_str().unwrap()).collect();
+        assert_eq!(
+            urls,
+            ["www.many/1", "www.many/2", "www.many/3", "www.one/1"],
+            "{mode:?}"
+        );
+        let m = obs.metrics().unwrap();
+        assert_eq!(m.placeholder_tuples.get(), 0, "{mode:?}");
+        assert_eq!(m.reqsync_buffered.high_water(), 0, "{mode:?}");
+        assert_eq!(m.tuples_patched.get(), 4, "{mode:?}");
+        assert_eq!(m.tuples_cancelled.get(), 1, "{mode:?}");
+        assert_eq!(p.live_calls(), 0, "{mode:?}");
+    }
 }
 
 fn pages_spec(alias: &str) -> EvSpec {
@@ -515,7 +559,7 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
                     "503 service unavailable for {}",
                     req.expr
                 ))),
-                latency: std::time::Duration::ZERO,
+                latency: std::time::Duration::from_millis(20),
             }
         }
     }
@@ -524,7 +568,10 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
         obs: obs.clone(),
         ..PumpConfig::default()
     });
-    p.register_service("AV", Arc::new(Scripted));
+    // Declared latencies keep both calls pending, so their tuples reach
+    // ReqSync (an instant reply would be delivered to its scan), and A's
+    // reply lands well before B's failure.
+    p.register_service("AV", Arc::new(Declared(Scripted, Duration::from_millis(1))));
     p.register_service("BAD", Arc::new(Failing));
 
     // One source row → A's optimistic tuple → B joins → one buffered

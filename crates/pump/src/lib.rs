@@ -18,7 +18,9 @@
 //!   network latency, so `execute` is cheap and any thread may run it.
 //!   `register` runs it on the registering thread for every call the caps
 //!   admit; a zero-latency reply (a cache hit) is stored before `register`
-//!   returns, with no other thread involved. A reply with latency goes on
+//!   returns, with no other thread involved, and `register_delivered`
+//!   hands it straight to the registrant — an `AEVScan` then emits
+//!   finished rows instead of a placeholder. A reply with latency goes on
 //!   a deadline heap, and one background timer thread sleeps until the
 //!   earliest deadline, delivers what is due, and launches whatever the
 //!   freed capacity admits. Hundreds of concurrent "network" calls cost
@@ -35,7 +37,7 @@
 pub mod pump;
 pub mod service;
 
-pub use pump::{DispatchMode, PumpConfig, PumpStats, ReqPump};
+pub use pump::{DispatchMode, PumpConfig, PumpStats, Registered, ReqPump};
 pub use service::{
     blocking_execute, PageHit, RequestKind, SearchRequest, SearchResult, SearchService,
     ServiceReply,

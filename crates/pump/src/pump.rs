@@ -10,9 +10,21 @@
 //! same thread before it returns; the `reqpump-loop` thread is a timer
 //! that only wakes for a declared-latency deadline. The invariant that
 //! keeps a queued call from being stranded: *whoever frees capacity
-//! re-runs the launch step before returning*.
+//! re-runs the launch step before returning*. It does so in the lock hold
+//! that freed the capacity: one hold completes a round's instant replies,
+//! parks its timed ones, and pops the next round, so a round whose replies
+//! leave nothing queued takes the lock once after its `execute`s and never
+//! again.
 //!
 //! # Completion delivery
+//!
+//! A reply that is already in hand when its registration returns is
+//! delivered to the registrant ([`ReqPump::register_delivered`],
+//! [`Registered::Delivered`]): in the lock hold that completed it — or,
+//! for a registration that coalesced onto a finished call, in the
+//! registration's own hold — the pump takes the result for the caller, so
+//! there is nothing left to wait for, take or signal. Only a call that is
+//! really pending goes through the path below.
 //!
 //! Completion signalling is *targeted*: each [`ReqPump::wait_any`] caller
 //! registers an interest record for exactly the calls it waits on, and
@@ -54,7 +66,9 @@
 use crate::service::{SearchRequest, SearchResult, SearchService, ServiceReply};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -188,6 +202,35 @@ fn raise(peak: &AtomicU64, v: u64) {
     }
 }
 
+/// What a delivering registration ([`ReqPump::register_delivered`],
+/// [`ReqPump::register_race`]) came back with. Either way the
+/// registrant holds one reference to the call, as after
+/// [`ReqPump::register`].
+#[derive(Debug)]
+pub enum Registered {
+    /// The call is still pending: its result arrives through
+    /// [`ReqPump::take_completed`] / [`ReqPump::wait_any`].
+    Pending(CallId),
+    /// The call finished during the registering step — its reply was
+    /// instant, or the registration coalesced onto a call already done —
+    /// and this is its result, taken for the registrant as
+    /// [`ReqPump::take_completed`] would have taken it.
+    Delivered(CallId, Result<SearchResult>),
+}
+
+impl Registered {
+    /// The registered call (or racing group), delivered or not.
+    pub fn call(&self) -> CallId {
+        match self {
+            Registered::Pending(call) | Registered::Delivered(call, _) => *call,
+        }
+    }
+}
+
+/// Waiters to wake once the state lock is released, each with the call id
+/// it is woken for.
+type Woken = Vec<(CallId, Arc<Waiter>)>;
+
 /// What a sleeping waiter is woken with.
 #[derive(Debug, Clone, Copy)]
 enum Wake {
@@ -199,7 +242,7 @@ enum Wake {
 }
 
 /// One blocked `wait_any` caller. The waiter sleeps on its own condvar;
-/// `complete` delivers the finished id directly into `slot`, so the woken
+/// completion delivers the finished id directly into `slot`, so the woken
 /// thread never re-scans its call set.
 #[derive(Default)]
 struct Waiter {
@@ -236,9 +279,12 @@ enum CallState {
 }
 
 struct CallMeta {
-    /// The request, shared with the coalescing index, every launch of the
-    /// call and the trace ring: registration wraps it once.
+    /// The request, shared with every launch of the call and the trace
+    /// ring: registration wraps it once.
     req: Arc<SearchRequest>,
+    /// The request's hash, if the call is the coalescing index's entry for
+    /// it ([`State::index`]).
+    key: Option<u64>,
     refs: usize,
     state: CallState,
     /// The call's slot in [`State::dests`]; `None` for a call that never
@@ -300,9 +346,12 @@ struct State {
     meta: IdMap<CallId, CallMeta>,
     /// `ReqPumpHash`: completed results keyed by call id.
     results: IdMap<CallId, Result<SearchResult>>,
-    /// Coalescing index over calls that are still known to the pump
-    /// (keyed by each call's shared request, probed by `&SearchRequest`).
-    index: HashMap<Arc<SearchRequest>, CallId>,
+    /// Coalescing index over calls that are still known to the pump, each
+    /// under its request's hash ([`Shared::keys`]): a registration hashes
+    /// its request once, and forgetting a call hashes nothing. A call
+    /// whose hash another request already holds — a 64-bit collision — is
+    /// left out, and so never coalesced onto.
+    index: IdMap<u64, CallId>,
     /// Waiters blocked on each not-yet-completed call.
     interest: IdMap<CallId, Vec<Arc<Waiter>>>,
     /// Racing groups keyed by their virtual group call id.
@@ -319,7 +368,18 @@ struct State {
     /// Launched calls whose declared latency has not elapsed yet, earliest
     /// deadline first ([`DispatchMode::EventLoop`] only).
     deadlines: BinaryHeap<Reverse<Pending>>,
+    /// An empty launch-round buffer kept for the next round to fill.
+    spare_launches: Vec<Launch>,
     shutdown: bool,
+}
+
+impl State {
+    /// Take a call being forgotten out of the coalescing index.
+    fn unindex(&mut self, meta: &CallMeta) {
+        if let Some(key) = meta.key {
+            self.index.remove(&key);
+        }
+    }
 }
 
 struct Shared {
@@ -330,6 +390,9 @@ struct Shared {
     /// freed / shutdown).
     work_cv: Condvar,
     stats: Counters,
+    /// Hashes requests for the coalescing index (randomly keyed, as the
+    /// default hasher is: requests are user text).
+    keys: RandomState,
 }
 
 /// The global asynchronous request manager. See the crate docs.
@@ -347,6 +410,7 @@ impl ReqPump {
             config: config.clone(),
             state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
+            keys: RandomState::new(),
         });
         let mut workers = Vec::new();
         match config.dispatch {
@@ -443,8 +507,54 @@ impl ReqPump {
         let step = Step::new();
         let mut st = self.shared.state.lock();
         let cid = self.register_locked(&mut st, req, &step)?;
-        start_queued(&self.shared, st, &step);
+        start_queued(&self.shared, st, &step, Vec::new(), None);
         Ok(cid)
+    }
+
+    /// [`ReqPump::register`] for a caller that can use a reply already in
+    /// hand: a call that finishes during the registering step — an instant
+    /// reply under [`DispatchMode::EventLoop`], or a registration that
+    /// coalesced onto a finished call — comes back as
+    /// [`Registered::Delivered`] with its result, taken in the lock hold
+    /// that completed it. A pending call comes back as
+    /// [`Registered::Pending`].
+    ///
+    /// `release` is a reference the caller gives up (its previous
+    /// delivered call), released in the same lock hold *after* the new
+    /// request is matched for coalescing: a caller that keeps its last
+    /// delivered call until its next registration lets an identical next
+    /// request coalesce onto it instead of launching again.
+    pub fn register_delivered(
+        &self,
+        req: SearchRequest,
+        release: Option<CallId>,
+    ) -> Result<Registered> {
+        self.deliver(release, |pump, st, step| {
+            Ok((pump.register_locked(st, req, step)?, Vec::new()))
+        })
+    }
+
+    /// One delivering registration: `body` registers under the state lock
+    /// as step `step`; `release` is then released in the same hold — even
+    /// if `body` failed — and the launch step watches the registered call.
+    fn deliver(
+        &self,
+        release: Option<CallId>,
+        body: impl FnOnce(&Self, &mut State, &Step) -> Result<(CallId, Woken)>,
+    ) -> Result<Registered> {
+        let step = Step::new();
+        let mut st = self.shared.state.lock();
+        let registered = body(self, &mut st, &step);
+        if let Some(held) = release {
+            release_locked(&self.shared, &mut st, held, &step);
+        }
+        let (cid, woken) = registered?;
+        Ok(
+            match start_queued(&self.shared, st, &step, woken, Some(cid)) {
+                Some(result) => Registered::Delivered(cid, result),
+                None => Registered::Pending(cid),
+            },
+        )
     }
 
     /// Register a whole burst of requests under **one** state-lock
@@ -464,7 +574,7 @@ impl ReqPump {
         for req in reqs {
             ids.push(self.register_locked(&mut st, req, &step)?);
         }
-        start_queued(&self.shared, st, &step);
+        start_queued(&self.shared, st, &step, Vec::new(), None);
         Ok(ids)
     }
 
@@ -479,87 +589,100 @@ impl ReqPump {
     /// The group id behaves like any other call for [`ReqPump::wait`],
     /// [`ReqPump::wait_any`], [`ReqPump::take_completed`], and
     /// [`ReqPump::release`]; releasing an undecided group cancels all
-    /// members the group still holds references to. A single-request
-    /// race degenerates to [`ReqPump::register`]; an empty one errors.
-    pub fn register_race(&self, mut reqs: Vec<SearchRequest>) -> Result<CallId> {
+    /// members the group still holds references to. A group decided
+    /// during the registering step — by members already done or replying
+    /// at once — comes back [`Registered::Delivered`] with the winner's
+    /// result (or the group's failure), and `release` is given up as in
+    /// [`ReqPump::register_delivered`]. A single-request race degenerates
+    /// to [`ReqPump::register_delivered`]; an empty one errors.
+    pub fn register_race(
+        &self,
+        mut reqs: Vec<SearchRequest>,
+        release: Option<CallId>,
+    ) -> Result<Registered> {
+        if reqs.len() == 1 {
+            return self.register_delivered(reqs.swap_remove(0), release);
+        }
+        self.deliver(release, |pump, st, step| pump.race_locked(st, reqs, step))
+    }
+
+    /// The racing-group registration body, run under the already-held state
+    /// lock as part of `step`. Returns the group id and the waiters of
+    /// groups that members already complete decided here, for the caller
+    /// to wake once the lock is released.
+    fn race_locked(
+        &self,
+        st: &mut State,
+        reqs: Vec<SearchRequest>,
+        step: &Step,
+    ) -> Result<(CallId, Woken)> {
         if reqs.is_empty() {
             return Err(WsqError::Exec(
                 "register_race on empty request set".to_string(),
             ));
         }
-        if reqs.len() == 1 {
-            return self.register(reqs.swap_remove(0));
+        if st.shutdown {
+            return Err(WsqError::PumpShutdown);
         }
-        let step = &Step::new();
-        let (gid, woken) = {
-            let mut st = self.shared.state.lock();
-            if st.shutdown {
-                return Err(WsqError::PumpShutdown);
-            }
-            // The group gets a real meta entry (so `live_calls` counts it
-            // and `wait_any`'s unknown-call guard accepts it) under a
-            // synthesized request that can never enter the coalescing
-            // index; it is never queued or launched.
-            let synth = Arc::new(SearchRequest {
-                engine: format!(
-                    "race({})",
-                    reqs.iter()
-                        .map(|r| r.engine.as_str())
-                        .collect::<Vec<_>>()
-                        .join("|")
-                ),
-                expr: reqs[0].expr.clone(),
-                kind: reqs[0].kind.clone(),
-            });
-            let obs = &self.shared.config.obs;
-            let mut members = Vec::with_capacity(reqs.len());
-            for req in reqs {
-                members.push(self.register_locked(&mut st, req, step)?);
-            }
-            let gid = CallId(st.next_call);
-            st.next_call += 1;
-            obs.labelled(step, gid, EventKind::Registered, obs.display(&synth));
-            st.meta.insert(
-                gid,
-                CallMeta {
-                    req: synth,
-                    refs: 1,
-                    state: CallState::InFlight,
-                    dest: None,
-                    registered_at: obs.stamp(step),
-                    launched_at: None,
-                    finished_at: None,
-                },
-            );
-            st.races.insert(
-                gid,
-                RaceGroup {
-                    members: members.clone(),
-                    pending: members.len(),
-                    decided: false,
-                },
-            );
-            for &m in &members {
-                st.race_member.entry(m).or_default().push(gid);
-            }
-            // Members that are already complete (coalesced onto finished
-            // calls, or fail-fast unknown engines) decide the group now.
-            let mut woken = Vec::new();
-            for &m in &members {
-                if st.races.get(&gid).is_none_or(|g| g.decided) {
-                    break;
-                }
-                if let Some(r) = st.results.get(&m).cloned() {
-                    woken.extend(race_resolve(&self.shared, &mut st, m, &r, step));
-                }
-            }
-            start_queued(&self.shared, st, step);
-            (gid, woken)
-        };
-        for (g, w) in woken {
-            w.wake(Wake::Done(g));
+        // The group gets a real meta entry (so `live_calls` counts it
+        // and `wait_any`'s unknown-call guard accepts it) under a
+        // synthesized request that can never enter the coalescing
+        // index; it is never queued or launched.
+        let synth = Arc::new(SearchRequest {
+            engine: format!(
+                "race({})",
+                reqs.iter()
+                    .map(|r| r.engine.as_str())
+                    .collect::<Vec<_>>()
+                    .join("|")
+            ),
+            expr: reqs[0].expr.clone(),
+            kind: reqs[0].kind.clone(),
+        });
+        let obs = &self.shared.config.obs;
+        let mut members = Vec::with_capacity(reqs.len());
+        for req in reqs {
+            members.push(self.register_locked(st, req, step)?);
         }
-        Ok(gid)
+        let gid = CallId(st.next_call);
+        st.next_call += 1;
+        obs.labelled(step, gid, EventKind::Registered, obs.display(&synth));
+        st.meta.insert(
+            gid,
+            CallMeta {
+                req: synth,
+                key: None,
+                refs: 1,
+                state: CallState::InFlight,
+                dest: None,
+                registered_at: obs.stamp(step),
+                launched_at: None,
+                finished_at: None,
+            },
+        );
+        st.races.insert(
+            gid,
+            RaceGroup {
+                members: members.clone(),
+                pending: members.len(),
+                decided: false,
+            },
+        );
+        for &m in &members {
+            st.race_member.entry(m).or_default().push(gid);
+        }
+        // Members that are already complete (coalesced onto finished
+        // calls, or fail-fast unknown engines) decide the group now.
+        let mut woken = Vec::new();
+        for &m in &members {
+            if st.races.get(&gid).is_none_or(|g| g.decided) {
+                break;
+            }
+            if let Some(r) = st.results.get(&m).cloned() {
+                woken.extend(race_resolve(&self.shared, st, m, &r, step));
+            }
+        }
+        Ok((gid, woken))
     }
 
     /// The registration body, run under the already-held state lock as
@@ -573,11 +696,12 @@ impl ReqPump {
         let obs = &self.shared.config.obs;
         let stats = &self.shared.stats;
         stats.count(CounterId::CallsRegistered);
-        if let Some(&cid) = st.index.get(&req) {
+        let key = self.shared.keys.hash_one(&req);
+        if let Some(&cid) = st.index.get(&key) {
             // The index and meta maps are kept in step under the state
-            // lock; if the entry is somehow gone, fall through and
-            // register a fresh call rather than panic.
-            if let Some(meta) = st.meta.get_mut(&cid) {
+            // lock; if the entry is somehow gone, or holds another request
+            // under the same hash, fall through and register a fresh call.
+            if let Some(meta) = st.meta.get_mut(&cid).filter(|meta| *meta.req == req) {
                 stats.count(CounterId::CallsCoalesced);
                 meta.refs += 1;
                 obs.event(step, cid, EventKind::Coalesced);
@@ -604,6 +728,7 @@ impl ReqPump {
                 cid,
                 CallMeta {
                     req,
+                    key: None,
                     refs: 1,
                     state: CallState::Done,
                     dest: None,
@@ -617,11 +742,18 @@ impl ReqPump {
         };
 
         obs.event(step, cid, EventKind::Queued);
-        st.index.insert(req.clone(), cid);
+        let key = match st.index.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(cid);
+                Some(key)
+            }
+            Entry::Occupied(_) => None,
+        };
         st.meta.insert(
             cid,
             CallMeta {
                 req,
+                key,
                 refs: 1,
                 state: CallState::Queued,
                 dest: Some(dest),
@@ -847,7 +979,7 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId, step: &Step) {
             // Cancel before launch.
             st.queue.retain(|&c| c != call);
             if let Some(meta) = st.meta.remove(&call) {
-                st.index.remove(&meta.req);
+                st.unindex(&meta);
             }
             let obs = &shared.config.obs;
             obs.count(CounterId::CallsCancelled, 1);
@@ -857,7 +989,7 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId, step: &Step) {
         CallState::Done => {
             if let Some(mut meta) = st.meta.remove(&call) {
                 sample_delays(&shared.config.obs, &mut meta);
-                st.index.remove(&meta.req);
+                st.unindex(&meta);
             }
             st.results.remove(&call);
         }
@@ -962,11 +1094,12 @@ fn dest_cap(config: &PumpConfig, dest: &str) -> usize {
 }
 
 /// A call taken off the queue, with the request and the service to hand
-/// it to.
+/// it to, and — once `execute` returned — the service's reply.
 struct Launch {
     cid: CallId,
     req: Arc<SearchRequest>,
     service: Arc<dyn SearchService>,
+    reply: Option<ServiceReply>,
 }
 
 /// Take the first queued call that can launch under current limits, as
@@ -999,72 +1132,85 @@ fn pop_launchable(st: &mut State, shared: &Shared, step: &Step) -> Option<Launch
         cid,
         req: meta.req.clone(),
         service: dest.service.clone(),
+        reply: None,
     })
 }
 
-/// Mark a call complete as part of `step`, store its result, free its
-/// capacity, and wake exactly the waiters interested in it. The capacity it
-/// frees may admit a queued call: the caller re-runs the launch step before
-/// it returns (`launch_ready` and `event_loop` loop back; `worker_loop`
-/// wakes its peers).
-fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>, step: &Step) {
+/// Mark a call complete as part of `step`, under the already-held state
+/// lock: store its result, free its capacity, and add exactly the waiters
+/// interested in it to `woken`, for the caller to wake once it releases
+/// the lock. The capacity it frees may admit a queued call: the caller
+/// re-runs the launch step before it returns (`launch_ready` and
+/// `event_loop` in the same hold; `worker_loop` wakes its peers).
+fn complete_locked(
+    shared: &Shared,
+    st: &mut State,
+    cid: CallId,
+    result: Result<SearchResult>,
+    step: &Step,
+    woken: &mut Woken,
+) {
     let obs = &shared.config.obs;
-    let (waiters, race_woken) = {
-        let mut guard = shared.state.lock();
-        let st = &mut *guard;
-        st.active_total = st.active_total.saturating_sub(1);
-        let orphaned = match st.meta.get_mut(&cid) {
-            Some(meta) => {
-                meta.state = CallState::Done;
-                meta.finished_at = obs.stamp(step);
-                if let Some(dest) = meta.dest {
-                    st.dests[dest].active = st.dests[dest].active.saturating_sub(1);
-                }
-                meta.refs == 0
+    st.active_total = st.active_total.saturating_sub(1);
+    let orphaned = match st.meta.get_mut(&cid) {
+        Some(meta) => {
+            meta.state = CallState::Done;
+            meta.finished_at = obs.stamp(step);
+            if let Some(dest) = meta.dest {
+                st.dests[dest].active = st.dests[dest].active.saturating_sub(1);
             }
-            None => true,
-        };
-        obs.shift(GaugeId::InFlight, -1);
-        match &result {
-            Ok(_) => {
-                shared.stats.count(CounterId::CallsCompleted);
-                obs.event(step, cid, EventKind::Completed);
-            }
-            Err(e) => {
-                shared.stats.count(CounterId::CallsFailed);
-                obs.labelled(
-                    step,
-                    cid,
-                    EventKind::Failed,
-                    obs.text(|| e.to_string().into()),
-                );
-            }
+            meta.refs == 0
         }
-        if orphaned {
-            // Every registrant released before completion: drop everything.
-            if let Some(mut meta) = st.meta.remove(&cid) {
-                sample_delays(obs, &mut meta);
-                st.index.remove(&meta.req);
-            }
-        } else {
-            st.results.insert(cid, result.clone());
-        }
-        // Racing: this member's result may decide groups it runs for
-        // (an orphaned member has no race entries — groups hold a
-        // reference, so a raced member can't be orphaned while any of
-        // its groups is undecided).
-        let race_woken = race_resolve(shared, st, cid, &result, step);
-        (st.interest.remove(&cid).unwrap_or_default(), race_woken)
+        None => true,
     };
-    if !waiters.is_empty() || !race_woken.is_empty() {
-        // A woken thread records the delivery: the completion goes first.
-        obs.publish();
+    obs.shift(GaugeId::InFlight, -1);
+    match &result {
+        Ok(_) => {
+            shared.stats.count(CounterId::CallsCompleted);
+            obs.event(step, cid, EventKind::Completed);
+        }
+        Err(e) => {
+            shared.stats.count(CounterId::CallsFailed);
+            obs.labelled(
+                step,
+                cid,
+                EventKind::Failed,
+                obs.text(|| e.to_string().into()),
+            );
+        }
     }
-    for w in waiters {
+    // Racing: this member's result may decide groups it runs for (an
+    // orphaned member has no race entries — groups hold a reference, so a
+    // raced member can't be orphaned while any of its groups is
+    // undecided). The store takes the result first: deciding a group
+    // releases its members.
+    let raced = st.race_member.contains_key(&cid).then(|| result.clone());
+    if orphaned {
+        // Every registrant released before completion: drop everything.
+        if let Some(mut meta) = st.meta.remove(&cid) {
+            sample_delays(obs, &mut meta);
+            st.unindex(&meta);
+        }
+    } else {
+        st.results.insert(cid, result);
+    }
+    if let Some(result) = raced {
+        woken.extend(race_resolve(shared, st, cid, &result, step));
+    }
+    if let Some(waiters) = st.interest.remove(&cid) {
+        woken.extend(waiters.into_iter().map(|w| (cid, w)));
+    }
+}
+
+/// Wake `woken`, outside the state lock. A woken thread records the
+/// delivery, so what this thread recorded — the completion — goes first.
+fn wake(shared: &Shared, woken: Woken) {
+    if woken.is_empty() {
+        return;
+    }
+    shared.config.obs.publish();
+    for (cid, w) in woken {
         w.wake(Wake::Done(cid));
-    }
-    for (gid, w) in race_woken {
-        w.wake(Wake::Done(gid));
     }
 }
 
@@ -1128,13 +1274,27 @@ fn execute_one(launch: &Launch) -> ServiceReply {
 /// under the state lock `st` it still holds: on this thread under
 /// [`DispatchMode::EventLoop`], in the same lock hold; by waking the
 /// workers under [`DispatchMode::ThreadPool`], whose services may block.
-fn start_queued(shared: &Shared, st: MutexGuard<'_, State>, step: &Step) {
+/// `woken` are waiters the registration's hold owes a wakeup.
+///
+/// With `watch` set, returns that call's result, taken in the hold in
+/// which it is done — this one, or the hold that completed it — if it
+/// finished during the step (see [`ReqPump::register_delivered`]).
+fn start_queued(
+    shared: &Shared,
+    mut st: MutexGuard<'_, State>,
+    step: &Step,
+    woken: Woken,
+    watch: Option<CallId>,
+) -> Option<Result<SearchResult>> {
     match shared.config.dispatch {
-        DispatchMode::EventLoop => launch_ready(shared, Some((st, step))),
+        DispatchMode::EventLoop => launch_ready(shared, st, step, woken, watch),
         DispatchMode::ThreadPool(_) => {
+            let taken = watch.and_then(|call| take_locked(shared, &mut st, call));
             publish_if_queued(shared, &st);
             drop(st);
             shared.work_cv.notify_all();
+            wake(shared, woken);
+            taken
         }
     }
 }
@@ -1149,104 +1309,132 @@ fn publish_if_queued(shared: &Shared, st: &State) {
 }
 
 /// The event-loop launch step, run by whichever thread queued work or
-/// freed capacity: pop everything launchable under the state lock,
-/// `execute` it outside the lock, complete zero-latency replies here and
-/// park the rest on the deadline heap for the timer thread. Completing a
-/// reply frees capacity, so the step repeats until nothing is launchable.
+/// freed capacity, under the state lock `st` that thread holds: pop
+/// everything launchable, `execute` it outside the lock, then take the
+/// lock once to park the timed replies on the deadline heap for the timer
+/// thread and complete the instant ones here. Completing frees capacity,
+/// so that same hold pops the next round. The step ends when a round
+/// launches nothing — in the hold that completed the last round, so a step
+/// whose replies leave nothing queued never re-locks to look — or when a
+/// round completes nothing.
 ///
-/// `held` is a registration's lock and step: its first round launches in
-/// that lock hold, so no other thread can launch the calls it just
-/// registered, and is stamped with that step's reading.
-fn launch_ready<'a>(shared: &'a Shared, mut held: Option<(MutexGuard<'a, State>, &Step)>) {
+/// The first round launches in the caller's hold — a registration's, so
+/// no other thread can launch the calls it just registered — and is
+/// stamped with the caller's step `step`. `woken` (what the caller's hold
+/// owes) and the waiters of what the step completes are woken whenever the
+/// step releases the lock. `watch`: see [`start_queued`].
+fn launch_ready<'a>(
+    shared: &'a Shared,
+    mut st: MutexGuard<'a, State>,
+    step: &Step,
+    mut woken: Woken,
+    mut watch: Option<CallId>,
+) -> Option<Result<SearchResult>> {
+    let mut taken = None;
+    let mut later: Option<Step> = None;
     loop {
         // One clock reading per launch round: it stamps the round's
         // `Launched` events and the completions of its instant replies, and
         // a reply is due its declared latency after it, however long the
         // round's other `execute` calls take. (With observability off it is
         // first read for the first reply that declares latency.)
-        let fresh = Step::new();
-        let (mut st, round) = match held.take() {
-            Some((st, step)) => (st, step),
-            None => (shared.state.lock(), &fresh),
-        };
-        if st.shutdown {
-            return;
+        let round = later.as_ref().unwrap_or(step);
+        if let Some(call) = watch {
+            taken = take_locked(shared, &mut st, call);
+            if taken.is_some() {
+                watch = None;
+            }
         }
-        let mut launches: Vec<Launch> = Vec::new();
+        if st.shutdown {
+            drop(st);
+            wake(shared, woken);
+            return taken;
+        }
+        // The round's buffer is the state's spare one, handed back in the
+        // completion hold: a steady stream of rounds allocates none.
+        let mut launches = std::mem::take(&mut st.spare_launches);
         while let Some(launch) = pop_launchable(&mut st, shared, round) {
             launches.push(launch);
         }
         publish_if_queued(shared, &st);
-        drop(st);
         if launches.is_empty() {
-            return;
+            st.spare_launches = launches;
+            drop(st);
+            wake(shared, woken);
+            return taken;
         }
-        let mut instant: Vec<(CallId, Result<SearchResult>)> = Vec::new();
-        let mut timed: Vec<Pending> = Vec::new();
-        for launch in launches {
-            let reply = execute_one(&launch);
-            if reply.latency.is_zero() {
-                instant.push((launch.cid, reply.result));
-            } else {
-                timed.push(Pending {
-                    deadline: round.now() + reply.latency,
-                    cid: launch.cid,
-                    result: reply.result,
-                });
-            }
+        drop(st);
+        wake(shared, std::mem::take(&mut woken));
+        let mut parks = false;
+        for launch in &mut launches {
+            let reply = execute_one(launch);
+            parks |= !reply.latency.is_zero();
+            launch.reply = Some(reply);
         }
-        if !timed.is_empty() {
+        if parks {
             // The timer thread completes these: their launches go first.
             shared.config.obs.publish();
-            let mut st = shared.state.lock();
-            let earliest = st.deadlines.peek().map(|p| p.0.deadline);
-            st.deadlines.extend(timed.into_iter().map(Reverse));
-            // The timer sleeps until the earliest deadline it saw; wake it
-            // only when that moved.
-            if st.deadlines.peek().map(|p| p.0.deadline) != earliest {
-                shared.work_cv.notify_all();
+        }
+        st = shared.state.lock();
+        let earliest = st.deadlines.peek().map(|p| p.0.deadline);
+        let mut completed = false;
+        for Launch { cid, reply, .. } in launches.drain(..) {
+            let Some(reply) = reply else { continue };
+            if reply.latency.is_zero() {
+                complete_locked(shared, &mut st, cid, reply.result, round, &mut woken);
+                completed = true;
+            } else {
+                st.deadlines.push(Reverse(Pending {
+                    deadline: round.now() + reply.latency,
+                    cid,
+                    result: reply.result,
+                }));
             }
         }
-        if instant.is_empty() {
-            return; // nothing completed here, so no capacity was freed
+        st.spare_launches = launches;
+        // The timer sleeps until the earliest deadline it saw; wake it only
+        // when that moved.
+        if parks && st.deadlines.peek().map(|p| p.0.deadline) != earliest {
+            shared.work_cv.notify_all();
         }
-        for (cid, result) in instant {
-            complete(shared, cid, result, round);
+        if !completed {
+            return taken; // nothing completed here, so no capacity was freed
         }
+        later = Some(Step::new());
     }
 }
 
-/// The event-loop timer thread: sleep until the earliest deadline, deliver
-/// what is due, then run the launch step for whatever the freed capacity
-/// admits.
+/// The event-loop timer thread: sleep until the earliest deadline, then in
+/// one lock hold deliver what is due and run the launch step for whatever
+/// the freed capacity admits.
 fn event_loop(shared: Arc<Shared>) {
     loop {
         let mut due: Vec<Pending> = Vec::new();
-        {
-            let mut st = shared.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
+        let mut st = shared.state.lock();
+        loop {
+            if st.shutdown {
+                return;
+            }
+            let now = Instant::now();
+            while st.deadlines.peek().is_some_and(|p| p.0.deadline <= now) {
+                due.extend(st.deadlines.pop().map(|p| p.0));
+            }
+            if !due.is_empty() {
+                break;
+            }
+            match st.deadlines.peek().map(|p| p.0.deadline) {
+                Some(deadline) => {
+                    let _ = shared.work_cv.wait_until(&mut st, deadline);
                 }
-                let now = Instant::now();
-                while st.deadlines.peek().is_some_and(|p| p.0.deadline <= now) {
-                    due.extend(st.deadlines.pop().map(|p| p.0));
-                }
-                if !due.is_empty() {
-                    break;
-                }
-                match st.deadlines.peek().map(|p| p.0.deadline) {
-                    Some(deadline) => {
-                        let _ = shared.work_cv.wait_until(&mut st, deadline);
-                    }
-                    None => shared.work_cv.wait(&mut st),
-                }
+                None => shared.work_cv.wait(&mut st),
             }
         }
+        let step = Step::new();
+        let mut woken = Vec::new();
         for p in due {
-            complete(&shared, p.cid, p.result, &Step::new());
+            complete_locked(&shared, &mut st, p.cid, p.result, &step, &mut woken);
         }
-        launch_ready(&shared, None);
+        launch_ready(&shared, st, &step, woken, None);
     }
 }
 
@@ -1270,7 +1458,17 @@ fn worker_loop(shared: Arc<Shared>) {
         if !reply.latency.is_zero() {
             std::thread::sleep(reply.latency);
         }
-        complete(&shared, launch.cid, reply.result, &Step::new());
+        let mut woken = Vec::new();
+        let step = Step::new();
+        complete_locked(
+            &shared,
+            &mut shared.state.lock(),
+            launch.cid,
+            reply.result,
+            &step,
+            &mut woken,
+        );
+        wake(&shared, woken);
         // Capacity freed: this worker loops back for the next call, and an
         // idle peer may take another.
         shared.work_cv.notify_all();
@@ -1661,24 +1859,21 @@ mod tests {
     fn shared_request_coalesces_by_value_and_leaves_nothing_behind() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(20)));
         // Two separately built, equal requests: the index holds the first
-        // one's `Arc` and is probed with the second by reference.
+        // one's hash and is probed with the second's.
         let a = pump.register(req("AV", "same")).unwrap();
         let b = pump.register(req("AV", "same")).unwrap();
         assert_eq!(a, b, "an identical request in flight must coalesce");
         {
             let st = pump.shared.state.lock();
             assert_eq!((st.index.len(), st.meta.len()), (1, 1));
-            let (key, &cid) = st.index.iter().next().unwrap();
+            let (&key, &cid) = st.index.iter().next().unwrap();
             assert_eq!(cid, a);
-            assert!(
-                Arc::ptr_eq(key, &st.meta[&a].req),
-                "index and meta share one request"
-            );
+            assert_eq!(st.meta[&a].key, Some(key), "the call knows its entry");
         }
         pump.wait(a).unwrap();
         pump.release(a);
         pump.release(b);
-        // A released call leaves no entry keyed by a stale `Arc` …
+        // A released call leaves no stale entry …
         {
             let st = pump.shared.state.lock();
             assert!(st.index.is_empty() && st.meta.is_empty() && st.results.is_empty());
@@ -1692,6 +1887,33 @@ mod tests {
     }
 
     #[test]
+    fn a_hash_collision_never_coalesces_different_requests() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(20)));
+        let a = pump.register(req("AV", "one")).unwrap();
+        // Make `one` hash as `two` does: `a` is indexed under `two`'s hash.
+        let two = pump.shared.keys.hash_one(req("AV", "two"));
+        {
+            let mut st = pump.shared.state.lock();
+            st.index.clear();
+            st.index.insert(two, a);
+            st.meta.get_mut(&a).unwrap().key = Some(two);
+        }
+        let b = pump.register(req("AV", "two")).unwrap();
+        assert_ne!(a, b, "a different request under the same hash coalesced");
+        assert_eq!(
+            pump.shared.state.lock().meta[&b].key,
+            None,
+            "b is not indexed"
+        );
+        assert_eq!(pump.wait(a).unwrap().count(), Some(3));
+        assert_eq!(pump.wait(b).unwrap().count(), Some(3));
+        pump.release(b);
+        pump.release(a);
+        assert_eq!(pump.live_calls(), 0);
+        assert!(pump.shared.state.lock().index.is_empty());
+    }
+
+    #[test]
     fn race_first_success_wins_and_losers_cancel() {
         let obs = Obs::enabled();
         let config = PumpConfig {
@@ -1702,8 +1924,9 @@ mod tests {
         pump.register_service("Fast", Probe::new(Duration::from_millis(2)));
         pump.register_service("Slow", Probe::new(Duration::from_millis(120)));
         let gid = pump
-            .register_race(vec![req("Fast", "race-me"), req("Slow", "race-me")])
-            .unwrap();
+            .register_race(vec![req("Fast", "race-me"), req("Slow", "race-me")], None)
+            .unwrap()
+            .call();
         assert_eq!(pump.wait(gid).unwrap().count(), Some(7));
         pump.release(gid);
         let m = obs.metrics().unwrap();
@@ -1735,8 +1958,9 @@ mod tests {
         pump.register_service("Slow", Probe::new(Duration::from_millis(60)));
         let blocker = pump.register(req("Slow", "blocker")).unwrap();
         let gid = pump
-            .register_race(vec![req("Fast", "rq"), req("Slow", "rq")])
-            .unwrap();
+            .register_race(vec![req("Fast", "rq"), req("Slow", "rq")], None)
+            .unwrap()
+            .call();
         assert!(pump.wait(gid).unwrap().count().is_some());
         pump.release(gid);
         pump.wait(blocker).unwrap();
@@ -1752,8 +1976,9 @@ mod tests {
         // Both engines unknown: members fail fast at registration, so the
         // group resolves to an error immediately.
         let gid = pump
-            .register_race(vec![req("NopeA", "x"), req("NopeB", "x")])
-            .unwrap();
+            .register_race(vec![req("NopeA", "x"), req("NopeB", "x")], None)
+            .unwrap()
+            .call();
         let err = pump.wait(gid).unwrap_err();
         assert!(matches!(err, WsqError::Search(_)));
         pump.release(gid);
@@ -1764,8 +1989,9 @@ mod tests {
     fn race_with_one_failing_member_still_wins() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
         let gid = pump
-            .register_race(vec![req("Nope", "y"), req("AV", "y")])
-            .unwrap();
+            .register_race(vec![req("Nope", "y"), req("AV", "y")], None)
+            .unwrap()
+            .call();
         assert_eq!(pump.wait(gid).unwrap().count(), Some(1));
         pump.release(gid);
         assert_eq!(pump.live_calls(), 0);
@@ -1781,8 +2007,9 @@ mod tests {
         pump.register_service("AV", Probe::new(Duration::from_millis(60)));
         let blocker = pump.register(req("AV", "hold")).unwrap();
         let gid = pump
-            .register_race(vec![req("AV", "ra"), req("AV", "rb")])
-            .unwrap();
+            .register_race(vec![req("AV", "ra"), req("AV", "rb")], None)
+            .unwrap()
+            .call();
         // Cursor drop mid-race: both members are still queued and must be
         // cancelled outright.
         pump.release(gid);
@@ -1798,8 +2025,9 @@ mod tests {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
         let solo = pump.register(req("AV", "shared")).unwrap();
         let gid = pump
-            .register_race(vec![req("AV", "shared"), req("AV", "other")])
-            .unwrap();
+            .register_race(vec![req("AV", "shared"), req("AV", "other")], None)
+            .unwrap()
+            .call();
         // The group's first member coalesced onto the external call.
         assert_eq!(pump.wait(gid).unwrap().count(), Some(6));
         pump.release(gid);
@@ -1821,8 +2049,9 @@ mod tests {
         // Coalesces onto the finished call: the group is decided at
         // registration time, before any wait.
         let gid = pump
-            .register_race(vec![req("AV", "done"), req("AV", "never-needed")])
-            .unwrap();
+            .register_race(vec![req("AV", "done"), req("AV", "never-needed")], None)
+            .unwrap()
+            .call();
         assert_eq!(pump.peek(gid).unwrap().unwrap().count(), Some(4));
         pump.release(gid);
         pump.release(solo);
@@ -1836,8 +2065,11 @@ mod tests {
     #[test]
     fn race_degenerate_shapes() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::ZERO));
-        assert!(pump.register_race(vec![]).is_err());
-        let gid = pump.register_race(vec![req("AV", "one")]).unwrap();
+        assert!(pump.register_race(vec![], None).is_err());
+        let gid = pump
+            .register_race(vec![req("AV", "one")], None)
+            .unwrap()
+            .call();
         assert_eq!(pump.wait(gid).unwrap().count(), Some(3));
         pump.release(gid);
         assert_eq!(pump.live_calls(), 0);
@@ -1885,9 +2117,40 @@ mod tests {
             .unwrap();
         assert_eq!(pump.take_completed(&ids).len(), 2);
         let gid = pump
-            .register_race(vec![req("AV", "ccc"), req("AV", "dddd")])
-            .unwrap();
+            .register_race(vec![req("AV", "ccc"), req("AV", "dddd")], None)
+            .unwrap()
+            .call();
         assert_eq!(pump.peek(gid).unwrap().unwrap().count(), Some(3));
+    }
+
+    #[test]
+    fn a_reply_in_hand_is_delivered_with_its_registration() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::ZERO));
+        let first = pump.register_delivered(req("AV", "same"), None).unwrap();
+        let Registered::Delivered(a, Ok(result)) = first else {
+            panic!("an instant reply must be delivered: {first:?}");
+        };
+        assert_eq!(result.count(), Some(4));
+        // Giving `a` up with an identical registration: it coalesces onto
+        // `a`, done already, and is delivered in the registration's hold.
+        let again = pump.register_delivered(req("AV", "same"), Some(a)).unwrap();
+        assert!(matches!(again, Registered::Delivered(c, Ok(_)) if c == a));
+        let b = pump
+            .register_delivered(req("AV", "other"), Some(a))
+            .unwrap();
+        assert_ne!(b.call(), a);
+        let stats = pump.stats();
+        assert_eq!((stats.launched, stats.coalesced), (2, 1));
+        assert_eq!(pump.live_calls(), 1, "`a` was released, `b` is held");
+        pump.release(b.call());
+        assert_eq!(pump.live_calls(), 0);
+
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
+        let pending = pump.register_delivered(req("AV", "slow"), None).unwrap();
+        assert!(matches!(pending, Registered::Pending(_)), "{pending:?}");
+        assert_eq!(pump.wait(pending.call()).unwrap().count(), Some(4));
+        pump.release(pending.call());
+        assert_eq!(pump.live_calls(), 0);
     }
 
     #[test]

@@ -5,11 +5,33 @@
 //! surface the workspace uses is provided: `Mutex`, `RwLock`, and
 //! `Condvar` with non-poisoning guards (a poisoned std lock is recovered
 //! transparently, matching parking_lot's no-poisoning semantics).
+//!
+//! The test-only `count` feature adds what the real crate lacks: a
+//! process-wide count of lock acquisitions (`acquisitions()`), so a guard
+//! test can hold a code path to an exact number of them. A condvar wait
+//! re-acquiring its mutex is part of the hold it waits in, not counted.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
 use std::time::{Duration, Instant};
+
+/// Lock acquisitions so far (a statistic: publishes no other data).
+#[cfg(feature = "count")]
+static ACQUISITIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// `Mutex::lock`, a successful `Mutex::try_lock`, `RwLock::read` and
+/// `RwLock::write` calls in this process so far, over every thread.
+#[cfg(feature = "count")]
+pub fn acquisitions() -> u64 {
+    ACQUISITIONS.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+#[inline]
+fn acquired() {
+    #[cfg(feature = "count")]
+    ACQUISITIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+}
 
 /// A mutual-exclusion primitive with parking_lot's non-poisoning API.
 #[derive(Default)]
@@ -33,16 +55,19 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        acquired();
         MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.0.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        acquired();
+        Some(MutexGuard(Some(guard)))
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -168,11 +193,13 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read lock.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        acquired();
         RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Acquire an exclusive write lock.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        acquired();
         RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
     }
 
@@ -239,6 +266,23 @@ mod tests {
         let mut g = m.lock();
         let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
         assert!(res.timed_out());
+    }
+
+    #[cfg(feature = "count")]
+    #[test]
+    fn every_acquisition_is_counted() {
+        let m = Mutex::new(0);
+        let l = RwLock::new(0);
+        let before = acquisitions();
+        *m.lock() += 1;
+        assert!(m.try_lock().is_some());
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "a failed try_lock acquires nothing");
+        drop(held);
+        drop(l.read());
+        *l.write() += 1;
+        // Other tests may lock concurrently: at least these five.
+        assert!(acquisitions() - before >= 5);
     }
 
     #[test]

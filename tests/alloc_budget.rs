@@ -63,18 +63,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocation budgets per warm query for the queries below, about 10 %
-/// above what this code measures. Optimized: 73 / 40 for the lookup and
-/// the point SELECT, 834 / 1 587 / 1 241 for the three templates. A debug
-/// build adds the plan-verifier gate's walk over every asynchronous plan:
-/// 98 / 53 / 908 / 1 673 / 1 352. Before the front end stopped copying
-/// names they were 208 / 189 / 1 078 / 2 167 / 1 833, and before the
-/// external-call path shared its strings the templates took 3 247 / 7 814
-/// / 6 668.
+/// Allocation budgets per warm query for the queries below: a few percent
+/// above what this code measures, and below what each call path took
+/// before a reply in hand at registration was delivered to its scan.
+/// Optimized: 66 / 40 for the lookup and the point SELECT, 668 / 1 217 /
+/// 947 for the three templates (73 / 40 / 834 / 1 587 / 1 241 when every
+/// call went through a placeholder, `ReqSync` and two more pump lock
+/// holds). A debug build adds the plan-verifier gate's walk over every
+/// asynchronous plan. Before the front end stopped copying names they were
+/// 208 / 189 / 1 078 / 2 167 / 1 833, and before the external-call path
+/// shared its strings the templates took 3 247 / 7 814 / 6 668.
 const BUDGETS: [u64; 5] = if cfg!(debug_assertions) {
-    [108, 58, 1000, 1840, 1490]
+    [95, 58, 730, 1320, 1040]
 } else {
-    [80, 44, 920, 1745, 1365]
+    [71, 44, 700, 1280, 1000]
 };
 
 /// A one-call lookup — the fixed cost of a short statement — an indexed
