@@ -127,7 +127,9 @@ impl QueryResult {
 ///
 /// The cursor owns its query's recorder ([`wsq_obs::QueryRecorder`]): each
 /// call runs the executor tree with the recorder lent to the calling
-/// thread, and what the call recorded is published before it returns.
+/// thread, and the trace events the call recorded are published before it
+/// returns. The query's metrics are published once, when the query ends
+/// (its last row, `finish`, or drop).
 pub struct Cursor {
     schema: Schema,
     executor: Box<dyn crate::exec::Executor>,
@@ -151,7 +153,11 @@ impl Cursor {
             Some(t) => Ok(Some(t)),
             None => executor.close().map(|()| None),
         });
-        self.recorder.publish();
+        if matches!(row, Ok(Some(_))) {
+            self.recorder.publish_trace();
+        } else {
+            self.recorder.publish();
+        }
         let row = row?;
         self.done = row.is_none();
         Ok(row)

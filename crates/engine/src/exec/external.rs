@@ -280,7 +280,6 @@ impl AEVScanExec {
         materialize_result(&self.spec, expr, &self.bindings, &result, &mut self.rows);
         let rows = self.rows.len() as u64;
         let outcome = if rows == 0 {
-            obs.count(CounterId::TuplesCancelled, 1);
             EventKind::TupleCancelled
         } else {
             obs.count(CounterId::TuplesPatched, rows);

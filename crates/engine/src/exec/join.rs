@@ -483,10 +483,9 @@ impl DependentJoinExec {
             return Ok(());
         };
         let ids = pf.pump.register_batch(reqs)?;
-        let obs = pf.pump.obs();
-        obs.count(CounterId::PrefetchIssued, ids.len() as u64);
+        // The events are the count of calls issued, too.
         let issued = ids.iter().map(|&cid| (cid, EventKind::PrefetchIssued));
-        obs.emit(&Step::new(), issued);
+        pf.pump.obs().emit(&Step::new(), issued);
         for (slot, cid) in slots_of_reqs.into_iter().zip(ids) {
             self.lookahead[slot].call = Some(cid);
         }

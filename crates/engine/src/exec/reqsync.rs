@@ -142,6 +142,7 @@ impl ReqSyncExec {
         let low_water = cap / 2;
         let stalled = Step::new();
         let stalled_at = self.obs.stamp(&stalled);
+        // The `Stalled` event is the stall's count, too.
         let anchor = if self.obs.is_enabled() {
             let a = self.pending_calls().into_iter().min();
             if let Some(c) = a {
@@ -151,7 +152,6 @@ impl ReqSyncExec {
         } else {
             None
         };
-        self.obs.count(CounterId::ReqsyncStalls, 1);
         loop {
             // Each pass after a wait is a step of its own.
             self.drain_completions(&Step::continuing())?;
@@ -294,8 +294,8 @@ impl ReqSyncExec {
                 }
                 Ok(SearchResult::Pages(hits)) => {
                     if hits.is_empty() {
-                        self.obs.count(CounterId::TuplesCancelled, 1);
-                        // §4.3 case 1: cancel the tuple; release any other
+                        // §4.3 case 1 (counted by its `TupleCancelled`
+                        // event, above): cancel the tuple; release any other
                         // calls it owned (their values are no longer
                         // needed by this tuple — other tuples referencing
                         // them hold their own registrations only if they

@@ -58,25 +58,32 @@
 //! way a reader sees the same events, in each call's lifecycle order, and
 //! the same totals once the query is done.
 //!
+//! # One record per fact
+//!
+//! A fact that is an event is recorded once, as the event: the call
+//! counters and the pump's gauges are folded from the events wherever they
+//! land (the [`metrics`] module docs). Labels are plain bytes copied when
+//! the event is recorded ([`Label`]), so the trace keeps nothing of its
+//! writers alive.
+//!
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
 //! use std::time::Duration;
 //! use wsq_common::CallId;
-//! use wsq_obs::{CounterId, EventKind, HistogramId, Obs, Step};
+//! use wsq_obs::{EventKind, HistogramId, Label, Obs, Step};
 //!
 //! let obs = Obs::enabled();
-//! let request = Arc::new("AV:count(\"Utah\")");
 //! // Registration: one reading, two events.
 //! let step = Step::new();
-//! obs.labelled(&step, CallId(1), EventKind::Registered, obs.display(&request));
+//! let request = "AV:count(\"Utah\")";
+//! obs.labelled(&step, CallId(1), EventKind::Registered, Label::Display(&request));
 //! obs.event(&step, CallId(1), EventKind::Queued);
 //! let registered = obs.stamp(&step);
-//! // The launch round measures the queue delay from that reading.
+//! // The launch round measures the queue delay from that reading; the
+//! // event itself counts the launch.
 //! let step = Step::new();
 //! obs.event(&step, CallId(1), EventKind::Launched);
-//! obs.count(CounterId::CallsLaunched, 1);
 //! if let (Some(then), Some(now)) = (registered, obs.stamp(&step)) {
 //!     obs.observe(HistogramId::QueueDelay, now.since(then));
 //! }
@@ -110,7 +117,7 @@ pub use metrics::{
 };
 pub use query::{render_timeline, QuerySummary, QueryWindow};
 pub use recorder::{QueryRecorder, BUFFER_EVENTS};
-pub use trace::{EventKind, Label, TraceEvent, TraceRing};
+pub use trace::{EventKind, Label, LabelParts, Render, TraceEvent, TraceRing};
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -287,66 +294,74 @@ impl Obs {
     }
 
     /// Record the unlabelled events of `step`, each stamped with the
-    /// step's reading and the thread's session: into the query's recorder
-    /// on a thread running one for this handle, otherwise straight into
-    /// the ring under consecutive sequence numbers (one reservation).
+    /// step's reading and the thread's session and folded into the metrics:
+    /// into the query's recorder on a thread running one for this handle,
+    /// otherwise straight into the ring under consecutive sequence numbers
+    /// (one reservation) and the shared cells.
     pub fn emit<I>(&self, step: &Step, events: I)
     where
         I: IntoIterator<Item = (CallId, EventKind)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let events = events.into_iter();
+        self.emit_labelled(step, events.map(|(call, kind)| (call, kind, Label::None)));
+    }
+
+    /// [`Obs::emit`] for events that may carry labels.
+    pub fn emit_labelled<'a, I>(&self, step: &Step, events: I)
+    where
+        I: IntoIterator<Item = (CallId, EventKind, Label<'a>)>,
         I::IntoIter: ExactSizeIterator,
     {
         if let Some(core) = &self.core {
             let stamp = step.stamp(core);
             let mut events = events.into_iter();
             if recorder::with_lent(core, |r| r.record(stamp, &mut events)).is_none() {
-                let events = events.map(|(call, kind)| (call, kind, Label::None));
+                let events = events.inspect(|&(_, kind, _)| metrics::fold(kind, &mut &core.well));
                 core.trace.record(stamp, events);
             }
         }
     }
 
-    /// Record one unlabelled event of `step`.
+    /// Record one unlabelled event of `step`, folded into the metrics.
     #[inline]
     pub fn event(&self, step: &Step, call: CallId, kind: EventKind) {
         self.labelled(step, call, kind, Label::None);
     }
 
-    /// Record one event of `step` with `label` (see [`Obs::text`] and
-    /// [`Obs::display`]).
+    /// Record one event of `step` with `label`, folded into the metrics.
+    /// The label is looked at only by an enabled handle, which copies it.
     #[inline]
-    pub fn labelled(&self, step: &Step, call: CallId, kind: EventKind, label: Label) {
+    pub fn labelled(&self, step: &Step, call: CallId, kind: EventKind, label: Label<'_>) {
+        self.record_one(step, call, kind, label, true);
+    }
+
+    /// Record one event of `step` with `label` that folds into no metric:
+    /// an event of a call that never launches — a racing group, a
+    /// registration failed fast — whose writer counts what it needs itself.
+    pub fn unfolded(&self, step: &Step, call: CallId, kind: EventKind, label: Label<'_>) {
+        self.record_one(step, call, kind, label, false);
+    }
+
+    #[inline]
+    fn record_one(
+        &self,
+        step: &Step,
+        call: CallId,
+        kind: EventKind,
+        label: Label<'_>,
+        folds: bool,
+    ) {
         if let Some(core) = &self.core {
             let stamp = step.stamp(core);
             let event = trace::Recorded { stamp, call, kind };
-            let mut label = Some(label);
-            if recorder::with_lent(core, |r| r.push(event, label.take())).is_none() {
-                let label = label.unwrap_or(Label::None);
+            if recorder::with_lent(core, |r| r.push(event, label, folds)).is_none() {
+                if folds {
+                    metrics::fold(kind, &mut &core.well);
+                }
                 core.trace
                     .record(stamp, std::iter::once((call, kind, label)));
             }
-        }
-    }
-
-    /// A text label; `text` is only invoked (and its string only
-    /// allocated) when the handle is enabled.
-    pub fn text(&self, text: impl FnOnce() -> Arc<str>) -> Label {
-        match self.core {
-            Some(_) => Label::Text(text()),
-            None => Label::None,
-        }
-    }
-
-    /// A label that is `source`'s `Display`, formatted only for a reader
-    /// of the ring: the emission site pays a reference count, and nothing
-    /// at all when the handle is disabled.
-    #[inline]
-    pub fn display<T>(&self, source: &Arc<T>) -> Label
-    where
-        T: std::fmt::Display + Send + Sync + 'static,
-    {
-        match self.core {
-            Some(_) => Label::Display(source.clone()),
-            None => Label::None,
         }
     }
 
@@ -688,14 +703,27 @@ pub fn current_session() -> u64 {
 mod tests {
     use super::*;
 
+    /// A label no handle may copy.
+    struct Unreachable;
+
+    impl LabelParts for Unreachable {
+        fn encode(&self, _: &mut Vec<u8>) -> Render {
+            panic!("a disabled handle must not copy a label")
+        }
+    }
+
     #[test]
     fn disabled_is_inert() {
         let obs = Obs::disabled();
         assert!(!obs.is_enabled());
         let step = Step::new();
         obs.event(&step, CallId(1), EventKind::Registered);
-        let label = obs.text(|| panic!("label closure must not run when disabled"));
-        obs.labelled(&step, CallId(1), EventKind::Failed, label);
+        obs.labelled(
+            &step,
+            CallId(1),
+            EventKind::Failed,
+            Label::Parts(&Unreachable),
+        );
         assert!(obs.stamp(&step).is_none());
         assert!(
             step.reading.get().is_none(),
@@ -742,20 +770,21 @@ mod tests {
                     (CallId(1), EventKind::Queued),
                 ],
             );
-            obs.count(CounterId::CallsRegistered, 1);
             obs.shift(GaugeId::InFlight, 2);
             obs.shift(GaugeId::InFlight, -1);
             obs.observe(HistogramId::CallLatency, Duration::from_millis(1));
             let own = obs.query_histogram(HistogramId::CallLatency).unwrap();
             assert_eq!(own.count, 1);
         });
-        // Nothing shared moved yet; the query's own totals did.
+        // Nothing shared moved yet; the query's own totals did, the
+        // registration and the queue depth folded from the events.
         assert_eq!(obs.trace_position(), 0);
         assert_eq!(m.calls_registered.get(), 0);
         assert_eq!(query.counter(CounterId::CallsRegistered), 1);
+        assert_eq!(query.high_water(GaugeId::QueueDepth), 1);
         assert_eq!(query.high_water(GaugeId::InFlight), 2);
         // Outside `run` the thread records directly.
-        obs.event(&Step::new(), CallId(9), EventKind::Launched);
+        obs.event(&Step::new(), CallId(9), EventKind::Delivered);
         assert_eq!(obs.trace_position(), 1);
 
         query.publish();
@@ -834,22 +863,28 @@ mod tests {
     #[test]
     fn enabled_records_events_and_metrics() {
         let obs = Obs::enabled();
-        let label = obs.text(|| "r".into());
+        let label = Label::Display(&"r");
         obs.labelled(&Step::new(), CallId(7), EventKind::Registered, label);
+        obs.event(&Step::new(), CallId(7), EventKind::Queued);
         obs.event(&Step::new(), CallId(7), EventKind::Launched);
-        obs.count(CounterId::CallsRegistered, 1);
-        obs.shift(GaugeId::InFlight, 1);
         let events = obs.trace_events_since(0);
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].label.as_deref(), Some("r"));
-        assert!(events[1].at >= events[0].at);
+        assert!(events[2].at >= events[0].at);
+        // The metrics are the events, folded.
         let text = obs.prometheus_text();
         assert!(text.contains("wsq_calls_registered_total 1"));
+        assert!(text.contains("wsq_calls_launched_total 1"));
         assert!(text.contains("wsq_calls_in_flight 1"));
+        assert!(text.contains("wsq_queue_depth 0\nwsq_queue_depth_high_water 1"));
         assert!(text.contains("wsq_trace_dropped_total 0"));
         let json = obs.json_snapshot();
         assert!(json.contains("\"wsq_calls_registered_total\":1"));
-        assert!(json.contains("\"trace\":{\"recorded\":2"));
+        assert!(json.contains("\"trace\":{\"recorded\":3"));
+        // An unfolded event counts nothing.
+        obs.unfolded(&Step::new(), CallId(8), EventKind::Registered, Label::None);
+        assert_eq!(obs.metrics().unwrap().calls_registered.get(), 1);
+        assert_eq!(obs.trace_position(), 4);
     }
 
     #[test]

@@ -22,7 +22,18 @@
 //! ANALYZE footer, the adaptive prefetch controller) reads the query's
 //! recorder, never a difference of shared cells, so concurrent queries do
 //! not see each other. The shared gauges keep lifetime high-water marks.
+//!
+//! # Folded from events
+//!
+//! A fact that is an event is recorded once, as the event: the call
+//! counters, the pump's queue-depth and in-flight gauges, and the counts of
+//! races, cancelled tuples, stalls and prefetches are folded from the
+//! events as they are recorded (`fold`), into the query's recorder or the
+//! shared cells, wherever the event goes. The writer counts nothing beside
+//! it. What is not an event — rows patched, cache hits and misses, queries,
+//! sessions, the delays — is still counted or observed by id.
 
+use crate::trace::EventKind;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -665,6 +676,67 @@ impl HistogramId {
         HistogramId::StallDuration,
         HistogramId::QueryLatency,
     ];
+}
+
+/// Where [`fold`] puts what an event adds: a query's recorder, or the
+/// shared cells.
+pub(crate) trait Fold {
+    fn count(&mut self, id: CounterId);
+    fn shift(&mut self, id: GaugeId, delta: i64);
+}
+
+impl Fold for &WellKnown {
+    #[inline]
+    fn count(&mut self, id: CounterId) {
+        self.counter(id).inc();
+    }
+
+    #[inline]
+    fn shift(&mut self, id: GaugeId, delta: i64) {
+        self.gauge(id).add(delta);
+    }
+}
+
+/// Fold one event of `kind` into `into`: the counters it counts and the
+/// gauges it moves (see the module docs). A call that never launches — a
+/// racing group, a registration failed fast — records its events unfolded
+/// (`Obs::unfolded`), so a `Failed` here is always a launched call's.
+#[inline]
+pub(crate) fn fold(kind: EventKind, into: &mut impl Fold) {
+    use CounterId as C;
+    use EventKind as K;
+    use GaugeId as G;
+    match kind {
+        K::Registered => into.count(C::CallsRegistered),
+        K::Coalesced => {
+            into.count(C::CallsRegistered);
+            into.count(C::CallsCoalesced);
+        }
+        K::Queued => into.shift(G::QueueDepth, 1),
+        K::Launched => {
+            into.count(C::CallsLaunched);
+            into.shift(G::QueueDepth, -1);
+            into.shift(G::InFlight, 1);
+        }
+        K::Completed => {
+            into.count(C::CallsCompleted);
+            into.shift(G::InFlight, -1);
+        }
+        K::Failed => {
+            into.count(C::CallsFailed);
+            into.shift(G::InFlight, -1);
+        }
+        K::Cancelled => {
+            into.count(C::CallsCancelled);
+            into.shift(G::QueueDepth, -1);
+        }
+        K::RaceWon => into.count(C::RaceWon),
+        K::RaceCancelled => into.count(C::RaceCancelled),
+        K::TupleCancelled => into.count(C::TuplesCancelled),
+        K::Stalled => into.count(C::ReqsyncStalls),
+        K::PrefetchIssued => into.count(C::PrefetchIssued),
+        K::Retried | K::Delivered | K::Patched | K::Resumed => {}
+    }
 }
 
 impl WellKnown {

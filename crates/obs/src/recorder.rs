@@ -12,19 +12,27 @@
 //! one integer add — no atomics, no locks. Threads with no recorder (the
 //! pump's timer thread and workers) write to the shared state directly.
 //!
-//! A recorder publishes when its buffer fills ([`BUFFER_EVENTS`]), when
-//! asked ([`Obs::publish`](crate::Obs::publish) — the pump asks before the
-//! thread blocks and before it hands a call to another thread), and when
-//! its owner drops it. Publishing reserves ring space for the whole buffer
-//! with one `fetch_add`, merges each touched histogram once, and adds each
-//! changed counter and gauge once.
+//! A recorder publishes when asked ([`Obs::publish`](crate::Obs::publish)
+//! — the pump asks before the thread blocks and before it hands a call to
+//! another thread) and when its owner drops it. Publishing reserves ring
+//! space for the whole buffer with one `fetch_add`, copies the buffered
+//! labels' bytes in one go, and merges only the instruments the query
+//! touched since it last published, each once. When its buffer fills
+//! ([`BUFFER_EVENTS`]), or its owner returns to a caller mid-query
+//! ([`QueryRecorder::publish_trace`]), it publishes its events alone: the
+//! metric changes wait for the next full publication, so a query merges
+//! its metrics once or a few times, however many rows it returns.
+//!
+//! An event is folded into the recorder's metrics as it is pushed
+//! (`metrics::fold`), so the counters and gauges it implies need
+//! no record of their own.
 //!
 //! The recorder also keeps the query's own totals, which publishing does
 //! not reset: the ANALYZE footer and the adaptive prefetch controller read
 //! them, so neither sees another query's calls.
 
-use crate::metrics::{CounterId, GaugeId, HistogramId, HistogramSnapshot};
-use crate::trace::{Recorded, Stamp};
+use crate::metrics::{fold, CounterId, Fold, GaugeId, HistogramId, HistogramSnapshot};
+use crate::trace::{LabelAt, Recorded, Stamp};
 use crate::{EventKind, Label, ObsCore};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -36,6 +44,12 @@ pub const BUFFER_EVENTS: usize = 256;
 
 /// Recorders a thread keeps for reuse once their queries are done.
 const POOLED: usize = 2;
+
+/// Where the histograms' and the gauges' bits start in
+/// [`Recorder::touched`].
+const HISTOGRAM_BITS: usize = CounterId::COUNT;
+const GAUGE_BITS: usize = HISTOGRAM_BITS + HistogramId::COUNT;
+const _: () = assert!(GAUGE_BITS + GaugeId::COUNT <= 64);
 
 /// One gauge as a query sees it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -66,12 +80,15 @@ pub(crate) struct Recorder {
     core: Option<Arc<ObsCore>>,
     /// Events not yet published.
     events: Vec<Recorded>,
-    /// Their labels, each by its event's index in `events`.
-    labels: Vec<(u64, Label)>,
-    /// Whether anything is unpublished (events or metric changes).
-    dirty: bool,
-    /// Whether anything was recorded since the recorder was last reset.
+    /// Their labels, each at its event's index in `events`.
+    labels: Vec<LabelAt>,
+    /// The labels' bytes, end to end.
+    label_bytes: Vec<u8>,
+    /// Whether anything was published since the recorder was last reset.
     used: bool,
+    /// The instruments changed since the last publication, one bit per id:
+    /// counters, then histograms, then gauges.
+    touched: u64,
     counters: [u64; CounterId::COUNT],
     counters_published: [u64; CounterId::COUNT],
     histograms: [HistogramSnapshot; HistogramId::COUNT],
@@ -89,8 +106,9 @@ impl Recorder {
             core: None,
             events: Vec::new(),
             labels: Vec::new(),
-            dirty: false,
+            label_bytes: Vec::new(),
             used: false,
+            touched: 0,
             counters: [0; CounterId::COUNT],
             counters_published: [0; CounterId::COUNT],
             histograms: [HistogramSnapshot::empty(); HistogramId::COUNT],
@@ -106,50 +124,55 @@ impl Recorder {
         self.core.as_ref().is_some_and(|c| Arc::ptr_eq(c, core))
     }
 
-    /// Buffer one step's unlabelled events, publishing if the buffer is
-    /// full.
-    pub(crate) fn record(
+    /// Buffer one step's events, folding each, publishing if the buffer
+    /// is full.
+    pub(crate) fn record<'a>(
         &mut self,
         stamp: Stamp,
-        events: &mut impl Iterator<Item = (CallId, EventKind)>,
+        events: &mut impl Iterator<Item = (CallId, EventKind, Label<'a>)>,
     ) {
-        for (call, kind) in events {
-            self.push(Recorded { stamp, call, kind }, None);
+        for (call, kind, label) in events {
+            self.push(Recorded { stamp, call, kind }, label, true);
         }
     }
 
-    /// Buffer one event, publishing if the buffer is full.
+    /// Buffer one event — folded into the metrics if `folds` — publishing
+    /// if the buffer is full.
     #[inline]
-    pub(crate) fn push(&mut self, event: Recorded, label: Option<Label>) {
-        if let Some(label) = label.filter(|l| !matches!(l, Label::None)) {
-            self.labels.push((self.events.len() as u64, label));
+    pub(crate) fn push(&mut self, event: Recorded, label: Label<'_>, folds: bool) {
+        if !matches!(label, Label::None) {
+            let index = self.events.len() as u64;
+            self.labels
+                .extend(LabelAt::encode(index, label, &mut self.label_bytes));
         }
         if self.track_calls && matches!(event.kind, EventKind::Registered | EventKind::Coalesced) {
             self.calls.push(event.call);
         }
+        if folds {
+            fold(event.kind, self);
+        }
         self.events.push(event);
-        self.dirty = true;
         if self.events.len() >= BUFFER_EVENTS {
-            self.publish();
+            self.publish_trace();
         }
     }
 
     #[inline]
     pub(crate) fn count(&mut self, id: CounterId, n: u64) {
         self.counters[id as usize] += n;
-        self.dirty = true;
+        self.touched |= 1 << id as usize;
     }
 
     #[inline]
     pub(crate) fn shift(&mut self, id: GaugeId, delta: i64) {
         self.gauges[id as usize].shift(delta);
-        self.dirty = true;
+        self.touched |= 1 << (GAUGE_BITS + id as usize);
     }
 
     #[inline]
     pub(crate) fn observe(&mut self, id: HistogramId, d: Duration) {
         self.histograms[id as usize].record(d);
-        self.dirty = true;
+        self.touched |= 1 << (HISTOGRAM_BITS + id as usize);
     }
 
     pub(crate) fn histogram(&self, id: HistogramId) -> HistogramSnapshot {
@@ -158,33 +181,52 @@ impl Recorder {
 
     /// Everything not yet published goes to the shared ring and registry.
     pub(crate) fn publish(&mut self) {
-        if !self.dirty {
+        self.publish_trace();
+        self.publish_metrics();
+    }
+
+    /// The buffered events and their labels go to the ring, in one batch.
+    fn publish_trace(&mut self) {
+        if self.events.is_empty() {
             return;
         }
-        self.dirty = false;
+        self.used = true;
+        if let Some(core) = &self.core {
+            core.trace
+                .publish(&mut self.events, &mut self.labels, &mut self.label_bytes);
+        }
+    }
+
+    /// Each instrument touched since the last publication is merged into
+    /// its shared cell, once.
+    fn publish_metrics(&mut self) {
+        if self.touched == 0 {
+            return;
+        }
         self.used = true;
         let Some(core) = &self.core else {
             return;
         };
-        core.trace.publish(&mut self.events, &mut self.labels);
-        for (i, id) in CounterId::ALL.into_iter().enumerate() {
-            let delta = self.counters[i] - self.counters_published[i];
-            if delta > 0 {
-                core.well.counter(id).add(delta);
-                self.counters_published[i] = self.counters[i];
-            }
-        }
-        for (i, id) in HistogramId::ALL.into_iter().enumerate() {
-            let (now, then) = (&self.histograms[i], &mut self.histograms_published[i]);
-            if now.count > then.count {
-                core.well.histogram(id).merge(&now.delta(then));
-                *then = *now;
-            }
-        }
-        for (g, id) in self.gauges.iter_mut().zip(GaugeId::ALL) {
-            if g.value != g.published || g.peak > g.published {
+        let mut touched = std::mem::take(&mut self.touched);
+        while touched != 0 {
+            let bit = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            if bit < HISTOGRAM_BITS {
+                let delta = self.counters[bit] - self.counters_published[bit];
+                core.well.counter(CounterId::ALL[bit]).add(delta);
+                self.counters_published[bit] = self.counters[bit];
+            } else if bit < GAUGE_BITS {
+                let i = bit - HISTOGRAM_BITS;
+                let (now, then) = (&self.histograms[i], &mut self.histograms_published[i]);
                 core.well
-                    .gauge(id)
+                    .histogram(HistogramId::ALL[i])
+                    .merge(&now.delta(then));
+                *then = *now;
+            } else {
+                let i = bit - GAUGE_BITS;
+                let g = &mut self.gauges[i];
+                core.well
+                    .gauge(GaugeId::ALL[i])
                     .merge(g.value - g.published, g.peak - g.published);
                 g.published = g.value;
                 g.peak = g.value;
@@ -195,7 +237,10 @@ impl Recorder {
     /// Back to the state of a fresh recorder, keeping the buffers. A query
     /// that recorded nothing (no external calls) left nothing to clear.
     fn reset(&mut self) {
-        debug_assert!(!self.dirty, "reset before publishing");
+        debug_assert!(
+            self.events.is_empty() && self.touched == 0,
+            "reset before publishing"
+        );
         self.core = None;
         self.track_calls = false;
         if !std::mem::take(&mut self.used) {
@@ -203,12 +248,25 @@ impl Recorder {
         }
         self.events.clear();
         self.labels.clear();
+        self.label_bytes.clear();
         self.counters = [0; CounterId::COUNT];
         self.counters_published = [0; CounterId::COUNT];
         self.histograms = [HistogramSnapshot::empty(); HistogramId::COUNT];
         self.histograms_published = [HistogramSnapshot::empty(); HistogramId::COUNT];
         self.gauges = [LocalGauge::default(); GaugeId::COUNT];
         self.calls.clear();
+    }
+}
+
+impl Fold for Recorder {
+    #[inline]
+    fn count(&mut self, id: CounterId) {
+        Recorder::count(self, id, 1);
+    }
+
+    #[inline]
+    fn shift(&mut self, id: GaugeId, delta: i64) {
+        Recorder::shift(self, id, delta);
     }
 }
 
@@ -304,6 +362,17 @@ impl QueryRecorder {
     pub fn publish(&mut self) {
         if let Some(rec) = &mut self.rec {
             rec.publish();
+        }
+    }
+
+    /// Publish the events this recorder holds, and leave its metric
+    /// changes for its next full publication — at the latest, when it
+    /// drops. For an owner that returns to its caller mid-query (a
+    /// cursor, after each row): the trace is in order for any thread that
+    /// goes on with the query's calls, and the metrics are merged once.
+    pub fn publish_trace(&mut self) {
+        if let Some(rec) = &mut self.rec {
+            rec.publish_trace();
         }
     }
 

@@ -30,18 +30,20 @@
 //!
 //! # Labels
 //!
-//! A slot is plain data — stamp, session, call, kind — so overwriting one
-//! frees nothing. An event's [`Label`] (the request on `Registered`, the
-//! error on `Failed`) is the only part that owns heap data, and it is kept
-//! beside the slots, for the newest [`LABELS`] labelled events only: a
-//! label keeps its request alive, and letting go of a request a few
-//! hundred calls later, while it is still in cache, costs a fraction of
-//! letting go of it a full ring later. An older event reads without its
-//! label.
+//! The trace pins nothing: a slot is plain data — stamp, session, call,
+//! kind — and so is a label. An event's [`Label`] (the request on
+//! `Registered`, the error on `Failed`) is borrowed from its writer only
+//! while the event is recorded, which copies its bytes into the trace; a
+//! request's label copies its parts and leaves their formatting to
+//! whoever reads the ring. So the trace keeps no writer's value alive and
+//! letting go of a label frees nothing. Label bytes are kept beside the
+//! slots, for the newest [`LABELS`] labelled events only; an older event
+//! reads without its label.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -137,29 +139,83 @@ pub struct TraceEvent {
     pub label: Option<Arc<str>>,
 }
 
-/// An event's annotation, rendered only when the ring is read, so
-/// recording an event never formats anything. Emission sites build one
-/// with [`crate::Obs::text`] / [`crate::Obs::display`], which cost nothing
-/// on a disabled handle.
-#[derive(Clone)]
-pub enum Label {
+/// An event's annotation, as its writer hands it over: borrowed for as
+/// long as the event is recorded, and copied into the trace as plain bytes
+/// (see the module docs). Building one costs nothing; a disabled handle
+/// never looks at it.
+#[derive(Clone, Copy)]
+pub enum Label<'a> {
     /// No annotation.
     None,
-    /// Text the writer already had (an error message on `Failed`).
-    Text(Arc<str>),
-    /// A value the writer shares with the ring (the pump's request on
-    /// `Registered`); its `Display` is the label.
-    Display(Arc<dyn fmt::Display + Send + Sync>),
+    /// A value's `Display`, written out when the event is recorded (an
+    /// error on `Failed`, which is rare).
+    Display(&'a dyn fmt::Display),
+    /// A value whose parts are copied when the event is recorded and
+    /// formatted when the trace is read (the pump's request on
+    /// `Registered`, recorded for every call).
+    Parts(&'a dyn LabelParts),
 }
 
-impl Label {
-    fn render(&self) -> Option<Arc<str>> {
+/// Formats a label's bytes as the text a reader of the trace sees.
+pub type Render = fn(&[u8]) -> String;
+
+/// A value that labels events by its parts ([`Label::Parts`]): recording
+/// copies bytes, and only a reader of the trace pays for formatting.
+pub trait LabelParts {
+    /// Append the parts to `out` and return what formats them.
+    fn encode(&self, out: &mut Vec<u8>) -> Render;
+}
+
+impl Label<'_> {
+    /// Append the label's bytes to `out` and return what formats them;
+    /// `None`, with nothing appended, for no label.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) -> Option<Render> {
         match self {
             Label::None => None,
-            Label::Text(text) => Some(text.clone()),
-            Label::Display(source) => Some(source.to_string().into()),
+            Label::Display(value) => {
+                // Writing into a `Vec` cannot fail.
+                let _ = write!(out, "{value}");
+                Some(render_text)
+            }
+            Label::Parts(value) => Some(value.encode(out)),
         }
     }
+}
+
+fn render_text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+/// A recorded label: the event's position (a sequence number in the ring,
+/// an index in a recorder's buffer), what formats it, and how many of the
+/// label bytes beside it are its own.
+#[derive(Clone, Copy)]
+pub(crate) struct LabelAt {
+    pub(crate) at: u64,
+    pub(crate) render: Render,
+    pub(crate) len: u32,
+}
+
+impl LabelAt {
+    /// Encode `label` onto `bytes` for the event at `at`; `None` for no
+    /// label.
+    pub(crate) fn encode(at: u64, label: Label<'_>, bytes: &mut Vec<u8>) -> Option<LabelAt> {
+        let start = bytes.len();
+        let render = label.encode(bytes)?;
+        Some(LabelAt {
+            at,
+            render,
+            len: (bytes.len() - start) as u32,
+        })
+    }
+}
+
+/// The ring's labels (see the module docs): the newest ones, oldest first,
+/// and their bytes end to end in the same order.
+#[derive(Default)]
+struct Labels {
+    kept: VecDeque<LabelAt>,
+    bytes: VecDeque<u8>,
 }
 
 /// Labels the ring keeps, for its newest labelled events (see the module
@@ -191,7 +247,7 @@ struct Stored {
 }
 
 impl Stored {
-    fn render(self, label: Option<&Label>) -> TraceEvent {
+    fn render(self, label: Option<Arc<str>>) -> TraceEvent {
         let e = self.event;
         TraceEvent {
             seq: self.seq,
@@ -199,7 +255,7 @@ impl Stored {
             call: e.call,
             session: e.stamp.session,
             kind: e.kind,
-            label: label.and_then(Label::render),
+            label,
         }
     }
 }
@@ -215,9 +271,9 @@ pub struct TraceRing {
     /// The slots, [`TraceRing::page_slots`] to a page; a slot is `None`
     /// until first written.
     pages: Box<[Page]>,
-    /// The newest labels, each with its event's sequence number, oldest
+    /// The newest labels, each at its event's sequence number, oldest
     /// first (in publication order, so nearly in sequence order).
-    labels: Mutex<VecDeque<(u64, Label)>>,
+    labels: Mutex<Labels>,
     /// How many labels are kept: [`LABELS`], or the capacity if smaller.
     label_capacity: usize,
     /// Slots per page, a power of two.
@@ -247,7 +303,7 @@ impl TraceRing {
             pages: (0..capacity / page_slots)
                 .map(|_| Mutex::new((0..page_slots).map(|_| None).collect()))
                 .collect(),
-            labels: Mutex::new(VecDeque::new()),
+            labels: Mutex::new(Labels::default()),
             label_capacity: LABELS.min(capacity),
             page_slots,
             mask: capacity as u64 - 1,
@@ -289,13 +345,13 @@ impl TraceRing {
     }
 
     /// Record the events of one step — all stamped alike — under
-    /// consecutive sequence numbers reserved with one `fetch_add`. Nothing
-    /// is formatted here: the ring keeps an event's [`Label`] and the
-    /// snapshot methods render it for whoever reads the event.
-    pub(crate) fn record(
+    /// consecutive sequence numbers reserved with one `fetch_add`. Labels
+    /// are copied as bytes (see the module docs) as their slots are
+    /// written, and kept once the page locks are released.
+    pub(crate) fn record<'a>(
         &self,
         stamp: Stamp,
-        events: impl ExactSizeIterator<Item = (CallId, EventKind, Label)>,
+        events: impl ExactSizeIterator<Item = (CallId, EventKind, Label<'a>)>,
     ) {
         let n = events.len() as u64;
         if n == 0 {
@@ -305,28 +361,27 @@ impl TraceRing {
         // `take`: an iterator that yields more than it announced must not
         // write sequence numbers it never reserved.
         let mut events = events.take(n as usize);
-        // Labels are kept once the slots are written, never under a page's
-        // lock. A step has one at most, barring a batch of failures.
-        let (mut label, mut more) = (None, Vec::new());
+        let (mut labels, mut bytes) = (Vec::new(), Vec::new());
         self.for_each_slot(first, n, |seq, slot| {
-            if let Some((call, kind, l)) = events.next() {
-                if !matches!(l, Label::None) {
-                    match label {
-                        None => label = Some((seq, l)),
-                        Some(_) => more.push((seq, l)),
-                    }
-                }
+            if let Some((call, kind, label)) = events.next() {
+                labels.extend(LabelAt::encode(seq, label, &mut bytes));
                 store(slot, seq, Recorded { stamp, call, kind });
             }
         });
-        self.keep_labels(label.into_iter().chain(more));
+        self.keep_labels(labels.into_iter(), &bytes);
     }
 
     /// Publish a recorder's buffer: one `fetch_add` reserves a sequence
     /// number for every event in it, in buffer order. `labels` are the
-    /// buffered events' labels, each by its index in `events`. Both are
-    /// left empty, their capacity kept for reuse.
-    pub(crate) fn publish(&self, events: &mut Vec<Recorded>, labels: &mut Vec<(u64, Label)>) {
+    /// buffered events' labels, each at its index in `events`, and `bytes`
+    /// theirs end to end. All three are left empty, their capacity kept
+    /// for reuse.
+    pub(crate) fn publish(
+        &self,
+        events: &mut Vec<Recorded>,
+        labels: &mut Vec<LabelAt>,
+        bytes: &mut Vec<u8>,
+    ) {
         if events.is_empty() {
             return;
         }
@@ -339,24 +394,26 @@ impl TraceRing {
             }
         });
         events.clear();
-        self.keep_labels(
-            labels
-                .drain(..)
-                .map(|(index, label)| (first + index, label)),
-        );
+        let at_seq = |label: LabelAt| LabelAt {
+            at: first + label.at,
+            ..label
+        };
+        self.keep_labels(labels.drain(..).map(at_seq), bytes);
+        bytes.clear();
     }
 
-    /// Add labels, each with its event's sequence number, letting go of
-    /// the oldest beyond [`LABELS`].
-    fn keep_labels(&self, new: impl Iterator<Item = (u64, Label)>) {
-        let mut new = new.peekable();
-        if new.peek().is_none() {
+    /// Add labels, each at its event's sequence number, with their bytes
+    /// end to end, letting go of the oldest beyond [`LABELS`].
+    fn keep_labels(&self, new: impl ExactSizeIterator<Item = LabelAt>, bytes: &[u8]) {
+        if new.len() == 0 {
             return;
         }
         let mut labels = self.labels.lock();
-        labels.extend(new);
-        let excess = labels.len().saturating_sub(self.label_capacity);
-        labels.drain(..excess);
+        labels.kept.extend(new);
+        labels.bytes.extend(bytes);
+        let excess = labels.kept.len().saturating_sub(self.label_capacity);
+        let freed: usize = labels.kept.drain(..excess).map(|l| l.len as usize).sum();
+        labels.bytes.drain(..freed);
     }
 
     /// Every retained event with `seq >= since`, unrendered, ordered by
@@ -412,21 +469,31 @@ impl TraceRing {
     }
 
     /// The events of `window` whose call `keep`s, with the labels the ring
-    /// still has for them — rendered with no lock held.
+    /// still has for them: their bytes copied out under the labels' lock,
+    /// and formatted with no lock held.
     fn render(&self, window: Vec<Stored>, keep: impl Fn(CallId) -> bool) -> Vec<TraceEvent> {
         let kept: Vec<Stored> = window.into_iter().filter(|e| keep(e.event.call)).collect();
-        let labels: HashMap<u64, Label> = match kept.first() {
-            Some(oldest) => self
-                .labels
-                .lock()
-                .iter()
-                .filter(|(seq, _)| *seq >= oldest.seq)
-                .cloned()
-                .collect(),
-            None => HashMap::new(),
-        };
+        let wanted: HashSet<u64> = kept.iter().map(|e| e.seq).collect();
+        let mut labels: HashMap<u64, (Render, Vec<u8>)> = HashMap::new();
+        if !wanted.is_empty() {
+            let store = self.labels.lock();
+            let mut offset = 0;
+            for label in &store.kept {
+                let len = label.len as usize;
+                if wanted.contains(&label.at) {
+                    let bytes = store.bytes.range(offset..offset + len).copied().collect();
+                    labels.insert(label.at, (label.render, bytes));
+                }
+                offset += len;
+            }
+        }
         kept.into_iter()
-            .map(|e| e.render(labels.get(&e.seq)))
+            .map(|e| {
+                let label = labels
+                    .remove(&e.seq)
+                    .map(|(render, bytes)| render(&bytes).into());
+                e.render(label)
+            })
             .collect()
     }
 }
@@ -456,8 +523,31 @@ mod tests {
     }
 
     /// A one-event step recorded for no session.
-    fn push(ring: &TraceRing, at: Duration, call: CallId, kind: EventKind, label: Label) {
+    fn push(ring: &TraceRing, at: Duration, call: CallId, kind: EventKind, label: Label<'_>) {
         ring.record(stamp(at, 0), [(call, kind, label)].into_iter());
+    }
+
+    thread_local! {
+        /// How often this thread formatted a [`Counted`] label.
+        static FORMATTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn formatted() -> u64 {
+        FORMATTED.with(|f| f.get())
+    }
+
+    /// A request-like label source that counts, per reading thread, how
+    /// often its label is formatted.
+    struct Counted;
+
+    impl LabelParts for Counted {
+        fn encode(&self, out: &mut Vec<u8>) -> Render {
+            out.extend_from_slice(b"Utah");
+            |bytes| {
+                FORMATTED.with(|f| f.set(f.get() + 1));
+                format!("AV:count({:?})", String::from_utf8_lossy(bytes))
+            }
+        }
     }
 
     #[test]
@@ -487,7 +577,7 @@ mod tests {
         ring.record(
             stamp(Duration::from_micros(5), 3),
             [
-                (cid(1), EventKind::Registered, Label::Text("r".into())),
+                (cid(1), EventKind::Registered, Label::Display(&"r")),
                 (cid(1), EventKind::Queued, Label::None),
             ]
             .into_iter(),
@@ -551,12 +641,15 @@ mod tests {
                 kind: EventKind::Queued,
             })
             .collect();
-        let mut labels = vec![(3, Label::Text("fourth".into()))];
+        let mut bytes = Vec::new();
+        let mut labels: Vec<LabelAt> = LabelAt::encode(3, Label::Display(&"fourth"), &mut bytes)
+            .into_iter()
+            .collect();
         let capacity = buffer.capacity();
-        ring.publish(&mut buffer, &mut labels);
+        ring.publish(&mut buffer, &mut labels, &mut bytes);
         assert!(buffer.is_empty() && buffer.capacity() == capacity, "kept");
-        assert!(labels.is_empty());
-        ring.publish(&mut buffer, &mut labels);
+        assert!(labels.is_empty() && bytes.is_empty());
+        ring.publish(&mut buffer, &mut labels, &mut bytes);
         assert_eq!((ring.position(), ring.dropped()), (6, 2));
         let events = ring.snapshot_since(0);
         let got: Vec<(u64, u64, Duration)> =
@@ -601,41 +694,28 @@ mod tests {
         assert!(window.iter().all(|e| e.call == cid(2)));
     }
 
-    /// A label source that counts how often it is formatted.
-    struct Counted(AtomicU64);
-
-    impl fmt::Display for Counted {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            f.write_str("AV:count(\"Utah\")")
-        }
-    }
-
     #[test]
-    fn display_label_is_rendered_when_read_not_when_recorded() {
+    fn parts_are_formatted_when_read_not_when_recorded_and_pin_nothing() {
         let ring = TraceRing::new(8);
-        let source = Arc::new(Counted(AtomicU64::new(0)));
+        let source = Arc::new(Counted);
         let at = Duration::ZERO;
         push(
             &ring,
             at,
             cid(1),
             EventKind::Registered,
-            Label::Display(source.clone()),
+            Label::Parts(&*source),
         );
         push(
             &ring,
             at,
             cid(1),
             EventKind::Failed,
-            Label::Text("boom".into()),
+            Label::Display(&"boom"),
         );
         push(&ring, at, cid(1), EventKind::Queued, Label::None);
-        assert_eq!(
-            source.0.load(Ordering::Relaxed),
-            0,
-            "recording formats nothing"
-        );
+        assert_eq!(formatted(), 0, "recording formats nothing");
+        assert_eq!(Arc::strong_count(&source), 1, "and keeps nothing alive");
         let labels: Vec<Option<Arc<str>>> = ring
             .snapshot_since(0)
             .into_iter()
@@ -645,19 +725,20 @@ mod tests {
             labels,
             vec![Some("AV:count(\"Utah\")".into()), Some("boom".into()), None]
         );
-        assert_eq!(source.0.load(Ordering::Relaxed), 1);
+        assert_eq!(formatted(), 1);
         // The ring lets go of a label once as many newer ones are kept as
-        // it has slots.
+        // it has slots, and of its bytes with it.
         for i in 0..8 {
             push(
                 &ring,
                 at,
                 cid(i),
                 EventKind::Failed,
-                Label::Text("later".into()),
+                Label::Display(&"later"),
             );
         }
-        assert_eq!(Arc::strong_count(&source), 1);
+        let labels = ring.labels.lock();
+        assert_eq!((labels.kept.len(), labels.bytes.len()), (8, 8 * 5));
     }
 
     #[test]
@@ -669,7 +750,7 @@ mod tests {
                 Duration::ZERO,
                 cid(i),
                 EventKind::Registered,
-                Label::Text("r".into()),
+                Label::Display(&i),
             );
         }
         let events = ring.snapshot_since(0);
@@ -680,23 +761,22 @@ mod tests {
             .map(|e| e.seq)
             .collect();
         assert_eq!(unlabelled, vec![0, 1, 2], "the oldest read without label");
+        // Each newer event reads its own label, however far the bytes moved.
+        assert!(events[3..]
+            .iter()
+            .all(|e| e.label.as_deref() == Some(e.seq.to_string().as_str())));
     }
 
     #[test]
     fn a_session_read_renders_only_that_sessions_calls() {
         let ring = TraceRing::new(64);
-        let source = Arc::new(Counted(AtomicU64::new(0)));
         // Eight calls, each registered by its own session and finished by
         // an untagged pump thread.
         for call in 1..=8u64 {
             ring.record(
                 stamp(Duration::from_micros(call), call),
                 [
-                    (
-                        cid(call),
-                        EventKind::Registered,
-                        Label::Display(source.clone()),
-                    ),
+                    (cid(call), EventKind::Registered, Label::Parts(&Counted)),
                     (cid(call), EventKind::Queued, Label::None),
                 ]
                 .into_iter(),
@@ -725,25 +805,24 @@ mod tests {
         assert!(mine.iter().all(|e| e.call == cid(5)));
         assert_eq!(mine[0].label.as_deref(), Some("AV:count(\"Utah\")"));
         assert_eq!(
-            source.0.load(Ordering::Relaxed),
+            formatted(),
             1,
             "one of the eight labels in the window is formatted"
         );
         assert!(ring.snapshot_for_session(0, 99).is_empty());
-        assert_eq!(source.0.load(Ordering::Relaxed), 1);
+        assert_eq!(formatted(), 1);
     }
 
     #[test]
     fn a_window_costs_its_own_size_not_the_rings() {
         let ring = TraceRing::new(65_536);
-        let source = Arc::new(Counted(AtomicU64::new(0)));
         for i in 0..100_000u64 {
             push(
                 &ring,
                 Duration::from_nanos(i),
                 cid(i),
                 EventKind::Registered,
-                Label::Display(source.clone()),
+                Label::Parts(&Counted),
             );
         }
         let head = ring.position();
@@ -751,11 +830,7 @@ mod tests {
         let window = ring.snapshot_since(head - 10);
         let seqs: Vec<u64> = window.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (head - 10..head).collect::<Vec<_>>());
-        assert_eq!(
-            source.0.load(Ordering::Relaxed),
-            10,
-            "only the events returned are rendered"
-        );
+        assert_eq!(formatted(), 10, "only the events returned are rendered");
         // A position the ring has lapped answers with what is retained.
         assert_eq!(ring.snapshot_since(0).len(), 65_536);
         assert!(ring.snapshot_since(head).is_empty());

@@ -46,8 +46,10 @@
 //! the step that launched it. The maps keyed by call id hash the id as an
 //! id ([`IdMap`]). A call's destination — cap, in-flight count, service —
 //! is looked up by name once, at registration, and carried as a slot index
-//! from there. And each statistic has one cell, which `stats()` and the
-//! metrics registry both read.
+//! from there. And each fact is recorded once, as a lifecycle event: the
+//! call counters `stats()` and the metrics registry read, and the queue
+//! and in-flight gauges, are folded from the events (the `wsq_obs::metrics`
+//! docs), never counted beside them.
 //!
 //! # Observability on a query's thread
 //!
@@ -75,7 +77,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wsq_common::{CallId, IdMap, Result, WsqError};
-use wsq_obs::{CounterId, EventKind, GaugeId, HistogramId, Obs, Step, Tick};
+use wsq_obs::{CounterId, EventKind, HistogramId, Label, Obs, Step, Tick};
 
 /// How launched calls are driven to completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,48 +149,87 @@ pub struct PumpStats {
 }
 
 /// Statistic counters; `stats()` never touches the state mutex. The call
-/// counters are the observability handle's own `wsq_calls_*_total` cells,
-/// counted through it — into a running query's recorder on that query's
-/// thread — so each call is counted once whoever reads the number. With
-/// observability off they are the cells of a private handle that records
-/// nothing else.
+/// counters are folded from the pump's events (the `wsq_obs::metrics`
+/// docs): with observability on, into the handle's own `wsq_calls_*_total`
+/// cells — through a running query's recorder on that query's thread — so
+/// each call is recorded once, as events, whoever reads the number; with it
+/// off, into counts of the pump's own ([`OwnCounts`]).
 struct Counters {
-    cells: Obs,
+    /// The pump's own counts, with observability off.
+    own: Option<OwnCounts>,
     peak_in_flight: AtomicU64,
     peak_queued: AtomicU64,
+}
+
+/// The call counts [`PumpStats`] reports, kept by the pump itself when no
+/// observability handle folds its events. Every pump event happens under
+/// the state lock, so a count moves by a plain load and store; the cells
+/// are atomics only so that `stats()` can read them without the lock.
+#[derive(Default)]
+struct OwnCounts {
+    registered: AtomicU64,
+    coalesced: AtomicU64,
+    launched: AtomicU64,
+    finished: AtomicU64,
+}
+
+impl OwnCounts {
+    /// What an event of `kind` adds, as `wsq_obs` folds it into the
+    /// `wsq_calls_*_total` cells `stats()` reads otherwise.
+    fn fold(&self, kind: EventKind) {
+        let bump =
+            |cell: &AtomicU64| cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        match kind {
+            EventKind::Registered => bump(&self.registered),
+            EventKind::Coalesced => {
+                bump(&self.registered);
+                bump(&self.coalesced);
+            }
+            EventKind::Launched => bump(&self.launched),
+            EventKind::Completed | EventKind::Failed => bump(&self.finished),
+            _ => {}
+        }
+    }
 }
 
 impl Counters {
     fn new(obs: &Obs) -> Counters {
         Counters {
-            cells: if obs.is_enabled() {
-                obs.clone()
-            } else {
-                Obs::with_capacity(1)
-            },
+            own: (!obs.is_enabled()).then(OwnCounts::default),
             peak_in_flight: AtomicU64::new(0),
             peak_queued: AtomicU64::new(0),
         }
     }
 
-    fn count(&self, id: CounterId) {
-        self.cells.count(id, 1);
-    }
-
-    fn snapshot(&self) -> PumpStats {
-        // What this thread's query has counted but not published yet counts.
-        self.cells.publish();
-        // `cells` is always an enabled handle (see `Counters::new`).
-        let Some(m) = self.cells.metrics() else {
-            return PumpStats::default();
+    fn snapshot(&self, obs: &Obs) -> PumpStats {
+        let get = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let (registered, launched, completed, coalesced) = match (&self.own, obs.metrics()) {
+            (Some(own), _) => (
+                get(&own.registered),
+                get(&own.launched),
+                get(&own.finished),
+                get(&own.coalesced),
+            ),
+            (None, Some(m)) => {
+                // What this thread's query recorded but has not published
+                // yet counts.
+                obs.publish();
+                (
+                    m.calls_registered.get(),
+                    m.calls_launched.get(),
+                    m.calls_completed.get() + m.calls_failed.get(),
+                    m.calls_coalesced.get(),
+                )
+            }
+            (None, None) => (0, 0, 0, 0),
         };
         PumpStats {
-            registered: m.calls_registered.get(),
-            launched: m.calls_launched.get(),
-            completed: m.calls_completed.get() + m.calls_failed.get(),
-            coalesced: m.calls_coalesced.get(),
-            peak_in_flight: self.peak_in_flight.load(Ordering::Relaxed),
-            peak_queued: self.peak_queued.load(Ordering::Relaxed),
+            registered,
+            launched,
+            completed,
+            coalesced,
+            peak_in_flight: get(&self.peak_in_flight),
+            peak_queued: get(&self.peak_queued),
             batches: 0,
         }
     }
@@ -393,6 +434,34 @@ struct Shared {
     /// Hashes requests for the coalescing index (randomly keyed, as the
     /// default hasher is: requests are user text).
     keys: RandomState,
+}
+
+impl Shared {
+    /// Record a lifecycle event of `call` as part of `step`. It is the
+    /// pump's one record of the fact: its statistics are folded from it.
+    #[inline]
+    fn event(&self, step: &Step, call: CallId, kind: EventKind) {
+        self.emit(step, [(call, kind, Label::None)]);
+    }
+
+    /// [`Shared::event`] for several events of `step`, labelled or not,
+    /// recorded in one pass.
+    #[inline]
+    fn emit<const N: usize>(&self, step: &Step, events: [(CallId, EventKind, Label<'_>); N]) {
+        match &self.stats.own {
+            Some(own) => events.iter().for_each(|&(_, kind, _)| own.fold(kind)),
+            None => self.config.obs.emit_labelled(step, events),
+        }
+    }
+
+    /// Count a call failed at registration, whose events are unfolded
+    /// (it never launches, so it leaves the in-flight gauge alone).
+    fn count_failed_fast(&self) {
+        match &self.stats.own {
+            Some(own) => own.fold(EventKind::Failed),
+            None => self.config.obs.count(CounterId::CallsFailed, 1),
+        }
+    }
 }
 
 /// The global asynchronous request manager. See the crate docs.
@@ -646,7 +715,9 @@ impl ReqPump {
         }
         let gid = CallId(st.next_call);
         st.next_call += 1;
-        obs.labelled(step, gid, EventKind::Registered, obs.display(&synth));
+        // A group is not a registration of its own: its events count
+        // nothing (its members' do).
+        obs.unfolded(step, gid, EventKind::Registered, Label::Parts(&*synth));
         st.meta.insert(
             gid,
             CallMeta {
@@ -693,37 +764,31 @@ impl ReqPump {
         if st.shutdown {
             return Err(WsqError::PumpShutdown);
         }
-        let obs = &self.shared.config.obs;
-        let stats = &self.shared.stats;
-        stats.count(CounterId::CallsRegistered);
-        let key = self.shared.keys.hash_one(&req);
+        let shared = &*self.shared;
+        let obs = &shared.config.obs;
+        let key = shared.keys.hash_one(&req);
         if let Some(&cid) = st.index.get(&key) {
             // The index and meta maps are kept in step under the state
             // lock; if the entry is somehow gone, or holds another request
             // under the same hash, fall through and register a fresh call.
             if let Some(meta) = st.meta.get_mut(&cid).filter(|meta| *meta.req == req) {
-                stats.count(CounterId::CallsCoalesced);
                 meta.refs += 1;
-                obs.event(step, cid, EventKind::Coalesced);
+                shared.event(step, cid, EventKind::Coalesced);
                 return Ok(cid);
             }
         }
         let cid = CallId(st.next_call);
         st.next_call += 1;
         let req = Arc::new(req);
-        obs.labelled(step, cid, EventKind::Registered, obs.display(&req));
+        let registered = (cid, EventKind::Registered, Label::Parts(&*req));
 
         // Fail fast on unknown destinations: complete with an error. The
         // call id is brand new, so no waiter can be interested yet.
         let Some(&dest) = st.dest_index.get(&req.engine) else {
+            shared.emit(step, [registered]);
             let err = WsqError::Search(format!("unknown engine '{}'", req.engine));
-            obs.labelled(
-                step,
-                cid,
-                EventKind::Failed,
-                obs.text(|| err.to_string().into()),
-            );
-            stats.count(CounterId::CallsFailed);
+            obs.unfolded(step, cid, EventKind::Failed, Label::Display(&err));
+            shared.count_failed_fast();
             st.meta.insert(
                 cid,
                 CallMeta {
@@ -741,7 +806,7 @@ impl ReqPump {
             return Ok(cid);
         };
 
-        obs.event(step, cid, EventKind::Queued);
+        shared.emit(step, [registered, (cid, EventKind::Queued, Label::None)]);
         let key = match st.index.entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(cid);
@@ -763,8 +828,7 @@ impl ReqPump {
             },
         );
         st.queue.push_back(cid);
-        raise(&stats.peak_queued, st.queue.len() as u64);
-        obs.shift(GaugeId::QueueDepth, 1);
+        raise(&shared.stats.peak_queued, st.queue.len() as u64);
         Ok(cid)
     }
 
@@ -880,7 +944,7 @@ impl ReqPump {
     /// Snapshot of statistics. Reads atomics only — never blocks on the
     /// pump state lock.
     pub fn stats(&self) -> PumpStats {
-        self.shared.stats.snapshot()
+        self.shared.stats.snapshot(&self.shared.config.obs)
     }
 
     /// The observability handle this pump was configured with
@@ -981,10 +1045,7 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId, step: &Step) {
             if let Some(meta) = st.meta.remove(&call) {
                 st.unindex(&meta);
             }
-            let obs = &shared.config.obs;
-            obs.count(CounterId::CallsCancelled, 1);
-            obs.shift(GaugeId::QueueDepth, -1);
-            obs.event(step, call, EventKind::Cancelled);
+            shared.event(step, call, EventKind::Cancelled);
         }
         CallState::Done => {
             if let Some(mut meta) = st.meta.remove(&call) {
@@ -1049,17 +1110,13 @@ fn race_resolve(
         match result {
             Ok(_) => {
                 st.results.insert(gid, result.clone());
-                obs.count(CounterId::RaceWon, 1);
-                obs.event(step, gid, EventKind::RaceWon);
+                shared.event(step, gid, EventKind::RaceWon);
             }
             Err(e) => {
                 st.results.insert(gid, Err(e.clone()));
-                obs.labelled(
-                    step,
-                    gid,
-                    EventKind::Failed,
-                    obs.text(|| e.to_string().into()),
-                );
+                // The group never launched: its failure counts nothing
+                // (each member's did).
+                obs.unfolded(step, gid, EventKind::Failed, Label::Display(e));
             }
         }
         for &m in &members {
@@ -1072,8 +1129,7 @@ fn race_resolve(
             // Losers are only "cancelled" on a win; a collective failure
             // has no winner to lose to.
             if m != member && result.is_ok() {
-                obs.count(CounterId::RaceCancelled, 1);
-                obs.event(step, m, EventKind::RaceCancelled);
+                shared.event(step, m, EventKind::RaceCancelled);
             }
             release_locked(shared, st, m, step);
         }
@@ -1123,11 +1179,8 @@ fn pop_launchable(st: &mut State, shared: &Shared, step: &Step) -> Option<Launch
     meta.launched_at = obs.stamp(step);
     dest.active += 1;
     st.active_total += 1;
-    shared.stats.count(CounterId::CallsLaunched);
     raise(&shared.stats.peak_in_flight, st.active_total as u64);
-    obs.shift(GaugeId::QueueDepth, -1);
-    obs.shift(GaugeId::InFlight, 1);
-    obs.event(step, cid, EventKind::Launched);
+    shared.event(step, cid, EventKind::Launched);
     Some(Launch {
         cid,
         req: meta.req.clone(),
@@ -1163,21 +1216,9 @@ fn complete_locked(
         }
         None => true,
     };
-    obs.shift(GaugeId::InFlight, -1);
     match &result {
-        Ok(_) => {
-            shared.stats.count(CounterId::CallsCompleted);
-            obs.event(step, cid, EventKind::Completed);
-        }
-        Err(e) => {
-            shared.stats.count(CounterId::CallsFailed);
-            obs.labelled(
-                step,
-                cid,
-                EventKind::Failed,
-                obs.text(|| e.to_string().into()),
-            );
-        }
+        Ok(_) => shared.event(step, cid, EventKind::Completed),
+        Err(e) => shared.emit(step, [(cid, EventKind::Failed, Label::Display(e))]),
     }
     // Racing: this member's result may decide groups it runs for (an
     // orphaned member has no race entries — groups hold a reference, so a
@@ -1726,11 +1767,26 @@ mod tests {
 
     #[test]
     fn unknown_engine_fails_fast() {
-        let pump = ReqPump::new(PumpConfig::default());
-        let cid = pump.register(req("Nope", "x")).unwrap();
-        let err = pump.wait(cid).unwrap_err();
-        assert!(matches!(err, WsqError::Search(_)));
-        assert!(err.to_string().contains("Nope"));
+        for obs in [Obs::disabled(), Obs::enabled()] {
+            let pump = ReqPump::new(PumpConfig {
+                obs: obs.clone(),
+                ..PumpConfig::default()
+            });
+            let cid = pump.register(req("Nope", "x")).unwrap();
+            let err = pump.wait(cid).unwrap_err();
+            assert!(matches!(err, WsqError::Search(_)));
+            assert!(err.to_string().contains("Nope"));
+            // Registered and failed, never launched: its failure is counted
+            // beside its unfolded event, so the in-flight gauge stays put.
+            let stats = pump.stats();
+            assert_eq!(
+                (stats.registered, stats.launched, stats.completed),
+                (1, 0, 1)
+            );
+            if let Some(m) = obs.metrics() {
+                assert_eq!((m.calls_failed.get(), m.in_flight.get()), (1, 0));
+            }
+        }
     }
 
     #[test]

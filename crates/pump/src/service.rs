@@ -10,6 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use wsq_common::Result;
+use wsq_obs::{LabelParts, Render};
 
 /// What a request asks the engine for.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -50,6 +51,47 @@ impl fmt::Display for SearchRequest {
             }
         }
     }
+}
+
+/// A request labels its call's `Registered` event by its parts: the
+/// trace copies the kind, the engine and the expression, and formats them
+/// as the request's `Display` only when it is read.
+impl LabelParts for SearchRequest {
+    fn encode(&self, out: &mut Vec<u8>) -> Render {
+        out.reserve(9 + self.engine.len() + self.expr.len());
+        match self.kind {
+            RequestKind::Count => out.push(0),
+            RequestKind::Pages { max_rank } => {
+                out.push(1);
+                out.extend_from_slice(&max_rank.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&(self.engine.len() as u32).to_le_bytes());
+        out.extend_from_slice(self.engine.as_bytes());
+        out.extend_from_slice(self.expr.as_bytes());
+        |bytes| decode_request(bytes).map_or_else(String::new, |req| req.to_string())
+    }
+}
+
+/// The request whose label parts are `bytes`.
+fn decode_request(bytes: &[u8]) -> Option<SearchRequest> {
+    let (&tag, rest) = bytes.split_first()?;
+    let (kind, rest) = match tag {
+        0 => (RequestKind::Count, rest),
+        _ => {
+            let (rank, rest) = rest.split_first_chunk::<4>()?;
+            let max_rank = u32::from_le_bytes(*rank);
+            (RequestKind::Pages { max_rank }, rest)
+        }
+    };
+    let (len, rest) = rest.split_first_chunk::<4>()?;
+    let (engine, expr) = rest.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+    let text = |b| String::from_utf8_lossy(b).into_owned();
+    Some(SearchRequest {
+        engine: text(engine),
+        expr: text(expr),
+        kind,
+    })
 }
 
 /// One ranked search hit.
@@ -209,6 +251,17 @@ mod tests {
             kind: RequestKind::Pages { max_rank: 5 },
         };
         assert_eq!(r.to_string(), "Google:pages(\"four corners\", rank<=5)");
+        // The trace label formats the same text from the parts it copied.
+        let quoted = SearchRequest {
+            engine: "AV".into(),
+            expr: "say \"hi\"\n".into(),
+            kind: RequestKind::Count,
+        };
+        for r in [r, quoted] {
+            let mut bytes = vec![7];
+            let render = r.encode(&mut bytes);
+            assert_eq!(render(&bytes[1..]), r.to_string());
+        }
     }
 
     #[test]
