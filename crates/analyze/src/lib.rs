@@ -9,9 +9,9 @@
 //!   may-be-placeholder attribute set at every operator, rejecting plans
 //!   that violate the clash rules of §4.5.2 or the structural invariants
 //!   of ReqSync placement — and, via [`verify::verify_bounds`], a
-//!   resource-bound pass proving the symbolic peaks of ReqSync
-//!   buffering, in-flight calls and prefetch references stay within the
-//!   caps stamped at plan time. Installed as a debug-assert gate after
+//!   resource-bound pass proving the symbolic peak of ReqSync
+//!   buffering (and so of in-flight calls) stays within the caps stamped
+//!   at plan time. Installed as a debug-assert gate after
 //!   `asyncify` via [`install_plan_gate`].
 //! - [`conc`]: the concurrency auditor — token-based guard tracking,
 //!   condvar discipline, and an inter-procedural lock-acquisition-order

@@ -1,7 +1,7 @@
 //! Deterministic-schedule models of the PR-1 concurrency hot paths.
 //!
 //! Each model re-states one protocol from `crates/pump`, the engine's
-//! ReqSync and dependent join, or `crates/obs` in terms of [`schedcheck`]
+//! ReqSync, or `crates/obs` in terms of [`schedcheck`]
 //! primitives and lets the checker explore **every** thread interleaving
 //! reachable from its synchronization points. The models mirror the real
 //! code shape (same lock boundaries, same publish orders) rather than
@@ -30,11 +30,6 @@
 //!   loses nothing below capacity, keeps exactly the newest events at
 //!   capacity, reports the dropped count exactly, and never shows a
 //!   concurrent snapshot reader a torn or unsorted view.
-//! - [`adaptive_depth_model`]: the PR-6 `AdaptiveDepth` controller
-//!   resizing the prefetch lookahead concurrently with the refill loop
-//!   and the completer — the lookahead never exceeds `hint.depth`, the
-//!   target stays in `[1, hint]`, and no wakeup is lost even when a
-//!   shrink lands while the lookahead is full.
 //! - [`race_cancel_model`]: the PR-10 race-group protocol (`pump.rs`
 //!   `register_race` / group decide / loser cancellation) — N racing
 //!   member completions vs the group waiter vs a caller coalesced onto
@@ -505,144 +500,6 @@ pub fn trace_ring_overwrite_model() -> Stats {
 }
 
 // ---------------------------------------------------------------------
-// Model 9: PR-6 adaptive-depth prefetch controller (join.rs
-// `Prefetcher` + `AdaptiveDepth` resize racing refill and completion).
-// ---------------------------------------------------------------------
-
-/// The prefetch lookahead state the real `Prefetcher` keeps: the
-/// current (adaptive) depth target and the outstanding prefetched
-/// calls, under one lock with a single condvar for both "a completion
-/// freed a slot" and "the controller resized".
-struct MiniPrefetcher {
-    /// `hint.depth`: the hard ceiling the planner stamped.
-    hint: usize,
-    state: Mutex<PrefetchState>,
-    cv: Condvar,
-}
-
-struct PrefetchState {
-    /// Adaptive depth target, resized within `[1, hint]`.
-    depth: usize,
-    /// Prefetched calls not yet completed (the lookahead).
-    in_flight: usize,
-    issued: usize,
-    completed: usize,
-    peak_in_flight: usize,
-}
-
-impl MiniPrefetcher {
-    fn new(hint: usize) -> MiniPrefetcher {
-        MiniPrefetcher {
-            hint,
-            state: Mutex::new(PrefetchState {
-                depth: hint,
-                in_flight: 0,
-                issued: 0,
-                completed: 0,
-                peak_in_flight: 0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// The refill loop: top the lookahead up to the *current* depth
-    /// target, sleeping whenever it is full, until `n` outer tuples
-    /// have been issued.
-    fn refill(&self, n: usize) {
-        let mut st = self.state.lock();
-        loop {
-            if st.issued == n {
-                return;
-            }
-            if st.in_flight < st.depth {
-                st.issued += 1;
-                st.in_flight += 1;
-                st.peak_in_flight = st.peak_in_flight.max(st.in_flight);
-                assert!(
-                    st.in_flight <= self.hint,
-                    "lookahead {} exceeded hint.depth {}",
-                    st.in_flight,
-                    self.hint
-                );
-                // Issuing registers the call; the completer may now run.
-                self.cv.notify_all();
-                continue;
-            }
-            st = self.cv.wait(st);
-        }
-    }
-
-    /// The pump side: complete every issued call, in issue order.
-    fn completer(&self, n: usize) {
-        for _ in 0..n {
-            let mut st = self.state.lock();
-            while st.completed == st.issued {
-                st = self.cv.wait(st);
-            }
-            st.completed += 1;
-            st.in_flight -= 1;
-            drop(st);
-            self.cv.notify_all();
-        }
-    }
-
-    /// The AdaptiveDepth controller: a shrink (queue delay dominated)
-    /// followed by a grow (calls dominated), each clamped to
-    /// `[1, hint]` exactly as the real controller clamps, each waking
-    /// the refill loop so a grown target takes effect immediately.
-    fn resizer(&self) {
-        for grow in [false, true] {
-            let mut st = self.state.lock();
-            st.depth = if grow {
-                (st.depth * 2).min(self.hint)
-            } else {
-                (st.depth / 2).max(1)
-            };
-            assert!(
-                (1..=self.hint).contains(&st.depth),
-                "depth target {} escaped [1, {}]",
-                st.depth,
-                self.hint
-            );
-            drop(st);
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// The adaptive-depth controller resizing concurrently with the refill
-/// loop and the completer: the lookahead never exceeds `hint.depth`
-/// (even mid-resize), the depth target stays in `[1, hint]`, no wakeup
-/// is lost (a shrink that momentarily leaves `in_flight > depth` must
-/// still drain and finish), and every schedule terminates with all
-/// tuples issued and completed.
-pub fn adaptive_depth_model() -> Stats {
-    check_with(bounds(), || {
-        const TUPLES: usize = 3;
-        let p = Arc::new(MiniPrefetcher::new(2));
-        let completer = {
-            let p = p.clone();
-            thread::spawn(move || p.completer(TUPLES))
-        };
-        let resizer = {
-            let p = p.clone();
-            thread::spawn(move || p.resizer())
-        };
-        p.refill(TUPLES);
-        completer.join();
-        resizer.join();
-        let st = p.state.lock();
-        assert_eq!((st.issued, st.completed), (TUPLES, TUPLES));
-        assert_eq!(st.in_flight, 0, "lookahead must drain");
-        assert!(
-            st.peak_in_flight <= 2,
-            "peak {} above hint",
-            st.peak_in_flight
-        );
-    })
-}
-
-// ---------------------------------------------------------------------
 // Model 10: PR-10 engine racing (pump.rs `register_race` / group decide
 // / loser cancellation racing coalesced joiners).
 // ---------------------------------------------------------------------
@@ -1025,13 +882,6 @@ mod tests {
     #[test]
     fn trace_ring_loses_nothing_below_capacity() {
         let stats = trace_ring_model();
-        assert!(stats.complete, "exploration hit the schedule cap");
-        assert!(stats.schedules >= 2, "expected multiple interleavings");
-    }
-
-    #[test]
-    fn adaptive_depth_resize_races_refill_without_lost_wakeup_or_overrun() {
-        let stats = adaptive_depth_model();
         assert!(stats.complete, "exploration hit the schedule cap");
         assert!(stats.schedules >= 2, "expected multiple interleavings");
     }

@@ -44,11 +44,6 @@ pub enum Mutation {
     BindToPlaceholder,
     /// Replace an AEVScan with a synchronous EVScan (structural).
     DesyncScan,
-    /// Forge an AEVScan prefetch depth above its enclosing ReqSync's
-    /// admission cap (resource-bound rule: prefetch-exceeds-cap). The
-    /// ReqSync is stamped with a cap if it lacks one, so the mutated
-    /// plan is exactly "clamp convention violated".
-    ForgePrefetchDepth,
     /// Erase the stamped cap from a ReqSync (resource-bound rule:
     /// cap-dropped — caught by `verify_bounds` against the session's
     /// declared cap).
@@ -74,7 +69,6 @@ pub const ALL_MUTATIONS: &[Mutation] = &[
     Mutation::ComputeOverPlaceholder,
     Mutation::BindToPlaceholder,
     Mutation::DesyncScan,
-    Mutation::ForgePrefetchDepth,
     Mutation::DropStampedCap,
     Mutation::SinkRerankBelowSync,
 ];
@@ -233,17 +227,6 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             }
             _ => false,
         },
-        Mutation::ForgePrefetchDepth => &mut |p| match p {
-            PhysPlan::ReqSync { input, cap, .. } => {
-                let forged = cap.unwrap_or(4);
-                let fired = forge_depth(input, forged + 3);
-                if fired {
-                    *cap = Some(forged);
-                }
-                fired
-            }
-            _ => false,
-        },
         Mutation::SinkRerankBelowSync => &mut |p| {
             insert_below_sync(p, |input| PhysPlan::Rerank {
                 input,
@@ -288,24 +271,6 @@ fn first_aev_attr(plan: &PhysPlan) -> Option<ColumnRef> {
         PhysPlan::AEVScan(s) => s.external_attrs().into_iter().next(),
         PhysPlan::ReqSync { .. } => None,
         _ => plan.children().find_map(first_aev_attr),
-    }
-}
-
-/// Stamp the first AEVScan reachable without crossing a nested ReqSync
-/// (so the mutated scan's *nearest* enclosing ReqSync is the one the
-/// caller just capped) with prefetch depth `depth`; says whether one was
-/// found. A dependent join's inner scan is tried before its outer side.
-fn forge_depth(plan: &mut PhysPlan, depth: usize) -> bool {
-    match plan {
-        PhysPlan::AEVScan(spec) => {
-            Arc::make_mut(spec).prefetch.depth = depth;
-            true
-        }
-        PhysPlan::ReqSync { .. } => false,
-        PhysPlan::DependentJoin { left, right } => {
-            forge_depth(right, depth) || forge_depth(left, depth)
-        }
-        _ => plan.children_mut().any(|c| forge_depth(c, depth)),
     }
 }
 

@@ -36,17 +36,13 @@
 //! **Static resource bounds.** A second bottom-up pass computes, per
 //! plan, symbolic peaks over the cardinality domain [`Bound`]
 //! (`Finite(n)` or `Unbounded`): the worst-case tuples buffered in any
-//! `ReqSync` ([`Bounds::peak_buffered`]), outstanding prefetch
-//! references across `AEVScan`s ([`Bounds::prefetch_refs`]), and their
-//! sum, the in-flight external-call peak ([`Bounds::peak_inflight`]).
-//! Two rules turn the PR-4/PR-6 runtime conventions into checked
-//! facts: [`Rule::PrefetchExceedsCap`] (a stamped prefetch depth —
-//! which already includes any `batch_size` lower bound — may never
-//! exceed the nearest enclosing ReqSync's admission cap: the clamp in
-//! `asyncify` is verified, not trusted) and [`Rule::CapDropped`] (when
-//! the session declared a cap, [`verify_bounds`] proves every ReqSync
-//! carries one at least that tight). The bounds ride along in [`Report`] and surface in the
-//! `-- verify:` analyze footer.
+//! `ReqSync` ([`Bounds::peak_buffered`]) — which also bounds the calls
+//! one ReqSync waits on at once, since an `AEVScan` registers only when
+//! pulled.
+//! [`Rule::CapDropped`] turns the PR-4 runtime convention into a checked
+//! fact: when the session declared a cap, [`verify_bounds`] proves every
+//! ReqSync carries one at least that tight. The bounds ride along in
+//! [`Report`] and surface in the `-- verify:` analyze footer.
 //!
 //! Column matching deliberately mirrors `asyncify`'s own semantics
 //! (case-insensitive; an unqualified reference may denote a qualified
@@ -79,10 +75,6 @@ pub enum Rule {
     AdjacentReqSync,
     /// A synchronous EVScan survived in an asynchronous plan.
     SyncScanInAsyncPlan,
-    /// An AEVScan's stamped prefetch depth exceeds the admission cap of
-    /// its nearest enclosing ReqSync: prefetch could outrun the PR-4
-    /// stall handshake.
-    PrefetchExceedsCap,
     /// The session declared a ReqSync buffer cap, but a ReqSync in the
     /// stamped plan carries none (or a looser one).
     CapDropped,
@@ -103,7 +95,6 @@ impl fmt::Display for Rule {
             Rule::UncoveredAtRoot => "uncovered-at-root",
             Rule::AdjacentReqSync => "adjacent-reqsync (consolidation)",
             Rule::SyncScanInAsyncPlan => "sync-scan-in-async-plan",
-            Rule::PrefetchExceedsCap => "prefetch-exceeds-cap",
             Rule::CapDropped => "cap-dropped",
             Rule::RerankOverPlaceholder => "rerank-over-placeholder",
         };
@@ -159,14 +150,6 @@ pub enum Bound {
 }
 
 impl Bound {
-    /// Saturating sum.
-    pub fn plus(self, other: Bound) -> Bound {
-        match (self, other) {
-            (Bound::Finite(a), Bound::Finite(b)) => Bound::Finite(a.saturating_add(b)),
-            _ => Bound::Unbounded,
-        }
-    }
-
     /// Saturating product. `0 × Unbounded = 0`: an empty input produces
     /// no output regardless of the other side.
     pub fn times(self, other: Bound) -> Bound {
@@ -225,21 +208,11 @@ pub struct Bounds {
     /// Worst-case tuples buffered in any single ReqSync at once: the
     /// max over ReqSyncs of `min(cap, child cardinality)`.
     pub peak_buffered: Bound,
-    /// Worst-case outstanding ahead-of-demand references: the sum over
-    /// `AEVScan`s of the stamped prefetch depth.
-    pub prefetch_refs: Bound,
-    /// Worst-case in-flight external calls: buffered peak plus prefetch
-    /// references (prefetched calls register ahead of ReqSync demand).
-    pub peak_inflight: Bound,
 }
 
 impl fmt::Display for Bounds {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "peak buffered {}, prefetch refs {}, peak in-flight {}",
-            self.peak_buffered, self.prefetch_refs, self.peak_inflight
-        )
+        write!(f, "peak buffered {}", self.peak_buffered)
     }
 }
 
@@ -345,8 +318,7 @@ fn verify_inner(plan: &PhysPlan, forbid_ev: bool) -> Result<Report, VerifyError>
         bounds: Bounds::default(),
         violations: Vec::new(),
     };
-    bx.card(plan, None, "root");
-    bx.finish();
+    bx.card(plan, "root");
     cx.report.bounds = bx.bounds;
     cx.violations.extend(bx.violations);
     if cx.violations.is_empty() {
@@ -361,8 +333,7 @@ fn verify_inner(plan: &PhysPlan, forbid_ev: bool) -> Result<Report, VerifyError>
 /// Compute the static resource bounds of a plan and prove them
 /// consistent with the caps stamped at plan time.
 ///
-/// Checks [`Rule::PrefetchExceedsCap`] (as [`verify`] does) **plus**
-/// [`Rule::CapDropped`] against `declared_cap`, the session's
+/// Checks [`Rule::CapDropped`] against `declared_cap`, the session's
 /// `reqsync_cap` at planning time: when `Some(c)`, every ReqSync in the
 /// plan must carry a stamped cap `≤ c` — so `peak_buffered ≤ c` is a
 /// proven fact, not a runtime convention.
@@ -392,8 +363,7 @@ pub fn verify_bounds(plan: &PhysPlan, declared_cap: Option<usize>) -> Result<Bou
         bounds: Bounds::default(),
         violations: Vec::new(),
     };
-    bx.card(plan, None, "root");
-    bx.finish();
+    bx.card(plan, "root");
     if bx.violations.is_empty() {
         Ok(bx.bounds)
     } else {
@@ -669,42 +639,15 @@ impl BoundsCx {
         });
     }
 
-    fn finish(&mut self) {
-        self.bounds.peak_inflight = self.bounds.peak_buffered.plus(self.bounds.prefetch_refs);
-    }
-
-    /// Output-cardinality bound of `plan`. `enclosing_cap` is the
-    /// admission cap of the nearest enclosing ReqSync (`None` both for
-    /// "no enclosing ReqSync" and for an uncapped one — in either case
-    /// there is no admission bound for prefetch to respect).
-    fn card(&mut self, plan: &PhysPlan, enclosing_cap: Option<usize>, path: &str) -> Bound {
+    /// Output-cardinality bound of `plan`.
+    fn card(&mut self, plan: &PhysPlan, path: &str) -> Bound {
         match plan {
             PhysPlan::Values { rows, .. } => Bound::Finite(rows.len() as u64),
             PhysPlan::SeqScan { .. } | PhysPlan::IndexScan { .. } => Bound::Unbounded,
-            PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => {
-                if matches!(plan, PhysPlan::AEVScan(_)) {
-                    let depth = spec.prefetch.depth as u64;
-                    self.bounds.prefetch_refs =
-                        self.bounds.prefetch_refs.plus(Bound::Finite(depth));
-                    if let Some(cap) = enclosing_cap {
-                        if depth > cap as u64 {
-                            self.push(
-                                Rule::PrefetchExceedsCap,
-                                path,
-                                format!(
-                                    "AEVScan '{}' stamped prefetch depth {depth} exceeds \
-                                     the enclosing ReqSync admission cap {cap}",
-                                    spec.alias()
-                                ),
-                            );
-                        }
-                    }
-                }
-                match spec.kind() {
-                    wsq_engine::plan::VTableKind::WebCount => Bound::Finite(1),
-                    wsq_engine::plan::VTableKind::WebPages => Bound::Finite(spec.rank_limit as u64),
-                }
-            }
+            PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => match spec.kind() {
+                wsq_engine::plan::VTableKind::WebCount => Bound::Finite(1),
+                wsq_engine::plan::VTableKind::WebPages => Bound::Finite(spec.rank_limit as u64),
+            },
             PhysPlan::ReqSync { input, cap, .. } => {
                 if let (Some(declared), None) = (self.declared_cap, cap) {
                     self.push(
@@ -728,7 +671,7 @@ impl BoundsCx {
                         );
                     }
                 }
-                let child = self.card(input, *cap, &format!("{path}/ReqSync"));
+                let child = self.card(input, &format!("{path}/ReqSync"));
                 let buffered = match cap {
                     // Admit-before-check: high-water == cap exactly.
                     Some(c) => child.min(Bound::Finite(*c as u64)),
@@ -749,16 +692,16 @@ impl BoundsCx {
                     PhysPlan::Rerank { .. } => "Rerank",
                     _ => "Sort",
                 };
-                self.card(input, enclosing_cap, &format!("{path}/{name}"))
+                self.card(input, &format!("{path}/{name}"))
             }
             PhysPlan::Limit { input, n } => {
-                let inner = self.card(input, enclosing_cap, &format!("{path}/Limit"));
+                let inner = self.card(input, &format!("{path}/Limit"));
                 inner.min(Bound::Finite(*n))
             }
             PhysPlan::Aggregate {
                 input, group_by, ..
             } => {
-                let inner = self.card(input, enclosing_cap, &format!("{path}/Aggregate"));
+                let inner = self.card(input, &format!("{path}/Aggregate"));
                 if group_by.is_empty() {
                     Bound::Finite(1)
                 } else {
@@ -766,22 +709,18 @@ impl BoundsCx {
                 }
             }
             PhysPlan::DependentJoin { left, right } => {
-                let l = self.card(left, enclosing_cap, &format!("{path}/DependentJoin.left"));
-                let r = self.card(right, enclosing_cap, &format!("{path}/DependentJoin.right"));
+                let l = self.card(left, &format!("{path}/DependentJoin.left"));
+                let r = self.card(right, &format!("{path}/DependentJoin.right"));
                 l.times(r)
             }
             PhysPlan::NestedLoopJoin { left, right, .. } => {
-                let l = self.card(left, enclosing_cap, &format!("{path}/NestedLoopJoin.left"));
-                let r = self.card(
-                    right,
-                    enclosing_cap,
-                    &format!("{path}/NestedLoopJoin.right"),
-                );
+                let l = self.card(left, &format!("{path}/NestedLoopJoin.left"));
+                let r = self.card(right, &format!("{path}/NestedLoopJoin.right"));
                 l.times(r)
             }
             PhysPlan::CrossProduct { left, right } => {
-                let l = self.card(left, enclosing_cap, &format!("{path}/CrossProduct.left"));
-                let r = self.card(right, enclosing_cap, &format!("{path}/CrossProduct.right"));
+                let l = self.card(left, &format!("{path}/CrossProduct.left"));
+                let r = self.card(right, &format!("{path}/CrossProduct.right"));
                 l.times(r)
             }
         }

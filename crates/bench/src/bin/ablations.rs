@@ -146,9 +146,9 @@ fn main() {
     let fig7 = "SELECT Name, AV.Count, N, G.Count \
                 FROM Sigs, WebCount_AV AV, R, WebCount_Google G \
                 WHERE Name = AV.T1 AND Name = G.T1";
-    // At prefetch depth 0 every registration is one demanded call, so
-    // `registered` counts the calls a pump without coalescing would send
-    // and `launched` the calls this one sent.
+    // Every registration is one demanded call, so `registered` counts
+    // the calls a pump without coalescing would send and `launched` the
+    // calls this one sent.
     println!(
         "{:<14}{:>10}{:>14}{:>12}{:>12}",
         "configuration", "secs", "uncoalesced", "launched", "cache hits"

@@ -555,12 +555,11 @@ fn analyze_footer_wire_format_golden() {
         // A cache hit is delivered with its registration: the scan emits
         // the finished row, so ReqSync buffers nothing.
         "-- trace: calls=1 call_p50=_ call_p95=_ call_max=_ queue_p95=_ patch_p95=_ \
-         max_concurrent=1 stalls=0 stall_p95=_ buffered_hw=0 events=6 dropped=0 \
-         prefetch_issued=0 prefetch_wasted=0",
+         max_concurrent=1 stalls=0 stall_p95=_ buffered_hw=0 events=6 dropped=0",
         "-- cache[AV]: hits=1 misses=0 evictions=0 expirations=0",
         "-- cache[Google]: hits=0 misses=0 evictions=0 expirations=0",
         "-- verify: ok (verified 5 nodes: 1 async scan(s), 1 ReqSync(s), max placeholder set 1, \
-         peak buffered 1, prefetch refs 0, peak in-flight 1)",
+         peak buffered 1)",
     ];
     let golden: Vec<String> = golden
         .into_iter()

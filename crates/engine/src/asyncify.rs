@@ -31,40 +31,19 @@ pub fn asyncify(plan: PhysPlan, strategy: PlacementStrategy, mode: BufferMode) -
 
 /// [`asyncify`], additionally stamping every emitted ReqSync with an
 /// admission-control cap on buffered incomplete tuples
-/// (`QueryOptions::reqsync_cap`; `None` = unbounded) and a
-/// [`PrefetchHint`] onto every emitted `AEVScan` (DESIGN.md §12). This
-/// is the one place the join lookahead is computed: a `batch > 1` means
-/// "depth at least `batch`", and the result is clamped against the
-/// ReqSync admission cap — a prefetching join may never hold more
-/// registered-but-undemanded calls than the §11 stall handshake would
-/// have admitted, so `depth <= cap` whenever a cap is set. The stamped
-/// hint carries `batch == 1` (folded) and a window of at least 1.
+/// (`QueryOptions::reqsync_cap`; `None` = unbounded). `_prefetch` is read
+/// by nothing; it goes with ROADMAP 1(d).
 pub fn asyncify_with_opts(
     plan: PhysPlan,
     strategy: PlacementStrategy,
     mode: BufferMode,
     cap: Option<usize>,
-    prefetch: PrefetchHint,
+    _prefetch: PrefetchHint,
 ) -> PhysPlan {
-    let batch_floor = if prefetch.batch > 1 {
-        prefetch.batch
-    } else {
-        0
-    };
-    let lookahead = prefetch.depth.max(batch_floor);
     let mut ctx = Ctx {
         strategy,
         mode,
         cap,
-        prefetch: PrefetchHint {
-            depth: match cap {
-                Some(c) => lookahead.min(c),
-                None => lookahead,
-            },
-            window: prefetch.window.max(1),
-            adaptive: prefetch.adaptive,
-            batch: 1,
-        },
     };
     let (core, pending) = ctx.lift(plan);
     let mut plan = ctx.flush(core, pending);
@@ -123,7 +102,6 @@ struct Ctx {
     strategy: PlacementStrategy,
     mode: BufferMode,
     cap: Option<usize>,
-    prefetch: PrefetchHint,
 }
 
 /// Case-insensitive column-reference equality (SQL identifier semantics).
@@ -213,11 +191,7 @@ impl Ctx {
 
             // Insertion: every external scan becomes asynchronous, with a
             // ReqSync born directly above it (here: as a pending item).
-            // The scan also receives the (cap-clamped) prefetch hint.
-            PhysPlan::EVScan(mut spec) | PhysPlan::AEVScan(mut spec) => {
-                // The spec is still the planner's only reference: stamping
-                // it copies nothing.
-                Arc::make_mut(&mut spec).prefetch = self.prefetch;
+            PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => {
                 let attrs = spec.external_attrs();
                 (PhysPlan::AEVScan(spec), vec![Pending::Sync(attrs)])
             }
@@ -806,66 +780,6 @@ mod tests {
         };
         let out = asyncify(plan.clone(), PlacementStrategy::Full, BufferMode::Full);
         assert_eq!(out, plan);
-    }
-
-    /// The prefetch hint is stamped onto every AEVScan, with its depth
-    /// raised to the requested batch, clamped to the ReqSync admission
-    /// cap, and its window floored at 1.
-    #[test]
-    fn prefetch_hint_stamped_and_clamped() {
-        let plan = dj(
-            scan("Sigs", &["Name"]),
-            webcount("WebCount", ("Sigs", "Name")),
-        );
-        let hint = PrefetchHint {
-            depth: 16,
-            window: 0,
-            adaptive: true,
-            batch: 64,
-        };
-        let out = asyncify_with_opts(
-            plan.clone(),
-            PlacementStrategy::Full,
-            BufferMode::Full,
-            Some(4),
-            hint,
-        );
-        let seen = out.count_nodes(&|p| {
-            if let PhysPlan::AEVScan(spec) = p {
-                assert_eq!(spec.prefetch.depth, 4, "depth must clamp to cap");
-                assert_eq!(spec.prefetch.window, 1, "window floors at 1");
-                assert_eq!(spec.prefetch.batch, 1, "batch folds into depth");
-                assert!(spec.prefetch.adaptive);
-                true
-            } else {
-                false
-            }
-        });
-        assert_eq!(seen, 1);
-
-        // Uncapped: the larger of depth and batch survives; plain
-        // asyncify leaves prefetch off.
-        let out = asyncify_with_opts(
-            plan.clone(),
-            PlacementStrategy::Full,
-            BufferMode::Full,
-            None,
-            hint,
-        );
-        out.count_nodes(&|p| {
-            if let PhysPlan::AEVScan(spec) = p {
-                assert_eq!(spec.prefetch.depth, 64);
-                assert_eq!(spec.prefetch.batch, 1);
-            }
-            false
-        });
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
-        out.count_nodes(&|p| {
-            if let PhysPlan::AEVScan(spec) = p {
-                assert_eq!(spec.prefetch, PrefetchHint::default());
-            }
-            false
-        });
     }
 
     /// Asyncify is idempotent on already-asynchronous plans.

@@ -33,22 +33,13 @@ pub struct QueryOptions {
     /// external calls register — until completions drain it below the
     /// low-water mark (half the cap).
     pub reqsync_cap: Option<usize>,
-    /// Ahead-of-need prefetch lookahead per dependent join (asynchronous
-    /// mode only; `0` disables). Clamped to `reqsync_cap` by the planner
-    /// so prefetch can never admit calls admission control would refuse.
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub prefetch_depth: usize,
-    /// Inert: stamped into `PrefetchHint::window`, which no dispatcher
-    /// reads. Survives only because `wsqbench` names it; goes with
-    /// ROADMAP 1(d).
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub prefetch_window: usize,
-    /// Let the histogram-driven controller vary the lookahead between 1
-    /// and `prefetch_depth` (no effect while `prefetch_depth` is 0).
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub prefetch_adaptive: bool,
-    /// Lower bound on the join lookahead: a value `b > 1` means
-    /// "prefetch depth at least `b`" (the planner stamps
-    /// `max(prefetch_depth, b)`, clamped to `reqsync_cap`). `1` (the
-    /// default) asks for nothing. Execution is tuple-at-a-time at every
-    /// value (DESIGN.md §14).
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub batch_size: usize,
 }
 
@@ -573,12 +564,7 @@ impl Database {
                     opts.strategy,
                     opts.buffer,
                     opts.reqsync_cap,
-                    crate::plan::PrefetchHint {
-                        depth: opts.prefetch_depth,
-                        window: opts.prefetch_window,
-                        adaptive: opts.prefetch_adaptive,
-                        batch: opts.batch_size,
-                    },
+                    crate::plan::PrefetchHint::default(),
                 );
                 // Debug-assert gate: the placeholder-dataflow verifier
                 // (wsq-analyze) rejects any clash-rule violation the

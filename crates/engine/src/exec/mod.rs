@@ -181,17 +181,9 @@ fn build_node(
             let l = build(left)?;
             let r = build(right)?;
             match right.as_ref() {
-                // Only the asynchronous scan can profit from prefetch
-                // (the pump coalesces the demand-side registration onto
-                // the prefetched call); whether it actually engages is
-                // decided by the spec's stamped hint inside `with_pump`.
-                PhysPlan::AEVScan(s) => Ok(Box::new(DependentJoinExec::with_pump(
-                    l,
-                    r,
-                    s,
-                    ctx.pump.clone(),
-                )?)),
-                PhysPlan::EVScan(s) => Ok(Box::new(DependentJoinExec::new(l, r, s)?)),
+                PhysPlan::AEVScan(s) | PhysPlan::EVScan(s) => {
+                    Ok(Box::new(DependentJoinExec::new(l, r, s)?))
+                }
                 other => Err(WsqError::Plan(format!(
                     "dependent join inner must be a virtual scan, got:\n{other}"
                 ))),

@@ -67,43 +67,18 @@ pub enum EvBinding {
     Column(ColumnRef),
 }
 
-/// Ahead-of-need prefetch parameters stamped onto an [`PhysPlan::AEVScan`]
-/// by the asyncify pass (DESIGN.md §12).
-///
-/// `depth` is the number of outer tuples a dependent join may pull (and
-/// register calls for) *ahead* of what its consumer has demanded; `0`
-/// disables prefetch and keeps the paper's purely demand-driven
-/// registration. `window` is inert. `adaptive` turns `depth` into an
-/// upper bound steered at runtime by the `AdaptiveDepth` controller from
-/// the live latency histograms.
-/// `batch` is an *input* to asyncify only: a value `b > 1` requests
-/// "lookahead of at least `b`" and is folded into `depth` there, so a
-/// stamped hint always carries `batch == 1` and executors and the
-/// verifier read `depth` alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Read by nothing: `asyncify_with_opts` takes one because `wsqbench`
+/// names it; goes with ROADMAP 1(d).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchHint {
-    /// Maximum outer tuples pulled ahead of demand (0 = off).
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub depth: usize,
-    /// Inert: no dispatcher reads it. Survives only because `wsqbench`
-    /// names it; goes with ROADMAP 1(d).
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub window: usize,
-    /// Steer the effective depth from live latency histograms.
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub adaptive: bool,
-    /// Lower bound on `depth` requested through
-    /// `QueryOptions::batch_size` (1 = none); folded into `depth` by
-    /// asyncify's normalisation.
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub batch: usize,
-}
-
-impl Default for PrefetchHint {
-    fn default() -> Self {
-        PrefetchHint {
-            depth: 0,
-            window: 1,
-            adaptive: false,
-            batch: 1,
-        }
-    }
 }
 
 /// Specification of an external virtual table scan.
@@ -130,9 +105,6 @@ pub struct EvSpec {
     pub rank_limit: u32,
     /// Does the engine support `NEAR`? Decides the default template form.
     pub supports_near: bool,
-    /// Ahead-of-need prefetch parameters (asyncify stamps these; the
-    /// default is off). Not rendered in EXPLAIN output.
-    pub prefetch: PrefetchHint,
     /// Engines raced for this scan's expression (first result wins,
     /// losers cancelled). Empty or single-element = ordinary
     /// single-engine scan against `engine`; when racing, `engine` is the
@@ -147,7 +119,7 @@ pub struct EvSpec {
 impl EvSpec {
     /// A scan of `engine` under `alias` with the given bindings for
     /// `T1..Tn`: the default template, the default rank guard
-    /// ([`crate::builder::DEFAULT_RANK_LIMIT`]), no prefetch, no race.
+    /// ([`crate::builder::DEFAULT_RANK_LIMIT`]), no race.
     pub fn new(
         kind: VTableKind,
         engine: impl Into<Arc<str>>,
@@ -165,7 +137,6 @@ impl EvSpec {
             bindings,
             rank_limit: crate::builder::DEFAULT_RANK_LIMIT,
             supports_near,
-            prefetch: PrefetchHint::default(),
             race: Vec::new(),
             schema,
         }

@@ -270,12 +270,6 @@ impl Obs {
         }
     }
 
-    /// The running query's own distribution of histogram `id` so far:
-    /// `None` unless a recorder for this handle is lent to this thread.
-    pub fn query_histogram(&self, id: HistogramId) -> Option<HistogramSnapshot> {
-        recorder::with_lent(self.core.as_ref()?, |r| r.histogram(id))
-    }
-
     /// The full metrics registry (for exposition), `None` when disabled.
     pub fn registry(&self) -> Option<&Registry> {
         self.core.as_deref().map(|c| &c.registry)
@@ -746,7 +740,6 @@ mod tests {
             obs.shift(GaugeId::InFlight, 1);
             obs.observe(HistogramId::CallLatency, Duration::from_millis(1));
             obs.publish();
-            assert!(obs.query_histogram(HistogramId::CallLatency).is_none());
         });
         assert!(step.reading.get().is_none(), "still no clock read");
         assert_eq!(query.counter(CounterId::CallsRegistered), 0);
@@ -773,8 +766,6 @@ mod tests {
             obs.shift(GaugeId::InFlight, 2);
             obs.shift(GaugeId::InFlight, -1);
             obs.observe(HistogramId::CallLatency, Duration::from_millis(1));
-            let own = obs.query_histogram(HistogramId::CallLatency).unwrap();
-            assert_eq!(own.count, 1);
         });
         // Nothing shared moved yet; the query's own totals did, the
         // registration and the queue depth folded from the events.

@@ -19,17 +19,16 @@
 //! [`HistogramSnapshot::record`] — and merges what it has not merged yet
 //! into these shared instruments when it publishes
 //! ([`Histogram::merge`], [`Gauge::merge`]). A per-query view (the
-//! ANALYZE footer, the adaptive prefetch controller) reads the query's
-//! recorder, never a difference of shared cells, so concurrent queries do
-//! not see each other. The shared gauges keep lifetime high-water marks.
+//! ANALYZE footer) reads the query's recorder, never a difference of
+//! shared cells, so concurrent queries do not see each other. The shared gauges keep lifetime high-water marks.
 //!
 //! # Folded from events
 //!
 //! A fact that is an event is recorded once, as the event: the call
 //! counters, the pump's queue-depth and in-flight gauges, and the counts of
-//! races, cancelled tuples, stalls and prefetches are folded from the
-//! events as they are recorded (`fold`), into the query's recorder or the
-//! shared cells, wherever the event goes. The writer counts nothing beside
+//! races, cancelled tuples and stalls are folded from the events as they
+//! are recorded (`fold`), into the query's recorder or the shared cells,
+//! wherever the event goes. The writer counts nothing beside
 //! it. What is not an event — rows patched, cache hits and misses, queries,
 //! sessions, the delays — is still counted or observed by id.
 
@@ -441,11 +440,6 @@ pub struct WellKnown {
     /// Admission-control stalls: times a capped ReqSync stopped pulling
     /// from its child because its buffer was full.
     pub reqsync_stalls: Arc<Counter>,
-    /// External calls registered ahead of demand by a prefetching scan.
-    pub prefetch_issued: Arc<Counter>,
-    /// Prefetched calls whose tuple was never consumed (released on
-    /// close/error without being demanded).
-    pub prefetch_wasted: Arc<Counter>,
     /// Launch → completion latency per call.
     pub call_latency: Arc<Histogram>,
     /// Registration → launch delay per call (capacity wait).
@@ -538,14 +532,6 @@ impl WellKnown {
                 "wsq_reqsync_stalls_total",
                 "Times a capped ReqSync stopped pulling because its buffer was full",
             ),
-            prefetch_issued: registry.counter(
-                "wsq_prefetch_issued_total",
-                "External calls registered ahead of demand by a prefetching scan",
-            ),
-            prefetch_wasted: registry.counter(
-                "wsq_prefetch_wasted_total",
-                "Prefetched calls whose tuple was cancelled or never consumed",
-            ),
             call_latency: registry.histogram(
                 "wsq_call_latency_seconds",
                 "Launch-to-completion latency per external call",
@@ -593,13 +579,11 @@ pub enum CounterId {
     Queries,
     SessionsTotal,
     ReqsyncStalls,
-    PrefetchIssued,
-    PrefetchWasted,
 }
 
 impl CounterId {
     /// How many there are (the length of a recorder's counter array).
-    pub const COUNT: usize = CounterId::PrefetchWasted as usize + 1;
+    pub const COUNT: usize = CounterId::ReqsyncStalls as usize + 1;
 
     /// Every counter, in declaration order (`ALL[id as usize] == id`).
     pub const ALL: [CounterId; CounterId::COUNT] = {
@@ -623,8 +607,6 @@ impl CounterId {
             C::Queries,
             C::SessionsTotal,
             C::ReqsyncStalls,
-            C::PrefetchIssued,
-            C::PrefetchWasted,
         ]
     };
 }
@@ -734,7 +716,6 @@ pub(crate) fn fold(kind: EventKind, into: &mut impl Fold) {
         K::RaceCancelled => into.count(C::RaceCancelled),
         K::TupleCancelled => into.count(C::TuplesCancelled),
         K::Stalled => into.count(C::ReqsyncStalls),
-        K::PrefetchIssued => into.count(C::PrefetchIssued),
         K::Retried | K::Delivered | K::Patched | K::Resumed => {}
     }
 }
@@ -763,8 +744,6 @@ impl WellKnown {
             C::Queries => &self.queries,
             C::SessionsTotal => &self.sessions_total,
             C::ReqsyncStalls => &self.reqsync_stalls,
-            C::PrefetchIssued => &self.prefetch_issued,
-            C::PrefetchWasted => &self.prefetch_wasted,
         }
     }
 

@@ -73,8 +73,6 @@ impl QueryWindow {
             buffered_hw: r.high_water(GaugeId::ReqsyncBuffered),
             events: events.len() as u64,
             dropped: core.trace.dropped(),
-            prefetch_issued: r.counter(CounterId::PrefetchIssued),
-            prefetch_wasted: r.counter(CounterId::PrefetchWasted),
         })
     }
 }
@@ -114,17 +112,13 @@ pub struct QuerySummary {
     pub events: u64,
     /// Lifetime trace drops (non-zero means old windows were evicted).
     pub dropped: u64,
-    /// Calls registered ahead of demand during the window (DESIGN §12).
-    pub prefetch_issued: u64,
-    /// Prefetched calls whose tuple was never consumed.
-    pub prefetch_wasted: u64,
 }
 
 impl fmt::Display for QuerySummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "calls={} call_p50={} call_p95={} call_max={} queue_p95={} patch_p95={} max_concurrent={} stalls={} stall_p95={} buffered_hw={} events={} dropped={} prefetch_issued={} prefetch_wasted={}",
+            "calls={} call_p50={} call_p95={} call_max={} queue_p95={} patch_p95={} max_concurrent={} stalls={} stall_p95={} buffered_hw={} events={} dropped={}",
             self.calls,
             fmt_ms(self.call_p50),
             fmt_ms(self.call_p95),
@@ -137,8 +131,6 @@ impl fmt::Display for QuerySummary {
             self.buffered_hw,
             self.events,
             self.dropped,
-            self.prefetch_issued,
-            self.prefetch_wasted,
         )
     }
 }
@@ -293,7 +285,7 @@ mod tests {
             .join()
             .unwrap();
             obs.shift(GaugeId::ReqsyncBuffered, -3);
-            obs.count(CounterId::PrefetchIssued, 2);
+            obs.count(CounterId::ReqsyncStalls, 2);
         });
         let s = w.finish().unwrap();
 
@@ -303,13 +295,13 @@ mod tests {
         assert_eq!(s.call_max, Some(Duration::from_millis(2)));
         assert!(s.call_p95.unwrap() <= Duration::from_millis(3));
         assert_eq!(s.events, 4, "only the query's own call");
-        assert_eq!(s.prefetch_issued, 2);
+        assert_eq!(s.stalls, 2);
         let m = obs.metrics().unwrap();
         assert_eq!(m.queries.get(), 1);
         assert_eq!(m.query_latency.snapshot().count, 1);
         // The shared instruments got everything, published.
         assert_eq!(m.call_latency.snapshot().count, 3);
-        assert_eq!(m.prefetch_issued.get(), 2);
+        assert_eq!(m.reqsync_stalls.get(), 2);
         assert_eq!(m.reqsync_buffered.get(), 50);
         let line = s.to_string();
         assert!(line.starts_with("calls=1 "));

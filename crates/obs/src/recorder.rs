@@ -28,8 +28,8 @@
 //! no record of their own.
 //!
 //! The recorder also keeps the query's own totals, which publishing does
-//! not reset: the ANALYZE footer and the adaptive prefetch controller read
-//! them, so neither sees another query's calls.
+//! not reset: the ANALYZE footer reads them, so it sees no other query's
+//! calls.
 
 use crate::metrics::{fold, CounterId, Fold, GaugeId, HistogramId, HistogramSnapshot};
 use crate::trace::{LabelAt, Recorded, Stamp};

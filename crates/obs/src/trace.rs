@@ -81,9 +81,6 @@ pub enum EventKind {
     /// A stalled ReqSync drained below its low-water mark and resumed
     /// pulling from its child.
     Resumed,
-    /// The call was registered ahead of demand by a prefetching scan
-    /// (DESIGN.md §12).
-    PrefetchIssued,
     /// A racing group's first successful member completed and its result
     /// was adopted as the group's result (anchored to the group call).
     RaceWon,
@@ -109,7 +106,6 @@ impl EventKind {
             EventKind::TupleCancelled => "tuple-cancelled",
             EventKind::Stalled => "stalled",
             EventKind::Resumed => "resumed",
-            EventKind::PrefetchIssued => "prefetch-issued",
             EventKind::RaceWon => "race-won",
             EventKind::RaceCancelled => "race-cancelled",
         }

@@ -626,12 +626,13 @@ impl ReqPump {
         )
     }
 
+    /// Called by no product code: `wsqbench` names it; goes with ROADMAP
+    /// 1(d).
+    ///
     /// Register a whole burst of requests under **one** state-lock
     /// acquisition, launching once at the end. Semantically
     /// identical to calling [`ReqPump::register`] once per request (same
-    /// coalescing, same fail-fast on unknown engines, same ids), but a
-    /// prefetching scan issuing `depth` calls pays one lock round instead
-    /// of one per call.
+    /// coalescing, same fail-fast on unknown engines, same ids).
     ///
     /// Fails atomically only on shutdown: requests registered before the
     /// shutdown flag was observed keep their ids (the caller must release

@@ -8,11 +8,10 @@
 //!                 peak_in_flight=.. peak_queued=.."
 //! trace_line  := "-- trace: calls=.. call_p50=.. call_p95=.. call_max=..
 //!                 queue_p95=.. patch_p95=.. max_concurrent=.. stalls=..
-//!                 stall_p95=.. buffered_hw=.. events=.. dropped=..
-//!                 prefetch_issued=.. prefetch_wasted=.."
+//!                 stall_p95=.. buffered_hw=.. events=.. dropped=.."
 //! cache_line  := "-- cache[ENGINE]: hits=.. misses=.. evictions=.. expirations=.."
-//! verify_line := "-- verify: ok (verified .. nodes: .., peak buffered B,
-//!                 prefetch refs B, peak in-flight B)" | "-- verify: FAILED: .."
+//! verify_line := "-- verify: ok (verified .. nodes: .., peak buffered B)"
+//!                 | "-- verify: FAILED: .."
 //! bound       := n | "inf"
 //! ```
 //!
@@ -174,9 +173,7 @@ fn analyze_report_matches_the_documented_grammar() {
             "stall_p95",
             "buffered_hw",
             "events",
-            "dropped",
-            "prefetch_issued",
-            "prefetch_wasted"
+            "dropped"
         ]
     );
     for kv in footers[1].split_once(": ").unwrap().1.split_whitespace() {
@@ -222,23 +219,19 @@ fn analyze_report_matches_the_documented_grammar() {
         verify.starts_with("-- verify: ok (verified ") && verify.ends_with(')'),
         "verify footer shape: {verify:?}"
     );
-    // The static resource bounds ride inside the parens, in order, each
-    // a bound (`n` or `inf`).
+    // The static resource bound rides inside the parens (`n` or `inf`).
     let body = verify
         .strip_prefix("-- verify: ok (")
         .unwrap()
         .strip_suffix(')')
         .unwrap();
-    for key in ["peak buffered ", "prefetch refs ", "peak in-flight "] {
-        let (_, rest) = body
-            .split_once(key)
-            .unwrap_or_else(|| panic!("verify footer lacks `{key}`: {verify:?}"));
-        let bound = rest.split([',', ')']).next().unwrap();
-        assert!(
-            bound == "inf" || bound.parse::<u64>().is_ok(),
-            "bad bound {bound:?} for `{key}` in {verify:?}"
-        );
-    }
+    let (_, bound) = body
+        .split_once(", peak buffered ")
+        .unwrap_or_else(|| panic!("verify footer lacks `peak buffered`: {verify:?}"));
+    assert!(
+        bound == "inf" || bound.parse::<u64>().is_ok(),
+        "bad bound {bound:?} in {verify:?}"
+    );
 }
 
 #[test]

@@ -73,16 +73,6 @@ fn warm_calls_yield_finished_rows_equal_to_the_synchronous_plan() {
         );
         assert_eq!(wsq.pump().live_calls(), 0, "{sql}");
     }
-    // Prefetching four outer tuples ahead: the scan's registration
-    // coalesces onto the finished prefetched call and is delivered.
-    wsq.options_mut().prefetch_depth = 4;
-    for sql in [TEMPLATE_1, TEMPLATE_2] {
-        let want = oracle(&mut wsq, sql);
-        let before = placeholders(&wsq);
-        assert_eq!(wsq.query(sql).unwrap().rows, want, "{sql} (prefetch 4)");
-        assert_eq!(placeholders(&wsq), before, "{sql} (prefetch 4)");
-        assert_eq!(wsq.pump().live_calls(), 0, "{sql} (prefetch 4)");
-    }
 }
 
 #[test]

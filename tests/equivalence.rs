@@ -230,7 +230,6 @@ proptest! {
         buffer in prop_oneof![Just(BufferMode::Full), Just(BufferMode::Streaming)],
         cap in prop_oneof![Just(None), (1usize..12).prop_map(Some)],
         jitter in any::<bool>(),
-        batch in prop_oneof![Just(1usize), Just(3), Just(8), Just(64)],
     ) {
         let db = fresh_db();
         let pump = pump_with(max_concurrent, jitter);
@@ -260,74 +259,36 @@ proptest! {
 
         // Admission control is invisible in the results: the capped run
         // returns the exact multiset the unbounded run did, for every
-        // cap >= 1, under both buffer modes. `batch_size` — a lower
-        // bound on the join lookahead — rides the same assertion: every
-        // value, crossed with every cap (including cap < batch, where
-        // the lookahead clamps to the cap), leaves the rows unchanged.
-        let mut capped = run(&db, &pump, &q.sql, EngineOpts {
+        // cap >= 1, under both buffer modes.
+        let capped_opts = EngineOpts {
             mode: ExecutionMode::Asynchronous,
             strategy,
             buffer,
             reqsync_cap: cap,
-            batch_size: batch,
             ..Default::default()
-        });
+        };
+        let mut capped = run(&db, &pump, &q.sql, capped_opts);
         if !q.ordered { capped.sort(); }
         prop_assert_eq!(&capped, &got,
-            "cap={:?} batch={} changed results under ({:?},{:?},mc={}): {}",
-            cap, batch, strategy, buffer, max_concurrent, q.sql);
+            "cap={:?} changed results under ({:?},{:?},mc={}): {}",
+            cap, strategy, buffer, max_concurrent, q.sql);
         prop_assert_eq!(pump.live_calls(), 0);
 
-        // Ahead-of-need prefetch is invisible too: every depth returns
-        // the demand-driven multiset byte-for-byte, and drains the pump
-        // completely. The prefetching pump runs under the same admission
-        // cap, so the depth-to-cap clamp is exercised whenever cap < depth.
-        for depth in [1usize, 4, 16] {
-            let ppump = pump_with(max_concurrent, jitter);
-            let mut pre = run(&db, &ppump, &q.sql, EngineOpts {
-                mode: ExecutionMode::Asynchronous,
-                strategy,
-                buffer,
-                reqsync_cap: cap,
-                prefetch_depth: depth,
-                batch_size: batch,
-                ..Default::default()
-            });
-            if !q.ordered { pre.sort(); }
-            prop_assert_eq!(&pre, &baseline,
-                "prefetch depth={} batch={} diverged under ({:?},{:?},cap={:?}): {}",
-                depth, batch, strategy, buffer, cap, q.sql);
-            prop_assert_eq!(ppump.live_calls(), 0,
-                "prefetch depth={} batch={} leaked calls", depth, batch);
-
-            // Static resource bounds hold for the exact plan that
-            // just ran: every stamped ReqSync cap honours the
-            // session cap, no AEVScan's prefetch depth exceeds its
-            // enclosing cap, and the symbolic peak of buffered
-            // tuples is provably <= the cap.
-            let stmt = wsqdsq::sql::parse_one(&q.sql).unwrap();
-            let sel = match stmt {
-                wsqdsq::sql::Statement::Select(s) => s,
-                _ => unreachable!(),
-            };
-            let plan = db.plan_query(&sel, &registry(), EngineOpts {
-                mode: ExecutionMode::Asynchronous,
-                strategy,
-                buffer,
-                reqsync_cap: cap,
-                prefetch_depth: depth,
-                batch_size: batch,
-                ..Default::default()
-            }).unwrap();
-            let bounds = wsq_analyze::verify_bounds(&plan, cap)
-                .unwrap_or_else(|e| panic!(
-                    "bounds rejected (cap={cap:?} depth={depth} batch={batch}): {e}\nplan: {plan:?}"));
-            if let Some(cap) = cap {
-                prop_assert!(
-                    bounds.peak_buffered.le(wsq_analyze::Bound::Finite(cap as u64)),
-                    "peak buffered {} above cap {} for: {}",
-                    bounds.peak_buffered, cap, q.sql);
-            }
+        // Static resource bounds hold for the exact plan that just ran:
+        // every stamped ReqSync cap honours the session cap, and the
+        // symbolic peak of buffered tuples is provably <= the cap.
+        let sel = match wsqdsq::sql::parse_one(&q.sql).unwrap() {
+            wsqdsq::sql::Statement::Select(s) => s,
+            _ => unreachable!(),
+        };
+        let plan = db.plan_query(&sel, &registry(), capped_opts).unwrap();
+        let bounds = wsq_analyze::verify_bounds(&plan, cap)
+            .unwrap_or_else(|e| panic!("bounds rejected (cap={cap:?}): {e}\nplan: {plan:?}"));
+        if let Some(cap) = cap {
+            prop_assert!(
+                bounds.peak_buffered.le(wsq_analyze::Bound::Finite(cap as u64)),
+                "peak buffered {} above cap {} for: {}",
+                bounds.peak_buffered, cap, q.sql);
         }
     }
 }
@@ -340,14 +301,12 @@ proptest! {
     /// latency, so the winner varies per call — returns exactly the
     /// multiset the synchronous single-engine baseline does (the members
     /// share one corpus, so any winner's answer is THE answer), under
-    /// caps and batch sizes, and the losers' cancelled registrations
-    /// all drain.
+    /// caps, and the losers' cancelled registrations all drain.
     #[test]
     fn racing_any_is_transparent(
         members in 1usize..4,
         stagger_ms in 0u64..3,
         cap in prop_oneof![Just(None), Just(Some(4usize))],
-        batch in prop_oneof![Just(1usize), Just(8)],
     ) {
         let db = fresh_db();
         let mut engines = EngineRegistry::new();
@@ -378,12 +337,11 @@ proptest! {
         let got = run_with(&db, &pump, &engines, sql, EngineOpts {
             mode: ExecutionMode::Asynchronous,
             reqsync_cap: cap,
-            batch_size: batch,
             ..Default::default()
         });
         prop_assert_eq!(&got, &baseline,
-            "racing {} members (stagger={}ms cap={:?} batch={}) diverged",
-            members, stagger_ms, cap, batch);
+            "racing {} members (stagger={}ms cap={:?}) diverged",
+            members, stagger_ms, cap);
         // Cancelled losers release asynchronously; poll to the drain.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         while pump.live_calls() > 0 && std::time::Instant::now() < deadline {
@@ -454,53 +412,6 @@ proptest! {
     }
 }
 
-/// `batch_size` is nothing but a lower bound on the join lookahead:
-/// asking for it through `batch_size` or through `prefetch_depth` plans
-/// the same tree, stamps the same depth on every `AEVScan`, returns the
-/// demand-driven rows and drains the pump.
-#[test]
-fn batch_size_and_prefetch_depth_stamp_the_same_lookahead() {
-    use wsqdsq::engine::plan::PhysPlan;
-    let query = "SELECT Name, Count FROM States, WebCount WHERE Name = T1 \
-                 ORDER BY Count DESC, Name";
-    let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
-    wsq.load_reference_data().unwrap();
-    let baseline = wsq.query(query).unwrap().to_table();
-
-    let by_batch = EngineOpts {
-        batch_size: 64,
-        prefetch_depth: 0,
-        ..Default::default()
-    };
-    let by_depth = EngineOpts {
-        batch_size: 1,
-        prefetch_depth: 64,
-        ..Default::default()
-    };
-    assert_eq!(
-        wsq.explain_with(query, by_batch).unwrap(),
-        wsq.explain_with(query, by_depth).unwrap()
-    );
-    let sel = match wsqdsq::sql::parse_one(query).unwrap() {
-        wsqdsq::sql::Statement::Select(s) => s,
-        _ => unreachable!(),
-    };
-    for opts in [by_batch, by_depth] {
-        let plan = wsq.db().plan_query(&sel, wsq.engines(), opts).unwrap();
-        let scans = plan.count_nodes(&|p| match p {
-            PhysPlan::AEVScan(spec) => {
-                assert_eq!(spec.prefetch.depth, 64, "under {opts:?}");
-                true
-            }
-            _ => false,
-        });
-        assert!(scans > 0, "no AEVScan in:\n{plan}");
-        let got = wsq.query_with(query, opts).unwrap().to_table();
-        assert_eq!(got, baseline, "{opts:?} changed the result");
-        assert_eq!(wsq.pump().live_calls(), 0, "{opts:?} leaked calls");
-    }
-}
-
 /// The acceptance workload: the 50-state WebCount fan-out under latency
 /// high enough that the unbounded run buffers the whole fan-out, while
 /// `cap = 8` provably keeps occupancy at or below 8 — with byte-identical
@@ -549,4 +460,61 @@ fn cap_eight_bounds_the_fifty_state_fan_out() {
     assert!(m.reqsync_stalls.get() > 0, "fan-out of 50 never stalled");
     assert_eq!(m.reqsync_buffered.get(), 0, "buffer not drained");
     assert_eq!(capped.pump().live_calls(), 0);
+}
+
+/// Template 2 — two dependent joins — with every call pending (a 20 ms
+/// reply) under a ReqSync cap of 4, so both joins stall on the cap while
+/// calls are in flight. `prefetch_depth: 4` is set too, as a query that
+/// once asked for ahead-of-need registration would: it must change
+/// nothing. Every run returns the synchronous plan's rows and drains
+/// every call, under both buffer modes.
+#[test]
+fn two_capped_joins_over_pending_calls_match_the_synchronous_plan() {
+    let query = "SELECT Name, Count, URL, Rank \
+                 FROM States, WebCount, WebPages \
+                 WHERE Name = WebCount.T1 AND WebCount.T2 = 'computer' \
+                 AND Name = WebPages.T1 AND WebPages.T2 = 'beaches' \
+                 AND WebPages.Rank <= 2";
+    let sorted = |rows: Vec<Tuple>| {
+        let mut rows: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
+        rows.sort();
+        rows
+    };
+    // Latency only delays a reply, so the oracle runs without it.
+    let mut oracle = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+    oracle.load_reference_data().unwrap();
+    let sync = QueryOptions {
+        mode: ExecutionMode::Synchronous,
+        ..Default::default()
+    };
+    let want = sorted(oracle.query_with(query, sync).unwrap().rows);
+    assert!(!want.is_empty());
+
+    let mut failures = Vec::new();
+    for buffer in [BufferMode::Full, BufferMode::Streaming] {
+        for run in 0..5 {
+            let mut wsq = Wsq::open_in_memory(WsqConfig {
+                latency: LatencyModel::Fixed(std::time::Duration::from_millis(20)),
+                query: QueryOptions {
+                    buffer,
+                    reqsync_cap: Some(4),
+                    prefetch_depth: 4,
+                    ..Default::default()
+                },
+                ..WsqConfig::fast()
+            })
+            .unwrap();
+            wsq.load_reference_data().unwrap();
+            match wsq.query(query) {
+                Ok(res) if sorted(res.rows.clone()) == want => {}
+                Ok(_) => failures.push(format!("{buffer:?} run {run}: rows differ")),
+                Err(e) => failures.push(format!("{buffer:?} run {run}: {e}")),
+            }
+            let live = wsq.pump().live_calls();
+            if live != 0 {
+                failures.push(format!("{buffer:?} run {run}: {live} live calls"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -129,58 +129,19 @@ fn capped_query_failure_releases_every_buffer_slot() {
 }
 
 #[test]
-fn flaky_backend_mid_prefetch_releases_every_prefetched_slot() {
-    // Ahead-of-need prefetch registers calls for outer tuples nobody has
-    // demanded yet. When the backend exhausts its retries the query
-    // errors with most of the lookahead still unconsumed — every
-    // prefetched registration must be released (counted as wasted) and
-    // the gauges must drain to zero.
-    let (mut wsq, flaky) = wsq_with_flaky(1000, Some(2));
-    let err = wsq
-        .query_with(
-            QUERY,
-            QueryOptions {
-                reqsync_cap: Some(4),
-                prefetch_depth: 8, // planner clamps the lookahead to the cap
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("503"), "{err}");
-    assert!(flaky.stats().failures >= 3, "retries never ran");
-
-    let m = wsq.obs().metrics().unwrap();
-    assert!(m.prefetch_issued.get() > 0, "prefetch never engaged");
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while (wsq.pump().live_calls() > 0 || m.in_flight.get() > 0) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert_eq!(wsq.pump().live_calls(), 0, "prefetched slots leaked");
-    assert_eq!(m.in_flight.get(), 0, "in-flight gauge did not drain");
-    assert_eq!(m.reqsync_buffered.get(), 0, "buffer slots leaked");
-    assert!(
-        m.prefetch_wasted.get() > 0,
-        "error path never released its unconsumed prefetches"
-    );
-    // The instance is still usable afterwards.
-    let r = wsq.query("SELECT COUNT(*) FROM States").unwrap();
-    assert_eq!(r.rows[0].get(0).as_int().unwrap(), 50);
-}
-
-#[test]
 fn flaky_backend_mid_batch_releases_every_registered_slot() {
-    // `batch_size = 64` asks for a join lookahead of at least 64, so the
-    // whole 50-state fan-out registers under one pump acquisition before
-    // any row is demanded downstream. When the backend exhausts its
-    // retries mid-batch the query errors with most of the burst still
-    // unconsumed — every registered slot must be released and every
-    // gauge must drain to zero, leaving the instance usable.
+    // Uncapped, ReqSync pulls the whole 50-state fan-out eagerly, so every
+    // call registers before any row is demanded downstream (`batch_size`
+    // is read by nothing and changes none of this). When the backend
+    // exhausts its retries mid-burst the query errors with most of the
+    // burst still unconsumed — every registered slot must be released and
+    // every gauge must drain to zero, leaving the instance usable.
     let (mut wsq, flaky) = wsq_with_flaky(1000, Some(2));
     let err = wsq
         .query_with(
             QUERY,
             QueryOptions {
-                batch_size: 64, // uncapped: the full 50-state burst registers at once
+                batch_size: 64,
                 ..Default::default()
             },
         )
@@ -245,7 +206,6 @@ struct Chaos {
     /// otherwise (the query must still succeed on its own).
     flaky: bool,
     cap: Option<usize>,
-    batch_size: usize,
 }
 
 const CHAOS_QUERY: &str = "SELECT Name, Count FROM States, WebCount_Chaos \
@@ -347,7 +307,6 @@ fn chaos_matrix_preserves_rows_and_drains_every_resource() {
         slow: false,
         flaky: false,
         cap: None,
-        batch_size: 1,
     };
     let mut base = chaos_wsq(&healthy);
     let baseline = chaos_rows(&base.query(CHAOS_QUERY).unwrap());
@@ -357,17 +316,13 @@ fn chaos_matrix_preserves_rows_and_drains_every_resource() {
     for racing in [false, true] {
         for slow in [false, true] {
             for flaky in [false, true] {
-                for (cap, batch_size) in [(None, 1), (Some(4), 16)] {
+                for cap in [None, Some(4)] {
                     scenarios.push(Chaos {
-                        name: format!(
-                            "racing={racing} slow={slow} flaky={flaky} \
-                             cap={cap:?} batch={batch_size}"
-                        ),
+                        name: format!("racing={racing} slow={slow} flaky={flaky} cap={cap:?}"),
                         racing,
                         slow,
                         flaky,
                         cap,
-                        batch_size,
                     });
                 }
             }
@@ -384,7 +339,6 @@ fn chaos_matrix_preserves_rows_and_drains_every_resource() {
                 query,
                 QueryOptions {
                     reqsync_cap: s.cap,
-                    batch_size: s.batch_size,
                     ..Default::default()
                 },
             )

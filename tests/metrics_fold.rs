@@ -2,11 +2,10 @@
 //! beside its event or folded from the event.
 //!
 //! The call counters (`wsq_calls_*_total`, races, cancelled tuples,
-//! stalls, prefetches) and the pump's queue-depth and in-flight gauges
-//! are folded from the trace events wherever those are recorded; no
-//! emission site counts them. A fixed script of warm queries — the three
-//! Table-1 templates, a `WebCount_ANY` race, a cursor and a prefetching
-//! join — must leave every counter and gauge line of the `/metrics`
+//! stalls) and the pump's queue-depth and in-flight gauges are folded
+//! from the trace events wherever those are recorded; no emission site
+//! counts them. A fixed script of warm queries — the three Table-1
+//! templates, a `WebCount_ANY` race and a cursor — must leave every counter and gauge line of the `/metrics`
 //! exposition, and the observation count of every histogram, exactly as
 //! `tests/golden/metrics_counts.txt` records them: what the code printed
 //! when each of them was still counted by hand. Bucket and sum lines are
@@ -57,10 +56,6 @@ fn script(obs: bool) -> Wsq {
     let mut cursor = wsq.query_cursor(TEMPLATES[0]).unwrap();
     while cursor.next_row().unwrap().is_some() {}
     drop(cursor);
-    // Prefetch: registrations in bursts of four, ahead of demand.
-    wsq.options_mut().prefetch_depth = 4;
-    wsq.query(TEMPLATES[1]).unwrap();
-    wsq.options_mut().prefetch_depth = 0;
     wsq
 }
 
