@@ -94,19 +94,9 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             _ => false,
         },
         Mutation::DuplicateReqSync => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } => {
-                let (attrs, mode, cap) = (attrs.clone(), *mode, *cap);
-                insert_above(input, |input| PhysPlan::ReqSync {
-                    input,
-                    attrs,
-                    mode,
-                    cap,
-                });
+            PhysPlan::ReqSync { input, attrs, cap } => {
+                let (attrs, cap) = (attrs.clone(), *cap);
+                insert_above(input, |input| PhysPlan::ReqSync { input, attrs, cap });
                 true
             }
             _ => false,

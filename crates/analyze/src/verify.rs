@@ -249,7 +249,7 @@ impl fmt::Display for Report {
 /// ```
 /// use wsq_analyze::verify;
 /// use wsq_common::Value;
-/// use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, VTableKind};
+/// use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, VTableKind};
 ///
 /// // The minimal legal asynchronous plan: an AEVScan producing a
 /// // placeholder Count, patched by a covering ReqSync above it.
@@ -258,7 +258,6 @@ impl fmt::Display for Report {
 /// let plan = PhysPlan::ReqSync {
 ///     attrs: spec.external_attrs(),
 ///     input: Box::new(PhysPlan::AEVScan(spec.into())),
-///     mode: BufferMode::Full,
 ///     cap: None,
 /// };
 /// let report = verify(&plan).expect("plan is placeholder-safe");
@@ -341,14 +340,13 @@ fn verify_inner(plan: &PhysPlan, forbid_ev: bool) -> Result<Report, VerifyError>
 /// ```
 /// use wsq_analyze::verify::{verify_bounds, Bound};
 /// use wsq_common::Value;
-/// use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, VTableKind};
+/// use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, VTableKind};
 ///
 /// let utah = vec![EvBinding::Const(Value::from("Utah"))];
 /// let spec = EvSpec::new(VTableKind::WebCount, "AV", "WebCount", utah, true);
 /// let plan = PhysPlan::ReqSync {
 ///     attrs: spec.external_attrs(),
 ///     input: Box::new(PhysPlan::AEVScan(spec.into())),
-///     mode: BufferMode::Full,
 ///     cap: Some(8),
 /// };
 /// let bounds = verify_bounds(&plan, Some(8)).expect("caps are consistent");

@@ -130,7 +130,7 @@ fn at_least_ten_corruption_classes() {
 fn asyncified_bases_verify_clean() {
     for (name, plan) in bases() {
         for strategy in [PlacementStrategy::Full, PlacementStrategy::InsertionOnly] {
-            let out = asyncify(plan.clone(), strategy, BufferMode::Full);
+            let out = asyncify(plan.clone(), strategy);
             if let Err(e) = verify_async(&out) {
                 panic!("base '{name}' ({strategy:?}) rejected:\n{e}\nplan:\n{out}");
             }
@@ -142,12 +142,7 @@ fn asyncified_bases_verify_clean() {
 fn every_mutation_class_is_rejected() {
     let asyncified: Vec<(&str, PhysPlan)> = bases()
         .into_iter()
-        .map(|(name, plan)| {
-            (
-                name,
-                asyncify(plan, PlacementStrategy::Full, BufferMode::Full),
-            )
-        })
+        .map(|(name, plan)| (name, asyncify(plan, PlacementStrategy::Full)))
         .collect();
 
     for &m in ALL_MUTATIONS {
@@ -201,7 +196,7 @@ fn resource_bound_mutations_fail_against_the_declared_cap() {
         let stamped = asyncify_with_opts(
             plan,
             PlacementStrategy::Full,
-            BufferMode::Full,
+            BufferMode,
             Some(DECLARED),
             PrefetchHint::default(),
         );
@@ -239,7 +234,6 @@ fn rerank_above_sync_accepted_below_rejected() {
     let base = asyncify(
         dj(states_scan(), spec("V1", VTableKind::WebPages)),
         PlacementStrategy::Full,
-        BufferMode::Full,
     );
     let good = PhysPlan::Rerank {
         input: Box::new(base),
@@ -267,7 +261,6 @@ fn stacked_mutations_still_rejected() {
             spec("V2", VTableKind::WebPages),
         ),
         PlacementStrategy::Full,
-        BufferMode::Full,
     );
     verify_async(&base).expect("base verifies");
 

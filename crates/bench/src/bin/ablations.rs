@@ -6,7 +6,6 @@
 //!    (crossover behavior: at zero latency async is pure overhead).
 //! 3. **Placement strategy** — full percolation vs insertion-only on a
 //!    multi-join query (the Figure 7 trade-off).
-//! 4. **ReqSync buffering** — full buffering vs streaming pass-through.
 //! 5. **Coalescing & caching** — duplicate-call suppression on the
 //!    Figure 7 cross-product query.
 //!
@@ -17,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 use wsq_bench::{constant_pool, time_query, Template};
-use wsq_core::{BufferMode, ExecutionMode, PlacementStrategy, QueryOptions, Wsq, WsqConfig};
+use wsq_core::{ExecutionMode, PlacementStrategy, QueryOptions, Wsq, WsqConfig};
 use wsq_pump::PumpConfig;
 use wsq_websim::{CorpusConfig, LatencyModel};
 
@@ -115,26 +114,6 @@ fn main() {
             QueryOptions {
                 mode: ExecutionMode::Asynchronous,
                 strategy,
-                ..Default::default()
-            },
-        );
-        println!("{name:<20}{secs:>10.3}s");
-    }
-
-    // ---------------------------------------------------------------
-    println!("\n=== Ablation 4: ReqSync buffering (Template 2, {base_ms}ms latency)");
-    let t2 = Template::Two.instantiate(&pool, 0);
-    for (name, buffer) in [
-        ("Full buffering", BufferMode::Full),
-        ("Streaming", BufferMode::Streaming),
-    ] {
-        let mut wsq = wsq_with(latency(base_ms), 64, false);
-        let secs = timed(
-            &mut wsq,
-            &t2,
-            QueryOptions {
-                mode: ExecutionMode::Asynchronous,
-                buffer,
                 ..Default::default()
             },
         );

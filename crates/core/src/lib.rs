@@ -26,7 +26,7 @@ pub mod session;
 pub use dsq::{Correlation, DsqExplorer, PairCorrelation};
 pub use session::{Session, SessionCursor, SessionStats, SharedWsq};
 pub use wsq_engine::db::{QueryResult, StatementResult};
-pub use wsq_engine::plan::{BufferMode, ExecutionMode, PlacementStrategy};
+pub use wsq_engine::plan::{ExecutionMode, PlacementStrategy};
 pub use wsq_engine::QueryOptions;
 
 use std::collections::HashMap;
@@ -232,8 +232,8 @@ impl Wsq {
         r
     }
 
-    /// Open a streaming cursor over a SELECT (rows on demand; combine with
-    /// [`BufferMode::Streaming`] for early first rows). Counted in
+    /// Open a streaming cursor over a SELECT (rows on demand, so the first
+    /// row can arrive before the last external call completes). Counted in
     /// `wsq_queries_total` like [`Wsq::query`]; the latency recorded is
     /// that of opening the cursor, as for [`Session::query_cursor`].
     pub fn query_cursor(&mut self, sql: &str) -> Result<wsq_engine::db::Cursor> {

@@ -25,26 +25,22 @@ use std::sync::Arc;
 use wsq_sql::ast::{ColumnRef, Expr};
 
 /// Rewrite a synchronous plan into its asynchronous-iteration form.
-pub fn asyncify(plan: PhysPlan, strategy: PlacementStrategy, mode: BufferMode) -> PhysPlan {
-    asyncify_with_opts(plan, strategy, mode, None, PrefetchHint::default())
+pub fn asyncify(plan: PhysPlan, strategy: PlacementStrategy) -> PhysPlan {
+    asyncify_with_opts(plan, strategy, BufferMode, None, PrefetchHint::default())
 }
 
 /// [`asyncify`], additionally stamping every emitted ReqSync with an
 /// admission-control cap on buffered incomplete tuples
-/// (`QueryOptions::reqsync_cap`; `None` = unbounded). `_prefetch` is read
-/// by nothing; it goes with ROADMAP 1(d).
+/// (`QueryOptions::reqsync_cap`; `None` = unbounded). `_buffer` and
+/// `_prefetch` are read by nothing; they go with ROADMAP 1(d).
 pub fn asyncify_with_opts(
     plan: PhysPlan,
     strategy: PlacementStrategy,
-    mode: BufferMode,
+    _buffer: BufferMode,
     cap: Option<usize>,
     _prefetch: PrefetchHint,
 ) -> PhysPlan {
-    let mut ctx = Ctx {
-        strategy,
-        mode,
-        cap,
-    };
+    let mut ctx = Ctx { strategy, cap };
     let (core, pending) = ctx.lift(plan);
     let mut plan = ctx.flush(core, pending);
     consolidate_adjacent(&mut plan);
@@ -100,7 +96,6 @@ enum Pending {
 
 struct Ctx {
     strategy: PlacementStrategy,
-    mode: BufferMode,
     cap: Option<usize>,
 }
 
@@ -169,7 +164,6 @@ impl Ctx {
             plan = PhysPlan::ReqSync {
                 input: Box::new(plan),
                 attrs,
-                mode: self.mode,
                 cap: self.cap,
             };
         }
@@ -413,12 +407,7 @@ impl Ctx {
             // An existing ReqSync (re-asyncifying an async plan): keep it
             // where it is, absorbing any rising Sync it already covers so
             // the transformation is idempotent.
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } => {
+            PhysPlan::ReqSync { input, attrs, cap } => {
                 let (core, pending) = self.lift(*input);
                 let (absorbed, remaining): (Vec<_>, Vec<_>) =
                     pending.into_iter().partition(|p| match p {
@@ -430,7 +419,6 @@ impl Ctx {
                     PhysPlan::ReqSync {
                         input: Box::new(self.flush(core, remaining)),
                         attrs,
-                        mode,
                         cap: cap.or(self.cap),
                     },
                     vec![],
@@ -522,7 +510,7 @@ mod tests {
                 webcount("WebCount", ("Sigs", "Name")),
             )),
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         assert_eq!(count_kind(&out, "aevscan"), 1);
         assert_eq!(count_kind(&out, "evscan"), 0);
         assert_eq!(count_kind(&out, "reqsync"), 1);
@@ -550,7 +538,7 @@ mod tests {
             ),
             webpages("G", "Google", ("Sigs", "Name")),
         );
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         assert_eq!(count_kind(&out, "reqsync"), 1, "plan:\n{out}");
         assert_eq!(count_kind(&out, "aevscan"), 2);
         // The single ReqSync is the root and carries both attr sets.
@@ -573,7 +561,7 @@ mod tests {
             ),
             webpages("G", "Google", ("Sigs", "Name")),
         );
-        let out = asyncify(plan, PlacementStrategy::InsertionOnly, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::InsertionOnly);
         assert_eq!(count_kind(&out, "reqsync"), 2, "plan:\n{out}");
     }
 
@@ -597,7 +585,7 @@ mod tests {
                 Expr::qualified("C", "URL"),
             ),
         };
-        let out = asyncify(join, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(join, PlacementStrategy::Full);
         assert_eq!(count_kind(&out, "nlj"), 0);
         assert_eq!(count_kind(&out, "cross"), 1);
         assert_eq!(count_kind(&out, "reqsync"), 1);
@@ -625,7 +613,7 @@ mod tests {
                 webcount("WebCount", ("Sigs", "Name")),
             )),
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::ReqSync { input, .. } => {
                 assert!(matches!(input.as_ref(), PhysPlan::Filter { .. }));
@@ -648,7 +636,7 @@ mod tests {
                 webcount("WebCount", ("Sigs", "Name")),
             )),
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::Filter { input, .. } => {
                 assert!(matches!(input.as_ref(), PhysPlan::ReqSync { .. }));
@@ -670,7 +658,7 @@ mod tests {
             ),
             inner,
         );
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         assert_eq!(count_kind(&out, "reqsync"), 2, "plan:\n{out}");
         // The outer (root) ReqSync covers only the WebCount attrs.
         match &out {
@@ -695,7 +683,7 @@ mod tests {
             group_by: vec![],
             aggs: vec![(wsq_sql::ast::AggFunc::Count, None, "n".into())],
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::Aggregate { input, .. } => {
                 assert!(matches!(input.as_ref(), PhysPlan::ReqSync { .. }));
@@ -724,7 +712,7 @@ mod tests {
             ],
             schema,
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::ReqSync { attrs, input, .. } => {
                 assert_eq!(attrs[0].to_string(), "Cnt");
@@ -755,7 +743,7 @@ mod tests {
             )],
             schema,
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::Project { input, .. } => {
                 assert!(matches!(input.as_ref(), PhysPlan::ReqSync { .. }));
@@ -778,7 +766,7 @@ mod tests {
                 right: Box::new(scan("B", &["x"])),
             }),
         };
-        let out = asyncify(plan.clone(), PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan.clone(), PlacementStrategy::Full);
         assert_eq!(out, plan);
     }
 
@@ -792,8 +780,8 @@ mod tests {
                 webcount("WebCount", ("Sigs", "Name")),
             )),
         };
-        let once = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
-        let twice = asyncify(once.clone(), PlacementStrategy::Full, BufferMode::Full);
+        let once = asyncify(plan, PlacementStrategy::Full);
+        let twice = asyncify(once.clone(), PlacementStrategy::Full);
         assert_eq!(once, twice);
     }
 }

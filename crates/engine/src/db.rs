@@ -25,7 +25,7 @@ pub struct QueryOptions {
     pub mode: ExecutionMode,
     /// ReqSync placement strategy (asynchronous mode only).
     pub strategy: PlacementStrategy,
-    /// ReqSync buffering discipline.
+    /// Read by nothing; goes with ROADMAP 1(d).
     pub buffer: BufferMode,
     /// Admission-control cap on incomplete tuples buffered per ReqSync
     /// (`None` = unbounded). When the buffer fills, the operator stops
@@ -48,7 +48,7 @@ impl Default for QueryOptions {
         QueryOptions {
             mode: ExecutionMode::default(),
             strategy: PlacementStrategy::default(),
-            buffer: BufferMode::default(),
+            buffer: BufferMode,
             reqsync_cap: None,
             prefetch_depth: 0,
             prefetch_window: 1,
@@ -562,7 +562,7 @@ impl Database {
                 let plan = crate::asyncify::asyncify_with_opts(
                     plan,
                     opts.strategy,
-                    opts.buffer,
+                    BufferMode,
                     opts.reqsync_cap,
                     crate::plan::PrefetchHint::default(),
                 );
@@ -754,10 +754,10 @@ impl Database {
     }
 
     /// Open a streaming cursor over a SELECT: rows are produced on demand,
-    /// so with [`BufferMode::Streaming`] the first row can arrive long
-    /// before the last external call completes (§4.1's non-materializing
-    /// ReqSync). The cursor owns its executor tree and is independent of
-    /// `self` afterwards.
+    /// so the first row can arrive long before the last external call
+    /// completes (§4.1's non-materializing ReqSync), and opening it makes
+    /// no external call. The cursor owns its executor tree and is
+    /// independent of `self` afterwards.
     pub fn open_query(
         &self,
         stmt: &SelectStmt,

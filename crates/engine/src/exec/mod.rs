@@ -232,16 +232,9 @@ fn build_node(
             let child = build(input)?;
             Ok(Box::new(LimitExec::new(child, *n)))
         }
-        PhysPlan::ReqSync {
-            input, mode, cap, ..
-        } => {
+        PhysPlan::ReqSync { input, cap, .. } => {
             let child = build(input)?;
-            Ok(Box::new(ReqSyncExec::with_cap(
-                child,
-                ctx.pump.clone(),
-                *mode,
-                *cap,
-            )))
+            Ok(Box::new(ReqSyncExec::new(child, ctx.pump.clone(), *cap)))
         }
     }
 }

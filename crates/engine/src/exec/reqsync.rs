@@ -1,10 +1,11 @@
 //! The `ReqSync` operator (paper §4.1, §4.3, §4.4): buffers incomplete
 //! tuples and coordinates with ReqPump to patch them as calls complete.
 //!
-//! Only calls that are really pending reach it: an `AEVScan` whose reply
-//! is already in hand at registration emits finished rows, which pass
-//! straight through (streaming) or straight to the ready queue (full
-//! buffering) like any complete tuple.
+//! It streams (§4.1's second form): it pulls its child only from `next`,
+//! a tuple that depends on no pending call passes directly through, and
+//! `open` registers no call. Only calls that are really pending reach it:
+//! an `AEVScan` whose reply is already in hand at registration emits
+//! finished rows, which pass through like any complete tuple.
 //!
 //! For each completed call `C`, every buffered tuple carrying a `C`
 //! placeholder is processed per §4.3:
@@ -38,7 +39,6 @@
 //! histogram.
 
 use super::Executor;
-use crate::plan::BufferMode;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use wsq_common::{CallId, IdMap, PendingCol, Result, Schema, Tuple, Value};
@@ -62,7 +62,6 @@ pub struct ReqSyncExec {
     child: Box<dyn Executor>,
     pump: Arc<ReqPump>,
     obs: Obs,
-    mode: BufferMode,
     schema: Schema,
     /// Completed tuples awaiting emission.
     ready: VecDeque<Tuple>,
@@ -84,26 +83,15 @@ pub struct ReqSyncExec {
 
 impl ReqSyncExec {
     /// Synchronize `child`'s placeholder tuples against `pump`, with an
-    /// unbounded buffer (the paper's behaviour).
-    pub fn new(child: Box<dyn Executor>, pump: Arc<ReqPump>, mode: BufferMode) -> Self {
-        Self::with_cap(child, pump, mode, None)
-    }
-
-    /// [`ReqSyncExec::new`] with an admission-control cap on buffered
-    /// incomplete tuples (`None` = unbounded; `Some(0)` is treated as 1).
-    pub fn with_cap(
-        child: Box<dyn Executor>,
-        pump: Arc<ReqPump>,
-        mode: BufferMode,
-        cap: Option<usize>,
-    ) -> Self {
+    /// admission-control cap on buffered incomplete tuples (`None` =
+    /// unbounded, the paper's behaviour; `Some(0)` is treated as 1).
+    pub fn new(child: Box<dyn Executor>, pump: Arc<ReqPump>, cap: Option<usize>) -> Self {
         let schema = child.schema().clone();
         let obs = pump.obs().clone();
         ReqSyncExec {
             child,
             pump,
             obs,
-            mode,
             schema,
             ready: VecDeque::new(),
             buffered: IdMap::default(),
@@ -328,7 +316,7 @@ impl ReqSyncExec {
         Ok(())
     }
 
-    /// Opportunistically patch any already-completed pending calls: one
+    /// Patch every pending call that has already completed: one
     /// delivery step, however many calls and rounds it absorbs (the thread
     /// does not wait in between).
     ///
@@ -433,31 +421,11 @@ impl Executor for ReqSyncExec {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.ready.clear();
-        self.obs
-            .shift(GaugeId::ReqsyncBuffered, -(self.buffered.len() as i64));
-        self.buffered.clear();
-        self.index.clear();
+        // A re-open first releases what the last run's owners still hold.
+        self.close()?;
         self.child_done = false;
         self.opened = true;
-        self.child.open()?;
-        if self.mode == BufferMode::Full {
-            // The paper's simple implementation: exhaust the child first,
-            // buffering every (incomplete) tuple. Calls complete in the
-            // background while we drain.
-            // With a cap, admission interleaves with draining: at the cap
-            // we stop pulling (no new calls register) and patch until the
-            // low-water mark frees slots. Completed tuples accumulate in
-            // `ready`, so Full-mode semantics are unchanged.
-            while let Some(t) = self.child.next()? {
-                let admitted = self.obs.stamp(&Step::continuing());
-                self.admit(t, true, admitted);
-                self.stall_until_low_water()?;
-            }
-            self.child.close()?;
-            self.child_done = true;
-        }
-        Ok(())
+        self.child.open()
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
@@ -473,9 +441,9 @@ impl Executor for ReqSyncExec {
                     self.stall_until_low_water()?;
                     continue;
                 }
-                // Streaming mode: keep pulling; complete tuples pass
-                // straight through (§4.1: "tuples that do not depend on
-                // pending ReqPump calls may pass directly through").
+                // Complete tuples pass straight through (§4.1: "tuples
+                // that do not depend on pending ReqPump calls may pass
+                // directly through").
                 match self.child.next()? {
                     Some(t) => {
                         if !t.is_incomplete() {
@@ -509,12 +477,8 @@ impl Executor for ReqSyncExec {
             // Block until something finishes, then absorb the whole burst
             // of completions — not just the one call wait_any reported —
             // in a single batched drain.
-            let pending = self.pending_calls();
-            self.pump.wait_any(&pending)?;
-            let step = Step::continuing();
-            for (cid, outcome) in self.pump.take_completed(&pending) {
-                self.patch_with(cid, &outcome, &step)?;
-            }
+            self.pump.wait_any(&self.pending_calls())?;
+            self.drain_completions(&Step::continuing())?;
         }
     }
 

@@ -3,7 +3,7 @@
 //! carrying other pending calls).
 
 use super::*;
-use crate::plan::{BufferMode, EvBinding, EvSpec, VTableKind};
+use crate::plan::{EvBinding, EvSpec, VTableKind};
 use std::sync::Arc;
 use std::time::Duration;
 use wsq_common::{Column, DataType, Schema, Tuple, Value};
@@ -437,27 +437,24 @@ fn instant_replies_are_delivered_to_their_scan_as_finished_rows() {
     // The `reqsync_generation_cancellation_and_fill` pipeline with instant
     // replies: each scan emits the finished rows of its own call — three,
     // one, none — and no placeholder ever reaches ReqSync.
-    for mode in [BufferMode::Full, BufferMode::Streaming] {
-        let obs = wsq_obs::Obs::enabled();
-        let p = ReqPump::new(PumpConfig {
-            obs: obs.clone(),
-            ..PumpConfig::default()
-        });
-        p.register_service("AV", Arc::new(Scripted));
-        let out = async_pages_pipeline(&["many", "one", "none"], &p, mode);
-        let urls: Vec<&str> = out.iter().map(|t| t.get(3).as_str().unwrap()).collect();
-        assert_eq!(
-            urls,
-            ["www.many/1", "www.many/2", "www.many/3", "www.one/1"],
-            "{mode:?}"
-        );
-        let m = obs.metrics().unwrap();
-        assert_eq!(m.placeholder_tuples.get(), 0, "{mode:?}");
-        assert_eq!(m.reqsync_buffered.high_water(), 0, "{mode:?}");
-        assert_eq!(m.tuples_patched.get(), 4, "{mode:?}");
-        assert_eq!(m.tuples_cancelled.get(), 1, "{mode:?}");
-        assert_eq!(p.live_calls(), 0, "{mode:?}");
-    }
+    let obs = wsq_obs::Obs::enabled();
+    let p = ReqPump::new(PumpConfig {
+        obs: obs.clone(),
+        ..PumpConfig::default()
+    });
+    p.register_service("AV", Arc::new(Scripted));
+    let out = drain(async_pages_pipeline(&["many", "one", "none"], &p));
+    let urls: Vec<&str> = out.iter().map(|t| t.get(3).as_str().unwrap()).collect();
+    assert_eq!(
+        urls,
+        ["www.many/1", "www.many/2", "www.many/3", "www.one/1"]
+    );
+    let m = obs.metrics().unwrap();
+    assert_eq!(m.placeholder_tuples.get(), 0);
+    assert_eq!(m.reqsync_buffered.high_water(), 0);
+    assert_eq!(m.tuples_patched.get(), 4);
+    assert_eq!(m.tuples_cancelled.get(), 1);
+    assert_eq!(p.live_calls(), 0);
 }
 
 fn pages_spec(alias: &str) -> EvSpec {
@@ -471,7 +468,7 @@ fn pages_spec(alias: &str) -> EvSpec {
 }
 
 /// Dependent join of terms against an async WebPages scan, synchronized.
-fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>, mode: BufferMode) -> Vec<Tuple> {
+fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>) -> Box<dyn Executor> {
     let schema = Schema::new(vec![Column::new("term", DataType::Varchar)]);
     let left = rows(
         schema,
@@ -480,36 +477,59 @@ fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>, mode: BufferMode) -
     let spec = pages_spec("W");
     let scan = Box::new(AEVScanExec::new(Arc::new(spec.clone()), pump.clone()));
     let dj = Box::new(DependentJoinExec::new(left, scan, &spec).unwrap());
-    let sync = Box::new(ReqSyncExec::new(dj, pump.clone(), mode));
-    drain(sync)
+    Box::new(ReqSyncExec::new(dj, pump.clone(), None))
 }
 
 #[test]
 fn reqsync_generation_cancellation_and_fill() {
-    for mode in [BufferMode::Full, BufferMode::Streaming] {
-        let p = pump();
-        // "many" → 3 hits (generation), "one" → 1 (fill), "none" → 0
-        // (cancellation).
-        let out = async_pages_pipeline(&["many", "one", "none"], &p, mode);
-        assert_eq!(out.len(), 4, "{mode:?}");
-        let urls: Vec<&str> = out
-            .iter()
-            .map(|t| {
-                // term, SearchExp, T1, URL, Rank, Date
-                t.get(3).as_str().unwrap()
-            })
-            .collect();
-        assert!(urls.iter().filter(|u| u.contains("many")).count() == 3);
-        assert!(urls.iter().filter(|u| u.contains("one")).count() == 1);
-        assert!(!urls.iter().any(|u| u.contains("none")));
-        // Ranks filled as integers.
-        for t in &out {
-            let rank = t.get(4).as_int().unwrap();
-            assert!((1..=3).contains(&rank));
-            assert!(!t.is_incomplete());
-        }
-        assert_eq!(p.live_calls(), 0, "{mode:?}");
+    let p = pump();
+    // "many" → 3 hits (generation), "one" → 1 (fill), "none" → 0
+    // (cancellation).
+    let out = drain(async_pages_pipeline(&["many", "one", "none"], &p));
+    assert_eq!(out.len(), 4);
+    let urls: Vec<&str> = out
+        .iter()
+        .map(|t| {
+            // term, SearchExp, T1, URL, Rank, Date
+            t.get(3).as_str().unwrap()
+        })
+        .collect();
+    assert!(urls.iter().filter(|u| u.contains("many")).count() == 3);
+    assert!(urls.iter().filter(|u| u.contains("one")).count() == 1);
+    assert!(!urls.iter().any(|u| u.contains("none")));
+    // Ranks filled as integers.
+    for t in &out {
+        let rank = t.get(4).as_int().unwrap();
+        assert!((1..=3).contains(&rank));
+        assert!(!t.is_incomplete());
     }
+    assert_eq!(p.live_calls(), 0);
+}
+
+#[test]
+fn reopening_a_reqsync_releases_the_calls_its_tuples_hold() {
+    // One call in flight at a time, so after the first row the other
+    // four terms' tuples are still buffered, each owning a registration.
+    let p = ReqPump::new(PumpConfig {
+        max_concurrent: 1,
+        ..PumpConfig::default()
+    });
+    p.register_service(
+        "AV",
+        Arc::new(Declared(Scripted, Duration::from_millis(20))),
+    );
+    let mut sync = async_pages_pipeline(&["a", "b", "c", "d", "e"], &p);
+    sync.open().unwrap();
+    assert!(sync.next().unwrap().is_some());
+    sync.open().unwrap();
+    let mut rows = 0;
+    while sync.next().unwrap().is_some() {
+        rows += 1;
+    }
+    assert_eq!(rows, 15);
+    sync.close().unwrap();
+    drop(sync);
+    assert_eq!(p.live_calls(), 0, "a re-open leaked pump registrations");
 }
 
 #[test]
@@ -530,7 +550,7 @@ fn reqsync_copies_propagate_other_pending_calls() {
     let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone()));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
-    let sync = Box::new(ReqSyncExec::new(dj_b, p.clone(), BufferMode::Full));
+    let sync = Box::new(ReqSyncExec::new(dj_b, p.clone(), None));
     let out = drain(sync);
     // 3 hits from A × 2 hits from B... but B issued ONE call per A-tuple
     // (the optimistic tuple), so: 1 optimistic A-tuple → B joins once →
@@ -588,7 +608,7 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
     let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone()));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
-    let mut sync = ReqSyncExec::new(dj_b, p.clone(), BufferMode::Full);
+    let mut sync = ReqSyncExec::new(dj_b, p.clone(), None);
     sync.open().unwrap();
     let err = loop {
         match sync.next() {
@@ -612,13 +632,13 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
 
 #[test]
 fn reqsync_passthrough_of_complete_tuples() {
-    // Streaming mode: tuples with no placeholders flow straight through.
+    // Tuples with no placeholders flow straight through.
     let p = pump();
     let child = rows(
         int_schema(&["x"]),
         vec![vec![Value::Int(1)], vec![Value::Int(2)]],
     );
-    let mut sync = ReqSyncExec::new(child, p.clone(), BufferMode::Streaming);
+    let mut sync = ReqSyncExec::new(child, p.clone(), None);
     sync.open().unwrap();
     assert_eq!(sync.next().unwrap().unwrap().get(0).as_int().unwrap(), 1);
     assert_eq!(sync.next().unwrap().unwrap().get(0).as_int().unwrap(), 2);

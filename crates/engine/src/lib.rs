@@ -33,4 +33,4 @@ pub use builder::{parse_virtual_name, plan_select, DEFAULT_RANK_LIMIT};
 pub use cost::{estimate, CostEstimate, CostParams};
 pub use db::{Database, QueryOptions, QueryResult, StatementResult};
 pub use engines::{EngineEntry, EngineRegistry};
-pub use plan::{BufferMode, ExecutionMode, PhysPlan, PlacementStrategy};
+pub use plan::{ExecutionMode, PhysPlan, PlacementStrategy};

@@ -36,17 +36,9 @@ pub enum PlacementStrategy {
     InsertionOnly,
 }
 
-/// ReqSync's buffering discipline (§4.1 discusses both).
+/// Read by nothing; goes with ROADMAP 1(d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BufferMode {
-    /// Buffer the entire child output before emitting (the paper's simple
-    /// implementation).
-    #[default]
-    Full,
-    /// Pass already-complete tuples through without draining the child
-    /// first.
-    Streaming,
-}
+pub struct BufferMode;
 
 /// Which virtual table a scan implements (paper §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -523,8 +515,6 @@ pub enum PhysPlan {
         input: Box<PhysPlan>,
         /// The attribute set `ReqSync.A` this operator fills in.
         attrs: Vec<ColumnRef>,
-        /// Buffering discipline.
-        mode: BufferMode,
         /// Admission-control cap on buffered incomplete tuples (`None` =
         /// unbounded, the paper's behaviour). When the buffer is full the
         /// operator stalls its child instead of admitting more.
@@ -1021,7 +1011,6 @@ mod tests {
             keys: vec![(Expr::column("Count"), true)],
             input: Box::new(PhysPlan::ReqSync {
                 attrs: spec(VTableKind::WebCount, true).external_attrs(),
-                mode: BufferMode::Full,
                 cap: None,
                 input: Box::new(PhysPlan::DependentJoin {
                     left: Box::new(PhysPlan::SeqScan {
@@ -1137,7 +1126,6 @@ mod tests {
         let p = PhysPlan::ReqSync {
             input: b(p),
             attrs: vec![],
-            mode: BufferMode::Full,
             cap: None,
         };
         let p = PhysPlan::Filter {

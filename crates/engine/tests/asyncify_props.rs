@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema};
 use wsq_engine::asyncify;
-use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PlacementStrategy, VTableKind};
+use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, PlacementStrategy, VTableKind};
 use wsq_sql::ast::{BinOp, ColumnRef, Expr};
 
 /// Tables available to the generator (name, columns).
@@ -287,7 +287,7 @@ proptest! {
     /// Round-trip through the independent static verifier
     /// (`wsq-analyze`): every plan `asyncify` emits must pass the
     /// placeholder-dataflow checks clean, under both placement
-    /// strategies and both buffer modes.
+    /// strategies.
     #[test]
     fn verifier_accepts_asyncify_output(
         plan in arb_plan(4),
@@ -295,9 +295,8 @@ proptest! {
             Just(PlacementStrategy::Full),
             Just(PlacementStrategy::InsertionOnly)
         ],
-        buffer in prop_oneof![Just(BufferMode::Full), Just(BufferMode::Streaming)],
     ) {
-        let out = asyncify(plan, strategy, buffer);
+        let out = asyncify(plan, strategy);
         if let Err(e) = wsq_analyze::verify_async(&out) {
             prop_assert!(false, "verifier rejected asyncify output:\n{}\nplan:\n{}", e, out);
         }
@@ -318,7 +317,7 @@ proptest! {
 /// Invariants 1–6 for one plan under one placement strategy.
 fn check_invariants(plan: PhysPlan, strategy: PlacementStrategy) -> Result<(), TestCaseError> {
     let ev_before = count(&plan, |p| matches!(p, PhysPlan::EVScan(_)));
-    let out = asyncify(plan, strategy, BufferMode::Full);
+    let out = asyncify(plan, strategy);
 
     // 1. Scan conversion.
     prop_assert_eq!(count(&out, |p| matches!(p, PhysPlan::EVScan(_))), 0);
@@ -337,7 +336,7 @@ fn check_invariants(plan: PhysPlan, strategy: PlacementStrategy) -> Result<(), T
         prop_assert!(false, "{}", msg);
     }
     // 6. Idempotency.
-    let twice = asyncify(out.clone(), strategy, BufferMode::Full);
+    let twice = asyncify(out.clone(), strategy);
     prop_assert_eq!(twice, out);
     Ok(())
 }
@@ -380,10 +379,9 @@ fn consolidation_merges_carried_reqsync_at_flush_point() {
     let carried = PhysPlan::ReqSync {
         input: Box::new(nested.clone()),
         attrs: v1_attrs.clone(),
-        mode: BufferMode::Full,
         cap: None,
     };
-    let out = asyncify(carried, PlacementStrategy::Full, BufferMode::Full);
+    let out = asyncify(carried, PlacementStrategy::Full);
 
     // The analyzer accepts the consolidated plan ...
     wsq_analyze::verify_async(&out)
@@ -410,11 +408,9 @@ fn consolidation_merges_carried_reqsync_at_flush_point() {
         input: Box::new(PhysPlan::ReqSync {
             input: Box::new(nested),
             attrs: v1_attrs,
-            mode: BufferMode::Full,
             cap: None,
         }),
         attrs: v2_attrs,
-        mode: BufferMode::Full,
         cap: None,
     };
     let err = wsq_analyze::verify_async(&unmerged).expect_err("adjacent pair must be rejected");

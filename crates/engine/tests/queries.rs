@@ -5,7 +5,7 @@ use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema, Tuple, Value};
 use wsq_engine::db::{Database, QueryOptions, StatementResult};
 use wsq_engine::engines::EngineRegistry;
-use wsq_engine::plan::{BufferMode, ExecutionMode, PlacementStrategy};
+use wsq_engine::plan::{ExecutionMode, PlacementStrategy};
 use wsq_pump::{PumpConfig, ReqPump};
 use wsq_websim::{CorpusConfig, EngineKind, SimWeb};
 
@@ -100,19 +100,12 @@ impl Harness {
                 ..Default::default()
             },
         );
-        let configs = [
-            (PlacementStrategy::Full, BufferMode::Full),
-            (PlacementStrategy::Full, BufferMode::Streaming),
-            (PlacementStrategy::InsertionOnly, BufferMode::Full),
-            (PlacementStrategy::InsertionOnly, BufferMode::Streaming),
-        ];
-        for (strategy, buffer) in configs {
+        for strategy in [PlacementStrategy::Full, PlacementStrategy::InsertionOnly] {
             let got = self.query_with(
                 sql,
                 QueryOptions {
                     mode: ExecutionMode::Asynchronous,
                     strategy,
-                    buffer,
                     ..Default::default()
                 },
             );
@@ -122,10 +115,7 @@ impl Harness {
                 a.sort();
                 b.sort();
             }
-            assert_eq!(
-                a, b,
-                "async ({strategy:?},{buffer:?}) diverged from sync on: {sql}"
-            );
+            assert_eq!(a, b, "async ({strategy:?}) diverged from sync on: {sql}");
         }
         baseline
     }

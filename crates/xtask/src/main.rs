@@ -186,7 +186,7 @@ fn lint() -> ExitCode {
         let stamped = asyncify_with_opts(
             plan,
             PlacementStrategy::Full,
-            BufferMode::Full,
+            BufferMode,
             Some(cap),
             PrefetchHint::default(),
         );

@@ -25,8 +25,8 @@ pub use wsq_websim as websim;
 pub mod prelude {
     pub use wsq_common::{DataType, Schema, Tuple, Value};
     pub use wsq_core::{
-        BufferMode, DsqExplorer, ExecutionMode, PlacementStrategy, QueryOptions, QueryResult,
-        StatementResult, Wsq, WsqConfig,
+        DsqExplorer, ExecutionMode, PlacementStrategy, QueryOptions, QueryResult, StatementResult,
+        Wsq, WsqConfig,
     };
     pub use wsq_pump::{PumpConfig, ReqPump};
     pub use wsq_websim::{CacheConfig, CacheStats, CorpusConfig, EngineKind, LatencyModel, SimWeb};

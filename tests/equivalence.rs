@@ -1,8 +1,7 @@
 //! The workspace's central correctness property: **asynchronous iteration
 //! is semantically transparent**. For any WSQ query, every combination of
-//! execution mode, ReqSync placement strategy, buffering discipline, and
-//! pump concurrency limit must produce the same bag of rows as plain
-//! sequential execution.
+//! execution mode, ReqSync placement strategy and pump concurrency limit
+//! must produce the same bag of rows as plain sequential execution.
 //!
 //! Queries are generated from a grammar covering the paper's shapes:
 //! WebCount and WebPages scans, one or two engines, constant and column
@@ -227,7 +226,6 @@ proptest! {
             Just(PlacementStrategy::Full),
             Just(PlacementStrategy::InsertionOnly)
         ],
-        buffer in prop_oneof![Just(BufferMode::Full), Just(BufferMode::Streaming)],
         cap in prop_oneof![Just(None), (1usize..12).prop_map(Some)],
         jitter in any::<bool>(),
     ) {
@@ -246,32 +244,30 @@ proptest! {
         let mut got = run(&db, &pump, &q.sql, EngineOpts {
             mode: ExecutionMode::Asynchronous,
             strategy,
-            buffer,
             ..Default::default()
         });
         if !q.ordered { got.sort(); }
 
         prop_assert_eq!(&got, &baseline,
-            "config ({:?},{:?},mc={}) diverged on: {}",
-            strategy, buffer, max_concurrent, q.sql);
+            "config ({:?},mc={}) diverged on: {}",
+            strategy, max_concurrent, q.sql);
         // No leaked pump registrations.
         prop_assert_eq!(pump.live_calls(), 0);
 
         // Admission control is invisible in the results: the capped run
         // returns the exact multiset the unbounded run did, for every
-        // cap >= 1, under both buffer modes.
+        // cap >= 1.
         let capped_opts = EngineOpts {
             mode: ExecutionMode::Asynchronous,
             strategy,
-            buffer,
             reqsync_cap: cap,
             ..Default::default()
         };
         let mut capped = run(&db, &pump, &q.sql, capped_opts);
         if !q.ordered { capped.sort(); }
         prop_assert_eq!(&capped, &got,
-            "cap={:?} changed results under ({:?},{:?},mc={}): {}",
-            cap, strategy, buffer, max_concurrent, q.sql);
+            "cap={:?} changed results under ({:?},mc={}): {}",
+            cap, strategy, max_concurrent, q.sql);
         prop_assert_eq!(pump.live_calls(), 0);
 
         // Static resource bounds hold for the exact plan that just ran:
@@ -466,8 +462,8 @@ fn cap_eight_bounds_the_fifty_state_fan_out() {
 /// reply) under a ReqSync cap of 4, so both joins stall on the cap while
 /// calls are in flight. `prefetch_depth: 4` is set too, as a query that
 /// once asked for ahead-of-need registration would: it must change
-/// nothing. Every run returns the synchronous plan's rows and drains
-/// every call, under both buffer modes.
+/// nothing. Every one of ten runs returns the synchronous plan's rows and
+/// drains every call.
 #[test]
 fn two_capped_joins_over_pending_calls_match_the_synchronous_plan() {
     let query = "SELECT Name, Count, URL, Rank \
@@ -491,29 +487,26 @@ fn two_capped_joins_over_pending_calls_match_the_synchronous_plan() {
     assert!(!want.is_empty());
 
     let mut failures = Vec::new();
-    for buffer in [BufferMode::Full, BufferMode::Streaming] {
-        for run in 0..5 {
-            let mut wsq = Wsq::open_in_memory(WsqConfig {
-                latency: LatencyModel::Fixed(std::time::Duration::from_millis(20)),
-                query: QueryOptions {
-                    buffer,
-                    reqsync_cap: Some(4),
-                    prefetch_depth: 4,
-                    ..Default::default()
-                },
-                ..WsqConfig::fast()
-            })
-            .unwrap();
-            wsq.load_reference_data().unwrap();
-            match wsq.query(query) {
-                Ok(res) if sorted(res.rows.clone()) == want => {}
-                Ok(_) => failures.push(format!("{buffer:?} run {run}: rows differ")),
-                Err(e) => failures.push(format!("{buffer:?} run {run}: {e}")),
-            }
-            let live = wsq.pump().live_calls();
-            if live != 0 {
-                failures.push(format!("{buffer:?} run {run}: {live} live calls"));
-            }
+    for run in 0..10 {
+        let mut wsq = Wsq::open_in_memory(WsqConfig {
+            latency: LatencyModel::Fixed(std::time::Duration::from_millis(20)),
+            query: QueryOptions {
+                reqsync_cap: Some(4),
+                prefetch_depth: 4,
+                ..Default::default()
+            },
+            ..WsqConfig::fast()
+        })
+        .unwrap();
+        wsq.load_reference_data().unwrap();
+        match wsq.query(query) {
+            Ok(res) if sorted(res.rows.clone()) == want => {}
+            Ok(_) => failures.push(format!("run {run}: rows differ")),
+            Err(e) => failures.push(format!("run {run}: {e}")),
+        }
+        let live = wsq.pump().live_calls();
+        if live != 0 {
+            failures.push(format!("run {run}: {live} live calls"));
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
