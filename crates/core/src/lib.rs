@@ -171,8 +171,8 @@ impl Wsq {
         } else {
             service
         };
-        self.pump.register_service(name, service.clone());
-        self.engines.register(name, service, supports_near);
+        self.pump.register_service(name, service);
+        self.engines.register(name, supports_near);
     }
 
     /// Register an additional (or replacement) search engine. It becomes
@@ -730,10 +730,7 @@ mod tests {
         wsq.load_reference_data().unwrap();
         // An engine the planner knows and the pump does not: its calls
         // fail at registration. Raced against AV, the query still answers.
-        let av = wsq
-            .web
-            .engine_with_latency(EngineKind::AltaVista, LatencyModel::Zero);
-        wsq.engines.register("Ghost", av, true);
+        wsq.engines.register("Ghost", true);
         wsq.set_race_group(&["Ghost", "AV"]).unwrap();
         let (result, timeline) = wsq
             .trace_query("SELECT Count FROM WebCount_ANY WHERE T1 = 'Utah'")
@@ -757,10 +754,7 @@ mod tests {
         wsq.load_reference_data().unwrap();
         // The planner knows the engine and the pump does not: each call
         // fails at registration, and the failure is delivered to its scan.
-        let av = wsq
-            .web
-            .engine_with_latency(EngineKind::AltaVista, LatencyModel::Zero);
-        wsq.engines.register("Ghost", av, true);
+        wsq.engines.register("Ghost", true);
         let err = wsq
             .query("SELECT Name, Count FROM States, WebCount_Ghost WHERE Name = T1")
             .unwrap_err();

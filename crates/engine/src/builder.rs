@@ -1104,14 +1104,6 @@ mod tests {
     use crate::engines::EngineRegistry;
     use std::sync::Arc;
     use wsq_common::{Column, DataType};
-    use wsq_pump::{SearchRequest, SearchResult, SearchService, ServiceReply};
-
-    struct Dummy;
-    impl SearchService for Dummy {
-        fn execute(&self, _req: &SearchRequest) -> ServiceReply {
-            ServiceReply::instant(SearchResult::Count(0))
-        }
-    }
 
     fn setup() -> (Catalog, EngineRegistry) {
         let pool = Arc::new(wsq_storage::BufferPool::new(16));
@@ -1130,8 +1122,8 @@ mod tests {
             )
             .unwrap();
         let mut engines = EngineRegistry::new();
-        engines.register("AV", Arc::new(Dummy), true);
-        engines.register("Google", Arc::new(Dummy), false);
+        engines.register("AV", true);
+        engines.register("Google", false);
         (catalog, engines)
     }
 
@@ -1348,7 +1340,7 @@ mod tests {
         let p = plan_engines(
             "SELECT Count FROM States, WebCount_ANY WHERE Name = T1",
             |e| {
-                e.register("ANY", Arc::new(Dummy), true);
+                e.register("ANY", true);
                 e.set_race_group(&["AV", "Google"]).unwrap();
             },
         );

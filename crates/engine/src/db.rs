@@ -21,7 +21,8 @@ use wsq_storage::heap::{HeapFile, Rid};
 /// Options controlling how SELECTs execute.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryOptions {
-    /// Synchronous (blocking EVScan) or asynchronous iteration.
+    /// Synchronous (each EVScan waits for its call) or asynchronous
+    /// iteration.
     pub mode: ExecutionMode,
     /// ReqSync placement strategy (asynchronous mode only).
     pub strategy: PlacementStrategy,
@@ -770,7 +771,6 @@ impl Database {
         let ctx = ExecContext {
             tables: self,
             pump: pump.clone(),
-            engines,
         };
         let mut recorder = pump.obs().recorder();
         let executor = recorder.run(|| {
@@ -802,7 +802,6 @@ impl Database {
         let ctx = ExecContext {
             tables: self,
             pump: pump.clone(),
-            engines,
         };
         let instr = exec::Instrumentation::new();
         let before = pump.stats();
@@ -833,17 +832,18 @@ impl Database {
 
     /// Execute an already-built plan, under a recorder of its own
     /// ([`wsq_obs::QueryRecorder`]) that publishes once the executor tree
-    /// is done.
+    /// is done. Every external call goes through `pump`; `_engines` is
+    /// read by nothing (`wsqbench` names this signature; goes with
+    /// ROADMAP 1(d)).
     pub fn run_plan(
         &self,
         plan: &PhysPlan,
-        engines: &EngineRegistry,
+        _engines: &EngineRegistry,
         pump: &Arc<ReqPump>,
     ) -> Result<QueryResult> {
         let ctx = ExecContext {
             tables: self,
             pump: pump.clone(),
-            engines,
         };
         let rows = pump.obs().record(|| {
             let mut exec = exec::build(plan, &ctx)?;

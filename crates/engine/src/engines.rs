@@ -1,10 +1,10 @@
-//! The search-engine registry: maps destination names (`"AV"`, `"Google"`)
-//! to their services and capabilities.
+//! The search-engine registry: the destination names (`"AV"`, `"Google"`)
+//! a query may name, and their capabilities. The services themselves are
+//! registered with the pump, the one map from engine name to service.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use wsq_common::{Result, WsqError};
-use wsq_pump::SearchService;
 
 /// A registered search engine.
 #[derive(Clone)]
@@ -12,8 +12,6 @@ pub struct EngineEntry {
     /// The name it was registered under, shared by every plan that
     /// targets it.
     pub name: Arc<str>,
-    /// The service executing requests (shared with the ReqPump).
-    pub service: Arc<dyn SearchService>,
     /// Does the engine support the `NEAR` operator? Decides the default
     /// `SearchExp` template (paper §3 footnote 1).
     pub supports_near: bool,
@@ -40,7 +38,7 @@ impl EngineRegistry {
 
     /// Register engine `name`. The first registered engine becomes the
     /// default for unsuffixed `WebCount`/`WebPages` references.
-    pub fn register(&mut self, name: &str, service: Arc<dyn SearchService>, supports_near: bool) {
+    pub fn register(&mut self, name: &str, supports_near: bool) {
         if self.default.is_none() {
             self.default = Some(name.to_string());
         }
@@ -48,7 +46,6 @@ impl EngineRegistry {
             name.to_string(),
             EngineEntry {
                 name: name.into(),
-                service,
                 supports_near,
             },
         );
@@ -121,21 +118,13 @@ impl EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsq_pump::{SearchRequest, SearchResult, ServiceReply};
-
-    struct Dummy;
-    impl SearchService for Dummy {
-        fn execute(&self, _req: &SearchRequest) -> ServiceReply {
-            ServiceReply::instant(SearchResult::Count(0))
-        }
-    }
 
     #[test]
     fn first_registration_is_default() {
         let mut r = EngineRegistry::new();
         assert!(r.default_name().is_err());
-        r.register("AV", Arc::new(Dummy), true);
-        r.register("Google", Arc::new(Dummy), false);
+        r.register("AV", true);
+        r.register("Google", false);
         assert_eq!(r.default_name().unwrap(), "AV");
         r.set_default("Google").unwrap();
         assert_eq!(r.default_name().unwrap(), "Google");
@@ -145,7 +134,7 @@ mod tests {
     #[test]
     fn lookup_is_case_insensitive() {
         let mut r = EngineRegistry::new();
-        r.register("Google", Arc::new(Dummy), false);
+        r.register("Google", false);
         let (name, entry) = r.get("google").unwrap();
         assert_eq!(name, "Google");
         assert!(!entry.supports_near);
@@ -155,8 +144,8 @@ mod tests {
     #[test]
     fn names_sorted() {
         let mut r = EngineRegistry::new();
-        r.register("Google", Arc::new(Dummy), false);
-        r.register("AV", Arc::new(Dummy), true);
+        r.register("Google", false);
+        r.register("AV", true);
         assert_eq!(r.names(), vec!["AV", "Google"]);
     }
 }

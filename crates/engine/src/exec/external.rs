@@ -1,14 +1,14 @@
-//! External virtual table scans: the synchronous `EVScan` and the
-//! asynchronous `AEVScan` (paper §4.1).
+//! The external virtual table scan, `AEVScan` (paper §4.1), and the
+//! synchronous `EVScan`, which is the same scan told to wait.
 //!
-//! Both turn a search result into rows through one routine,
-//! [`materialize_result`]. The `AEVScan` uses it whenever the pump hands
-//! back a result with the registration ([`Registered::Delivered`]): a call
-//! whose reply is already in hand — a cache hit, a zero-latency engine, a
-//! registration that coalesced onto a finished call — yields finished rows
-//! at once, exactly as the synchronous scan would, and only a call that is
-//! really pending yields a placeholder tuple for `ReqSync` (§4.1: tuples
-//! that do not depend on a pending call pass directly through).
+//! Every call goes through the pump. A result the pump hands back with
+//! the registration ([`Registered::Delivered`]) — a cache hit, a
+//! zero-latency engine, a registration that coalesced onto a finished
+//! call — becomes finished rows at once, through [`materialize_result`].
+//! A call that is really pending yields a placeholder tuple for `ReqSync`
+//! (§4.1: tuples that do not depend on a pending call pass directly
+//! through), unless the scan waits: then it blocks on the call and emits
+//! its rows, as a conventional query processor does.
 
 use super::Executor;
 use crate::plan::{EvSpec, VTableKind};
@@ -16,9 +16,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use wsq_common::{CallId, PendingCol, Placeholder, Result, Schema, Tuple, Value, WsqError};
 use wsq_obs::{CounterId, EventKind, Step};
-use wsq_pump::{
-    blocking_execute, Registered, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService,
-};
+use wsq_pump::{Registered, ReqPump, RequestKind, SearchRequest, SearchResult};
 
 pub(crate) fn request_for(spec: &EvSpec, expr: String) -> SearchRequest {
     SearchRequest {
@@ -64,75 +62,6 @@ fn rebind_into(spec: &EvSpec, bindings: &mut Vec<Value>, values: &[Value]) -> Re
     Ok(())
 }
 
-/// Synchronous external virtual scan: each `open` performs a blocking
-/// search call — the query processor idles for the full latency, exactly
-/// the behavior asynchronous iteration exists to fix.
-///
-/// A blocking scan cannot race, so over a race group (`WebCount_ANY`) it
-/// fails over instead: the members are tried in order, the first `Ok`
-/// wins, and the scan errors — with the last member's error — only after
-/// every member failed (the rule `ReqPump::register_race` implements).
-pub struct EVScanExec {
-    /// Shared with the plan, and the source of this scan's schema.
-    spec: Arc<EvSpec>,
-    /// `(engine name, service)` per destination; one entry unless racing.
-    services: Vec<(Arc<str>, Arc<dyn SearchService>)>,
-    bindings: Vec<Value>,
-    /// The current binding's rows not yet emitted.
-    rows: VecDeque<Tuple>,
-    fetched: bool,
-}
-
-impl EVScanExec {
-    /// Create a scan of `spec` against `services`, tried in order.
-    pub fn new(spec: Arc<EvSpec>, services: Vec<(Arc<str>, Arc<dyn SearchService>)>) -> Self {
-        EVScanExec {
-            spec,
-            services,
-            bindings: Vec::new(),
-            rows: VecDeque::new(),
-            fetched: false,
-        }
-    }
-}
-
-impl Executor for EVScanExec {
-    fn schema(&self) -> &Schema {
-        self.spec.schema()
-    }
-
-    fn rebind(&mut self, values: &[Value]) -> Result<()> {
-        rebind_into(&self.spec, &mut self.bindings, values)?;
-        self.fetched = false;
-        Ok(())
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.rows.clear();
-        self.fetched = false;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if !self.fetched {
-            self.fetched = true;
-            let mut req = request_for(&self.spec, self.spec.instantiate(&self.bindings));
-            let mut result = Err(WsqError::Exec("EVScan has no engine".to_string()));
-            for (engine, service) in &self.services {
-                req.engine.clear();
-                req.engine.push_str(engine);
-                result = blocking_execute(service.as_ref(), &req);
-                if result.is_ok() {
-                    break;
-                }
-            }
-            let expr = Value::from(req.expr.as_str());
-            materialize_result(&self.spec, &expr, &self.bindings, &result?, &mut self.rows);
-        }
-        Ok(self.rows.pop_front())
-    }
-}
-
 /// Turn a search result into virtual-table tuples — `expr`, then
 /// `bindings`, then the result's columns — appended to `out`. Each row is
 /// built at its final width.
@@ -164,11 +93,13 @@ pub(crate) fn materialize_result(
     }
 }
 
-/// Asynchronous external virtual scan: registers the call with ReqPump
-/// and returns without waiting for it. A result the pump delivers with
-/// the registration becomes finished rows here; a call still pending
-/// becomes ONE optimistic tuple whose external attributes are
-/// placeholders, which `ReqSync` later patches, cancels, or multiplies.
+/// External virtual scan: registers the call with ReqPump. A result the
+/// pump delivers with the registration becomes finished rows here. A call
+/// still pending becomes ONE optimistic tuple whose external attributes
+/// are placeholders, which `ReqSync` later patches, cancels, or
+/// multiplies — unless the scan was built to wait (the synchronous
+/// `EVScan`): then it blocks on the call and emits its rows, and never
+/// builds a placeholder.
 ///
 /// Calls are registered lazily, from `next`/`rebind` only. This is what
 /// makes ReqSync's admission control (DESIGN.md §11) work without any
@@ -193,11 +124,15 @@ pub struct AEVScanExec {
     rows: VecDeque<Tuple>,
     /// The last delivered call, whose reference this scan still holds.
     held: Option<CallId>,
+    /// Whether to wait for a pending call instead of emitting a
+    /// placeholder (the synchronous `EVScan`).
+    wait: bool,
 }
 
 impl AEVScanExec {
-    /// Create an async scan of `spec` registering through `pump`.
-    pub fn new(spec: Arc<EvSpec>, pump: Arc<ReqPump>) -> Self {
+    /// Create a scan of `spec` registering through `pump`; with `wait`, it
+    /// waits for each call instead of emitting a placeholder.
+    pub fn new(spec: Arc<EvSpec>, pump: Arc<ReqPump>, wait: bool) -> Self {
         AEVScanExec {
             spec,
             pump,
@@ -205,6 +140,7 @@ impl AEVScanExec {
             registered: false,
             rows: VecDeque::new(),
             held: None,
+            wait,
         }
     }
 
@@ -223,6 +159,10 @@ impl AEVScanExec {
         let expr = self.spec.instantiate(&self.bindings);
         let expr_value = Value::from(expr.as_str());
         let release = self.held.take();
+        if self.wait {
+            let (call, result) = self.fetch(expr, release)?;
+            return self.deliver(call, &expr_value, result);
+        }
         // A racing spec (`WebCount_ANY`) registers one call per member
         // engine as a race group: the group's CallId resolves with the
         // first successful member and the pump cancels the losers.
@@ -262,21 +202,65 @@ impl AEVScanExec {
         Ok(())
     }
 
-    /// Emit a result delivered with its registration: the rows, and the
-    /// delivery and patch (or cancellation) events `ReqSync` would have
-    /// recorded, continuing the step that completed the call. A failure
-    /// fails the query, and its reference is not kept.
+    /// Register the current binding's call and wait for its reply. A
+    /// waiting scan cannot race, so a racing spec fails over instead: its
+    /// members are registered one at a time, in order, each waited on;
+    /// the first `Ok` wins, and the last member's error comes back only
+    /// when every member failed (the rule `ReqPump::register_race`
+    /// implements).
+    fn fetch(
+        &self,
+        expr: String,
+        mut release: Option<CallId>,
+    ) -> Result<(CallId, Result<SearchResult>)> {
+        // A racing spec's `engine` is its first member.
+        let mut req = request_for(&self.spec, expr);
+        for engine in self.spec.race.iter().skip(1) {
+            let (call, result) = self.wait_for(req.clone(), release.take())?;
+            if result.is_ok() {
+                return Ok((call, result));
+            }
+            self.drop_failed(call);
+            req.engine.clear();
+            req.engine.push_str(engine);
+        }
+        self.wait_for(req, release)
+    }
+
+    /// Register `req` and wait for its reply if it is not in hand.
+    fn wait_for(
+        &self,
+        req: SearchRequest,
+        release: Option<CallId>,
+    ) -> Result<(CallId, Result<SearchResult>)> {
+        Ok(match self.pump.register_delivered(req, release)? {
+            Registered::Delivered(call, result) => (call, result),
+            Registered::Pending(call) => (call, self.pump.wait(call)),
+        })
+    }
+
+    /// Record the delivery of a failed call and give up its reference.
+    fn drop_failed(&self, call: CallId) {
+        self.pump
+            .obs()
+            .event(&Step::continuing(), call, EventKind::Delivered);
+        self.pump.release(call);
+    }
+
+    /// Emit a call's result: the rows, and the delivery and patch (or
+    /// cancellation) events `ReqSync` would have recorded, continuing the
+    /// step that completed the call. A failure fails the query, and its
+    /// reference is not kept.
     fn deliver(&mut self, call: CallId, expr: &Value, result: Result<SearchResult>) -> Result<()> {
-        let obs = self.pump.obs();
-        let step = Step::continuing();
         let result = match result {
             Ok(result) => result,
             Err(e) => {
-                obs.event(&step, call, EventKind::Delivered);
-                self.pump.release(call);
+                self.drop_failed(call);
                 return Err(e);
             }
         };
+        let obs = self.pump.obs();
+        let step = Step::continuing();
         materialize_result(&self.spec, expr, &self.bindings, &result, &mut self.rows);
         let rows = self.rows.len() as u64;
         let outcome = if rows == 0 {

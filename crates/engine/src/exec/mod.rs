@@ -15,13 +15,12 @@ pub use basic::{
     AggregateExec, DistinctExec, FilterExec, IndexScanExec, LimitExec, ProjectExec, SeqScanExec,
     SortExec, ValuesExec,
 };
-pub use external::{AEVScanExec, EVScanExec};
+pub use external::AEVScanExec;
 pub use instrument::{Instrumentation, Instrumented, OpCounters, OpStats};
 pub use join::{DependentJoinExec, NestedLoopJoinExec};
 pub use reqsync::ReqSyncExec;
 pub use rerank::RerankExec;
 
-use crate::engines::EngineRegistry;
 use crate::plan::PhysPlan;
 use std::sync::Arc;
 use wsq_common::{Result, Schema, Tuple, Value, WsqError};
@@ -42,10 +41,8 @@ pub trait TableSource {
 pub struct ExecContext<'a> {
     /// Stored tables.
     pub tables: &'a dyn TableSource,
-    /// The global request pump (asynchronous iteration).
+    /// The global request pump, through which every external call goes.
     pub pump: Arc<ReqPump>,
-    /// Registered search engines.
-    pub engines: &'a EngineRegistry,
 }
 
 /// The iterator interface every physical operator implements.
@@ -150,21 +147,12 @@ fn build_node(
             schema.clone(),
             rows.iter().map(|r| Tuple::new(r.clone())).collect(),
         ))),
-        PhysPlan::EVScan(spec) => {
-            // A racing spec hands the blocking scan the whole group, in
-            // member order, to fail over across.
-            let members = if spec.race.len() > 1 {
-                spec.race.as_slice()
-            } else {
-                std::slice::from_ref(&spec.engine)
-            };
-            let services = members
-                .iter()
-                .map(|name| Ok((name.clone(), ctx.engines.get(name)?.1.service.clone())))
-                .collect::<Result<Vec<_>>>()?;
-            Ok(Box::new(EVScanExec::new(spec.clone(), services)))
-        }
-        PhysPlan::AEVScan(spec) => Ok(Box::new(AEVScanExec::new(spec.clone(), ctx.pump.clone()))),
+        // A synchronous `EVScan` is the `AEVScan` that waits for its call.
+        PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => Ok(Box::new(AEVScanExec::new(
+            spec.clone(),
+            ctx.pump.clone(),
+            matches!(plan, PhysPlan::EVScan(_)),
+        ))),
         PhysPlan::Filter { input, predicate } => {
             let child = build(input)?;
             Ok(Box::new(FilterExec::new(child, predicate)?))

@@ -475,7 +475,11 @@ fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>) -> Box<dyn Executor
         terms.iter().map(|t| vec![Value::from(*t)]).collect(),
     );
     let spec = pages_spec("W");
-    let scan = Box::new(AEVScanExec::new(Arc::new(spec.clone()), pump.clone()));
+    let scan = Box::new(AEVScanExec::new(
+        Arc::new(spec.clone()),
+        pump.clone(),
+        false,
+    ));
     let dj = Box::new(DependentJoinExec::new(left, scan, &spec).unwrap());
     Box::new(ReqSyncExec::new(dj, pump.clone(), None))
 }
@@ -541,13 +545,13 @@ fn reqsync_copies_propagate_other_pending_calls() {
     let left = rows(schema, vec![vec![Value::from("many")]]);
 
     let spec_a = pages_spec("A");
-    let scan_a = Box::new(AEVScanExec::new(Arc::new(spec_a.clone()), p.clone()));
+    let scan_a = Box::new(AEVScanExec::new(Arc::new(spec_a.clone()), p.clone(), false));
     let dj_a = Box::new(DependentJoinExec::new(left, scan_a, &spec_a).unwrap());
 
     let mut spec_b = pages_spec("B");
     spec_b.rank_limit = 2;
     // B binds on the same original term column.
-    let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone()));
+    let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone(), false));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
     let sync = Box::new(ReqSyncExec::new(dj_b, p.clone(), None));
@@ -601,11 +605,11 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
     let schema = Schema::new(vec![Column::new("term", DataType::Varchar)]);
     let left = rows(schema, vec![vec![Value::from("many")]]);
     let spec_a = pages_spec("A");
-    let scan_a = Box::new(AEVScanExec::new(Arc::new(spec_a.clone()), p.clone()));
+    let scan_a = Box::new(AEVScanExec::new(Arc::new(spec_a.clone()), p.clone(), false));
     let dj_a = Box::new(DependentJoinExec::new(left, scan_a, &spec_a).unwrap());
     let mut spec_b = pages_spec("B");
     spec_b.engine = "BAD".into();
-    let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone()));
+    let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone(), false));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
     let mut sync = ReqSyncExec::new(dj_b, p.clone(), None);
@@ -647,7 +651,9 @@ fn reqsync_passthrough_of_complete_tuples() {
 
 #[test]
 fn evscan_standalone_with_constant_bindings() {
-    // Synchronous EVScan driven by a Values(1 empty row) dependent join.
+    // Synchronous EVScan — the scan that waits — driven by a Values(1
+    // empty row) dependent join. Its call is pending when registered, and
+    // the scan waits for it instead of emitting a placeholder.
     let spec = Arc::new(EvSpec::new(
         VTableKind::WebCount,
         "AV",
@@ -655,11 +661,9 @@ fn evscan_standalone_with_constant_bindings() {
         vec![EvBinding::Const(Value::from("hello"))],
         true,
     ));
+    let p = pump();
     let left = rows(Schema::empty(), vec![vec![]]);
-    let scan = Box::new(EVScanExec::new(
-        spec.clone(),
-        vec![(spec.engine.clone(), Arc::new(Scripted))],
-    ));
+    let scan = Box::new(AEVScanExec::new(spec.clone(), p.clone(), true));
     let dj = Box::new(DependentJoinExec::new(left, scan, &spec).unwrap());
     let out = drain(dj);
     assert_eq!(out.len(), 1);
@@ -667,13 +671,15 @@ fn evscan_standalone_with_constant_bindings() {
     assert_eq!(out[0].get(0).as_str().unwrap(), "hello");
     assert_eq!(out[0].get(1).as_str().unwrap(), "hello");
     assert_eq!(out[0].get(2).as_int().unwrap(), 5);
+    assert_eq!(p.stats().registered, 1);
+    assert_eq!(p.live_calls(), 0);
 }
 
 #[test]
 fn aevscan_rejects_pending_bindings() {
     let p = pump();
     let spec = pages_spec("W");
-    let mut scan = AEVScanExec::new(Arc::new(spec), p);
+    let mut scan = AEVScanExec::new(Arc::new(spec), p, false);
     scan.rebind(&[Value::Pending(wsq_common::Placeholder {
         call: wsq_common::CallId(1),
         col: wsq_common::PendingCol::Url,

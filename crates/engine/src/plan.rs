@@ -15,8 +15,8 @@ use wsq_sql::ast::{AggFunc, ColumnRef, Expr};
 /// paper's asynchronous iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Conventional: every external call blocks the query processor
-    /// (`EVScan` + [`wsq_pump::blocking_execute`]).
+    /// Conventional: every external call blocks the query processor. An
+    /// `EVScan` registers its call with the pump and waits for it.
     Synchronous,
     /// Asynchronous iteration: `AEVScan` + `ReqSync` + ReqPump.
     #[default]
@@ -100,9 +100,9 @@ pub struct EvSpec {
     /// Engines raced for this scan's expression (first result wins,
     /// losers cancelled). Empty or single-element = ordinary
     /// single-engine scan against `engine`; when racing, `engine` is the
-    /// first member. The synchronous `EVScan` cannot race: it tries the
-    /// members in this order and fails over, erroring only after every
-    /// member failed.
+    /// first member. The synchronous `EVScan` cannot race: it registers
+    /// the members one at a time, in this order, waits on each, and fails
+    /// over, erroring only after every member failed.
     pub race: Vec<Arc<str>>,
     /// The output schema (see [`EvSpec::schema`]).
     schema: Schema,

@@ -14,9 +14,11 @@ use wsq_websim::{CorpusConfig, EngineKind, SimWeb};
 fn setup() -> (Database, EngineRegistry, Arc<ReqPump>) {
     let web = SimWeb::build(CorpusConfig::small());
     let mut engines = EngineRegistry::new();
-    engines.register("AV", web.engine(EngineKind::AltaVista), true);
-    engines.register("Google", web.engine(EngineKind::Google), false);
+    engines.register("AV", true);
+    engines.register("Google", false);
     let pump = ReqPump::new(PumpConfig::default());
+    pump.register_service("AV", web.engine(EngineKind::AltaVista));
+    pump.register_service("Google", web.engine(EngineKind::Google));
 
     let mut db = Database::open_in_memory().unwrap();
     db.run_sql(
@@ -206,11 +208,7 @@ fn model_ranking_matches_measured_ranking() {
     let web = SimWeb::build(CorpusConfig::small());
     let mut lat_engines = EngineRegistry::new();
     let lat = wsq_websim::LatencyModel::Fixed(std::time::Duration::from_millis(10));
-    lat_engines.register(
-        "AV",
-        web.engine_with_latency(EngineKind::AltaVista, lat),
-        true,
-    );
+    lat_engines.register("AV", true);
     pump.register_service("AV", web.engine_with_latency(EngineKind::AltaVista, lat));
 
     let p = CostParams {

@@ -349,8 +349,7 @@ fn insert_select_materializes_web_results() {
     use wsq_websim::{CorpusConfig, EngineKind, SimWeb};
     let web = SimWeb::build(CorpusConfig::small());
     let mut t = h();
-    t.engines
-        .register("AV", web.engine(EngineKind::AltaVista), true);
+    t.engines.register("AV", true);
     t.pump
         .register_service("AV", web.engine(EngineKind::AltaVista));
     t.run(
@@ -375,8 +374,7 @@ fn index_on_join_column_used_in_wsq_query() {
     use wsq_websim::{CorpusConfig, EngineKind, SimWeb};
     let web = SimWeb::build(CorpusConfig::small());
     let mut t = h();
-    t.engines
-        .register("AV", web.engine(EngineKind::AltaVista), true);
+    t.engines.register("AV", true);
     t.pump
         .register_service("AV", web.engine(EngineKind::AltaVista));
     t.run("CREATE TABLE S (Name VARCHAR(32))");

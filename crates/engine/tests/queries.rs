@@ -25,12 +25,12 @@ fn harness_with(corpus: CorpusConfig) -> Harness {
     let google = web.engine(EngineKind::Google);
 
     let pump = ReqPump::new(PumpConfig::default());
-    pump.register_service("AV", av.clone());
-    pump.register_service("Google", google.clone());
+    pump.register_service("AV", av);
+    pump.register_service("Google", google);
 
     let mut engines = EngineRegistry::new();
-    engines.register("AV", av, true);
-    engines.register("Google", google, false);
+    engines.register("AV", true);
+    engines.register("Google", false);
 
     let mut db = Database::open_in_memory().unwrap();
     db.create_table(

@@ -17,7 +17,7 @@ struct H {
 fn h() -> H {
     let web = SimWeb::build(CorpusConfig::small());
     let mut engines = EngineRegistry::new();
-    engines.register("AV", web.engine(EngineKind::AltaVista), true);
+    engines.register("AV", true);
     let pump = ReqPump::new(PumpConfig::default());
     pump.register_service("AV", web.engine(EngineKind::AltaVista));
     let mut t = H {

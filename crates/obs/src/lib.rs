@@ -655,9 +655,8 @@ pub fn call_scope<R>(call: CallId, f: impl FnOnce() -> R) -> R {
 
 /// The call the current thread is executing on behalf of, if any — set
 /// by the pump around `SearchService::execute` via [`call_scope`].
-/// Decorators invoked outside a pump launch (e.g. the blocking EVScan
-/// path) see `None` and skip their trace events; their counters still
-/// count.
+/// Decorators invoked outside a pump launch (a service called directly)
+/// see `None` and skip their trace events; their counters still count.
 pub fn current_call() -> Option<CallId> {
     CURRENT_CALL.with(|c| c.get())
 }

@@ -2,9 +2,11 @@
 //! **ReqPump** — the global module for managing asynchronous external calls
 //! (paper Section 4.1).
 //!
-//! During asynchronous iteration, `AEVScan` operators *register* external
-//! search calls here and immediately return placeholder tuples; `ReqSync`
-//! operators *wait* for completions and patch the placeholders. ReqPump
+//! Every external call a query makes goes through here. During
+//! asynchronous iteration, `AEVScan` operators *register* external search
+//! calls and immediately return placeholder tuples; `ReqSync` operators
+//! *wait* for completions and patch the placeholders. A synchronous
+//! `EVScan` is the same scan, waiting on its own call before it yields. ReqPump
 //! plays the producer in the producer/consumer protocol: it launches
 //! requests concurrently (respecting a global cap and per-destination
 //! caps, queueing the excess), stores each response in `ReqPumpHash` keyed
@@ -38,9 +40,6 @@ pub mod pump;
 pub mod service;
 
 pub use pump::{DispatchMode, PumpConfig, PumpStats, Registered, ReqPump};
-pub use service::{
-    blocking_execute, PageHit, RequestKind, SearchRequest, SearchResult, SearchService,
-    ServiceReply,
-};
+pub use service::{PageHit, RequestKind, SearchRequest, SearchResult, SearchService, ServiceReply};
 
 pub use wsq_common::CallId;

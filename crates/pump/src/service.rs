@@ -1,10 +1,9 @@
 //! The external search-service abstraction.
 //!
 //! The query engine never talks to a search engine directly; it builds
-//! [`SearchRequest`]s and hands them either to [`blocking_execute`] (the
-//! synchronous `EVScan` path — the query processor stalls for the request's
-//! full latency) or to [`crate::ReqPump`] (the asynchronous `AEVScan`
-//! path).
+//! [`SearchRequest`]s and hands them to [`crate::ReqPump`], in both
+//! execution modes: a synchronous `EVScan` registers its call and waits
+//! for it, an asynchronous `AEVScan` registers it and moves on.
 
 use std::fmt;
 use std::sync::Arc;
@@ -153,8 +152,7 @@ impl SearchResult {
 /// [`crate::DispatchMode::EventLoop`] the pump's timer thread delivers the
 /// reply `latency` after launch without blocking any thread, and a reply
 /// with `latency == 0` is delivered at once by the thread that ran
-/// [`SearchService::execute`]; the thread-pool dispatcher (and the
-/// synchronous [`blocking_execute`]) sleep for it. A service wrapping a
+/// [`SearchService::execute`]; a thread-pool worker sleeps for it. A service wrapping a
 /// genuinely blocking operation does its blocking work inside `execute`,
 /// returns `latency == 0`, and must run under
 /// [`crate::DispatchMode::ThreadPool`].
@@ -195,7 +193,6 @@ pub trait SearchService: Send + Sync {
     ///   the registering thread. This is the dispatcher for a service that
     ///   genuinely blocks (real network or disk I/O; the `web_crawler`
     ///   example).
-    /// * [`blocking_execute`] — the caller, which then sleeps the latency.
     ///
     /// Several threads may be inside `execute` at once under either
     /// dispatcher. A panic here fails the call with
@@ -204,44 +201,9 @@ pub trait SearchService: Send + Sync {
     fn execute(&self, req: &SearchRequest) -> ServiceReply;
 }
 
-/// Execute a request synchronously, stalling the caller for the full
-/// simulated latency — exactly what a conventional sequential query
-/// processor does on every `EVScan::get_next` (paper §4 intro).
-pub fn blocking_execute(service: &dyn SearchService, req: &SearchRequest) -> Result<SearchResult> {
-    let reply = service.execute(req);
-    if !reply.latency.is_zero() {
-        std::thread::sleep(reply.latency);
-    }
-    reply.result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
-
-    struct Fixed;
-    impl SearchService for Fixed {
-        fn execute(&self, req: &SearchRequest) -> ServiceReply {
-            ServiceReply {
-                result: Ok(SearchResult::Count(req.expr.len() as u64)),
-                latency: Duration::from_millis(20),
-            }
-        }
-    }
-
-    #[test]
-    fn blocking_execute_sleeps_the_latency() {
-        let req = SearchRequest {
-            engine: "AV".into(),
-            expr: "Colorado".into(),
-            kind: RequestKind::Count,
-        };
-        let t0 = Instant::now();
-        let res = blocking_execute(&Fixed, &req).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(20));
-        assert_eq!(res.count(), Some(8));
-    }
 
     #[test]
     fn request_display() {

@@ -3,10 +3,13 @@
 //! rows: with every call a cache hit, no placeholder tuple is ever built,
 //! and the answers are the synchronous plan's. A call that is pending —
 //! here, behind a declared latency — still goes through a placeholder and
-//! `ReqSync`.
+//! `ReqSync`. A synchronous query's calls go through the same pump.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use wsqdsq::prelude::*;
+use wsqdsq::pump::{SearchRequest, SearchService, ServiceReply};
 
 const TEMPLATE_1: &str = "SELECT Name, Count FROM States, WebCount \
                           WHERE Name = T1 AND WebCount.T2 = 'computer'";
@@ -37,7 +40,8 @@ fn placeholders(wsq: &Wsq) -> u64 {
     wsq.obs().metrics().unwrap().placeholder_tuples.get()
 }
 
-/// Rows of `sql` through the synchronous plan: no pump, no placeholders.
+/// Rows of `sql` through the synchronous plan: each scan waits for its
+/// call, so no placeholder is built.
 fn oracle(wsq: &mut Wsq, sql: &str) -> Vec<Tuple> {
     let opts = QueryOptions {
         mode: ExecutionMode::Synchronous,
@@ -151,4 +155,67 @@ fn pending_calls_still_go_through_placeholders() {
     };
     assert_eq!(sorted(rows), sorted(oracle(&mut wsq, TEMPLATE_3)));
     assert_eq!(wsq.pump().live_calls(), 0);
+}
+
+/// A backend that counts the calls it answers.
+struct Counting(Arc<dyn SearchService>, Arc<AtomicU64>);
+
+impl SearchService for Counting {
+    fn execute(&self, req: &SearchRequest) -> ServiceReply {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.execute(req)
+    }
+}
+
+#[test]
+fn synchronous_calls_are_pump_calls() {
+    // Cache off: every launch is a backend call.
+    let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+    wsq.load_reference_data().unwrap();
+    let backend = Arc::new(AtomicU64::new(0));
+    for (name, kind, near) in [
+        ("AV", EngineKind::AltaVista, true),
+        ("Google", EngineKind::Google, false),
+    ] {
+        let inner = wsq.web().engine(kind);
+        wsq.register_engine(name, Arc::new(Counting(inner, backend.clone())), near);
+    }
+    let calls = |sql: &str, wsq: &mut Wsq| {
+        let before = backend.load(Ordering::Relaxed);
+        let rows = oracle(wsq, sql);
+        assert_eq!(wsq.pump().live_calls(), 0, "{sql}");
+        (rows.len(), backend.load(Ordering::Relaxed) - before)
+    };
+
+    // ANALYZE sees a synchronous query's calls: the pump registered and
+    // the trace recorded each of them.
+    wsq.options_mut().mode = ExecutionMode::Synchronous;
+    let before = backend.load(Ordering::Relaxed);
+    let (result, report) = wsq
+        .analyze("SELECT Name, Count FROM States, WebCount WHERE Name = T1")
+        .unwrap();
+    assert_eq!(result.rows.len(), 50);
+    assert_eq!(backend.load(Ordering::Relaxed) - before, 50);
+    let footer = |prefix: &str| {
+        report
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix} footer in:\n{report}"))
+    };
+    assert!(footer("-- pump:").contains("registered=50 "), "{report}");
+    assert!(footer("-- trace:").contains("calls=50 "), "{report}");
+    assert!(!report.contains("AEVScan"), "{report}");
+
+    // The paper's Example 2: a constant binding under a cross product
+    // asks the same question once per state. The scan holds its last
+    // call, so each repeat coalesces onto it: one backend call.
+    let beaches = "SELECT Name, Count FROM States, WebCount WHERE T1 = 'beaches'";
+    assert_eq!(calls(beaches, &mut wsq), (50, 1));
+
+    // Table 1's templates: one backend call per distinct request, as an
+    // asynchronous run makes (Template 3: 37 AltaVista calls, and a
+    // Google call only for the 3 Sigs with an AltaVista page).
+    assert_eq!(calls(TEMPLATE_1, &mut wsq), (50, 50));
+    assert_eq!(calls(TEMPLATE_2, &mut wsq), (63, 100));
+    assert_eq!(calls(TEMPLATE_3, &mut wsq), (3, 40));
 }

@@ -7,6 +7,10 @@
 //! WebCount and WebPages scans, one or two engines, constant and column
 //! bindings, predicates over placeholder attributes (carried filters),
 //! rank limits, aggregation, DISTINCT, ORDER BY and LIMIT.
+//!
+//! Both sides of those checks go through the pump; the sequential side is
+//! itself checked against direct service calls that bypass it
+//! (`synchronous_rows_match_direct_service_calls`).
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -49,8 +53,8 @@ fn fresh_db() -> Database {
 
 fn registry() -> EngineRegistry {
     let mut engines = EngineRegistry::new();
-    engines.register("AV", web().engine(EngineKind::AltaVista), true);
-    engines.register("Google", web().engine(EngineKind::Google), false);
+    engines.register("AV", true);
+    engines.register("Google", false);
     engines
 }
 
@@ -316,7 +320,7 @@ proptest! {
                 jitter: std::time::Duration::from_millis(1),
             };
             let svc = web().engine_with_latency(EngineKind::AltaVista, latency);
-            engines.register(n, svc.clone(), true);
+            engines.register(n, true);
             pump.register_service(n, svc);
         }
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
@@ -510,4 +514,99 @@ fn two_capped_joins_over_pending_calls_match_the_synchronous_plan() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// An oracle that does not touch the pump. Every sync-vs-async check
+/// above runs both sides through the pump, so a coalescing bug there
+/// would be shared; here every synchronous row's external columns are
+/// checked against the corpus engine's `execute`, called directly with
+/// that row's `SearchExp`. The pump runs at one call at a time, at 64,
+/// and from two threads at once, whose identical calls coalesce.
+#[test]
+fn synchronous_rows_match_direct_service_calls() {
+    use std::collections::BTreeMap;
+    use wsqdsq::pump::{RequestKind, SearchRequest, SearchResult, SearchService};
+
+    const COUNTS: &str = "SELECT SearchExp, Name, Count FROM States, WebCount WHERE Name = T1";
+    const PAGES: &str = "SELECT SearchExp, Name, URL, Rank, Date FROM States, WebPages \
+                         WHERE Name = T1 AND Rank <= 3";
+    let direct = |expr: &str, kind: RequestKind| {
+        let req = SearchRequest {
+            engine: "AV".into(),
+            expr: expr.into(),
+            kind,
+        };
+        web()
+            .engine(EngineKind::AltaVista)
+            .execute(&req)
+            .result
+            .unwrap_or_else(|e| panic!("direct call for {expr:?} failed: {e}"))
+    };
+    let check = |db: &Database, pump: &Arc<ReqPump>, case: &str| {
+        let sync = EngineOpts {
+            mode: ExecutionMode::Synchronous,
+            ..Default::default()
+        };
+        let counts = run_rows(db, pump, &registry(), COUNTS, sync);
+        assert_eq!(counts.len(), 50, "{case}");
+        for row in &counts {
+            let expr = row.get(0).as_str().unwrap();
+            let want = direct(expr, RequestKind::Count).count().unwrap();
+            assert_eq!(row.get(2).as_int().unwrap() as u64, want, "{case}: {row}");
+        }
+        // Each expression's rows are exactly its direct call's hits.
+        let mut pages: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for row in run_rows(db, pump, &registry(), PAGES, sync) {
+            let hit = format!("{} {} {}", row.get(2), row.get(3), row.get(4));
+            let expr = row.get(0).as_str().unwrap().to_string();
+            pages.entry(expr).or_default().push(hit);
+        }
+        assert!(!pages.is_empty(), "{case}");
+        for (expr, got) in pages {
+            let SearchResult::Pages(hits) = direct(&expr, RequestKind::Pages { max_rank: 3 })
+            else {
+                panic!("{case}: a pages request answered with a count");
+            };
+            let want: Vec<String> = hits
+                .iter()
+                .map(|h| {
+                    let url = Value::Str(h.url.clone());
+                    let date = Value::Str(h.date.clone());
+                    format!("{url} {} {date}", Value::Int(h.rank.into()))
+                })
+                .collect();
+            assert_eq!(got, want, "{case}: {expr}");
+        }
+    };
+
+    for max_concurrent in [1, 64] {
+        let pump = pump_with(max_concurrent, true);
+        check(
+            &fresh_db(),
+            &pump,
+            &format!("max_concurrent={max_concurrent}"),
+        );
+        assert_eq!(pump.live_calls(), 0, "max_concurrent={max_concurrent}");
+    }
+    // Two sessions on one pump, in step: a call one of them holds or
+    // still waits on absorbs the other's identical registration.
+    let pump = pump_with(64, true);
+    for round in 0..20 {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for session in 0..2 {
+                let (pump, start, check) = (&pump, &start, &check);
+                s.spawn(move || {
+                    let db = fresh_db();
+                    start.wait();
+                    check(&db, pump, &format!("round {round}, session {session}"));
+                });
+            }
+        });
+        assert_eq!(pump.live_calls(), 0, "round {round}");
+        if pump.stats().coalesced > 0 {
+            return;
+        }
+    }
+    panic!("two sessions in step never coalesced a call");
 }
