@@ -253,8 +253,8 @@ impl Session {
     /// [`SessionCursor`] owns its executor tree, so the read lock is
     /// released before this returns — a slow (or stalled) client
     /// streaming rows never blocks other sessions' DDL. Dropping the
-    /// cursor mid-stream releases its pump slots and buffered tuples
-    /// through the executors' `Drop` impls (the server's
+    /// cursor mid-stream releases its pump slots, through the query's
+    /// lease, and its buffered tuples (the server's
     /// disconnect-cancellation path).
     pub fn query_cursor(&mut self, sql: &str) -> Result<SessionCursor> {
         self.queries += 1;
@@ -397,9 +397,9 @@ impl SessionCursor {
         session_scope(self.session, || cursor.next_row())
     }
 
-    /// Drain and close. Dropping without calling this is also safe (the
-    /// executor `Drop` impls release pump state); `finish` just
-    /// surfaces errors instead of swallowing them.
+    /// End the query early. Dropping without calling this is also safe
+    /// (the cursor's lease releases the query's calls either way);
+    /// `finish` just surfaces errors instead of swallowing them.
     pub fn finish(self) -> Result<()> {
         let SessionCursor { cursor, session } = self;
         session_scope(session, || cursor.finish())
@@ -495,7 +495,7 @@ mod tests {
             .unwrap();
         assert_eq!(cur.schema().columns().len(), 2);
         assert!(cur.next_row().unwrap().is_some());
-        // Abandon mid-stream: executor Drop must release every slot.
+        // Abandon mid-stream: the cursor's lease must release every slot.
         drop(cur);
         assert_eq!(sw.pump().live_calls(), 0);
         if let Some(m) = sw.obs().metrics() {

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wsq_common::{with_ascii_lowercase, Column, Result, Schema, Tuple, Value, WsqError};
-use wsq_pump::ReqPump;
+use wsq_pump::{Lease, ReqPump};
 use wsq_sql::ast::{Literal, SelectStmt, Statement};
 use wsq_storage::btree::BTree;
 use wsq_storage::buffer::BufferPool;
@@ -126,7 +126,9 @@ pub struct Cursor {
     schema: Schema,
     executor: Box<dyn crate::exec::Executor>,
     recorder: wsq_obs::QueryRecorder,
-    done: bool,
+    /// The query's calls, released at its last row or, after the recorder
+    /// publishes, when the cursor drops. `None` once the query has ended.
+    lease: Option<Lease>,
 }
 
 impl Cursor {
@@ -137,7 +139,7 @@ impl Cursor {
 
     /// Fetch the next row, or `None` when exhausted.
     pub fn next_row(&mut self) -> Result<Option<Tuple>> {
-        if self.done {
+        if self.lease.is_none() {
             return Ok(None);
         }
         let executor = &mut self.executor;
@@ -151,15 +153,17 @@ impl Cursor {
             self.recorder.publish();
         }
         let row = row?;
-        self.done = row.is_none();
+        if row.is_none() {
+            self.lease = None;
+        }
         Ok(row)
     }
 
-    /// Abandon the cursor early, releasing resources (pending pump
-    /// registrations are released by the operators' `close`).
+    /// End the query early: close the executor tree and drop the cursor,
+    /// whose lease releases the query's calls. Unlike a drop, surfaces the
+    /// close's error.
     pub fn finish(mut self) -> Result<()> {
-        if !self.done {
-            self.done = true;
+        if self.lease.is_some() {
             let executor = &mut self.executor;
             self.recorder.run(|| executor.close())?;
         }
@@ -768,9 +772,11 @@ impl Database {
     ) -> Result<Cursor> {
         let stmt = self.resolve_subqueries(stmt, engines, pump, opts)?;
         let plan = self.plan_query(&stmt, engines, opts)?;
+        let lease = pump.lease();
         let ctx = ExecContext {
             tables: self,
             pump: pump.clone(),
+            lease: &lease,
         };
         let mut recorder = pump.obs().recorder();
         let executor = recorder.run(|| {
@@ -783,7 +789,7 @@ impl Database {
             schema: plan.schema(),
             executor,
             recorder,
-            done: false,
+            lease: Some(lease),
         })
     }
 
@@ -799,16 +805,9 @@ impl Database {
     ) -> Result<(QueryResult, String)> {
         let stmt = self.resolve_subqueries(stmt, engines, pump, opts)?;
         let plan = self.plan_query(&stmt, engines, opts)?;
-        let ctx = ExecContext {
-            tables: self,
-            pump: pump.clone(),
-        };
         let instr = exec::Instrumentation::new();
         let before = pump.stats();
-        let rows = pump.obs().record(|| {
-            let mut executor = exec::build_instrumented(&plan, &ctx, &instr)?;
-            exec::collect(executor.as_mut())
-        })?;
+        let rows = self.collect_rows(pump, |ctx| exec::build_instrumented(&plan, ctx, &instr))?;
         let after = pump.stats();
         instr.note_counters(
             "pump",
@@ -830,25 +829,35 @@ impl Database {
         ))
     }
 
-    /// Execute an already-built plan, under a recorder of its own
-    /// ([`wsq_obs::QueryRecorder`]) that publishes once the executor tree
-    /// is done. Every external call goes through `pump`; `_engines` is
-    /// read by nothing (`wsqbench` names this signature; goes with
-    /// ROADMAP 1(d)).
+    /// Collect the rows of the executor tree `build` makes, under a
+    /// recorder of its own ([`wsq_obs::QueryRecorder`]) that publishes once
+    /// the tree is done, and a [`Lease`] that then releases its calls.
+    fn collect_rows(
+        &self,
+        pump: &Arc<ReqPump>,
+        build: impl FnOnce(&ExecContext<'_>) -> Result<Box<dyn exec::Executor>>,
+    ) -> Result<Vec<Tuple>> {
+        pump.obs().record(|| {
+            let lease = pump.lease();
+            let ctx = ExecContext {
+                tables: self,
+                pump: pump.clone(),
+                lease: &lease,
+            };
+            exec::collect(build(&ctx)?.as_mut())
+        })
+    }
+
+    /// Execute an already-built plan (see `collect_rows`). Every external
+    /// call goes through `pump`; `_engines` is read by nothing (`wsqbench`
+    /// names this signature; goes with ROADMAP 1(d)).
     pub fn run_plan(
         &self,
         plan: &PhysPlan,
         _engines: &EngineRegistry,
         pump: &Arc<ReqPump>,
     ) -> Result<QueryResult> {
-        let ctx = ExecContext {
-            tables: self,
-            pump: pump.clone(),
-        };
-        let rows = pump.obs().record(|| {
-            let mut exec = exec::build(plan, &ctx)?;
-            exec::collect(exec.as_mut())
-        })?;
+        let rows = self.collect_rows(pump, |ctx| exec::build(plan, ctx))?;
         Ok(QueryResult {
             schema: plan.schema(),
             rows,

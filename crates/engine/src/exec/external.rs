@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use wsq_common::{CallId, PendingCol, Placeholder, Result, Schema, Tuple, Value, WsqError};
 use wsq_obs::{CounterId, EventKind, Step};
-use wsq_pump::{Registered, ReqPump, RequestKind, SearchRequest, SearchResult};
+use wsq_pump::{LeaseId, Registered, ReqPump, RequestKind, SearchRequest, SearchResult};
 
 pub(crate) fn request_for(spec: &EvSpec, expr: String) -> SearchRequest {
     SearchRequest {
@@ -107,22 +107,23 @@ pub(crate) fn materialize_result(
 /// subtree, so no `next` reaches this scan and no new calls enter the
 /// pump while the buffer is full.
 ///
-/// The scan keeps its reference to the last call delivered to it until
-/// its next registration — which releases it in the pump's same lock hold,
-/// after the new request has been matched — or until `close` or drop. So
-/// consecutive identical calls (the `|R|` duplicates of the paper's
-/// Example 2) coalesce onto one launch, as they do while pending.
+/// Each call is held by the query's lease. The scan gives up only its last
+/// delivered call, at its next registration, in the pump's same lock hold
+/// after the new request has been matched: so consecutive identical calls
+/// (the `|R|` duplicates of the paper's Example 2) coalesce onto one
+/// launch, and a warm query holds one delivered result per scan.
 pub struct AEVScanExec {
     /// Shared with the plan, and the source of this scan's schema.
     spec: Arc<EvSpec>,
     pump: Arc<ReqPump>,
+    lease: LeaseId,
     bindings: Vec<Value>,
     /// Whether the current binding's call is registered.
     registered: bool,
     /// The current binding's rows not yet emitted: a delivered result's
     /// rows, or the placeholder tuple of a pending call.
     rows: VecDeque<Tuple>,
-    /// The last delivered call, whose reference this scan still holds.
+    /// The last delivered call, to give up at the next registration.
     held: Option<CallId>,
     /// Whether to wait for a pending call instead of emitting a
     /// placeholder (the synchronous `EVScan`).
@@ -130,12 +131,14 @@ pub struct AEVScanExec {
 }
 
 impl AEVScanExec {
-    /// Create a scan of `spec` registering through `pump`; with `wait`, it
-    /// waits for each call instead of emitting a placeholder.
-    pub fn new(spec: Arc<EvSpec>, pump: Arc<ReqPump>, wait: bool) -> Self {
+    /// Create a scan of `spec` registering through `pump` under `lease`;
+    /// with `wait`, it waits for each call instead of emitting a
+    /// placeholder.
+    pub fn new(spec: Arc<EvSpec>, pump: Arc<ReqPump>, lease: LeaseId, wait: bool) -> Self {
         AEVScanExec {
             spec,
             pump,
+            lease,
             bindings: Vec::new(),
             registered: false,
             rows: VecDeque::new(),
@@ -177,10 +180,10 @@ impl AEVScanExec {
                     req
                 })
                 .collect();
-            self.pump.register_race(reqs, release)?
+            self.pump.register_race(self.lease, reqs, release)?
         } else {
-            self.pump
-                .register_delivered(request_for(&self.spec, expr), release)?
+            let req = request_for(&self.spec, expr);
+            self.pump.register_delivered(self.lease, req, release)?
         };
         let call = match registered {
             Registered::Pending(call) => call,
@@ -220,7 +223,7 @@ impl AEVScanExec {
             if result.is_ok() {
                 return Ok((call, result));
             }
-            self.drop_failed(call);
+            self.delivered_failure(call);
             req.engine.clear();
             req.engine.push_str(engine);
         }
@@ -233,29 +236,28 @@ impl AEVScanExec {
         req: SearchRequest,
         release: Option<CallId>,
     ) -> Result<(CallId, Result<SearchResult>)> {
-        Ok(match self.pump.register_delivered(req, release)? {
+        let registered = self.pump.register_delivered(self.lease, req, release)?;
+        Ok(match registered {
             Registered::Delivered(call, result) => (call, result),
             Registered::Pending(call) => (call, self.pump.wait(call)),
         })
     }
 
-    /// Record the delivery of a failed call and give up its reference.
-    fn drop_failed(&self, call: CallId) {
+    /// Record the delivery of a failed call.
+    fn delivered_failure(&self, call: CallId) {
         self.pump
             .obs()
             .event(&Step::continuing(), call, EventKind::Delivered);
-        self.pump.release(call);
     }
 
     /// Emit a call's result: the rows, and the delivery and patch (or
     /// cancellation) events `ReqSync` would have recorded, continuing the
-    /// step that completed the call. A failure fails the query, and its
-    /// reference is not kept.
+    /// step that completed the call. A failure fails the query.
     fn deliver(&mut self, call: CallId, expr: &Value, result: Result<SearchResult>) -> Result<()> {
         let result = match result {
             Ok(result) => result,
             Err(e) => {
-                self.drop_failed(call);
+                self.delivered_failure(call);
                 return Err(e);
             }
         };
@@ -272,12 +274,6 @@ impl AEVScanExec {
         obs.emit(&step, [(call, EventKind::Delivered), (call, outcome)]);
         self.held = Some(call);
         Ok(())
-    }
-
-    fn release_held(&mut self) {
-        if let Some(call) = self.held.take() {
-            self.pump.release(call);
-        }
     }
 }
 
@@ -305,17 +301,5 @@ impl Executor for AEVScanExec {
             self.register()?;
         }
         Ok(self.rows.pop_front())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.rows.clear();
-        self.release_held();
-        Ok(())
-    }
-}
-
-impl Drop for AEVScanExec {
-    fn drop(&mut self) {
-        self.release_held();
     }
 }

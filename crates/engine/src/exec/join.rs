@@ -323,9 +323,6 @@ impl Executor for DependentJoinExec {
                     tuple
                 }
             };
-            // An exhausted inner scan is re-opened for the next outer tuple,
-            // not closed: an `AEVScan` keeps its last delivered call until
-            // its next registration, so an identical next call coalesces.
             if let Some(r) = self.right.next()? {
                 let joined = outer.join(&r);
                 self.outer = Some(outer);

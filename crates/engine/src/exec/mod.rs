@@ -24,7 +24,7 @@ pub use rerank::RerankExec;
 use crate::plan::PhysPlan;
 use std::sync::Arc;
 use wsq_common::{Result, Schema, Tuple, Value, WsqError};
-use wsq_pump::ReqPump;
+use wsq_pump::{Lease, ReqPump};
 use wsq_storage::heap::HeapFile;
 
 /// Provides stored-table access to scan executors.
@@ -43,6 +43,9 @@ pub struct ExecContext<'a> {
     pub tables: &'a dyn TableSource,
     /// The global request pump, through which every external call goes.
     pub pump: Arc<ReqPump>,
+    /// The query's hold on its calls, under which every external scan
+    /// registers; dropped by whoever runs the query when it ends.
+    pub lease: &'a Lease,
 }
 
 /// The iterator interface every physical operator implements.
@@ -151,6 +154,7 @@ fn build_node(
         PhysPlan::EVScan(spec) | PhysPlan::AEVScan(spec) => Ok(Box::new(AEVScanExec::new(
             spec.clone(),
             ctx.pump.clone(),
+            ctx.lease.id(),
             matches!(plan, PhysPlan::EVScan(_)),
         ))),
         PhysPlan::Filter { input, predicate } => {

@@ -15,11 +15,10 @@
 //! 3. `n > 1` rows → `n − 1` **copies** are created and all are filled.
 //!
 //! Copies retain any placeholders for *other* pending calls (§4.4's
-//! nuance) and are re-indexed under those calls. Exactly one tuple "owns"
-//! each pump registration; ownership drives `ReqPump::release` so results
-//! are freed exactly once even when copies proliferate references. The
-//! calls a tuple owns are not stored: an owner owns exactly the calls its
-//! placeholders still name.
+//! nuance) and are re-indexed under those calls. No tuple owns a call: the
+//! query's lease holds each result until the query ends, so a copy that a
+//! join made after its call was patched takes the same result again. On an
+//! error, a re-open or a close this operator just empties its buffer.
 //!
 //! # Admission control (backpressure)
 //!
@@ -47,11 +46,6 @@ use wsq_pump::{ReqPump, SearchResult};
 
 struct BufTuple {
     tuple: Tuple,
-    /// Whether this tuple is responsible for releasing the pump
-    /// registration of every call it still waits on. A tuple admitted from
-    /// the child is, and hands that on to the first tuple patched from it;
-    /// the other §4.3 copies own nothing.
-    owner: bool,
     /// The clock reading of the step that put the tuple in the buffer
     /// (patch-delay anchor), kept only while observability is on.
     admitted: Option<Tick>,
@@ -78,7 +72,6 @@ pub struct ReqSyncExec {
     scratch: Vec<CallId>,
     next_id: u64,
     child_done: bool,
-    opened: bool,
 }
 
 impl ReqSyncExec {
@@ -100,7 +93,6 @@ impl ReqSyncExec {
             scratch: Vec::new(),
             next_id: 0,
             child_done: false,
-            opened: false,
         }
     }
 
@@ -165,9 +157,9 @@ impl ReqSyncExec {
     }
 
     /// Emit a complete tuple; buffer an incomplete one under every call it
-    /// waits on, stamped `admitted`. Takes the child's tuples (owners) and
-    /// puts a patched — possibly still incomplete — tuple back.
-    fn admit(&mut self, tuple: Tuple, owner: bool, admitted: Option<Tick>) {
+    /// waits on, stamped `admitted`. Takes the child's tuples and puts a
+    /// patched — possibly still incomplete — tuple back.
+    fn admit(&mut self, tuple: Tuple, admitted: Option<Tick>) {
         if !tuple.is_incomplete() {
             self.ready.push_back(tuple);
             return;
@@ -179,19 +171,13 @@ impl ReqSyncExec {
             self.index.entry(c).or_default().push(id);
         }
         self.obs.shift(GaugeId::ReqsyncBuffered, 1);
-        self.buffered.insert(
-            id,
-            BufTuple {
-                tuple,
-                owner,
-                admitted,
-            },
-        );
+        self.buffered.insert(id, BufTuple { tuple, admitted });
     }
 
     /// Apply a completed call's `outcome` to every tuple waiting on it, as
     /// part of delivery step `step`. Stale calls (no tuple waits on them
-    /// any more) are a no-op.
+    /// any more) are a no-op. A failure fails the query and empties the
+    /// buffer.
     fn patch_with(
         &mut self,
         call: CallId,
@@ -217,12 +203,17 @@ impl ReqSyncExec {
                 _ => (call, EventKind::Delivered),
             }),
         );
-        let mut ids = ids.into_iter();
-        while let Some(id) = ids.next() {
-            // The index is compacted on every removal (`unindex`, and the
-            // error arm below), so an id listed under `call` must still be
-            // buffered. A miss here means the two maps diverged — a leak
-            // of buffered tuples and their pump registrations.
+        let result = match outcome {
+            Ok(result) => result,
+            Err(e) => {
+                self.clear();
+                return Err(e.clone());
+            }
+        };
+        for id in ids {
+            // The index is compacted on every removal (`unindex`), so an
+            // id listed under `call` must still be buffered. A miss here
+            // means the two maps diverged — a leak of buffered tuples.
             let Some(entry) = self.buffered.remove(&id) else {
                 debug_assert!(false, "index[{call:?}] held stale tuple id {id}");
                 continue;
@@ -238,82 +229,46 @@ impl ReqSyncExec {
             entry.tuple.pending_calls_into(&mut self.scratch);
             self.scratch.retain(|c| *c != call);
             unindex(&mut self.index, id, &self.scratch);
-            let BufTuple { tuple, owner, .. } = entry;
-            match outcome {
-                Err(e) => {
-                    // A failed external call fails the query. Release what
-                    // we own first so the pump does not leak.
-                    if owner {
-                        self.pump.release(call);
-                        release_all(&self.pump, &self.scratch);
-                    }
-                    // Compact the *remaining* waiters on this call too.
-                    // `index[call]` was already removed above; abandoning
-                    // the rest of the list would leave their buffered
-                    // entries unreachable — the buffered gauge stuck high
-                    // and their owned registrations held until close.
-                    for id in ids {
-                        let Some(entry) = self.buffered.remove(&id) else {
-                            debug_assert!(
-                                false,
-                                "index[{call:?}] held stale tuple id {id} (error path)"
-                            );
-                            continue;
-                        };
-                        self.obs.shift(GaugeId::ReqsyncBuffered, -1);
-                        // `call` included: its list is gone already, and
-                        // an owner still holds its registration.
-                        entry.tuple.pending_calls_into(&mut self.scratch);
-                        unindex(&mut self.index, id, &self.scratch);
-                        if entry.owner {
-                            release_all(&self.pump, &self.scratch);
-                        }
-                    }
-                    return Err(e.clone());
-                }
-                Ok(SearchResult::Count(n)) => {
-                    let mut t = tuple;
+            match result {
+                SearchResult::Count(n) => {
+                    let mut t = entry.tuple;
                     fill(&mut t, call, |col| match col {
                         PendingCol::Count => Some(Value::Int(*n as i64)),
                         _ => None,
                     });
                     self.obs.count(CounterId::TuplesPatched, 1);
-                    self.admit(t, owner, self.obs.stamp(step));
+                    self.admit(t, self.obs.stamp(step));
                 }
-                Ok(SearchResult::Pages(hits)) => {
-                    if hits.is_empty() {
-                        // §4.3 case 1 (counted by its `TupleCancelled`
-                        // event, above): cancel the tuple; release any other
-                        // calls it owned (their values are no longer
-                        // needed by this tuple — other tuples referencing
-                        // them hold their own registrations only if they
-                        // made them, so transfer is unnecessary).
-                        if owner {
-                            release_all(&self.pump, &self.scratch);
-                        }
-                    } else {
-                        // Cases 2 and 3: one patched tuple per hit. The
-                        // first copy inherits ownership of the remaining
-                        // calls; the rest own nothing (§4.4).
-                        self.obs.count(CounterId::TuplesPatched, hits.len() as u64);
-                        for (i, hit) in hits.iter().enumerate() {
-                            let mut t = tuple.clone();
-                            fill(&mut t, call, |col| match col {
-                                PendingCol::Url => Some(Value::Str(hit.url.clone())),
-                                PendingCol::Rank => Some(Value::Int(hit.rank as i64)),
-                                PendingCol::Date => Some(Value::Str(hit.date.clone())),
-                                PendingCol::Count => None,
-                            });
-                            self.admit(t, owner && i == 0, self.obs.stamp(step));
-                        }
+                // §4.3 case 1 (counted by its `TupleCancelled` event,
+                // above): the tuple is dropped. Cases 2 and 3: one patched
+                // tuple per hit, each keeping the other calls' placeholders
+                // (§4.4).
+                SearchResult::Pages(hits) => {
+                    self.obs.count(CounterId::TuplesPatched, hits.len() as u64);
+                    for hit in hits.iter() {
+                        let mut t = entry.tuple.clone();
+                        fill(&mut t, call, |col| match col {
+                            PendingCol::Url => Some(Value::Str(hit.url.clone())),
+                            PendingCol::Rank => Some(Value::Int(hit.rank as i64)),
+                            PendingCol::Date => Some(Value::Str(hit.date.clone())),
+                            PendingCol::Count => None,
+                        });
+                        self.admit(t, self.obs.stamp(step));
                     }
                 }
             }
-            if owner {
-                self.pump.release(call);
-            }
         }
         Ok(())
+    }
+
+    /// Empty the buffer: the query ended, or starts again. The calls its
+    /// tuples waited on stay with the query's lease.
+    fn clear(&mut self) {
+        self.obs
+            .shift(GaugeId::ReqsyncBuffered, -(self.buffered.len() as i64));
+        self.buffered.clear();
+        self.index.clear();
+        self.ready.clear();
     }
 
     /// Patch every pending call that has already completed: one
@@ -394,14 +349,6 @@ fn unindex(index: &mut IdMap<CallId, Vec<u64>>, id: u64, calls: &[CallId]) {
     }
 }
 
-/// Release the pump registration of every call in `calls` (what an owner
-/// in hand still waits on).
-fn release_all(pump: &ReqPump, calls: &[CallId]) {
-    for &c in calls {
-        pump.release(c);
-    }
-}
-
 /// Replace every placeholder of `call` in `tuple` using `value_for`.
 fn fill(tuple: &mut Tuple, call: CallId, value_for: impl Fn(PendingCol) -> Option<Value>) {
     for v in tuple.values_mut() {
@@ -421,10 +368,8 @@ impl Executor for ReqSyncExec {
     }
 
     fn open(&mut self) -> Result<()> {
-        // A re-open first releases what the last run's owners still hold.
-        self.close()?;
+        self.clear();
         self.child_done = false;
-        self.opened = true;
         self.child.open()
     }
 
@@ -454,7 +399,7 @@ impl Executor for ReqSyncExec {
                         // registration never gets here: its scan emitted
                         // finished rows).
                         let admitted = self.obs.stamp(&Step::continuing());
-                        self.admit(t, true, admitted);
+                        self.admit(t, admitted);
                         self.drain_completions(&Step::continuing())?;
                         continue;
                     }
@@ -483,26 +428,15 @@ impl Executor for ReqSyncExec {
     }
 
     fn close(&mut self) -> Result<()> {
-        // Release every registration still owned by buffered tuples (the
-        // query may have been cut short by a LIMIT above us).
-        self.obs
-            .shift(GaugeId::ReqsyncBuffered, -(self.buffered.len() as i64));
-        for (_, entry) in self.buffered.drain() {
-            if entry.owner {
-                entry.tuple.pending_calls_into(&mut self.scratch);
-                release_all(&self.pump, &self.scratch);
-            }
-        }
-        self.index.clear();
-        self.ready.clear();
+        // The query may have been cut short by a LIMIT above us.
+        self.clear();
         Ok(())
     }
 }
 
 impl Drop for ReqSyncExec {
+    /// A cursor dropped mid-stream leaves no tuple counted as buffered.
     fn drop(&mut self) {
-        if self.opened {
-            let _ = self.close();
-        }
+        self.clear();
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsq_common::{Column, DataType, Schema, Tuple, Value};
 use wsq_pump::{
-    PageHit, PumpConfig, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService,
+    Lease, PageHit, PumpConfig, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService,
     ServiceReply,
 };
 use wsq_sql::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal};
@@ -443,7 +443,8 @@ fn instant_replies_are_delivered_to_their_scan_as_finished_rows() {
         ..PumpConfig::default()
     });
     p.register_service("AV", Arc::new(Scripted));
-    let out = drain(async_pages_pipeline(&["many", "one", "none"], &p));
+    let lease = p.lease();
+    let out = drain(async_pages_pipeline(&["many", "one", "none"], &p, &lease));
     let urls: Vec<&str> = out.iter().map(|t| t.get(3).as_str().unwrap()).collect();
     assert_eq!(
         urls,
@@ -454,6 +455,7 @@ fn instant_replies_are_delivered_to_their_scan_as_finished_rows() {
     assert_eq!(m.reqsync_buffered.high_water(), 0);
     assert_eq!(m.tuples_patched.get(), 4);
     assert_eq!(m.tuples_cancelled.get(), 1);
+    drop(lease);
     assert_eq!(p.live_calls(), 0);
 }
 
@@ -467,8 +469,9 @@ fn pages_spec(alias: &str) -> EvSpec {
     spec
 }
 
-/// Dependent join of terms against an async WebPages scan, synchronized.
-fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>) -> Box<dyn Executor> {
+/// Dependent join of terms against an async WebPages scan registering
+/// under `lease`, synchronized.
+fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>, lease: &Lease) -> Box<dyn Executor> {
     let schema = Schema::new(vec![Column::new("term", DataType::Varchar)]);
     let left = rows(
         schema,
@@ -478,6 +481,7 @@ fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>) -> Box<dyn Executor
     let scan = Box::new(AEVScanExec::new(
         Arc::new(spec.clone()),
         pump.clone(),
+        lease.id(),
         false,
     ));
     let dj = Box::new(DependentJoinExec::new(left, scan, &spec).unwrap());
@@ -487,9 +491,10 @@ fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>) -> Box<dyn Executor
 #[test]
 fn reqsync_generation_cancellation_and_fill() {
     let p = pump();
+    let lease = p.lease();
     // "many" → 3 hits (generation), "one" → 1 (fill), "none" → 0
     // (cancellation).
-    let out = drain(async_pages_pipeline(&["many", "one", "none"], &p));
+    let out = drain(async_pages_pipeline(&["many", "one", "none"], &p, &lease));
     assert_eq!(out.len(), 4);
     let urls: Vec<&str> = out
         .iter()
@@ -507,13 +512,14 @@ fn reqsync_generation_cancellation_and_fill() {
         assert!((1..=3).contains(&rank));
         assert!(!t.is_incomplete());
     }
+    drop(lease);
     assert_eq!(p.live_calls(), 0);
 }
 
 #[test]
 fn reopening_a_reqsync_releases_the_calls_its_tuples_hold() {
     // One call in flight at a time, so after the first row the other
-    // four terms' tuples are still buffered, each owning a registration.
+    // four terms' tuples are still buffered, each waiting on a call.
     let p = ReqPump::new(PumpConfig {
         max_concurrent: 1,
         ..PumpConfig::default()
@@ -522,7 +528,8 @@ fn reopening_a_reqsync_releases_the_calls_its_tuples_hold() {
         "AV",
         Arc::new(Declared(Scripted, Duration::from_millis(20))),
     );
-    let mut sync = async_pages_pipeline(&["a", "b", "c", "d", "e"], &p);
+    let lease = p.lease();
+    let mut sync = async_pages_pipeline(&["a", "b", "c", "d", "e"], &p, &lease);
     sync.open().unwrap();
     assert!(sync.next().unwrap().is_some());
     sync.open().unwrap();
@@ -533,7 +540,61 @@ fn reopening_a_reqsync_releases_the_calls_its_tuples_hold() {
     assert_eq!(rows, 15);
     sync.close().unwrap();
     drop(sync);
+    drop(lease);
     assert_eq!(p.live_calls(), 0, "a re-open leaked pump registrations");
+}
+
+#[test]
+fn copies_of_a_pending_tuple_leave_an_outside_registrant_its_call() {
+    // Another registrant (a second session) holds the call the scan
+    // coalesces onto. A cross product copies the scan's pending tuple
+    // three times; ReqSync patches all three and gives back nothing the
+    // other registrant holds.
+    let p = ReqPump::new(PumpConfig::default());
+    p.register_service(
+        "AV",
+        Arc::new(Declared(Scripted, Duration::from_millis(20))),
+    );
+    let outside = p
+        .register(SearchRequest {
+            engine: "AV".into(),
+            expr: "hello".into(),
+            kind: RequestKind::Count,
+        })
+        .unwrap();
+    let spec = EvSpec::new(
+        VTableKind::WebCount,
+        "AV",
+        "WC",
+        vec![EvBinding::Const(Value::from("hello"))],
+        true,
+    );
+    let lease = p.lease();
+    let scan = Box::new(AEVScanExec::new(
+        Arc::new(spec.clone()),
+        p.clone(),
+        lease.id(),
+        false,
+    ));
+    let outer =
+        Box::new(DependentJoinExec::new(rows(Schema::empty(), vec![vec![]]), scan, &spec).unwrap());
+    let inner = rows(
+        int_schema(&["x"]),
+        (1..=3).map(|i| vec![Value::Int(i)]).collect(),
+    );
+    let cross = Box::new(NestedLoopJoinExec::new(outer, inner, None).unwrap());
+    let out = drain(Box::new(ReqSyncExec::new(cross, p.clone(), None)));
+    assert_eq!(out.len(), 3);
+    assert!(
+        out.iter().all(|t| t.get(2).as_int().ok() == Some(5)),
+        "{out:?}"
+    );
+    assert_eq!(p.stats().coalesced, 1);
+    assert_eq!(p.wait(outside).unwrap().count(), Some(5));
+    drop(lease);
+    assert_eq!(p.wait(outside).unwrap().count(), Some(5));
+    p.release(outside);
+    assert_eq!(p.live_calls(), 0);
 }
 
 #[test]
@@ -541,17 +602,28 @@ fn reqsync_copies_propagate_other_pending_calls() {
     // §4.4: a tuple with placeholders from TWO calls; when the first
     // completes with n rows, the copies must still resolve the second.
     let p = pump();
+    let lease = p.lease();
     let schema = Schema::new(vec![Column::new("term", DataType::Varchar)]);
     let left = rows(schema, vec![vec![Value::from("many")]]);
 
     let spec_a = pages_spec("A");
-    let scan_a = Box::new(AEVScanExec::new(Arc::new(spec_a.clone()), p.clone(), false));
+    let scan_a = Box::new(AEVScanExec::new(
+        Arc::new(spec_a.clone()),
+        p.clone(),
+        lease.id(),
+        false,
+    ));
     let dj_a = Box::new(DependentJoinExec::new(left, scan_a, &spec_a).unwrap());
 
     let mut spec_b = pages_spec("B");
     spec_b.rank_limit = 2;
     // B binds on the same original term column.
-    let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone(), false));
+    let scan_b = Box::new(AEVScanExec::new(
+        Arc::new(spec_b.clone()),
+        p.clone(),
+        lease.id(),
+        false,
+    ));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
     let sync = Box::new(ReqSyncExec::new(dj_b, p.clone(), None));
@@ -564,6 +636,7 @@ fn reqsync_copies_propagate_other_pending_calls() {
     for t in &out {
         assert!(!t.is_incomplete());
     }
+    drop(lease);
     assert_eq!(p.live_calls(), 0);
 }
 
@@ -572,9 +645,9 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
     // Regression: when a call fails while SEVERAL tuples wait on it
     // (§4.3 case-3 copies all carrying the same second placeholder),
     // the error path used to compact only the first waiter out of the
-    // buffer — the rest stayed orphaned (buffered gauge stuck high,
-    // their owned registrations held) until close(). The compaction
-    // must happen when the error surfaces, not at close.
+    // buffer — the rest stayed orphaned (buffered gauge stuck high)
+    // until close(). The buffer must empty when the error surfaces, not
+    // at close, and the lease then gives back every call.
     struct Failing;
     impl SearchService for Failing {
         fn execute(&self, req: &SearchRequest) -> ServiceReply {
@@ -604,12 +677,23 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
     // indexed under its call.
     let schema = Schema::new(vec![Column::new("term", DataType::Varchar)]);
     let left = rows(schema, vec![vec![Value::from("many")]]);
+    let lease = p.lease();
     let spec_a = pages_spec("A");
-    let scan_a = Box::new(AEVScanExec::new(Arc::new(spec_a.clone()), p.clone(), false));
+    let scan_a = Box::new(AEVScanExec::new(
+        Arc::new(spec_a.clone()),
+        p.clone(),
+        lease.id(),
+        false,
+    ));
     let dj_a = Box::new(DependentJoinExec::new(left, scan_a, &spec_a).unwrap());
     let mut spec_b = pages_spec("B");
     spec_b.engine = "BAD".into();
-    let scan_b = Box::new(AEVScanExec::new(Arc::new(spec_b.clone()), p.clone(), false));
+    let scan_b = Box::new(AEVScanExec::new(
+        Arc::new(spec_b.clone()),
+        p.clone(),
+        lease.id(),
+        false,
+    ));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
     let mut sync = ReqSyncExec::new(dj_b, p.clone(), None);
@@ -623,15 +707,17 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
     };
     assert!(err.to_string().contains("503"), "{err}");
     // Every waiter was compacted out when the error surfaced — before
-    // close() — and its registrations released with it.
+    // close().
     let m = obs.metrics().unwrap();
     assert_eq!(
         m.reqsync_buffered.get(),
         0,
         "error path left buffer slots occupied"
     );
-    assert_eq!(p.live_calls(), 0, "error path leaked pump registrations");
     sync.close().unwrap();
+    drop(sync);
+    drop(lease);
+    assert_eq!(p.live_calls(), 0, "error path leaked pump registrations");
 }
 
 #[test]
@@ -662,8 +748,9 @@ fn evscan_standalone_with_constant_bindings() {
         true,
     ));
     let p = pump();
+    let lease = p.lease();
     let left = rows(Schema::empty(), vec![vec![]]);
-    let scan = Box::new(AEVScanExec::new(spec.clone(), p.clone(), true));
+    let scan = Box::new(AEVScanExec::new(spec.clone(), p.clone(), lease.id(), true));
     let dj = Box::new(DependentJoinExec::new(left, scan, &spec).unwrap());
     let out = drain(dj);
     assert_eq!(out.len(), 1);
@@ -672,14 +759,16 @@ fn evscan_standalone_with_constant_bindings() {
     assert_eq!(out[0].get(1).as_str().unwrap(), "hello");
     assert_eq!(out[0].get(2).as_int().unwrap(), 5);
     assert_eq!(p.stats().registered, 1);
+    drop(lease);
     assert_eq!(p.live_calls(), 0);
 }
 
 #[test]
 fn aevscan_rejects_pending_bindings() {
     let p = pump();
+    let lease = p.lease();
     let spec = pages_spec("W");
-    let mut scan = AEVScanExec::new(Arc::new(spec), p, false);
+    let mut scan = AEVScanExec::new(Arc::new(spec), p.clone(), lease.id(), false);
     scan.rebind(&[Value::Pending(wsq_common::Placeholder {
         call: wsq_common::CallId(1),
         col: wsq_common::PendingCol::Url,

@@ -39,7 +39,7 @@
 pub mod pump;
 pub mod service;
 
-pub use pump::{DispatchMode, PumpConfig, PumpStats, Registered, ReqPump};
+pub use pump::{DispatchMode, Lease, LeaseId, PumpConfig, PumpStats, Registered, ReqPump};
 pub use service::{PageHit, RequestKind, SearchRequest, SearchResult, SearchService, ServiceReply};
 
 pub use wsq_common::CallId;

@@ -72,7 +72,7 @@ use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -245,8 +245,7 @@ fn raise(peak: &AtomicU64, v: u64) {
 
 /// What a delivering registration ([`ReqPump::register_delivered`],
 /// [`ReqPump::register_race`]) came back with. Either way the
-/// registrant holds one reference to the call, as after
-/// [`ReqPump::register`].
+/// registrant's lease holds one reference to the call.
 #[derive(Debug)]
 pub enum Registered {
     /// The call is still pending: its result arrives through
@@ -257,15 +256,6 @@ pub enum Registered {
     /// and this is its result, taken for the registrant as
     /// [`ReqPump::take_completed`] would have taken it.
     Delivered(CallId, Result<SearchResult>),
-}
-
-impl Registered {
-    /// The registered call (or racing group), delivered or not.
-    pub fn call(&self) -> CallId {
-        match self {
-            Registered::Pending(call) | Registered::Delivered(call, _) => *call,
-        }
-    }
 }
 
 /// Waiters to wake once the state lock is released, each with the call id
@@ -411,6 +401,11 @@ struct State {
     deadlines: BinaryHeap<Reverse<Pending>>,
     /// An empty launch-round buffer kept for the next round to fill.
     spare_launches: Vec<Launch>,
+    /// The references each live [`Lease`] holds, one entry per reference
+    /// (a call the query registered twice is listed twice).
+    leases: IdMap<LeaseId, Vec<CallId>>,
+    /// Emptied lease records kept for the next leases to fill.
+    spare_leases: Vec<Vec<CallId>>,
     shutdown: bool,
 }
 
@@ -461,6 +456,50 @@ impl Shared {
             Some(own) => own.fold(EventKind::Failed),
             None => self.config.obs.count(CounterId::CallsFailed, 1),
         }
+    }
+}
+
+/// One query's hold on the calls it registers under [`Lease::id`]
+/// ([`ReqPump::register_delivered`], [`ReqPump::register_race`]), so that
+/// no tuple, which a join may copy or drop, owns a reference. Dropping it
+/// releases every reference the query still holds in one lock hold — a
+/// lease whose id was never taken touches no lock. A call's result thus
+/// stays in `ReqPumpHash` until its query ends, for every copy of a
+/// pending tuple however late: a long query keeps one result per pending
+/// call it made.
+pub struct Lease {
+    shared: Arc<Shared>,
+    id: LeaseId,
+    lent: AtomicBool,
+}
+
+/// The id a registration names its [`Lease`] by; the lease must outlive
+/// the registrations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LeaseId(u64);
+
+impl Lease {
+    /// The id to register under.
+    pub fn id(&self) -> LeaseId {
+        self.lent.store(true, Ordering::Relaxed);
+        self.id
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        if !*self.lent.get_mut() {
+            return;
+        }
+        let step = Step::new();
+        let mut st = self.shared.state.lock();
+        let Some(mut held) = st.leases.remove(&self.id) else {
+            return;
+        };
+        for call in held.drain(..) {
+            release_locked(&self.shared, &mut st, call, &step);
+        }
+        st.spare_leases.push(held);
     }
 }
 
@@ -580,42 +619,64 @@ impl ReqPump {
         Ok(cid)
     }
 
-    /// [`ReqPump::register`] for a caller that can use a reply already in
-    /// hand: a call that finishes during the registering step — an instant
-    /// reply under [`DispatchMode::EventLoop`], or a registration that
-    /// coalesced onto a finished call — comes back as
+    /// A new [`Lease`] for one query's registrations. Takes no lock.
+    pub fn lease(&self) -> Lease {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Lease {
+            shared: self.shared.clone(),
+            id: LeaseId(NEXT.fetch_add(1, Ordering::Relaxed)),
+            lent: AtomicBool::new(false),
+        }
+    }
+
+    /// [`ReqPump::register`] under `lease`, for a caller that can use a
+    /// reply already in hand: a call that finishes during the registering
+    /// step — an instant reply under [`DispatchMode::EventLoop`], or a
+    /// registration that coalesced onto a finished call — comes back as
     /// [`Registered::Delivered`] with its result, taken in the lock hold
     /// that completed it. A pending call comes back as
     /// [`Registered::Pending`].
     ///
-    /// `release` is a reference the caller gives up (its previous
-    /// delivered call), released in the same lock hold *after* the new
-    /// request is matched for coalescing: a caller that keeps its last
-    /// delivered call until its next registration lets an identical next
-    /// request coalesce onto it instead of launching again.
+    /// `release` is a reference of `lease` the caller gives up (its
+    /// previous delivered call), released in the same lock hold *after*
+    /// the new request is matched for coalescing: a caller that keeps its
+    /// last delivered call until its next registration lets an identical
+    /// next request coalesce onto it instead of launching again.
     pub fn register_delivered(
         &self,
+        lease: LeaseId,
         req: SearchRequest,
         release: Option<CallId>,
     ) -> Result<Registered> {
-        self.deliver(release, |pump, st, step| {
+        self.deliver(lease, release, |pump, st, step| {
             Ok((pump.register_locked(st, req, step)?, Vec::new()))
         })
     }
 
     /// One delivering registration: `body` registers under the state lock
-    /// as step `step`; `release` is then released in the same hold — even
-    /// if `body` failed — and the launch step watches the registered call.
+    /// as step `step`, and `lease` holds the registered call; `release` is
+    /// then given back in the same hold — even if `body` failed — and the
+    /// launch step watches the registered call.
     fn deliver(
         &self,
+        lease: LeaseId,
         release: Option<CallId>,
         body: impl FnOnce(&Self, &mut State, &Step) -> Result<(CallId, Woken)>,
     ) -> Result<Registered> {
         let step = Step::new();
         let mut st = self.shared.state.lock();
         let registered = body(self, &mut st, &step);
-        if let Some(held) = release {
-            release_locked(&self.shared, &mut st, held, &step);
+        // The lease takes the new call and gives `release` back.
+        let state = &mut *st;
+        let spare = &mut state.spare_leases;
+        let held = state.leases.entry(lease);
+        let held = held.or_insert_with(|| spare.pop().unwrap_or_default());
+        if let Ok((cid, _)) = &registered {
+            held.push(*cid);
+        }
+        if let Some(at) = release.and_then(|call| held.iter().rposition(|&c| c == call)) {
+            let call = held.swap_remove(at);
+            release_locked(&self.shared, state, call, &step);
         }
         let (cid, woken) = registered?;
         Ok(
@@ -657,23 +718,26 @@ impl ReqPump {
     /// member has failed (with the last member's error).
     ///
     /// The group id behaves like any other call for [`ReqPump::wait`],
-    /// [`ReqPump::wait_any`], [`ReqPump::take_completed`], and
-    /// [`ReqPump::release`]; releasing an undecided group cancels all
-    /// members the group still holds references to. A group decided
-    /// during the registering step — by members already done or replying
-    /// at once — comes back [`Registered::Delivered`] with the winner's
-    /// result (or the group's failure), and `release` is given up as in
-    /// [`ReqPump::register_delivered`]. A single-request race degenerates
-    /// to [`ReqPump::register_delivered`]; an empty one errors.
+    /// [`ReqPump::wait_any`] and [`ReqPump::take_completed`], and `lease`
+    /// holds it; releasing an undecided group — dropping the lease —
+    /// cancels all members the group still holds references to. A group
+    /// decided during the registering step — by members already done or
+    /// replying at once — comes back [`Registered::Delivered`] with the
+    /// winner's result (or the group's failure), and `release` is given up
+    /// as in [`ReqPump::register_delivered`]. A single-request race
+    /// degenerates to [`ReqPump::register_delivered`]; an empty one errors.
     pub fn register_race(
         &self,
+        lease: LeaseId,
         mut reqs: Vec<SearchRequest>,
         release: Option<CallId>,
     ) -> Result<Registered> {
         if reqs.len() == 1 {
-            return self.register_delivered(reqs.swap_remove(0), release);
+            return self.register_delivered(lease, reqs.swap_remove(0), release);
         }
-        self.deliver(release, |pump, st, step| pump.race_locked(st, reqs, step))
+        self.deliver(lease, release, |pump, st, step| {
+            pump.race_locked(st, reqs, step)
+        })
     }
 
     /// The racing-group registration body, run under the already-held state
@@ -833,11 +897,6 @@ impl ReqPump {
         Ok(cid)
     }
 
-    /// Non-blocking: the result of `call` if it has completed.
-    fn peek(&self, call: CallId) -> Option<Result<SearchResult>> {
-        take_locked(&self.shared, &mut self.shared.state.lock(), call)
-    }
-
     /// Non-blocking bulk drain: the results of every call in `calls` that
     /// has completed, gathered under a single lock acquisition. Results
     /// stay in the store until released.
@@ -919,7 +978,8 @@ impl ReqPump {
     /// Block until `call` completes and return (a clone of) its result.
     pub fn wait(&self, call: CallId) -> Result<SearchResult> {
         let done = self.wait_any(std::slice::from_ref(&call))?;
-        self.peek(done).unwrap_or_else(|| {
+        let result = take_locked(&self.shared, &mut self.shared.state.lock(), done);
+        result.unwrap_or_else(|| {
             Err(WsqError::Exec(format!(
                 "call {call} completed but its result was released"
             )))
@@ -1212,6 +1272,11 @@ fn complete_locked(
             meta.finished_at = obs.stamp(step);
             if let Some(dest) = meta.dest {
                 st.dests[dest].active = st.dests[dest].active.saturating_sub(1);
+            }
+            // A held failure is never served to a later registration.
+            if let (Err(_), Some(key)) = (&result, meta.key) {
+                meta.key = None;
+                st.index.remove(&key);
             }
             meta.refs == 0
         }
@@ -1552,6 +1617,22 @@ mod tests {
                 result: Ok(SearchResult::Count(req.expr.len() as u64)),
                 latency: self.latency,
             }
+        }
+    }
+
+    impl Registered {
+        /// The registered call (or racing group), delivered or not.
+        fn call(&self) -> CallId {
+            match self {
+                Registered::Pending(call) | Registered::Delivered(call, _) => *call,
+            }
+        }
+    }
+
+    impl ReqPump {
+        /// Non-blocking: the result of `call` if it has completed.
+        fn peek(&self, call: CallId) -> Option<Result<SearchResult>> {
+            take_locked(&self.shared, &mut self.shared.state.lock(), call)
         }
     }
 
@@ -1980,12 +2061,17 @@ mod tests {
         let pump = ReqPump::new(config);
         pump.register_service("Fast", Probe::new(Duration::from_millis(2)));
         pump.register_service("Slow", Probe::new(Duration::from_millis(120)));
+        let lease = pump.lease();
         let gid = pump
-            .register_race(vec![req("Fast", "race-me"), req("Slow", "race-me")], None)
+            .register_race(
+                lease.id(),
+                vec![req("Fast", "race-me"), req("Slow", "race-me")],
+                None,
+            )
             .unwrap()
             .call();
         assert_eq!(pump.wait(gid).unwrap().count(), Some(7));
-        pump.release(gid);
+        drop(lease);
         let m = obs.metrics().unwrap();
         assert_eq!(m.race_won.get(), 1);
         assert_eq!(m.race_cancelled.get(), 1);
@@ -2014,12 +2100,13 @@ mod tests {
         pump.register_service("Fast", Probe::new(Duration::from_millis(2)));
         pump.register_service("Slow", Probe::new(Duration::from_millis(60)));
         let blocker = pump.register(req("Slow", "blocker")).unwrap();
+        let lease = pump.lease();
         let gid = pump
-            .register_race(vec![req("Fast", "rq"), req("Slow", "rq")], None)
+            .register_race(lease.id(), vec![req("Fast", "rq"), req("Slow", "rq")], None)
             .unwrap()
             .call();
         assert!(pump.wait(gid).unwrap().count().is_some());
-        pump.release(gid);
+        drop(lease);
         pump.wait(blocker).unwrap();
         pump.release(blocker);
         // Only the blocker and the fast winner ever launched.
@@ -2032,25 +2119,27 @@ mod tests {
         let pump = ReqPump::new(PumpConfig::default());
         // Both engines unknown: members fail fast at registration, so the
         // group resolves to an error immediately.
+        let lease = pump.lease();
         let gid = pump
-            .register_race(vec![req("NopeA", "x"), req("NopeB", "x")], None)
+            .register_race(lease.id(), vec![req("NopeA", "x"), req("NopeB", "x")], None)
             .unwrap()
             .call();
         let err = pump.wait(gid).unwrap_err();
         assert!(matches!(err, WsqError::Search(_)));
-        pump.release(gid);
+        drop(lease);
         assert_eq!(pump.live_calls(), 0);
     }
 
     #[test]
     fn race_with_one_failing_member_still_wins() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
+        let lease = pump.lease();
         let gid = pump
-            .register_race(vec![req("Nope", "y"), req("AV", "y")], None)
+            .register_race(lease.id(), vec![req("Nope", "y"), req("AV", "y")], None)
             .unwrap()
             .call();
         assert_eq!(pump.wait(gid).unwrap().count(), Some(1));
-        pump.release(gid);
+        drop(lease);
         assert_eq!(pump.live_calls(), 0);
     }
 
@@ -2063,13 +2152,12 @@ mod tests {
         let pump = ReqPump::new(config);
         pump.register_service("AV", Probe::new(Duration::from_millis(60)));
         let blocker = pump.register(req("AV", "hold")).unwrap();
-        let gid = pump
-            .register_race(vec![req("AV", "ra"), req("AV", "rb")], None)
-            .unwrap()
-            .call();
+        let lease = pump.lease();
+        pump.register_race(lease.id(), vec![req("AV", "ra"), req("AV", "rb")], None)
+            .unwrap();
         // Cursor drop mid-race: both members are still queued and must be
         // cancelled outright.
-        pump.release(gid);
+        drop(lease);
         pump.wait(blocker).unwrap();
         pump.release(blocker);
         std::thread::sleep(Duration::from_millis(20));
@@ -2081,13 +2169,18 @@ mod tests {
     fn race_member_shared_with_external_registrant_survives_decision() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
         let solo = pump.register(req("AV", "shared")).unwrap();
+        let lease = pump.lease();
         let gid = pump
-            .register_race(vec![req("AV", "shared"), req("AV", "other")], None)
+            .register_race(
+                lease.id(),
+                vec![req("AV", "shared"), req("AV", "other")],
+                None,
+            )
             .unwrap()
             .call();
         // The group's first member coalesced onto the external call.
         assert_eq!(pump.wait(gid).unwrap().count(), Some(6));
-        pump.release(gid);
+        drop(lease);
         // The external registrant still owns its reference and result.
         assert_eq!(pump.wait(solo).unwrap().count(), Some(6));
         pump.release(solo);
@@ -2105,12 +2198,17 @@ mod tests {
         pump.wait(solo).unwrap();
         // Coalesces onto the finished call: the group is decided at
         // registration time, before any wait.
+        let lease = pump.lease();
         let gid = pump
-            .register_race(vec![req("AV", "done"), req("AV", "never-needed")], None)
+            .register_race(
+                lease.id(),
+                vec![req("AV", "done"), req("AV", "never-needed")],
+                None,
+            )
             .unwrap()
             .call();
         assert_eq!(pump.peek(gid).unwrap().unwrap().count(), Some(4));
-        pump.release(gid);
+        drop(lease);
         pump.release(solo);
         let deadline = Instant::now() + Duration::from_secs(2);
         while pump.live_calls() > 0 && Instant::now() < deadline {
@@ -2122,13 +2220,15 @@ mod tests {
     #[test]
     fn race_degenerate_shapes() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::ZERO));
-        assert!(pump.register_race(vec![], None).is_err());
+        let lease = pump.lease();
+        assert!(pump.register_race(lease.id(), vec![], None).is_err());
+        let lease = pump.lease();
         let gid = pump
-            .register_race(vec![req("AV", "one")], None)
+            .register_race(lease.id(), vec![req("AV", "one")], None)
             .unwrap()
             .call();
         assert_eq!(pump.wait(gid).unwrap().count(), Some(3));
-        pump.release(gid);
+        drop(lease);
         assert_eq!(pump.live_calls(), 0);
     }
 
@@ -2173,8 +2273,9 @@ mod tests {
             .register_batch(vec![req("AV", "a"), req("AV", "bb")])
             .unwrap();
         assert_eq!(pump.take_completed(&ids).len(), 2);
+        let lease = pump.lease();
         let gid = pump
-            .register_race(vec![req("AV", "ccc"), req("AV", "dddd")], None)
+            .register_race(lease.id(), vec![req("AV", "ccc"), req("AV", "dddd")], None)
             .unwrap()
             .call();
         assert_eq!(pump.peek(gid).unwrap().unwrap().count(), Some(3));
@@ -2183,30 +2284,93 @@ mod tests {
     #[test]
     fn a_reply_in_hand_is_delivered_with_its_registration() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::ZERO));
-        let first = pump.register_delivered(req("AV", "same"), None).unwrap();
+        let lease = pump.lease();
+        let first = pump
+            .register_delivered(lease.id(), req("AV", "same"), None)
+            .unwrap();
         let Registered::Delivered(a, Ok(result)) = first else {
             panic!("an instant reply must be delivered: {first:?}");
         };
         assert_eq!(result.count(), Some(4));
         // Giving `a` up with an identical registration: it coalesces onto
         // `a`, done already, and is delivered in the registration's hold.
-        let again = pump.register_delivered(req("AV", "same"), Some(a)).unwrap();
+        let again = pump
+            .register_delivered(lease.id(), req("AV", "same"), Some(a))
+            .unwrap();
         assert!(matches!(again, Registered::Delivered(c, Ok(_)) if c == a));
         let b = pump
-            .register_delivered(req("AV", "other"), Some(a))
+            .register_delivered(lease.id(), req("AV", "other"), Some(a))
             .unwrap();
         assert_ne!(b.call(), a);
         let stats = pump.stats();
         assert_eq!((stats.launched, stats.coalesced), (2, 1));
         assert_eq!(pump.live_calls(), 1, "`a` was released, `b` is held");
-        pump.release(b.call());
+        drop(lease);
         assert_eq!(pump.live_calls(), 0);
 
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
-        let pending = pump.register_delivered(req("AV", "slow"), None).unwrap();
+        let lease = pump.lease();
+        let pending = pump
+            .register_delivered(lease.id(), req("AV", "slow"), None)
+            .unwrap();
         assert!(matches!(pending, Registered::Pending(_)), "{pending:?}");
         assert_eq!(pump.wait(pending.call()).unwrap().count(), Some(4));
-        pump.release(pending.call());
+        drop(lease);
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn a_lease_releases_every_reference_it_holds_when_it_drops() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
+        let lease = pump.lease();
+        // Three references to two pending calls: "a" coalesces.
+        for expr in ["a", "a", "bb"] {
+            let r = pump
+                .register_delivered(lease.id(), req("AV", expr), None)
+                .unwrap();
+            assert!(matches!(r, Registered::Pending(_)), "{r:?}");
+        }
+        let outside = pump.register(req("AV", "a")).unwrap();
+        assert_eq!(pump.live_calls(), 2);
+        assert_eq!(pump.wait(outside).unwrap().count(), Some(1));
+        drop(lease);
+        // The outside registrant's reference outlives the lease.
+        assert_eq!(pump.wait(outside).unwrap().count(), Some(1));
+        pump.release(outside);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while pump.live_calls() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(pump.live_calls(), 0);
+        assert!(pump.shared.state.lock().leases.is_empty());
+    }
+
+    #[test]
+    fn a_held_failure_is_never_served_to_a_later_registration() {
+        struct Down;
+        impl SearchService for Down {
+            fn execute(&self, _req: &SearchRequest) -> ServiceReply {
+                ServiceReply {
+                    result: Err(WsqError::Search("503".into())),
+                    latency: Duration::from_millis(2),
+                }
+            }
+        }
+        let pump = ReqPump::with_service("AV", Arc::new(Down));
+        let lease = pump.lease();
+        let first = pump
+            .register_delivered(lease.id(), req("AV", "x"), None)
+            .unwrap()
+            .call();
+        assert!(pump.wait(first).is_err());
+        let again = pump
+            .register_delivered(lease.id(), req("AV", "x"), None)
+            .unwrap()
+            .call();
+        assert_ne!(again, first, "a registration coalesced onto a failure");
+        assert!(pump.wait(again).is_err());
+        assert_eq!(pump.stats().launched, 2);
+        drop(lease);
         assert_eq!(pump.live_calls(), 0);
     }
 

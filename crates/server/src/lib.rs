@@ -14,8 +14,9 @@
 //! * **Disconnect cancels calls.** Rows are streamed straight off a
 //!   [`wsq_core::SessionCursor`] and written whenever a
 //!   [`Frame::Rows`] batch fills; when a client vanishes mid-query the
-//!   next write fails, the handler drops the cursor, and the executor
-//!   `Drop` impls release every pump slot and buffered tuple.
+//!   next write fails, the handler drops the cursor, whose query lease
+//!   releases every pump slot the query held while ReqSync's `Drop`
+//!   empties its buffer.
 //! * **One `write` per small reply.** A reply's frames are encoded into
 //!   one buffer that goes to the socket at exactly two points: when a
 //!   `Rows` batch is full (with whatever header frames precede it) and
@@ -331,9 +332,9 @@ fn send(stream: &mut impl Write, out: &mut Vec<u8>) -> io::Result<()> {
 
 /// Stream a cursor as `Schema Rows* Done`, sending each `Rows` batch as it
 /// fills (the caller sends the tail). Any transport error drops the cursor
-/// on the way out — that `Drop` is the disconnect-cancellation path (pump
-/// slots and buffered tuples are released by the executor tree's
-/// destructors).
+/// on the way out — that `Drop` is the disconnect-cancellation path (the
+/// query's lease releases its pump slots; ReqSync drops its buffered
+/// tuples).
 fn stream_cursor(
     stream: &mut impl Write,
     out: &mut Vec<u8>,

@@ -135,8 +135,23 @@ fn flaky_backend_mid_batch_releases_every_registered_slot() {
     // is read by nothing and changes none of this). When the backend
     // exhausts its retries mid-burst the query errors with most of the
     // burst still unconsumed — every registered slot must be released and
-    // every gauge must drain to zero, leaving the instance usable.
-    let (mut wsq, flaky) = wsq_with_flaky(1000, Some(2));
+    // every gauge must drain to zero, leaving the instance usable. Each
+    // failing reply takes 20 ms (a brownout on every call), so the burst
+    // registers — and retries — well before the first failure arrives.
+    let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+    wsq.load_reference_data().unwrap();
+    let flaky = DegradedService::new(
+        wsq.web().engine(EngineKind::AltaVista),
+        DegradedConfig {
+            error_burst_permille: 1000,
+            brownout_period: 1,
+            brownout_len: 1,
+            brownout_extra: Duration::from_millis(20),
+            seed: 1234,
+            ..DegradedConfig::default()
+        },
+    );
+    wsq.register_engine("Shaky", RetryService::new(flaky.clone(), 2), true);
     let err = wsq
         .query_with(
             QUERY,
