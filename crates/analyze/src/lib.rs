@@ -17,9 +17,10 @@
 //!   condvar discipline, and an inter-procedural lock-acquisition-order
 //!   graph with potential-deadlock (cycle) detection, run over the
 //!   engine/pump/obs/websim sources by `cargo xtask lint`.
-//! - [`models`]: deterministic-schedule (loom-style) models of the
-//!   ReqPump, ReqSync and trace-ring concurrency hot paths, explored
-//!   exhaustively by the in-tree `schedcheck` shim.
+//! - `models` (tests only): deterministic-schedule (loom-style) models of
+//!   the obs trace ring, whose atomics the in-tree `schedcheck` checker
+//!   cannot reach in the product; the ReqPump is checked as itself, in
+//!   `wsq-pump`'s `tests/schedcheck.rs`.
 //! - [`lint`]: source-level lints (panic-site burn-down budget) behind
 //!   `cargo xtask lint`.
 //!
@@ -28,7 +29,8 @@
 
 pub mod conc;
 pub mod lint;
-pub mod models;
+#[cfg(test)]
+mod models;
 pub mod mutate;
 mod tokens;
 pub mod verify;

@@ -74,7 +74,6 @@ use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wsq_common::{CallId, IdMap, Result, WsqError};
 use wsq_obs::{CounterId, EventKind, HistogramId, Label, Obs, Step, Tick};
@@ -506,7 +505,31 @@ impl Drop for Lease {
 /// The global asynchronous request manager. See the crate docs.
 pub struct ReqPump {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: Mutex<Vec<Worker>>,
+}
+
+/// What joins a pump thread (the timer or a worker) at shutdown.
+type Worker = Box<dyn FnOnce() + Send>;
+
+/// Start the pump thread `name` running `body`: a model thread inside a
+/// `schedcheck::check` (the `schedcheck` feature), an OS thread otherwise.
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> Worker {
+    #[cfg(feature = "schedcheck")]
+    if schedcheck::active() {
+        let thread = schedcheck::thread::spawn(body);
+        // A thread unwinding out of an aborted run must not wait for the
+        // checker's turn; the checker joins every thread when the run ends.
+        return Box::new(move || {
+            if !std::thread::panicking() {
+                thread.join();
+            }
+        });
+    }
+    let thread = std::thread::Builder::new().name(name).spawn(body);
+    let thread = thread.expect("spawn reqpump thread");
+    Box::new(move || {
+        let _ = thread.join();
+    })
 }
 
 impl ReqPump {
@@ -520,29 +543,18 @@ impl ReqPump {
             work_cv: Condvar::new(),
             keys: RandomState::new(),
         });
-        let mut workers = Vec::new();
-        match config.dispatch {
+        let workers = match config.dispatch {
             DispatchMode::EventLoop => {
                 let s = shared.clone();
-                workers.push(
-                    std::thread::Builder::new()
-                        .name("reqpump-loop".into())
-                        .spawn(move || event_loop(s))
-                        .expect("spawn reqpump loop"),
-                );
+                vec![spawn("reqpump-loop".into(), move || event_loop(s))]
             }
-            DispatchMode::ThreadPool(n) => {
-                for i in 0..n.max(1) {
+            DispatchMode::ThreadPool(n) => (0..n.max(1))
+                .map(|i| {
                     let s = shared.clone();
-                    workers.push(
-                        std::thread::Builder::new()
-                            .name(format!("reqpump-worker-{i}"))
-                            .spawn(move || worker_loop(s))
-                            .expect("spawn reqpump worker"),
-                    );
-                }
-            }
-        }
+                    spawn(format!("reqpump-worker-{i}"), move || worker_loop(s))
+                })
+                .collect(),
+        };
         Arc::new(ReqPump {
             shared,
             workers: Mutex::new(workers),
@@ -926,8 +938,9 @@ impl ReqPump {
     /// lock* that re-checks `results`: a completion landing between the
     /// drain and this call is found by the fast path at the top, and one
     /// landing after registration fires the waiter. There is no window
-    /// in which a completion can slip past both — the schedcheck model
-    /// `stall_resume` explores every interleaving of this handshake.
+    /// in which a completion can slip past both — the `stall_resume`
+    /// scenarios of `tests/schedcheck.rs` explore the interleavings of
+    /// this handshake on the real pump.
     pub fn wait_any(&self, calls: &[CallId]) -> Result<CallId> {
         if calls.is_empty() {
             return Err(WsqError::Exec("wait_any on empty call set".to_string()));
@@ -1036,8 +1049,8 @@ impl ReqPump {
             let mut workers = self.workers.lock();
             workers.drain(..).collect()
         };
-        for w in handles {
-            let _ = w.join();
+        for join in handles {
+            join();
         }
     }
 }

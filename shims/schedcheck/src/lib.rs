@@ -2,13 +2,17 @@
 //! in the style of `loom` / `shuttle` but self-contained (this build
 //! environment has no crates.io access — see `shims/README.md`).
 //!
-//! A model is a closure using [`thread::spawn`], [`sync::Mutex`] and
-//! [`sync::Condvar`] from this crate instead of `std`. [`check`] runs the
-//! closure repeatedly, each time forcing a different thread interleaving,
-//! until every schedule reachable from the model's synchronization points
-//! has been explored (depth-first with replay). Real OS threads execute
-//! the model, but a central kernel serializes them so exactly one runs at
-//! a time; every lock acquisition and condvar wait is a scheduling point.
+//! A model is a closure whose threads come from [`thread::spawn`] and
+//! whose locks are the kernel's: [`sync::Mutex`], or [`raw`]'s data-less
+//! mutex and condvar, which a lock library routes its own primitives
+//! through when they are built inside [`check`] ([`active`]) — the
+//! workspace's `parking_lot` shim does under its `schedcheck` feature, so
+//! a model can drive product code unchanged. [`check`] runs the closure
+//! repeatedly, each time forcing a different thread interleaving, until
+//! every schedule reachable from the model's synchronization points has
+//! been explored (depth-first with replay). Real OS threads execute the
+//! model, but a central kernel serializes them so exactly one runs at a
+//! time.
 //!
 //! What the checker proves, within its bounds:
 //!
@@ -20,19 +24,30 @@
 //! - **No livelock**: a run exceeding `max_steps` scheduling decisions
 //!   fails.
 //!
-//! Models must be deterministic apart from scheduling: no time, no
-//! randomness, no I/O. Scheduling points are: the start of a spawned
-//! thread, every `Mutex::lock` (a preemption opportunity *before*
-//! acquiring), every `Condvar::wait` (block + reacquire) and every
+//! Models must be deterministic apart from scheduling: no randomness, no
+//! I/O, and time only through a timed wait. A replayed decision that
+//! meets a different number of runnable threads than it recorded fails,
+//! naming its depth. Scheduling points are: the start of a spawned
+//! thread, every mutex lock (a preemption opportunity *before*
+//! acquiring), every condvar wait (block + reacquire) and every
 //! `JoinHandle::join`. For protocols whose shared state is entirely
-//! mutex-protected — the only kind modelled here — context switches at
-//! these points reach every observably distinct interleaving.
+//! mutex-protected, context switches at these points reach every
+//! observably distinct interleaving.
+//!
+//! - **Preemption bounding** ([`Config::max_preemptions`]), as in CHESS
+//!   (Musuvathi & Qadeer, PLDI 2007): a schedule may switch away from a
+//!   thread that could have gone on at most that many times; a switch at
+//!   a thread's block or exit is free. Most concurrency bugs need only a
+//!   few preemptions, and the bounded tree is far smaller.
+//! - **Virtual time**: a timed wait ([`raw::Condvar::wait_until`]) times
+//!   out only once every other live thread is blocked, earliest deadline
+//!   first — time passes only when nothing can run.
 
 use std::cell::RefCell;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::time::Instant;
 
 /// Exploration bounds.
 #[derive(Debug, Clone, Copy)]
@@ -43,6 +58,10 @@ pub struct Config {
     /// Upper bound on scheduling decisions in a single run (livelock
     /// guard).
     pub max_steps: usize,
+    /// Most preemptions one schedule may contain (see the crate docs);
+    /// `usize::MAX`, the default, bounds nothing. [`Stats::complete`]
+    /// then means every schedule within the bound was explored.
+    pub max_preemptions: usize,
 }
 
 impl Default for Config {
@@ -50,6 +69,7 @@ impl Default for Config {
         Config {
             max_schedules: 50_000,
             max_steps: 10_000,
+            max_preemptions: usize::MAX,
         }
     }
 }
@@ -62,13 +82,11 @@ pub struct Stats {
     /// `true` if the schedule tree was exhausted (rather than the
     /// `max_schedules` cap being hit).
     pub complete: bool,
-    /// Deepest decision sequence seen.
-    pub max_depth: usize,
 }
 
 /// Explore every schedule of `model` under the default [`Config`].
 /// Panics (with the decision trace) on any assertion failure, deadlock,
-/// lost wakeup or livelock.
+/// lost wakeup, livelock or replay divergence.
 pub fn check<F>(model: F) -> Stats
 where
     F: Fn() + Send + Sync + 'static,
@@ -82,13 +100,11 @@ where
     F: Fn() + Send + Sync + 'static,
 {
     let model = Arc::new(model);
-    let mut prefix: Vec<usize> = Vec::new();
+    let mut prefix: Vec<Decision> = Vec::new();
     let mut schedules = 0usize;
-    let mut max_depth = 0usize;
     loop {
         schedules += 1;
         let (mut decisions, failure) = run_once(config, model.clone(), &prefix);
-        max_depth = max_depth.max(decisions.len());
         if let Some(msg) = failure {
             panic!(
                 "schedcheck failure after {schedules} schedule(s): {msg}\n\
@@ -101,22 +117,18 @@ where
         while decisions.last().is_some_and(|d| d.chosen + 1 >= d.options) {
             decisions.pop();
         }
-        match decisions.last_mut() {
-            None => {
-                return Stats {
-                    schedules,
-                    complete: true,
-                    max_depth,
-                }
-            }
-            Some(last) => last.chosen += 1,
-        }
-        prefix = decisions.iter().map(|d| d.chosen).collect();
+        let Some(last) = decisions.last_mut() else {
+            return Stats {
+                schedules,
+                complete: true,
+            };
+        };
+        last.chosen += 1;
+        prefix = decisions;
         if schedules >= config.max_schedules {
             return Stats {
                 schedules,
                 complete: false,
-                max_depth,
             };
         }
     }
@@ -133,7 +145,11 @@ struct Decision {
 enum ThreadState {
     Runnable,
     BlockedMutex(usize),
-    BlockedCv(usize),
+    /// Waiting on condvar `cv`; a timed wait carries its deadline.
+    BlockedCv {
+        cv: usize,
+        deadline: Option<Instant>,
+    },
     BlockedJoin(usize),
     Finished,
 }
@@ -151,9 +167,12 @@ struct CondvarState {
 
 struct KernelState {
     threads: Vec<ThreadState>,
+    /// Per thread: its last timed wait expired rather than being notified.
+    timed_out: Vec<bool>,
     current: usize,
     steps: usize,
-    prefix: Vec<usize>,
+    preemptions: usize,
+    prefix: Vec<Decision>,
     depth: usize,
     decisions: Vec<Decision>,
     mutexes: Vec<MutexState>,
@@ -161,12 +180,25 @@ struct KernelState {
     aborting: bool,
     failure: Option<String>,
     os_handles: Vec<std::thread::JoinHandle<()>>,
+    /// Per thread: what it sleeps on while another thread has the turn,
+    /// so that a handoff wakes just the thread it hands to.
+    wakers: Vec<Arc<StdCondvar>>,
+}
+
+impl KernelState {
+    /// Make a waiter runnable again — unless an aborting run has already
+    /// finished it, while it still sat in a wait queue.
+    fn unblock(&mut self, tid: usize) {
+        if self.threads[tid] != ThreadState::Finished {
+            self.threads[tid] = ThreadState::Runnable;
+        }
+    }
 }
 
 struct Kernel {
     state: StdMutex<KernelState>,
-    cv: StdCondvar,
     max_steps: usize,
+    max_preemptions: usize,
 }
 
 /// Panic payload used to unwind threads when a run aborts early.
@@ -184,13 +216,21 @@ fn current_ctx() -> (Arc<Kernel>, usize) {
     })
 }
 
+/// Whether this thread is a model thread of a running [`check`]: a
+/// primitive built here belongs to that run.
+pub fn active() -> bool {
+    CTX.with(|c| c.borrow().is_some())
+}
+
 impl Kernel {
-    fn new(prefix: &[usize], max_steps: usize) -> Kernel {
+    fn new(prefix: &[Decision], config: Config) -> Kernel {
         Kernel {
             state: StdMutex::new(KernelState {
                 threads: vec![ThreadState::Runnable],
+                timed_out: vec![false],
                 current: 0,
                 steps: 0,
+                preemptions: 0,
                 prefix: prefix.to_vec(),
                 depth: 0,
                 decisions: Vec::new(),
@@ -199,9 +239,10 @@ impl Kernel {
                 aborting: false,
                 failure: None,
                 os_handles: Vec::new(),
+                wakers: vec![Arc::default()],
             }),
-            cv: StdCondvar::new(),
-            max_steps,
+            max_steps: config.max_steps,
+            max_preemptions: config.max_preemptions,
         }
     }
 
@@ -217,14 +258,14 @@ impl Kernel {
 
     /// Record a scheduling decision among the runnable threads and hand
     /// the turn to the chosen one. Caller must currently hold the state
-    /// lock. A run with no runnable thread is either done (all finished)
-    /// or a deadlock / lost wakeup.
+    /// lock and the turn. A run with no runnable thread is done (all
+    /// finished), advances virtual time to the earliest timed wait, or is
+    /// a deadlock / lost wakeup.
     fn choose_next(&self, st: &mut KernelState) {
         if st.aborting {
-            self.cv.notify_all();
-            return;
+            return self.wake_everyone(st);
         }
-        let runnable: Vec<usize> = st
+        let mut runnable: Vec<usize> = st
             .threads
             .iter()
             .enumerate()
@@ -233,39 +274,65 @@ impl Kernel {
             .collect();
         if runnable.is_empty() {
             if st.threads.iter().all(|s| *s == ThreadState::Finished) {
-                self.cv.notify_all();
                 return;
             }
-            let blocked: Vec<(usize, ThreadState)> = st
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s != ThreadState::Finished)
-                .map(|(i, s)| (i, *s))
-                .collect();
-            self.fail(
-                st,
-                format!("deadlock / lost wakeup: all live threads blocked: {blocked:?}"),
-            );
-            return;
+            let earliest = (st.threads.iter().enumerate())
+                .filter_map(|(i, s)| match *s {
+                    ThreadState::BlockedCv {
+                        cv,
+                        deadline: Some(at),
+                    } => Some((at, i, cv)),
+                    _ => None,
+                })
+                .min();
+            let Some((_, timer, cv)) = earliest else {
+                let blocked: Vec<(usize, ThreadState)> = (st.threads.iter().enumerate())
+                    .filter(|(_, s)| **s != ThreadState::Finished)
+                    .map(|(i, s)| (i, *s))
+                    .collect();
+                let msg = format!("deadlock / lost wakeup: all live threads blocked: {blocked:?}");
+                return self.fail(st, msg);
+            };
+            st.condvars[cv].waiters.retain(|&w| w != timer);
+            st.threads[timer] = ThreadState::Runnable;
+            st.timed_out[timer] = true;
+            runnable.push(timer);
         }
-        let idx = if runnable.len() == 1 {
-            0
+        // Switching away from a thread that could go on is a preemption;
+        // once the bound is spent, it goes on.
+        let current = st.current;
+        let preemptible = st.threads[current] == ThreadState::Runnable;
+        if preemptible && st.preemptions >= self.max_preemptions {
+            runnable = vec![current];
+        }
+        let next = if runnable.len() == 1 {
+            runnable[0]
         } else {
             let d = st.depth;
             st.depth += 1;
-            let chosen = if d < st.prefix.len() {
-                st.prefix[d].min(runnable.len() - 1)
-            } else {
-                0
+            let chosen = match st.prefix.get(d) {
+                Some(recorded) if recorded.options != runnable.len() => {
+                    let msg = format!(
+                        "replay diverged at depth {d}: the recorded schedule had {} runnable \
+                         threads here, this run has {} (is the model deterministic?)",
+                        recorded.options,
+                        runnable.len()
+                    );
+                    return self.fail(st, msg);
+                }
+                Some(recorded) => recorded.chosen,
+                None => 0,
             };
             st.decisions.push(Decision {
                 chosen,
                 options: runnable.len(),
             });
-            chosen
+            runnable[chosen]
         };
-        st.current = runnable[idx];
+        if preemptible && next != current {
+            st.preemptions += 1;
+        }
+        st.current = next;
         st.steps += 1;
         if st.steps > self.max_steps {
             self.fail(
@@ -273,7 +340,7 @@ impl Kernel {
                 format!("step limit {} exceeded (livelock?)", self.max_steps),
             );
         }
-        self.cv.notify_all();
+        st.wakers[next].notify_one();
     }
 
     fn fail(&self, st: &mut KernelState, msg: String) {
@@ -281,24 +348,39 @@ impl Kernel {
             st.failure = Some(msg);
         }
         st.aborting = true;
-        self.cv.notify_all();
+        self.wake_everyone(st);
     }
 
-    /// Block until it is `tid`'s turn (or the run is aborting, in which
-    /// case the thread unwinds with [`AbortToken`]).
+    /// Every model thread re-reads the state.
+    fn wake_everyone(&self, st: &KernelState) {
+        st.wakers.iter().for_each(|w| w.notify_one());
+    }
+
+    /// The run is aborting: unwind `tid` quietly with [`AbortToken`] —
+    /// unless it is unwinding already (a destructor reached the kernel),
+    /// in which case it runs on unscheduled: a second panic would abort
+    /// the process.
+    fn abort_turn(&self, mut st: StdMutexGuard<'_, KernelState>, tid: usize) {
+        if std::thread::panicking() {
+            return;
+        }
+        st.threads[tid] = ThreadState::Finished;
+        drop(st);
+        panic::panic_any(AbortToken);
+    }
+
+    /// Block until it is `tid`'s turn (or the run is aborting).
     fn wait_turn(&self, tid: usize) {
         let mut st = self.lock_state();
+        let waker = st.wakers[tid].clone();
         loop {
             if st.aborting {
-                st.threads[tid] = ThreadState::Finished;
-                self.cv.notify_all();
-                drop(st);
-                panic::panic_any(AbortToken);
+                return self.abort_turn(st, tid);
             }
             if st.current == tid && st.threads[tid] == ThreadState::Runnable {
                 return;
             }
-            st = match self.cv.wait(st) {
+            st = match waker.wait(st) {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
             };
@@ -311,10 +393,7 @@ impl Kernel {
         {
             let mut st = self.lock_state();
             if st.aborting {
-                st.threads[tid] = ThreadState::Finished;
-                self.cv.notify_all();
-                drop(st);
-                panic::panic_any(AbortToken);
+                return self.abort_turn(st, tid);
             }
             self.choose_next(&mut st);
         }
@@ -324,27 +403,21 @@ impl Kernel {
     fn register_thread(&self) -> usize {
         let mut st = self.lock_state();
         st.threads.push(ThreadState::Runnable);
+        st.timed_out.push(false);
+        st.wakers.push(Arc::default());
         st.threads.len() - 1
     }
 
-    fn register_mutex(&self) -> usize {
-        let mut st = self.lock_state();
-        st.mutexes.push(MutexState::default());
-        st.mutexes.len() - 1
-    }
-
-    fn register_condvar(&self) -> usize {
-        let mut st = self.lock_state();
-        st.condvars.push(CondvarState::default());
-        st.condvars.len() - 1
-    }
-
-    /// Acquire mutex `mid`, blocking (and yielding the turn) while held.
-    fn mutex_lock(&self, tid: usize, mid: usize) {
-        self.schedule_point(tid);
+    /// Acquire mutex `mid`, blocking (and yielding the turn) while held,
+    /// without a preemption point first. A thread unwinding out of an
+    /// aborted run takes nothing and goes on.
+    fn acquire(&self, tid: usize, mid: usize) {
         loop {
             {
                 let mut st = self.lock_state();
+                if st.aborting && std::thread::panicking() {
+                    return;
+                }
                 if st.mutexes[mid].held_by.is_none() {
                     st.mutexes[mid].held_by = Some(tid);
                     return;
@@ -357,49 +430,40 @@ impl Kernel {
         }
     }
 
-    fn mutex_unlock(&self, tid: usize, mid: usize) {
-        let mut st = self.lock_state();
-        debug_assert_eq!(st.mutexes[mid].held_by, Some(tid));
-        st.mutexes[mid].held_by = None;
-        let waiters = std::mem::take(&mut st.mutexes[mid].waiters);
-        for w in waiters {
-            st.threads[w] = ThreadState::Runnable;
+    /// Release mutex `mid` if `tid` holds it (a thread unwinding out of an
+    /// aborted run may not) and make its waiters runnable. Not a decision
+    /// point: the caller's next lock/wait/join/exit is, and all shared
+    /// state is mutex-protected.
+    fn release(&self, st: &mut KernelState, tid: usize, mid: usize) {
+        if st.mutexes[mid].held_by != Some(tid) {
+            return;
         }
-        // Not a decision point: the next lock/wait/join/exit of the
-        // caller is, and all shared state is mutex-protected.
-        self.cv.notify_all();
+        st.mutexes[mid].held_by = None;
+        for w in std::mem::take(&mut st.mutexes[mid].waiters) {
+            st.unblock(w);
+        }
     }
 
-    /// Atomically release `mid` and wait on condvar `cid`; reacquire
-    /// `mid` after being notified.
-    fn condvar_wait(&self, tid: usize, cid: usize, mid: usize) {
+    /// Atomically release `mid` and wait on condvar `cid` (until
+    /// `deadline` in virtual time, if given); reacquire `mid` after being
+    /// notified or timing out. Returns whether the wait timed out. A
+    /// thread unwinding out of an aborted run returns at once.
+    fn condvar_wait(&self, tid: usize, cid: usize, mid: usize, deadline: Option<Instant>) -> bool {
         {
             let mut st = self.lock_state();
-            st.mutexes[mid].held_by = None;
-            let waiters = std::mem::take(&mut st.mutexes[mid].waiters);
-            for w in waiters {
-                st.threads[w] = ThreadState::Runnable;
+            self.release(&mut st, tid, mid);
+            if st.aborting && std::thread::panicking() {
+                return false;
             }
             st.condvars[cid].waiters.push_back(tid);
-            st.threads[tid] = ThreadState::BlockedCv(cid);
+            st.threads[tid] = ThreadState::BlockedCv { cv: cid, deadline };
             self.choose_next(&mut st);
         }
         self.wait_turn(tid);
         // Reacquire without the extra pre-acquire preemption point: the
         // wakeup itself was one.
-        loop {
-            {
-                let mut st = self.lock_state();
-                if st.mutexes[mid].held_by.is_none() {
-                    st.mutexes[mid].held_by = Some(tid);
-                    return;
-                }
-                st.mutexes[mid].waiters.push(tid);
-                st.threads[tid] = ThreadState::BlockedMutex(mid);
-                self.choose_next(&mut st);
-            }
-            self.wait_turn(tid);
-        }
+        self.acquire(tid, mid);
+        std::mem::take(&mut self.lock_state().timed_out[tid])
     }
 
     /// Wake the longest-waiting thread (deterministic FIFO, mirroring a
@@ -407,17 +471,15 @@ impl Kernel {
     fn notify_one(&self, cid: usize) {
         let mut st = self.lock_state();
         if let Some(w) = st.condvars[cid].waiters.pop_front() {
-            st.threads[w] = ThreadState::Runnable;
+            st.unblock(w);
         }
-        self.cv.notify_all();
     }
 
     fn notify_all(&self, cid: usize) {
         let mut st = self.lock_state();
         while let Some(w) = st.condvars[cid].waiters.pop_front() {
-            st.threads[w] = ThreadState::Runnable;
+            st.unblock(w);
         }
-        self.cv.notify_all();
     }
 
     /// Block until thread `target` finishes.
@@ -454,21 +516,14 @@ impl Kernel {
 
     /// Quiet exit on [`AbortToken`] unwind.
     fn finish_quiet(&self, tid: usize) {
-        let mut st = self.lock_state();
-        st.threads[tid] = ThreadState::Finished;
-        self.cv.notify_all();
+        self.lock_state().threads[tid] = ThreadState::Finished;
     }
+}
 
-    /// Checker side: wait until every model thread has finished.
-    fn wait_done(&self) {
-        let mut st = self.lock_state();
-        while !st.threads.iter().all(|s| *s == ThreadState::Finished) {
-            st = match self.cv.wait(st) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-        }
-    }
+/// Append a fresh lock's state to `states`; its index is the lock's id.
+fn register<S: Default>(states: &mut Vec<S>) -> usize {
+    states.push(S::default());
+    states.len() - 1
 }
 
 fn payload_to_string(p: Box<dyn std::any::Any + Send>) -> String {
@@ -507,23 +562,28 @@ fn run_thread_body<T: Send + 'static>(
     }
 }
 
-fn run_once<F>(config: Config, model: Arc<F>, prefix: &[usize]) -> (Vec<Decision>, Option<String>)
+fn run_once<F>(
+    config: Config,
+    model: Arc<F>,
+    prefix: &[Decision],
+) -> (Vec<Decision>, Option<String>)
 where
     F: Fn() + Send + Sync + 'static,
 {
-    let kernel = Arc::new(Kernel::new(prefix, config.max_steps));
+    let kernel = Arc::new(Kernel::new(prefix, config));
     let k = kernel.clone();
     let out: Arc<StdMutex<Option<()>>> = Arc::new(StdMutex::new(None));
     let o = out.clone();
-    let root = std::thread::spawn(move || run_thread_body(&k, 0, &o, move || model()));
-    kernel.wait_done();
-    let _ = root.join();
-    let handles = {
-        let mut st = kernel.lock_state();
-        std::mem::take(&mut st.os_handles)
-    };
-    for h in handles {
-        let _ = h.join();
+    // Every model thread runs to its end (or unwinds out of an aborted
+    // run); one that spawns another records it before it can finish.
+    let mut threads = vec![std::thread::spawn(move || {
+        run_thread_body(&k, 0, &o, move || model())
+    })];
+    while !threads.is_empty() {
+        for t in threads {
+            let _ = t.join();
+        }
+        threads = std::mem::take(&mut kernel.lock_state().os_handles);
     }
     let st = kernel.lock_state();
     (st.decisions.clone(), st.failure.clone())
@@ -549,7 +609,9 @@ pub mod thread {
 
     impl<T> JoinHandle<T> {
         /// Wait for the thread and return its value. A panic in the
-        /// target aborts the whole run, so this always yields the value.
+        /// target aborts the whole run, so this always yields the value —
+        /// except to a thread unwinding out of an aborted run, which must
+        /// not join.
         pub fn join(self) -> T {
             let (_, tid) = current_ctx();
             self.kernel.join_wait(tid, self.tid);
@@ -587,97 +649,83 @@ pub mod thread {
     }
 }
 
-/// Synchronization primitives under the checker.
-pub mod sync {
+/// The kernel's data-less primitives, for a lock library that keeps its
+/// data itself: build them on a model thread inside [`check`] (see
+/// [`active`]); each belongs to that run and fails loudly in another.
+pub mod raw {
     use super::*;
-    use std::ops::{Deref, DerefMut};
 
-    /// A mutex whose acquisition order the checker controls.
-    pub struct Mutex<T> {
+    /// The calling thread's id, checking that `kernel` is its run's.
+    fn turn(kernel: &Arc<Kernel>) -> usize {
+        let (current, tid) = current_ctx();
+        assert!(
+            Arc::ptr_eq(&current, kernel),
+            "schedcheck primitive used outside the run that built it"
+        );
+        tid
+    }
+
+    /// A mutex without data: [`lock`](Mutex::lock) is a scheduling point.
+    pub struct Mutex {
+        kernel: Arc<Kernel>,
         mid: usize,
-        kernel: Arc<Kernel>,
-        cell: UnsafeCell<T>,
     }
 
-    // Exactly one model thread runs at a time and the kernel enforces
-    // mutual exclusion on `cell`, so cross-thread access is serialized.
-    unsafe impl<T: Send> Send for Mutex<T> {}
-    unsafe impl<T: Send> Sync for Mutex<T> {}
-
-    /// RAII guard; dropping releases the lock (not a scheduling point).
-    pub struct MutexGuard<'a, T> {
-        mx: &'a Mutex<T>,
-    }
-
-    impl<T> Mutex<T> {
-        /// Create a mutex registered with the current run's kernel; only
-        /// valid inside [`check`](super::check()).
+    impl Mutex {
+        /// Register a mutex with the current run's kernel.
         #[allow(clippy::new_without_default)]
-        pub fn new(value: T) -> Mutex<T> {
+        pub fn new() -> Mutex {
             let (kernel, _) = current_ctx();
-            let mid = kernel.register_mutex();
-            Mutex {
-                mid,
-                kernel,
-                cell: UnsafeCell::new(value),
-            }
+            let mid = register(&mut kernel.lock_state().mutexes);
+            Mutex { kernel, mid }
         }
 
-        /// Acquire (a scheduling point: the checker may run any other
-        /// thread first).
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            let (_, tid) = current_ctx();
-            self.kernel.mutex_lock(tid, self.mid);
-            MutexGuard { mx: self }
+        /// Acquire (the checker may run any other thread first).
+        pub fn lock(&self) {
+            let tid = turn(&self.kernel);
+            self.kernel.schedule_point(tid);
+            self.kernel.acquire(tid, self.mid);
         }
-    }
 
-    impl<T> Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            unsafe { &*self.mx.cell.get() }
+        /// Release (not a scheduling point).
+        pub fn unlock(&self) {
+            let tid = turn(&self.kernel);
+            self.kernel
+                .release(&mut self.kernel.lock_state(), tid, self.mid);
         }
     }
 
-    impl<T> DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            unsafe { &mut *self.mx.cell.get() }
-        }
-    }
-
-    impl<T> Drop for MutexGuard<'_, T> {
-        fn drop(&mut self) {
-            let (_, tid) = current_ctx();
-            self.mx.kernel.mutex_unlock(tid, self.mx.mid);
-        }
-    }
-
-    /// A condition variable with deterministic FIFO wakeup.
+    /// A condition variable with deterministic FIFO wakeup and no
+    /// spurious wakeups (callers should still loop on their condition).
     pub struct Condvar {
-        cid: usize,
         kernel: Arc<Kernel>,
+        cid: usize,
     }
 
     impl Condvar {
-        /// Create a condvar registered with the current run's kernel.
+        /// Register a condvar with the current run's kernel.
         #[allow(clippy::new_without_default)]
         pub fn new() -> Condvar {
             let (kernel, _) = current_ctx();
-            let cid = kernel.register_condvar();
-            Condvar { cid, kernel }
+            let cid = register(&mut kernel.lock_state().condvars);
+            Condvar { kernel, cid }
         }
 
-        /// Release the guard's mutex, block until notified, reacquire.
-        /// No spurious wakeups; callers should still loop on their
-        /// condition as with `std`.
-        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            let (_, tid) = current_ctx();
-            let mx = guard.mx;
-            // The kernel releases the mutex itself; skip the guard's
-            // Drop-unlock.
-            std::mem::forget(guard);
-            self.kernel.condvar_wait(tid, self.cid, mx.mid);
-            MutexGuard { mx }
+        /// Release `mutex` (held by the caller), block until notified,
+        /// reacquire.
+        pub fn wait(&self, mutex: &Mutex) {
+            let tid = turn(&self.kernel);
+            self.kernel.condvar_wait(tid, self.cid, mutex.mid, None);
+        }
+
+        /// [`wait`](Condvar::wait), timing out at `deadline` in virtual
+        /// time — only once every other live thread is blocked. Returns
+        /// whether it timed out. The caller sleeps out the wall clock if
+        /// it reads the clock afterwards.
+        pub fn wait_until(&self, mutex: &Mutex, deadline: Instant) -> bool {
+            let tid = turn(&self.kernel);
+            self.kernel
+                .condvar_wait(tid, self.cid, mutex.mid, Some(deadline))
         }
 
         /// Wake the longest-waiting thread, if any.
@@ -692,36 +740,74 @@ pub mod sync {
     }
 }
 
+/// Synchronization primitives under the checker.
+pub mod sync {
+    use super::*;
+    use std::ops::{Deref, DerefMut};
+
+    /// A mutex whose acquisition order the checker controls. The data
+    /// sits in a std mutex that the kernel's exclusion keeps uncontended
+    /// (and that still excludes threads unwinding out of an aborted run).
+    pub struct Mutex<T> {
+        raw: raw::Mutex,
+        data: StdMutex<T>,
+    }
+
+    /// RAII guard; dropping releases the lock (not a scheduling point).
+    pub struct MutexGuard<'a, T> {
+        raw: &'a raw::Mutex,
+        data: StdMutexGuard<'a, T>,
+    }
+
+    impl<T> Mutex<T> {
+        /// Create a mutex registered with the current run's kernel; only
+        /// valid inside [`check`](super::check()).
+        #[allow(clippy::new_without_default)]
+        pub fn new(value: T) -> Mutex<T> {
+            Mutex {
+                raw: raw::Mutex::new(),
+                data: StdMutex::new(value),
+            }
+        }
+
+        /// Acquire (a scheduling point: the checker may run any other
+        /// thread first).
+        pub fn lock(&self) -> MutexGuard<'_, T> {
+            self.raw.lock();
+            let data = self.data.lock().unwrap_or_else(|p| p.into_inner());
+            MutexGuard {
+                raw: &self.raw,
+                data,
+            }
+        }
+    }
+
+    impl<T> Deref for MutexGuard<'_, T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            &self.data
+        }
+    }
+
+    impl<T> DerefMut for MutexGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            &mut self.data
+        }
+    }
+
+    impl<T> Drop for MutexGuard<'_, T> {
+        fn drop(&mut self) {
+            self.raw.unlock();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::sync::{Condvar, Mutex};
+    use super::sync::Mutex;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc as StdArc;
-
-    #[test]
-    fn explores_multiple_schedules_and_preserves_mutex_atomicity() {
-        let stats = check(|| {
-            let counter = StdArc::new(Mutex::new(0u32));
-            let mut handles = Vec::new();
-            for _ in 0..2 {
-                let c = counter.clone();
-                handles.push(thread::spawn(move || {
-                    let mut g = c.lock();
-                    let v = *g;
-                    // The guard is held across the read-modify-write, so
-                    // every schedule must still total 2.
-                    *g = v + 1;
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
-            assert_eq!(*counter.lock(), 2);
-        });
-        assert!(stats.complete, "exploration hit the schedule cap");
-        assert!(stats.schedules >= 2, "expected >1 interleaving");
-    }
 
     #[test]
     fn covers_both_orders_of_two_racing_threads() {
@@ -760,51 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn condvar_handshake_completes_under_all_schedules() {
-        let stats = check(|| {
-            let flag = StdArc::new((Mutex::new(false), Condvar::new()));
-            let f = flag.clone();
-            let producer = thread::spawn(move || {
-                let (m, cv) = &*f;
-                *m.lock() = true;
-                cv.notify_one();
-            });
-            let (m, cv) = &*flag;
-            let mut g = m.lock();
-            while !*g {
-                g = cv.wait(g);
-            }
-            drop(g);
-            producer.join();
-        });
-        assert!(stats.complete);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock / lost wakeup")]
-    fn detects_a_seeded_lost_wakeup() {
-        // Classic bug: test-then-wait without holding the lock across
-        // the test. If the producer's notify lands between the consumer's
-        // check and its wait, the wakeup is lost. Some schedule must
-        // trigger it, and the checker must report it.
-        check(|| {
-            let flag = StdArc::new((Mutex::new(false), Condvar::new()));
-            let f = flag.clone();
-            let _producer = thread::spawn(move || {
-                let (m, cv) = &*f;
-                *m.lock() = true;
-                cv.notify_one();
-            });
-            let (m, cv) = &*flag;
-            let ready = *m.lock(); // guard dropped: race window opens
-            if !ready {
-                let g = m.lock();
-                let _g = cv.wait(g); // may wait forever
-            }
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "model thread")]
     fn reports_assertion_failures_with_a_trace() {
         check(|| {
@@ -819,5 +860,74 @@ mod tests {
             t.join();
             assert_eq!(seen, 0, "child ran before parent read");
         });
+    }
+
+    #[test]
+    fn bound_zero_explores_one_schedule() {
+        // Two threads touching one mutex: several schedules unbounded, each
+        // keeping every read-modify-write under the guard atomic; but each
+        // alternative needs a preemption, so bound 0 runs just one.
+        let model = || {
+            let v = StdArc::new(Mutex::new(0u32));
+            let v2 = v.clone();
+            let t = thread::spawn(move || *v2.lock() += 1);
+            *v.lock() += 1;
+            *v.lock() += 1;
+            t.join();
+            assert_eq!(*v.lock(), 3);
+        };
+        assert!(check(model).schedules > 1);
+        let bound_zero = Config {
+            max_preemptions: 0,
+            ..Config::default()
+        };
+        let stats = check_with(bound_zero, model);
+        assert!(stats.complete);
+        assert_eq!(stats.schedules, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "replay diverged at depth 0")]
+    fn replay_divergence_is_a_failure() {
+        // A model that spawns one more thread on every run: the second
+        // run's first decision sees more runnable threads than the first
+        // run recorded there.
+        let runs = StdArc::new(AtomicUsize::new(0));
+        check(move || {
+            let extra = runs.fetch_add(1, Ordering::Relaxed);
+            let handles: Vec<_> = (0..=extra).map(|_| thread::spawn(|| {})).collect();
+            yield_now();
+            for h in handles {
+                h.join();
+            }
+        });
+    }
+
+    #[test]
+    fn a_timed_wait_expires_only_when_every_other_thread_is_blocked() {
+        // The setter never notifies, so the waiter leaves only by timing
+        // out; virtual time means it never does while the setter can
+        // still run, so it always sees the flag set.
+        let timeouts = StdArc::new(AtomicUsize::new(0));
+        let t = timeouts.clone();
+        let stats = check(move || {
+            let (m, cv) = (raw::Mutex::new(), raw::Condvar::new());
+            let done = StdArc::new(Mutex::new(false));
+            let done2 = done.clone();
+            let setter = thread::spawn(move || *done2.lock() = true);
+            m.lock();
+            while !*done.lock() {
+                assert!(cv.wait_until(&m, Instant::now()), "nobody notifies");
+                assert!(*done.lock(), "timed out while the setter could run");
+                t.fetch_add(1, Ordering::Relaxed);
+            }
+            m.unlock();
+            setter.join();
+        });
+        assert!(stats.complete);
+        assert!(
+            timeouts.load(Ordering::Relaxed) > 0,
+            "no schedule timed out"
+        );
     }
 }
