@@ -46,7 +46,8 @@ pub struct WsqConfig {
     pub corpus: CorpusConfig,
     /// Latency model applied to both simulated engines.
     pub latency: LatencyModel,
-    /// ReqPump configuration (concurrency limits, dispatch mode).
+    /// ReqPump configuration: the global and per-destination concurrency
+    /// caps (its `obs` handle is replaced by the one `obs` selects).
     pub pump: PumpConfig,
     /// Default query execution options.
     pub query: QueryOptions,

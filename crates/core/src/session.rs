@@ -88,8 +88,8 @@ impl SharedWsq {
     }
 
     /// Open a new session. Session ids start at 1 and are never reused;
-    /// id 0 is reserved for "untagged" (in-process work and pump worker
-    /// threads).
+    /// id 0 is reserved for "untagged" (in-process work and the pump's
+    /// timer thread).
     pub fn session(&self) -> Session {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         self.inner.obs.count(CounterId::SessionsTotal, 1);
@@ -352,8 +352,8 @@ impl Session {
 
     /// Trace events attributable to *this* session since ring position
     /// `since`: every event of every call this session registered or
-    /// coalesced onto, including lifecycle segments recorded on shared
-    /// pump worker threads.
+    /// coalesced onto, including lifecycle segments recorded on the
+    /// pump's timer thread or another session's thread.
     pub fn trace_events(&self, since: u64) -> Vec<TraceEvent> {
         self.shared.obs.trace_events_for_session(since, self.id)
     }

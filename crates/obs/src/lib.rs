@@ -380,8 +380,9 @@ impl Obs {
     /// The two-pass shape matters for coalescing: a session's
     /// `Registered`/`Coalesced` events are recorded on its own
     /// connection thread (and so carry its id), but the `Launched` /
-    /// `Completed` half of the lifecycle runs on pump worker threads
-    /// and is untagged — and may be *shared* with other sessions that
+    /// `Completed` half of the lifecycle may run on the pump's timer
+    /// thread, untagged, or on another session's thread — and may be
+    /// *shared* with other sessions that
     /// coalesced onto the same call. Collecting the session's calls
     /// first, then keeping all events for those calls, returns the full
     /// lifecycle including shared segments; only the events returned have
@@ -674,7 +675,7 @@ thread_local! {
 /// session, so every trace event recorded on this thread (call
 /// registration, coalescing, ReqSync patching) carries the connection
 /// it was recorded for. `0` means "untagged" and is what in-process
-/// users and pump worker threads record. Nests and restores like
+/// users and the pump's timer thread record. Nests and restores like
 /// [`call_scope`].
 pub fn session_scope<R>(session: u64, f: impl FnOnce() -> R) -> R {
     CURRENT_SESSION.with(|c| {
@@ -895,7 +896,7 @@ mod tests {
         session_scope(7, || {
             obs.event(&Step::new(), CallId(1), EventKind::Registered)
         });
-        // The worker-thread half of the lifecycle is untagged but must
+        // The timer thread's half of the lifecycle is untagged but must
         // still appear in the session's filtered view (shared call).
         obs.event(&Step::new(), CallId(1), EventKind::Completed);
         session_scope(9, || {

@@ -10,7 +10,7 @@
 //! [`Obs::observe`](crate::Obs::observe) for the same handle on that thread
 //! lands in it: an event is one push onto a reused `Vec`, a metric change
 //! one integer add — no atomics, no locks. Threads with no recorder (the
-//! pump's timer thread and workers) write to the shared state directly.
+//! pump's timer thread) write to the shared state directly.
 //!
 //! A recorder publishes when asked ([`Obs::publish`](crate::Obs::publish)
 //! — the pump asks before the thread blocks and before it hands a call to

@@ -123,8 +123,8 @@ pub struct TraceEvent {
     /// The call this event belongs to.
     pub call: CallId,
     /// The server session (connection) on whose behalf the event was
-    /// recorded, or `0` when untagged (in-process use, pump worker
-    /// threads). Read from the thread-local [`crate::session_scope`] once
+    /// recorded, or `0` when untagged (in-process use, the pump's timer
+    /// thread). Read from the thread-local [`crate::session_scope`] once
     /// per [`crate::Step`].
     pub session: u64,
     /// What happened.

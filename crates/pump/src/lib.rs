@@ -12,24 +12,23 @@
 //! caps, queueing the excess), stores each response in `ReqPumpHash` keyed
 //! by [`CallId`], and signals consumers as calls complete.
 //!
-//! Two dispatchers are provided:
-//!
-//! * [`DispatchMode::EventLoop`] — the design the paper argues for (§4.2,
-//!   citing the Flash web server): registering a call *is* sending it.
-//!   Services compute their response eagerly and declare a simulated
-//!   network latency, so `execute` is cheap and any thread may run it.
-//!   `register` runs it on the registering thread for every call the caps
-//!   admit; a zero-latency reply (a cache hit) is stored before `register`
-//!   returns, with no other thread involved, and `register_delivered`
-//!   hands it straight to the registrant — an `AEVScan` then emits
-//!   finished rows instead of a placeholder. A reply with latency goes on
-//!   a deadline heap, and one background timer thread sleeps until the
-//!   earliest deadline, delivers what is due, and launches whatever the
-//!   freed capacity admits. Hundreds of concurrent "network" calls cost
-//!   one thread, and that thread wakes only for deadlines.
-//! * [`DispatchMode::ThreadPool`] — a fixed pool of worker threads for
-//!   services that genuinely block (the Web-crawler example uses this).
-//!
+//! The dispatcher is the design the paper argues for (§4.2, citing the
+//! Flash web server): registering a call *is* sending it, with no thread
+//! per request. Services compute their response eagerly and declare a
+//! simulated network latency, so `execute` is cheap and any thread may run
+//! it. `register` runs it on the registering thread for every call the caps
+//! admit; a zero-latency reply (a cache hit) is stored before `register`
+//! returns, with no other thread involved, and `register_delivered` hands
+//! it straight to the registrant — an `AEVScan` then emits finished rows
+//! instead of a placeholder. A reply with latency goes on a deadline heap,
+//! and the pump's one thread, a timer, sleeps until the earliest deadline,
+//! delivers what is due, and launches whatever the freed capacity admits.
+//! Hundreds of concurrent "network" calls cost one thread, and that thread
+//! wakes only for deadlines. A service that genuinely blocks inside
+//! `execute` blocks the thread that launched it: declare the wait as
+//! [`ServiceReply::latency`] instead (the `web_crawler` example's fetcher
+//! does).
+
 //! ReqPump also *coalesces* identical in-flight requests (one network call,
 //! many placeholders) — the countermeasure to the paper's Example 2, where
 //! a cross-product would otherwise send `|R|` identical calls per tuple.
@@ -39,7 +38,7 @@
 pub mod pump;
 pub mod service;
 
-pub use pump::{DispatchMode, Lease, LeaseId, PumpConfig, PumpStats, Registered, ReqPump};
+pub use pump::{Lease, LeaseId, PumpConfig, PumpStats, Registered, ReqPump};
 pub use service::{PageHit, RequestKind, SearchRequest, SearchResult, SearchService, ServiceReply};
 
 pub use wsq_common::CallId;

@@ -3,12 +3,14 @@
 //!
 //! # Launching
 //!
-//! Under [`DispatchMode::EventLoop`] a call is launched by whichever
-//! thread made it launchable (`launch_ready`): the registering thread
-//! for a call that fits under the caps, otherwise the thread whose
-//! delivery freed the capacity. Zero-latency replies complete on that
-//! same thread before it returns; the `reqpump-loop` thread is a timer
-//! that only wakes for a declared-latency deadline. The invariant that
+//! A call is launched by whichever thread made it launchable
+//! (`launch_ready`): the registering thread for a call that fits under
+//! the caps, otherwise the thread whose delivery freed the capacity.
+//! Zero-latency replies complete on that same thread before it returns;
+//! the `reqpump-loop` thread, the pump's only thread, is a timer that only
+//! wakes for a declared-latency deadline. A service that blocks inside
+//! `execute` blocks the thread that launched it (the
+//! [`SearchService::execute`] contract). The invariant that
 //! keeps a queued call from being stranded: *whoever frees capacity
 //! re-runs the launch step before returning*. It does so in the lock hold
 //! that freed the capacity: one hold completes a round's instant replies,
@@ -59,8 +61,8 @@
 //! publishes before it blocks in [`ReqPump::wait_any`], and before it lets
 //! another thread continue a call it has recorded events for — before it
 //! parks a timed reply for the timer thread, before it releases the state
-//! lock with calls still queued (a worker, the timer or another session may
-//! launch them), and before it wakes a waiter on a call it completed. A
+//! lock with calls still queued (the timer or another session may launch
+//! them), and before it wakes a waiter on a call it completed. A
 //! call's queue delay and latency are sampled by the first thread to take
 //! its result, so they land in the recorder of the query that waited for
 //! it, whichever thread completed the call.
@@ -78,19 +80,6 @@ use std::time::{Duration, Instant};
 use wsq_common::{CallId, IdMap, Result, WsqError};
 use wsq_obs::{CounterId, EventKind, HistogramId, Label, Obs, Step, Tick};
 
-/// How launched calls are driven to completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Calls are sent on the thread that registers them (or that frees
-    /// the capacity they queued for) and one background timer thread
-    /// delivers each reply when its declared latency elapses (services
-    /// must compute cheaply and declare simulated latency). This is the
-    /// paper's event-driven design (§4.2): registration *is* the send.
-    EventLoop,
-    /// A pool of `n` worker threads, for services that genuinely block.
-    ThreadPool(usize),
-}
-
 /// ReqPump configuration.
 #[derive(Debug, Clone)]
 pub struct PumpConfig {
@@ -103,8 +92,6 @@ pub struct PumpConfig {
     pub per_destination: HashMap<String, usize>,
     /// Default per-destination cap.
     pub default_per_destination: usize,
-    /// Dispatcher choice.
-    pub dispatch: DispatchMode,
     /// Observability sink for call-lifecycle events and metrics
     /// ([`Obs::disabled`] by default — a pure no-op). One handle feeds one
     /// pump: the pump counts its calls in the handle's
@@ -119,7 +106,6 @@ impl Default for PumpConfig {
             max_concurrent: 64,
             per_destination: HashMap::new(),
             default_per_destination: 64,
-            dispatch: DispatchMode::EventLoop,
             obs: Obs::disabled(),
         }
     }
@@ -396,7 +382,7 @@ struct State {
     /// Engine name → slot in `dests` (keyed by user text: default hasher).
     dest_index: HashMap<String, usize>,
     /// Launched calls whose declared latency has not elapsed yet, earliest
-    /// deadline first ([`DispatchMode::EventLoop`] only).
+    /// deadline first.
     deadlines: BinaryHeap<Reverse<Pending>>,
     /// An empty launch-round buffer kept for the next round to fill.
     spare_launches: Vec<Launch>,
@@ -420,9 +406,7 @@ impl State {
 struct Shared {
     config: PumpConfig,
     state: Mutex<State>,
-    /// Wakes the timer thread (earlier deadline / shutdown) or, under
-    /// [`DispatchMode::ThreadPool`], the workers (new work / capacity
-    /// freed / shutdown).
+    /// Wakes the timer thread (earlier deadline / shutdown).
     work_cv: Condvar,
     stats: Counters,
     /// Hashes requests for the coalescing index (randomly keyed, as the
@@ -505,15 +489,16 @@ impl Drop for Lease {
 /// The global asynchronous request manager. See the crate docs.
 pub struct ReqPump {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<Worker>>,
+    /// Joins the timer thread; taken by the first `shutdown`.
+    timer: Mutex<Option<Joiner>>,
 }
 
-/// What joins a pump thread (the timer or a worker) at shutdown.
-type Worker = Box<dyn FnOnce() + Send>;
+/// What joins the timer thread at shutdown.
+type Joiner = Box<dyn FnOnce() + Send>;
 
-/// Start the pump thread `name` running `body`: a model thread inside a
+/// Start the timer thread running `body`: a model thread inside a
 /// `schedcheck::check` (the `schedcheck` feature), an OS thread otherwise.
-fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> Worker {
+fn spawn_timer(body: impl FnOnce() + Send + 'static) -> Joiner {
     #[cfg(feature = "schedcheck")]
     if schedcheck::active() {
         let thread = schedcheck::thread::spawn(body);
@@ -525,8 +510,10 @@ fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> Worker {
             }
         });
     }
-    let thread = std::thread::Builder::new().name(name).spawn(body);
-    let thread = thread.expect("spawn reqpump thread");
+    let thread = std::thread::Builder::new()
+        .name("reqpump-loop".into())
+        .spawn(body)
+        .expect("spawn the reqpump timer");
     Box::new(move || {
         let _ = thread.join();
     })
@@ -543,21 +530,11 @@ impl ReqPump {
             work_cv: Condvar::new(),
             keys: RandomState::new(),
         });
-        let workers = match config.dispatch {
-            DispatchMode::EventLoop => {
-                let s = shared.clone();
-                vec![spawn("reqpump-loop".into(), move || event_loop(s))]
-            }
-            DispatchMode::ThreadPool(n) => (0..n.max(1))
-                .map(|i| {
-                    let s = shared.clone();
-                    spawn(format!("reqpump-worker-{i}"), move || worker_loop(s))
-                })
-                .collect(),
-        };
+        let s = shared.clone();
+        let timer = spawn_timer(move || event_loop(s));
         Arc::new(ReqPump {
             shared,
-            workers: Mutex::new(workers),
+            timer: Mutex::new(Some(timer)),
         })
     }
 
@@ -587,11 +564,11 @@ impl ReqPump {
     }
 
     /// Register an external call and return its id without waiting for
-    /// its reply. Under [`DispatchMode::EventLoop`] a call that fits under
-    /// the concurrency limits is sent before `register` returns — the
-    /// service's `execute` runs on this thread, and a zero-latency reply
-    /// is already stored when the id comes back; a call over the limits
-    /// queues until a delivery frees capacity.
+    /// its reply. A call that fits under the concurrency limits is sent
+    /// before `register` returns — the service's `execute` runs on this
+    /// thread, and a zero-latency reply is already stored when the id
+    /// comes back; a call over the limits queues until a delivery frees
+    /// capacity.
     ///
     /// An identical request already known to the pump returns the existing
     /// id with its reference count bumped (coalescing).
@@ -627,7 +604,7 @@ impl ReqPump {
         let step = Step::new();
         let mut st = self.shared.state.lock();
         let cid = self.register_locked(&mut st, req, &step)?;
-        start_queued(&self.shared, st, &step, Vec::new(), None);
+        launch_ready(&self.shared, st, &step, Vec::new(), None);
         Ok(cid)
     }
 
@@ -643,8 +620,8 @@ impl ReqPump {
 
     /// [`ReqPump::register`] under `lease`, for a caller that can use a
     /// reply already in hand: a call that finishes during the registering
-    /// step — an instant reply under [`DispatchMode::EventLoop`], or a
-    /// registration that coalesced onto a finished call — comes back as
+    /// step — an instant reply, or a registration that coalesced onto a
+    /// finished call — comes back as
     /// [`Registered::Delivered`] with its result, taken in the lock hold
     /// that completed it. A pending call comes back as
     /// [`Registered::Pending`].
@@ -692,7 +669,7 @@ impl ReqPump {
         }
         let (cid, woken) = registered?;
         Ok(
-            match start_queued(&self.shared, st, &step, woken, Some(cid)) {
+            match launch_ready(&self.shared, st, &step, woken, Some(cid)) {
                 Some(result) => Registered::Delivered(cid, result),
                 None => Registered::Pending(cid),
             },
@@ -717,7 +694,7 @@ impl ReqPump {
         for req in reqs {
             ids.push(self.register_locked(&mut st, req, &step)?);
         }
-        start_queued(&self.shared, st, &step, Vec::new(), None);
+        launch_ready(&self.shared, st, &step, Vec::new(), None);
         Ok(ids)
     }
 
@@ -835,7 +812,7 @@ impl ReqPump {
 
     /// The registration body, run under the already-held state lock as
     /// part of `step` (a burst registered under one lock acquisition is one
-    /// step). Launches nothing — callers hand the lock to [`start_queued`]
+    /// step). Launches nothing — callers hand the lock to [`launch_ready`]
     /// once at the end.
     fn register_locked(&self, st: &mut State, req: SearchRequest, step: &Step) -> Result<CallId> {
         if st.shutdown {
@@ -1029,27 +1006,35 @@ impl ReqPump {
         &self.shared.config.obs
     }
 
-    /// Stop the pump's threads. Outstanding `wait` calls return
-    /// [`WsqError::PumpShutdown`]; queued calls are dropped.
+    /// Stop the pump and join its timer thread. Registration fails from
+    /// now on, and outstanding `wait` calls return
+    /// [`WsqError::PumpShutdown`]. A parked call — launched, its reply
+    /// waiting out its latency — fails with `PumpShutdown` in the same lock
+    /// hold: a released one is forgotten, a held one keeps the error until
+    /// it is released. A queued call never launches, and stays until its
+    /// registrant releases it.
     pub fn shutdown(&self) {
-        let waiters: Vec<Arc<Waiter>> = {
+        let step = Step::new();
+        let mut woken = Vec::new();
+        {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
-            st.interest.drain().flat_map(|(_, w)| w).collect()
-        };
-        for w in waiters {
+            for Reverse(parked) in std::mem::take(&mut st.deadlines) {
+                let failed = Err(WsqError::PumpShutdown);
+                complete_locked(&self.shared, &mut st, parked.cid, failed, &step, &mut woken);
+            }
+            let waiting = st.interest.drain();
+            woken.extend(waiting.flat_map(|(cid, ws)| ws.into_iter().map(move |w| (cid, w))));
+        }
+        self.shared.config.obs.publish();
+        for (_, w) in woken {
             w.wake(Wake::Shutdown);
         }
         self.shared.work_cv.notify_all();
-        // Take the handles out under the lock, then join with the guard
-        // released: a worker blocked on re-acquiring `workers` (or a
-        // second `shutdown()` racing this one) must not deadlock the
-        // join loop.
-        let handles: Vec<_> = {
-            let mut workers = self.workers.lock();
-            workers.drain(..).collect()
-        };
-        for join in handles {
+        // Take the joiner out under the lock and join with the guard
+        // released, so that a second `shutdown()` racing this one returns.
+        let timer = self.timer.lock().take();
+        if let Some(join) = timer {
             join();
         }
     }
@@ -1267,8 +1252,9 @@ fn pop_launchable(st: &mut State, shared: &Shared, step: &Step) -> Option<Launch
 /// lock: store its result, free its capacity, and add exactly the waiters
 /// interested in it to `woken`, for the caller to wake once it releases
 /// the lock. The capacity it frees may admit a queued call: the caller
-/// re-runs the launch step before it returns (`launch_ready` and
-/// `event_loop` in the same hold; `worker_loop` wakes its peers).
+/// re-runs the launch step before it returns, in the same hold
+/// (`launch_ready`, `event_loop`) — except `shutdown`, after which nothing
+/// launches.
 fn complete_locked(
     shared: &Shared,
     st: &mut State,
@@ -1390,46 +1376,17 @@ fn execute_one(launch: &Launch) -> ServiceReply {
     .unwrap_or_else(|payload| failed(panic_error(payload)))
 }
 
-/// Start what a registration just queued, as part of its step `step` and
-/// under the state lock `st` it still holds: on this thread under
-/// [`DispatchMode::EventLoop`], in the same lock hold; by waking the
-/// workers under [`DispatchMode::ThreadPool`], whose services may block.
-/// `woken` are waiters the registration's hold owes a wakeup.
-///
-/// With `watch` set, returns that call's result, taken in the hold in
-/// which it is done — this one, or the hold that completed it — if it
-/// finished during the step (see [`ReqPump::register_delivered`]).
-fn start_queued(
-    shared: &Shared,
-    mut st: MutexGuard<'_, State>,
-    step: &Step,
-    woken: Woken,
-    watch: Option<CallId>,
-) -> Option<Result<SearchResult>> {
-    match shared.config.dispatch {
-        DispatchMode::EventLoop => launch_ready(shared, st, step, woken, watch),
-        DispatchMode::ThreadPool(_) => {
-            let taken = watch.and_then(|call| take_locked(shared, &mut st, call));
-            publish_if_queued(shared, &st);
-            drop(st);
-            shared.work_cv.notify_all();
-            wake(shared, woken);
-            taken
-        }
-    }
-}
-
 /// Publish this thread's records before the state lock is released with
-/// calls still queued: another thread may launch them, and its events must
-/// follow their registration in the ring.
+/// calls still queued: the timer or another registrant may launch them,
+/// and its events must follow their registration in the ring.
 fn publish_if_queued(shared: &Shared, st: &State) {
     if !st.queue.is_empty() {
         shared.config.obs.publish();
     }
 }
 
-/// The event-loop launch step, run by whichever thread queued work or
-/// freed capacity, under the state lock `st` that thread holds: pop
+/// The launch step, run by whichever thread queued work or freed
+/// capacity, under the state lock `st` that thread holds: pop
 /// everything launchable, `execute` it outside the lock, then take the
 /// lock once to park the timed replies on the deadline heap for the timer
 /// thread and complete the instant ones here. Completing frees capacity,
@@ -1442,7 +1399,11 @@ fn publish_if_queued(shared: &Shared, st: &State) {
 /// no other thread can launch the calls it just registered — and is
 /// stamped with the caller's step `step`. `woken` (what the caller's hold
 /// owes) and the waiters of what the step completes are woken whenever the
-/// step releases the lock. `watch`: see [`start_queued`].
+/// step releases the lock.
+///
+/// With `watch` set, returns that call's result, taken in the hold in
+/// which it is done — this one, or the hold that completed it — if it
+/// finished during the step (see [`ReqPump::register_delivered`]).
 fn launch_ready<'a>(
     shared: &'a Shared,
     mut st: MutexGuard<'a, State>,
@@ -1500,8 +1461,15 @@ fn launch_ready<'a>(
         let mut completed = false;
         for Launch { cid, reply, .. } in launches.drain(..) {
             let Some(reply) = reply else { continue };
-            if reply.latency.is_zero() {
-                complete_locked(shared, &mut st, cid, reply.result, round, &mut woken);
+            let instant = reply.latency.is_zero();
+            if instant || st.shutdown {
+                // After a shutdown no timer is left to deliver a timed reply.
+                let result = if instant {
+                    reply.result
+                } else {
+                    Err(WsqError::PumpShutdown)
+                };
+                complete_locked(shared, &mut st, cid, result, round, &mut woken);
                 completed = true;
             } else {
                 st.deadlines.push(Reverse(Pending {
@@ -1555,43 +1523,6 @@ fn event_loop(shared: Arc<Shared>) {
             complete_locked(&shared, &mut st, p.cid, p.result, &step, &mut woken);
         }
         launch_ready(&shared, st, &step, woken, None);
-    }
-}
-
-/// Thread-pool worker: pop a launchable call, execute (possibly blocking),
-/// sleep the declared latency, deliver.
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let launch = {
-            let mut st = shared.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(launch) = pop_launchable(&mut st, &shared, &Step::new()) {
-                    break launch;
-                }
-                shared.work_cv.wait(&mut st);
-            }
-        };
-        let reply = execute_one(&launch);
-        if !reply.latency.is_zero() {
-            std::thread::sleep(reply.latency);
-        }
-        let mut woken = Vec::new();
-        let step = Step::new();
-        complete_locked(
-            &shared,
-            &mut shared.state.lock(),
-            launch.cid,
-            reply.result,
-            &step,
-            &mut woken,
-        );
-        wake(&shared, woken);
-        // Capacity freed: this worker loops back for the next call, and an
-        // idle peer may take another.
-        shared.work_cv.notify_all();
     }
 }
 
@@ -1922,43 +1853,43 @@ mod tests {
     }
 
     #[test]
-    fn thread_pool_mode_works_and_overlaps() {
-        let config = PumpConfig {
-            dispatch: DispatchMode::ThreadPool(8),
-            ..PumpConfig::default()
-        };
-        let pump = ReqPump::new(config);
-        pump.register_service("AV", Probe::new(Duration::from_millis(30)));
-        let t0 = Instant::now();
-        let ids: Vec<CallId> = (0..8)
-            .map(|i| pump.register(req("AV", &format!("t{i}"))).unwrap())
-            .collect();
-        for &cid in &ids {
-            assert!(pump.wait(cid).unwrap().count().is_some());
+    fn shutdown_strands_no_call_once_every_registrant_releases() {
+        /// Instant, unless the expression starts with `~`: then parked
+        /// for a minute.
+        struct Mixed;
+        impl SearchService for Mixed {
+            fn execute(&self, req: &SearchRequest) -> ServiceReply {
+                let timed = req.expr.starts_with('~');
+                ServiceReply {
+                    result: Ok(SearchResult::Count(req.expr.len() as u64)),
+                    latency: Duration::from_secs(if timed { 60 } else { 0 }),
+                }
+            }
         }
-        assert!(
-            t0.elapsed() < Duration::from_millis(200),
-            "thread pool did not overlap: {:?}",
-            t0.elapsed()
-        );
-    }
-
-    #[test]
-    fn thread_pool_respects_global_limit() {
-        let config = PumpConfig {
-            dispatch: DispatchMode::ThreadPool(8),
+        let pump = ReqPump::new(PumpConfig {
             max_concurrent: 2,
             ..PumpConfig::default()
-        };
-        let pump = ReqPump::new(config);
-        pump.register_service("AV", Probe::new(Duration::from_millis(10)));
-        let ids: Vec<CallId> = (0..10)
-            .map(|i| pump.register(req("AV", &format!("t{i}"))).unwrap())
-            .collect();
-        for &cid in &ids {
-            pump.wait(cid).unwrap();
+        });
+        pump.register_service("AV", Arc::new(Mixed));
+        // Done, parked (filling the cap of 2), then queued; one of each
+        // released before the shutdown, one held across it.
+        let calls = ["d1", "d2", "~p1", "~p2", "~q1", "~q2"]
+            .map(|expr| pump.register(req("AV", expr)).unwrap());
+        let [done, done_gone, parked, parked_gone, queued, queued_gone] = calls;
+        assert_eq!(pump.stats().launched, 4);
+        for call in [done_gone, parked_gone, queued_gone] {
+            pump.release(call);
         }
-        assert!(pump.stats().peak_in_flight <= 2);
+        pump.shutdown();
+        assert_eq!(pump.live_calls(), 3, "the released parked call was kept");
+        assert_eq!(pump.peek(done).unwrap().unwrap().count(), Some(2));
+        assert!(matches!(pump.wait(parked), Err(WsqError::PumpShutdown)));
+        assert!(pump.peek(queued).is_none(), "a queued call launched");
+        for call in [done, parked, queued] {
+            pump.release(call);
+        }
+        assert_eq!(pump.live_calls(), 0);
+        assert_eq!(pump.stats().launched, 4);
     }
 
     #[test]
@@ -2388,25 +2319,12 @@ mod tests {
     }
 
     #[test]
-    fn execute_runs_on_the_registering_thread_only_under_event_loop() {
-        let me = std::thread::current().id();
+    fn execute_runs_on_the_registering_thread() {
         let log = ThreadLog::new(Duration::ZERO);
         let pump = ReqPump::with_service("AV", log.clone());
         let cid = pump.register(req("AV", "loop")).unwrap();
         pump.wait(cid).unwrap();
-        assert_eq!(log.thread_of("loop"), me);
-
-        let log = ThreadLog::new(Duration::ZERO);
-        let pump = ReqPump::new(PumpConfig {
-            dispatch: DispatchMode::ThreadPool(2),
-            ..PumpConfig::default()
-        });
-        pump.register_service("AV", log.clone());
-        for expr in ["p0", "p1", "p2", "p3"] {
-            let cid = pump.register(req("AV", expr)).unwrap();
-            pump.wait(cid).unwrap();
-            assert_ne!(log.thread_of(expr), me, "a worker must run {expr}");
-        }
+        assert_eq!(log.thread_of("loop"), std::thread::current().id());
     }
 
     #[test]
@@ -2480,34 +2398,28 @@ mod tests {
 
     #[test]
     fn panicking_service_fails_its_call_and_the_pump_survives() {
-        for dispatch in [DispatchMode::EventLoop, DispatchMode::ThreadPool(2)] {
-            let pump = ReqPump::new(PumpConfig {
-                dispatch,
-                max_concurrent: 2,
-                ..PumpConfig::default()
-            });
-            pump.register_service("AV", Arc::new(Panicky));
-            let ids = pump
-                .register_batch(vec![req("AV", "boom"), req("AV", "fine")])
-                .unwrap();
-            let err = pump.wait(ids[0]).unwrap_err().to_string();
-            assert!(
-                err.contains("service panicked: backend exploded"),
-                "{dispatch:?}: {err}"
-            );
-            // The healthy call registered beside it is untouched.
-            assert_eq!(pump.wait(ids[1]).unwrap().count(), Some(4), "{dispatch:?}");
-            for cid in ids {
-                pump.release(cid);
-            }
-            assert_eq!(pump.live_calls(), 0);
-            // The slot came back and the dispatcher is still alive.
-            let again = pump.register(req("AV", "after")).unwrap();
-            assert_eq!(pump.wait(again).unwrap().count(), Some(5));
-            pump.release(again);
-            assert_eq!(pump.live_calls(), 0);
-            assert_eq!(pump.stats().launched, pump.stats().completed);
+        let pump = ReqPump::new(PumpConfig {
+            max_concurrent: 2,
+            ..PumpConfig::default()
+        });
+        pump.register_service("AV", Arc::new(Panicky));
+        let ids = pump
+            .register_batch(vec![req("AV", "boom"), req("AV", "fine")])
+            .unwrap();
+        let err = pump.wait(ids[0]).unwrap_err().to_string();
+        assert!(err.contains("service panicked: backend exploded"), "{err}");
+        // The healthy call registered beside it is untouched.
+        assert_eq!(pump.wait(ids[1]).unwrap().count(), Some(4));
+        for cid in ids {
+            pump.release(cid);
         }
+        assert_eq!(pump.live_calls(), 0);
+        // The slot came back and the pump still launches.
+        let again = pump.register(req("AV", "after")).unwrap();
+        assert_eq!(pump.wait(again).unwrap().count(), Some(5));
+        pump.release(again);
+        assert_eq!(pump.live_calls(), 0);
+        assert_eq!(pump.stats().launched, pump.stats().completed);
     }
 
     #[test]

@@ -147,15 +147,12 @@ impl SearchResult {
 
 /// A service's reply: the result plus how long the "network" takes.
 ///
-/// The latency contract is uniform across dispatchers: `latency` is the
-/// *additional* simulated wait before the result becomes visible. Under
-/// [`crate::DispatchMode::EventLoop`] the pump's timer thread delivers the
-/// reply `latency` after launch without blocking any thread, and a reply
-/// with `latency == 0` is delivered at once by the thread that ran
-/// [`SearchService::execute`]; a thread-pool worker sleeps for it. A service wrapping a
-/// genuinely blocking operation does its blocking work inside `execute`,
-/// returns `latency == 0`, and must run under
-/// [`crate::DispatchMode::ThreadPool`].
+/// `latency` is the *additional* simulated wait before the result becomes
+/// visible. The pump's timer thread delivers the reply `latency` after
+/// launch without blocking any thread, and a reply with `latency == 0` is
+/// delivered at once by the thread that ran [`SearchService::execute`].
+/// A service models its wait by declaring it here, not by blocking inside
+/// `execute`.
 #[derive(Debug, Clone)]
 pub struct ServiceReply {
     /// Result or failure.
@@ -178,26 +175,19 @@ impl ServiceReply {
 pub trait SearchService: Send + Sync {
     /// Compute the reply for `req`.
     ///
-    /// Which thread calls this depends on the dispatcher:
+    /// The caller is the thread that made the call launchable: the query
+    /// thread inside [`crate::ReqPump::register`] (or `register_batch` /
+    /// `register_race`) when the call fits under the concurrency caps,
+    /// otherwise whichever thread's delivery freed the capacity — another
+    /// registrant, or the pump's timer thread. `execute` must therefore be
+    /// cheap: compute the result, declare the wait as
+    /// [`ServiceReply::latency`], return. A service that blocks here
+    /// blocks that thread — the query, or the timer and every delivery
+    /// behind it — and the pump has no other path for it.
     ///
-    /// * [`crate::DispatchMode::EventLoop`] — the thread that made the call
-    ///   launchable: the query thread inside [`crate::ReqPump::register`]
-    ///   (or `register_batch` / `register_race`) when the call fits under
-    ///   the concurrency caps, otherwise whichever thread's delivery freed
-    ///   the capacity — another registrant, or the pump's timer thread.
-    ///   `execute` must therefore be cheap and must not block: it runs on
-    ///   the caller's time, and every microsecond it takes delays the
-    ///   launches behind it. Compute the result, declare the wait as
-    ///   [`ServiceReply::latency`], return.
-    /// * [`crate::DispatchMode::ThreadPool`] — always a pool worker, never
-    ///   the registering thread. This is the dispatcher for a service that
-    ///   genuinely blocks (real network or disk I/O; the `web_crawler`
-    ///   example).
-    ///
-    /// Several threads may be inside `execute` at once under either
-    /// dispatcher. A panic here fails the call with
-    /// `WsqError::Search("service panicked: …")`; it does not take the
-    /// launching thread or the pump down.
+    /// Several threads may be inside `execute` at once. A panic here fails
+    /// the call with `WsqError::Search("service panicked: …")`; it does not
+    /// take the launching thread or the pump down.
     fn execute(&self, req: &SearchRequest) -> ServiceReply;
 }
 

@@ -1,5 +1,5 @@
 //! Model-based property tests for ReqPump: under random interleavings of
-//! register / wait / release across both dispatchers and random limits,
+//! register / wait / release under random limits,
 //! the pump must deliver exactly the right results, respect its caps, and
 //! never leak calls.
 
@@ -7,8 +7,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use wsq_pump::{
-    DispatchMode, PumpConfig, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService,
-    ServiceReply,
+    PumpConfig, ReqPump, RequestKind, SearchRequest, SearchResult, SearchService, ServiceReply,
 };
 
 /// Deterministic test service: count = f(expr), latency = tiny hash jitter.
@@ -51,18 +50,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 fn arb_config() -> impl Strategy<Value = PumpConfig> {
-    (
-        prop_oneof![Just(1usize), Just(2), Just(4), Just(64)],
-        prop_oneof![
-            Just(DispatchMode::EventLoop),
-            Just(DispatchMode::ThreadPool(4))
-        ],
-    )
-        .prop_map(|(max_concurrent, dispatch)| PumpConfig {
-            max_concurrent,
-            dispatch,
-            ..PumpConfig::default()
-        })
+    prop_oneof![Just(1usize), Just(2), Just(4), Just(64)].prop_map(|max_concurrent| PumpConfig {
+        max_concurrent,
+        ..PumpConfig::default()
+    })
 }
 
 /// Run `ops` against a fresh pump and check it against the model: every
@@ -154,7 +145,6 @@ fn pump_matches_model_replays_the_recorded_cap_one_case() {
     ];
     let config = PumpConfig {
         max_concurrent: 1,
-        dispatch: DispatchMode::EventLoop,
         ..PumpConfig::default()
     };
     check_ops(ops, config).unwrap();

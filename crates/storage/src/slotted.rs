@@ -77,12 +77,6 @@ pub fn init(page: &mut [u8]) {
     write_u16(page, 2, len);
 }
 
-/// Contiguous free bytes between the slot directory and the record area.
-pub fn contiguous_free(page: &[u8]) -> usize {
-    let dir_end = HEADER + SLOT * slot_count(page) as usize;
-    record_start(page).saturating_sub(dir_end)
-}
-
 /// Total reclaimable free bytes (after compaction), *excluding* the cost of
 /// a new slot entry.
 pub fn total_free(page: &[u8]) -> usize {

@@ -4,12 +4,13 @@
 //!
 //! A custom `SearchService` plays the role of an HTTP fetcher: its
 //! "engine" is registered as `Fetcher`, so `WebCount_Fetcher(T1 = url)`
-//! "fetches" the page and reports its outgoing-link count. The fetcher
-//! genuinely blocks (sleeps), so this example uses the thread-pool
-//! dispatcher — under the event-loop dispatcher `execute` runs on the
-//! thread that registers the call, where a blocking fetch would stall the
-//! query itself — and demonstrates that both dispatchers plug into the
-//! same machinery.
+//! "fetches" the page and reports its outgoing-link count. Like every
+//! service, the fetcher does not block: it computes its answer and
+//! declares the fetch's 15 ms as the reply's latency, so the pump's timer
+//! delivers it while the query goes on registering the next fetch. A
+//! fetch that blocked inside `execute` would instead hold up the query's
+//! own thread one fetch at a time, as the sequential crawl below does by
+//! waiting out each fetch in turn.
 //!
 //! ```sh
 //! cargo run --release --example web_crawler
@@ -20,12 +21,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wsq_pump::{
-    DispatchMode, PumpConfig, SearchRequest, SearchResult, SearchService, ServiceReply,
-};
+use wsq_pump::{SearchRequest, SearchResult, SearchService, ServiceReply};
 use wsqdsq::prelude::*;
 
-/// A pretend HTTP fetcher: blocks ~15ms per page, "parses" a link count.
+/// A pretend HTTP fetcher: 15 ms per page, "parses" a link count.
 struct PageFetcher {
     fetches: AtomicU64,
 }
@@ -33,26 +32,18 @@ struct PageFetcher {
 impl SearchService for PageFetcher {
     fn execute(&self, req: &SearchRequest) -> ServiceReply {
         self.fetches.fetch_add(1, Ordering::Relaxed);
-        // Genuinely blocking work (network + parse).
-        std::thread::sleep(Duration::from_millis(15));
         let mut h = DefaultHasher::new();
         req.expr.hash(&mut h);
         let links = h.finish() % 40;
         ServiceReply {
             result: Ok(SearchResult::Count(links)),
-            latency: Duration::ZERO, // already elapsed inside execute
+            latency: Duration::from_millis(15), // network + parse
         }
     }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Thread-pool dispatch: 16 workers crawl concurrently.
-    let mut config = WsqConfig::fast();
-    config.pump = PumpConfig {
-        dispatch: DispatchMode::ThreadPool(16),
-        ..PumpConfig::default()
-    };
-    let mut wsq = Wsq::open_in_memory(config)?;
+    let mut wsq = Wsq::open_in_memory(WsqConfig::fast())?;
 
     let fetcher = Arc::new(PageFetcher {
         fetches: AtomicU64::new(0),
@@ -74,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                WHERE Url = T1 ORDER BY Links DESC, Url LIMIT 10";
     println!("Crawl query:\n  {sql}\n");
 
-    // Sequential crawl: one blocking fetch at a time.
+    // Sequential crawl: one fetch at a time, each waited for.
     let t0 = Instant::now();
     let sync = wsq.query_with(
         sql,
@@ -85,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let sync_time = t0.elapsed();
 
-    // Asynchronous iteration: all 64 fetches in flight across the pool.
+    // Asynchronous iteration: all 64 fetches in flight at once.
     let t0 = Instant::now();
     let async_r = wsq.query(sql)?;
     let async_time = t0.elapsed();

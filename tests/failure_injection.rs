@@ -406,36 +406,31 @@ impl wsq_pump::SearchService for PanicsOnUtah {
 
 #[test]
 fn panicking_engine_fails_its_query_and_the_pump_survives() {
-    use wsq_pump::DispatchMode;
     for mode in [ExecutionMode::Synchronous, ExecutionMode::Asynchronous] {
-        for dispatch in [DispatchMode::EventLoop, DispatchMode::ThreadPool(4)] {
-            let mut config = WsqConfig::fast();
-            config.pump.dispatch = dispatch;
-            config.query.mode = mode;
-            let mut wsq = Wsq::open_in_memory(config).unwrap();
-            wsq.load_reference_data().unwrap();
-            let inner = wsq.web().engine(EngineKind::AltaVista);
-            wsq.register_engine("Shaky", Arc::new(PanicsOnUtah(inner)), true);
-            let case = format!("{mode:?}, {dispatch:?}");
+        let mut config = WsqConfig::fast();
+        config.query.mode = mode;
+        let mut wsq = Wsq::open_in_memory(config).unwrap();
+        wsq.load_reference_data().unwrap();
+        let inner = wsq.web().engine(EngineKind::AltaVista);
+        wsq.register_engine("Shaky", Arc::new(PanicsOnUtah(inner)), true);
 
-            let err = wsq.query(QUERY).unwrap_err().to_string();
-            assert!(
-                err.contains("service panicked: backend exploded on Utah"),
-                "{case}: {err}"
-            );
-            assert_fully_drained(&wsq, &format!("panicking engine, {case}"));
-            // The same pump still launches, delivers and drains: through
-            // the engine that panicked, and through a healthy one.
-            let r = wsq
-                .query("SELECT Count FROM WebCount_Shaky WHERE T1 = 'Nevada'")
-                .unwrap();
-            assert!(r.rows[0].get(0).as_int().unwrap() > 0, "{case}");
-            let r = wsq
-                .query("SELECT Name, Count FROM States, WebCount WHERE Name = T1")
-                .unwrap();
-            assert_eq!(r.rows.len(), 50, "{case}");
-            assert_fully_drained(&wsq, &format!("after the panic, {case}"));
-        }
+        let err = wsq.query(QUERY).unwrap_err().to_string();
+        assert!(
+            err.contains("service panicked: backend exploded on Utah"),
+            "{mode:?}: {err}"
+        );
+        assert_fully_drained(&wsq, &format!("panicking engine, {mode:?}"));
+        // The same pump still launches, delivers and drains: through the
+        // engine that panicked, and through a healthy one.
+        let r = wsq
+            .query("SELECT Count FROM WebCount_Shaky WHERE T1 = 'Nevada'")
+            .unwrap();
+        assert!(r.rows[0].get(0).as_int().unwrap() > 0, "{mode:?}");
+        let r = wsq
+            .query("SELECT Name, Count FROM States, WebCount WHERE Name = T1")
+            .unwrap();
+        assert_eq!(r.rows.len(), 50, "{mode:?}");
+        assert_fully_drained(&wsq, &format!("after the panic, {mode:?}"));
     }
 }
 

@@ -1,9 +1,8 @@
 //! Regression guard for the order of a call's events when more than one
 //! thread records them. A query's thread buffers its events in the
 //! query's recorder and publishes them in batches, while a call with
-//! latency is completed by another thread — the pump's timer thread
-//! under `DispatchMode::EventLoop`, a worker under `ThreadPool` — which
-//! writes to the trace ring directly. The query's thread must publish
+//! latency is completed by another thread — the pump's timer thread —
+//! which writes to the trace ring directly. The query's thread must publish
 //! before it blocks and before it hands a call on, or a completion would
 //! reach the ring ahead of its own buffered `registered`.
 //!
@@ -14,7 +13,6 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 use wsqdsq::prelude::*;
-use wsqdsq::pump::DispatchMode;
 
 /// Template 1 as `wsqbench/src/workloads/fanout.rs` spells it: 50 calls.
 const TEMPLATE_1: &str = "SELECT Name, Count FROM States, WebCount \
@@ -85,14 +83,6 @@ fn timer_thread_launches_follow_their_registration_under_a_cap() {
     // capacity, after the query's thread has queued them.
     assert_calls_in_lifecycle_order(PumpConfig {
         max_concurrent: 8,
-        ..PumpConfig::default()
-    });
-}
-
-#[test]
-fn worker_completions_follow_their_registration() {
-    assert_calls_in_lifecycle_order(PumpConfig {
-        dispatch: DispatchMode::ThreadPool(4),
         ..PumpConfig::default()
     });
 }
