@@ -551,11 +551,15 @@ fn analyze_footer_wire_format_golden() {
         "Dependent Join: (constant bindings) [rows=1 nexts=2 opens=1 time=_",
         "Values: 1 row(s) [rows=1 nexts=2 opens=1 time=_",
         "AEVScan: WebCount@AV AS WebCount (T1 = 'Texas') [rows=1 nexts=2 opens=1 time=_",
-        "-- pump: registered=1 launched=1 completed=1 coalesced=0 peak_in_flight=1 peak_queued=1",
-        // A cache hit is delivered with its registration: the scan emits
-        // the finished row, so ReqSync buffers nothing.
-        "-- trace: calls=1 call_p50=_ call_p95=_ call_max=_ queue_p95=_ patch_p95=_ \
-         max_concurrent=1 stalls=0 stall_p95=_ buffered_hw=0 events=6 dropped=0",
+        // A cache hit is the result the pump kept from the warming query:
+        // delivered with its registration, it never launches or completes
+        // (the peaks are the pump's lifetime ones, from that query).
+        "-- pump: registered=1 launched=0 completed=0 coalesced=0 peak_in_flight=1 peak_queued=1",
+        // So the query's trace holds no completed call and three events
+        // (registered, delivered, patched); the scan emits the finished
+        // row, so ReqSync buffers nothing.
+        "-- trace: calls=0 call_p50=_ call_p95=_ call_max=_ queue_p95=_ patch_p95=_ \
+         max_concurrent=0 stalls=0 stall_p95=_ buffered_hw=0 events=3 dropped=0",
         "-- cache[AV]: hits=1 misses=0 evictions=0 expirations=0",
         "-- cache[Google]: hits=0 misses=0 evictions=0 expirations=0",
         "-- verify: ok (verified 5 nodes: 1 async scan(s), 1 ReqSync(s), max placeholder set 1, \

@@ -29,15 +29,15 @@ pub use wsq_engine::db::{QueryResult, StatementResult};
 pub use wsq_engine::plan::{ExecutionMode, PlacementStrategy};
 pub use wsq_engine::QueryOptions;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 use wsq_common::{Result, Tuple, Value, WsqError};
 use wsq_engine::db::Database;
 use wsq_engine::engines::EngineRegistry;
 use wsq_obs::Obs;
-use wsq_pump::{PumpConfig, ReqPump, SearchService};
-use wsq_websim::{CacheConfig, CachedService, CorpusConfig, EngineKind, LatencyModel, SimWeb};
+use wsq_pump::{CacheConfig, CacheStats, PumpConfig, ReqPump, SearchService};
+use wsq_websim::{CorpusConfig, EngineKind, LatencyModel, SimWeb};
 
 /// Configuration for a [`Wsq`] instance.
 #[derive(Clone)]
@@ -51,10 +51,15 @@ pub struct WsqConfig {
     pub pump: PumpConfig,
     /// Default query execution options.
     pub query: QueryOptions,
-    /// Wrap engines in a memoizing result cache (HN96).
+    /// Keep each successful search result after the queries that made
+    /// it release it, so that a repeated search is answered without
+    /// asking its engine again (the paper's result cache, after HN96).
+    /// The pump keeps the results, per engine: every engine, including one
+    /// [`Wsq::register_engine`] adds or replaces, caches exactly when this
+    /// is set. Failures are never kept.
     pub cache: bool,
-    /// Tuning for the result cache (LRU capacity, TTL); only consulted
-    /// when `cache` is set.
+    /// Tuning for the result cache (LRU capacity, TTL), per engine; only
+    /// consulted when `cache` is set.
     pub cache_tuning: CacheConfig,
     /// Collect call-lifecycle traces and metrics (DESIGN.md §10). On by
     /// default: the facade is the interactive surface where `.stats`,
@@ -106,7 +111,8 @@ pub struct Wsq {
     pump: Arc<ReqPump>,
     opts: QueryOptions,
     web: SimWeb,
-    caches: HashMap<String, Arc<CachedService>>,
+    /// What every engine's result cache is registered with (`None`: off).
+    cache: Option<CacheConfig>,
     obs: Obs,
 }
 
@@ -132,7 +138,7 @@ impl Wsq {
             pump,
             opts: config.query,
             web,
-            caches: HashMap::new(),
+            cache: config.cache.then_some(config.cache_tuning),
             obs,
         };
         // The paper's two engines: AltaVista (NEAR) and Google (AND).
@@ -142,9 +148,8 @@ impl Wsq {
         let google = wsq
             .web
             .engine_with_latency(EngineKind::Google, config.latency);
-        let tuning = config.cache.then_some(&config.cache_tuning);
-        wsq.register_engine_internal("AV", av, true, tuning);
-        wsq.register_engine_internal("Google", google, false, tuning);
+        wsq.register_engine("AV", av, true);
+        wsq.register_engine("Google", google, false);
         Ok(wsq)
     }
 
@@ -158,33 +163,19 @@ impl Wsq {
         Self::build(Database::open(dir)?, config)
     }
 
-    fn register_engine_internal(
-        &mut self,
-        name: &str,
-        service: Arc<dyn SearchService>,
-        supports_near: bool,
-        cache: Option<&CacheConfig>,
-    ) {
-        let service: Arc<dyn SearchService> = if let Some(tuning) = cache {
-            let cached = CachedService::with_config_obs(service, tuning.clone(), self.obs.clone());
-            self.caches.insert(name.to_string(), cached.clone());
-            cached
-        } else {
-            service
-        };
-        self.pump.register_service(name, service);
-        self.engines.register(name, supports_near);
-    }
-
     /// Register an additional (or replacement) search engine. It becomes
-    /// addressable as `WebCount_<name>` / `WebPages_<name>`.
+    /// addressable as `WebCount_<name>` / `WebPages_<name>`, and caches its
+    /// results as [`WsqConfig::cache`] says. A replacement starts with an
+    /// empty cache and zero counts: no result of the engine it replaces is
+    /// served again.
     pub fn register_engine(
         &mut self,
         name: &str,
         service: Arc<dyn SearchService>,
         supports_near: bool,
     ) {
-        self.register_engine_internal(name, service, supports_near, None);
+        self.pump.register_service_with(name, service, self.cache);
+        self.engines.register(name, supports_near);
     }
 
     /// Declare the engines `WebCount_ANY` / `WebPages_ANY` references
@@ -257,7 +248,6 @@ impl Wsq {
                 &self.pump,
                 self.opts,
                 &self.obs,
-                &self.caches,
                 &sel,
             ),
             _ => Err(WsqError::Plan("ANALYZE requires a SELECT".to_string())),
@@ -349,20 +339,16 @@ impl Wsq {
         &mut self.db
     }
 
-    /// Result-cache statistics per engine (empty unless `cache` was set).
-    pub fn cache_stats(&self) -> HashMap<String, wsq_websim::CacheStats> {
-        self.caches
-            .iter()
-            .map(|(k, v)| (k.clone(), v.stats()))
-            .collect()
+    /// Result-cache statistics per engine, as the pump counts them
+    /// (empty unless `cache` was set).
+    pub fn cache_stats(&self) -> HashMap<String, CacheStats> {
+        self.pump.cache_stats()
     }
 
     /// Drop all cached search results (the paper's two-hour cooldown, in
     /// one call).
     pub fn clear_caches(&self) {
-        for c in self.caches.values() {
-            c.clear();
-        }
+        self.pump.clear_cache();
     }
 
     /// Create and populate the paper's reference tables: `States(Name,
@@ -421,11 +407,9 @@ fn analyze_select(
     pump: &Arc<ReqPump>,
     opts: QueryOptions,
     obs: &Obs,
-    caches: &HashMap<String, Arc<CachedService>>,
     sel: &wsq_sql::ast::SelectStmt,
 ) -> Result<(QueryResult, String)> {
-    let before: HashMap<&String, wsq_websim::CacheStats> =
-        caches.iter().map(|(k, v)| (k, v.stats())).collect();
+    let before = pump.cache_stats();
     let mut window = obs.begin_query();
     let (result, mut report) = window.run(|| db.analyze_query(sel, engines, pump, opts))?;
     // The query's own latency distributions, buffer high-water and
@@ -434,11 +418,9 @@ fn analyze_select(
         report.push_str(&format!("-- trace: {summary}\n"));
     }
     // Append per-engine cache deltas after the pump footer.
-    let mut names: Vec<&String> = caches.keys().collect();
-    names.sort();
-    for engine in names {
-        let now = caches[engine].stats();
-        let b = before.get(engine).copied().unwrap_or_default();
+    let after: BTreeMap<String, CacheStats> = pump.cache_stats().into_iter().collect();
+    for (engine, now) in after {
+        let b = before.get(&engine).copied().unwrap_or_default();
         report.push_str(&wsq_engine::exec::instrument::counters_line(
             &format!("cache[{engine}]"),
             &[
@@ -595,6 +577,60 @@ mod tests {
         wsq.query("SELECT Count FROM WebCount WHERE T1 = 'Utah'")
             .unwrap();
         assert_eq!(wsq.cache_stats().get("AV").unwrap().misses, 2);
+    }
+
+    #[test]
+    fn a_replaced_engine_starts_an_empty_cache_and_counts_its_own_calls() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use wsq_pump::{SearchRequest, SearchResult, ServiceReply};
+
+        /// AltaVista's counts plus a million, so its rows are told apart
+        /// from the engine it replaces; counts its calls.
+        struct Replacement(Arc<dyn SearchService>, AtomicU64);
+        impl SearchService for Replacement {
+            fn execute(&self, req: &SearchRequest) -> ServiceReply {
+                self.1.fetch_add(1, Ordering::SeqCst);
+                let mut reply = self.0.execute(req);
+                if let Ok(SearchResult::Count(n)) = &mut reply.result {
+                    *n += 1_000_000;
+                }
+                reply
+            }
+        }
+
+        let mut wsq = Wsq::open_in_memory(WsqConfig {
+            cache: true,
+            ..WsqConfig::fast()
+        })
+        .unwrap();
+        wsq.load_reference_data().unwrap();
+        let sql = "SELECT Name, Count FROM States, WebCount \
+                   WHERE Name = T1 AND WebCount.T2 = 'computer'";
+        wsq.query(sql).unwrap();
+        let inner = wsq.web().engine(EngineKind::AltaVista);
+        let backend = Arc::new(Replacement(inner, AtomicU64::new(0)));
+        wsq.register_engine("AV", backend.clone(), true);
+        let from_the_replacement = |rows: &[Tuple]| {
+            assert_eq!(rows.len(), 50);
+            for row in rows {
+                let count = row.get(1).as_int().unwrap();
+                assert!(count >= 1_000_000, "the replaced engine answered: {row:?}");
+            }
+        };
+        for _ in 0..2 {
+            from_the_replacement(&wsq.query(sql).unwrap().rows);
+        }
+        let (result, report) = wsq.analyze(sql).unwrap();
+        from_the_replacement(&result.rows);
+
+        assert_eq!(backend.1.load(Ordering::SeqCst), 50);
+        let av = wsq.cache_stats()["AV"];
+        assert_eq!((av.hits, av.misses), (100, 50), "{av:?}");
+        assert!(
+            report.contains("-- cache[AV]: hits=50 misses=0 "),
+            "{report}"
+        );
+        assert_eq!(wsq.pump().live_calls(), 0);
     }
 
     #[test]
@@ -836,7 +872,10 @@ mod tests {
         let text = wsq.metrics_text();
         for metric in [
             "wsq_calls_registered_total 2",
-            "wsq_calls_completed_total 2",
+            // The hit is the result the pump kept from the miss: it never
+            // launches, so only the miss completes and has a latency.
+            "wsq_calls_launched_total 1",
+            "wsq_calls_completed_total 1",
             // Both replies were in hand at registration (a zero-latency
             // miss, then a hit): each scan emitted its finished row.
             "wsq_placeholder_tuples_total 0",
@@ -845,7 +884,7 @@ mod tests {
             "wsq_cache_misses_total 1",
             "wsq_queries_total 2",
             "wsq_calls_in_flight 0",
-            "wsq_call_latency_seconds_count 2",
+            "wsq_call_latency_seconds_count 1",
         ] {
             assert!(text.contains(metric), "missing `{metric}` in:\n{text}");
         }

@@ -1,15 +1,15 @@
 //! Multi-session sharing: one [`SharedWsq`] instance serving many
-//! concurrent [`Session`]s over the *same* ReqPump and result caches
-//! (DESIGN.md §15).
+//! concurrent [`Session`]s over the *same* ReqPump, and so the same result
+//! cache (DESIGN.md §15).
 //!
 //! This is the engine-side half of the client/server split. A server
 //! builds one [`crate::Wsq`], converts it with [`Wsq::into_shared`],
 //! and opens one [`Session`] per accepted connection. Because every
-//! session registers its external calls with the shared pump and
-//! resolves them through the shared `CachedService`s, identical calls
-//! are made once *across* sessions: the pump coalesces the ones in
-//! flight, the cache answers the ones that come later, and cache misses
-//! equal backend calls for the whole fleet, not just one query. The
+//! session registers its external calls with the shared pump, identical
+//! calls are made once *across* sessions: a registration joins the call
+//! while another session holds it, and is delivered the result the pump
+//! kept once every holder released it (with `WsqConfig::cache`), so cache
+//! misses equal backend calls for the whole fleet, not just one query. The
 //! ReqSync buffer cap and the pump's per-destination caps likewise
 //! become service-wide admission control.
 //!
@@ -32,18 +32,16 @@ use wsq_common::{Result, Tuple, WsqError};
 use wsq_engine::db::{Cursor, Database};
 use wsq_engine::engines::EngineRegistry;
 use wsq_obs::{session_scope, CounterId, GaugeId, Obs, TraceEvent};
-use wsq_pump::ReqPump;
-use wsq_websim::CachedService;
+use wsq_pump::{CacheStats, ReqPump};
 
 /// The shared state behind every session: the database under a
 /// readers-writer lock, plus the subsystems that are already
-/// thread-safe (pump, engines, caches, obs).
+/// thread-safe (pump, engines, obs).
 pub(crate) struct SharedInner {
     db: RwLock<Database>,
     engines: EngineRegistry,
     pump: Arc<ReqPump>,
     opts: QueryOptions,
-    caches: HashMap<String, Arc<CachedService>>,
     obs: Obs,
     next_session: AtomicU64,
 }
@@ -70,7 +68,6 @@ impl Wsq {
                 engines: self.engines,
                 pump: self.pump,
                 opts: self.opts,
-                caches: self.caches,
                 obs: self.obs,
                 next_session: AtomicU64::new(0),
             }),
@@ -125,12 +122,8 @@ impl SharedWsq {
     }
 
     /// Result-cache statistics per engine (shared across sessions).
-    pub fn cache_stats(&self) -> HashMap<String, wsq_websim::CacheStats> {
-        self.inner
-            .caches
-            .iter()
-            .map(|(k, v)| (k.clone(), v.stats()))
-            .collect()
+    pub fn cache_stats(&self) -> HashMap<String, CacheStats> {
+        self.inner.pump.cache_stats()
     }
 
     /// Sessions ever opened.
@@ -153,7 +146,7 @@ pub struct SessionStats {
 
 /// One connection's view of a [`SharedWsq`]: its own default
 /// [`QueryOptions`], its own id for trace attribution, and private
-/// stats — everything else (pump, caches, database) is shared.
+/// stats — everything else (pump and its result cache, database) is shared.
 pub struct Session {
     shared: Arc<SharedInner>,
     id: u64,
@@ -292,15 +285,7 @@ impl Session {
         let result = session_scope(self.id, || match wsq_sql::parse_one(sql)? {
             wsq_sql::Statement::Select(sel) => {
                 let db = shared.db.read();
-                analyze_select(
-                    &db,
-                    &shared.engines,
-                    &shared.pump,
-                    opts,
-                    &shared.obs,
-                    &shared.caches,
-                    &sel,
-                )
+                analyze_select(&db, &shared.engines, &shared.pump, opts, &shared.obs, &sel)
             }
             _ => Err(WsqError::Plan("ANALYZE requires a SELECT".to_string())),
         });

@@ -29,16 +29,21 @@
 //! [`ServiceReply::latency`] instead (the `web_crawler` example's fetcher
 //! does).
 
-//! ReqPump also *coalesces* identical in-flight requests (one network call,
-//! many placeholders) — the countermeasure to the paper's Example 2, where
-//! a cross-product would otherwise send `|R|` identical calls per tuple.
-//! It is the only layer that does: a result cache behind it is a plain
-//! memo.
+//! ReqPump also *coalesces* identical requests onto one call while any
+//! registrant holds it (one network call, many placeholders) — the
+//! countermeasure to the paper's Example 2, where a cross-product would
+//! otherwise send `|R|` identical calls per tuple. And it is the result
+//! cache (§4, after HN96): a destination registered with a [`CacheConfig`]
+//! keeps each successful call's result after its last release, so a later
+//! registration of the same request is delivered the kept result in its
+//! own lock hold, with no launch ([`ReqPump::register_service_with`]).
 
 pub mod pump;
 pub mod service;
 
-pub use pump::{Lease, LeaseId, PumpConfig, PumpStats, Registered, ReqPump};
+pub use pump::{
+    CacheConfig, CacheStats, Lease, LeaseId, PumpConfig, PumpStats, Registered, ReqPump,
+};
 pub use service::{PageHit, RequestKind, SearchRequest, SearchResult, SearchService, ServiceReply};
 
 pub use wsq_common::CallId;

@@ -18,15 +18,33 @@
 //! leave nothing queued takes the lock once after its `execute`s and never
 //! again.
 //!
+//! # The result cache
+//!
+//! `ReqPumpHash` is also the result cache. A successful call of a
+//! destination registered with a [`CacheConfig`] is not simply forgotten
+//! when its last reference is released — or when its reply arrives with
+//! every reference already gone: its result moves, with its request, into
+//! the kept table (`State::kept`), under the coalescing index's hash. A
+//! kept result is no call: it holds no entry, reference or index slot, and
+//! [`ReqPump::live_calls`] never counts it. A registration that finds no
+//! call of its request in the index looks there next; a hit is delivered
+//! the result in the registration's own lock hold, under a fresh call id
+//! that no one holds, so nothing is released for it later. A registrant
+//! that holds what it registers ([`ReqPump::register`], a racing group's
+//! members) gets that id as a finished call of its own. Failures leave the
+//! index when they complete, so they are never kept. The cache's capacity
+//! evicts the result used longest ago; its TTL forgets a result older than
+//! it when a registration finds it.
+//!
 //! # Completion delivery
 //!
 //! A reply that is already in hand when its registration returns is
 //! delivered to the registrant ([`ReqPump::register_delivered`],
 //! [`Registered::Delivered`]): in the lock hold that completed it — or,
-//! for a registration that coalesced onto a finished call, in the
-//! registration's own hold — the pump takes the result for the caller, so
-//! there is nothing left to wait for, take or signal. Only a call that is
-//! really pending goes through the path below.
+//! for a registration that coalesced onto a finished call or found a kept
+//! result, in the registration's own hold — the pump takes the result for
+//! the caller, so there is nothing left to wait for, take or signal. Only a
+//! call that is really pending goes through the path below.
 //!
 //! Completion signalling is *targeted*: each [`ReqPump::wait_any`] caller
 //! registers an interest record for exactly the calls it waits on, and
@@ -71,7 +89,7 @@ use crate::service::{SearchRequest, SearchResult, SearchService, ServiceReply};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, RandomState};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -131,6 +149,41 @@ pub struct PumpStats {
     /// Always 0: every launch is one per-request dispatch. The field
     /// survives only because `wsqbench` names it; it goes with ROADMAP 1(d).
     pub batches: u64,
+}
+
+/// A destination's result cache (paper §4, after HN96): registered with
+/// [`ReqPump::register_service_with`], the pump keeps each successful
+/// result of the destination after its last reference is released, and a
+/// later registration of the same request is delivered that result in its
+/// own lock hold, with no launch. Failures are never kept.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CacheConfig {
+    /// Maximum number of kept results; `None` is unbounded. Keeping one
+    /// more evicts the result used longest ago.
+    pub capacity: Option<usize>,
+    /// Results older than this (since their reply arrived) are forgotten
+    /// when a registration finds them; `None` disables expiry.
+    pub ttl: Option<Duration>,
+}
+
+/// A result cache's counters ([`ReqPump::cache_stats`], and the standalone
+/// memo's).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Requests served a ready result.
+    pub hits: u64,
+    /// Requests sent to the service: exactly its invocations.
+    pub misses: u64,
+    /// Always 0: the pump counts the registrations that join a call still
+    /// held as `PumpStats::coalesced`. The field survives only because
+    /// `wsqbench` names it; it goes with ROADMAP 1(d).
+    pub coalesced: u64,
+    /// Results evicted to enforce `capacity`.
+    pub evictions: u64,
+    /// Results forgotten because their `ttl` had elapsed.
+    pub expirations: u64,
+    /// Calls to the service currently in flight (a gauge).
+    pub inflight: u64,
 }
 
 /// Statistic counters; `stats()` never touches the state mutex. The call
@@ -237,10 +290,19 @@ pub enum Registered {
     /// [`ReqPump::take_completed`] / [`ReqPump::wait_any`].
     Pending(CallId),
     /// The call finished during the registering step — its reply was
-    /// instant, or the registration coalesced onto a call already done —
-    /// and this is its result, taken for the registrant as
-    /// [`ReqPump::take_completed`] would have taken it.
+    /// instant, or the registration coalesced onto a call already done or
+    /// found a kept result — and this is its result, taken for the
+    /// registrant as [`ReqPump::take_completed`] would have taken it.
     Delivered(CallId, Result<SearchResult>),
+}
+
+/// What a registration found or made.
+enum Found {
+    /// A call the registrant now holds a reference to.
+    Call(CallId),
+    /// A kept result, under a fresh id that no one holds, and the request
+    /// the registration gives back.
+    Kept(CallId, SearchResult, SearchRequest),
 }
 
 /// Waiters to wake once the state lock is released, each with the call id
@@ -316,6 +378,27 @@ struct CallMeta {
     /// race), likewise: whoever takes the result is told it
     /// ([`Step::taken`]).
     finished_at: Option<Tick>,
+    /// When the reply arrived, kept only for a destination whose cache
+    /// has a TTL.
+    fetched: Option<Instant>,
+}
+
+impl CallMeta {
+    /// A call finished at registration, which never launches: it failed
+    /// fast, or it is a kept result given to a registrant that holds it.
+    fn finished(req: Arc<SearchRequest>, stamp: Option<Tick>) -> CallMeta {
+        CallMeta {
+            req,
+            key: None,
+            refs: 1,
+            state: CallState::Done,
+            dest: None,
+            registered_at: stamp,
+            launched_at: None,
+            finished_at: stamp,
+            fetched: None,
+        }
+    }
 }
 
 /// Record a finished call's queue delay and latency, once: by the first
@@ -339,6 +422,40 @@ struct Dest {
     /// Calls in flight to this destination.
     active: usize,
     service: Arc<dyn SearchService>,
+    /// The destination's result cache, if it keeps results.
+    cache: Option<Cache>,
+}
+
+/// What a caching destination keeps track of beside its results, which
+/// are in [`State::kept`]: their number, their order and its counts.
+#[derive(Default)]
+struct Cache {
+    config: CacheConfig,
+    /// The request hashes of its kept results by recency tick, oldest
+    /// first; filled only under a `capacity`, the one thing that needs the
+    /// order.
+    lru: BTreeMap<u64, u64>,
+    kept: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    expirations: u64,
+}
+
+/// A successful result a caching destination keeps after its call is
+/// forgotten: no more than a hit needs to find, check and deliver it. The
+/// request is the call's own, out of its `Arc` (no launch holds it by
+/// then) and trimmed to its length, so a kept result costs a table slot
+/// and its own bytes, as the memo's entry did.
+struct Kept {
+    req: SearchRequest,
+    result: SearchResult,
+    /// The destination's slot in [`State::dests`].
+    dest: usize,
+    /// Its recency tick, under a capacity.
+    tick: u64,
+    /// When its reply arrived, under a TTL.
+    fetched: Option<Instant>,
 }
 
 /// A first-result-wins racing group (`WebCount_ANY`): one virtual call
@@ -391,6 +508,11 @@ struct State {
     leases: IdMap<LeaseId, Vec<CallId>>,
     /// Emptied lease records kept for the next leases to fill.
     spare_leases: Vec<Vec<CallId>>,
+    /// Kept results, under their request's hash; a key is here or in
+    /// `index`, never in both, unless two requests share it.
+    kept: IdMap<u64, Kept>,
+    /// The recency clock of kept results.
+    kept_tick: u64,
     shutdown: bool,
 }
 
@@ -545,20 +667,50 @@ impl ReqPump {
         pump
     }
 
-    /// Register (or replace) the service handling destination `name`.
-    /// Calls to `name` still queued launch against the replacement.
+    /// Register (or replace) the service handling destination `name`,
+    /// keeping no result after its release.
     pub fn register_service(&self, name: &str, service: Arc<dyn SearchService>) {
+        self.register_service_with(name, service, None);
+    }
+
+    /// Register (or replace) the service handling destination `name`, with
+    /// the result cache `cache`. Calls to `name` still queued launch
+    /// against the replacement. A replacement starts a new cache: the
+    /// results kept from the old service are forgotten, its calls in
+    /// flight or held are never served to a later registration, and the
+    /// counts start from zero.
+    pub fn register_service_with(
+        &self,
+        name: &str,
+        service: Arc<dyn SearchService>,
+        cache: Option<CacheConfig>,
+    ) {
         let mut guard = self.shared.state.lock();
         let st = &mut *guard;
-        match st.dest_index.get(name) {
-            Some(&slot) => st.dests[slot].service = service,
-            None => {
-                st.dest_index.insert(name.to_string(), st.dests.len());
-                st.dests.push(Dest {
-                    cap: dest_cap(&self.shared.config, name),
-                    active: 0,
-                    service,
-                });
+        let dest = Dest {
+            cap: dest_cap(&self.shared.config, name),
+            active: 0,
+            service,
+            cache: cache.map(|config| Cache {
+                config,
+                ..Cache::default()
+            }),
+        };
+        let Some(&slot) = st.dest_index.get(name) else {
+            st.dest_index.insert(name.to_string(), st.dests.len());
+            st.dests.push(dest);
+            return;
+        };
+        let old = std::mem::replace(&mut st.dests[slot], dest);
+        st.dests[slot].active = old.active;
+        st.kept.retain(|_, kept| kept.dest != slot);
+        let State { meta, index, .. } = st;
+        let launched = meta
+            .values_mut()
+            .filter(|meta| meta.dest == Some(slot) && meta.state != CallState::Queued);
+        for meta in launched {
+            if let Some(key) = meta.key.take() {
+                index.remove(&key);
             }
         }
     }
@@ -603,7 +755,7 @@ impl ReqPump {
     pub fn register(&self, req: SearchRequest) -> Result<CallId> {
         let step = Step::new();
         let mut st = self.shared.state.lock();
-        let cid = self.register_locked(&mut st, req, &step)?;
+        let cid = self.register_held(&mut st, req, &step)?;
         launch_ready(&self.shared, st, &step, Vec::new(), None);
         Ok(cid)
     }
@@ -621,7 +773,7 @@ impl ReqPump {
     /// [`ReqPump::register`] under `lease`, for a caller that can use a
     /// reply already in hand: a call that finishes during the registering
     /// step — an instant reply, or a registration that coalesced onto a
-    /// finished call — comes back as
+    /// finished call or found a kept result — comes back as
     /// [`Registered::Delivered`] with its result, taken in the lock hold
     /// that completed it. A pending call comes back as
     /// [`Registered::Pending`].
@@ -645,12 +797,13 @@ impl ReqPump {
     /// One delivering registration: `body` registers under the state lock
     /// as step `step`, and `lease` holds the registered call; `release` is
     /// then given back in the same hold — even if `body` failed — and the
-    /// launch step watches the registered call.
+    /// launch step watches the registered call. A kept result is delivered
+    /// at once: there is no call to hold, launch or watch.
     fn deliver(
         &self,
         lease: LeaseId,
         release: Option<CallId>,
-        body: impl FnOnce(&Self, &mut State, &Step) -> Result<(CallId, Woken)>,
+        body: impl FnOnce(&Self, &mut State, &Step) -> Result<(Found, Woken)>,
     ) -> Result<Registered> {
         let step = Step::new();
         let mut st = self.shared.state.lock();
@@ -660,14 +813,17 @@ impl ReqPump {
         let spare = &mut state.spare_leases;
         let held = state.leases.entry(lease);
         let held = held.or_insert_with(|| spare.pop().unwrap_or_default());
-        if let Ok((cid, _)) = &registered {
+        if let Ok((Found::Call(cid), _)) = &registered {
             held.push(*cid);
         }
         if let Some(at) = release.and_then(|call| held.iter().rposition(|&c| c == call)) {
             let call = held.swap_remove(at);
             release_locked(&self.shared, state, call, &step);
         }
-        let (cid, woken) = registered?;
+        let (cid, woken) = match registered? {
+            (Found::Call(cid), woken) => (cid, woken),
+            (Found::Kept(cid, result, _), _) => return Ok(Registered::Delivered(cid, Ok(result))),
+        };
         Ok(
             match launch_ready(&self.shared, st, &step, woken, Some(cid)) {
                 Some(result) => Registered::Delivered(cid, result),
@@ -692,7 +848,7 @@ impl ReqPump {
         let mut st = self.shared.state.lock();
         let mut ids = Vec::with_capacity(reqs.len());
         for req in reqs {
-            ids.push(self.register_locked(&mut st, req, &step)?);
+            ids.push(self.register_held(&mut st, req, &step)?);
         }
         launch_ready(&self.shared, st, &step, Vec::new(), None);
         Ok(ids)
@@ -725,7 +881,8 @@ impl ReqPump {
             return self.register_delivered(lease, reqs.swap_remove(0), release);
         }
         self.deliver(lease, release, |pump, st, step| {
-            pump.race_locked(st, reqs, step)
+            let (gid, woken) = pump.race_locked(st, reqs, step)?;
+            Ok((Found::Call(gid), woken))
         })
     }
 
@@ -765,7 +922,7 @@ impl ReqPump {
         let obs = &self.shared.config.obs;
         let mut members = Vec::with_capacity(reqs.len());
         for req in reqs {
-            members.push(self.register_locked(st, req, step)?);
+            members.push(self.register_held(st, req, step)?);
         }
         let gid = CallId(st.next_call);
         st.next_call += 1;
@@ -783,6 +940,7 @@ impl ReqPump {
                 registered_at: obs.stamp(step),
                 launched_at: None,
                 finished_at: None,
+                fetched: None,
             },
         );
         st.races.insert(
@@ -810,11 +968,26 @@ impl ReqPump {
         Ok((gid, woken))
     }
 
+    /// [`ReqPump::register_locked`] for a registrant that holds what it
+    /// registers: a kept result becomes a finished call of its own, which
+    /// the pump forgets when it is released.
+    fn register_held(&self, st: &mut State, req: SearchRequest, step: &Step) -> Result<CallId> {
+        let (cid, result, req) = match self.register_locked(st, req, step)? {
+            Found::Call(cid) => return Ok(cid),
+            Found::Kept(cid, result, req) => (cid, result, req),
+        };
+        let stamp = self.shared.config.obs.stamp(step);
+        st.meta
+            .insert(cid, CallMeta::finished(Arc::new(req), stamp));
+        st.results.insert(cid, Ok(result));
+        Ok(cid)
+    }
+
     /// The registration body, run under the already-held state lock as
     /// part of `step` (a burst registered under one lock acquisition is one
     /// step). Launches nothing — callers hand the lock to [`launch_ready`]
     /// once at the end.
-    fn register_locked(&self, st: &mut State, req: SearchRequest, step: &Step) -> Result<CallId> {
+    fn register_locked(&self, st: &mut State, req: SearchRequest, step: &Step) -> Result<Found> {
         if st.shutdown {
             return Err(WsqError::PumpShutdown);
         }
@@ -828,8 +1001,10 @@ impl ReqPump {
             if let Some(meta) = st.meta.get_mut(&cid).filter(|meta| *meta.req == req) {
                 meta.refs += 1;
                 shared.event(step, cid, EventKind::Coalesced);
-                return Ok(cid);
+                return Ok(Found::Call(cid));
             }
+        } else if let Some((cid, result)) = hit_locked(shared, st, key, &req, step) {
+            return Ok(Found::Kept(cid, result, req));
         }
         let cid = CallId(st.next_call);
         st.next_call += 1;
@@ -843,21 +1018,10 @@ impl ReqPump {
             let err = WsqError::Search(format!("unknown engine '{}'", req.engine));
             obs.unfolded(step, cid, EventKind::Failed, Label::Display(&err));
             shared.count_failed_fast();
-            st.meta.insert(
-                cid,
-                CallMeta {
-                    req,
-                    key: None,
-                    refs: 1,
-                    state: CallState::Done,
-                    dest: None,
-                    registered_at: obs.stamp(step),
-                    launched_at: None,
-                    finished_at: obs.stamp(step),
-                },
-            );
+            st.meta
+                .insert(cid, CallMeta::finished(req, obs.stamp(step)));
             st.results.insert(cid, Err(err));
-            return Ok(cid);
+            return Ok(Found::Call(cid));
         };
 
         shared.emit(step, [registered, (cid, EventKind::Queued, Label::None)]);
@@ -879,11 +1043,12 @@ impl ReqPump {
                 registered_at: obs.stamp(step),
                 launched_at: None,
                 finished_at: None,
+                fetched: None,
             },
         );
         st.queue.push_back(cid);
         raise(&shared.stats.peak_queued, st.queue.len() as u64);
-        Ok(cid)
+        Ok(Found::Call(cid))
     }
 
     /// Non-blocking bulk drain: the results of every call in `calls` that
@@ -977,19 +1142,56 @@ impl ReqPump {
     }
 
     /// Release one reference to `call`. When the last reference is
-    /// released, the stored result is dropped; a still-queued call with no
-    /// references is cancelled outright. A call released while *in flight*
-    /// is cleaned up when its reply arrives (the delivery event must still
-    /// fire to free per-destination capacity), so [`ReqPump::live_calls`]
-    /// may transiently count it.
+    /// released, the stored result is dropped — or kept, if the call's
+    /// destination caches and the call succeeded; a still-queued call with
+    /// no references is cancelled outright. A call released while *in
+    /// flight* is cleaned up (or kept) when its reply arrives (the delivery
+    /// event must still fire to free per-destination capacity), so
+    /// [`ReqPump::live_calls`] may transiently count it.
     pub fn release(&self, call: CallId) {
         let mut st = self.shared.state.lock();
         release_locked(&self.shared, &mut st, call, &Step::new());
     }
 
-    /// Number of calls the pump still knows about (for leak tests).
+    /// Number of calls the pump still knows about, kept results aside:
+    /// calls a registrant holds, or that are queued or in flight (for leak
+    /// tests).
     pub fn live_calls(&self) -> usize {
         self.shared.state.lock().meta.len()
+    }
+
+    /// The counters of every destination that caches its results, by
+    /// destination name.
+    pub fn cache_stats(&self) -> HashMap<String, CacheStats> {
+        let st = self.shared.state.lock();
+        st.dest_index
+            .iter()
+            .filter_map(|(name, &slot)| {
+                let dest = &st.dests[slot];
+                let cache = dest.cache.as_ref()?;
+                let stats = CacheStats {
+                    hits: cache.hits,
+                    misses: cache.misses,
+                    coalesced: 0,
+                    evictions: cache.evictions,
+                    expirations: cache.expirations,
+                    inflight: dest.active as u64,
+                };
+                Some((name.clone(), stats))
+            })
+            .collect()
+    }
+
+    /// Forget every kept result (the paper's two-hour wait between runs,
+    /// in one call); the counts stay. Calls held or in flight are kept as
+    /// usual once released.
+    pub fn clear_cache(&self) {
+        let mut st = self.shared.state.lock();
+        st.kept.clear();
+        for cache in st.dests.iter_mut().filter_map(|d| d.cache.as_mut()) {
+            cache.lru.clear();
+            cache.kept = 0;
+        }
     }
 
     /// Snapshot of statistics. Reads atomics only — never blocks on the
@@ -1106,17 +1308,127 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId, step: &Step) {
             }
             shared.event(step, call, EventKind::Cancelled);
         }
-        CallState::Done => {
-            if let Some(mut meta) = st.meta.remove(&call) {
-                sample_delays(&shared.config.obs, &mut meta);
-                st.unindex(&meta);
-            }
-            st.results.remove(&call);
-        }
+        CallState::Done => retire(shared, st, call, None),
         CallState::InFlight => {
             // Completion handling will notice refs == 0 and clean up.
         }
     }
+}
+
+/// The last reference to finished `call` is gone: forget it — its entry,
+/// index slot and result, sampling its delays if no one took its result —
+/// and keep its result, `result` for a call that completed unheld, if it
+/// succeeded and its destination caches. Keeping one more result over the
+/// cache's capacity forgets the one used longest ago.
+fn retire(shared: &Shared, st: &mut State, call: CallId, result: Option<Result<SearchResult>>) {
+    let stored = st.results.remove(&call);
+    let Some(mut meta) = st.meta.remove(&call) else {
+        return;
+    };
+    sample_delays(&shared.config.obs, &mut meta);
+    st.unindex(&meta);
+    let State {
+        kept,
+        dests,
+        kept_tick,
+        ..
+    } = st;
+    let (Some(key), Some(slot), Some(Ok(result))) = (meta.key, meta.dest, result.or(stored)) else {
+        return;
+    };
+    let Some(cache) = dests[slot].cache.as_mut() else {
+        return;
+    };
+    *kept_tick += 1;
+    let mut req = Arc::unwrap_or_clone(meta.req);
+    req.expr.shrink_to_fit();
+    req.engine.shrink_to_fit();
+    let fresh = Kept {
+        req,
+        result,
+        dest: slot,
+        tick: *kept_tick,
+        fetched: meta.fetched,
+    };
+    cache.kept += 1;
+    if cache.config.capacity.is_some() {
+        cache.lru.insert(fresh.tick, key);
+    }
+    // Another request under the same hash (a 64-bit collision) gives way.
+    if let Some(old) = kept.insert(key, fresh) {
+        unkeep(dests, &old);
+    }
+    let Some(cache) = dests[slot].cache.as_mut() else {
+        return;
+    };
+    if cache
+        .config
+        .capacity
+        .is_some_and(|capacity| cache.kept > capacity)
+    {
+        if let Some((_, victim)) = cache.lru.pop_first() {
+            cache.kept -= 1;
+            cache.evictions += 1;
+            kept.remove(&victim);
+        }
+    }
+}
+
+/// Take `old`, no longer in [`State::kept`], off its cache's count and
+/// order.
+fn unkeep(dests: &mut [Dest], old: &Kept) {
+    if let Some(cache) = dests[old.dest].cache.as_mut() {
+        cache.kept -= 1;
+        cache.lru.remove(&old.tick);
+    }
+}
+
+/// A registration of `req`, whose hash is `key`, that finds its kept
+/// result: a hit, counted and recorded under a fresh call id, returned
+/// with a copy of the result. A result past its TTL is forgotten instead,
+/// and `None` sends the registration on to start a new call.
+fn hit_locked(
+    shared: &Shared,
+    st: &mut State,
+    key: u64,
+    req: &SearchRequest,
+    step: &Step,
+) -> Option<(CallId, SearchResult)> {
+    let State {
+        kept,
+        dests,
+        kept_tick,
+        next_call,
+        ..
+    } = st;
+    let Entry::Occupied(mut entry) = kept.entry(key) else {
+        return None;
+    };
+    let hit = entry.get_mut();
+    let cache = dests[hit.dest].cache.as_mut()?;
+    if hit.req != *req {
+        return None;
+    }
+    if let (Some(ttl), Some(at)) = (cache.config.ttl, hit.fetched) {
+        if step.now().duration_since(at) >= ttl {
+            cache.expirations += 1;
+            unkeep(dests, &entry.remove());
+            return None;
+        }
+    }
+    cache.hits += 1;
+    if cache.config.capacity.is_some() {
+        cache.lru.remove(&hit.tick);
+        *kept_tick += 1;
+        hit.tick = *kept_tick;
+        cache.lru.insert(hit.tick, key);
+    }
+    let cid = CallId(*next_call);
+    *next_call += 1;
+    let label = Label::Parts(&hit.req);
+    shared.emit(step, [(cid, EventKind::Registered, label)]);
+    shared.config.obs.count(CounterId::CacheHits, 1);
+    Some((cid, hit.result.clone()))
 }
 
 /// Propagate a member call's result to every undecided racing group it
@@ -1237,6 +1549,10 @@ fn pop_launchable(st: &mut State, shared: &Shared, step: &Step) -> Option<Launch
     meta.state = CallState::InFlight;
     meta.launched_at = obs.stamp(step);
     dest.active += 1;
+    if let Some(cache) = &mut dest.cache {
+        cache.misses += 1;
+        obs.count(CounterId::CacheMisses, 1);
+    }
     st.active_total += 1;
     raise(&shared.stats.peak_in_flight, st.active_total as u64);
     shared.event(step, cid, EventKind::Launched);
@@ -1269,17 +1585,20 @@ fn complete_locked(
         Some(meta) => {
             meta.state = CallState::Done;
             meta.finished_at = obs.stamp(step);
-            if let Some(dest) = meta.dest {
-                st.dests[dest].active = st.dests[dest].active.saturating_sub(1);
+            if let Some(dest) = meta.dest.map(|d| &mut st.dests[d]) {
+                dest.active = dest.active.saturating_sub(1);
+                if dest.cache.as_ref().is_some_and(|c| c.config.ttl.is_some()) {
+                    meta.fetched = Some(step.now());
+                }
             }
-            // A held failure is never served to a later registration.
+            // A failure is never served to a later registration, nor kept.
             if let (Err(_), Some(key)) = (&result, meta.key) {
                 meta.key = None;
                 st.index.remove(&key);
             }
-            meta.refs == 0
+            Some(meta.refs == 0)
         }
-        None => true,
+        None => None,
     };
     match &result {
         Ok(_) => shared.event(step, cid, EventKind::Completed),
@@ -1291,14 +1610,13 @@ fn complete_locked(
     // undecided). The store takes the result first: deciding a group
     // releases its members.
     let raced = st.race_member.contains_key(&cid).then(|| result.clone());
-    if orphaned {
-        // Every registrant released before completion: drop everything.
-        if let Some(mut meta) = st.meta.remove(&cid) {
-            sample_delays(obs, &mut meta);
-            st.unindex(&meta);
+    match orphaned {
+        Some(false) => {
+            st.results.insert(cid, result);
         }
-    } else {
-        st.results.insert(cid, result);
+        // Every registrant released before completion.
+        Some(true) => retire(shared, st, cid, Some(result)),
+        None => {}
     }
     if let Some(result) = raced {
         woken.extend(race_resolve(shared, st, cid, &result, step));
@@ -2443,5 +2761,228 @@ mod tests {
         }
         assert_eq!(pump.live_calls(), 0);
         assert_eq!(pump.stats().completed, 16);
+    }
+
+    /// A backend for the result cache's tests: counts its calls, and fails
+    /// every expression that starts with `!`.
+    struct Backend {
+        calls: AtomicUsize,
+        latency: Duration,
+    }
+
+    impl SearchService for Backend {
+        fn execute(&self, req: &SearchRequest) -> ServiceReply {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            let result = if req.expr.starts_with('!') {
+                Err(WsqError::Search("engine down".into()))
+            } else {
+                Ok(SearchResult::Count(req.expr.len() as u64))
+            };
+            ServiceReply {
+                result,
+                latency: self.latency,
+            }
+        }
+    }
+
+    impl Backend {
+        fn new(latency: Duration) -> Arc<Backend> {
+            Arc::new(Backend {
+                calls: AtomicUsize::new(0),
+                latency,
+            })
+        }
+
+        fn calls(&self) -> usize {
+            self.calls.load(Ordering::SeqCst)
+        }
+    }
+
+    /// A pump whose one destination, `AV`, caches under `config`.
+    fn caching(config: CacheConfig, latency: Duration) -> (Arc<ReqPump>, Arc<Backend>) {
+        let backend = Backend::new(latency);
+        let pump = ReqPump::new(PumpConfig::default());
+        pump.register_service_with("AV", backend.clone(), Some(config));
+        (pump, backend)
+    }
+
+    /// One query's worth of `expr`: register it under a lease of its own,
+    /// take its result, and drop the lease.
+    fn ask(pump: &ReqPump, expr: &str) -> Result<SearchResult> {
+        let lease = pump.lease();
+        match pump.register_delivered(lease.id(), req("AV", expr), None)? {
+            Registered::Delivered(_, result) => result,
+            Registered::Pending(call) => pump.wait(call),
+        }
+    }
+
+    fn av_cache(pump: &ReqPump) -> CacheStats {
+        pump.cache_stats()["AV"]
+    }
+
+    #[test]
+    fn a_kept_result_is_delivered_with_its_registration_and_is_not_live() {
+        let (pump, backend) = caching(CacheConfig::default(), Duration::ZERO);
+        assert_eq!(ask(&pump, "kept").unwrap().count(), Some(4));
+        assert_eq!(pump.live_calls(), 0, "a kept result counts as live");
+        assert_eq!(ask(&pump, "kept").unwrap().count(), Some(4));
+        assert_eq!(backend.calls(), 1);
+        let stats = pump.stats();
+        assert_eq!(
+            (stats.registered, stats.launched, stats.coalesced),
+            (2, 1, 0)
+        );
+        let cache = av_cache(&pump);
+        assert_eq!((cache.hits, cache.misses, cache.inflight), (1, 1, 0));
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn capacity_evicts_the_result_used_longest_ago() {
+        let config = CacheConfig {
+            capacity: Some(2),
+            ttl: None,
+        };
+        let (pump, backend) = caching(config, Duration::ZERO);
+        for expr in ["a", "b", "a", "c"] {
+            ask(&pump, expr).unwrap(); // the hit on `a` makes `b` the oldest
+        }
+        assert_eq!((backend.calls(), av_cache(&pump).evictions), (3, 1));
+        ask(&pump, "a").unwrap();
+        ask(&pump, "c").unwrap();
+        assert_eq!(backend.calls(), 3, "a and c are kept");
+        ask(&pump, "b").unwrap();
+        assert_eq!(backend.calls(), 4, "b was evicted");
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn a_holding_registrant_gets_a_kept_result_as_a_call_of_its_own() {
+        let (pump, backend) = caching(CacheConfig::default(), Duration::ZERO);
+        ask(&pump, "kept").unwrap();
+        let call = pump.register(req("AV", "kept")).unwrap();
+        assert_eq!(pump.live_calls(), 1);
+        assert_eq!(pump.wait(call).unwrap().count(), Some(4));
+        pump.release(call);
+        assert_eq!(pump.live_calls(), 0);
+        assert_eq!(ask(&pump, "kept").unwrap().count(), Some(4), "still kept");
+        assert_eq!(backend.calls(), 1);
+        assert_eq!((av_cache(&pump).hits, av_cache(&pump).misses), (2, 1));
+    }
+
+    #[test]
+    fn a_kept_result_expires_after_its_ttl() {
+        let config = CacheConfig {
+            capacity: None,
+            ttl: Some(Duration::from_millis(30)),
+        };
+        let (pump, backend) = caching(config, Duration::ZERO);
+        ask(&pump, "ephemeral").unwrap();
+        ask(&pump, "ephemeral").unwrap();
+        assert_eq!(backend.calls(), 1);
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(ask(&pump, "ephemeral").unwrap().count(), Some(9));
+        assert_eq!(backend.calls(), 2, "expired → re-fetched");
+        let cache = av_cache(&pump);
+        assert_eq!((cache.hits, cache.misses, cache.expirations), (1, 2, 1));
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn a_failure_is_not_kept_and_the_next_registration_retries() {
+        let (pump, backend) = caching(CacheConfig::default(), Duration::ZERO);
+        assert!(ask(&pump, "!down").is_err());
+        assert!(ask(&pump, "!down").is_err());
+        assert_eq!(backend.calls(), 2);
+        let cache = av_cache(&pump);
+        assert_eq!((cache.hits, cache.misses), (0, 2));
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn a_result_released_in_flight_is_kept() {
+        let (pump, backend) = caching(CacheConfig::default(), Duration::from_millis(20));
+        let lease = pump.lease();
+        let registered = pump.register_delivered(lease.id(), req("AV", "slow"), None);
+        assert!(matches!(registered, Ok(Registered::Pending(_))));
+        drop(lease); // released in flight: nobody will take the result
+        let t0 = Instant::now();
+        while pump.live_calls() != 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "the call never completed"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let again = pump.lease();
+        let registered = pump.register_delivered(again.id(), req("AV", "slow"), None);
+        let Ok(Registered::Delivered(_, result)) = registered else {
+            panic!("the result completed unheld was not kept: {registered:?}");
+        };
+        assert_eq!(result.unwrap().count(), Some(4));
+        assert_eq!(backend.calls(), 1);
+    }
+
+    #[test]
+    fn clear_cache_forgets_every_kept_result_and_keeps_the_counts() {
+        let (pump, backend) = caching(CacheConfig::default(), Duration::ZERO);
+        for expr in ["a", "b", "a"] {
+            ask(&pump, expr).unwrap();
+        }
+        pump.clear_cache();
+        assert_eq!(pump.live_calls(), 0);
+        ask(&pump, "a").unwrap();
+        ask(&pump, "b").unwrap();
+        assert_eq!(backend.calls(), 4, "cleared results are fetched again");
+        let cache = av_cache(&pump);
+        assert_eq!((cache.hits, cache.misses), (1, 4));
+    }
+
+    #[test]
+    fn a_replacement_serves_none_of_the_old_services_results() {
+        let (pump, old) = caching(CacheConfig::default(), Duration::ZERO);
+        ask(&pump, "kept").unwrap();
+        // And a result of the old service that a lease still holds.
+        let holder = pump.lease();
+        pump.register_delivered(holder.id(), req("AV", "held"), None)
+            .unwrap();
+        let new = Backend::new(Duration::ZERO);
+        pump.register_service_with("AV", new.clone(), Some(CacheConfig::default()));
+        assert_eq!(av_cache(&pump), CacheStats::default(), "counts start anew");
+        ask(&pump, "kept").unwrap();
+        ask(&pump, "held").unwrap();
+        drop(holder);
+        assert_eq!((old.calls(), new.calls()), (2, 2));
+        ask(&pump, "kept").unwrap();
+        ask(&pump, "held").unwrap();
+        assert_eq!(new.calls(), 2, "the new service's results are kept");
+        let cache = av_cache(&pump);
+        assert_eq!((cache.hits, cache.misses), (2, 2));
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn a_race_keeps_each_members_result() {
+        let pump = ReqPump::new(PumpConfig::default());
+        let (av, google) = (Backend::new(Duration::ZERO), Backend::new(Duration::ZERO));
+        pump.register_service_with("AV", av.clone(), Some(CacheConfig::default()));
+        pump.register_service_with("Google", google.clone(), Some(CacheConfig::default()));
+        let lease = pump.lease();
+        let raced = pump.register_race(lease.id(), vec![req("AV", "x"), req("Google", "x")], None);
+        assert!(matches!(raced, Ok(Registered::Delivered(_, Ok(_)))));
+        drop(lease);
+        assert_eq!(pump.live_calls(), 0);
+        for engine in ["AV", "Google"] {
+            let lease = pump.lease();
+            let again = pump.register_delivered(lease.id(), req(engine, "x"), None);
+            assert!(
+                matches!(again, Ok(Registered::Delivered(_, Ok(_)))),
+                "{engine}"
+            );
+        }
+        assert_eq!((av.calls(), google.calls()), (1, 1));
+        let stats = pump.cache_stats();
+        assert_eq!((stats["AV"].hits, stats["Google"].hits), (1, 1));
+        assert_eq!(pump.live_calls(), 0);
     }
 }

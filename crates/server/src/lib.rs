@@ -2,9 +2,10 @@
 //! shared [`SharedWsq`] instance (DESIGN.md §15).
 //!
 //! Every accepted connection gets its own [`wsq_core::Session`], but
-//! all sessions share the *same* ReqPump and `CachedService`s — so
-//! identical external calls coalesce across clients at the pump, and
-//! cache misses equal backend calls for the whole service. The ReqSync
+//! all sessions share the *same* ReqPump — so identical external calls
+//! coalesce across clients at the pump, a result the pump keeps (with
+//! `WsqConfig::cache`) answers every later client, and cache misses equal
+//! backend calls for the whole service. The ReqSync
 //! buffer cap and the pump's per-destination caps likewise act as
 //! fleet-wide admission control: N greedy clients share one launch
 //! budget instead of getting N private ones.

@@ -1,25 +1,26 @@
-//! A memoizing search-result cache.
+//! A standalone memoizing search-result cache, off the query path.
 //!
 //! The paper (§4, citing Hellerstein & Naughton, HN96) stresses that
 //! caching expensive external calls is essential for plans that would
 //! otherwise repeat identical searches — e.g. Example 2's cross-product
-//! issuing `|R|` identical calls per Sig. [`CachedService`] wraps any
-//! [`SearchService`]; hits are served locally with zero latency.
+//! issuing `|R|` identical calls per Sig. A `Wsq` with `cache` set does not
+//! use this type: its ReqPump keeps each successful result after release
+//! ([`wsq_pump::ReqPump::register_service_with`]), so a repeated search is
+//! answered in the registration's own lock hold, with no launch and no
+//! second map. [`CachedService`] is that memo as a service decorator, kept
+//! only while the benchmark harness names it (ROADMAP 1(d)); its
+//! [`CacheConfig`] and [`CacheStats`] are the pump's.
 //!
 //! # Design
 //!
-//! The cache is a plain memo: one map of ready results behind one
-//! `RwLock`. Hits share the read lock; a miss calls the inner service with
-//! no lock held and then takes the write lock once, to store a successful
-//! result. Counters are atomics, off the lock, and `misses` equals the
-//! number of inner-service calls exactly.
+//! The memo is one map of ready results behind one `RwLock`. Hits share
+//! the read lock; a miss calls the inner service with no lock held and
+//! then takes the write lock once, to store a successful result. Counters
+//! are atomics, off the lock, and `misses` equals the number of
+//! inner-service calls exactly. It merges no identical in-flight
+//! requests: a ReqPump in front of it does.
 //!
-//! Merging *identical in-flight* requests is not the cache's job: the
-//! ReqPump in front of it already holds every in-flight call in its
-//! coalescing index, so a second registration of the same request never
-//! reaches the cache while the first is in flight.
-//!
-//! Optionally the cache bounds its size with LRU eviction (`capacity`)
+//! Optionally the memo bounds its size with LRU eviction (`capacity`)
 //! and expires entries after a fixed `ttl`. Recency is tracked with a
 //! global atomic tick so a hit under a read lock can still update it.
 
@@ -29,39 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsq_obs::{CounterId, Obs};
+pub use wsq_pump::{CacheConfig, CacheStats};
 use wsq_pump::{SearchRequest, SearchResult, SearchService, ServiceReply};
-
-/// Tuning knobs for [`CachedService`].
-#[derive(Debug, Clone, Default)]
-pub struct CacheConfig {
-    /// Maximum number of entries; `None` is unbounded. An insert that
-    /// would exceed it evicts the least-recently-used entry.
-    pub capacity: Option<usize>,
-    /// Entries older than this are treated as absent (and replaced) on
-    /// lookup; `None` disables expiry.
-    pub ttl: Option<Duration>,
-}
-
-/// Cache counters. All maintained with atomics; reading them never takes
-/// the map lock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests served from a ready entry.
-    pub hits: u64,
-    /// Requests that called the inner service. Exactly the number of
-    /// inner-service invocations.
-    pub misses: u64,
-    /// Always 0: the pump is the one layer that merges identical in-flight
-    /// requests. The field survives only because `wsqbench` names it; it
-    /// goes with ROADMAP 1(d).
-    pub coalesced: u64,
-    /// Entries evicted to enforce `capacity`.
-    pub evictions: u64,
-    /// Entries replaced because their `ttl` had elapsed.
-    pub expirations: u64,
-    /// Inner calls currently in flight (gauge, not a counter).
-    pub inflight: u64,
-}
 
 /// A cached result.
 struct Ready {
@@ -310,6 +280,33 @@ mod tests {
             expr: expr.into(),
             kind: RequestKind::Count,
         }
+    }
+
+    /// A backend that panics on its first call and answers every later
+    /// one.
+    struct PanicsOnce(std::sync::atomic::AtomicBool);
+
+    impl SearchService for PanicsOnce {
+        fn execute(&self, req: &SearchRequest) -> ServiceReply {
+            assert!(self.0.swap(true, Ordering::SeqCst), "backend exploded once");
+            ServiceReply::instant(SearchResult::Count(req.expr.len() as u64))
+        }
+    }
+
+    #[test]
+    fn a_panicking_backend_wedges_no_key() {
+        let cached = CachedService::new(Arc::new(PanicsOnce(Default::default())));
+        let first = std::panic::AssertUnwindSafe(|| cached.execute(&req("Utah")));
+        let unwound = std::panic::catch_unwind(first);
+        assert!(unwound.is_err(), "the first call reaches the backend");
+        // The same request again reaches the backend: nothing was stored
+        // for it, and the panicked call gave its in-flight share back.
+        assert_eq!(
+            cached.execute(&req("Utah")).result.unwrap().count(),
+            Some(4)
+        );
+        let stats = cached.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inflight), (0, 2, 0));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsqdsq::prelude::*;
-use wsqdsq::websim::{CachedService, DegradedConfig, DegradedService, RetryService};
+use wsqdsq::websim::{DegradedConfig, DegradedService, RetryService};
 
 const QUERY: &str = "SELECT Name, Count FROM States, WebCount_Shaky \
                      WHERE Name = T1 ORDER BY Count DESC, Name";
@@ -446,28 +446,36 @@ impl wsq_pump::SearchService for PanicsOnce {
 
 #[test]
 fn a_panicking_service_wedges_no_cache_key() {
-    let mut wsq = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+    let mut wsq = Wsq::open_in_memory(WsqConfig {
+        cache: true,
+        ..WsqConfig::fast()
+    })
+    .unwrap();
     let inner = wsq.web().engine(EngineKind::AltaVista);
-    let cached = CachedService::new(Arc::new(PanicsOnce(inner, AtomicBool::new(false))));
-    wsq.register_engine("Shaky", cached.clone(), true);
+    wsq.register_engine(
+        "Shaky",
+        Arc::new(PanicsOnce(inner, AtomicBool::new(false))),
+        true,
+    );
     let sql = "SELECT Count FROM WebCount_Shaky WHERE T1 = 'Utah'";
     let err = wsq.query(sql).unwrap_err().to_string();
     assert!(err.contains("service panicked"), "{err}");
 
     // The same query again must reach the backend, not wait on the
-    // panicked call forever: give it 5 s on its own thread.
+    // panicked call forever nor be served its failure: give it 5 s on its
+    // own thread.
     let (tx, rx) = std::sync::mpsc::channel();
     let second = std::thread::spawn(move || {
         let rows = wsq.query(sql).map(|r| r.rows.len());
-        let _ = tx.send((rows, wsq.pump().live_calls()));
+        let stats = wsq.cache_stats()["Shaky"];
+        let _ = tx.send((rows, wsq.pump().live_calls(), stats));
     });
-    let (rows, live) = rx
+    let (rows, live, stats) = rx
         .recv_timeout(Duration::from_secs(5))
         .expect("the second query hung on the key the panic left behind");
     second.join().unwrap();
     assert_eq!(rows.unwrap(), 1);
     assert_eq!(live, 0);
-    let stats = cached.stats();
     assert_eq!((stats.hits, stats.misses, stats.inflight), (0, 2, 0));
 }
 

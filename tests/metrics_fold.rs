@@ -9,7 +9,14 @@
 //! exposition, and the observation count of every histogram, exactly as
 //! `tests/golden/metrics_counts.txt` records them: what the code printed
 //! when each of them was still counted by hand. Bucket and sum lines are
-//! timings and are left out.
+//! timings and are left out. Since the pump keeps results itself, a cache
+//! hit never launches: `launched`, `completed` and the call-latency and
+//! queue-delay counts read the 257 misses (they read 664, hits included,
+//! while a `CachedService` behind the pump served the hits). And a hit is
+//! a kept result, not a call its scan holds, so the warm Template 3's 18
+//! repeated Google requests are hits too, where they coalesced onto the
+//! scan's last call: hits read 425 (were 407) and coalesced 18 (were 36),
+//! the cold run's. Every other line is unchanged.
 //!
 //! `ReqPump::stats()` reads the same cells with observability on, and the
 //! pump's own counts with it off; both must agree for the same script.
@@ -45,8 +52,9 @@ fn script(obs: bool) -> Wsq {
     .unwrap();
     wsq.load_reference_data().unwrap();
     wsq.set_race_group(&["AV", "Google"]).unwrap();
-    // Twice each: cold (cache misses), then warm (hits, and Template 3's
-    // Google calls coalescing onto the call their scan still holds).
+    // Twice each: cold (cache misses, and Template 3's repeated Google
+    // calls coalescing onto the call their scan still holds), then warm
+    // (hits).
     for sql in TEMPLATES.iter().chain([&RACE]) {
         for _ in 0..2 {
             wsq.query(sql).unwrap();

@@ -2,19 +2,22 @@
 //! the trace ring and the metrics on (the facade's default), each step of
 //! a call — registration, the launch round, completion, ReqSync's delivery
 //! — reads the clock at most once and stamps everything it records with
-//! that reading. A warm call used to read it twelve times, once per event
-//! and histogram sample, then four times, once per step. Now a registration
-//! that launches its call at once shares its reading with the launch
-//! round, an instant reply completes in the round that launched it, and
-//! ReqSync's admission and delivery continue the thread's latest reading
-//! when nothing they deliver completed later: the trace shows at most
-//! three distinct stamps per call, `Registered` sharing its stamp with
+//! that reading. A call used to read it twelve times, once per event and
+//! histogram sample, then four times, once per step. Now a call that
+//! launches is stamped by at most three readings: a registration shares
+//! its reading with the launch round, an instant reply completes in the
+//! round that launched it, and ReqSync's admission and delivery continue
+//! the thread's latest reading — `Registered` shares its stamp with
 //! `Queued`, `Launched` with `Completed`, and `Delivered` with `Patched`.
+//! A cache hit, the result the pump kept from an earlier query, records
+//! three events — `registered`, `delivered`, `patched`, no `queued`,
+//! `launched` or `completed` — and one reading stamps all three.
 //!
 //! What a reader of `.trace` sees must not change with the bookkeeping:
-//! the rendered timeline of a warm Template-1 query, its timing digits
-//! masked, equals `tests/golden/template1.trace`, taken before the steps
-//! shared their readings.
+//! the rendered timeline of Template 1, its timing digits masked, equals
+//! `tests/golden/template1_launch.trace` when every call launches (cache
+//! off, zero latency) and `tests/golden/template1.trace` when every call
+//! is a hit.
 //!
 //! This file holds one test so that nothing else in the process records
 //! into the ring while it reads a query's window.
@@ -26,10 +29,12 @@ use wsqdsq::prelude::*;
 const TEMPLATE_1: &str = "SELECT Name, Count FROM States, WebCount \
                           WHERE Name = T1 AND WebCount.T2 = 'computer'";
 
-const GOLDEN: &str = include_str!("golden/template1.trace");
+const LAUNCH_GOLDEN: &str = include_str!("golden/template1_launch.trace");
+const HIT_GOLDEN: &str = include_str!("golden/template1.trace");
 
-/// The lifecycle of a call that completes inline, in sequence order.
-const LIFECYCLE: [&str; 6] = [
+/// The lifecycle of a call that launches and completes inline, in
+/// sequence order.
+const LAUNCH_LIFECYCLE: [&str; 6] = [
     "registered",
     "queued",
     "launched",
@@ -37,6 +42,9 @@ const LIFECYCLE: [&str; 6] = [
     "delivered",
     "patched",
 ];
+
+/// The lifecycle of a cache hit, in sequence order.
+const HIT_LIFECYCLE: [&str; 3] = ["registered", "delivered", "patched"];
 
 /// `.trace` text with every duration (`0.123ms`, and the padding before
 /// it) replaced by `#ms`: what is left is calls, labels, event names and
@@ -72,13 +80,17 @@ fn mask_durations(timeline: &str) -> String {
     out
 }
 
-#[test]
-fn a_warm_call_is_stamped_by_three_clock_readings() {
-    let mut wsq = Wsq::open_in_memory(WsqConfig {
-        cache: true,
-        ..WsqConfig::default()
-    })
-    .unwrap();
+/// Trace Template 1 on `wsq` once its cache (if any) has settled, check
+/// that each of its 50 calls records `lifecycle` under at most `readings`
+/// clock readings and that its events pair their stamps as `pairs` says
+/// (indices into `lifecycle`), and that the rendered timeline is `golden`.
+fn check(
+    mut wsq: Wsq,
+    lifecycle: &[&str],
+    pairs: &[(usize, usize)],
+    readings: usize,
+    golden: &str,
+) {
     wsq.load_reference_data().unwrap();
     let misses = |wsq: &Wsq| wsq.cache_stats().values().map(|c| c.misses).sum::<u64>();
     loop {
@@ -93,7 +105,7 @@ fn a_warm_call_is_stamped_by_three_clock_readings() {
     let (result, timeline) = wsq.trace_query(TEMPLATE_1).unwrap();
     assert_eq!(result.rows.len(), 50);
     let events = wsq.obs().trace_events_since(pos);
-    assert_eq!(events.len(), 50 * LIFECYCLE.len(), "six events a call");
+    assert_eq!(events.len(), 50 * lifecycle.len(), "{lifecycle:?} a call");
 
     for pair in events.windows(2) {
         assert!(
@@ -107,22 +119,37 @@ fn a_warm_call_is_stamped_by_three_clock_readings() {
     for call in calls {
         let of_call: Vec<_> = events.iter().filter(|e| e.call == call).collect();
         let kinds: Vec<&str> = of_call.iter().map(|e| e.kind.name()).collect();
-        assert_eq!(kinds, LIFECYCLE, "{call}");
-        assert_eq!(of_call[0].at, of_call[1].at, "{call}: registered/queued");
-        assert_eq!(of_call[2].at, of_call[3].at, "{call}: launched/completed");
-        assert_eq!(of_call[4].at, of_call[5].at, "{call}: delivered/patched");
+        assert_eq!(kinds, lifecycle, "{call}");
+        for &(a, b) in pairs {
+            let (a, b) = (of_call[a], of_call[b]);
+            assert_eq!(a.at, b.at, "{call}: {} / {}", a.kind.name(), b.kind.name());
+        }
         let stamps: BTreeSet<_> = of_call.iter().map(|e| e.at).collect();
         assert!(
-            stamps.len() <= 3,
-            "{call}: {} distinct stamps, one step read the clock twice",
+            stamps.len() <= readings,
+            "{call}: {} distinct stamps, more than {readings}: a step read the clock twice",
             stamps.len()
         );
     }
 
     assert_eq!(
         mask_durations(&timeline),
-        GOLDEN,
+        golden,
         "`.trace` changed beyond its timing digits"
     );
     assert_eq!(wsq.pump().live_calls(), 0);
+}
+
+#[test]
+fn a_warm_call_is_stamped_by_three_clock_readings() {
+    let launching = Wsq::open_in_memory(WsqConfig::default()).unwrap();
+    let pairs = [(0, 1), (2, 3), (4, 5)];
+    check(launching, &LAUNCH_LIFECYCLE, &pairs, 3, LAUNCH_GOLDEN);
+
+    let hitting = Wsq::open_in_memory(WsqConfig {
+        cache: true,
+        ..WsqConfig::default()
+    })
+    .unwrap();
+    check(hitting, &HIT_LIFECYCLE, &[], 1, HIT_GOLDEN);
 }
