@@ -1,8 +1,8 @@
 //! Scans, selection, projection, sorting, aggregation, distinct, limit.
 
 use super::Executor;
-use crate::expr::{compile, CExpr};
-use std::collections::HashMap;
+use crate::expr::{compile, CExpr, ColumnSet};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use wsq_common::{GroupKey, Result, Schema, Tuple, Value, WsqError};
 use wsq_sql::ast::{AggFunc, ColumnRef, Expr, Literal};
@@ -10,14 +10,25 @@ use wsq_storage::codec;
 use wsq_storage::heap::{HeapFile, Rid};
 use wsq_storage::BTree;
 
-/// Sequential scan of a stored heap file.
+/// Sequential scan of a stored heap file, a page at a time: one hold of
+/// the buffer pool decodes a page's live records, straight from the page.
+/// A read takes one record after `open`, and twice as many as the one
+/// before after that, so the first row costs one
+/// record's decode, as it did a record at a time, while a page still
+/// takes only a few holds.
 pub struct SeqScanExec {
     heap: Arc<HeapFile>,
     /// Qualified output schema (alias applied).
     schema: Schema,
-    /// Unqualified storage schema for decoding.
+    /// The columns anything above reads; the others decode to `Null`.
+    live: ColumnSet,
+    /// Where the next read starts.
     page: u32,
     slot: u16,
+    /// The most records the next read takes.
+    batch: usize,
+    /// The rows read and not yet emitted, then the read's error, if any.
+    rows: PageRows,
 }
 
 impl SeqScanExec {
@@ -25,9 +36,12 @@ impl SeqScanExec {
     pub fn new(heap: Arc<HeapFile>, schema: Schema) -> Self {
         SeqScanExec {
             heap,
+            live: ColumnSet::ALL,
             schema,
             page: 1,
             slot: 0,
+            batch: SCAN_BATCH_FIRST,
+            rows: PageRows::default(),
         }
     }
 }
@@ -37,21 +51,91 @@ impl Executor for SeqScanExec {
         &self.schema
     }
 
+    fn narrow(&mut self, live: ColumnSet) {
+        super::note_leaf_reads(&self.schema, live);
+        self.live = live;
+    }
+
     fn open(&mut self) -> Result<()> {
-        self.page = 1;
-        self.slot = 0;
+        (self.page, self.slot, self.batch) = (1, 0, SCAN_BATCH_FIRST);
+        self.rows.clear();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.heap.next_from(self.page, self.slot)? {
-            Some((rid, bytes)) => {
-                self.page = rid.page.0;
-                self.slot = rid.slot.0 + 1;
-                Ok(Some(codec::decode(&self.schema, &bytes)?))
+        loop {
+            if let Some(row) = self.rows.pop()? {
+                return Ok(Some(row));
             }
-            None => Ok(None),
+            let (schema, live, rows) = (&self.schema, self.live, &mut self.rows);
+            let (batch, mut taken, mut stopped_at) = (self.batch, 0, None);
+            let read = self
+                .heap
+                .for_each_on_page(self.page, self.slot, |rid, rec| {
+                    rows.push(codec::decode_live(schema, rec, |i| live.contains(i))?);
+                    taken += 1;
+                    if taken == batch {
+                        stopped_at = Some(rid.slot.0 + 1);
+                    }
+                    Ok(taken < batch)
+                });
+            self.batch = batch.saturating_mul(2);
+            match (read, stopped_at) {
+                // Past the last page: stay there, so rows a later page
+                // gains are seen by a later call.
+                (Ok(false), _) => return Ok(None),
+                (Ok(true), Some(slot)) => self.slot = slot,
+                (Ok(true), None) => (self.page, self.slot) = (self.page + 1, 0),
+                (Err(e), _) => {
+                    (self.page, self.slot) = (self.page + 1, 0);
+                    self.rows.fail(e);
+                }
+            }
         }
+    }
+}
+
+/// The most records a stored-table scan's first read after `open` takes.
+const SCAN_BATCH_FIRST: usize = 1;
+
+/// The rows a scan read from one heap page and has not emitted yet, and
+/// the error that stopped the read, which comes after them.
+#[derive(Default)]
+struct PageRows {
+    /// The first row, held apart so that a one-row read allocates no
+    /// queue: an indexed point SELECT takes 39 allocations a warm query
+    /// with it and 40 with a plain queue (`tests/alloc_budget.rs`).
+    first: Option<Tuple>,
+    rest: VecDeque<Tuple>,
+    error: Option<WsqError>,
+}
+
+impl PageRows {
+    fn push(&mut self, row: Tuple) {
+        if self.first.is_none() && self.rest.is_empty() {
+            self.first = Some(row);
+        } else {
+            self.rest.push_back(row);
+        }
+    }
+
+    fn fail(&mut self, e: WsqError) {
+        self.error = Some(e);
+    }
+
+    /// The next row; the error once the rows are out; `None` when both
+    /// are.
+    fn pop(&mut self) -> Result<Option<Tuple>> {
+        match self.first.take().or_else(|| self.rest.pop_front()) {
+            Some(row) => Ok(Some(row)),
+            None => self.error.take().map_or(Ok(None), Err),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.first = None;
+        self.rest.clear();
+        self.error = None;
     }
 }
 
@@ -72,15 +156,24 @@ pub(crate) fn index_range_rids(
 }
 
 /// B+-tree range scan: resolve the rids of the inclusive key range
-/// through the index, then fetch the rows from the heap in rid order.
+/// through the index, then fetch the rows from the heap in rid order, a
+/// run of rids on one page in one hold of the buffer pool. Runs are cut
+/// to a batch that starts at one rid and doubles, as [`SeqScanExec`]'s
+/// reads are.
 pub struct IndexScanExec {
     heap: Arc<HeapFile>,
     tree: Arc<BTree>,
     schema: Schema,
+    /// The columns anything above reads; the others decode to `Null`.
+    live: ColumnSet,
     lo: Option<Value>,
     hi: Option<Value>,
     rids: Vec<Rid>,
     pos: usize,
+    /// The most rids the next read takes.
+    batch: usize,
+    /// The current run's rows not yet emitted, then its error, if any.
+    rows: PageRows,
 }
 
 impl IndexScanExec {
@@ -96,11 +189,14 @@ impl IndexScanExec {
         IndexScanExec {
             heap,
             tree,
+            live: ColumnSet::ALL,
             schema,
             lo,
             hi,
             rids: Vec::new(),
             pos: 0,
+            batch: SCAN_BATCH_FIRST,
+            rows: PageRows::default(),
         }
     }
 }
@@ -110,19 +206,43 @@ impl Executor for IndexScanExec {
         &self.schema
     }
 
+    fn narrow(&mut self, live: ColumnSet) {
+        super::note_leaf_reads(&self.schema, live);
+        self.live = live;
+    }
+
     fn open(&mut self) -> Result<()> {
         self.rids = index_range_rids(&self.tree, self.lo.as_ref(), self.hi.as_ref())?;
-        self.pos = 0;
+        (self.pos, self.batch) = (0, SCAN_BATCH_FIRST);
+        self.rows.clear();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        let Some(&rid) = self.rids.get(self.pos) else {
-            return Ok(None);
-        };
-        self.pos += 1;
-        let bytes = self.heap.get(rid)?;
-        Ok(Some(codec::decode(&self.schema, &bytes)?))
+        loop {
+            if let Some(row) = self.rows.pop()? {
+                return Ok(Some(row));
+            }
+            let Some(&first) = self.rids.get(self.pos) else {
+                return Ok(None);
+            };
+            let run = self.rids[self.pos..]
+                .iter()
+                .take_while(|rid| rid.page == first.page)
+                .take(self.batch)
+                .count();
+            self.batch = self.batch.saturating_mul(2);
+            let slots = self.rids[self.pos..self.pos + run].iter().map(|r| r.slot);
+            self.pos += run;
+            let (schema, live, rows) = (&self.schema, self.live, &mut self.rows);
+            let read = self.heap.for_each_at(first.page, slots, |_, rec| {
+                rows.push(codec::decode_live(schema, rec, |i| live.contains(i))?);
+                Ok(())
+            });
+            if let Err(e) = read {
+                self.rows.fail(e);
+            }
+        }
     }
 }
 
@@ -189,6 +309,11 @@ impl Executor for FilterExec {
         &self.schema
     }
 
+    fn narrow(&mut self, live: ColumnSet) {
+        self.child
+            .narrow(super::reads_with(live, [&self.predicate]));
+    }
+
     fn open(&mut self) -> Result<()> {
         self.child.open()
     }
@@ -208,10 +333,52 @@ impl Executor for FilterExec {
 }
 
 /// Projection (expressions + renaming).
+///
+/// A plain column that no other item reads is moved out of the child's
+/// tuple; a column named twice is copied, and a computed item evaluated.
+/// An item nothing above reads is `Null`, except that a placeholder in a
+/// column no live item reads moves through: a `ReqSync` above reads it.
 pub struct ProjectExec {
     child: Box<dyn Executor>,
-    exprs: Vec<CExpr>,
+    /// Each output column's expression, and how it is produced.
+    items: Vec<(CExpr, Item)>,
     schema: Schema,
+}
+
+/// How a projection produces one output column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Item {
+    /// Move the input column out: nothing else reads it.
+    Move(usize),
+    /// Evaluate the expression (a copy, for a column read twice).
+    Eval,
+    /// Nothing above reads the column; a plain column's input (no live
+    /// item reads it) passes on a placeholder.
+    Dead(Option<usize>),
+}
+
+/// Decide how to produce each item when anything above reads `live`, and
+/// return the input columns the live items read.
+pub(super) fn plan_items(items: &mut [(CExpr, Item)], live: ColumnSet) -> ColumnSet {
+    // The input columns read by one live item, and by more than one.
+    let (mut once, mut twice) = (ColumnSet::NONE, ColumnSet::NONE);
+    for (k, (e, _)) in items.iter().enumerate() {
+        if live.contains(k) {
+            let mut reads = ColumnSet::NONE;
+            e.mark_reads(&mut reads);
+            twice = twice.union(once.intersection(reads));
+            once = once.union(reads);
+        }
+    }
+    for (k, (e, item)) in items.iter_mut().enumerate() {
+        *item = match e {
+            CExpr::Column(i) if !live.contains(k) && !once.contains(*i) => Item::Dead(Some(*i)),
+            _ if !live.contains(k) => Item::Dead(None),
+            CExpr::Column(i) if !twice.contains(*i) => Item::Move(*i),
+            _ => Item::Eval,
+        };
+    }
+    once
 }
 
 impl ProjectExec {
@@ -222,13 +389,14 @@ impl ProjectExec {
         schema: Schema,
     ) -> Result<Self> {
         let in_schema = child.schema();
-        let exprs = items
+        let mut items = items
             .iter()
-            .map(|(e, _)| compile(e, in_schema))
+            .map(|(e, _)| Ok((compile(e, in_schema)?, Item::Eval)))
             .collect::<Result<Vec<_>>>()?;
+        plan_items(&mut items, ColumnSet::ALL);
         Ok(ProjectExec {
             child,
-            exprs,
+            items,
             schema,
         })
     }
@@ -239,21 +407,32 @@ impl Executor for ProjectExec {
         &self.schema
     }
 
+    fn narrow(&mut self, live: ColumnSet) {
+        let reads = plan_items(&mut self.items, live);
+        self.child.narrow(reads);
+    }
+
     fn open(&mut self) -> Result<()> {
         self.child.open()
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.child.next()? {
-            Some(t) => {
-                let mut vals = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    vals.push(e.eval(&t)?);
-                }
-                Ok(Some(Tuple::new(vals)))
-            }
-            None => Ok(None),
+        let Some(mut t) = self.child.next()? else {
+            return Ok(None);
+        };
+        let mut vals = Vec::with_capacity(self.items.len());
+        for (e, item) in &self.items {
+            vals.push(match *item {
+                Item::Move(i) => std::mem::replace(&mut t.values_mut()[i], Value::Null),
+                Item::Eval => e.eval(&t)?,
+                Item::Dead(Some(i)) => match &mut t.values_mut()[i] {
+                    v @ Value::Pending(_) => std::mem::replace(v, Value::Null),
+                    _ => Value::Null,
+                },
+                Item::Dead(None) => Value::Null,
+            });
         }
+        Ok(Some(Tuple::new(vals)))
     }
 
     fn close(&mut self) -> Result<()> {
@@ -302,6 +481,11 @@ impl Executor for SortExec {
         &self.schema
     }
 
+    fn narrow(&mut self, live: ColumnSet) {
+        let keys = self.keys.iter().map(|(e, _)| e);
+        self.child.narrow(super::reads_with(live, keys));
+    }
+
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
         let mut rows: Vec<(Vec<Value>, Tuple)> = Vec::new();
@@ -342,13 +526,16 @@ impl Executor for SortExec {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.pos < self.sorted.len() {
-            self.pos += 1;
-            Ok(Some(self.sorted[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        // `open` sorts afresh, so each row is handed out, not copied.
+        Ok(take_next(&mut self.sorted, &mut self.pos))
     }
+}
+
+/// Move the row at `pos` out of a materialized `rows` and step past it.
+pub(super) fn take_next(rows: &mut [Tuple], pos: &mut usize) -> Option<Tuple> {
+    let row = std::mem::take(rows.get_mut(*pos)?);
+    *pos += 1;
+    Some(row)
 }
 
 /// Duplicate elimination over complete tuples.
@@ -373,6 +560,11 @@ impl DistinctExec {
 impl Executor for DistinctExec {
     fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    fn narrow(&mut self, _live: ColumnSet) {
+        // Duplicates are judged on every column.
+        self.child.narrow(ColumnSet::ALL);
     }
 
     fn open(&mut self) -> Result<()> {
@@ -424,6 +616,10 @@ impl LimitExec {
 impl Executor for LimitExec {
     fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    fn narrow(&mut self, live: ColumnSet) {
+        self.child.narrow(live);
     }
 
     fn open(&mut self) -> Result<()> {
@@ -586,6 +782,16 @@ impl Executor for AggregateExec {
         &self.schema
     }
 
+    fn narrow(&mut self, _live: ColumnSet) {
+        // The groups and the aggregates' arguments; `COUNT(*)` reads none.
+        let args = self.aggs.iter().filter_map(|(_, e)| e.as_ref());
+        let mut reads = super::reads_with(ColumnSet::NONE, args);
+        for &i in &self.group_idx {
+            reads.insert(i);
+        }
+        self.child.narrow(reads);
+    }
+
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
         // Preserve first-seen group order for deterministic output.
@@ -640,11 +846,6 @@ impl Executor for AggregateExec {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.pos < self.results.len() {
-            self.pos += 1;
-            Ok(Some(self.results[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        Ok(take_next(&mut self.results, &mut self.pos))
     }
 }

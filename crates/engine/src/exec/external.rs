@@ -11,6 +11,7 @@
 //! its rows, as a conventional query processor does.
 
 use super::Executor;
+use crate::expr::ColumnSet;
 use crate::plan::{EvSpec, VTableKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -31,59 +32,63 @@ pub(crate) fn request_for(spec: &EvSpec, expr: String) -> SearchRequest {
     }
 }
 
-/// The columns a scan of `spec` adds after `SearchExp, T1..Tn`.
-fn external_columns(spec: &EvSpec) -> usize {
-    match spec.kind() {
-        VTableKind::WebCount => 1,
-        VTableKind::WebPages => 3,
-    }
-}
-
-/// The columns every row of a scan shares — SearchExp then T1..Tn — in a
-/// vector with room for the external columns that follow.
-fn row_prefix(spec: &EvSpec, expr: &Value, bindings: &[Value]) -> Vec<Value> {
-    let mut vals = Vec::with_capacity(1 + bindings.len() + external_columns(spec));
-    vals.push(expr.clone());
-    vals.extend_from_slice(bindings);
+/// The columns every row of a binding shares, SearchExp then T1..Tn, with
+/// `Null` in each column `live` leaves dead (`expr` is `None` when
+/// SearchExp is), in a vector with room for the external columns that
+/// follow.
+fn row_prefix(
+    width: usize,
+    live: ColumnSet,
+    expr: Option<&Value>,
+    bindings: &[Value],
+) -> Vec<Value> {
+    let mut vals = Vec::with_capacity(width);
+    vals.push(expr.cloned().unwrap_or(Value::Null));
+    vals.extend(
+        bindings
+            .iter()
+            .enumerate()
+            .map(|(k, v)| live_or_null(live.contains(1 + k), || v.clone())),
+    );
     vals
 }
 
-/// Check a rebind's arity and refill `bindings` from `values` in place.
-fn rebind_into(spec: &EvSpec, bindings: &mut Vec<Value>, values: &[Value]) -> Result<()> {
-    if values.len() != spec.bindings().len() {
-        return Err(WsqError::Exec(format!(
-            "expected {} bindings, got {}",
-            spec.bindings().len(),
-            values.len()
-        )));
+/// `make()` if `live`, else `Null`.
+fn live_or_null(live: bool, make: impl FnOnce() -> Value) -> Value {
+    if live {
+        make()
+    } else {
+        Value::Null
     }
-    bindings.clear();
-    bindings.extend_from_slice(values);
-    Ok(())
 }
 
 /// Turn a search result into virtual-table tuples — `expr`, then
-/// `bindings`, then the result's columns — appended to `out`. Each row is
-/// built at its final width.
-pub(crate) fn materialize_result(
+/// `bindings`, then the result's columns, `Null` in each column `live`
+/// leaves dead — appended to `out`. Each row is built at its final width.
+fn materialize_result(
     spec: &EvSpec,
-    expr: &Value,
+    live: ColumnSet,
+    expr: Option<&Value>,
     bindings: &[Value],
     result: &SearchResult,
     out: &mut VecDeque<Tuple>,
 ) {
+    let width = spec.schema().len();
     match (spec.kind(), result) {
         (VTableKind::WebCount, SearchResult::Count(n)) => {
-            let mut vals = row_prefix(spec, expr, bindings);
-            vals.push(Value::Int(*n as i64));
+            let mut vals = row_prefix(width, live, expr, bindings);
+            vals.push(live_or_null(live.contains(width - 1), || {
+                Value::Int(*n as i64)
+            }));
             out.push_back(Tuple::new(vals));
         }
         (VTableKind::WebPages, SearchResult::Pages(hits)) => {
+            let [url, rank, date] = [3, 2, 1].map(|back| live.contains(width - back));
             out.extend(hits.iter().map(|h| {
-                let mut vals = row_prefix(spec, expr, bindings);
-                vals.push(Value::Str(h.url.clone()));
-                vals.push(Value::Int(h.rank as i64));
-                vals.push(Value::Str(h.date.clone()));
+                let mut vals = row_prefix(width, live, expr, bindings);
+                vals.push(live_or_null(url, || Value::Str(h.url.clone())));
+                vals.push(live_or_null(rank, || Value::Int(h.rank as i64)));
+                vals.push(live_or_null(date, || Value::Str(h.date.clone())));
                 Tuple::new(vals)
             }));
         }
@@ -112,12 +117,20 @@ pub(crate) fn materialize_result(
 /// after the new request has been matched: so consecutive identical calls
 /// (the `|R|` duplicates of the paper's Example 2) coalesce onto one
 /// launch, and a warm query holds one delivered result per scan.
+///
+/// A column nothing above reads ([`Executor::narrow`]) is `Null` in every
+/// row, and a dead SearchExp is never built; a placeholder is never
+/// narrowed away, so `ReqSync` sees the calls a tuple waits on.
 pub struct AEVScanExec {
     /// Shared with the plan, and the source of this scan's schema.
     spec: Arc<EvSpec>,
     pump: Arc<ReqPump>,
     lease: LeaseId,
+    /// The current binding's T1..Tn.
     bindings: Vec<Value>,
+    /// Which columns anything above reads, by position: SearchExp,
+    /// T1..Tn, then Count or URL, Rank, Date.
+    live: ColumnSet,
     /// Whether the current binding's call is registered.
     registered: bool,
     /// The current binding's rows not yet emitted: a delivered result's
@@ -136,6 +149,7 @@ impl AEVScanExec {
     /// placeholder.
     pub fn new(spec: Arc<EvSpec>, pump: Arc<ReqPump>, lease: LeaseId, wait: bool) -> Self {
         AEVScanExec {
+            live: ColumnSet::ALL,
             spec,
             pump,
             lease,
@@ -160,11 +174,11 @@ impl AEVScanExec {
             ));
         }
         let expr = self.spec.instantiate(&self.bindings);
-        let expr_value = Value::from(expr.as_str());
+        let expr_value = self.live.contains(0).then(|| Value::from(expr.as_str()));
         let release = self.held.take();
         if self.wait {
             let (call, result) = self.fetch(expr, release)?;
-            return self.deliver(call, &expr_value, result);
+            return self.deliver(call, expr_value.as_ref(), result);
         }
         // A racing spec (`WebCount_ANY`) registers one call per member
         // engine as a race group: the group's CallId resolves with the
@@ -187,12 +201,15 @@ impl AEVScanExec {
         };
         let call = match registered {
             Registered::Pending(call) => call,
-            Registered::Delivered(call, result) => return self.deliver(call, &expr_value, result),
+            Registered::Delivered(call, result) => {
+                return self.deliver(call, expr_value.as_ref(), result)
+            }
         };
         let obs = self.pump.obs();
         obs.count(CounterId::PlaceholderTuples, 1);
         let ph = |col: PendingCol| Value::Pending(Placeholder { call, col });
-        let mut vals = row_prefix(&self.spec, &expr_value, &self.bindings);
+        let width = self.spec.schema().len();
+        let mut vals = row_prefix(width, self.live, expr_value.as_ref(), &self.bindings);
         match self.spec.kind() {
             VTableKind::WebCount => vals.push(ph(PendingCol::Count)),
             VTableKind::WebPages => {
@@ -253,7 +270,12 @@ impl AEVScanExec {
     /// Emit a call's result: the rows, and the delivery and patch (or
     /// cancellation) events `ReqSync` would have recorded, continuing the
     /// step that completed the call. A failure fails the query.
-    fn deliver(&mut self, call: CallId, expr: &Value, result: Result<SearchResult>) -> Result<()> {
+    fn deliver(
+        &mut self,
+        call: CallId,
+        expr: Option<&Value>,
+        result: Result<SearchResult>,
+    ) -> Result<()> {
         let result = match result {
             Ok(result) => result,
             Err(e) => {
@@ -263,7 +285,14 @@ impl AEVScanExec {
         };
         let obs = self.pump.obs();
         let step = Step::continuing();
-        materialize_result(&self.spec, expr, &self.bindings, &result, &mut self.rows);
+        materialize_result(
+            &self.spec,
+            self.live,
+            expr,
+            &self.bindings,
+            &result,
+            &mut self.rows,
+        );
         let rows = self.rows.len() as u64;
         let outcome = if rows == 0 {
             EventKind::TupleCancelled
@@ -282,11 +311,23 @@ impl Executor for AEVScanExec {
         self.spec.schema()
     }
 
-    fn rebind(&mut self, values: &[Value]) -> Result<()> {
-        rebind_into(&self.spec, &mut self.bindings, values)?;
+    fn rebind(&mut self, values: &mut Vec<Value>) -> Result<()> {
+        if values.len() != self.spec.bindings().len() {
+            return Err(WsqError::Exec(format!(
+                "expected {} bindings, got {}",
+                self.spec.bindings().len(),
+                values.len()
+            )));
+        }
+        std::mem::swap(&mut self.bindings, values);
         self.registered = false;
         self.rows.clear();
         Ok(())
+    }
+
+    fn narrow(&mut self, live: ColumnSet) {
+        super::note_leaf_reads(self.spec.schema(), live);
+        self.live = live;
     }
 
     fn open(&mut self) -> Result<()> {

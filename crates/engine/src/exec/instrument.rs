@@ -8,6 +8,7 @@
 //! the plan tree.
 
 use super::Executor;
+use crate::expr::ColumnSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -149,9 +150,13 @@ impl Executor for Instrumented {
         self.inner.close()
     }
 
-    fn rebind(&mut self, values: &[Value]) -> Result<()> {
+    fn rebind(&mut self, values: &mut Vec<Value>) -> Result<()> {
         // Bindings must reach the wrapped scan (dependent joins rebind
         // their inner child through this decorator).
         self.inner.rebind(values)
+    }
+
+    fn narrow(&mut self, live: ColumnSet) {
+        self.inner.narrow(live);
     }
 }

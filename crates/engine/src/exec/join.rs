@@ -3,7 +3,7 @@
 //! join that feeds bindings to virtual-table scans one outer tuple at a time.
 
 use super::Executor;
-use crate::expr::{compile, CExpr};
+use crate::expr::{compile, CExpr, ColumnSet};
 use crate::plan::{EvBinding, EvSpec};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -195,6 +195,12 @@ impl Executor for NestedLoopJoinExec {
         &self.schema
     }
 
+    fn narrow(&mut self, live: ColumnSet) {
+        let reads = super::reads_with(live, &self.predicate);
+        self.left.narrow(reads);
+        self.right.narrow(reads.skip(self.left.schema().len()));
+    }
+
     fn open(&mut self) -> Result<()> {
         self.right.open()?;
         self.inner.clear();
@@ -251,11 +257,17 @@ impl Executor for NestedLoopJoinExec {
 /// the join pulls it, so how far registration runs ahead of demand is set
 /// by whoever pulls the join — an enclosing `ReqSync` pulls eagerly, up to
 /// its `reqsync_cap`.
+///
+/// A joined tuple copies the outer tuple's values and takes the inner
+/// one's. The binding values go to the scan in a buffer the two swap, so
+/// a rebind allocates nothing.
 pub struct DependentJoinExec {
     left: Box<dyn Executor>,
     right: Box<dyn Executor>,
     /// How to produce each binding value from an outer tuple.
     slots: Vec<BindingSlot>,
+    /// The binding values for the next rebind (the scan's old ones after).
+    bindings: Vec<Value>,
     schema: Schema,
     outer: Option<Tuple>,
 }
@@ -284,6 +296,7 @@ impl DependentJoinExec {
         Ok(DependentJoinExec {
             left,
             right,
+            bindings: Vec::with_capacity(slots.len()),
             slots,
             schema,
             outer: None,
@@ -294,6 +307,17 @@ impl DependentJoinExec {
 impl Executor for DependentJoinExec {
     fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    fn narrow(&mut self, live: ColumnSet) {
+        let mut reads = live;
+        for slot in &self.slots {
+            if let BindingSlot::Idx(i) = slot {
+                reads.insert(*i);
+            }
+        }
+        self.left.narrow(reads);
+        self.right.narrow(live.skip(self.left.schema().len()));
     }
 
     fn open(&mut self) -> Result<()> {
@@ -310,23 +334,22 @@ impl Executor for DependentJoinExec {
                     let Some(tuple) = self.left.next()? else {
                         return Ok(None);
                     };
-                    let values: Vec<Value> = self
-                        .slots
-                        .iter()
-                        .map(|s| match s {
-                            BindingSlot::Const(v) => v.clone(),
-                            BindingSlot::Idx(i) => tuple.get(*i).clone(),
-                        })
-                        .collect();
-                    self.right.rebind(&values)?;
+                    self.bindings.clear();
+                    self.bindings.extend(self.slots.iter().map(|s| match s {
+                        BindingSlot::Const(v) => v.clone(),
+                        BindingSlot::Idx(i) => tuple.get(*i).clone(),
+                    }));
+                    self.right.rebind(&mut self.bindings)?;
                     self.right.open()?;
                     tuple
                 }
             };
-            if let Some(r) = self.right.next()? {
-                let joined = outer.join(&r);
+            if let Some(inner) = self.right.next()? {
+                let mut vals = Vec::with_capacity(self.schema.len());
+                vals.extend_from_slice(outer.values());
+                vals.extend(inner.into_values());
                 self.outer = Some(outer);
-                return Ok(Some(joined));
+                return Ok(Some(Tuple::new(vals)));
             }
         }
     }

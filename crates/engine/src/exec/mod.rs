@@ -21,6 +21,7 @@ pub use join::{DependentJoinExec, NestedLoopJoinExec};
 pub use reqsync::ReqSyncExec;
 pub use rerank::RerankExec;
 
+use crate::expr::{CExpr, ColumnSet};
 use crate::plan::PhysPlan;
 use std::sync::Arc;
 use wsq_common::{Result, Schema, Tuple, Value, WsqError};
@@ -62,17 +63,26 @@ pub trait Executor {
         Ok(())
     }
     /// Supply fresh outer bindings (external virtual scans under a
-    /// dependent join only).
-    fn rebind(&mut self, _values: &[Value]) -> Result<()> {
+    /// dependent join only). The scan takes the values and leaves its
+    /// previous buffer in `values`, so a join that refills it allocates
+    /// nothing.
+    fn rebind(&mut self, _values: &mut Vec<Value>) -> Result<()> {
         Err(WsqError::Exec(
             "this operator does not accept bindings".to_string(),
         ))
     }
+    /// Learn which output columns anything above reads (`live`), after the
+    /// tree is built and before `open`. An operator tells each child which
+    /// of the child's columns it reads in turn; a scan writes `Value::Null`
+    /// in a column nothing reads. An operator that keeps the default
+    /// leaves its subtree whole, as if it read everything.
+    fn narrow(&mut self, _live: ColumnSet) {}
 }
 
-/// Build an executor tree from a physical plan.
+/// Build an executor tree from a physical plan, narrowed to the columns
+/// each operator's parent reads (every column of the root).
 pub fn build(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<Box<dyn Executor>> {
-    build_with(plan, ctx, None, 0)
+    narrowed(build_with(plan, ctx, None, 0)?)
 }
 
 /// Build an executor tree with EXPLAIN-ANALYZE instrumentation: every
@@ -83,7 +93,42 @@ pub fn build_instrumented(
     ctx: &ExecContext<'_>,
     instr: &Instrumentation,
 ) -> Result<Box<dyn Executor>> {
-    build_with(plan, ctx, Some(instr), 0)
+    narrowed(build_with(plan, ctx, Some(instr), 0)?)
+}
+
+/// Narrow a whole tree from an all-live root.
+fn narrowed(mut root: Box<dyn Executor>) -> Result<Box<dyn Executor>> {
+    root.narrow(ColumnSet::ALL);
+    Ok(root)
+}
+
+/// `live` plus every column that one of `exprs` reads: what an operator
+/// that evaluates `exprs` over its input needs of that input.
+fn reads_with<'a>(live: ColumnSet, exprs: impl IntoIterator<Item = &'a CExpr>) -> ColumnSet {
+    let mut reads = live;
+    for e in exprs {
+        e.mark_reads(&mut reads);
+    }
+    reads
+}
+
+#[cfg(test)]
+thread_local! {
+    /// What each leaf was told it must produce, in narrowing order: each
+    /// of its columns by name, and whether anything above reads it. The
+    /// read sets the unit tests pin.
+    pub(crate) static LEAF_READS: std::cell::RefCell<Vec<Vec<(String, bool)>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Note a leaf's read set for the unit tests; nothing outside them.
+fn note_leaf_reads(_schema: &Schema, _live: ColumnSet) {
+    #[cfg(test)]
+    LEAF_READS.with(|log| {
+        let cols = _schema.columns().iter().map(|c| c.display_name());
+        let live = (0..).map(|i| _live.contains(i));
+        log.borrow_mut().push(cols.zip(live).collect());
+    });
 }
 
 fn build_with(

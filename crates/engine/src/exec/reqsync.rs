@@ -38,6 +38,7 @@
 //! histogram.
 
 use super::Executor;
+use crate::expr::ColumnSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use wsq_common::{CallId, IdMap, PendingCol, Result, Schema, Tuple, Value};
@@ -365,6 +366,14 @@ fn fill(tuple: &mut Tuple, call: CallId, value_for: impl Fn(PendingCol) -> Optio
 impl Executor for ReqSyncExec {
     fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    fn narrow(&mut self, live: ColumnSet) {
+        // Nothing narrows a placeholder away: a scan writes one in every
+        // column it stands for, and a projection hands it on through an
+        // item nothing reads. So the calls a tuple waits on, and how many
+        // copies a result makes, stay the same.
+        self.child.narrow(live);
     }
 
     fn open(&mut self) -> Result<()> {

@@ -10,6 +10,7 @@
 //! sentinel, which is exactly the §4.5.2 clash the verifier rejects.
 
 use super::Executor;
+use crate::expr::ColumnSet;
 use crate::plan::RerankScorer;
 use wsq_common::{Result, Schema, Tuple, WsqError};
 
@@ -46,6 +47,11 @@ impl Executor for RerankExec {
         &self.schema
     }
 
+    fn narrow(&mut self, _live: ColumnSet) {
+        // A scorer may read anything of the row it scores.
+        self.child.narrow(ColumnSet::ALL);
+    }
+
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
         let mut rows: Vec<(i64, Tuple)> = Vec::new();
@@ -71,12 +77,7 @@ impl Executor for RerankExec {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.pos < self.ranked.len() {
-            self.pos += 1;
-            Ok(Some(self.ranked[self.pos - 1].clone()))
-        } else {
-            Ok(None)
-        }
+        Ok(super::basic::take_next(&mut self.ranked, &mut self.pos))
     }
 }
 

@@ -769,7 +769,7 @@ fn aevscan_rejects_pending_bindings() {
     let lease = p.lease();
     let spec = pages_spec("W");
     let mut scan = AEVScanExec::new(Arc::new(spec), p.clone(), lease.id(), false);
-    scan.rebind(&[Value::Pending(wsq_common::Placeholder {
+    scan.rebind(&mut vec![Value::Pending(wsq_common::Placeholder {
         call: wsq_common::CallId(1),
         col: wsq_common::PendingCol::Url,
     })])
@@ -777,4 +777,473 @@ fn aevscan_rejects_pending_bindings() {
     scan.open().unwrap();
     let err = scan.next().unwrap_err();
     assert!(err.to_string().contains("placeholder"));
+}
+
+/// The read sets executors report at build ([`Executor::narrow`]): what
+/// each operator reads of its input, and what the leaves of the Table-1
+/// templates are left to build. Also the projection's moves, whose rows
+/// must equal those of evaluating every item.
+mod read_sets {
+    use crate::db::{Database, QueryOptions};
+    use crate::engines::EngineRegistry;
+    use crate::exec::basic::{plan_items, Item};
+    use crate::exec::*;
+    use crate::expr::compile;
+    use crate::plan::{EvBinding, EvSpec, RerankScorer, VTableKind};
+    use crate::ExecutionMode;
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use wsq_common::{Column, DataType, Schema, Tuple, Value};
+    use wsq_pump::{PumpConfig, ReqPump};
+    use wsq_sql::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal, Statement};
+
+    /// A leaf over fixed rows that records what its parent reads of it and
+    /// accepts any bindings.
+    struct Probe {
+        schema: Schema,
+        rows: Vec<Tuple>,
+        pos: usize,
+        told: Rc<Cell<Option<ColumnSet>>>,
+    }
+
+    impl Executor for Probe {
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+        fn open(&mut self) -> Result<()> {
+            self.pos = 0;
+            Ok(())
+        }
+        fn next(&mut self) -> Result<Option<Tuple>> {
+            self.pos += 1;
+            Ok(self.rows.get(self.pos - 1).cloned())
+        }
+        fn rebind(&mut self, _values: &mut Vec<Value>) -> Result<()> {
+            Ok(())
+        }
+        fn narrow(&mut self, live: ColumnSet) {
+            self.told.set(Some(live));
+        }
+    }
+
+    type Told = Rc<Cell<Option<ColumnSet>>>;
+
+    fn probe(names: &[&str]) -> (Box<dyn Executor>, Told) {
+        probe_rows(names, vec![])
+    }
+
+    fn probe_rows(names: &[&str], rows: Vec<Vec<Value>>) -> (Box<dyn Executor>, Told) {
+        let told = Rc::new(Cell::new(None));
+        let schema = Schema::new(
+            names
+                .iter()
+                .map(|n| Column::new(*n, DataType::Int))
+                .collect(),
+        );
+        let rows = rows.into_iter().map(Tuple::new).collect();
+        let probe = Probe {
+            schema,
+            rows,
+            pos: 0,
+            told: told.clone(),
+        };
+        (Box::new(probe), told)
+    }
+
+    fn set(cols: &[usize]) -> ColumnSet {
+        let mut s = ColumnSet::NONE;
+        cols.iter().for_each(|&i| s.insert(i));
+        s
+    }
+
+    /// The offsets below `n` a probe was told are read.
+    fn reads(told: &Told, n: usize) -> Vec<usize> {
+        let live = told.get().expect("the probe was narrowed");
+        (0..n).filter(|&i| live.contains(i)).collect()
+    }
+
+    fn col(name: &str) -> Expr {
+        Expr::column(name)
+    }
+
+    fn add(a: Expr, b: Expr) -> Expr {
+        Expr::binary(BinOp::Add, a, b)
+    }
+
+    #[test]
+    fn a_filter_reads_what_is_read_above_plus_its_predicate() {
+        let (child, told) = probe(&["a", "b", "c"]);
+        let pred = Expr::binary(BinOp::Gt, col("c"), Expr::Literal(Literal::Int(1)));
+        let mut filter = FilterExec::new(child, &pred).unwrap();
+        filter.narrow(set(&[0]));
+        assert_eq!(reads(&told, 3), [0, 2]);
+    }
+
+    #[test]
+    fn a_projection_reads_only_what_its_live_items_read() {
+        let (child, told) = probe(&["a", "b", "c", "d"]);
+        let items = [
+            (col("b"), "b".into()),
+            (add(col("a"), col("c")), "s".into()),
+        ];
+        let mut project = ProjectExec::new(child, &items, Schema::empty()).unwrap();
+        project.narrow(ColumnSet::ALL);
+        assert_eq!(reads(&told, 4), [0, 1, 2]);
+        project.narrow(set(&[1]));
+        assert_eq!(reads(&told, 4), [0, 2]);
+        project.narrow(set(&[0]));
+        assert_eq!(reads(&told, 4), [1]);
+    }
+
+    #[test]
+    fn a_sort_reads_its_keys() {
+        let (child, told) = probe(&["a", "b", "c"]);
+        let mut sort = SortExec::new(child, &[(col("b"), true)]).unwrap();
+        sort.narrow(set(&[0]));
+        assert_eq!(reads(&told, 3), [0, 1]);
+    }
+
+    #[test]
+    fn an_aggregate_reads_its_groups_and_arguments_and_count_star_reads_nothing() {
+        let (child, told) = probe(&["g", "v", "w"]);
+        let aggs = [(AggFunc::Sum, Some(col("w")), "s".into())];
+        let g = ColumnRef {
+            qualifier: None,
+            name: "g".into(),
+        };
+        let mut agg = AggregateExec::new(child, &[g], &aggs, Schema::empty()).unwrap();
+        agg.narrow(ColumnSet::ALL);
+        assert_eq!(reads(&told, 3), [0, 2]);
+
+        let (child, told) = probe(&["g", "v", "w"]);
+        let aggs = [(AggFunc::Count, None, "n".into())];
+        let mut count = AggregateExec::new(child, &[], &aggs, Schema::empty()).unwrap();
+        count.narrow(ColumnSet::ALL);
+        assert_eq!(reads(&told, 3), [] as [usize; 0]);
+    }
+
+    #[test]
+    fn distinct_and_rerank_read_everything_and_limit_and_reqsync_pass_through() {
+        let (child, told) = probe(&["a", "b"]);
+        DistinctExec::new(child).narrow(set(&[0]));
+        assert_eq!(reads(&told, 2), [0, 1]);
+
+        let (child, told) = probe(&["URL", "b"]);
+        RerankExec::new(child, RerankScorer::UrlLen)
+            .unwrap()
+            .narrow(set(&[1]));
+        assert_eq!(reads(&told, 2), [0, 1]);
+
+        let (child, told) = probe(&["a", "b"]);
+        LimitExec::new(child, 3).narrow(set(&[1]));
+        assert_eq!(reads(&told, 2), [1]);
+
+        let (child, told) = probe(&["a", "b"]);
+        let pump = ReqPump::new(PumpConfig::default());
+        ReqSyncExec::new(child, pump, None).narrow(set(&[1]));
+        assert_eq!(reads(&told, 2), [1]);
+
+        let (child, told) = probe(&["a", "b"]);
+        let counters = Instrumentation::new().register(0, String::new());
+        Instrumented::new(child, counters).narrow(set(&[0]));
+        assert_eq!(reads(&told, 2), [0]);
+    }
+
+    #[test]
+    fn a_nested_loop_join_splits_what_is_read_and_adds_its_predicate() {
+        let (left, l) = probe(&["a", "b"]);
+        let (right, r) = probe(&["c", "d"]);
+        let pred = Expr::binary(BinOp::Eq, col("b"), col("c"));
+        let mut join = NestedLoopJoinExec::new(left, right, Some(&pred)).unwrap();
+        join.narrow(set(&[0, 3]));
+        assert_eq!(reads(&l, 2), [0, 1]);
+        assert_eq!(reads(&r, 2), [0, 1]);
+        join.narrow(set(&[0]));
+        assert_eq!(reads(&r, 2), [0]);
+    }
+
+    #[test]
+    fn a_dependent_join_reads_its_binding_columns() {
+        let (left, l) = probe(&["a", "b", "c"]);
+        let (right, r) = probe(&["SearchExp", "T1", "Count"]);
+        let binding = EvBinding::Column(ColumnRef {
+            qualifier: None,
+            name: "b".into(),
+        });
+        let spec = EvSpec::new(VTableKind::WebCount, "AV", "W", vec![binding], true);
+        let mut join = DependentJoinExec::new(left, right, &spec).unwrap();
+        join.narrow(set(&[0, 5]));
+        assert_eq!(reads(&l, 3), [0, 1]);
+        assert_eq!(reads(&r, 3), [2]);
+    }
+
+    #[test]
+    fn column_sets_past_64_columns_read_everything() {
+        assert!(ColumnSet::NONE.contains(64));
+        assert!(!ColumnSet::NONE.contains(63));
+        assert_eq!(set(&[3, 5]).skip(3), {
+            let mut s = set(&[0, 2]);
+            (61..64).for_each(|i| s.insert(i));
+            s
+        });
+        assert_eq!(set(&[1]).skip(64), ColumnSet::ALL);
+    }
+
+    /// What each leaf of `sql`'s executor tree is left to build, in plan
+    /// order: its columns, a dead one marked `~`.
+    fn leaf_reads(db: &Database, sql: &str, mode: ExecutionMode) -> Vec<String> {
+        let mut engines = EngineRegistry::new();
+        engines.register("AV", true);
+        engines.register("Google", false);
+        let Statement::Select(stmt) = wsq_sql::parse_one(sql).unwrap() else {
+            panic!("{sql} is not a SELECT");
+        };
+        let opts = QueryOptions {
+            mode,
+            ..QueryOptions::default()
+        };
+        let plan = db.plan_query(&stmt, &engines, opts).unwrap();
+        let pump = ReqPump::new(PumpConfig::default());
+        let lease = pump.lease();
+        let ctx = ExecContext {
+            tables: db,
+            pump: pump.clone(),
+            lease: &lease,
+        };
+        LEAF_READS.with(|log| log.borrow_mut().clear());
+        build(&plan, &ctx).unwrap();
+        LEAF_READS.with(|log| {
+            log.borrow()
+                .iter()
+                .map(|cols| {
+                    let cols = cols.iter().map(|(name, live)| {
+                        let dead = if *live { "" } else { "~" };
+                        format!("{dead}{name}")
+                    });
+                    cols.collect::<Vec<_>>().join(" ")
+                })
+                .collect()
+        })
+    }
+
+    fn reference_db() -> Database {
+        let mut db = Database::open_in_memory().unwrap();
+        let varchar = |n| Column::new(n, DataType::Varchar);
+        let states = vec![
+            varchar("Name"),
+            Column::new("Population", DataType::Int),
+            varchar("Capital"),
+        ];
+        db.create_table("States", &Schema::new(states)).unwrap();
+        db.create_table("Sigs", &Schema::new(vec![varchar("Name")]))
+            .unwrap();
+        let orders = vec![
+            Column::new("Id", DataType::Int),
+            Column::new("Cust", DataType::Int),
+            varchar("Note"),
+        ];
+        db.create_table("Orders", &Schema::new(orders)).unwrap();
+        db.create_index("Orders", "Id").unwrap();
+        db
+    }
+
+    /// The Table-1 templates as `wsqbench` spells them.
+    const TEMPLATES: [&str; 3] = [
+        "SELECT Name, Count FROM States, WebCount WHERE Name = T1 AND WebCount.T2 = 'computer'",
+        "SELECT Name, Count, URL, Rank FROM States, WebCount, WebPages \
+         WHERE Name = WebCount.T1 AND WebCount.T2 = 'computer' \
+         AND Name = WebPages.T1 AND WebPages.T2 = 'beaches' AND WebPages.Rank <= 2",
+        "SELECT Name, AV.URL, G.URL FROM Sigs, WebPages_AV AV, WebPages_Google G \
+         WHERE Name = AV.T1 AND Name = G.T1 AND AV.Rank <= 3 AND G.Rank <= 3 \
+         AND AV.T2 = 'computer' AND G.T2 = 'computer'",
+    ];
+
+    #[test]
+    fn the_table_1_templates_leave_searchexp_the_terms_and_date_dead() {
+        let db = reference_db();
+        let want: [&[&str]; 3] = [
+            &[
+                "States.Name ~States.Population ~States.Capital",
+                "~WebCount.SearchExp ~WebCount.T1 ~WebCount.T2 WebCount.Count",
+            ],
+            &[
+                "States.Name ~States.Population ~States.Capital",
+                "~WebCount.SearchExp ~WebCount.T1 ~WebCount.T2 WebCount.Count",
+                "~WebPages.SearchExp ~WebPages.T1 ~WebPages.T2 WebPages.URL WebPages.Rank \
+                 ~WebPages.Date",
+            ],
+            &[
+                "Sigs.Name",
+                "~AV.SearchExp ~AV.T1 ~AV.T2 AV.URL ~AV.Rank ~AV.Date",
+                "~G.SearchExp ~G.T1 ~G.T2 G.URL ~G.Rank ~G.Date",
+            ],
+        ];
+        for (sql, want) in TEMPLATES.iter().zip(want) {
+            for mode in [ExecutionMode::Asynchronous, ExecutionMode::Synchronous] {
+                assert_eq!(leaf_reads(&db, sql, mode), want, "{mode:?}: {sql}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_star_reads_no_column_and_an_index_key_filter_keeps_its_key() {
+        let db = reference_db();
+        let async_ = ExecutionMode::Asynchronous;
+        assert_eq!(
+            leaf_reads(&db, "SELECT COUNT(*) FROM States", async_),
+            ["~States.Name ~States.Population ~States.Capital"]
+        );
+        assert_eq!(
+            leaf_reads(
+                &db,
+                "SELECT COUNT(*) FROM Sigs, WebPages WHERE Name = T1",
+                async_
+            ),
+            [
+                "Sigs.Name",
+                "~WebPages.SearchExp ~WebPages.T1 ~WebPages.URL ~WebPages.Rank ~WebPages.Date"
+            ]
+        );
+        // `IndexScan` returns a superset of the key range; the `Select` above
+        // it re-checks the key, so the key stays live.
+        assert_eq!(
+            leaf_reads(&db, "SELECT Cust FROM Orders WHERE Id = 5", async_),
+            ["Orders.Id Orders.Cust ~Orders.Note"]
+        );
+        assert_eq!(
+            leaf_reads(&db, "SELECT * FROM States", async_),
+            ["States.Name States.Population States.Capital"]
+        );
+    }
+
+    /// `items` over `input`, through `ProjectExec` under `LIMIT limit` over
+    /// `ORDER BY` its first output column, and as the plain evaluation of
+    /// every item over the same sorted, cut rows.
+    fn project_both_ways(
+        input: &[&str],
+        rows: Vec<Vec<Value>>,
+        items: &[(Expr, std::sync::Arc<str>)],
+        limit: u64,
+    ) -> (Vec<Tuple>, Vec<Tuple>) {
+        let (child, _) = probe_rows(input, rows.clone());
+        let in_schema = child.schema().clone();
+        let out_schema = Schema::new(
+            items
+                .iter()
+                .map(|(_, name)| Column::new(name.clone(), DataType::Int))
+                .collect(),
+        );
+        let project = ProjectExec::new(child, items, out_schema).unwrap();
+        let first = Expr::Literal(Literal::Int(1));
+        let sorted = SortExec::new(Box::new(project), &[(first, false)]).unwrap();
+        let limited = LimitExec::new(Box::new(sorted), limit);
+        let mut tree: Box<dyn Executor> = Box::new(limited);
+        tree.narrow(ColumnSet::ALL);
+        let moved = collect(tree.as_mut()).unwrap();
+
+        let exprs: Vec<_> = items
+            .iter()
+            .map(|(e, _)| compile(e, &in_schema).unwrap())
+            .collect();
+        let mut evaluated: Vec<Tuple> = rows
+            .into_iter()
+            .map(|r| {
+                let t = Tuple::new(r);
+                Tuple::new(exprs.iter().map(|e| e.eval(&t).unwrap()).collect())
+            })
+            .collect();
+        evaluated.sort_by(|a, b| a.get(0).compare(b.get(0)).unwrap());
+        evaluated.truncate(limit as usize);
+        (moved, evaluated)
+    }
+
+    fn int_rows(rows: &[[i64; 3]]) -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn projection_moves_only_columns_read_once() {
+        let exprs = |es: &[Expr]| {
+            let schema = Schema::new(
+                ["a", "b", "c"]
+                    .iter()
+                    .map(|n| Column::new(*n, DataType::Int))
+                    .collect(),
+            );
+            es.iter()
+                .map(|e| (compile(e, &schema).unwrap(), Item::Eval))
+                .collect::<Vec<_>>()
+        };
+        let items = |mut items: Vec<(CExpr, Item)>, live| {
+            plan_items(&mut items, live);
+            items.into_iter().map(|(_, i)| i).collect::<Vec<_>>()
+        };
+        // A column named twice is copied; one named once is moved.
+        let twice = exprs(&[col("a"), col("a"), col("b")]);
+        let all = ColumnSet::ALL;
+        assert_eq!(items(twice, all), [Item::Eval, Item::Eval, Item::Move(1)]);
+        // A column a computed item also reads is copied.
+        let mixed = exprs(&[col("a"), add(col("a"), col("b")), col("c")]);
+        assert_eq!(items(mixed, all), [Item::Eval, Item::Eval, Item::Move(2)]);
+        // A dead item is `Null`, and reads nothing: the other reader moves.
+        let twice = exprs(&[col("a"), col("a"), col("b")]);
+        assert_eq!(
+            items(twice, set(&[1, 2])),
+            [Item::Dead(None), Item::Move(0), Item::Move(1)]
+        );
+        // A dead column no live item reads passes a placeholder on; a
+        // computed one is `Null`.
+        let dead = exprs(&[col("a"), add(col("b"), col("c")), col("b")]);
+        assert_eq!(
+            items(dead, set(&[2])),
+            [Item::Dead(Some(0)), Item::Dead(None), Item::Move(1)]
+        );
+    }
+
+    /// A projection nothing above reads, as a view's under a `ReqSync`
+    /// that `COUNT(*)` narrows to nothing, still hands the placeholder on:
+    /// it is what tells `ReqSync` the tuple waits on a call.
+    #[test]
+    fn a_dead_projection_never_drops_a_placeholder() {
+        let pending = Value::Pending(wsq_common::Placeholder {
+            call: wsq_common::CallId(7),
+            col: wsq_common::PendingCol::Url,
+        });
+        let row = vec![Value::Int(1), pending.clone()];
+        let (child, _) = probe_rows(&["a", "u"], vec![row]);
+        let items = [(col("a"), "a".into()), (col("u"), "u".into())];
+        let schema = child.schema().clone();
+        let mut project = ProjectExec::new(child, &items, schema).unwrap();
+        project.narrow(ColumnSet::NONE);
+        project.open().unwrap();
+        let got = project.next().unwrap().unwrap();
+        assert_eq!(got.values(), &[Value::Null, pending]);
+    }
+
+    #[test]
+    fn projected_rows_equal_the_evaluated_ones() {
+        let rows = int_rows(&[[3, 30, 300], [1, 10, 100], [2, 20, 200], [4, 40, 400]]);
+        let cases: [&[(Expr, std::sync::Arc<str>)]; 3] = [
+            // `SELECT a, a …`: a duplicated column.
+            &[(col("a"), "a".into()), (col("a"), "a2".into())],
+            // Columns and computed items mixed.
+            &[
+                (col("a"), "a".into()),
+                (add(col("a"), col("b")), "s".into()),
+                (col("c"), "c".into()),
+                (col("b"), "b".into()),
+            ],
+            // Moves only.
+            &[(col("c"), "c".into()), (col("a"), "a".into())],
+        ];
+        for items in cases {
+            for limit in [0, 2, 10] {
+                let (moved, evaluated) =
+                    project_both_ways(&["a", "b", "c"], rows.clone(), items, limit);
+                assert_eq!(moved, evaluated, "limit {limit}");
+            }
+        }
+    }
 }

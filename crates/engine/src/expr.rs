@@ -62,6 +62,52 @@ pub enum CExpr {
     },
 }
 
+/// A set of column offsets, as a bitmask: which columns of its input an
+/// operator reads. Offsets from 64 on are always in the set — a read set
+/// may overstate what is read, never understate it — so it is `Copy` and
+/// never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnSet(u64);
+
+impl ColumnSet {
+    /// Every column.
+    pub const ALL: ColumnSet = ColumnSet(u64::MAX);
+    /// No column below offset 64.
+    pub const NONE: ColumnSet = ColumnSet(0);
+
+    /// Is offset `i` in the set?
+    pub fn contains(self, i: usize) -> bool {
+        i >= 64 || self.0 >> i & 1 == 1
+    }
+
+    /// Add offset `i`.
+    pub fn insert(&mut self, i: usize) {
+        if i < 64 {
+            self.0 |= 1 << i;
+        }
+    }
+
+    /// Offsets in either set.
+    pub fn union(self, other: ColumnSet) -> ColumnSet {
+        ColumnSet(self.0 | other.0)
+    }
+
+    /// Offsets in both sets.
+    pub fn intersection(self, other: ColumnSet) -> ColumnSet {
+        ColumnSet(self.0 & other.0)
+    }
+
+    /// The set seen from offset `n` on: offset `n + i` becomes `i` (the
+    /// right side of a join whose left side is `n` columns wide).
+    pub fn skip(self, n: usize) -> ColumnSet {
+        match n {
+            0 => self,
+            64.. => ColumnSet::ALL,
+            n => ColumnSet(self.0 >> n | u64::MAX << (64 - n)),
+        }
+    }
+}
+
 /// Convert an AST literal to a runtime value.
 pub fn literal_value(lit: &Literal) -> Value {
     match lit {
@@ -265,6 +311,34 @@ impl CExpr {
     /// Evaluate as a predicate.
     pub fn eval_bool(&self, tuple: &Tuple) -> Result<bool> {
         truthy(&self.eval(tuple)?)
+    }
+
+    /// Add to `reads` every column offset this expression reads.
+    pub fn mark_reads(&self, reads: &mut ColumnSet) {
+        match self {
+            CExpr::Column(i) => reads.insert(*i),
+            CExpr::Const(_) => {}
+            CExpr::Binary { lhs, rhs, .. } => {
+                lhs.mark_reads(reads);
+                rhs.mark_reads(reads);
+            }
+            CExpr::Unary { expr, .. } => expr.mark_reads(reads),
+            CExpr::Like { expr, pattern, .. } => {
+                expr.mark_reads(reads);
+                pattern.mark_reads(reads);
+            }
+            CExpr::InList { expr, list, .. } => {
+                expr.mark_reads(reads);
+                list.iter().for_each(|e| e.mark_reads(reads));
+            }
+            CExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.mark_reads(reads);
+                low.mark_reads(reads);
+                high.mark_reads(reads);
+            }
+        }
     }
 }
 

@@ -139,6 +139,28 @@ impl BufferPool {
         Ok(f(&inner.frames[idx].data[..]))
     }
 
+    /// [`BufferPool::with_page`] for a page that may lie past the end of
+    /// `file`: `Ok(None)` there, with the page count read in the same hold
+    /// of the pool lock.
+    pub fn with_page_if_present<R>(
+        &self,
+        file: FileId,
+        page: PageId,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>> {
+        let mut inner = self.inner.lock();
+        let pages = inner
+            .files
+            .get(&file)
+            .ok_or_else(|| WsqError::Storage(format!("unknown file {file}")))?
+            .num_pages();
+        if page.0 >= pages {
+            return Ok(None);
+        }
+        let idx = inner.fetch(file, page)?;
+        Ok(Some(f(&inner.frames[idx].data[..])))
+    }
+
     /// Run `f` with write access to a page's bytes; the page is marked
     /// dirty and written back on eviction or flush.
     pub fn with_page_mut<R>(

@@ -66,6 +66,14 @@ fn expect_type(declared: DataType, actual: DataType, col: usize) -> Result<()> {
 
 /// Deserialize record bytes back into a tuple according to `schema`.
 pub fn decode(schema: &Schema, bytes: &[u8]) -> Result<Tuple> {
+    decode_live(schema, bytes, |_| true)
+}
+
+/// [`decode`] that builds only the columns `live` accepts: every other
+/// column decodes to `Value::Null`. A dead column is still length- and
+/// UTF-8-checked, so a record decodes without error exactly when
+/// [`decode`] accepts it; it is only not allocated.
+pub fn decode_live(schema: &Schema, bytes: &[u8], live: impl Fn(usize) -> bool) -> Result<Tuple> {
     let n = schema.len();
     let bitmap_len = n.div_ceil(8);
     if bytes.len() < bitmap_len {
@@ -80,15 +88,24 @@ pub fn decode(schema: &Schema, bytes: &[u8]) -> Result<Tuple> {
             values.push(Value::Null);
             continue;
         }
+        let dead = !live(i);
         match col.dtype {
             DataType::Int => {
                 let (head, tail) = take(rest, 8, i)?;
-                values.push(Value::Int(i64::from_le_bytes(head.try_into().unwrap())));
+                values.push(if dead {
+                    Value::Null
+                } else {
+                    Value::Int(i64::from_le_bytes(head.try_into().unwrap()))
+                });
                 rest = tail;
             }
             DataType::Float => {
                 let (head, tail) = take(rest, 8, i)?;
-                values.push(Value::Float(f64::from_le_bytes(head.try_into().unwrap())));
+                values.push(if dead {
+                    Value::Null
+                } else {
+                    Value::Float(f64::from_le_bytes(head.try_into().unwrap()))
+                });
                 rest = tail;
             }
             DataType::Varchar => {
@@ -98,7 +115,7 @@ pub fn decode(schema: &Schema, bytes: &[u8]) -> Result<Tuple> {
                 let s = std::str::from_utf8(sb).map_err(|_| {
                     WsqError::Storage(format!("column {i}: invalid UTF-8 in record"))
                 })?;
-                values.push(Value::from(s));
+                values.push(if dead { Value::Null } else { Value::from(s) });
                 rest = tail;
             }
         }
@@ -296,6 +313,27 @@ mod tests {
                 "decoding a {cut}-byte prefix should fail"
             );
         }
+    }
+
+    #[test]
+    fn dead_columns_decode_to_null_but_are_still_checked() {
+        let s = schema();
+        let t = Tuple::new(vec![Value::from("abc"), Value::Int(5), Value::Float(0.5)]);
+        let bytes = encode(&s, &t).unwrap();
+        let only_pop = |i| i == 1;
+        assert_eq!(
+            decode_live(&s, &bytes, only_pop).unwrap(),
+            Tuple::new(vec![Value::Null, Value::Int(5), Value::Null])
+        );
+        assert_eq!(decode_live(&s, &bytes, |_| true).unwrap(), t);
+        for cut in 0..bytes.len() {
+            assert!(decode_live(&s, &bytes[..cut], only_pop).is_err());
+        }
+        // "abc" sits after the bitmap byte and the u32 length.
+        let mut bad = bytes.clone();
+        bad[5] = 0xFF;
+        let err = decode_live(&s, &bad, only_pop).unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
     }
 
     #[test]

@@ -141,11 +141,12 @@ impl HeapFile {
 
     /// Fetch a record's bytes. Errors if the rid is dangling.
     pub fn get(&self, rid: Rid) -> Result<Vec<u8>> {
-        self.check_data_page(rid.page)?;
-        let rec = self.pool.with_page(self.file, rid.page, |d| {
-            slotted::get(d, rid.slot).map(<[u8]>::to_vec)
+        let mut bytes = Vec::new();
+        self.for_each_at(rid.page, [rid.slot], |_, rec| {
+            bytes.extend_from_slice(rec);
+            Ok(())
         })?;
-        rec.ok_or_else(|| WsqError::Storage(format!("no record at {rid}")))
+        Ok(bytes)
     }
 
     /// Delete a record. Errors if the rid is dangling.
@@ -178,6 +179,56 @@ impl HeapFile {
         self.insert(rec)
     }
 
+    /// Run `f` on the records at `slots` of data page `page`, in the order
+    /// given, all in one hold of the pool. Fails at the first slot that
+    /// holds no record (`no record at [p:s]`), on a page that is not a data
+    /// page, or with `f`'s first error; `f` has seen every record before
+    /// it.
+    pub fn for_each_at(
+        &self,
+        page: PageId,
+        slots: impl IntoIterator<Item = SlotId>,
+        mut f: impl FnMut(Rid, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let not_data = || WsqError::Storage(format!("page {page} is not a data page of this heap"));
+        if page.0 == 0 {
+            return Err(not_data());
+        }
+        let walked = self.pool.with_page_if_present(self.file, page, |d| {
+            for slot in slots {
+                let rid = Rid { page, slot };
+                let rec = slotted::get(d, slot)
+                    .ok_or_else(|| WsqError::Storage(format!("no record at {rid}")))?;
+                f(rid, rec)?;
+            }
+            Ok(())
+        })?;
+        walked.unwrap_or_else(|| Err(not_data()))
+    }
+
+    /// Run `f` on the live records of data page `page` from slot `from`
+    /// on, in slot order, all in one hold of the pool, until `f` returns
+    /// `Ok(false)`: so a scan takes one hold a page instead of one a
+    /// record. `Ok(false)` when `page` lies past the heap's last page;
+    /// `f`'s first error stops the walk.
+    pub fn for_each_on_page(
+        &self,
+        page: u32,
+        from: u16,
+        mut f: impl FnMut(Rid, &[u8]) -> Result<bool>,
+    ) -> Result<bool> {
+        let page = PageId(page.max(1));
+        let walked = self.pool.with_page_if_present(self.file, page, |d| {
+            for (slot, rec) in slotted::iter(d).skip_while(|(slot, _)| slot.0 < from) {
+                if !f(Rid { page, slot }, rec)? {
+                    break;
+                }
+            }
+            Ok(())
+        })?;
+        walked.map(|walk| walk.map(|()| true)).unwrap_or(Ok(false))
+    }
+
     fn check_data_page(&self, page: PageId) -> Result<()> {
         let n = self.pool.num_pages(self.file)?;
         if page.0 == 0 || page.0 >= n {
@@ -186,44 +237,6 @@ impl HeapFile {
             )));
         }
         Ok(())
-    }
-
-    /// Find the first live record at or after position `(page, slot)`.
-    ///
-    /// This powers external cursors (e.g. the engine's SeqScan executor)
-    /// that cannot hold a borrowing iterator across calls: keep `(page,
-    /// slot)` state and call with `(rid.page.0, rid.slot.0 + 1)` to
-    /// advance.
-    pub fn next_from(&self, page: u32, slot: u16) -> Result<Option<(Rid, Vec<u8>)>> {
-        let num_pages = self.pool.num_pages(self.file)?;
-        let mut page = page.max(1);
-        let mut slot = slot;
-        while page < num_pages {
-            let pid = PageId(page);
-            let found = self.pool.with_page(self.file, pid, |d| {
-                let n = slotted::slot_count(d);
-                let mut s = slot;
-                while s < n {
-                    if let Some(rec) = slotted::get(d, SlotId(s)) {
-                        return Some((s, rec.to_vec()));
-                    }
-                    s += 1;
-                }
-                None
-            })?;
-            if let Some((s, rec)) = found {
-                return Ok(Some((
-                    Rid {
-                        page: pid,
-                        slot: SlotId(s),
-                    },
-                    rec,
-                )));
-            }
-            page += 1;
-            slot = 0;
-        }
-        Ok(None)
     }
 
     /// Scan every live record. Records are copied out so no page lock is
@@ -250,54 +263,28 @@ impl Iterator for HeapScan<'_> {
     type Item = Result<(Rid, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            let num_pages = match self.heap.pool.num_pages(self.heap.file) {
-                Ok(n) => n,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
+        while !self.done {
+            let mut found = None;
+            let read = self
+                .heap
+                .for_each_on_page(self.page, self.slot, |rid, rec| {
+                    found = Some((rid, rec.to_vec()));
+                    Ok(false)
+                });
+            match (read, found) {
+                (Ok(_), Some((rid, rec))) => {
+                    self.slot = rid.slot.0 + 1;
+                    return Some(Ok((rid, rec)));
                 }
-            };
-            if self.page >= num_pages {
-                self.done = true;
-                return None;
-            }
-            let page = PageId(self.page);
-            let found = self.heap.pool.with_page(self.heap.file, page, |d| {
-                let n = slotted::slot_count(d);
-                let mut s = self.slot;
-                while s < n {
-                    if let Some(rec) = slotted::get(d, SlotId(s)) {
-                        return Some((s, rec.to_vec()));
-                    }
-                    s += 1;
-                }
-                None
-            });
-            match found {
-                Ok(Some((s, rec))) => {
-                    self.slot = s + 1;
-                    return Some(Ok((
-                        Rid {
-                            page,
-                            slot: SlotId(s),
-                        },
-                        rec,
-                    )));
-                }
-                Ok(None) => {
-                    self.page += 1;
-                    self.slot = 0;
-                }
-                Err(e) => {
+                (Ok(true), None) => (self.page, self.slot) = (self.page + 1, 0),
+                (Ok(false), None) => self.done = true,
+                (Err(e), _) => {
                     self.done = true;
                     return Some(Err(e));
                 }
             }
         }
+        None
     }
 }
 
@@ -358,6 +345,60 @@ mod tests {
         assert!(seen
             .iter()
             .all(|(rid, _)| *rid != rids[3] && *rid != rids[30]));
+    }
+
+    #[test]
+    fn page_at_a_time_reads_match_the_scan_and_name_what_is_missing() {
+        let h = heap();
+        let rids: Vec<Rid> = (0..50u8).map(|i| h.insert(&[i; 200]).unwrap()).collect();
+        h.delete(rids[3]).unwrap();
+        let mut by_page = Vec::new();
+        let mut page = 1;
+        while h
+            .for_each_on_page(page, 0, |rid, rec| {
+                by_page.push((rid, rec.to_vec()));
+                Ok(true)
+            })
+            .unwrap()
+        {
+            page += 1;
+        }
+        let scanned: Vec<(Rid, Vec<u8>)> = h.scan().map(|r| r.unwrap()).collect();
+        assert_eq!(by_page, scanned);
+        assert!(page > 2, "50 records of 200 bytes span pages");
+        // A walk resumes at `from` and stops when asked.
+        let mut two = Vec::new();
+        h.for_each_on_page(1, 3, |rid, _| {
+            two.push(rid);
+            Ok(two.len() < 2)
+        })
+        .unwrap();
+        assert_eq!(two, vec![rids[4], rids[5]], "slot 3 was deleted");
+
+        let first = rids[0].page;
+        let mut got = Vec::new();
+        h.for_each_at(first, [rids[2].slot, rids[0].slot], |rid, rec| {
+            got.push((rid, rec[0]));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(got, vec![(rids[2], 2), (rids[0], 0)]);
+        // A dangling slot fails, after the records before it.
+        let mut seen = 0;
+        let err = h
+            .for_each_at(first, [rids[0].slot, rids[3].slot], |_, _| {
+                seen += 1;
+                Ok(())
+            })
+            .unwrap_err();
+        let missing = format!("storage error: no record at {}", rids[3]);
+        assert_eq!(err.to_string(), missing);
+        assert_eq!(seen, 1);
+        for bad in [PageId(0), PageId(page)] {
+            let err = h.for_each_at(bad, [SlotId(0)], |_, _| Ok(())).unwrap_err();
+            let not_data = format!("storage error: page {bad} is not a data page of this heap");
+            assert_eq!(err.to_string(), not_data);
+        }
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! - values, requests and page hits are reference-counted from AEVScan
 //!   through the pump and ReqSync to the projected row, each search
 //!   expression is built once, and a hit delivers the result the pump
-//!   kept, with no new call.
+//!   kept, with no new call;
+//! - a row carries only the columns its query reads: a scan builds no
+//!   value that nothing above reads (a dead SearchExp is never built),
+//!   a join and a projection move values instead of copying them, and a
+//!   dependent join and its scan swap one bindings buffer.
 //!
 //! The same Template 1 with every call launched (the cache off) is held
 //! to a budget of its own, so that the launch path is guarded too.
@@ -69,20 +73,22 @@ static GLOBAL: Counting = Counting;
 
 /// Allocation budgets per warm query for the queries below: a few percent
 /// above what this code measures, and below what each call path took
-/// before the pump kept the results it had released. Optimized: 63 / 40
-/// for the lookup and the point SELECT, 612 / 1 109 / 882 for the three
-/// templates (66 / 40 / 668 / 1 217 / 947 when a hit was a new call, its
-/// request wrapped anew, served by a `CachedService` behind the pump; 73 /
-/// 40 / 834 / 1 587 / 1 241 when every call also went through a
-/// placeholder, `ReqSync` and two more pump lock holds). A debug build adds
-/// the plan-verifier gate's walk over every asynchronous plan: 87 / 53 /
-/// 636 / 1 145 / 919. Before the front end stopped copying names they
-/// were 208 / 189 / 1 078 / 2 167 / 1 833, and before the external-call
-/// path shared its strings the templates took 3 247 / 7 814 / 6 668.
+/// before rows carried only the columns their query reads. Optimized: 61 /
+/// 39 for the lookup and the point SELECT, 417 / 815 / 700 for the three
+/// templates (63 / 40 / 612 / 1 109 / 882 when every scan built every
+/// column and joins and projections copied each value; 66 / 40 / 668 /
+/// 1 217 / 947 when a hit was a new call, its request wrapped anew, served
+/// by a `CachedService` behind the pump; 73 / 40 / 834 / 1 587 / 1 241 when
+/// every call also went through a placeholder, `ReqSync` and two more pump
+/// lock holds). A debug build adds the plan-verifier gate's walk over every
+/// asynchronous plan: 85 / 52 / 441 / 851 / 737 (87 / 53 / 636 / 1 145 /
+/// 919 before). Before the front end stopped copying names they were 208 /
+/// 189 / 1 078 / 2 167 / 1 833, and before the external-call path shared
+/// its strings the templates took 3 247 / 7 814 / 6 668.
 const BUDGETS: [u64; 5] = if cfg!(debug_assertions) {
-    [91, 58, 665, 1195, 960]
+    [89, 55, 465, 890, 775]
 } else {
-    [66, 44, 640, 1160, 925]
+    [64, 42, 440, 855, 735]
 };
 
 /// A one-call lookup — the fixed cost of a short statement — an indexed
@@ -127,10 +133,10 @@ const QUERIES: [(&str, &str, usize); 5] = [
 ];
 
 /// The budget of Template 1 when each of its 50 calls launches (the cache
-/// off, zero latency), a few percent above what this code measures: 1 480
-/// optimized, 1 504 in a debug build, the same as before the pump kept
-/// results. Most of it is the simulated engine's search.
-const LAUNCH_BUDGET: u64 = if cfg!(debug_assertions) { 1550 } else { 1525 };
+/// off, zero latency), a few percent above what this code measures: 1 285
+/// optimized, 1 309 in a debug build (1 480 and 1 504 while every scan
+/// built every column). Most of it is the simulated engine's search.
+const LAUNCH_BUDGET: u64 = if cfg!(debug_assertions) { 1370 } else { 1345 };
 
 /// Heap allocations per run of `sql` on `wsq`, once `wsq`'s cache (if
 /// any) has settled.
