@@ -68,6 +68,9 @@ pub struct ReqSyncExec {
     index: IdMap<CallId, Vec<u64>>,
     /// Admission-control cap on `buffered` (`None` = unbounded).
     cap: Option<usize>,
+    /// The columns anything above reads; a placeholder in another is
+    /// patched to `Null`.
+    live: ColumnSet,
     /// The pending calls of the tuple in hand (nearly always one or two),
     /// refilled per tuple instead of allocated per tuple.
     scratch: Vec<CallId>,
@@ -91,6 +94,7 @@ impl ReqSyncExec {
             buffered: IdMap::default(),
             index: IdMap::default(),
             cap: cap.map(|c| c.max(1)),
+            live: ColumnSet::ALL,
             scratch: Vec::new(),
             next_id: 0,
             child_done: false,
@@ -233,7 +237,7 @@ impl ReqSyncExec {
             match result {
                 SearchResult::Count(n) => {
                     let mut t = entry.tuple;
-                    fill(&mut t, call, |col| match col {
+                    fill(&mut t, call, self.live, |col| match col {
                         PendingCol::Count => Some(Value::Int(*n as i64)),
                         _ => None,
                     });
@@ -248,7 +252,7 @@ impl ReqSyncExec {
                     self.obs.count(CounterId::TuplesPatched, hits.len() as u64);
                     for hit in hits.iter() {
                         let mut t = entry.tuple.clone();
-                        fill(&mut t, call, |col| match col {
+                        fill(&mut t, call, self.live, |col| match col {
                             PendingCol::Url => Some(Value::Str(hit.url.clone())),
                             PendingCol::Rank => Some(Value::Int(hit.rank as i64)),
                             PendingCol::Date => Some(Value::Str(hit.date.clone())),
@@ -350,12 +354,21 @@ fn unindex(index: &mut IdMap<CallId, Vec<u64>>, id: u64, calls: &[CallId]) {
     }
 }
 
-/// Replace every placeholder of `call` in `tuple` using `value_for`.
-fn fill(tuple: &mut Tuple, call: CallId, value_for: impl Fn(PendingCol) -> Option<Value>) {
-    for v in tuple.values_mut() {
+/// Replace every placeholder of `call` in `tuple` using `value_for`, and
+/// with `Null` in a column outside `live`: nothing above reads it, and a
+/// delivered scan writes `Null` there too.
+fn fill(
+    tuple: &mut Tuple,
+    call: CallId,
+    live: ColumnSet,
+    value_for: impl Fn(PendingCol) -> Option<Value>,
+) {
+    for (i, v) in tuple.values_mut().iter_mut().enumerate() {
         if let Value::Pending(p) = v {
             if p.call == call {
-                if let Some(new) = value_for(p.col) {
+                if !live.contains(i) {
+                    *v = Value::Null;
+                } else if let Some(new) = value_for(p.col) {
                     *v = new;
                 }
             }
@@ -372,7 +385,9 @@ impl Executor for ReqSyncExec {
         // Nothing narrows a placeholder away: a scan writes one in every
         // column it stands for, and a projection hands it on through an
         // item nothing reads. So the calls a tuple waits on, and how many
-        // copies a result makes, stay the same.
+        // copies a result makes, stay the same; only what a patch writes
+        // in a dead column changes.
+        self.live = live;
         self.child.narrow(live);
     }
 

@@ -517,6 +517,29 @@ fn reqsync_generation_cancellation_and_fill() {
 }
 
 #[test]
+fn reqsync_patches_a_dead_column_to_null() {
+    // term, SearchExp, T1, URL, Rank, Date with only term and URL read
+    // above: the scan writes a placeholder in URL, Rank and Date, and a
+    // patch writes the hit's URL and `Null` in Rank and Date, as a scan
+    // that got its reply at registration does.
+    let p = pump();
+    let lease = p.lease();
+    let mut sync = async_pages_pipeline(&["many", "one"], &p, &lease);
+    let mut live = ColumnSet::NONE;
+    live.insert(0);
+    live.insert(3);
+    sync.narrow(live);
+    let out = drain(sync);
+    assert_eq!(out.len(), 4);
+    for t in &out {
+        assert!(t.get(3).as_str().unwrap().starts_with("www."));
+        assert!(t.get(4).is_null() && t.get(5).is_null(), "{t:?}");
+    }
+    drop(lease);
+    assert_eq!(p.live_calls(), 0);
+}
+
+#[test]
 fn reopening_a_reqsync_releases_the_calls_its_tuples_hold() {
     // One call in flight at a time, so after the first row the other
     // four terms' tuples are still buffered, each waiting on a call.

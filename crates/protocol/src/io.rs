@@ -1,5 +1,5 @@
-//! Framed transport: blocking [`read_frame`] / [`write_frame`] over any
-//! `std::io` stream (in practice a `TcpStream`).
+//! Framed transport: blocking [`read_frame`] / [`read_frame_into`] /
+//! [`write_frame`] over any `std::io` stream (in practice a `TcpStream`).
 
 use crate::frame::Frame;
 use crate::wire::DecodeError;
@@ -21,6 +21,16 @@ pub const MAX_FRAME: usize = 32 * 1024 * 1024;
 /// oversized announcements and undecodable payloads are all
 /// `Err(InvalidData)`.
 pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Frame>> {
+    read_frame_into(stream, &mut Vec::new())
+}
+
+/// [`read_frame`] with the payload read into `payload`, so a reader of
+/// many frames reuses one buffer. `payload`'s contents on return are
+/// unspecified.
+pub fn read_frame_into<R: Read>(
+    stream: &mut R,
+    payload: &mut Vec<u8>,
+) -> io::Result<Option<Frame>> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -34,9 +44,10 @@ pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Frame>> {
             format!("frame payload of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Frame::decode_payload(&payload)
+    payload.clear();
+    payload.resize(len, 0);
+    stream.read_exact(payload)?;
+    Frame::decode_payload(payload)
         .map(Some)
         .map_err(|e: DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }

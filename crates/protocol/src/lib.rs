@@ -45,6 +45,6 @@ mod rowset;
 mod wire;
 
 pub use frame::{Frame, MetricsFormat, PROTOCOL_VERSION};
-pub use io::{read_frame, write_frame, MAX_FRAME};
+pub use io::{read_frame, read_frame_into, write_frame, MAX_FRAME};
 pub use rowset::RowSet;
 pub use wire::{error_code, error_from_wire, DecodeError};

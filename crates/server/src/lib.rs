@@ -45,14 +45,16 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use wsq_common::WsqError;
 use wsq_core::{QueryResult, Session, SharedWsq, StatementResult};
-use wsq_protocol::{error_code, read_frame, write_frame, Frame, MetricsFormat, PROTOCOL_VERSION};
+use wsq_protocol::{
+    error_code, read_frame_into, write_frame, Frame, MetricsFormat, PROTOCOL_VERSION,
+};
 
 /// Server tuning knobs (the README's "server configuration" table).
 #[derive(Debug, Clone)]
@@ -157,7 +159,7 @@ impl ServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Half-close *reads* only: a connection blocked in read_frame
+        // Half-close *reads* only: a connection blocked reading a request
         // sees EOF and exits cleanly, while one mid-query can still
         // write its remaining rows.
         for (_, stream) in self.state.live.lock().iter() {
@@ -229,12 +231,14 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
 /// transport failure (the client is gone); protocol-level failures are
 /// reported in-band as [`Frame::Error`] and the loop continues.
 fn serve_connection(
-    mut stream: TcpStream,
+    socket: TcpStream,
     mut session: Session,
     state: &ServerState,
 ) -> io::Result<()> {
+    let mut requests = Requests::new(&socket);
+    let mut stream = &socket;
     // Handshake first: anything else is a protocol error.
-    match read_frame(&mut stream)? {
+    match requests.next()? {
         Some(Frame::Hello { version, .. }) if version == PROTOCOL_VERSION => {}
         Some(Frame::Hello { version, .. }) => {
             write_frame(
@@ -263,7 +267,7 @@ fn serve_connection(
     // The reply under construction: handlers append encoded frames, and
     // it is written when a `Rows` batch fills and when the reply ends.
     let mut out = Vec::new();
-    while let Some(frame) = read_frame(&mut stream)? {
+    while let Some(frame) = requests.next()? {
         match frame {
             Frame::Query { sql } => match session.query_cursor(&sql) {
                 Ok(cursor) => stream_cursor(&mut stream, &mut out, cursor, rows_per_frame)?,
@@ -322,6 +326,37 @@ fn serve_connection(
         send(&mut stream, &mut out)?;
     }
     Ok(())
+}
+
+/// The requests arriving on a connection: one buffered reader over the
+/// socket, so a request that fits its buffer takes one `read`, decoded
+/// from one payload buffer the connection keeps.
+struct Requests<R> {
+    reader: BufReader<R>,
+    payload: Vec<u8>,
+}
+
+/// The largest payload buffer a connection keeps between requests; a
+/// longer request's buffer is freed after it, so an idle connection holds
+/// no more than this however long a request it once read.
+const KEPT_PAYLOAD: usize = 64 * 1024;
+
+impl<R: Read> Requests<R> {
+    fn new(socket: R) -> Self {
+        Requests {
+            reader: BufReader::new(socket),
+            payload: Vec::new(),
+        }
+    }
+
+    /// The next request; `None` at a clean EOF between requests.
+    fn next(&mut self) -> io::Result<Option<Frame>> {
+        let frame = read_frame_into(&mut self.reader, &mut self.payload);
+        if self.payload.capacity() > KEPT_PAYLOAD {
+            self.payload = Vec::new();
+        }
+        frame
+    }
 }
 
 /// Write the frames gathered in `out` with one `write` and empty it.
@@ -445,6 +480,76 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    /// A socket stand-in that hands out at most one queued packet per
+    /// `read`, and counts the reads.
+    struct Packets {
+        packets: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for Packets {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(mut packet) = self.packets.pop_front() else {
+                return Ok(0);
+            };
+            let n = packet.len().min(buf.len());
+            buf[..n].copy_from_slice(&packet[..n]);
+            if n < packet.len() {
+                self.packets.push_front(packet.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_request_that_fits_takes_one_read() {
+        let sent = [
+            Frame::Query {
+                sql: "SELECT Name FROM States".into(),
+            },
+            Frame::Ping,
+            Frame::Execute {
+                sql: "INSERT INTO Notes VALUES (1, 2, 'x')".into(),
+            },
+        ];
+        let mut socket = Packets {
+            packets: sent.iter().map(Frame::encode).collect(),
+            reads: 0,
+        };
+        let mut requests = Requests::new(&mut socket);
+        for (k, frame) in sent.iter().enumerate() {
+            assert_eq!(requests.next().unwrap().as_ref(), Some(frame));
+            assert_eq!(requests.reader.get_ref().reads, k + 1);
+        }
+        assert!(requests.next().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_request_longer_than_the_buffer_arrives_whole() {
+        // Over several packets, and past both the reader's buffer and the
+        // payload buffer a connection keeps.
+        let frame = Frame::Query {
+            sql: "x".repeat(3 * KEPT_PAYLOAD),
+        };
+        let bytes = frame.encode();
+        let mut socket = Packets {
+            packets: bytes.chunks(1500).map(<[u8]>::to_vec).collect(),
+            reads: 0,
+        };
+        let mut requests = Requests::new(&mut socket);
+        assert_eq!(requests.next().unwrap(), Some(frame));
+        assert!(requests.payload.capacity() <= KEPT_PAYLOAD);
+        assert!(requests.next().unwrap().is_none());
+
+        // Cut short mid-frame: an error, not a clean EOF.
+        let mut socket = Packets {
+            packets: [bytes[..100].to_vec()].into(),
+            reads: 0,
+        };
+        assert!(Requests::new(&mut socket).next().is_err());
     }
 
     fn frames(mut bytes: &[u8]) -> Vec<Frame> {
