@@ -2,7 +2,7 @@
 
 //! Static analysis for WSQ/DSQ.
 //!
-//! Four machine-checked safety nets over the paper's correctness story:
+//! Three machine-checked safety nets over the paper's correctness story:
 //!
 //! - [`verify()`] / [`verify_async`] ([`mod@verify`]): a bottom-up
 //!   abstract interpretation over [`PhysPlan`] computing the
@@ -13,10 +13,6 @@
 //!   buffering (and so of in-flight calls) stays within the caps stamped
 //!   at plan time. Installed as a debug-assert gate after
 //!   `asyncify` via [`install_plan_gate`].
-//! - [`conc`]: the concurrency auditor — token-based guard tracking,
-//!   condvar discipline, and an inter-procedural lock-acquisition-order
-//!   graph with potential-deadlock (cycle) detection, run over the
-//!   engine/pump/obs/websim sources by `cargo xtask lint`.
 //! - `models` (tests only): deterministic-schedule (loom-style) models of
 //!   the obs trace ring, whose atomics the in-tree `schedcheck` checker
 //!   cannot reach in the product; the ReqPump is checked as itself, in
@@ -25,14 +21,14 @@
 //!   `cargo xtask lint`.
 //!
 //! The [`mutate`] module seeds plan corruptions so the test suite can
-//! prove the verifier rejects each class of invalid plan.
+//! prove the verifier rejects each class of invalid plan. Lock order and
+//! guards held across a call out are not analysed here: the lock shim
+//! checks them at run time in every debug build (DESIGN.md §13).
 
-pub mod conc;
 pub mod lint;
 #[cfg(test)]
 mod models;
 pub mod mutate;
-mod tokens;
 pub mod verify;
 
 pub use mutate::{apply as apply_mutation, Mutation, ALL_MUTATIONS};

@@ -10,11 +10,7 @@
 //! The stripping machinery here ([`strip_source`] / [`strip_tests`])
 //! blanks comments, string/char literals, and `#[cfg(test)] mod`
 //! bodies while preserving line structure, so counts and line numbers
-//! track real code. It also feeds the token lexer behind the
-//! concurrency auditor ([`crate::conc`]), which replaced the old
-//! line-based lock-across-backend-call check with real guard tracking
-//! (`if let` bindings, helper-returned guards, shadowing, early
-//! `drop`) plus condvar and lock-order rules.
+//! track real code.
 
 use std::fs;
 use std::io;

@@ -294,17 +294,6 @@ fn walk(plan: &PhysPlan, tables: &dyn TableSource) -> Acc {
     }
 }
 
-/// Estimate a plan's cost using parameters calibrated from the live obs
-/// registry (see [`CostParams::calibrated`]).
-pub fn estimate_calibrated(
-    plan: &PhysPlan,
-    tables: &dyn TableSource,
-    obs: &wsq_obs::Obs,
-    max_concurrent: usize,
-) -> CostEstimate {
-    estimate(plan, tables, &CostParams::calibrated(obs, max_concurrent))
-}
-
 /// Estimate a plan's cost. `tables` supplies stored-table cardinalities.
 pub fn estimate(plan: &PhysPlan, tables: &dyn TableSource, params: &CostParams) -> CostEstimate {
     let a = walk(plan, tables);

@@ -80,9 +80,10 @@ impl Instrumentation {
 
     /// Render the ANALYZE report.
     pub fn report(&self) -> String {
-        let ops = self.ops.lock();
         let mut out = String::new();
-        for op in ops.iter() {
+        // One lock at a time: `Arc::default` builds both, so the lock
+        // shim's order check sees them as one class.
+        for op in self.ops.lock().iter() {
             let pad = "  ".repeat(op.depth);
             let rows = op.counters.rows.load(Ordering::Relaxed);
             let nexts = op.counters.nexts.load(Ordering::Relaxed);

@@ -182,22 +182,38 @@ pub fn compile(expr: &Expr, schema: &Schema) -> Result<CExpr> {
 }
 
 /// SQL LIKE matching: `%` matches any run (including empty), `_` any one
-/// character. Case-sensitive, over chars.
+/// character. Case-sensitive, over chars, and allocation-free: on a
+/// mismatch the last `%` swallows one more char and matching resumes
+/// after it.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => {
-                // Greedily try every split point.
-                (0..=t.len()).any(|k| rec(&t[k..], rest))
+    let (mut t, mut p) = (text, pattern);
+    // The pattern after the last `%`, and the text it has not swallowed.
+    let mut retry: Option<(&str, &str)> = None;
+    loop {
+        let (mut ps, mut ts) = (p.chars(), t.chars());
+        match (ps.next(), ts.next()) {
+            (Some('%'), _) => {
+                p = ps.as_str();
+                retry = Some((p, t));
+                continue;
             }
-            Some(('_', rest)) => !t.is_empty() && rec(&t[1..], rest),
-            Some((c, rest)) => t.first() == Some(c) && rec(&t[1..], rest),
+            (Some(pc), Some(tc)) if pc == '_' || pc == tc => {
+                (p, t) = (ps.as_str(), ts.as_str());
+                continue;
+            }
+            (None, None) => return true,
+            _ => {}
         }
+        let Some((after, swallowed)) = retry else {
+            return false;
+        };
+        let mut rest = swallowed.chars();
+        if rest.next().is_none() {
+            return false;
+        }
+        (p, t) = (after, rest.as_str());
+        retry = Some((p, t));
     }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
 }
 
 impl CExpr {
@@ -575,6 +591,15 @@ mod tests {
         assert!(!like_match("abc", "ABC")); // case-sensitive
         assert!(like_match("a%b", "a%b")); // literal text still matches itself
         assert!(like_match("aaa", "%a%a%"));
+        // Multibyte text: `_` is one char, however many bytes it takes.
+        assert!(like_match("São Paulo", "S_o%"));
+        assert!(like_match("São Paulo", "%ã%"));
+        assert!(!like_match("São Paulo", "S__o%"));
+        assert!(like_match("日本語", "日_語"));
+        assert!(like_match("日本語", "___"));
+        assert!(!like_match("日本語", "____"));
+        assert!(like_match("日本語", "%語"));
+        assert!(!like_match("日本", "日本語"));
     }
 
     #[test]

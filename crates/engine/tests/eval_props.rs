@@ -51,7 +51,15 @@ fn arb_value() -> BoxedStrategy<Value> {
             Just(float(1.0)),
             Just(float(2.0)),
         ],
-        2 => prop_oneof![Just(""), Just("a"), Just("ab"), Just("b"), Just("%a"), Just("1")]
+        2 => prop_oneof![
+            Just(""),
+            Just("a"),
+            Just("ab"),
+            Just("b"),
+            Just("%a"),
+            Just("1"),
+            Just("é_")
+        ]
             .prop_map(Value::from),
         1 => Just(Value::Null),
         1 => prop_oneof![
@@ -155,6 +163,28 @@ fn int(b: bool) -> Value {
     Value::Int(i64::from(b))
 }
 
+/// LIKE as a recursion over copied char vectors: every split point of a
+/// `%` tried in turn.
+fn like_reference(text: &str, pattern: &str) -> bool {
+    fn rec(t: &[char], p: &[char]) -> bool {
+        match p.split_first() {
+            None => t.is_empty(),
+            Some(('%', rest)) => (0..=t.len()).any(|k| rec(&t[k..], rest)),
+            Some(('_', rest)) => !t.is_empty() && rec(&t[1..], rest),
+            Some((c, rest)) => t.first() == Some(c) && rec(&t[1..], rest),
+        }
+    }
+    let t: Vec<char> = text.chars().collect();
+    let p: Vec<char> = pattern.chars().collect();
+    rec(&t, &p)
+}
+
+/// Short strings over `chars`, one and several bytes a char.
+fn arb_chars(chars: &'static [char]) -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..chars.len(), 0..7)
+        .prop_map(move |picks| picks.into_iter().map(|i| chars[i]).collect())
+}
+
 /// The evaluator as a tree walk that evaluates every operand into a value
 /// of its own. Arithmetic and negation of computed values are left to the
 /// engine (over constants), since only how predicates read and combine
@@ -213,7 +243,7 @@ fn reference(e: &CExpr, t: &Tuple) -> Result<Value> {
             if v.is_null() || p.is_null() {
                 return Ok(int(false));
             }
-            int(like_match(v.as_str()?, p.as_str()?) != *negated)
+            int(like_reference(v.as_str()?, p.as_str()?) != *negated)
         }
         CExpr::InList {
             expr,
@@ -428,6 +458,18 @@ proptest! {
             let of_eval = e.eval(t).and_then(|v| truth(&v));
             prop_assert_eq!(text(e.eval_bool(t)), text(of_eval), "{:?} over {:?}", e, t);
         }
+    }
+
+    #[test]
+    fn like_matches_the_char_vector_reference(
+        text in arb_chars(&['a', 'b', 'é', '日']),
+        pattern in arb_chars(&['a', 'é', '日', '%', '_']),
+    ) {
+        prop_assert_eq!(
+            like_match(&text, &pattern),
+            like_reference(&text, &pattern),
+            "{:?} LIKE {:?}", text, pattern
+        );
     }
 
     #[test]

@@ -1237,6 +1237,7 @@ impl ReqPump {
         // released, so that a second `shutdown()` racing this one returns.
         let timer = self.timer.lock().take();
         if let Some(join) = timer {
+            parking_lot::assert_no_guard_held();
             join();
         }
     }
@@ -1686,6 +1687,7 @@ fn failed(err: WsqError) -> ServiceReply {
 /// the service becomes the call's failure instead of unwinding the
 /// launching thread with the call stuck in flight.
 fn execute_one(launch: &Launch) -> ServiceReply {
+    parking_lot::assert_no_guard_held();
     // `call_scope` lets decorators (retry/flaky/cache) deep in the execute
     // stack attribute their trace events to the call.
     catch_unwind(AssertUnwindSafe(|| {

@@ -4,8 +4,8 @@
 //! cargo xtask lint
 //! ```
 //!
-//! Runs the `wsq-analyze` static analyses and enforces three gates
-//! (all run in CI), then writes a machine-readable `lint_report.json`
+//! Runs the `wsq-analyze` static analyses and enforces two gates
+//! (both run in CI), then writes a machine-readable `lint_report.json`
 //! at the repo root (uploaded as a CI artifact):
 //!
 //! 1. **Panic-site budget**: `.unwrap()` / `.expect(` in non-test code
@@ -13,19 +13,16 @@
 //!    `crates/xtask/panic-allowlist.txt`. New sites fail; the allowlist
 //!    may only shrink (a stale, too-generous entry also fails, so the
 //!    burn-down count stays honest).
-//! 2. **Concurrency audit** (`wsq_analyze::conc`): blocking calls under
-//!    live lock guards, condvar waits outside predicate loops, and
-//!    lock-acquisition-order cycles over engine/pump/obs/websim.
-//!    Pre-existing findings live in `crates/xtask/conc-allowlist.txt`
-//!    with the same shrink-only discipline.
-//! 3. **Resource bounds** (`wsq_analyze::verify_bounds`): a
+//! 2. **Resource bounds** (`wsq_analyze::verify_bounds`): a
 //!    representative capped plan family is asyncified and its symbolic
 //!    peaks proven ≤ the stamped caps; the bounds land in the report.
+//!
+//! Lock order and guards held across a call out are checked at run
+//! time instead, by the lock shim in every debug build (DESIGN.md §13).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use wsq_analyze::conc::{audit_dirs, AuditConfig, ConcFinding};
 use wsq_analyze::lint::{scan_dir, FileLint};
 use wsq_analyze::{verify_bounds, Bound, Bounds};
 use wsq_common::{Column, DataType, Schema};
@@ -38,16 +35,7 @@ use wsq_sql::ast::ColumnRef;
 /// Crates whose panic sites are budgeted by the allowlist.
 const PANIC_BUDGET_DIRS: &[&str] = &["crates/engine/src", "crates/pump/src"];
 
-/// Crates scanned by the concurrency auditor.
-const CONC_AUDIT_DIRS: &[&str] = &[
-    "crates/engine/src",
-    "crates/pump/src",
-    "crates/obs/src",
-    "crates/websim/src",
-];
-
 const PANIC_ALLOWLIST: &str = "crates/xtask/panic-allowlist.txt";
-const CONC_ALLOWLIST: &str = "crates/xtask/conc-allowlist.txt";
 const REPORT: &str = "lint_report.json";
 
 fn main() -> ExitCode {
@@ -125,59 +113,7 @@ fn lint() -> ExitCode {
         }
     }
 
-    // Pass 2: the concurrency audit, with its own burn-down allowlist
-    // keyed `path rule count`.
-    let conc_allowlist = match load_allowlist(&root.join(CONC_ALLOWLIST)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: cannot read {CONC_ALLOWLIST}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let dirs: Vec<PathBuf> = CONC_AUDIT_DIRS.iter().map(|d| root.join(d)).collect();
-    let findings = match audit_dirs(&dirs, &root, &AuditConfig::default()) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: concurrency audit failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut allowlisted = 0usize;
-    for f in &findings {
-        let key = format!("{}:{}", f.file, f.rule.name());
-        let allowed = conc_allowlist
-            .iter()
-            .find(|(p, _)| p == &key)
-            .map(|&(_, n)| n)
-            .unwrap_or(0);
-        let seen = findings
-            .iter()
-            .filter(|g| g.file == f.file && g.rule == f.rule)
-            .count();
-        if seen > allowed {
-            errors.push(format!("concurrency: {f}"));
-        } else {
-            allowlisted += 1;
-        }
-    }
-    for (key, n) in &conc_allowlist {
-        let Some((file, rule)) = key.rsplit_once(':') else {
-            errors.push(format!("{CONC_ALLOWLIST}: malformed key `{key}`"));
-            continue;
-        };
-        let seen = findings
-            .iter()
-            .filter(|g| g.file == file && g.rule.name() == rule)
-            .count();
-        if seen < *n {
-            errors.push(format!(
-                "{CONC_ALLOWLIST} grants {n} `{rule}` finding(s) in {file} but only \
-                 {seen} remain — ratchet the allowlist down so findings cannot regrow"
-            ));
-        }
-    }
-
-    // Pass 3: static resource bounds over a representative capped plan
+    // Pass 2: static resource bounds over a representative capped plan
     // family (the proptest corpus in tests/equivalence.rs covers the
     // random sweep; this keeps the proven peaks visible per lint run).
     let mut bound_rows: Vec<(String, Bounds, usize, bool)> = Vec::new();
@@ -206,14 +142,7 @@ fn lint() -> ExitCode {
     }
 
     // Machine-readable report (consumed by CI as an artifact).
-    let report = render_report(
-        total,
-        &budgeted,
-        &findings,
-        allowlisted,
-        &bound_rows,
-        &errors,
-    );
+    let report = render_report(total, &budgeted, &bound_rows, &errors);
     if let Err(e) = std::fs::write(root.join(REPORT), report) {
         eprintln!("error: cannot write {REPORT}: {e}");
         return ExitCode::FAILURE;
@@ -223,10 +152,7 @@ fn lint() -> ExitCode {
         let budget: usize = allowlist.iter().map(|&(_, n)| n).sum();
         println!(
             "xtask lint: ok — {total} panic site(s) within budget {budget}, \
-             {} concurrency finding(s) ({} allowlisted), resource bounds proven \
-             for {} plan(s); report written to {REPORT}",
-            findings.len(),
-            allowlisted,
+             resource bounds proven for {} plan(s); report written to {REPORT}",
             bound_rows.len()
         );
         ExitCode::SUCCESS
@@ -280,8 +206,6 @@ fn representative_plan(name: &str) -> PhysPlan {
 fn render_report(
     panic_total: usize,
     budgeted: &[FileLint],
-    findings: &[ConcFinding],
-    allowlisted: usize,
     bounds: &[(String, Bounds, usize, bool)],
     errors: &[String],
 ) -> String {
@@ -299,25 +223,6 @@ fn render_report(
             json_str(&f.path),
             f.unwraps,
             f.expects
-        );
-    }
-    s.push_str("\n    ]\n  },\n  \"concurrency\": {\n");
-    let _ = writeln!(s, "    \"total\": {},", findings.len());
-    let _ = writeln!(s, "    \"allowlisted\": {allowlisted},");
-    s.push_str("    \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n      {{\"rule\": {}, \"file\": {}, \"line\": {}, \"function\": {}, \
-             \"detail\": {}}}",
-            json_str(f.rule.name()),
-            json_str(&f.file),
-            f.line,
-            json_str(&f.function),
-            json_str(&f.detail)
         );
     }
     s.push_str("\n    ]\n  },\n  \"resource_bounds\": [");

@@ -6,10 +6,17 @@
 //! `Condvar` with non-poisoning guards (a poisoned std lock is recovered
 //! transparently, matching parking_lot's no-poisoning semantics).
 //!
-//! The test-only `count` feature adds what the real crate lacks: a
-//! process-wide count of lock acquisitions (`acquisitions()`), so a guard
-//! test can hold a code path to an exact number of them. A condvar wait
-//! re-acquiring its mutex is part of the hold it waits in, not counted.
+//! Built with `debug_assertions`, every lock is checked by the `lockdep`
+//! module, which the real crate lacks: a lock-order graph over the sites
+//! that build locks, which panics on a cycle or on nested locks of one
+//! class, and a held-guard check — a condvar wait may hold only the guard
+//! it releases, and [`assert_no_guard_held`] none, barring the sites on
+//! [`lockdep::ALLOWED`]. Release builds compile all of it out.
+//!
+//! The test-only `count` feature adds a process-wide count of lock
+//! acquisitions (`acquisitions()`), so a guard test can hold a code path
+//! to an exact number of them. A condvar wait re-acquiring its mutex is
+//! part of the hold it waits in, not counted.
 //!
 //! The test-only `schedcheck` feature makes a `Mutex` or `Condvar` built
 //! on a model thread inside `schedcheck::check` the checker's: its
@@ -24,6 +31,20 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
 use std::time::{Duration, Instant};
+
+#[cfg(debug_assertions)]
+pub mod lockdep;
+
+/// Panic if this thread holds a guard not taken at a
+/// [`lockdep::ALLOWED`] site. For a point that must not block others:
+/// before a call out, or before joining a thread. Compiled out without
+/// `debug_assertions`.
+#[cfg_attr(debug_assertions, track_caller)]
+#[inline]
+pub fn assert_no_guard_held() {
+    #[cfg(debug_assertions)]
+    lockdep::check_held(None, "assert_no_guard_held");
+}
 
 /// Lock acquisitions so far (a statistic: publishes no other data).
 #[cfg(feature = "count")]
@@ -47,6 +68,8 @@ pub struct Mutex<T: ?Sized> {
     /// The checker's mutex, if this one was built inside a check.
     #[cfg(feature = "schedcheck")]
     model: Option<schedcheck::raw::Mutex>,
+    #[cfg(debug_assertions)]
+    class: lockdep::Site,
     inner: sync::Mutex<T>,
 }
 
@@ -55,22 +78,30 @@ pub struct MutexGuard<'a, T: ?Sized> {
     #[cfg(feature = "schedcheck")]
     lock: &'a Mutex<T>,
     guard: Option<sync::MutexGuard<'a, T>>,
+    #[cfg(debug_assertions)]
+    held: lockdep::Held,
 }
 
 impl<T> Mutex<T> {
     /// Create a new mutex.
     #[cfg(not(feature = "schedcheck"))]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
         Mutex {
+            #[cfg(debug_assertions)]
+            class: std::panic::Location::caller(),
             inner: sync::Mutex::new(value),
         }
     }
 
     /// Create a new mutex, modelled if built inside a check.
     #[cfg(feature = "schedcheck")]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn new(value: T) -> Self {
         Mutex {
             model: schedcheck::active().then(schedcheck::raw::Mutex::new),
+            #[cfg(debug_assertions)]
+            class: std::panic::Location::caller(),
             inner: sync::Mutex::new(value),
         }
     }
@@ -82,6 +113,7 @@ impl<T> Mutex<T> {
 }
 
 impl<T: Default> Default for Mutex<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
     fn default() -> Self {
         Mutex::new(T::default())
     }
@@ -89,8 +121,11 @@ impl<T: Default> Default for Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         acquired();
+        #[cfg(debug_assertions)]
+        let held = lockdep::acquire(self.class);
         #[cfg(feature = "schedcheck")]
         match &self.model {
             Some(model) => model.lock(),
@@ -99,14 +134,24 @@ impl<T: ?Sized> Mutex<T> {
             None if schedcheck::active() => {
                 let contended =
                     "parking_lot: a Mutex built outside schedcheck::check is contended inside it";
-                return self.try_lock_std().expect(contended);
+                let guard = self.try_lock_std().expect(contended);
+                return self.guard(
+                    guard,
+                    #[cfg(debug_assertions)]
+                    held,
+                );
             }
             None => {}
         }
-        self.guard(self.inner.lock().unwrap_or_else(|e| e.into_inner()))
+        self.guard(
+            self.inner.lock().unwrap_or_else(|e| e.into_inner()),
+            #[cfg(debug_assertions)]
+            held,
+        )
     }
 
     /// Try to acquire the lock without blocking.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         #[cfg(feature = "schedcheck")]
         assert!(
@@ -115,22 +160,32 @@ impl<T: ?Sized> Mutex<T> {
         );
         let guard = self.try_lock_std()?;
         acquired();
-        Some(guard)
+        Some(self.guard(
+            guard,
+            #[cfg(debug_assertions)]
+            lockdep::try_acquire(self.class),
+        ))
     }
 
-    fn try_lock_std(&self) -> Option<MutexGuard<'_, T>> {
+    fn try_lock_std(&self) -> Option<sync::MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(self.guard(g)),
-            Err(sync::TryLockError::Poisoned(e)) => Some(self.guard(e.into_inner())),
+            Ok(g) => Some(g),
+            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
             Err(sync::TryLockError::WouldBlock) => None,
         }
     }
 
-    fn guard<'a>(&'a self, guard: sync::MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    fn guard<'a>(
+        &'a self,
+        guard: sync::MutexGuard<'a, T>,
+        #[cfg(debug_assertions)] held: lockdep::Held,
+    ) -> MutexGuard<'a, T> {
         MutexGuard {
             #[cfg(feature = "schedcheck")]
             lock: self,
             guard: Some(guard),
+            #[cfg(debug_assertions)]
+            held,
         }
     }
 
@@ -190,6 +245,7 @@ pub struct Condvar {
 }
 
 impl Default for Condvar {
+    #[cfg_attr(debug_assertions, track_caller)]
     fn default() -> Self {
         Condvar::new()
     }
@@ -214,7 +270,10 @@ impl Condvar {
     }
 
     /// Block until notified, atomically releasing the guard's lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        #[cfg(debug_assertions)]
+        lockdep::check_held(Some(&guard.held), "a condvar wait");
         #[cfg(feature = "schedcheck")]
         if self.model_wait(guard, None).is_some() {
             return;
@@ -224,11 +283,14 @@ impl Condvar {
     }
 
     /// Block until notified or `deadline` passes.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn wait_until<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         deadline: Instant,
     ) -> WaitTimeoutResult {
+        #[cfg(debug_assertions)]
+        lockdep::check_held(Some(&guard.held), "a condvar wait");
         #[cfg(feature = "schedcheck")]
         if let Some(result) = self.model_wait(guard, Some(deadline)) {
             return result;
@@ -244,6 +306,7 @@ impl Condvar {
     }
 
     /// Block until notified or `timeout` elapses.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
@@ -318,21 +381,47 @@ impl fmt::Debug for Condvar {
 }
 
 /// A reader-writer lock with parking_lot's non-poisoning API.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
+pub struct RwLock<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: lockdep::Site,
+    inner: sync::RwLock<T>,
+}
 
-/// The guards of [`RwLock`] are std's.
-pub use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+/// RAII shared guard for [`RwLock`].
+pub struct RwLockReadGuard<'a, T: ?Sized> {
+    guard: sync::RwLockReadGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: lockdep::Held,
+}
+
+/// RAII exclusive guard for [`RwLock`].
+pub struct RwLockWriteGuard<'a, T: ?Sized> {
+    guard: sync::RwLockWriteGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: lockdep::Held,
+}
 
 impl<T> RwLock<T> {
     /// Create a new reader-writer lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
+        RwLock {
+            #[cfg(debug_assertions)]
+            class: std::panic::Location::caller(),
+            inner: sync::RwLock::new(value),
+        }
     }
 
     /// Consume the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
+        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<T: Default> Default for RwLock<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn default() -> Self {
+        RwLock::new(T::default())
     }
 }
 
@@ -349,28 +438,61 @@ fn unmodelled_rwlock() {
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         unmodelled_rwlock();
         acquired();
-        self.0.read().unwrap_or_else(|e| e.into_inner())
+        RwLockReadGuard {
+            #[cfg(debug_assertions)]
+            _held: lockdep::acquire(self.class),
+            guard: self.inner.read().unwrap_or_else(|e| e.into_inner()),
+        }
     }
 
     /// Acquire an exclusive write lock.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         unmodelled_rwlock();
         acquired();
-        self.0.write().unwrap_or_else(|e| e.into_inner())
+        RwLockWriteGuard {
+            #[cfg(debug_assertions)]
+            _held: lockdep::acquire(self.class),
+            guard: self.inner.write().unwrap_or_else(|e| e.into_inner()),
+        }
     }
 
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
+        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        self.inner.fmt(f)
+    }
+}
+
+impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
     }
 }
 
@@ -428,11 +550,116 @@ mod tests {
     fn rwlock_allows_concurrent_reads() {
         let l = RwLock::new(5);
         let a = l.read();
-        let b = l.read();
-        assert_eq!(*a + *b, 10);
-        drop((a, b));
+        let b = std::thread::scope(|s| s.spawn(|| *l.read()).join().unwrap());
+        assert_eq!(*a + b, 10);
+        drop(a);
         *l.write() += 1;
         assert_eq!(*l.read(), 6);
+    }
+
+    /// The lockdep rules, in every debug build.
+    #[cfg(debug_assertions)]
+    mod lockdep_rules {
+        use super::*;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        fn panic_text(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+            let payload = catch_unwind(f).expect_err("the check did not fire");
+            match payload.downcast::<String>() {
+                Ok(text) => *text,
+                Err(payload) => payload.downcast_ref::<&str>().unwrap().to_string(),
+            }
+        }
+
+        /// Take `first`, then `second`; the line both are taken on.
+        fn nest(first: &Mutex<()>, second: &Mutex<()>) -> u32 {
+            let _held = first.lock();
+            (line!(), drop(second.lock())).0
+        }
+
+        /// The same, from a second function.
+        fn nest_again(first: &Mutex<()>, second: &Mutex<()>) -> u32 {
+            let _held = first.lock();
+            (line!(), drop(second.lock())).0
+        }
+
+        #[test]
+        fn a_cycle_across_two_functions_names_both_sites() {
+            let (a, b) = (Mutex::new(()), Mutex::new(()));
+            let ab = nest(&a, &b);
+            // A recorded order may repeat, from anywhere.
+            let ba = nest_again(&a, &b);
+            let text = panic_text(|| {
+                nest_again(&b, &a);
+            });
+            assert!(text.contains("lock order cycle"), "{text}");
+            for line in [ab, ba] {
+                assert!(
+                    text.contains(&format!("src/lib.rs:{line}:")),
+                    "{line}: {text}"
+                );
+            }
+        }
+
+        #[test]
+        fn nesting_two_locks_of_one_class_panics() {
+            let locks: Vec<Mutex<()>> = (0..2).map(|_| Mutex::new(())).collect();
+            let _first = locks[0].lock();
+            let text = panic_text(|| drop(locks[1].lock()));
+            assert!(text.contains("nested locks of one class"), "{text}");
+        }
+
+        #[test]
+        fn a_held_guard_fails_assert_no_guard_held() {
+            let m = Mutex::new(());
+            let (held, line) = (m.lock(), line!());
+            let text = panic_text(assert_no_guard_held);
+            assert!(text.contains("assert_no_guard_held"), "{text}");
+            assert!(text.contains(&format!("src/lib.rs:{line}:")), "{text}");
+            drop(held);
+            assert_no_guard_held();
+        }
+
+        #[test]
+        fn a_condvar_wait_may_hold_only_the_guard_it_releases() {
+            let (m, other, cv) = (Mutex::new(()), Mutex::new(()), Condvar::new());
+            let mut g = m.lock();
+            assert!(cv.wait_for(&mut g, Duration::ZERO).timed_out());
+            let held = other.lock();
+            let text = panic_text(AssertUnwindSafe(|| {
+                let _ = cv.wait_for(&mut g, Duration::ZERO);
+            }));
+            assert!(text.contains("a condvar wait"), "{text}");
+            drop(held);
+        }
+
+        #[test]
+        fn guards_leave_by_identity_when_dropped_out_of_order() {
+            let (a, b, cv) = (Mutex::new(()), Mutex::new(()), Condvar::new());
+            let first = a.lock();
+            let mut second = b.lock();
+            drop(first);
+            // Only `second` is held now: waiting on it passes.
+            assert!(cv.wait_for(&mut second, Duration::ZERO).timed_out());
+            drop(second);
+            assert_no_guard_held();
+        }
+
+        #[test]
+        fn rwlock_guards_are_held_until_dropped() {
+            let l = RwLock::new(0);
+            let read = l.read();
+            assert!(panic_text(assert_no_guard_held).contains("assert_no_guard_held"));
+            let text = panic_text(AssertUnwindSafe(|| drop(l.read())));
+            assert!(text.contains("nested locks of one class"), "{text}");
+            drop(read);
+            let mut write = l.write();
+            *write += 1;
+            assert!(panic_text(assert_no_guard_held).contains("assert_no_guard_held"));
+            drop(write);
+            assert_no_guard_held();
+            assert_eq!(*l.read(), 1);
+        }
     }
 
     /// The locks under the `schedcheck` feature: modelled inside a check,

@@ -89,11 +89,6 @@ impl TestRng {
         debug_assert!(n > 0);
         self.next_u64() % n
     }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 #[cfg(test)]

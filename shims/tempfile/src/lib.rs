@@ -15,21 +15,6 @@ pub struct TempDir {
 }
 
 impl TempDir {
-    /// Create a fresh directory under the system temp dir.
-    pub fn new() -> io::Result<TempDir> {
-        let base = std::env::temp_dir();
-        let pid = std::process::id();
-        loop {
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            let path = base.join(format!("wsq-shimtmp-{pid}-{n}"));
-            match fs::create_dir(&path) {
-                Ok(()) => return Ok(TempDir { path }),
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// The directory's path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -42,9 +27,20 @@ impl Drop for TempDir {
     }
 }
 
-/// Create a [`TempDir`] (free-function form used by the workspace).
+/// Create a fresh directory under the system temp dir, deleted
+/// (recursively) when its [`TempDir`] drops.
 pub fn tempdir() -> io::Result<TempDir> {
-    TempDir::new()
+    let base = std::env::temp_dir();
+    let pid = std::process::id();
+    loop {
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let path = base.join(format!("wsq-shimtmp-{pid}-{n}"));
+        match fs::create_dir(&path) {
+            Ok(()) => return Ok(TempDir { path }),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 #[cfg(test)]
